@@ -12,9 +12,11 @@ entity aggregates into yesterday's global entity table with
 equals a full-batch recompute over old∪new; property-tested in
 tests/test_crossdoc.py), and writes the updated table + the new batch's
 triples. IDEMPOTENT: if --out already holds a committed manifest for this
-input digest, the job exits 0 without recomputation (the curation_job
-manifest rule). Yesterday's table is never reprocessed and never shipped
-through a shuffle — only the new batch's aggregates move.
+input digest (every input file's path, size and mtime), the job exits 0
+without recomputation (the curation_job manifest rule); overwriting an
+input in place changes the digest, and the re-run replaces both outputs.
+Yesterday's table is never reprocessed and never shipped through a
+shuffle — only the new batch's aggregates move.
 """
 
 from __future__ import annotations
@@ -23,10 +25,22 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def input_digest(paths: list[str]) -> str:
+    """Idempotency key of a run: path, size and mtime of every file under
+    each input path (a file or a directory tree)."""
+    entries = []
+    for root in map(os.path.abspath, paths):
+        files = [root] if os.path.isfile(root) else sorted(
+            os.path.join(d, f) for d, _, names in os.walk(root) for f in names)
+        entries.append([root, [[f, os.stat(f).st_size, os.stat(f).st_mtime_ns] for f in files]])
+    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()[:16]
 
 
 def main(argv=None) -> int:
@@ -54,10 +68,7 @@ def main(argv=None) -> int:
     from ontocast_ray.pipelines.kg import build_kg_pipeline
     from ontocast_ray.sources.io import read_documents
 
-    digest = hashlib.sha256(
-        json.dumps([os.path.abspath(args.new_docs),
-                    os.path.abspath(args.entities)]).encode()
-    ).hexdigest()[:16]
+    digest = input_digest([args.new_docs, args.entities])
     manifest = os.path.join(args.out, f"_COMMITTED.{digest}.json")
     if os.path.exists(manifest):
         print(json.dumps({"skipped": True, "manifest": manifest}))
@@ -76,14 +87,15 @@ def main(argv=None) -> int:
     updated = incremental_global_entities(old_table, triples).materialize()
 
     tmp = args.out + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)  # leftovers of a crashed run
     updated.write_parquet(tmp, min_rows_per_file=65_536)
-    # atomic-ish publish: write to .tmp, rename files into place, commit
-    os.makedirs(args.out, exist_ok=True)
-    for f in sorted(os.listdir(tmp)):
-        os.replace(os.path.join(tmp, f), os.path.join(args.out, f))
-    os.rmdir(tmp)
+    # publish: the new table (and, below, its manifest) replaces whatever
+    # an earlier digest left in --out
+    shutil.rmtree(args.out, ignore_errors=True)
+    os.replace(tmp, args.out)
     n_triples = None
     if args.triples_out:
+        shutil.rmtree(args.triples_out, ignore_errors=True)
         triples.write_parquet(args.triples_out, min_rows_per_file=65_536)
         n_triples = triples.count()
 

@@ -6,10 +6,11 @@ via ray job submit on a fixed-size cluster).
         --out /tmp/kg_out --shards 64
 
 Reads the stored interleaved-docs table (doc_id, spans), runs the flagship
-pipeline shard-by-shard with committed lineage manifests (idempotent resume),
-and prints a JSON summary. In this sandbox it runs against a local session;
-on a cluster the same script is submitted unchanged — `ray.init()` with no
-address connects to the running cluster from inside a job.
+pipeline once over every uncommitted shard with committed lineage manifests
+(idempotent resume), and prints a JSON summary. In this sandbox it runs
+against a local session; on a cluster the same script is submitted
+unchanged — `ray.init()` with no address connects to the running cluster
+from inside a job.
 """
 
 from __future__ import annotations

@@ -508,6 +508,8 @@ def pca_project(
             b["n"].to_numpy(zero_copy_only=False)[dim == 0].sum()
         )
 
+    if qsum_vec is None:
+        raise ValueError("pca_project: the embeddings dataset is empty")
     gram = None
     for b in gram_rows.iter_batches(batch_size=None, batch_format="pyarrow"):
         i = b["i"].to_numpy(zero_copy_only=False)

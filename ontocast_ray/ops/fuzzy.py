@@ -62,7 +62,8 @@ def levenshtein_batch(a: "np.ndarray", b: "np.ndarray") -> np.ndarray:
     ``cur[j] = j + min_{k<=j}(cur0[k] - k)`` (np.minimum.accumulate), so
     the whole row updates as one (n_pairs, len_b+1) numpy op; total work
     is max_len_a Python iterations regardless of pair count. Matches
-    DuckDB ``levenshtein()`` exactly (unit costs, codepoint-level).
+    DuckDB ``levenshtein()`` exactly (unit costs, byte-level over UTF-8:
+    one non-ASCII char counts as its encoded bytes).
     """
     n = len(a)
     if n == 0:

@@ -687,8 +687,9 @@ def broadcast_join_int(
     dict-based `broadcast_join` at 600k fact rows (no per-row dict build,
     no Series.map factorize). ``how='inner'`` drops fact rows whose key
     is absent from the dim side (SQL inner-join semantics — the dict path
-    keeps them with a NaN, so pick by need). Requires a UNIQUE dim key
-    (last write wins otherwise, like a dict).
+    keeps them with a NaN, so pick by need). Expects a UNIQUE dim key;
+    with duplicates the first occurrence in the dim table wins (stable
+    sort + left ``searchsorted``), unlike a dict's last write.
     """
     import pandas as pd
 

@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-import pyarrow.compute as pc
-
 import ray
 import ray.data
 
 from ontocast_ray.corpus import spanify_batch
-from ontocast_ray.sources.io import commit_shard, committed_shards, shard_out_path
+from ontocast_ray.sources.io import _write_committed, committed_shards
 from ontocast_ray.sources.ontologies import OntologyRecord, fetch_ontologies
 from ontocast_ray.stages.assemble import assemble_spans
-from ontocast_ray.stages.canonicalize_stage import canonicalize_doc_group
 from ontocast_ray.stages.chunking import ChunkDocuments
 from ontocast_ray.stages.extract import ExtractTriples
 from ontocast_ray.state.ontology_hub import get_or_create_hub, seed_from_records
@@ -356,44 +353,48 @@ def run_resumable(
     n_shards: int = 8,
     **pipeline_kwargs,
 ) -> dict:
-    """Run the pipeline shard-by-shard with committed lineage manifests.
+    """Run the pipeline once over every uncommitted shard, into
+    ``out_dir/part=<shard>/`` with committed lineage manifests.
 
-    Shards partition the corpus by crc32(doc_id) % n_shards. A shard whose
-    manifest exists is skipped (idempotent resume). At multi-node scale
-    shards would be input-file groups; the hash filter here keeps the same
-    layout on a single test file.
+    Shards partition the corpus by ``hash_partition(doc_id, n_shards)``.
+    One pass: documents of committed shards are dropped before extraction,
+    the pipeline runs once, and each triple row is tagged with its doc's
+    shard for the partitioned write. The sink's commit protocol
+    (``sources.io``) purges uncommitted shard directories first and
+    commits every shard only after the whole write, so a resume never
+    duplicates rows; the trade-off is that a crash re-runs every
+    uncommitted shard in one pass. At multi-node scale shards would be
+    input-file groups; the hash keeps the same layout on one input file.
     """
-    done = committed_shards(out_dir)
-    stats = {"shards_total": n_shards, "shards_skipped": len(done), "shards_run": 0}
-    for shard in range(n_shards):
-        if shard in done:
-            continue
-        shard_docs = docs.map_batches(
-            _shard_filter_factory(shard, n_shards), batch_format="pyarrow"
-        )
-        triples = build_kg_pipeline(shard_docs, **pipeline_kwargs)
-        path = shard_out_path(out_dir, shard)
-        # consolidate small blocks: one file per ~200k rows, not one per block
-        triples.write_parquet(path, min_rows_per_file=200_000)
-        import pyarrow.parquet as pq
-        import glob as _glob
-
-        n_rows = sum(
-            pq.read_metadata(f).num_rows for f in _glob.glob(path + "/*.parquet")
-        )
-        commit_shard(out_dir, shard, {"n_triples": n_rows})
-        stats["shards_run"] += 1
-    return stats
-
-
-def _shard_filter_factory(shard: int, n_shards: int):
     import pyarrow as pa
 
     from ontocast_ray.util import hash_partition
 
+    done = committed_shards(out_dir)
+    todo = [s for s in range(n_shards) if s not in done]
+    stats = {"shards_total": n_shards, "shards_skipped": len(done), "shards_run": len(todo)}
+    if not todo:
+        return stats
+    docs = docs.map_batches(_shard_filter_factory(done, n_shards), batch_format="pyarrow")
+    triples = build_kg_pipeline(docs, **pipeline_kwargs).map_batches(
+        lambda b: b.append_column("part", pa.array(hash_partition(b["doc_id"], n_shards))),
+        batch_format="pyarrow",
+    )
+    # consolidate small blocks: one file per ~200k rows, not one per block
+    _write_committed(triples, out_dir, "part", n_shards, done, min_rows_per_file=200_000)
+    return stats
+
+
+def _shard_filter_factory(done: set[int], n_shards: int):
+    """→ a batch map that drops the docs of the ``done`` shards."""
+    import numpy as np
+    import pyarrow as pa
+
+    from ontocast_ray.util import hash_partition
+
+    skip = np.array(sorted(done), dtype=np.int32)
+
     def _filter(batch: pa.Table) -> pa.Table:
-        # vectorized; hash_partition == shard_of by construction (io.py)
-        keep = hash_partition(batch["doc_id"], n_shards) == shard
-        return batch.filter(pa.array(keep))
+        return batch.filter(pa.array(~np.isin(hash_partition(batch["doc_id"], n_shards), skip)))
 
     return _filter

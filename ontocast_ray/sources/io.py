@@ -5,14 +5,19 @@ wheel; the layout below is Lance-dataset-shaped — one directory per
 partition range + a sidecar manifest — and the writer is a thin shim, so a
 ``write_lance`` backend can be swapped in without touching callers).
 
-Layout:
+Layout (``<col>`` is ``part`` for the KG sink, ``bucket`` for
+``write_bucketed``):
     out_dir/
-      part=<shard>/....parquet          # one directory per doc_id-hash shard
-      _manifest/<shard>.json            # committed AFTER the shard's data
+      <col>=<N>/....parquet             # one directory per hash partition
+      _manifest/<N>.json                # {"rows": n}, committed AFTER the data
 
-A shard's manifest is written only after its Parquet files are fully
-written, so a crashed run leaves either no manifest (shard re-runs) or a
-complete shard (skipped on resume) — idempotent resume per the north rule.
+One commit protocol (``_write_committed``) serves both sinks. A run purges
+the directories of uncommitted partitions (orphans of a crashed run), writes
+every uncommitted partition in ONE partitioned write, and only then commits
+each partition's marker. A committed partition is never rewritten, so
+resume is idempotent. The trade-off of the single write: a crash anywhere
+in it leaves every partition of that run uncommitted, and the re-run redoes
+all of them in one pass.
 """
 
 from __future__ import annotations
@@ -99,15 +104,6 @@ def write_documents(ds, path: str, fmt: str = "parquet", **kwargs):
     return ds.write_parquet(path, **kwargs)
 
 
-def shard_of(doc_id: str, n_shards: int) -> int:
-    """Stable doc_id → shard (siphash, fixed key; independent of
-    PYTHONHASHSEED). Must agree with the vectorized batch filter in
-    pipelines/kg.py, so both delegate to util.hash_partition."""
-    from ontocast_ray.util import hash_partition
-
-    return int(hash_partition([doc_id], n_shards)[0])
-
-
 def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
@@ -137,8 +133,38 @@ def commit_shard(out_dir: str, shard: int, stats: dict) -> str:
     return path
 
 
-def shard_out_path(out_dir: str, shard: int) -> str:
-    return os.path.join(out_dir, f"part={shard}")
+def _write_committed(
+    ds, out_dir: str, col: str, n_parts: int, done: set[int], min_rows_per_file: int
+) -> dict[int, int]:
+    """The commit protocol of both resumable sinks. ``ds`` carries an int
+    ``col`` in [0, n_parts) and no rows of the ``done`` (committed) parts.
+    Purges the ``<col>=N/`` directories of uncommitted parts, writes ``ds``
+    once partitioned by ``col``, then commits each uncommitted part with
+    its row count read from the parquet footers — markers only after the
+    whole write returned. → {part: rows}, including ``done`` parts (and
+    0 for parts that got no rows: they are complete too)."""
+    import glob
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    prefix = f"{col}="
+    for name in os.listdir(out_dir) if os.path.isdir(out_dir) else []:
+        part = name[len(prefix):]
+        if name.startswith(prefix) and part.isdigit() and int(part) not in done:
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    rows: dict[int, int] = {}
+    for p in sorted(done):
+        with open(os.path.join(manifest_dir(out_dir), f"{p}.json"), encoding="utf-8") as fh:
+            rows[p] = int(json.load(fh).get("rows", 0))
+    todo = [p for p in range(n_parts) if p not in done]
+    if todo:
+        ds.write_parquet(out_dir, partition_cols=[col], min_rows_per_file=min_rows_per_file)
+    for p in todo:
+        files = glob.glob(os.path.join(out_dir, f"{prefix}{p}", "*.parquet"))
+        rows[p] = sum(pq.read_metadata(f).num_rows for f in files)
+        commit_shard(out_dir, p, {"rows": rows[p]})
+    return rows
 
 
 def write_bucketed(
@@ -146,31 +172,20 @@ def write_bucketed(
     out_dir: str,
     key_col: str,
     n_buckets: int = 16,
-    sort_within: bool = True,
     min_rows_per_file: int = 50_000,
 ) -> dict:
     """Hash-bucketed sink: ``out_dir/bucket=NN/*.parquet`` where every row
     of bucket NN satisfies ``hash(key) % n_buckets == NN``, sorted by key
-    within the bucket when ``sort_within``. The payoff at scale: two
-    tables bucketed the same way co-locate join keys per directory (a
-    bucket join reads one directory pair at a time, no shuffle), and a
-    failed run re-runs only buckets missing a manifest entry (same
-    commit-after-data protocol as the sharded KG sink above).
+    within the bucket. The payoff at scale: two tables bucketed the same
+    way co-locate join keys per directory (a bucket join reads one
+    directory pair at a time, no shuffle).
 
-    Resume: buckets already holding a commit marker are SKIPPED on re-run
-    (rows filtered map-side before the shuffle), so a partially-failed run
-    re-executes only the missing buckets — same idempotence contract as
-    the sharded KG sink. Uncommitted ``bucket=NN`` directories (a crash
-    between write_parquet and commit_shard leaves orphan files) are
-    removed before re-writing, so resume is file-idempotent: re-runs never
-    append duplicate rows to a half-written bucket. Returns the manifest
-    dict {bucket: n_rows} including previously-committed buckets. One
-    groupby shuffle; bucket sort + row counting run inside the per-bucket
-    kernel, never on the driver.
+    Resume follows the module's commit protocol: rows of committed buckets
+    are dropped map-side before the one groupby shuffle, uncommitted
+    ``bucket=NN`` directories are purged before the write, so re-runs
+    never duplicate rows. → {bucket: n_rows}, including buckets committed
+    by earlier runs.
     """
-    import json
-    import shutil
-
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -178,59 +193,22 @@ def write_bucketed(
     from ontocast_ray.util import hash_partition
 
     done = committed_shards(out_dir)
-    # file-idempotence: purge orphan data from buckets that never committed
-    if os.path.isdir(out_dir):
-        for name in os.listdir(out_dir):
-            if not name.startswith("bucket="):
-                continue
-            try:
-                b = int(name.split("=", 1)[1])
-            except ValueError:
-                continue
-            if b not in done:
-                shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
-    prior: dict[int, int] = {}
-    for b in sorted(done):
-        with open(os.path.join(manifest_dir(out_dir), f"{b}.json"), encoding="utf-8") as fh:
-            prior[b] = int(json.load(fh).get("rows", 0))
-    if len(done) >= n_buckets:
-        return prior
+    skip = np.array(sorted(done), dtype=np.int32)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         buckets = hash_partition(batch[key_col], n_buckets)
         out = batch.append_column("bucket", pa.array(buckets))
-        if done:  # resume: committed buckets never cross the shuffle
-            keep = ~np.isin(buckets, list(done))
-            out = out.filter(pa.array(keep))
-        return out
+        return out.filter(pa.array(~np.isin(buckets, skip)))
 
     def bucket_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if sort_within and len(df):
-            df = df.sort_values(key_col, kind="mergesort")
-        return df.reset_index(drop=True)
+        return df.sort_values(key_col, kind="mergesort").reset_index(drop=True)
 
     bucketed = (
         ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(bucket_kernel, batch_format="pandas")
-        .materialize()
     )
-    if bucketed.count() > 0:
-        bucketed.write_parquet(
-            out_dir,
-            partition_cols=["bucket"],
-            min_rows_per_file=min_rows_per_file,
-        )
-    # per-bucket lineage: counts are a tiny aggregate over the materialized
-    # dataset (never the rows themselves); commit markers AFTER the data
-    counts: dict[int, int] = {}
-    for b in bucketed.select_columns(["bucket"]).iter_batches(batch_format="pandas"):
-        for k, v in b["bucket"].value_counts().items():
-            counts[int(k)] = counts.get(int(k), 0) + int(v)
-    for b, n in sorted(counts.items()):
-        commit_shard(out_dir, b, {"rows": n, "key_col": key_col})
-    counts.update(prior)
-    return counts
+    return _write_committed(bucketed, out_dir, "bucket", n_buckets, done, min_rows_per_file)
 
 
 def read_bucket(out_dir: str, bucket: int, columns: list | None = None):

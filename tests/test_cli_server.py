@@ -265,3 +265,43 @@ def test_incremental_kg_job_entry(ray_session, tmp_path, capsys):
     assert rc2 == 0
     stats2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert stats2.get("skipped") is True
+
+
+def test_incremental_kg_job_reruns_on_overwritten_input(ray_session, tmp_path, capsys):
+    """The idempotency digest covers input contents (size, mtime): after
+    --new-docs is overwritten in place the job re-runs, and its output
+    replaces the earlier table instead of adding to it."""
+    import json
+    import os
+    import sys
+
+    import pyarrow.parquet as pq
+
+    import ray.data
+
+    from ontocast_ray.corpus import generate_corpus
+    from ontocast_ray.pipelines.crossdoc import global_entity_table
+    from ontocast_ray.pipelines.kg import build_kg_pipeline
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "jobs"))
+    import incremental_kg_job
+
+    t1 = build_kg_pipeline(ray.data.from_arrow(generate_corpus(n_docs=6, seed=5)),
+                           min_chunk_size=200, max_chunk_size=2000)
+    ent_dir = str(tmp_path / "entities_v1")
+    global_entity_table(t1, n_parts=2).write_parquet(ent_dir)
+    docs2 = str(tmp_path / "day2.parquet")
+    out = str(tmp_path / "entities_v2")
+    argv = ["--new-docs", docs2, "--entities", ent_dir, "--out", out,
+            "--min-chunk-size", "200", "--max-chunk-size", "2000"]
+
+    runs = []
+    for n_docs in (6, 3):  # the second write overwrites the same path
+        pq.write_table(generate_corpus(n_docs=n_docs, seed=11), docs2)
+        assert incremental_kg_job.main(argv) == 0
+        runs.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
+    assert not runs[1].get("skipped") and runs[1]["new_docs"] == 3
+    assert runs[1]["manifest"] != runs[0]["manifest"]
+    assert ray.data.read_parquet(out).count() == runs[1]["entities"]
+    assert os.path.exists(runs[1]["manifest"]) and not os.path.exists(runs[0]["manifest"])

@@ -4574,3 +4574,17 @@ def test_pca_project_matches_numpy(ray_session):
     expect = (q - mean) @ comps
     assert np.allclose(out["pc1"].to_numpy(), expect[:, 0], atol=1e-9)
     assert np.allclose(out["pc2"].to_numpy(), expect[:, 1], atol=1e-9)
+
+
+def test_pca_project_empty_input_raises(ray_session):
+    """No vectors → no covariance: a clear ValueError, not a TypeError."""
+    import ray.data
+
+    from ontocast_ray.ops.features import pca_project
+
+    tbl = pa.table({
+        "vec_id": pa.array([], type=pa.int64()),
+        "embedding": pa.array([], type=pa.list_(pa.float32())),
+    })
+    with pytest.raises(ValueError, match="empty"):
+        pca_project(ray.data.from_arrow(tbl), k=2, n_parts=2)

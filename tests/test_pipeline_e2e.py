@@ -142,3 +142,104 @@ def test_resumable_writes(ray_session, corpus, tmp_path):
     # readable back as a Dataset keyed by the same doc_id partitioning
     ds = ray.data.read_parquet(out + "/part=0")
     assert ds.count() >= 0
+
+
+RESUME_KW = dict(n_shards=4, min_chunk_size=200, max_chunk_size=2000,
+                 chunk_concurrency=2, extract_concurrency=2)
+
+
+def _triple_multiset(out_dir):
+    """(shard dir, *triple columns) → count, over every committed-layout file."""
+    import glob
+    import os
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+
+    from ontocast_ray.model import TRIPLES_SCHEMA
+
+    rows = Counter()
+    for f in glob.glob(os.path.join(out_dir, "part=*", "*.parquet")):
+        part = os.path.basename(os.path.dirname(f))
+        t = pq.read_table(f, columns=TRIPLES_SCHEMA.names)
+        rows.update((part, *r) for r in zip(*(t[c].to_pylist() for c in TRIPLES_SCHEMA.names)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def clean_triples(ray_session, corpus, tmp_path_factory):
+    import ray.data
+
+    out = str(tmp_path_factory.mktemp("clean") / "triples")
+    run_resumable(ray.data.from_arrow(corpus), out, **RESUME_KW)
+    rows = _triple_multiset(out)
+    assert rows
+    return rows
+
+
+def test_resume_after_crash_before_commit(ray_session, corpus, tmp_path, clean_triples):
+    """A crash after a shard's data was written but before its commit
+    marker: the re-run must replace that shard's files, not append to them."""
+    import os
+
+    import ray.data
+
+    out = str(tmp_path / "triples")
+    docs = ray.data.from_arrow(corpus)
+    run_resumable(docs, out, **RESUME_KW)
+    assert _triple_multiset(out) == clean_triples
+    os.remove(os.path.join(out, "_manifest", "1.json"))
+    assert os.listdir(os.path.join(out, "part=1"))
+    stats = run_resumable(docs, out, **RESUME_KW)
+    assert stats["shards_run"] == 1 and stats["shards_skipped"] == 3
+    assert _triple_multiset(out) == clean_triples
+
+
+def test_kg_job_sigkill_resume(ray_session, corpus, tmp_path, clean_triples):
+    """SIGKILL the KG job (driver and its Ray processes) as soon as its first
+    parquet file appears; re-running the job must give the clean triples."""
+    import glob
+    import importlib.util
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import pyarrow.parquet as pq
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    job = os.path.join(repo, "jobs", "kg_job.py")
+    docs_path = str(tmp_path / "docs.parquet")
+    pq.write_table(corpus, docs_path)
+    out = str(tmp_path / "kg_out")
+    argv = ["--docs", docs_path, "--out", out, "--shards", str(RESUME_KW["n_shards"]),
+            "--min-chunk-size", "200", "--max-chunk-size", "2000"]
+
+    # the job owns its own Ray session, in its own process group, so one
+    # killpg takes down the driver and every Ray process it started
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [repo, env.get("PYTHONPATH")]))
+    with open(tmp_path / "job.log", "w") as log:
+        proc = subprocess.Popen([sys.executable, job, *argv], cwd=repo, env=env,
+                                stdout=log, stderr=subprocess.STDOUT, start_new_session=True)
+    deadline = time.time() + 300
+    while not glob.glob(os.path.join(out, "**", "*.parquet"), recursive=True):
+        assert proc.poll() is None, (tmp_path / "job.log").read_text()[-3000:]
+        assert time.time() < deadline, "job wrote no parquet file in 300 s"
+        time.sleep(0.01)
+    os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.wait(timeout=60) == -signal.SIGKILL
+    while True:  # no writer of the killed run may outlive the kill
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.time() < deadline, "killed job's processes did not exit"
+        time.sleep(0.05)
+
+    spec = importlib.util.spec_from_file_location("kg_job", job)
+    kg_job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kg_job)
+    assert kg_job.main(argv) == 0
+    assert _triple_multiset(out) == clean_triples
