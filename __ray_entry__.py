@@ -2052,7 +2052,7 @@ def _q_user_max_gap(sf_dir: str):
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
     from ontocast_ray.util import hash_partition
 
     events = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])

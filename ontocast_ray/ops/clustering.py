@@ -30,6 +30,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import vectors_2d
 
 _PARTIAL_SCHEMA = pa.schema(
@@ -406,15 +408,6 @@ def semdedup(
         .map_groups(_pair_hits, batch_format="pandas")
     )
 
-    n_red = 64
-
-    def _add_red(batch: pa.Table) -> pa.Table:
-        from ontocast_ray.util import hash_partition
-
-        return batch.append_column(
-            "red", pa.array(hash_partition(batch[id_col], n_red).astype(np.int64))
-        )
-
     def _or_reduce(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby(id_col, sort=False).agg(
             cluster=("cluster", "first"), hit=("hit", "any")
@@ -425,9 +418,5 @@ def semdedup(
              "keep": ~agg["hit"].to_numpy()}
         )
 
-    big_out = (
-        pair_hits.map_batches(_add_red, batch_format="pyarrow")
-        .groupby("red")
-        .map_groups(_or_reduce, batch_format="pandas")
-    )
+    big_out = shuffle_by(pair_hits, id_col, _or_reduce, 64)
     return small_out.union(big_out)

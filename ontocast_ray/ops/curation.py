@@ -38,6 +38,7 @@ import ray.data
 
 from .dedup import _fold_kgrams, _word_hashes_batch
 from .interleave import splitmix64
+from .shuffle import shuffle_by
 
 
 def cap_per_group(
@@ -67,11 +68,6 @@ def cap_per_group(
             .groupby(group_col, sort=False)
             .head(cap)
         )
-        part = (
-            pd.util.hash_array(np.asarray(out[group_col]), categorize=False)
-            % np.uint64(n_parts)
-        ).astype(np.int64)
-        out = out.assign(_cap_part=part)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def _finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -80,12 +76,10 @@ def cap_per_group(
             .groupby(group_col, sort=False)
             .head(cap)
         )
-        return out.drop(columns=["_cap_u", "_cap_part"])
+        return out.drop(columns=["_cap_u"])
 
-    return (
-        ds.map_batches(_precap, batch_format="pyarrow")
-        .groupby("_cap_part")
-        .map_groups(_finish, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(_precap, batch_format="pyarrow"), group_col, _finish, n_parts
     )
 
 
@@ -130,14 +124,12 @@ def _scrub_marked_positions(
     `paragraph_dedup`): confirmed-bad (id, segment-index) rows meet the
     documents in ONE ``hash(id) % P`` shuffle and the kernel drops exactly
     those ``\n``-segment positions. → (id_col, text_col, n_removed)."""
-    from ontocast_ray.util import hash_partition
 
     def _doc_rows(batch: pa.Table) -> pa.Table:
         ids = batch[id_col]
         n = len(batch)
         return pa.table(
             {
-                "dpart": pa.array(hash_partition(ids, n_parts).astype(np.int64)),
                 "src": pa.array(np.zeros(n, dtype=np.int8)),
                 id_col: ids,
                 text_col: batch[text_col].cast(pa.string()),
@@ -150,7 +142,6 @@ def _scrub_marked_positions(
         n = len(batch)
         return pa.table(
             {
-                "dpart": pa.array(hash_partition(ids, n_parts).astype(np.int64)),
                 "src": pa.array(np.ones(n, dtype=np.int8)),
                 id_col: ids,
                 text_col: pa.nulls(n, type=pa.string()),
@@ -183,9 +174,7 @@ def _scrub_marked_positions(
             }
         )
 
-    return joined.groupby("dpart").map_groups(
-        _scrub_group, batch_format="pandas"
-    )
+    return shuffle_by(joined, id_col, _scrub_group, n_parts)
 
 
 def remove_boilerplate_lines(
@@ -218,54 +207,42 @@ def remove_boilerplate_lines(
       pattern). Lines that MISS the bitmap are provably infrequent and
       never leave their block; bitmap HITS become candidate rows
       (line_hash, doc_id, line_idx — never text) that meet the frequent
-      hashes in an exact ``line_hash % P`` shuffle semi-join, so Bloom
+      hashes in an exact ``hash(line_hash) % P`` shuffle semi-join, so Bloom
       false positives are filtered and the output is byte-identical to
       the broadcast path. Confirmed-bad (doc_id, line_idx) rows then meet
       the documents in one ``hash(doc_id) % P`` shuffle and the kernel
       drops exactly those line positions. 3 coarse shuffles total; no
       driver-side collection anywhere.
     """
-    import ray.data as rd
-
     from ontocast_ray.ops.dedup import (
         _BLOOM_BITS,
         _bloom_build_cols,
         _bloom_contains,
     )
-    from ontocast_ray.util import hash_partition
 
     def _count(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         lines = [ln for t in texts for ln in (t or "").split("\n")]
         if not lines:
             return pa.table({"line_hash": pa.array([], type=pa.uint64()),
-                             "n": pa.array([], type=pa.int64()),
-                             "part": pa.array([], type=pa.int64())})
+                             "n": pa.array([], type=pa.int64())})
         h = pd.util.hash_array(np.asarray(lines, dtype=object), categorize=False)
         uniq, cnt = np.unique(h, return_counts=True)
         return pa.table(
             {
                 "line_hash": pa.array(uniq),
                 "n": pa.array(cnt.astype(np.int64)),
-                "part": pa.array((uniq % np.uint64(n_parts)).astype(np.int64)),
             }
         )
 
     def _freq(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby("line_hash", sort=False)["n"].sum()
         agg = agg[agg >= min_count]
-        h = agg.index.to_numpy(dtype=np.uint64)
-        return pd.DataFrame(
-            {"line_hash": h,
-             "part": (h % np.uint64(n_parts)).astype(np.int64)}
-        )
+        return pd.DataFrame({"line_hash": agg.index.to_numpy(dtype=np.uint64)})
 
-    frequent = (
-        docs.map_batches(_count, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_freq, batch_format="pandas")
-        .materialize()
-    )
+    frequent = shuffle_by(
+        docs.map_batches(_count, batch_format="pyarrow"), "line_hash", _freq, n_parts
+    ).materialize()
 
     if frequent.count() <= broadcast_limit:
         freq = np.sort(
@@ -315,7 +292,6 @@ def remove_boilerplate_lines(
         n = len(batch)
         return pa.table(
             {
-                "part": batch["part"].cast(pa.int64()),
                 "src": pa.array(np.zeros(n, dtype=np.int8)),
                 "line_hash": batch["line_hash"],
                 id_col: pa.nulls(n, type=id_type),
@@ -346,9 +322,6 @@ def remove_boilerplate_lines(
         )
         return pa.table(
             {
-                "part": pa.array(
-                    (h_all % np.uint64(n_parts)).astype(np.int64)
-                ),
                 "src": pa.array(np.ones(len(h_all), dtype=np.int8)),
                 "line_hash": pa.array(h_all),
                 id_col: pa.array(out_id, type=id_type),
@@ -385,7 +358,7 @@ def remove_boilerplate_lines(
              "line_idx": bad["line_idx"].cast(pa.int64())}
         )
 
-    bad_rows = tagged.groupby("part").map_groups(_confirm, batch_format="pyarrow")
+    bad_rows = shuffle_by(tagged, "line_hash", _confirm, n_parts, batch_format="pyarrow")
     return _scrub_marked_positions(
         docs, bad_rows, id_col=id_col, text_col=text_col,
         idx_col="line_idx", n_parts=n_parts,
@@ -558,7 +531,7 @@ def paragraph_dedup(
     either the broadcast fast path (dup set ≤ ``broadcast_limit``:
     ``ray.put`` once, pure map, zero extra shuffles) or the bounded scale
     path (Bloom bitmap prune → exact ``hash % P`` shuffle semi-join →
-    ``doc_id % P`` scrub join — the `remove_boilerplate_lines` pattern,
+    ``hash(doc_id) % P`` scrub join — the `remove_boilerplate_lines` pattern,
     driver memory bounded by the bitmap regardless of dup count).
 
     Bounds: per-doc paragraph index must fit 20 bits (≤ ~1M paragraphs
@@ -570,8 +543,7 @@ def paragraph_dedup(
         _bloom_build_cols,
         _bloom_contains,
     )
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(docs, n_parts)
     # consumed 2x (winner + scrub) or 3x (scale path adds the candidate
@@ -598,7 +570,6 @@ def paragraph_dedup(
                 "para_hash": pa.array([], type=pa.uint64()),
                 "min_packed": pa.array([], type=pa.int64()),
                 "n": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
             })
         assert idx.max() < _PARA_MAXP, "paragraph index exceeds 2^20"
         did = ids[np.asarray(doc_pos)]
@@ -610,12 +581,10 @@ def paragraph_dedup(
             .groupby("para_hash", as_index=False)
             .agg(min_packed=("packed", "min"), n=("packed", "size"))
         )
-        hh = g["para_hash"].to_numpy(dtype=np.uint64)
         return pa.table({
-            "para_hash": pa.array(hh),
+            "para_hash": pa.array(g["para_hash"].to_numpy(dtype=np.uint64)),
             "min_packed": pa.array(g["min_packed"].to_numpy(dtype=np.int64)),
             "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
-            "part": pa.array((hh % np.uint64(n_parts)).astype(np.int64)),
         })
 
     def _winner_final(df: pd.DataFrame) -> pd.DataFrame:
@@ -623,19 +592,17 @@ def paragraph_dedup(
             min_packed=("min_packed", "min"), n=("n", "sum")
         )
         g = g[g["n"] >= 2]
-        h = g["para_hash"].to_numpy(dtype=np.uint64)
         return pd.DataFrame({
-            "para_hash": h,
+            "para_hash": g["para_hash"].to_numpy(dtype=np.uint64),
             "min_packed": g["min_packed"].to_numpy(dtype=np.int64),
-            "part": (h % np.uint64(n_parts)).astype(np.int64),
         })
 
-    dups = (
-        docs.map_batches(_winner_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_winner_final, batch_format="pandas")
-        .materialize()
-    )
+    dups = shuffle_by(
+        docs.map_batches(_winner_partial, batch_format="pyarrow"),
+        "para_hash",
+        _winner_final,
+        n_parts,
+    ).materialize()
 
     if dups.count() <= broadcast_limit:
         rows = dups.take_all()
@@ -690,7 +657,6 @@ def paragraph_dedup(
     def _dup_rows(batch: pa.Table) -> pa.Table:
         n = len(batch)
         return pa.table({
-            "part": batch["part"].cast(pa.int64()),
             "src": pa.array(np.zeros(n, dtype=np.int8)),
             "para_hash": batch["para_hash"],
             "min_packed": batch["min_packed"].cast(pa.int64()),
@@ -714,7 +680,6 @@ def paragraph_dedup(
             hit = _bloom_contains(blm, h_all, _BLOOM_BITS)
             h_all, did, idx = h_all[hit], did[hit], idx[hit]
         return pa.table({
-            "part": pa.array((h_all % np.uint64(n_parts)).astype(np.int64)),
             "src": pa.array(np.ones(len(h_all), dtype=np.int8)),
             "para_hash": pa.array(h_all),
             "min_packed": pa.array(np.full(len(h_all), -1, dtype=np.int64)),
@@ -752,7 +717,7 @@ def paragraph_dedup(
             "para_idx": pa.array(cidx[bad]),
         })
 
-    bad_rows = tagged.groupby("part").map_groups(_confirm, batch_format="pyarrow")
+    bad_rows = shuffle_by(tagged, "para_hash", _confirm, n_parts, batch_format="pyarrow")
     return _scrub_marked_positions(
         docs, bad_rows, id_col=id_col, text_col=text_col,
         idx_col="para_idx", n_parts=n_parts,

@@ -29,7 +29,9 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Count, Max, Min
+from ray.data.aggregate import Count, Min
+
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import pool, vectors_2d
 
 _WS = re.compile(r"\s+")
@@ -231,7 +233,7 @@ _FNV_PRIME = _FNV_PRIME0
 _GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _band_rows(batch: pa.Table, bands: int, n_parts: int) -> pa.Table:
+def _band_rows(batch: pa.Table, bands: int) -> pa.Table:
     """(doc, band) → 64-bit band key, fully vectorized.
 
     The signature column is flattened zero-copy to an (n_docs, num_perm)
@@ -244,8 +246,7 @@ def _band_rows(batch: pa.Table, bands: int, n_parts: int) -> pa.Table:
     if n == 0:
         return pa.table(
             {"band_key": pa.array([], type=pa.int64()),
-             "doc_id": pa.array([], type=batch["doc_id"].type),
-             "bucket_part": pa.array([], type=pa.int32())}
+             "doc_id": pa.array([], type=batch["doc_id"].type)}
         )
     col = batch["minhash"].combine_chunks()
     flat = col.flatten().to_numpy(zero_copy_only=False).view(np.uint64)
@@ -263,7 +264,6 @@ def _band_rows(batch: pa.Table, bands: int, n_parts: int) -> pa.Table:
         {
             "band_key": pa.array(keys.view(np.int64)),
             "doc_id": batch["doc_id"].take(pa.array(idx)),
-            "bucket_part": pa.array((keys % np.uint64(n_parts)).astype(np.int32)),
         }
     )
 
@@ -277,12 +277,6 @@ def _bucket_all_pairs_partition(
     counts). One vectorized self-merge per partition; buckets truncated
     to ``max_bucket`` members (smallest ids) bound the quadratic blowup —
     the documented LSH hot-bucket degradation."""
-    if group.empty:
-        dt = group["doc_id"].dtype if "doc_id" in group else "int64"
-        return pd.DataFrame({
-            "doc_id_a": pd.Series([], dtype=dt),
-            "doc_id_b": pd.Series([], dtype=dt),
-        })
     df = group.drop_duplicates(["band_key", "doc_id"]).sort_values(
         ["band_key", "doc_id"], kind="stable"
     )
@@ -298,12 +292,6 @@ def _bucket_pairs_partition(group: pd.DataFrame) -> pd.DataFrame:
     sort + drop_duplicates + groupby().transform('first') — no per-bucket
     Python loop, and the shuffle key stays the coarse hash(band_key) % P.
     """
-    if group.empty:
-        dt = group["doc_id"].dtype if "doc_id" in group else "int64"
-        return pd.DataFrame({
-            "doc_id_a": pd.Series([], dtype=dt),
-            "doc_id_b": pd.Series([], dtype=dt),
-        })
     df = group.drop_duplicates(["band_key", "doc_id"]).sort_values(
         ["band_key", "doc_id"], kind="stable"
     )
@@ -349,7 +337,7 @@ def minhash_lsh_candidates(
         concurrency=pool(concurrency),
     )
     band_rows = sigs.map_batches(
-        lambda b: _band_rows(b, bands, n_parts), batch_format="pyarrow"
+        lambda b: _band_rows(b, bands), batch_format="pyarrow"
     ).repartition(shuffle_blocks)
     if pair_mode not in ("star", "all"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
@@ -357,9 +345,7 @@ def minhash_lsh_candidates(
         _bucket_pairs_partition if pair_mode == "star"
         else _bucket_all_pairs_partition
     )
-    pairs = band_rows.groupby("bucket_part").map_groups(
-        kernel, batch_format="pandas"
-    )
+    pairs = shuffle_by(band_rows, "band_key", kernel, n_parts)
     # same pair can surface from several bands → distinct
     return pairs.groupby(["doc_id_a", "doc_id_b"]).aggregate(Count(alias_name="n_bands"))
 
@@ -435,12 +421,10 @@ def _bloom_contains(bloom: np.ndarray, ids, m_bits: int) -> np.ndarray:
 def _join_schema(id_type: pa.DataType) -> pa.Schema:
     return pa.schema(
         [
-            ("part", pa.int32()),
             ("kind", pa.int8()),  # 0 = pair request, 1 = doc shingles
             ("doc_id", id_type),
             ("doc_id_a", id_type),
             ("doc_id_b", id_type),
-            ("bucket", pa.int32()),
             ("shingles", pa.binary()),
         ]
     )
@@ -537,7 +521,6 @@ def ngram_jaccard_verify(
     to force the distributed join).
     """
     import ray
-    from ontocast_ray.util import hash_u64
 
     empty = pa.table(
         {
@@ -564,22 +547,13 @@ def ngram_jaccard_verify(
     bloom_ref = ray.put(bloom)
 
     def request_rows(batch: pa.Table) -> pa.Table:
-        a = batch["doc_id_a"].to_numpy(zero_copy_only=False)
-        b = batch["doc_id_b"].to_numpy(zero_copy_only=False)
-        with np.errstate(over="ignore"):
-            hp = hash_u64(a) ^ (hash_u64(b) * _GOLDEN64 + _FNV_OFFSET)
-        bucket = (hp % np.uint64(n_parts)).astype(np.int32)
-        part_a = (hash_u64(a) % np.uint64(n_parts)).astype(np.int32)
-        part_b = (hash_u64(b) % np.uint64(n_parts)).astype(np.int32)
-        n = len(a)
+        n = len(batch)
         return pa.Table.from_arrays(
             [
-                pa.array(np.concatenate([part_a, part_b])),
                 pa.array(np.zeros(2 * n, dtype=np.int8)),
                 pa.concat_arrays([batch["doc_id_a"].combine_chunks(), batch["doc_id_b"].combine_chunks()]),
                 pa.concat_arrays([batch["doc_id_a"].combine_chunks()] * 2),
                 pa.concat_arrays([batch["doc_id_b"].combine_chunks()] * 2),
-                pa.array(np.concatenate([bucket, bucket])),
                 pa.array([b""] * (2 * n), type=pa.binary()),
             ],
             schema=schema,
@@ -609,12 +583,10 @@ def ngram_jaccard_verify(
             n = len(texts)
             return pa.Table.from_arrays(
                 [
-                    pa.array((hash_u64(sub_ids) % np.uint64(n_parts)).astype(np.int32)),
                     pa.array(np.ones(n, dtype=np.int8)),
                     sub_ids.combine_chunks(),
                     sub_ids.combine_chunks(),  # unused for kind=1
                     sub_ids.combine_chunks(),
-                    pa.array(np.full(n, -1, dtype=np.int32)),
                     pa.array(blobs, type=pa.binary()),
                 ],
                 schema=schema,
@@ -631,7 +603,6 @@ def ngram_jaccard_verify(
         out_sh = [sh[d] for d in reqs["doc_id"]]
         return pa.table(
             {
-                "bucket": pa.array(reqs["bucket"].to_numpy(), type=pa.int32()),
                 "doc_id": pa.array(reqs["doc_id"].tolist(), type=id_type),
                 "doc_id_a": pa.array(reqs["doc_id_a"].tolist(), type=id_type),
                 "doc_id_b": pa.array(reqs["doc_id_b"].tolist(), type=id_type),
@@ -639,9 +610,7 @@ def ngram_jaccard_verify(
             }
         )
 
-    joined = requests.union(shingle_rows).groupby("part").map_groups(
-        join_kernel, batch_format="pandas"
-    )
+    joined = shuffle_by(requests.union(shingle_rows), "doc_id", join_kernel, n_parts)
 
     def verify_kernel(group: pd.DataFrame) -> pa.Table:
         out_a, out_b, sims = [], [], []
@@ -669,7 +638,7 @@ def ngram_jaccard_verify(
             }
         )
 
-    return joined.groupby("bucket").map_groups(verify_kernel, batch_format="pandas")
+    return shuffle_by(joined, ["doc_id_a", "doc_id_b"], verify_kernel, n_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +737,7 @@ def simhash_candidates(
             return pa.table(
                 {"band_key": pa.array([], type=pa.int64()),
                  "doc_id": pa.array([], type=batch["doc_id"].type),
-                 "simhash": pa.array([], type=pa.int64()),
-                 "bucket_part": pa.array([], type=pa.int32())}
+                 "simhash": pa.array([], type=pa.int64())}
             )
         u = batch["simhash"].combine_chunks().to_numpy(zero_copy_only=False).view(np.uint64)
         keys = np.empty((n, 4), dtype=np.uint64)
@@ -778,15 +746,12 @@ def simhash_candidates(
                 np.uint64(b) << np.uint64(16)
             )
         flat = keys.reshape(-1)
-        with np.errstate(over="ignore"):
-            parts = ((flat * _GOLDEN64) >> np.uint64(33)) % np.uint64(n_parts)
         idx = np.repeat(np.arange(n, dtype=np.int64), 4)
         return pa.table(
             {
                 "band_key": pa.array(flat.view(np.int64)),
                 "doc_id": batch["doc_id"].take(pa.array(idx)),
                 "simhash": pa.array(np.repeat(u.view(np.int64), 4)),
-                "bucket_part": pa.array(parts.astype(np.int32)),
             }
         )
 
@@ -820,11 +785,11 @@ def simhash_candidates(
             d_out.extend(d[keep])
         return pd.DataFrame({"doc_id_a": a_out, "doc_id_b": b_out, "hamming": d_out})
 
-    pairs = (
-        sigs.map_batches(bands, batch_format="pyarrow")
-        .repartition(shuffle_blocks)
-        .groupby("bucket_part")
-        .map_groups(bucket_partition, batch_format="pandas")
+    pairs = shuffle_by(
+        sigs.map_batches(bands, batch_format="pyarrow").repartition(shuffle_blocks),
+        "band_key",
+        bucket_partition,
+        n_parts,
     )
     return pairs.groupby(["doc_id_a", "doc_id_b"]).aggregate(Min("hamming", alias_name="hamming"))
 
@@ -886,25 +851,15 @@ def _pair_max_cosine(
     multi-key groupby aggregate (sort-based AllToAll, the measured
     10-30× CLAUDE.md lesson). Values identical; hot-bucket LSH regimes
     with big pair sets no longer pay the sort."""
-    from ontocast_ray.util import hash_u64
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
-        with np.errstate(over="ignore"):
-            h = (
-                hash_u64(g["id_a"].to_numpy()) * _GOLDEN64
-                + hash_u64(g["id_b"].to_numpy())
-            )
-        g["part"] = (h % np.uint64(n_parts)).astype(np.int32)
-        return g
+    def pair_max(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["id_a", "id_b"], as_index=False)["cosine"].max()
-
-    return (
-        pairs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        pairs.map_batches(pair_max, batch_format="pandas"),
+        ["id_a", "id_b"],
+        pair_max,
+        n_parts,
     )
 
 
@@ -951,8 +906,7 @@ def embedding_dedup_candidates(
                 return pa.table(
                     {"bucket": pa.array([], type=pa.int64()),
                      id_col: pa.array([], type=batch[id_col].type),
-                     vec_col: pa.array([], type=batch[vec_col].type),
-                     "bucket_part": pa.array([], type=pa.int32())}
+                     vec_col: pa.array([], type=batch[vec_col].type)}
                 )
             vecs = vectors_2d(batch[vec_col])
             signs = (vecs @ self.planes) > 0  # (n, n_planes)
@@ -966,15 +920,12 @@ def embedding_dedup_candidates(
                     np.uint64(b) << np.uint64(56)
                 )
             flat = keys.reshape(-1)
-            with np.errstate(over="ignore"):
-                parts = ((flat * _GOLDEN64) >> np.uint64(33)) % np.uint64(n_parts)
             idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
             return pa.table(
                 {
                     "bucket": pa.array(flat.view(np.int64)),
                     id_col: batch[id_col].take(idx),
                     vec_col: batch[vec_col].take(idx),
-                    "bucket_part": pa.array(parts.astype(np.int32)),
                 }
             )
 
@@ -998,9 +949,7 @@ def embedding_dedup_candidates(
         Bucketer, fn_constructor_kwargs={"planes_ref": planes_ref},
         batch_format="pyarrow", concurrency=pool(2),
     )
-    pairs = bucketed.groupby("bucket_part").map_groups(
-        bucket_pairs_partition, batch_format="pandas"
-    )
+    pairs = shuffle_by(bucketed, "bucket", bucket_pairs_partition, n_parts)
     # a pair can surface from more than one band's bucket → distinct
     return _pair_max_cosine(pairs, n_parts)
 
@@ -1040,48 +989,25 @@ def dup_span_stats(
         if not gram_parts:
             return pa.table(
                 {"gram": pa.array([], type=pa.uint64()),
-                 "doc_id": pa.array([], type=pa.int64()),
-                 "part": pa.array([], type=pa.int32())}
+                 "doc_id": pa.array([], type=pa.int64())}
             )
-        grams = np.concatenate(gram_parts)
-        doc_ids = np.concatenate(doc_parts)
         return pa.table(
-            {"gram": pa.array(grams),
-             "doc_id": pa.array(doc_ids),
-             "part": pa.array((grams % np.uint64(n_parts)).astype(np.int32))}
+            {"gram": pa.array(np.concatenate(gram_parts)),
+             "doc_id": pa.array(np.concatenate(doc_parts))}
         )
 
     def partition_partials(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype="int64"),
-                 "n": pd.Series([], dtype="int64"),
-                 "n_sh": pd.Series([], dtype="int64"),
-                 "part2": pd.Series([], dtype="int32")}
-            )
         n_docs = df.groupby("gram", sort=False)["doc_id"].transform("size")
-        out = (
+        return (
             df.assign(shared=(n_docs >= 2).astype(np.int64))
             .groupby("doc_id", sort=False)
             .agg(n=("gram", "size"), n_sh=("shared", "sum"))
             .reset_index()
         )
-        # coarse key for the final doc-sum shuffle — Ray's native keyed
-        # aggregate is a sort-based AllToAll (measured 19 s for 167 k
-        # partial rows); the engine-wide hash%P + in-kernel groupby
-        # pattern does it in well under a second
-        return out.assign(
-            part2=(out["doc_id"].to_numpy(np.int64) % np.int64(n_parts)).astype(np.int32)
-        )
 
+    # the final doc-sum is a second coarse shuffle, not Ray's native keyed
+    # aggregate (a sort-based AllToAll: measured 19 s for 167 k partial rows)
     def final_sum(df: "pd.DataFrame") -> pa.Table:
-        if not len(df):
-            return pa.table(
-                {"doc_id": pa.array([], type=pa.int64()),
-                 "n_shingles": pa.array([], type=pa.int64()),
-                 "n_shared": pa.array([], type=pa.int64()),
-                 "shared_frac": pa.array([], type=pa.float64())}
-            )
         agg = df.groupby("doc_id", sort=False)[["n", "n_sh"]].sum().reset_index()
         n = agg["n"].to_numpy(np.int64)
         sh = agg["n_sh"].to_numpy(np.int64)
@@ -1092,13 +1018,13 @@ def dup_span_stats(
              "shared_frac": pa.array(sh.astype(np.float64) / n.astype(np.float64))}
         )
 
-    return (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(partition_partials, batch_format="pandas")
-        .groupby("part2")
-        .map_groups(final_sum, batch_format="pandas")
+    partials = shuffle_by(
+        docs.map_batches(pairs, batch_format="pyarrow"),
+        "gram",
+        partition_partials,
+        n_parts,
     )
+    return shuffle_by(partials, "doc_id", final_sum, n_parts)
 
 
 def _fold_kgrams_positional(word_hashes: np.ndarray, k: int) -> np.ndarray:
@@ -1142,17 +1068,13 @@ def remove_dup_spans(
     2 coarse shuffles, nothing corpus-sized on the driver:
 
     1. positional gram rows (gram, doc_id, q) — fixed-width, never text —
-       shuffled on ``gram % P``; the kernel marks grams whose distinct-doc
+       shuffled on ``hash(gram) % P``; the kernel marks grams whose distinct-doc
        count ≥ min_docs and emits confirmed (doc_id, q) cut-starts;
     2. cut-starts meet the documents on ``hash(doc_id) % P``; the kernel
        rebuilds each doc with the union of [q, q+k) masks (difference-
        array + cumsum, no per-position Python). Docs shorter than k words
        have one whole-text gram masking everything when shared.
     """
-    import ray.data  # noqa: F401
-
-    from ontocast_ray.util import hash_partition
-
     id_type = docs.schema().base_schema.field(id_col).type
 
     def _gram_rows(batch: pa.Table) -> pa.Table:
@@ -1170,39 +1092,28 @@ def remove_dup_spans(
             return pa.table(
                 {"gram": pa.array([], type=pa.uint64()),
                  id_col: pa.array([], type=pa.int64()),
-                 "q": pa.array([], type=pa.int64()),
-                 "part": pa.array([], type=pa.int32())}
+                 "q": pa.array([], type=pa.int64())}
             )
-        grams = np.concatenate(gs)
         return pa.table(
-            {"gram": pa.array(grams),
+            {"gram": pa.array(np.concatenate(gs)),
              id_col: pa.array(np.concatenate(ds)),
-             "q": pa.array(np.concatenate(qs)),
-             "part": pa.array((grams % np.uint64(n_parts)).astype(np.int32))}
+             "q": pa.array(np.concatenate(qs))}
         )
 
     def _confirm(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {id_col: pd.Series([], dtype="int64"),
-                 "q": pd.Series([], dtype="int64")}
-            )
         ndocs = df.groupby("gram", sort=False)[id_col].transform("nunique")
         bad = df[ndocs >= min_docs]
         return bad[[id_col, "q"]].reset_index(drop=True)
 
-    cut_starts = (
-        docs.map_batches(_gram_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_confirm, batch_format="pandas")
+    cut_starts = shuffle_by(
+        docs.map_batches(_gram_rows, batch_format="pyarrow"), "gram", _confirm, n_parts
     )
 
     def _doc_rows(batch: pa.Table) -> pa.Table:
         ids = batch[id_col]
         n = len(batch)
         return pa.table(
-            {"dpart": pa.array(hash_partition(ids, n_parts).astype(np.int64)),
-             "src": pa.array(np.zeros(n, dtype=np.int8)),
+            {"src": pa.array(np.zeros(n, dtype=np.int8)),
              id_col: ids,
              text_col: batch[text_col].cast(pa.string()),
              "q": pa.array(np.full(n, -1, dtype=np.int64))}
@@ -1212,8 +1123,7 @@ def remove_dup_spans(
         ids = batch[id_col].cast(id_type)
         n = len(batch)
         return pa.table(
-            {"dpart": pa.array(hash_partition(ids, n_parts).astype(np.int64)),
-             "src": pa.array(np.ones(n, dtype=np.int8)),
+            {"src": pa.array(np.ones(n, dtype=np.int8)),
              id_col: ids,
              text_col: pa.nulls(n, type=pa.string()),
              "q": pa.array(batch["q"].cast(pa.int64()))}
@@ -1257,7 +1167,7 @@ def remove_dup_spans(
              "n_removed": np.asarray(out_removed, dtype=np.int64)}
         )
 
-    return joined.groupby("dpart").map_groups(_scrub, batch_format="pandas")
+    return shuffle_by(joined, id_col, _scrub, n_parts)
 
 
 def incremental_minhash_candidates(
@@ -1279,7 +1189,7 @@ def incremental_minhash_candidates(
 
     Scale shape: both sides' signatures are map-side (`MinHasher` actor
     pool, text never shuffles); band rows are 17-byte (band_key, doc_id,
-    side) tuples on the SAME coarse ``band_key % P`` shuffle as the
+    side) tuples on the SAME coarse ``hash(band_key) % P`` shuffle as the
     batch op; the per-partition kernel cross-merges the two sides per
     band_key in one vectorized ``pd.merge``. Hot buckets are truncated
     to ``max_bucket_side`` members per side (smallest doc_ids,
@@ -1291,7 +1201,7 @@ def incremental_minhash_candidates(
 
     def _rows(side: int):
         def _r(batch: pa.Table) -> pa.Table:
-            t = _band_rows(batch, bands, n_parts)
+            t = _band_rows(batch, bands)
             return t.append_column(
                 "side", pa.array(np.full(len(t), side, dtype=np.int8))
             )
@@ -1317,8 +1227,6 @@ def incremental_minhash_candidates(
             "doc_id_a": pd.Series([], dtype=np.int64),
             "doc_id_b": pd.Series([], dtype=np.int64),
         })
-        if group.empty:
-            return empty
         g = group.drop_duplicates(["band_key", "doc_id", "side"]).sort_values(
             ["band_key", "doc_id"], kind="stable"
         )
@@ -1330,9 +1238,7 @@ def incremental_minhash_candidates(
         m = idx.merge(new, on="band_key", suffixes=("_a", "_b"))
         return m[["doc_id_a", "doc_id_b"]].drop_duplicates()
 
-    pairs = rows.groupby("bucket_part").map_groups(
-        cross_pairs, batch_format="pandas"
-    )
+    pairs = shuffle_by(rows, "band_key", cross_pairs, n_parts)
     return distinct_on(pairs, ["doc_id_a", "doc_id_b"], n_parts=n_parts)
 
 
@@ -1387,8 +1293,7 @@ def incremental_embedding_dedup(
                     {"bucket": pa.array([], type=pa.int64()),
                      id_col: pa.array([], type=pa.int64()),
                      vec_col: pa.array([], type=batch[vec_col].type),
-                     "side": pa.array([], type=pa.int8()),
-                     "bucket_part": pa.array([], type=pa.int32())}
+                     "side": pa.array([], type=pa.int8())}
                 )
             vecs = vectors_2d(batch[vec_col])
             signs = (vecs @ pl) > 0
@@ -1402,10 +1307,6 @@ def incremental_embedding_dedup(
                     np.uint64(b) << np.uint64(56)
                 )
             flat = keys.reshape(-1)
-            with np.errstate(over="ignore"):
-                parts = (
-                    (flat * _GOLDEN64) >> np.uint64(33)
-                ) % np.uint64(n_parts)
             idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
             return pa.table(
                 {
@@ -1415,7 +1316,6 @@ def incremental_embedding_dedup(
                     "side": pa.array(
                         np.full(n * bands, side, dtype=np.int8)
                     ),
-                    "bucket_part": pa.array(parts.astype(np.int32)),
                 }
             )
 
@@ -1452,9 +1352,7 @@ def incremental_embedding_dedup(
     rows = index_embs.map_batches(bucket(0), batch_format="pyarrow").union(
         new_embs.map_batches(bucket(1), batch_format="pyarrow")
     )
-    pairs = rows.groupby("bucket_part").map_groups(
-        cross_pairs, batch_format="pandas"
-    )
+    pairs = shuffle_by(rows, "bucket", cross_pairs, n_parts)
     return _pair_max_cosine(pairs, n_parts)
 
 
@@ -1484,7 +1382,7 @@ def cdc_chunk_dup_stats(
     coarse shuffles, no broadcast, no driver collection: occurrences
     (chunk_hash, doc_id) colocate by ``hash % P`` so global per-chunk
     counts finish in one partition pass, which emits per-(partition, doc)
-    partial sums; a second ``doc % P`` exchange folds them per document.
+    partial sums; a second ``hash(doc) % P`` exchange folds them per document.
     Wire = one 16-byte row per chunk occurrence, then per (part, doc).
     Chunk identity is the usual 64-bit collision-free assumption; the
     SQL oracle re-derives with exact chunk STRINGS.
@@ -1492,9 +1390,8 @@ def cdc_chunk_dup_stats(
     import pandas as pd
 
     from ontocast_ray.ops.interleave import splitmix64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
     from ontocast_ray.ops.text import _explode_words, fnv1a_words
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
 
     n_parts = resolve_n_parts(docs, n_parts)
     mask = np.uint64(boundary_mask)
@@ -1508,7 +1405,6 @@ def cdc_chunk_dup_stats(
             return pa.table({
                 "chunk_hash": pa.array([], type=pa.uint64()),
                 id_col: pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
             })
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, inv = np.unique(vals, return_inverse=True)
@@ -1534,18 +1430,15 @@ def cdc_chunk_dup_stats(
         return pa.table({
             "chunk_hash": pa.array(chash),
             id_col: pa.array(cdoc),
-            "part": pa.array(
-                (chash % np.uint64(n_parts)).astype(np.int64)
-            ),
         })
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        # all occurrences of a chunk_hash are HERE (part = hash % P), so
+        # all occurrences of a chunk_hash are HERE (shuffled on it), so
         # the >=2 test is global; fold straight to per-doc partials
         cnt = df.groupby("chunk_hash", sort=False)["chunk_hash"].transform(
             "size"
         )
-        g = (
+        return (
             pd.DataFrame({
                 id_col: df[id_col].to_numpy(),
                 "dup": (cnt >= 2).to_numpy().astype(np.int64),
@@ -1554,10 +1447,6 @@ def cdc_chunk_dup_stats(
             .groupby(id_col, as_index=False)
             .sum()
         )
-        g["dpart"] = (
-            hash_u64(g[id_col].to_numpy()) % np.uint64(n_parts)
-        ).astype(np.int64)
-        return g
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(id_col, as_index=False)[["dup", "tot"]].sum()
@@ -1570,13 +1459,13 @@ def cdc_chunk_dup_stats(
             "dup_chunk_frac": dup.astype(np.float64) / tot.astype(np.float64),
         })
 
-    return (
-        docs.map_batches(occurrences, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(per_doc, batch_format="pandas")
+    partials = shuffle_by(
+        docs.map_batches(occurrences, batch_format="pyarrow"),
+        "chunk_hash",
+        per_partition,
+        n_parts,
     )
+    return shuffle_by(partials, id_col, per_doc, n_parts)
 
 
 def source_similarity_matrix(
@@ -1604,10 +1493,7 @@ def source_similarity_matrix(
     collision-free assumption (same kernel as MinHash / exact-Jaccard
     verify); the SQL oracle re-derives with exact shingle strings.
     """
-    import ray
-
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(docs, n_parts)
 
@@ -1627,7 +1513,6 @@ def source_similarity_matrix(
             return pa.table({
                 "sh": pa.array([], type=pa.uint64()),
                 "grp": pa.array([], type=pa.string()),
-                "part": pa.array([], type=pa.int64()),
             })
         df = pd.DataFrame({
             "sh": np.concatenate(sh_all),
@@ -1636,10 +1521,6 @@ def source_similarity_matrix(
         return pa.table({
             "sh": pa.array(df["sh"].to_numpy(dtype=np.uint64)),
             "grp": pa.array(df["grp"].to_numpy(), type=pa.string()),
-            "part": pa.array(
-                (df["sh"].to_numpy(dtype=np.uint64) % np.uint64(n_parts))
-                .astype(np.int64)
-            ),
         })
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -1657,12 +1538,9 @@ def source_similarity_matrix(
                            ignore_index=True).astype(np.int64),
         })
 
-    rows = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-        .take_all()
-    )
+    rows = shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"), "sh", per_partition, n_parts
+    ).take_all()
     sizes: dict = {}
     inter: dict = {}
     for r in rows:
@@ -1715,8 +1593,6 @@ def containment_pairs(
     Shingle identity is the usual 64-bit collision-free assumption
     (same kernel as MinHash/exact-Jaccard verify).
     """
-    from ontocast_ray.util import hash_u64
-
     def shingle_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1735,14 +1611,11 @@ def containment_pairs(
                 "sh": pa.array([], type=pa.uint64()),
                 id_col: pa.array([], type=pa.int64()),
                 "n_sh": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int32()),
             })
-        sh = np.concatenate(sh_all)
         return pa.table({
-            "sh": pa.array(sh),
+            "sh": pa.array(np.concatenate(sh_all)),
             id_col: pa.array(np.concatenate(id_all)),
             "n_sh": pa.array(np.concatenate(nsh_all)),
-            "part": pa.array((sh % np.uint64(n_parts)).astype(np.int32)),
         })
 
     def pair_partials(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1752,10 +1625,7 @@ def containment_pairs(
             "n_shared": pd.Series([], dtype="int64"),
             "n_a": pd.Series([], dtype="int64"),
             "n_b": pd.Series([], dtype="int64"),
-            "ppart": pd.Series([], dtype="int32"),
         })
-        if df.empty:
-            return emptyf
         # global df is exact here: every row of a shingle is co-located
         df = df[df.groupby("sh")["sh"].transform("size") <= max_df]
         if df.empty:
@@ -1768,30 +1638,15 @@ def containment_pairs(
             [f"{id_col}_l", f"{id_col}_r", "n_sh_l", "n_sh_r"],
             as_index=False,
         ).size()
-        a = g[f"{id_col}_l"].to_numpy(np.int64)
-        b = g[f"{id_col}_r"].to_numpy(np.int64)
-        with np.errstate(over="ignore"):
-            ph = hash_u64(a) * np.uint64(0x9E3779B97F4A7C15) ^ hash_u64(b)
         return pd.DataFrame({
-            "doc_id_a": a,
-            "doc_id_b": b,
+            "doc_id_a": g[f"{id_col}_l"].to_numpy(np.int64),
+            "doc_id_b": g[f"{id_col}_r"].to_numpy(np.int64),
             "n_shared": g["size"].to_numpy(np.int64),
             "n_a": g["n_sh_l"].to_numpy(np.int64),
             "n_b": g["n_sh_r"].to_numpy(np.int64),
-            "ppart": (ph % np.uint64(out_parts)).astype(np.int32),
         })
 
     def finalize(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "doc_id_a": pd.Series([], dtype="int64"),
-                "doc_id_b": pd.Series([], dtype="int64"),
-                "n_shared": pd.Series([], dtype="int64"),
-                "n_a": pd.Series([], dtype="int64"),
-                "n_b": pd.Series([], dtype="int64"),
-                "cont_a_ppm": pd.Series([], dtype="int64"),
-                "cont_b_ppm": pd.Series([], dtype="int64"),
-            })
         g = df.groupby(
             ["doc_id_a", "doc_id_b", "n_a", "n_b"], as_index=False
         )["n_shared"].sum()
@@ -1810,13 +1665,13 @@ def containment_pairs(
         })
         return out[keep]
 
-    return (
-        docs.map_batches(shingle_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_partials, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(finalize, batch_format="pandas")
+    partials = shuffle_by(
+        docs.map_batches(shingle_rows, batch_format="pyarrow"),
+        "sh",
+        pair_partials,
+        n_parts,
     )
+    return shuffle_by(partials, ["doc_id_a", "doc_id_b"], finalize, out_parts)
 
 
 def wordset_dedup(
@@ -1848,7 +1703,6 @@ def wordset_dedup(
                 id_col: pd.Series([], dtype="int64"),
                 "n": pd.Series([], dtype="int64"),
                 "n_words": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         df = df.reset_index(drop=True)
         canon, n_words = [], []
@@ -1865,9 +1719,6 @@ def wordset_dedup(
             **{id_col: (id_col, "min"), "n": (id_col, "size")}
         )
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (
-            g["key"].to_numpy(np.uint64) % np.uint64(n_parts)
-        ).astype(np.int32)
         return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -1880,10 +1731,8 @@ def wordset_dedup(
             "n_distinct_words": out["n_words"].to_numpy(np.int64),
         })
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), "key", combine, n_parts
     )
 
 
@@ -1908,8 +1757,6 @@ def gram_novelty(
     Empty docs carry the single whole-text sentinel shingle, same as the
     MinHash kernel.
     """
-    from ontocast_ray.util import hash_u64  # noqa: F401  (doc parity)
-
     def prep(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1927,9 +1774,6 @@ def gram_novelty(
         return pa.table({
             "gram": pa.array(h),
             id_col: pa.array(d),
-            "part": pa.array(
-                (h % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     grams = docs.map_batches(prep, batch_format="pyarrow").materialize()
@@ -1939,32 +1783,22 @@ def gram_novelty(
         g = g.rename(columns={id_col: "first_doc"})
         return g[["gram", "first_doc"]]
 
-    winners = grams.groupby("part").map_groups(
-        min_doc, batch_format="pandas"
-    )
+    winners = shuffle_by(grams, "gram", min_doc, n_parts)
 
     # flow winners back on the doc key: gram rows re-keyed by their doc,
     # winner rows re-keyed by the winning doc (only winners count)
     def tag_gram(batch: pa.Table) -> pa.Table:
-        d = batch[id_col].to_numpy(zero_copy_only=False)
         return pa.table({
             id_col: batch[id_col],
             "novel": pa.array(np.zeros(len(batch), dtype=np.int64)),
             "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            "dpart": pa.array(
-                (d.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     def tag_winner(batch: pa.Table) -> pa.Table:
-        d = batch["first_doc"].to_numpy(zero_copy_only=False)
         return pa.table({
             id_col: batch["first_doc"],
             "novel": pa.array(np.ones(len(batch), dtype=np.int64)),
             "one": pa.array(np.zeros(len(batch), dtype=np.int64)),
-            "dpart": pa.array(
-                (d.astype(np.uint64) % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     both = grams.map_batches(tag_gram, batch_format="pyarrow").union(
@@ -1984,7 +1818,7 @@ def gram_novelty(
             "novelty": nv / np.maximum(ng, 1),
         })
 
-    return both.groupby("dpart").map_groups(fold, batch_format="pandas")
+    return shuffle_by(both, id_col, fold, n_parts)
 
 
 def minhash_estimate_errors(

@@ -25,7 +25,7 @@ hash-compares our output against an independent DuckDB re-derivation):
 Scale shape (100 TB audit):
 
 - FIT is one map-side-combined pass: each batch emits its own sparse
-  (bucket, t_cnt, r_cnt) partials, ONE coarse ``bucket % P`` shuffle sums
+  (bucket, t_cnt, r_cnt) partials, ONE coarse ``hash(bucket) % P`` shuffle sums
   them, and the driver collects at most ``n_features`` rows (a constant —
   2^16 by default, ~1.5 MB — independent of corpus size). The integer
   lambda table is built with Python ints (no overflow at any corpus size)
@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import pyarrow as pa
 
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.ops.text import _explode_words, fnv1a_words
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,23 +100,14 @@ def dsir_fit_lambda(
         return pa.table({"bucket": pa.array(ub), "t_cnt": pa.array(t_cnt),
                          "r_cnt": pa.array(r_cnt)})
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        b = batch["bucket"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "part", pa.array((b % n_parts).astype(np.int32))
-        )
-
     def sum_part(df):  # pandas group kernel — one call per coarse part
         g = df.groupby("bucket", sort=False, as_index=False)[
             ["t_cnt", "r_cnt"]
         ].sum()
         return g
 
-    agg = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sum_part, batch_format="pandas")
+    agg = shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"), "bucket", sum_part, n_parts
     )
     rows = agg.take_all()
     # Python-int arithmetic below: exact at any magnitude (no int64

@@ -24,7 +24,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ontocast_ray.util import hash_partition
+from ontocast_ray.ops.shuffle import shuffle_by
 
 
 def group_minmax_scale(
@@ -37,17 +37,7 @@ def group_minmax_scale(
     """→ input columns + ``out_col``; constant groups (max == min) scale
     to 0.0 (mirror the same CASE in the SQL oracle)."""
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch[key_col], n_parts))
-        )
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["part"])
-        if not len(df):
-            out = df.copy()
-            out[out_col] = pd.Series([], dtype="float64")
-            return out
         g = df.groupby(key_col, sort=False)[value_col]
         mn = g.transform("min").to_numpy(np.float64)
         mx = g.transform("max").to_numpy(np.float64)
@@ -56,11 +46,7 @@ def group_minmax_scale(
         scaled = np.where(rng > 0, (v - mn) / np.where(rng > 0, rng, 1.0), 0.0)
         return df.assign(**{out_col: scaled}).reset_index(drop=True)
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(ds, key_col, kernel, n_parts)
 
 
 def pivot_counts(
@@ -81,7 +67,6 @@ def pivot_counts(
         if not len(df):
             cols = {row_col: pa.array([], type=batch[row_col].type)}
             cols.update({c: pa.array([], type=pa.int64()) for c in categories})
-            cols["part"] = pa.array([], type=pa.int32())
             return pa.table(cols)
         wide = (
             df.groupby([row_col, col_col], sort=False).size().unstack(fill_value=0)
@@ -90,24 +75,13 @@ def pivot_counts(
             if c not in wide.columns:
                 wide[c] = 0
         wide = wide[categories].astype("int64").reset_index()
-        wide["part"] = hash_partition(wide[row_col].to_numpy(), n_parts)
         return pa.Table.from_pandas(wide, preserve_index=False)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.drop(columns=["part"])
-        out = (
-            df.drop(columns=["part"])
-            .groupby(row_col, sort=False)[categories]
-            .sum()
-            .reset_index()
-        )
-        return out
+        return df.groupby(row_col, sort=False)[categories].sum().reset_index()
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(partial, batch_format="pyarrow"), row_col, merge, n_parts
     )
 
 
@@ -134,7 +108,6 @@ def rollup_counts(
         if not len(df):
             out = pd.DataFrame({c: pd.Series([], dtype="object") for c in cols})
             out["n"] = pd.Series([], dtype="int64")
-            out["part"] = pd.Series([], dtype="int32")
             return out
         base = df.groupby(cols, sort=False).size().reset_index(name="n")
         levels = [base]
@@ -147,27 +120,13 @@ def rollup_counts(
             for c in cols[k:]:
                 lvl[c] = sentinel
             levels.append(lvl[cols + ["n"]])
-        out = pd.concat(levels, ignore_index=True)
-        key = out[cols[0]].astype(str)
-        for c in cols[1:]:
-            key = key + "\x1f" + out[c].astype(str)
-        out["part"] = hash_partition(key.to_numpy(), n_parts)
-        return out
+        return pd.concat(levels, ignore_index=True)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.drop(columns=["part"])
-        return (
-            df.drop(columns=["part"])
-            .groupby(cols, sort=False)["n"]
-            .sum()
-            .reset_index()
-        )
+        return df.groupby(cols, sort=False)["n"].sum().reset_index()
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(partial, batch_format="pandas"), cols, merge, n_parts
     )
 
 
@@ -216,19 +175,7 @@ def mad_outliers(
     ``median()`` — so the flags are bit-exact against the window oracle.
     """
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch[key_col], n_parts))
-        )
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["part"])
-        if not len(df):
-            out = df.copy()
-            out["med"] = pd.Series([], dtype="float64")
-            out["mad"] = pd.Series([], dtype="float64")
-            out["is_outlier"] = pd.Series([], dtype="bool")
-            return out
         g = df.groupby(key_col, sort=False)[value_col]
         med = g.transform("median").to_numpy(np.float64)
         dev = np.abs(df[value_col].to_numpy(np.float64) - med)
@@ -242,11 +189,7 @@ def mad_outliers(
             med=med, mad=mad, is_outlier=dev > k * mad
         ).reset_index(drop=True)
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(ds, key_col, kernel, n_parts)
 
 
 def label_centroids(
@@ -266,7 +209,7 @@ def label_centroids(
     order would drift in the last ulp), int64 sums are exact in any
     order; floor (unlike round) has identical semantics in numpy and
     DuckDB. Map-side ``np.add.at`` partials emit ≤ |labels|·dim rows per
-    block; one coarse ``label % P`` shuffle finishes. The label space is
+    block; one coarse shuffle on ``label`` finishes. The label space is
     class-small by contract (the group-cardinality analogue of
     `pivot_counts`); dims are the vector width.
     """
@@ -290,22 +233,16 @@ def label_centroids(
                                         len(ul))),
                 "qsum": pa.array(sums.ravel()),
                 "n_vecs": pa.array(np.repeat(counts, d)),
-                "part": pa.array((np.repeat(ul, d) % n_parts).astype(
-                    np.int32
-                )),
             }
         )
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["label", "dim"], as_index=False).agg(
+        return df.groupby(["label", "dim"], as_index=False).agg(
             qsum=("qsum", "sum"), n_vecs=("n_vecs", "sum")
         )
-        return out
 
-    return (
-        embeddings.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        embeddings.map_batches(partial, batch_format="pyarrow"), "label", combine, n_parts
     )
 
 
@@ -323,8 +260,8 @@ def embedding_gram(
     bit-for-bit.
 
     One pass: each block matmuls its own (n, d) int block (qᵀq — a
-    single numpy call) and emits d² partial rows; a coarse ``(i·d+j) %
-    P`` shuffle sums. Driver never sees vectors; output is d² rows (the
+    single numpy call) and emits d² partial rows; a coarse shuffle on
+    ``(i, j)`` sums. Driver never sees vectors; output is d² rows (the
     dimensionality is feature-small by contract — 64²=4096 here).
     Overflow bound: |q| ≤ scale·|v|, so n·(scale·vmax)² must fit int64 —
     at scale 2^8 and |v|≲4, ~10¹² rows fit; lower ``scale`` for more.
@@ -346,7 +283,6 @@ def embedding_gram(
                 "n_vecs": pa.array(
                     np.full(d * d, len(q), dtype=np.int64)
                 ),
-                "part": pa.array(((i * d + j) % n_parts).astype(np.int32)),
             }
         )
 
@@ -355,10 +291,11 @@ def embedding_gram(
             qsum=("qsum", "sum"), n_vecs=("n_vecs", "sum")
         )
 
-    return (
-        embeddings.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        embeddings.map_batches(partial, batch_format="pyarrow"),
+        ["i", "j"],
+        combine,
+        n_parts,
     )
 
 

@@ -32,6 +32,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 __all__ = ["levenshtein_batch", "edit_distance_join"]
 
 
@@ -107,7 +109,6 @@ def edit_distance_join(
     equality of the block columns. See module docstring for the scale
     shape; output column names are the input key column names.
     """
-    from ontocast_ray.util import hash_u64
 
     def project(name_col: str, key_col: str, block_col: str, side: int):
         def kern(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -119,9 +120,6 @@ def edit_distance_join(
                 }
             )
             out["side"] = np.int8(side)
-            out["part"] = (
-                hash_u64(out["block"].to_numpy()) % np.uint64(n_parts)
-            ).astype(np.int32)
             return out
 
         return kern
@@ -143,8 +141,6 @@ def edit_distance_join(
                 "dist": pd.Series([], dtype="int64"),
             }
         )
-        if group.empty:
-            return empty
         # max_block smallest keys per (block, side): bounded cross product
         g = group.sort_values(["block", "key"], kind="stable")
         g = g.groupby(["block", "side"], sort=False).head(max_block)
@@ -169,6 +165,4 @@ def edit_distance_join(
             }
         )
 
-    return (
-        tagged.groupby("part").map_groups(block_kernel, batch_format="pandas")
-    )
+    return shuffle_by(tagged, "block", block_kernel, n_parts)

@@ -36,10 +36,9 @@ import pyarrow as pa
 
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-_EMPTY_EDGES = pa.table({"u": pa.array([], type=pa.int64()),
-                         "v": pa.array([], type=pa.int64())})
 
 
 def _large_star_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -51,8 +50,6 @@ def _large_star_part(df: pd.DataFrame) -> pd.DataFrame:
     distinct (same (u,v) always lands in the same partition).
     """
     df = df.drop_duplicates(subset=["u", "v"])
-    if not len(df):
-        return _EMPTY_EDGES
     u = df["u"].to_numpy()
     v = df["v"].to_numpy()
     m = np.minimum(df.groupby("u", sort=False)["v"].transform("min").to_numpy(), u)
@@ -70,8 +67,6 @@ def _small_star_part(df: pd.DataFrame) -> pd.DataFrame:
     by construction (every emitted w > m).
     """
     df = df.drop_duplicates(subset=["u", "v"])
-    if not len(df):
-        return _EMPTY_EDGES
     uu = df["u"].unique()
     aug = pd.concat(
         [df[["u", "v"]], pd.DataFrame({"u": uu, "v": uu})], ignore_index=True
@@ -95,18 +90,6 @@ def _as_max_min(batch: pa.Table) -> pa.Table:
     u = batch["u"].to_numpy(zero_copy_only=False)
     v = batch["v"].to_numpy(zero_copy_only=False)
     return pa.table({"u": pa.array(np.maximum(u, v)), "v": pa.array(np.minimum(u, v))})
-
-
-def _grouped_by_part(ds: "ray.data.Dataset", n_parts: int):
-    """edges → groupby on the coarse shuffle key hash(u) % P."""
-    from ontocast_ray.util import hash_partition
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["u"], n_parts))
-        )
-
-    return ds.map_batches(add_part, batch_format="pyarrow").groupby("part")
 
 
 def _local_union_find(edges: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -322,12 +305,14 @@ def connected_components(
         # edges, which would double per-round data and grow the multiset).
         # Both outputs are max-min form by construction; distinct happens
         # inside the kernels (partition-local == global).
-        large = _grouped_by_part(
-            edges.map_batches(_both_directions, batch_format="pyarrow"), n_parts
-        ).map_groups(_large_star_part, batch_format="pandas")
+        large = shuffle_by(
+            edges.map_batches(_both_directions, batch_format="pyarrow"),
+            "u",
+            _large_star_part,
+            n_parts,
+        )
         edges = (
-            _grouped_by_part(large, n_parts)
-            .map_groups(_small_star_part, batch_format="pandas")
+            shuffle_by(large, "u", _small_star_part, n_parts)
             .repartition(n_blocks)
             .materialize()
         )
@@ -391,7 +376,6 @@ def apply_keep_list(
     import ray
 
     from ontocast_ray.ops.dedup import _BLOOM_BITS, _bloom_build_cols, _bloom_contains
-    from ontocast_ray.util import hash_partition
 
     dropped = keep_list.map_batches(
         lambda b: pa.table({id_col: b.filter(pa.compute.invert(b["keep"]))["doc_id"]}),
@@ -450,7 +434,7 @@ def apply_keep_list(
             return batch.filter(pa.array(~hit))
 
     class MaybeDropped:
-        """Docs whose id hits the Bloom: tag with (part, kind=0) for the join."""
+        """Docs whose id hits the Bloom: tag with kind=0 for the join."""
 
         def __init__(self):
             self.bloom = ray.get(bloom_ref)
@@ -458,21 +442,17 @@ def apply_keep_list(
         def __call__(self, batch: pa.Table) -> pa.Table:
             hit = _bloom_contains(self.bloom, batch[id_col], _BLOOM_BITS)
             b = batch.filter(pa.array(hit))
-            return b.append_column(
-                "__part", pa.array(hash_partition(b[id_col], n_parts))
-            ).append_column("__kind", pa.array(np.zeros(len(b), dtype=np.int8)))
+            return b.append_column("__kind", pa.array(np.zeros(len(b), dtype=np.int8)))
 
     def dropped_rows(batch: pa.Table) -> pa.Table:
-        """Dropped ids null-padded to the doc schema + (part, kind=1)."""
+        """Dropped ids null-padded to the doc schema + kind=1."""
         n = len(batch)
         ids = batch[id_col].cast(id_type)
         arrays = [
             ids if name == id_col else pa.nulls(n, typ) for name, typ in doc_fields
         ]
         t = pa.Table.from_arrays(arrays, names=[n for n, _ in doc_fields])
-        return t.append_column(
-            "__part", pa.array(hash_partition(ids, n_parts))
-        ).append_column("__kind", pa.array(np.ones(n, dtype=np.int8)))
+        return t.append_column("__kind", pa.array(np.ones(n, dtype=np.int8)))
 
     def anti_join(part: pa.Table) -> pa.Table:
         kind = part["__kind"].to_numpy(zero_copy_only=False)
@@ -481,14 +461,16 @@ def apply_keep_list(
         drop_ids = ids[kind == 1]
         if len(drop_ids):
             keep &= ~pd.Series(ids).isin(drop_ids).to_numpy()
-        return part.filter(pa.array(keep)).drop_columns(["__part", "__kind"])
+        return part.filter(pa.array(keep)).drop_columns(["__kind"])
 
     kept_fast = docs.map_batches(PassThrough, batch_format="pyarrow", concurrency=(1, 8))
     maybe = docs.map_batches(MaybeDropped, batch_format="pyarrow", concurrency=(1, 8))
-    verified = (
-        maybe.union(dropped.map_batches(dropped_rows, batch_format="pyarrow"))
-        .groupby("__part")
-        .map_groups(anti_join, batch_format="pyarrow")
+    verified = shuffle_by(
+        maybe.union(dropped.map_batches(dropped_rows, batch_format="pyarrow")),
+        id_col,
+        anti_join,
+        n_parts,
+        batch_format="pyarrow",
     )
     return kept_fast.union(verified)
 
@@ -608,28 +590,17 @@ def triangle_count(
             [batch["u"].to_numpy(zero_copy_only=False),
              batch["v"].to_numpy(zero_copy_only=False)]
         )
-        return pa.table(
-            {"node": pa.array(nodes),
-             "part": pa.array((nodes % np.int64(n_parts)).astype(np.int32))}
-        )
+        return pa.table({"node": pa.array(nodes)})
 
     def count_nodes(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame(
-                {"node": pd.Series([], dtype="int64"),
-                 "deg": pd.Series([], dtype="int64")}
-            )
         vc = df["node"].value_counts()
         return pd.DataFrame(
             {"node": vc.index.to_numpy(np.int64), "deg": vc.to_numpy(np.int64)}
         )
 
-    deg = (
-        e.map_batches(both, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_nodes, batch_format="pandas")
-        .materialize()
-    )
+    deg = shuffle_by(
+        e.map_batches(both, batch_format="pyarrow"), "node", count_nodes, n_parts
+    ).materialize()
     deg_u = deg.map_batches(
         lambda b: pa.table({"node": b["node"], "du": b["deg"]}),
         batch_format="pyarrow",
@@ -658,15 +629,12 @@ def triangle_count(
         dst = np.where(u_first, v, u)
         dd = np.where(u_first, dv, du)  # dst's degree, for wedge ordering
         return pa.table(
-            {"src": pa.array(src), "dst": pa.array(dst), "dd": pa.array(dd),
-             "part": pa.array((src % np.int64(n_parts)).astype(np.int32))}
+            {"src": pa.array(src), "dst": pa.array(dst), "dd": pa.array(dd)}
         )
 
     oriented = with_both.map_batches(orient, batch_format="pyarrow").materialize()
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"pair": pd.Series([], dtype="int64")})
         assert df["dst"].max() < (1 << 31) and df["src"].max() < (1 << 31), (
             "triangle_count packs wedge pairs into int64: ids must fit 31 bits"
         )
@@ -683,11 +651,7 @@ def triangle_count(
             return pd.DataFrame({"pair": pd.Series([], dtype="int64")})
         return pd.DataFrame({"pair": np.concatenate(out)})
 
-    wedge_ds = (
-        oriented.groupby("part")
-        .map_groups(wedges, batch_format="pandas")
-        .materialize()
-    )
+    wedge_ds = shuffle_by(oriented, "src", wedges, n_parts).materialize()
     if wedge_ds.count() == 0:  # forest: no wedges, no triangles
         return _zero()
 
@@ -887,11 +851,9 @@ def label_propagation(
     All three implement the identical rule bit-for-bit (unit-tested
     against a pure-Python replay on every path).
     """
-    import pandas as pd
     import ray
 
     from ontocast_ray.ops.joins import distinct_on, hash_join
-    from ontocast_ray.util import hash_partition
 
     if mode not in ("auto", "local", "broadcast", "shuffle"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -934,7 +896,6 @@ def label_propagation(
                     "is_old": pa.array(
                         np.zeros(len(batch), dtype=np.int8)
                     ),
-                    "part": pa.array(hash_partition(batch["src"], n_parts)),
                 }
             )
 
@@ -944,7 +905,6 @@ def label_propagation(
                     "node": batch["node"],
                     "label": batch["label"],
                     "is_old": pa.array(np.ones(len(batch), dtype=np.int8)),
-                    "part": pa.array(hash_partition(batch["node"], n_parts)),
                 }
             )
 
@@ -959,13 +919,13 @@ def label_propagation(
             keep_old = old[~old["node"].isin(win["node"])]
             return pd.concat([win, keep_old], ignore_index=True)
 
-        labels = (
+        labels = shuffle_by(
             nb.map_batches(vote_rows, batch_format="pyarrow")
-            .union(labels.map_batches(old_rows, batch_format="pyarrow"))
-            .groupby("part")
-            .map_groups(adopt, batch_format="pandas")
-            .materialize()
-        )
+            .union(labels.map_batches(old_rows, batch_format="pyarrow")),
+            "node",
+            adopt,
+            n_parts,
+        ).materialize()
     return labels
 
 
@@ -1001,7 +961,6 @@ def dedup_keep_best(
     import ray
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.util import hash_partition
 
     comp = connected_components(pairs, a_col=a_col, b_col=b_col)
 
@@ -1042,7 +1001,6 @@ def dedup_keep_best(
                         [], type=batch.schema.field(score_col).type
                     ),
                     "best_id": pa.array([], type=pa.int64()),
-                    "part": pa.array([], type=pa.int32()),
                 })
             sc = batch[score_col].to_numpy(zero_copy_only=False)[hit]
             g = (
@@ -1060,29 +1018,21 @@ def dedup_keep_best(
                 "component": pa.array(g["component"].to_numpy()),
                 "best_score": pa.array(g["s"].to_numpy()),
                 "best_id": pa.array(g["doc_id"].to_numpy()),
-                "part": pa.array(
-                    hash_partition(g["component"].to_numpy(), 8)
-                ),
             })
 
         def combine(df: "pd.DataFrame") -> "pd.DataFrame":
-            if df.empty:
-                return pd.DataFrame({
-                    "component": pd.Series([], dtype="int64"),
-                    "best_id": pd.Series([], dtype="int64"),
-                })
             g = df.sort_values(
                 ["component", "best_score", "best_id"],
                 ascending=[True, False, True], kind="mergesort",
             ).drop_duplicates("component")
             return g[["component", "best_id"]]
 
-        win_rows = (
-            scores.map_batches(partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(combine, batch_format="pandas")
-            .take_all()
-        )
+        win_rows = shuffle_by(
+            scores.map_batches(partial, batch_format="pyarrow"),
+            "component",
+            combine,
+            8,
+        ).take_all()
         # components whose every member is unscored fall back to min id
         # (the hash_join path's fillna(int64-min) + min-id tiebreak rule)
         fallback = (
@@ -1120,14 +1070,6 @@ def dedup_keep_best(
         n_parts=n_parts,
     )
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part",
-            pa.array(hash_partition(
-                batch["component"].to_numpy(zero_copy_only=False), n_parts
-            )),
-        )
-
     def pick(group: "pd.DataFrame") -> "pd.DataFrame":
         group = group.copy()
         group[score_col] = group[score_col].fillna(
@@ -1149,11 +1091,7 @@ def dedup_keep_best(
             }
         )
 
-    return (
-        scored.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pick, batch_format="pandas")
-    )
+    return shuffle_by(scored, "component", pick, n_parts)
 
 
 def dedup_audit(
@@ -1177,8 +1115,6 @@ def dedup_audit(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     def explode(batch: pa.Table) -> pa.Table:
         a = batch["doc_id_a"].to_numpy(zero_copy_only=False)
         b = batch["doc_id_b"].to_numpy(zero_copy_only=False)
@@ -1190,7 +1126,6 @@ def dedup_audit(
                 "j": pa.array(np.concatenate([j, j])),
                 "side": pa.array(np.zeros(len(doc), dtype=np.int8)),
                 "keep_id": pa.array(np.zeros(len(doc), dtype=np.int64)),
-                "part": pa.array(hash_partition(doc, n_parts)),
             }
         )
 
@@ -1202,7 +1137,6 @@ def dedup_audit(
                 "j": pa.array(np.zeros(len(d), dtype=np.float64)),
                 "side": pa.array(np.ones(len(d), dtype=np.int8)),
                 "keep_id": batch["keep_id"].cast(pa.int64()),
-                "part": pa.array(hash_partition(d, n_parts)),
             }
         )
 
@@ -1222,7 +1156,7 @@ def dedup_audit(
     tagged = verified_pairs.map_batches(
         explode, batch_format="pyarrow"
     ).union(keep_list.map_batches(tag_keep, batch_format="pyarrow"))
-    return tagged.groupby("part").map_groups(kern, batch_format="pandas")
+    return shuffle_by(tagged, "doc_id", kern, n_parts)
 
 
 def neighbor_feature_sum(
@@ -1251,7 +1185,6 @@ def neighbor_feature_sum(
     import pandas as pd
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.util import hash_partition
 
     cur = feats
     for _ in range(hops):
@@ -1263,11 +1196,9 @@ def neighbor_feature_sum(
         )
 
         def partial(df: "pd.DataFrame") -> "pd.DataFrame":
-            g = df.groupby("dst", as_index=False).agg(
+            return df.groupby("dst", as_index=False).agg(
                 f=(feat_col, "sum"), n=(feat_col, "size")
             )
-            g["part"] = hash_partition(g["dst"].to_numpy(), n_parts)
-            return g
 
         def combine(df: "pd.DataFrame") -> "pd.DataFrame":
             g = df.groupby("dst", as_index=False).agg(
@@ -1286,9 +1217,12 @@ def neighbor_feature_sum(
         # would double them again (tiny-blocks snowball — measured 65 s
         # vs 9 s on the 1600-node gate graph)
         cur = (
-            contrib.map_batches(partial, batch_format="pandas")
-            .groupby("part")
-            .map_groups(combine, batch_format="pandas")
+            shuffle_by(
+                contrib.map_batches(partial, batch_format="pandas"),
+                "dst",
+                combine,
+                n_parts,
+            )
             .materialize()
             .repartition(max(2, n_parts // 4))
         )
@@ -1344,8 +1278,7 @@ def k_core(
     import pandas as pd
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(edges, n_parts)
 
@@ -1355,9 +1288,6 @@ def k_core(
         return pa.table({
             "node": pa.array(uniq.astype(np.int64)),
             "n": pa.array(cnt.astype(np.int64)),
-            "part": pa.array(
-                (hash_u64(uniq) % np.uint64(n_parts)).astype(np.int64)
-            ),
         })
 
     def deg_final(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1369,12 +1299,12 @@ def k_core(
 
     cur = edges.materialize()
     for _ in range(max_rounds):
-        degrees = (
-            cur.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(deg_final, batch_format="pandas")
-            .materialize()
-        )
+        degrees = shuffle_by(
+            cur.map_batches(deg_partial, batch_format="pyarrow"),
+            "node",
+            deg_final,
+            n_parts,
+        ).materialize()
         low = degrees.filter(
             expr=f"degree < {int(k)}"
         ).materialize()
@@ -1456,7 +1386,7 @@ def ancestor_closure(
     import ray
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(edges, n_parts)
 

@@ -25,6 +25,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
@@ -265,21 +267,17 @@ def stratified_split(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     cum = np.cumsum(np.asarray(fracs, dtype=np.float64))
     if not np.isclose(cum[-1], 1.0):
         raise ValueError("fracs must sum to 1")
 
     def prep(df: "pd.DataFrame") -> "pd.DataFrame":
         ids = df[id_col].to_numpy().astype(np.uint64)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             id_col: df[id_col].to_numpy(),
             group_col: df[group_col].to_numpy(),
             "_u": splitmix64(ids, seed),
         })
-        out["part"] = hash_partition(out[group_col].to_numpy(), n_parts)
-        return out
 
     def assign(group: "pd.DataFrame") -> "pd.DataFrame":
         g = group.sort_values([group_col, "_u", id_col], kind="mergesort")
@@ -297,10 +295,8 @@ def stratified_split(
             "split": split,
         })
 
-    return (
-        docs.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(assign, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(prep, batch_format="pandas"), group_col, assign, n_parts
     )
 
 
@@ -326,14 +322,14 @@ def epoch_shuffle(
     16 bits of the mix (uniform by construction); per-block bucket
     histograms stream to the driver which keeps ≤65,536 ints and computes
     exclusive base offsets (never row-sized data); one coarse
-    ``bucket % n_parts`` shuffle colocates buckets; each kernel sorts its
+    ``hash(bucket) % n_parts`` shuffle colocates buckets; each kernel sorts its
     buckets locally and adds base + cumcount. One shuffle total, driver
     memory O(2^16).
     """
     import pandas as pd
     import ray
 
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(ds, n_parts)
     eff = seed + epoch
@@ -355,9 +351,6 @@ def epoch_shuffle(
         return pa.table({
             "bucket": pa.array(uniq.astype(np.int64)),
             "n": pa.array(cnt.astype(np.int64)),
-            "hpart": pa.array(
-                (uniq % np.int64(n_parts)).astype(np.int64)
-            ),
         })
 
     def _hist_sum(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -379,32 +372,17 @@ def epoch_shuffle(
                 b["n"].to_numpy(zero_copy_only=False),
             )
     else:
-        summed = (
-            mixed.map_batches(_hist, batch_format="pyarrow")
-            .groupby("hpart")
-            .map_groups(_hist_sum, batch_format="pandas")
+        summed = shuffle_by(
+            mixed.map_batches(_hist, batch_format="pyarrow"), "bucket", _hist_sum, n_parts
         )
         for row in summed.take_all():
             hist[row["bucket"]] += row["n"]
     base = np.concatenate(([0], np.cumsum(hist)[:-1]))
     base_ref = ray.put(base)
 
-    def _add_part(batch: pa.Table) -> pa.Table:
-        b = batch["bucket"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "part", pa.array((b % np.int64(n_parts)).astype(np.int64))
-        )
-
     span = np.int64(shard_size)
 
     def _rank(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            return pa.table({
-                id_col: pa.array([], type=pa.int64()),
-                "pos": pa.array([], type=pa.int64()),
-                "train_shard": pa.array([], type=pa.int64()),
-                "pos_in_shard": pa.array([], type=pa.int64()),
-            })
         bases = ray.get(base_ref)
         df = df.sort_values(["mix", id_col], kind="mergesort")
         intra = df.groupby("bucket", sort=False).cumcount().to_numpy(np.int64)
@@ -416,11 +394,7 @@ def epoch_shuffle(
             "pos_in_shard": pa.array(pos % span),
         })
 
-    return (
-        mixed.map_batches(_add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_rank, batch_format="pandas")
-    )
+    return shuffle_by(mixed, "bucket", _rank, n_parts)
 
 
 def sample_exact_k(
@@ -456,7 +430,6 @@ def sample_exact_k(
         return pa.table({
             id_col: pa.array(ids),
             "draw": pa.array(m),
-            "part": pa.array(np.zeros(len(ids), dtype=np.int8)),
         })
 
     def merge(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -466,10 +439,9 @@ def sample_exact_k(
             "draw": df["draw"].to_numpy(dtype=np.uint64),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    # one partition: the merge sees every block's candidates
+    return shuffle_by(
+        ds.map_batches(partial, batch_format="pyarrow"), id_col, merge, n_parts=1
     )
 
 
@@ -514,12 +486,6 @@ def mixing_weights(
         return g[[source_col, "n_docs", "n_tokens", "epochs", "token_share"]]
 
     # sources are a handful — the final combine is a single tiny group
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(part=np.zeros(len(df), dtype=np.int32)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), source_col, combine, n_parts=1
     )

@@ -15,6 +15,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 
 def collect_lookup(ds: "ray.data.Dataset", key_col: str, value_col: str) -> dict:
     """Materialize a small dimension table into a {key: value} dict."""
@@ -92,8 +94,6 @@ def asof_join(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     schema_cols = [key_col, ts_col] + [c for c in left_cols if c not in (key_col, ts_col)]
     _lsch = left.schema()
     _ltypes = dict(zip(_lsch.names, _lsch.types))
@@ -101,8 +101,7 @@ def asof_join(
     def tag_left(batch: pa.Table) -> pa.Table:
         out = pa.table({c: batch[c] for c in schema_cols})
         out = out.append_column("_rv", pa.array([None] * len(batch), type=pa.float64()))
-        out = out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-        return out.append_column("part", pa.array(hash_partition(batch[key_col], n_parts)))
+        return out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
 
     def tag_right(batch: pa.Table) -> pa.Table:
         cols = {key_col: batch[key_col], ts_col: batch[ts_col].cast(_ltypes[ts_col])}
@@ -114,8 +113,7 @@ def asof_join(
         out = out.append_column(
             "_rv", batch[right_value_col].cast(pa.float64())
         )
-        out = out.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
-        return out.append_column("part", pa.array(hash_partition(batch[key_col], n_parts)))
+        return out.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
 
     # the union's typed nulls make pandas widen int columns to float inside
     # the kernel; left rows are null-free, so cast them back after the split
@@ -132,7 +130,7 @@ def asof_join(
     )
 
     def kernel(group: pd.DataFrame) -> pd.DataFrame:
-        lhs = group[group["_side"] == 0].drop(columns=["_rv", "_side", "part"])
+        lhs = group[group["_side"] == 0].drop(columns=["_rv", "_side"])
         if _cast_map:
             lhs = lhs.astype(_cast_map)
         rhs = group[group["_side"] == 1][[key_col, ts_col, "_rv"]]
@@ -165,7 +163,7 @@ def asof_join(
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    return tagged.groupby("part").map_groups(kernel, batch_format="pandas")
+    return shuffle_by(tagged, key_col, kernel, n_parts)
 
 
 def hash_join(
@@ -198,8 +196,6 @@ def hash_join(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     if how not in ("inner", "left", "full", "semi", "anti"):
         raise ValueError(
             "how must be 'inner', 'left', 'full', 'semi' or 'anti'"
@@ -221,8 +217,7 @@ def hash_join(
         for c in rcols:
             cols[c] = pa.nulls(len(batch), type=_rtypes[c])
         out = pa.table(cols)
-        out = out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-        return out.append_column("part", pa.array(hash_partition(batch[left_on], n_parts)))
+        return out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
 
     def tag_right(batch: pa.Table) -> pa.Table:
         keys = batch[right_on].cast(_ltypes[left_on])
@@ -236,8 +231,7 @@ def hash_join(
         for c in rcols:
             cols[c] = batch[c]
         out = pa.table(cols)
-        out = out.append_column("_side", pa.array(np.ones(n, dtype=np.int8)))
-        return out.append_column("part", pa.array(hash_partition(keys, n_parts)))
+        return out.append_column("_side", pa.array(np.ones(n, dtype=np.int8)))
 
     # typed nulls in the union make pandas widen ints to float inside the
     # kernel; cast non-null sides back (left always non-null; right side
@@ -281,7 +275,7 @@ def hash_join(
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    return tagged.groupby("part").map_groups(kernel, batch_format="pandas")
+    return shuffle_by(tagged, left_on, kernel, n_parts)
 
 
 def distinct_on(
@@ -299,28 +293,13 @@ def distinct_on(
     ``hash(cols) % n_parts`` partition colocates equal rows, and one
     vectorized per-partition dedup finishes. Output columns = ``cols``.
     """
-    import numpy as np
-    import pandas as pd
-
-    from ontocast_ray.util import hash_u64
-
     cols = list(cols)
 
-    def prep(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.drop_duplicates(cols)[cols]
-        # order-independent multi-column mix (golden-ratio polynomial)
-        h = np.zeros(len(df), dtype=np.uint64)
-        for c in cols:
-            h = h * np.uint64(0x9E3779B97F4A7C15) + hash_u64(df[c].to_numpy())
-        return df.assign(part=(h % np.uint64(n_parts)).astype(np.int32))
+    def dedup(df: "pd.DataFrame") -> "pd.DataFrame":
+        return df.drop_duplicates(cols)[cols].reset_index(drop=True)
 
-    def kern(group: "pd.DataFrame") -> "pd.DataFrame":
-        return group.drop_duplicates(cols)[cols].reset_index(drop=True)
-
-    return (
-        ds.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(dedup, batch_format="pandas"), cols, dedup, n_parts
     )
 
 
@@ -339,33 +318,22 @@ def grouped_count_distinct(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     pairs = distinct_on(ds, [group_col, key_col], n_parts=n_parts)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         vc = df[group_col].value_counts()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {group_col: vc.index.to_numpy(), "n": vc.to_numpy().astype(np.int64)}
         )
-        out["part"] = hash_partition(out[group_col].to_numpy(), n_parts)
-        return out
 
     def final(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {group_col: df[group_col].head(0),
-                 "n_distinct": pd.Series([], dtype="int64")}
-            )
         s = df.groupby(group_col, sort=False)["n"].sum()
         return pd.DataFrame(
             {group_col: s.index.to_numpy(), "n_distinct": s.to_numpy(np.int64)}
         )
 
-    return (
-        pairs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(final, batch_format="pandas")
+    return shuffle_by(
+        pairs.map_batches(partial, batch_format="pandas"), group_col, final, n_parts
     )
 
 
@@ -448,37 +416,30 @@ def skew_join(
     rows to fit the object store — the fact ⋈ dim case; for fact ⋈ fact
     hot keys, salt both sides upstream instead.
     """
-    import numpy as np
     import pandas as pd
-
-    from ontocast_ray.util import hash_partition
 
     lcols = [c for c in left_cols if c != left_on]
     rcols = [c for c in right_cols if c != right_on]
 
     def count_partial(batch: pa.Table) -> pa.Table:
         vc = batch[left_on].to_pandas().value_counts()
-        keys = vc.index.to_numpy()
         return pa.table(
-            {"key": pa.array(keys),
-             "n": pa.array(vc.to_numpy(), type=pa.int64()),
-             "part": pa.array(hash_partition(keys, n_parts))}
+            {"key": pa.array(vc.index.to_numpy()),
+             "n": pa.array(vc.to_numpy(), type=pa.int64())}
         )
 
     def hot_keys(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame({"key": df["key"].head(0)})
         s = df.groupby("key", sort=False)["n"].sum()
         return pd.DataFrame({"key": s.index[s > hot_threshold].to_numpy()})
 
     hot = set(
         r["key"]
-        for r in (
-            big.map_batches(count_partial, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(hot_keys, batch_format="pandas")
-            .take_all()
-        )
+        for r in shuffle_by(
+            big.map_batches(count_partial, batch_format="pyarrow"),
+            "key",
+            hot_keys,
+            n_parts,
+        ).take_all()
     )
     hot_ref = ray.put(hot)
 
@@ -606,17 +567,12 @@ def interval_count_join(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     def tag_left(batch: pa.Table) -> pa.Table:
         out = pa.table(
             {key_col: batch[key_col], ts_col: batch[ts_col],
              left_id_col: batch[left_id_col]}
         )
-        out = out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
-        return out.append_column(
-            "part", pa.array(hash_partition(batch[key_col], n_parts))
-        )
+        return out.append_column("_side", pa.array(np.zeros(len(batch), dtype=np.int8)))
 
     _lid_type = None
 
@@ -625,10 +581,7 @@ def interval_count_join(
             {key_col: batch[key_col], ts_col: batch[ts_col],
              left_id_col: pa.nulls(len(batch), type=_lid_type)}
         )
-        out = out.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
-        return out.append_column(
-            "part", pa.array(hash_partition(batch[key_col], n_parts))
-        )
+        return out.append_column("_side", pa.array(np.ones(len(batch), dtype=np.int8)))
 
     _lsch = left.schema()
     _lid_type = dict(zip(_lsch.names, _lsch.types))[left_id_col]
@@ -668,7 +621,7 @@ def interval_count_join(
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    return tagged.groupby("part").map_groups(kernel, batch_format="pandas")
+    return shuffle_by(tagged, key_col, kernel, n_parts)
 
 
 def broadcast_join_int(

@@ -31,14 +31,14 @@ import pandas as pd
 
 import ray.data
 
-from ontocast_ray.util import hash_partition
+from ontocast_ray.ops.shuffle import shuffle_by
 
 __all__ = ["bigram_lm_scores"]
 
 _TOKEN_RE = r"[a-z]+"  # the engine-wide term_counts tokenization rule
 
 
-def _bigram_partials(text_col: str, id_col: str, n_parts: int):
+def _bigram_partials(text_col: str, id_col: str):
     def kern(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.reset_index(drop=True)
         toks = df[text_col].fillna("").str.lower().str.findall(_TOKEN_RE)
@@ -66,7 +66,6 @@ def _bigram_partials(text_col: str, id_col: str, n_parts: int):
         g = part.groupby([id_col, "w1", "w2"], as_index=False).size()
         g = g.rename(columns={"size": "n_occ"})
         g["n_occ"] = g["n_occ"].astype(np.int64)
-        g["part"] = hash_partition(g["w1"].to_numpy(), n_parts)
         return g
 
     return kern
@@ -78,7 +77,6 @@ def _empty_partial(id_col: str) -> "pd.DataFrame":
         "w1": pd.Series([], dtype=object),
         "w2": pd.Series([], dtype=object),
         "n_occ": pd.Series([], dtype="int64"),
-        "part": pd.Series([], dtype="int32"),
     })
 
 
@@ -102,11 +100,11 @@ def bigram_lm_scores(
     text — the band-filter signal.
     """
     partials = docs.map_batches(
-        _bigram_partials(text_col, id_col, n_parts), batch_format="pandas"
+        _bigram_partials(text_col, id_col), batch_format="pandas"
     )
     if model_docs is not None:
         model_partials = model_docs.map_batches(
-            _bigram_partials(text_col, id_col, n_parts),
+            _bigram_partials(text_col, id_col),
             batch_format="pandas",
         )
         # union-tag: model rows score nothing but contribute counts
@@ -128,13 +126,6 @@ def bigram_lm_scores(
     has_tag = model_docs is not None
 
     def score_kern(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "contrib": pd.Series([], dtype="int64"),
-                "n_bg": pd.Series([], dtype="int64"),
-                "dpart": pd.Series([], dtype="int32"),
-            })
         if has_tag:
             model_rows = df[df["is_model"] == 1]
             score_rows = df[df["is_model"] == 0]
@@ -156,21 +147,11 @@ def bigram_lm_scores(
         g = out.groupby(id_col, as_index=False)[["contrib", "n_bg"]].sum()
         g["contrib"] = g["contrib"].astype(np.int64)
         g["n_bg"] = g["n_bg"].astype(np.int64)
-        g["dpart"] = hash_partition(g[id_col].to_numpy(), out_parts)
         return g
 
-    scored = merged.groupby("part").map_groups(
-        score_kern, batch_format="pandas"
-    )
+    scored = shuffle_by(merged, "w1", score_kern, n_parts)
 
     def final_kern(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                id_col: pd.Series([], dtype="int64"),
-                "n_bigrams": pd.Series([], dtype="int64"),
-                "lm_score": pd.Series([], dtype="int64"),
-                "lm_avg": pd.Series([], dtype="int64"),
-            })
         g = df.groupby(id_col, as_index=False)[["contrib", "n_bg"]].sum()
         return pd.DataFrame({
             id_col: g[id_col],
@@ -182,9 +163,7 @@ def bigram_lm_scores(
             ),
         })
 
-    return scored.groupby("dpart").map_groups(
-        final_kern, batch_format="pandas"
-    )
+    return shuffle_by(scored, id_col, final_kern, out_parts)
 
 
 def fim_transform(

@@ -415,10 +415,7 @@ def span_kind_transitions(
     """
     import pandas as pd
 
-    import ray.data  # noqa: F401
-
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
 
     n_parts = resolve_n_parts(docs, n_parts)
 
@@ -432,7 +429,6 @@ def span_kind_transitions(
                 "kind_a": pa.array([], type=pa.string()),
                 "kind_b": pa.array([], type=pa.string()),
                 "n": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
             })
         doc_idx = np.repeat(np.arange(len(texts)), n_spans)
         pos = np.arange(total) - np.repeat(
@@ -448,14 +444,10 @@ def span_kind_transitions(
             .size()
             .rename(columns={"size": "n"})
         )
-        key = (g["kind_a"] + "\x1f" + g["kind_b"]).to_numpy(dtype=object)
         return pa.table({
             "kind_a": pa.array(g["kind_a"].to_numpy(), type=pa.string()),
             "kind_b": pa.array(g["kind_b"].to_numpy(), type=pa.string()),
             "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
-            "part": pa.array(
-                (hash_u64(key) % np.uint64(n_parts)).astype(np.int64)
-            ),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -463,10 +455,11 @@ def span_kind_transitions(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"),
+        ["kind_a", "kind_b"],
+        combine,
+        n_parts,
     )
 
 
@@ -559,7 +552,7 @@ def phash_dup_pairs(
     LUT."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
+    from .shuffle import shuffle_by
 
     if max_hamming > n_bands - 1:
         raise ValueError(
@@ -585,9 +578,6 @@ def phash_dup_pairs(
             "media_ref": pa.array(out_ref, type=pa.string()),
             "ahash": pa.array(np.concatenate(out_hash)),
             "bkey": pa.array(keys.astype(np.int64)),
-            "part": pa.array(
-                (hash_u64(keys) % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     def pairs(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -596,8 +586,6 @@ def phash_dup_pairs(
             "ref_b": pd.Series([], dtype=object),
             "hamming": pd.Series([], dtype="int64"),
         })
-        if group.empty:
-            return empty
         g = group.drop_duplicates(["bkey", "media_ref"]).sort_values(
             ["bkey", "media_ref"], kind="stable"
         )
@@ -622,10 +610,8 @@ def phash_dup_pairs(
 
     from .joins import distinct_on
 
-    raw = (
-        hashed.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pairs, batch_format="pandas")
+    raw = shuffle_by(
+        hashed.map_batches(band_rows, batch_format="pyarrow"), "bkey", pairs, n_parts
     )
     # hamming is a pure function of the pair → safe in the distinct key
     return distinct_on(raw, ["ref_a", "ref_b", "hamming"], n_parts=n_parts)

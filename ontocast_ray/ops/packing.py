@@ -22,7 +22,7 @@ Execution shape (the part that must survive 100 TB):
 - Token counts are computed ONCE: the (doc_id, shard, n_tokens) projection
   (24 B/doc — ~2 % of a text corpus) is materialized and reused by both
   phases, so the corpus text is tokenized in a single pass.
-- The per-shard kernel partitions on the coarse key ``shard % P`` and
+- The per-shard kernel partitions on the coarse key ``hash(shard) % P`` and
   loops shards via ONE pandas ``groupby(...).cumsum()`` C call per
   partition — no per-row or per-shard Python.
 
@@ -39,6 +39,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from ontocast_ray.ops.shuffle import shuffle_by
 
 
 def _token_meta_factory(id_col: str, text_col: str, shard_span: int,
@@ -125,25 +127,9 @@ def pack_token_meta(
     base_ref = ray.put(base)
 
     # Phase 2: per-shard vectorized kernel over coarse partitions.
-    def add_part(batch: pa.Table) -> pa.Table:
-        shard = batch["shard"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "part", pa.array(shard % np.int64(n_parts))
-        )
-
     cap = np.int64(capacity)
 
     def _pack_partition(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            return pa.table(
-                {
-                    c: pa.array([], type=pa.int64())
-                    for c in (
-                        "doc_id", "shard", "n_tokens", "global_offset",
-                        "first_bin", "last_bin", "offset_in_bin",
-                    )
-                }
-            )
         df = df.sort_values("doc_id", kind="mergesort")
         shard_base = df["shard"].map(ray.get(base_ref)).to_numpy(np.int64)
         intra = (
@@ -166,11 +152,7 @@ def pack_token_meta(
             }
         )
 
-    return (
-        meta.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_pack_partition, batch_format="pandas")
-    )
+    return shuffle_by(meta, "shard", _pack_partition, n_parts)
 
 
 def sliding_token_windows(
@@ -248,8 +230,6 @@ def bpe_train(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     def wc_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         words = (
             df[text_col].astype("string").fillna("")
@@ -258,10 +238,6 @@ def bpe_train(
         words = words[words.notna() & (words != "")]
         g = words.value_counts().rename_axis("word").reset_index(name="n")
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = (
-            hash_u64(g["word"].to_numpy(dtype=object))
-            % np.uint64(n_parts)
-        ).astype(np.int32)
         return g
 
     def wc_combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -269,10 +245,8 @@ def bpe_train(
         g["n"] = g["n"].astype(np.int64)
         return g[["word", "n"]]
 
-    vocab_rows = (
-        docs.map_batches(wc_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(wc_combine, batch_format="pandas")
+    vocab_rows = shuffle_by(
+        docs.map_batches(wc_partial, batch_format="pandas"), "word", wc_combine, n_parts
     )
     words: list[str] = []
     freqs: list[int] = []

@@ -13,7 +13,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ontocast_ray.util import hash_partition
+from ontocast_ray.ops.shuffle import shuffle_by
 
 
 def global_row_number(
@@ -64,19 +64,7 @@ def global_row_number(
         q, rem = divmod(total, ntile)
         boundary = rem * (q + 1)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        shard = batch["shard"].to_numpy(zero_copy_only=False)
-        return batch.append_column("part", pa.array(shard % np.int64(n_parts)))
-
     def kernel(df: pd.DataFrame) -> pa.Table:
-        if not len(df):
-            cols = {order_col: pa.array([], type=pa.int64()),
-                    "rn": pa.array([], type=pa.int64())}
-            if ntile is not None:
-                cols["tile"] = pa.array([], type=pa.int64())
-            if percent_rank:
-                cols["pct_rank"] = pa.array([], type=pa.float64())
-            return pa.table(cols)
         df = df.sort_values(order_col, kind="mergesort")
         shard_base = df["shard"].map(ray.get(base_ref)).to_numpy(np.int64)
         intra = df.groupby("shard", sort=False).cumcount().to_numpy(np.int64)
@@ -99,11 +87,7 @@ def global_row_number(
             cols["pct_rank"] = pa.array((rn - 1).astype(np.float64) / denom)
         return pa.table(cols)
 
-    return (
-        ids_ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(ids_ds, "shard", kernel, n_parts)
 
 
 def topk_per_group(
@@ -127,7 +111,6 @@ def topk_per_group(
             .groupby(group_col, sort=False)
             .head(k)
         )
-        top = top.assign(part=hash_partition(top[group_col].to_numpy(), n_parts))
         return pa.Table.from_pandas(top, preserve_index=False)
 
     def final(group: pd.DataFrame) -> pd.DataFrame:
@@ -136,11 +119,8 @@ def topk_per_group(
             top = rows.sort_values(by, ascending=ascending).head(k).copy()
             top["rank"] = range(1, len(top) + 1)
             frames.append(top)
-        out = pd.concat(frames, ignore_index=True) if frames else group.assign(rank=[])
-        return out.drop(columns=["part"])
+        return pd.concat(frames, ignore_index=True)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(final, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(partial, batch_format="pyarrow"), group_col, final, n_parts
     )

@@ -1,0 +1,148 @@
+"""One coarse-shuffle primitive: ``shuffle_by``.
+
+Grouping on a fine key with ``groupby(key).map_groups`` costs one Python
+call per group, and Ray's native keyed paths (sort aggregate, hash-shuffle
+aggregate, ``repartition(keys=)``) measured 10-1000x slower here than the
+coarse shape: hash the key into one of P partitions, sort-shuffle on that
+partition id, and let the kernel loop (vectorized) over the keys of its
+partition. Every op in ``ontocast_ray`` that needs equal keys colocated goes
+through ``shuffle_by``; only ops whose meaning is one call per natural key
+(a k-means ``cluster``, a bounded shard pair ``pg``) group directly.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+
+from ontocast_ray.util import hash_partition, hash_u64
+
+_PART = "__shuffle_part__"
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def resolve_n_parts(
+    ds: "ray.data.Dataset | None",
+    n_parts: int | None,
+    target_rows_per_part: int = 250_000,
+    lo: int = 8,
+    hi: int = 65_536,
+) -> int:
+    """Partition count sized to the input, not a constant.
+
+    A fixed P means each reducer holds rows/P events in one pandas frame —
+    fine at sf0.1, ~terabytes per group at 100 TB. Deriving P from the row
+    count (parquet metadata makes ``count()`` cheap) bounds every reducer at
+    ~``target_rows_per_part`` rows regardless of input size; keys still
+    colocate because partition = hash(key) % P within one run.
+
+    For a DERIVED dataset (map_batches upstream), ``count()`` would execute
+    that pipeline once before the shuffle re-executes it — so the row count
+    is first ESTIMATED from the input files' parquet metadata (an upper
+    bound: upstream filters only shrink it, and P only needs the right
+    order of magnitude). ``count()`` runs only when there are no input
+    files to read metadata from (in-memory datasets — where it is cheap).
+    """
+    if n_parts is not None:
+        return n_parts
+    if ds is None:
+        n = 0
+    else:
+        n = _estimate_rows_from_metadata(ds)
+        if n is None:
+            n = ds.count()
+    return int(min(hi, max(lo, math.ceil(n / target_rows_per_part))))
+
+
+def _estimate_rows_from_metadata(ds: "ray.data.Dataset") -> int | None:
+    """Row count from the lineage's parquet file footers — no execution.
+
+    ``ds.input_files()`` only resolves for pure read datasets, so this walks
+    the logical plan to the leaf Read operator and sums the parquet footers
+    of its source paths (Ray 2.49 internals, guarded — any drift falls back
+    to ``count()`` by returning None). Returns None when the dataset has no
+    single-source parquet lineage.
+    """
+    import pyarrow.parquet as pq
+
+    try:
+        op = ds._logical_plan.dag
+        while op.input_dependencies:
+            if len(op.input_dependencies) > 1:  # union/zip: no single lineage
+                return None
+            op = op.input_dependencies[0]
+        paths = getattr(getattr(op, "_datasource", None), "_pq_paths", None)
+    except Exception:
+        return None
+    if not paths:
+        return None
+    total = 0
+    for f in paths:
+        if "://" in f:
+            f = f.split("://", 1)[1]
+        try:
+            total += pq.read_metadata(f).num_rows
+        except Exception:
+            return None
+    return total
+
+
+def _partition_ids(batch, keys: list[str], n_parts: int) -> np.ndarray:
+    """int32 partition id in [0, n_parts) per row of a pandas/arrow batch.
+
+    One key: ``hash_partition``. Several keys: the golden-ratio polynomial
+    ``h = h*G + hash_u64(col)`` over the keys in order.
+    """
+    if len(keys) == 1:
+        return hash_partition(batch[keys[0]], n_parts)
+    h = np.zeros(len(batch), dtype=np.uint64)
+    for k in keys:
+        h = h * _GOLDEN + hash_u64(batch[k])
+    return (h % np.uint64(n_parts)).astype(np.int32)
+
+
+def shuffle_by(
+    ds: "ray.data.Dataset",
+    keys: "str | list[str]",
+    kernel,
+    n_parts: int | None = None,
+    batch_format: str = "pandas",
+) -> "ray.data.Dataset":
+    """Colocate rows with equal ``keys`` and run ``kernel`` per partition.
+
+    Rows are hashed into ``n_parts`` partitions (``resolve_n_parts`` when
+    None), sort-shuffled on that id, and ``kernel`` is called once per
+    non-empty partition with a ``batch_format`` frame that holds every row
+    of its keys (many keys per call) and no partition column. Output is the
+    union of the kernel's frames. ``n_parts=1`` gathers every row into one
+    kernel call.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    p = resolve_n_parts(ds, n_parts)
+
+    def add_part(batch):
+        part = _partition_ids(batch, keys, p)
+        if isinstance(batch, pd.DataFrame):
+            return batch.assign(**{_PART: part})
+        return batch.append_column(_PART, pa.array(part))
+
+    if batch_format == "pandas":
+        def drop(group):
+            return group.drop(columns=_PART)
+    else:
+        def drop(group):
+            return group.drop_columns([_PART])
+
+    @functools.wraps(kernel)
+    def run(group):
+        return kernel(drop(group))
+
+    return (
+        ds.map_batches(add_part, batch_format=None)
+        .groupby(_PART)
+        .map_groups(run, batch_format=batch_format)
+    )

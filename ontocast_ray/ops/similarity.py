@@ -18,6 +18,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import pool, vectors_2d
 
 
@@ -73,28 +75,17 @@ def _final_topk_factory(k: int, id_col: str):
 
 
 def _merged_topk(partial, per_query_fn, n_parts: int = 16):
-    """Final per-query merge on a COARSE ``query_id % P`` partition with the
-    per-query fold looped inside the kernel — one Python call per partition
-    instead of per query (a raw ``groupby("query_id").map_groups`` pays one
-    call per query: harmless for broadcast-small query sets, ruinous if the
+    """Final per-query merge, shuffled on ``query_id`` with the per-query
+    fold looped inside the kernel — one Python call per partition instead
+    of per query (a raw ``groupby("query_id").map_groups`` pays one call
+    per query: harmless for broadcast-small query sets, ruinous if the
     query count grows — the repo-wide groupby lesson)."""
 
-    def _add_part(batch: pa.Table) -> pa.Table:
-        q = batch["query_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "qpart", pa.array((q % n_parts).astype(np.int64))
-        )
-
     def _kernel(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["qpart"])
         outs = [per_query_fn(g) for _, g in df.groupby("query_id", sort=True)]
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        partial.map_batches(_add_part, batch_format="pyarrow")
-        .groupby("qpart")
-        .map_groups(_kernel, batch_format="pandas")
-    )
+    return shuffle_by(partial, "query_id", _kernel, n_parts)
 
 
 def knn_bruteforce(
@@ -662,7 +653,7 @@ def knn_self_join(
     pair (a,b) gets its OWN reducer holding ≤ 2·max(shard) rows — the
     same bounded pair-group scheme as the SemDeDup oversized-cluster
     guard. Each reducer emits per-row PARTIAL top-k (≤ k rows per (row,
-    shard)), and the global merge is the repo's coarse ``query_id % P``
+    shard)), and the global merge is the repo's coarse ``hash(query_id) % P``
     fold. Total shipped data is S copies of the vectors (= n²/
     max_rows_per_shard rows — the inherent all-pairs cost, streamed);
     compute is the unavoidable O(n²) matmul, tiled ``chunk`` rows at a
@@ -801,7 +792,7 @@ def knn_join_ivf(
     (seeded ``kmeans_lite`` on a bounded head sample — the
     ``build_ivf_index`` recipe — and pure argmax assignment), so the
     oracle is a pinned golden. One shuffle (cluster groupby) + the coarse
-    ``query_id % P`` merge."""
+    ``hash(query_id) % P`` merge."""
     sample_rows = embeddings.limit(sample_size).take_all()
     sample = np.array([r[vec_col] for r in sample_rows], dtype=np.float32)
     centroids = kmeans_lite(sample, n_clusters, seed=seed)
@@ -927,8 +918,6 @@ def knn_recall(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     def tag(side: int):
         def _t(batch: pa.Table) -> pa.Table:
             q = batch[query_col].to_numpy(zero_copy_only=False)
@@ -939,7 +928,6 @@ def knn_recall(
                     "side": pa.array(
                         np.full(len(q), side, dtype=np.int8)
                     ),
-                    "part": pa.array(hash_partition(q, n_parts)),
                 }
             )
 
@@ -966,7 +954,7 @@ def knn_recall(
     tagged = approx.map_batches(tag(1), batch_format="pyarrow").union(
         exact.map_batches(tag(0), batch_format="pyarrow")
     )
-    return tagged.groupby("part").map_groups(score, batch_format="pandas")
+    return shuffle_by(tagged, query_col, score, n_parts)
 
 
 def scalar_quantize_embeddings(
@@ -1064,17 +1052,12 @@ def knn_hubness(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     def partial(batch: pa.Table) -> pa.Table:
         nb = batch[neighbor_col].to_numpy(zero_copy_only=False)
         uniq, cnt = np.unique(nb, return_counts=True)
         return pa.table({
             "vec_id": pa.array(uniq.astype(np.int64)),
             "in_degree": pa.array(cnt.astype(np.int64)),
-            "part": pa.array(
-                (hash_u64(uniq) % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1082,8 +1065,6 @@ def knn_hubness(
         g["in_degree"] = g["in_degree"].astype(np.int64)
         return g[["vec_id", "in_degree"]]
 
-    return (
-        knn_pairs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        knn_pairs.map_batches(partial, batch_format="pyarrow"), "vec_id", combine, n_parts
     )

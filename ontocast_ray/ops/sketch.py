@@ -34,6 +34,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 def _hash_series(s: pd.Series) -> np.ndarray:
     """Deterministic cross-process 64-bit hash (siphash with pandas' fixed
     key) of any key dtype → uint64 array."""
@@ -99,10 +101,6 @@ def hll_distinct(
             }
         )
 
-    def _add_part(batch: pa.Table) -> pa.Table:
-        part = _hash_series(batch[group_col].to_pandas()) % np.uint64(n_parts)
-        return batch.append_column("part", pa.array(part.astype(np.int64)))
-
     def _merge(df: pd.DataFrame) -> pd.DataFrame:
         out_g, out_n = [], []
         for g, sub in df.groupby(group_col, sort=False):
@@ -115,11 +113,8 @@ def hll_distinct(
             {group_col: out_g, "approx_distinct": pd.array(out_n, dtype="int64")}
         )
 
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .map_batches(_add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_merge, batch_format="pandas")
+    return shuffle_by(
+        ds.map_batches(_partial, batch_format="pyarrow"), group_col, _merge, n_parts
     )
 
 
@@ -171,10 +166,6 @@ def dd_quantiles(
 
     qcols = [f"q_{str(q).replace('0.', '')}" for q in quantiles]
 
-    def _add_part(batch: pa.Table) -> pa.Table:
-        part = _hash_series(batch[group_col].to_pandas()) % np.uint64(n_parts)
-        return batch.append_column("part", pa.array(part.astype(np.int64)))
-
     def _finalize(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for g, sub in df.groupby(group_col, sort=False):
@@ -197,11 +188,7 @@ def dd_quantiles(
             rows.append({group_col: g, **vals})
         return pd.DataFrame(rows, columns=[group_col, *qcols])
 
-    return (
-        counts.map_batches(_add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_finalize, batch_format="pandas")
-    )
+    return shuffle_by(counts, group_col, _finalize, n_parts)
 
 
 def heavy_hitters(
@@ -453,10 +440,6 @@ def sliding_hll_distinct(
             hours.append(h)
             blobs.append(reg.tobytes())
         out = pd.DataFrame({"hour": hours, "registers": blobs})
-        out["part"] = (
-            pd.util.hash_array(out["hour"].to_numpy(), categorize=False)
-            % np.uint64(n_parts)
-        ).astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def _merge_hour(df: pd.DataFrame) -> pd.DataFrame:
@@ -479,13 +462,7 @@ def sliding_hll_distinct(
                     {"window_end": r["hour"] + k * hour,
                      "registers": r["registers"]}
                 )
-        out = pd.DataFrame(rows)
-        out["part"] = (
-            pd.util.hash_array(
-                out["window_end"].to_numpy(), categorize=False
-            ) % np.uint64(n_parts)
-        ).astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False)
 
     def _merge_window(df: pd.DataFrame) -> pd.DataFrame:
         out_w, out_n = [], []
@@ -501,11 +478,12 @@ def sliding_hll_distinct(
             "approx_distinct": pd.array(out_n, dtype="int64"),
         })
 
-    return (
-        events.map_batches(_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_merge_hour, batch_format="pandas")
-        .map_batches(_fanout, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_merge_window, batch_format="pandas")
+    hours = shuffle_by(
+        events.map_batches(_partial, batch_format="pyarrow"), "hour", _merge_hour, n_parts
+    )
+    return shuffle_by(
+        hours.map_batches(_fanout, batch_format="pyarrow"),
+        "window_end",
+        _merge_window,
+        n_parts,
     )

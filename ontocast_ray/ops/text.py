@@ -16,6 +16,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 # BPE-ish tokenizer: words / numbers / punctuation runs (GPT-2-style coarse split)
 _BPEISH = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]")
 _WS = re.compile(r"\s+")
@@ -463,11 +465,7 @@ def top_terms_per_group(
     ``topk_per_group`` selects k per group moving at most k rows per
     (group, block). Tokenization = lower + [a-z]+ (the term_counts rule),
     rank order = (count desc, term asc)."""
-    import numpy as np
-    import pyarrow as pa
-
     from ontocast_ray.ops.rank import topk_per_group
-    from ontocast_ray.util import hash_u64
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pa.table(
@@ -480,29 +478,24 @@ def top_terms_per_group(
             return pa.table(
                 {group_col: pa.array([], type=batch[group_col].type),
                  "term": pa.array([], type=pa.string()),
-                 "n": pa.array([], type=pa.int64()),
-                 "part": pa.array([], type=pa.int32())}
+                 "n": pa.array([], type=pa.int64())}
             )
         counts = (
             long.groupby([group_col, "term"], sort=False).size().reset_index(name="n")
         )
-        h = hash_u64(counts[group_col].to_numpy()) ^ hash_u64(counts["term"].to_numpy())
-        counts["part"] = (h % np.uint64(n_parts)).astype(np.int32)
         return pa.Table.from_pandas(counts, preserve_index=False)
 
     def merge(df):
-        if not len(df):
-            return df.drop(columns=["part"]).rename(columns={"n": "n_count"})
-        out = (
+        return (
             df.groupby([group_col, "term"], sort=False)["n"].sum()
             .reset_index(name="n_count")
         )
-        return out
 
-    counted = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    counted = shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"),
+        [group_col, "term"],
+        merge,
+        n_parts,
     )
     return topk_per_group(
         counted, group_col=group_col, order_col="n_count", k=k,
@@ -659,7 +652,6 @@ def bigram_coverage(
         _FNV_PRIME0,
         _word_hashes_batch,
     )
-    from ontocast_ray.util import hash_partition
 
     def bigram_rows(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -688,9 +680,6 @@ def bigram_coverage(
                 "doc_id": pa.array(doc),
                 "bh": pa.array(bh.view(np.int64)),  # bit reinterpret, sign ok
                 "mult": pa.array(mult),
-                "part": pa.array(
-                    (bh % np.uint64(n_parts)).astype(np.int32)
-                ),
             }
         )
 
@@ -706,16 +695,9 @@ def bigram_coverage(
         )
         return out
 
-    partials = (
-        docs.map_batches(bigram_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_part, batch_format="pandas")
+    partials = shuffle_by(
+        docs.map_batches(bigram_rows, batch_format="pyarrow"), "bh", count_part, n_parts
     )
-
-    def add_doc_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "dpart", pa.array(hash_partition(batch["doc_id"], n_parts))
-        )
 
     def sum_doc(df):
         g = (
@@ -730,11 +712,7 @@ def bigram_coverage(
         g["coverage"] = cov
         return g
 
-    return (
-        partials.map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("dpart")
-        .map_groups(sum_doc, batch_format="pandas")
-    )
+    return shuffle_by(partials, "doc_id", sum_doc, n_parts)
 
 
 def diversity_stats(batch: pa.Table) -> pa.Table:
@@ -815,7 +793,6 @@ def doc_keywords(
     term-counts rule (``[a-z]+`` on lowered text).
     """
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.util import hash_partition, hash_u64
 
     def tf_rows(batch: pa.Table) -> pa.Table:
         texts = pd.Series(batch[text_col].to_pandas()).fillna("")
@@ -840,21 +817,15 @@ def doc_keywords(
 
     def df_partial(df_: "pd.DataFrame") -> "pd.DataFrame":
         vc = df_["term"].value_counts()  # rows are (doc, term)-distinct
-        out = pd.DataFrame({"term": vc.index.to_numpy(),
-                            "n": vc.to_numpy().astype(np.int64)})
-        out["part"] = (
-            hash_u64(out["term"].to_numpy()) % np.uint64(n_parts)
-        ).astype(np.int32)
-        return out
+        return pd.DataFrame({"term": vc.index.to_numpy(),
+                             "n": vc.to_numpy().astype(np.int64)})
 
     def df_final(g: "pd.DataFrame") -> "pd.DataFrame":
         out = g.groupby("term", as_index=False)["n"].sum()
         return out.rename(columns={"n": "df"})
 
-    dfreq = (
-        tf.map_batches(df_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(df_final, batch_format="pandas")
+    dfreq = shuffle_by(
+        tf.map_batches(df_partial, batch_format="pandas"), "term", df_final, n_parts
     )
 
     joined = hash_join(
@@ -877,19 +848,7 @@ def doc_keywords(
              "rank": np.int64}
         )
 
-    def add_doc_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part",
-            pa.array(hash_partition(
-                batch[id_col].to_numpy(zero_copy_only=False), n_parts
-            )),
-        )
-
-    return (
-        joined.map_batches(add_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk, batch_format="pandas")
-    )
+    return shuffle_by(joined, id_col, topk, n_parts)
 
 
 # the 8-word Gopher "stop word" presence rule (Rae et al. 2021 §A1.1):
@@ -979,8 +938,7 @@ def gazetteer_mentions(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(docs, n_parts)
     uni = {a: e for e, a in aliases if " " not in a}
@@ -1024,7 +982,6 @@ def gazetteer_mentions(
                 "alias": pa.array([], type=pa.string()),
                 id_col: pa.array([], type=pa.int64()),
                 "n": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
             })
         # per-(entity, ALIAS) rows: an entity with several aliases keeps
         # one report row per alias (mention counts never conflated)
@@ -1039,10 +996,6 @@ def gazetteer_mentions(
             "alias": pa.array(g["alias"].to_numpy(), type=pa.string()),
             id_col: pa.array(g[id_col].to_numpy(dtype=np.int64)),
             "n": pa.array(g["n"].to_numpy(dtype=np.int64)),
-            "part": pa.array(
-                (hash_u64(g["entity_id"].to_numpy()) % np.uint64(n_parts))
-                .astype(np.int64)
-            ),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1053,10 +1006,8 @@ def gazetteer_mentions(
             {"n_mentions": np.int64, "n_docs": np.int64}
         )
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"), "entity_id", combine, n_parts
     )
 
 
@@ -1082,8 +1033,7 @@ def entity_comention_edges(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(docs, n_parts)
     uni = {a: e for e, a in aliases if " " not in a}
@@ -1122,7 +1072,6 @@ def entity_comention_edges(
             "entity_a": pa.array([], type=pa.int64()),
             "entity_b": pa.array([], type=pa.int64()),
             "n": pa.array([], type=pa.int64()),
-            "part": pa.array([], type=pa.int64()),
         })
         if not frames:
             return empty
@@ -1132,16 +1081,10 @@ def entity_comention_edges(
         if not len(m2):
             return empty
         g = m2.groupby(["ent_a", "ent_b"], as_index=False).size()
-        ea = g["ent_a"].to_numpy(dtype=np.int64)
-        eb = g["ent_b"].to_numpy(dtype=np.int64)
-        key = ea * np.int64(1_000_003) + eb
         return pa.table({
-            "entity_a": pa.array(ea),
-            "entity_b": pa.array(eb),
+            "entity_a": pa.array(g["ent_a"].to_numpy(dtype=np.int64)),
+            "entity_b": pa.array(g["ent_b"].to_numpy(dtype=np.int64)),
             "n": pa.array(g["size"].to_numpy(dtype=np.int64)),
-            "part": pa.array(
-                (hash_u64(key) % np.uint64(n_parts)).astype(np.int64)
-            ),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1150,10 +1093,11 @@ def entity_comention_edges(
         g["n_docs"] = g["n_docs"].astype(np.int64)
         return g
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"),
+        ["entity_a", "entity_b"],
+        combine,
+        n_parts,
     )
 
 
@@ -1175,10 +1119,7 @@ def vocab_coverage(
     folds from per-partition scalar sums. No full-vocabulary collection
     anywhere.
     """
-    import ray  # noqa: F401
-
-    from ontocast_ray.ops.windows import resolve_n_parts
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     n_parts = resolve_n_parts(docs, n_parts)
 
@@ -1190,16 +1131,11 @@ def vocab_coverage(
             return pa.table({
                 "term": pa.array([], type=pa.string()),
                 "n": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
             })
         counts = pd.Series(vals).value_counts()
-        terms = counts.index.to_numpy()
         return pa.table({
-            "term": pa.array(terms, type=pa.string()),
+            "term": pa.array(counts.index.to_numpy(), type=pa.string()),
             "n": pa.array(counts.to_numpy(dtype=np.int64)),
-            "part": pa.array(
-                (hash_u64(terms) % np.uint64(n_parts)).astype(np.int64)
-            ),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1207,12 +1143,9 @@ def vocab_coverage(
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    vocab = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
-        .materialize()  # consumed twice: top-k sort + total fold
-    )
+    vocab = shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"), "term", combine, n_parts
+    ).materialize()  # consumed twice: top-k sort + total fold
 
     def _sums(batch: pa.Table) -> pa.Table:
         return pa.table({

@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import pyarrow as pa
 
+from ontocast_ray.ops.shuffle import shuffle_by
+
 if TYPE_CHECKING:  # pragma: no cover
     import pandas as pd
     import ray.data
@@ -135,8 +137,6 @@ def url_dedup(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         canon = _canon_series(
             df[url_col].astype("string").astype(object), _TRACKING_PREFIXES
@@ -156,8 +156,6 @@ def url_dedup(
             .groupby("url_canon", as_index=False)
             .agg(**{id_col: (id_col, "min"), "n_copies": (id_col, "size")})
         )
-        h = hash_u64(g["url_canon"].to_numpy())
-        g["part"] = (h % np.uint64(n_parts)).astype(np.int32)
         g["n_copies"] = g["n_copies"].astype(np.int64)
         return g
 
@@ -167,10 +165,8 @@ def url_dedup(
         )
         return out[[id_col, "url_canon", "n_copies"]]
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), "url_canon", combine, n_parts
     )
 
 
@@ -235,8 +231,6 @@ def url_dedup_flags(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     def prep(df: "pd.DataFrame") -> "pd.DataFrame":
         canon = _canon_series(
             df[url_col].astype("string").astype(object), _TRACKING_PREFIXES
@@ -247,13 +241,9 @@ def url_dedup_flags(
         # embedded NULs, silently merging distinct keys
         repl = "\x01nourl:" + df[id_col].astype(str)
         canon = canon.where(canon.notna() & (canon != ""), repl)
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "url_canon": canon, id_col: df[id_col].to_numpy()
         })
-        out["part"] = (
-            hash_u64(out["url_canon"].to_numpy()) % np.uint64(n_parts)
-        ).astype(np.int32)
-        return out
 
     def mark(group: "pd.DataFrame") -> "pd.DataFrame":
         keep_id = group.groupby("url_canon", sort=False)[id_col].transform(
@@ -267,10 +257,8 @@ def url_dedup_flags(
             }
         )
 
-    return (
-        docs.map_batches(prep, batch_format="pandas")
-        .groupby("part")
-        .map_groups(mark, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(prep, batch_format="pandas"), "url_canon", mark, n_parts
     )
 
 
@@ -302,7 +290,7 @@ def domain_report(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
     from ontocast_ray.util import hash_u64
 
     n_parts = resolve_n_parts(pages, n_parts)
@@ -335,18 +323,12 @@ def domain_report(
             .groupby(["domain", "th", "has_text"], as_index=False)
             .sum()
         )
-        key = (g["domain"] + "\x1f" + g["th"].astype(str)).to_numpy(object)
-        g["part"] = (hash_u64(key) % np.uint64(n_parts)).astype(np.int64)
         return g
 
     def combine_pairs(df: "pd.DataFrame") -> "pd.DataFrame":
-        g = df.groupby(["domain", "th", "has_text"], as_index=False)[
+        return df.groupby(["domain", "th", "has_text"], as_index=False)[
             ["n", "raws", "toks"]
         ].sum()
-        g["dpart"] = (
-            hash_u64(g["domain"].to_numpy(object)) % np.uint64(n_parts)
-        ).astype(np.int64)
-        return g
 
     def combine_domains(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby("domain", as_index=False).agg(
@@ -372,13 +354,13 @@ def domain_report(
         )
         return g
 
-    return (
-        pages.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine_pairs, batch_format="pandas")
-        .groupby("dpart")
-        .map_groups(combine_domains, batch_format="pandas")
+    pairs = shuffle_by(
+        pages.map_batches(partial, batch_format="pandas"),
+        ["domain", "th"],
+        combine_pairs,
+        n_parts,
     )
+    return shuffle_by(pairs, "domain", combine_domains, n_parts)
 
 
 _HREF_RE = re.compile(r'<a\s[^>]*href="([^"]+)"', re.IGNORECASE)
@@ -407,14 +389,11 @@ def link_host_degrees(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         emptyf = pd.DataFrame({
             "dst_host": pd.Series([], dtype=object),
             "src": pd.Series([], dtype="int64"),
             "n_links": pd.Series([], dtype="int64"),
-            "part": pd.Series([], dtype="int32"),
         })
         if df.empty:
             return emptyf
@@ -437,16 +416,9 @@ def link_host_degrees(
         )
         g["n_links"] = g["n_links"].astype(np.int64)
         g["src"] = g["src"].astype(np.int64)
-        g["part"] = hash_partition(g["dst_host"].to_numpy(), n_parts)
         return g
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "dst_host": pd.Series([], dtype=object),
-                "n_links": pd.Series([], dtype="int64"),
-                "n_src_docs": pd.Series([], dtype="int64"),
-            })
         # (host, src) partials may split across input blocks: re-combine
         d = df.groupby(["dst_host", "src"], as_index=False)["n_links"].sum()
         g = d.groupby("dst_host", as_index=False).agg(
@@ -456,10 +428,8 @@ def link_host_degrees(
         g["n_src_docs"] = g["n_src_docs"].astype(np.int64)
         return g
 
-    return (
-        pages.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine, n_parts
     )
 
 
@@ -487,14 +457,11 @@ def anchor_text_top(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         emptyf = pd.DataFrame({
             "dst_host": pd.Series([], dtype=object),
             "anchor": pd.Series([], dtype=object),
             "n": pd.Series([], dtype="int64"),
-            "part": pd.Series([], dtype="int32"),
         })
         if df.empty:
             return emptyf
@@ -516,17 +483,9 @@ def anchor_text_top(
             .rename(columns={"size": "n"})
         )
         g["n"] = g["n"].astype(np.int64)
-        g["part"] = hash_partition(g["dst_host"].to_numpy(), n_parts)
         return g
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "dst_host": pd.Series([], dtype=object),
-                "top_anchor": pd.Series([], dtype=object),
-                "n_top": pd.Series([], dtype="int64"),
-                "n_anchors": pd.Series([], dtype="int64"),
-            })
         c = df.groupby(["dst_host", "anchor"], as_index=False)["n"].sum()
         tot = c.groupby("dst_host")["n"].sum()
         top = (
@@ -541,10 +500,8 @@ def anchor_text_top(
             "n_anchors": tot.reindex(top["dst_host"]).to_numpy(np.int64),
         })
 
-    return (
-        pages.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine, n_parts
     )
 
 
@@ -568,8 +525,6 @@ def url_path_templates(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         urls = df[url_col].astype("string").astype(object).fillna("")
         parts = urls.str.extract(_URL_RE)
@@ -589,8 +544,6 @@ def url_path_templates(
             .rename(columns={"size": "n_pages"})
         )
         g["n_pages"] = g["n_pages"].astype(np.int64)
-        key = (g["host"] + "\x01" + g["template"]).to_numpy(dtype=object)
-        g["part"] = (hash_u64(key) % np.uint64(n_parts)).astype(np.int32)
         return g
 
     def combine(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -600,8 +553,9 @@ def url_path_templates(
         out["n_pages"] = out["n_pages"].astype(np.int64)
         return out[["host", "template", "n_pages"]]
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"),
+        ["host", "template"],
+        combine,
+        n_parts,
     )

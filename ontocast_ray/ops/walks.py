@@ -34,6 +34,8 @@ import ray.data
 __all__ = ["deterministic_walks"]
 
 _SHIFT = np.int64(1) << np.int64(21)  # max degree bound per node
+# the draw key node·4 + step is unique per (node, step) only for step < 4
+_MAX_STEPS = 3
 
 
 def _walks_driver(
@@ -102,7 +104,9 @@ def deterministic_walks(
     from every distinct source node (optionally only sources
     ``< start_below``), step 0 = the start itself. ``edges`` is directed
     (src, dst) rows — pass both directions for an undirected graph.
-    Degrees above 2^21 violate the composite-key bound and raise.
+    Degrees above 2^21 violate the composite-key bound and raise, and so
+    does ``n_steps > 3`` (the draw-key bound: ``node·4 + step`` collides
+    across nodes from step 5 on).
 
     Below ``small_edge_limit`` edges the exact-identical driver fast
     path runs (pass 0 to force the distributed joins — tests do); on the
@@ -110,24 +114,20 @@ def deterministic_walks(
     walk state (one searchsorted map per step) and only the EDGE-sized
     ranked adjacency is a partitioned join.
     """
-    from ontocast_ray.util import hash_partition
-
     from .interleave import splitmix64
+    from .shuffle import shuffle_by
 
+    if n_steps > _MAX_STEPS:
+        raise ValueError(
+            f"n_steps={n_steps} exceeds the draw-key bound {_MAX_STEPS}: "
+            "the key node*4 + step is unique per (node, step) only for step < 4"
+        )
     if small_edge_limit:
         edges = edges.materialize()
         if edges.count() <= small_edge_limit:
             return _walks_driver(edges, n_steps, seed, start_below)
 
     def rank_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "src": pd.Series([], dtype="int64"),
-                "rank": pd.Series([], dtype="int64"),
-                "dst": pd.Series([], dtype="int64"),
-                "deg": pd.Series([], dtype="int64"),
-                "akey": pd.Series([], dtype="int64"),
-            })
         g = df.drop_duplicates(["src", "dst"]).sort_values(
             ["src", "dst"], kind="mergesort"
         )
@@ -148,17 +148,8 @@ def deterministic_walks(
             "akey": src * _SHIFT + rank,
         })
 
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["src"], n_parts))
-        )
-
-    ranked = (
-        edges.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(rank_kernel, batch_format="pandas")
-        .materialize()  # consumed by degs + every step join
-    )
+    # consumed by degs + every step join
+    ranked = shuffle_by(edges, "src", rank_kernel, n_parts).materialize()
 
     def only_rank0(batch: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc

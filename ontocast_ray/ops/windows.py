@@ -8,8 +8,8 @@ primitives:
   ``map_batches`` (pure map), ONE groupby((user, window)) with vectorized
   aggregates — the pre-aggregate-then-shuffle shape;
 - ``sessionize``: per-user gap-based sessions. Needs per-user time order, so
-  it shuffles on a coarse hash of user_id (crc32 % P — same pattern as every
-  other fine-key grouping here) and runs a vectorized pandas
+  it colocates users with ``shuffle_by`` (coarse ``hash_partition(user) %
+  P``, the one shuffle primitive) and runs a vectorized pandas
   sort+diff+cumsum kernel per partition. Ties broken by event_id so the
   result is deterministic and matches the SQL-window-function oracle.
 """
@@ -25,82 +25,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Max, Min
 
-from ontocast_ray.util import hash_partition
-
-
-def resolve_n_parts(
-    ds: "ray.data.Dataset | None",
-    n_parts: int | None,
-    target_rows_per_part: int = 250_000,
-    lo: int = 8,
-    hi: int = 65_536,
-) -> int:
-    """Partition count sized to the input, not a constant.
-
-    A fixed P means each reducer holds rows/P events in one pandas frame —
-    fine at sf0.1, ~terabytes per group at 100 TB. Deriving P from the row
-    count (parquet metadata makes ``count()`` cheap) bounds every reducer at
-    ~``target_rows_per_part`` rows regardless of input size; keys still
-    colocate because partition = hash(key) % P within one run.
-
-    For a DERIVED dataset (map_batches upstream), ``count()`` would execute
-    that pipeline once before the shuffle re-executes it — so the row count
-    is first ESTIMATED from the input files' parquet metadata (an upper
-    bound: upstream filters only shrink it, and P only needs the right
-    order of magnitude). ``count()`` runs only when there are no input
-    files to read metadata from (in-memory datasets — where it is cheap).
-    """
-    if n_parts is not None:
-        return n_parts
-    if ds is None:
-        n = 0
-    else:
-        n = _estimate_rows_from_metadata(ds)
-        if n is None:
-            n = ds.count()
-    return int(min(hi, max(lo, math.ceil(n / target_rows_per_part))))
-
-
-def _estimate_rows_from_metadata(ds: "ray.data.Dataset") -> int | None:
-    """Row count from the lineage's parquet file footers — no execution.
-
-    ``ds.input_files()`` only resolves for pure read datasets, so this walks
-    the logical plan to the leaf Read operator and sums the parquet footers
-    of its source paths (Ray 2.49 internals, guarded — any drift falls back
-    to ``count()`` by returning None). Returns None when the dataset has no
-    single-source parquet lineage.
-    """
-    import pyarrow.parquet as pq
-
-    try:
-        op = ds._logical_plan.dag
-        while op.input_dependencies:
-            if len(op.input_dependencies) > 1:  # union/zip: no single lineage
-                return None
-            op = op.input_dependencies[0]
-        paths = getattr(getattr(op, "_datasource", None), "_pq_paths", None)
-    except Exception:
-        return None
-    if not paths:
-        return None
-    total = 0
-    for f in paths:
-        if "://" in f:
-            f = f.split("://", 1)[1]
-        try:
-            total += pq.read_metadata(f).num_rows
-        except Exception:
-            return None
-    return total
-
-
-def _add_part_factory(key_col: str, n_parts: int):
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch[key_col], n_parts))
-        )
-
-    return add_part
+from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
 
 
 def add_tumbling_window(batch: pa.Table, ts_col: str = "ts", every: str = "1h") -> pa.Table:
@@ -184,11 +109,6 @@ def _sessionize_partition_factory(gap_minutes: float, key_col: str, ts_col: str,
         """All users of the partition in ONE vectorized pass: sort by
         (key, ts, id), per-key diff via groupby().diff(), session ids from a
         per-key cumsum of the gap flags — no per-user Python loop."""
-        if group.empty:
-            return pd.DataFrame(
-                {key_col: [], "session_id": [], "n_events": [],
-                 "session_start": [], "session_end": []}
-            )
         df = group.sort_values([key_col, ts_col, id_col])
         diffs = df.groupby(key_col, sort=False)[ts_col].diff()
         new_session = (diffs > gap) | diffs.isna()
@@ -215,11 +135,6 @@ def _lag_partition_factory(key_col: str, ts_col: str, id_col: str, value_col: st
     def _kernel(group: pd.DataFrame) -> pd.DataFrame:
         """Per-key lag via one sort + groupby().shift() — vectorized across
         every key in the partition."""
-        if group.empty:
-            return pd.DataFrame(
-                {key_col: [], id_col: [], ts_col: [], value_col: [],
-                 "prev_ts": [], "prev_value": []}
-            )
         df = group.sort_values([key_col, ts_col, id_col])
         grouped = df.groupby(key_col, sort=False)
         df = df.assign(
@@ -243,14 +158,11 @@ def with_previous_event(
     the previous event's ts/value for the same key. Same coarse-partitioned
     sort kernel as sessionize; event_id tiebreak keeps it deterministic.
     ``n_parts=None`` → sized from the input (see resolve_n_parts)."""
-    n_parts = resolve_n_parts(events, n_parts)
-    return (
-        events.map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            _lag_partition_factory(key_col, ts_col, id_col, value_col),
-            batch_format="pandas",
-        )
+    return shuffle_by(
+        events,
+        key_col,
+        _lag_partition_factory(key_col, ts_col, id_col, value_col),
+        n_parts,
     )
 
 
@@ -275,25 +187,14 @@ def event_sequences(
     """
     import pandas as pd
 
-    n_parts = resolve_n_parts(events, n_parts)
-
     def kernel(group: "pd.DataFrame") -> "pd.DataFrame":
-        if group.empty:
-            return pd.DataFrame(
-                {key_col: [], "n_events": pd.Series([], dtype="int64"),
-                 "sequence": pd.Series([], dtype="object")}
-            )
         df = group.sort_values([key_col, ts_col, id_col])
         g = df.groupby(key_col, sort=True)[value_col]
         out = g.agg(lambda s: sep.join(s.astype(str))).reset_index(name="sequence")
         out.insert(1, "n_events", g.size().to_numpy())
         return out
 
-    return (
-        events.map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, key_col, kernel, n_parts)
 
 
 def window_first_last(
@@ -315,11 +216,6 @@ def window_first_last(
     n_parts = resolve_n_parts(events, n_parts)
 
     def kernel(group: "pd.DataFrame") -> "pd.DataFrame":
-        if group.empty:
-            return pd.DataFrame(
-                {key_col: [], "window_start": [], "first_value": [],
-                 "last_value": [], "n_events": []}
-            )
         df = group.sort_values([key_col, "window_start", ts_col, id_col])
         g = df.groupby([key_col, "window_start"], sort=True)
         agg = g[value_col].agg(["first", "last", "size"]).reset_index()
@@ -327,15 +223,11 @@ def window_first_last(
             columns={"first": "first_value", "last": "last_value", "size": "n_events"}
         ).astype({"n_events": "int64"})
 
-    return (
-        events.map_batches(
-            lambda b: add_tumbling_window(b, ts_col=ts_col, every=every),
-            batch_format="pyarrow",
-        )
-        .map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
+    windowed = events.map_batches(
+        lambda b: add_tumbling_window(b, ts_col=ts_col, every=every),
+        batch_format="pyarrow",
     )
+    return shuffle_by(windowed, key_col, kernel, n_parts)
 
 
 def _rolling_partition_factory(
@@ -346,10 +238,6 @@ def _rolling_partition_factory(
     def _kernel(group: pd.DataFrame) -> pd.DataFrame:
         """Per-key rolling aggregate via one sort + groupby().rolling() —
         a single C pass across every key in the partition."""
-        if group.empty:
-            return pd.DataFrame(
-                {key_col: [], id_col: [], ts_col: [], value_col: [], out_col: []}
-            )
         df = group.sort_values([key_col, ts_col, id_col])
         rolled = (
             df.groupby(key_col, sort=False)[value_col]
@@ -386,14 +274,11 @@ def rolling_window_agg(
     """
     if agg not in ("max", "min", "count", "sum", "mean"):
         raise ValueError(f"unsupported agg: {agg}")
-    n_parts = resolve_n_parts(events, n_parts)
-    return (
-        events.map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            _rolling_partition_factory(key_col, ts_col, id_col, value_col, k, agg),
-            batch_format="pandas",
-        )
+    return shuffle_by(
+        events,
+        key_col,
+        _rolling_partition_factory(key_col, ts_col, id_col, value_col, k, agg),
+        n_parts,
     )
 
 
@@ -409,14 +294,11 @@ def sessionize(
 
     session_id restarts at 1 per user (matches the SQL cumulative-sum-over-
     lag oracle). ``n_parts=None`` → sized from the input (resolve_n_parts)."""
-    n_parts = resolve_n_parts(events, n_parts)
-    return (
-        events.map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            _sessionize_partition_factory(gap_minutes, key_col, ts_col, id_col),
-            batch_format="pandas",
-        )
+    return shuffle_by(
+        events,
+        key_col,
+        _sessionize_partition_factory(gap_minutes, key_col, ts_col, id_col),
+        n_parts,
     )
 
 
@@ -440,7 +322,6 @@ def group_quantiles(
 
     import numpy as np
 
-    n_parts = resolve_n_parts(events, n_parts)
     cols = [f"q{round(p * 100)}" for p in quantiles]  # round, not int: 0.29*100 floats to 28.999..
 
     def kernel(group: pd.DataFrame) -> pd.DataFrame:
@@ -454,11 +335,7 @@ def group_quantiles(
                 out[c].append(float(v[idx]))
         return pd.DataFrame(out)
 
-    return (
-        events.map_batches(_add_part_factory(key_col, n_parts), batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, key_col, kernel, n_parts)
 
 
 def tumbling_window_late_drop(
@@ -697,7 +574,6 @@ def weekly_retention(
     import pandas as pd
 
     from ontocast_ray.ops.joins import distinct_on
-    from ontocast_ray.util import hash_partition
     from ray.data.aggregate import Sum
 
     def to_week(batch: pa.Table) -> pa.Table:
@@ -718,14 +594,6 @@ def weekly_retention(
         n_parts=n_parts,
     )
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part",
-            pa.array(hash_partition(
-                batch[user_col].to_numpy(zero_copy_only=False), n_parts
-            )),
-        )
-
     week = pd.Timedelta(days=7)
 
     def flag(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -740,9 +608,7 @@ def weekly_retention(
         return part.groupby("week_start", as_index=False).sum()
 
     counts = (
-        uw.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(flag, batch_format="pandas")
+        shuffle_by(uw, user_col, flag, n_parts)
         .groupby("week_start")
         .aggregate(
             Sum("n_active", alias_name="n_active"),
@@ -831,8 +697,6 @@ def decayed_user_value(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     ref = pd.Timestamp(ref_ts)
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -851,9 +715,7 @@ def decayed_user_value(
         g = pd.DataFrame({user_col: df[user_col].to_numpy(),
                           "decayed_cents": dec,
                           "n_events": np.ones(len(df), dtype=np.int64)})
-        g = g.groupby(user_col, as_index=False).sum()
-        g["part"] = hash_partition(g[user_col].to_numpy(), n_parts)
-        return g
+        return g.groupby(user_col, as_index=False).sum()
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
         out = g.groupby(user_col, as_index=False).agg(
@@ -862,10 +724,11 @@ def decayed_user_value(
         )
         return out
 
-    return (
-        events.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        events.map_batches(partial, batch_format="pandas"),
+        user_col,
+        combine,
+        n_parts,
     )
 
 
@@ -894,7 +757,6 @@ def top_sessions_by_value(
     import numpy as np
     import pandas as pd
 
-    n_parts = resolve_n_parts(events, n_parts)
     gap = pd.Timedelta(minutes=gap_minutes)
 
     def kern(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -920,13 +782,7 @@ def top_sessions_by_value(
             ascending=[False, True, True],
         ).head(k)
 
-    ranked = (
-        events.map_batches(
-            _add_part_factory(key_col, n_parts), batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
-    )
+    ranked = shuffle_by(events, key_col, kern, n_parts)
     return ranked.sort(
         ["value_cents", key_col, "session_id"],
         descending=[True, False, False],
@@ -960,8 +816,6 @@ def followed_by_counts(
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
-
     win_us = np.int64(window_minutes * 60 * 1_000_000)
 
     def kern(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -992,29 +846,19 @@ def followed_by_counts(
                 out[k] = out.get(k, 0) + int(v)
         if not out:
             # dtype-pinned empty frame: untyped [] columns would land as
-            # object/null-typed blocks and mismatch the int64/int32
-            # schema of non-empty partitions feeding .groupby('fpart')
+            # object/null-typed blocks and mismatch the int64 schema of
+            # non-empty partitions feeding the final combine
             return pd.DataFrame({
                 "type_a": pd.Series([], dtype=object),
                 "type_b": pd.Series([], dtype=object),
                 "n": pd.Series([], dtype="int64"),
-                "fpart": pd.Series([], dtype="int32"),
             })
         keys = list(out)
         return pd.DataFrame({
             "type_a": [k[0] for k in keys],
             "type_b": [k[1] for k in keys],
             "n": np.array([out[k] for k in keys], dtype=np.int64),
-            "fpart": np.zeros(len(keys), dtype=np.int32),
         })
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part",
-            pa.array(hash_partition(
-                batch[key_col].to_numpy(zero_copy_only=False), n_parts
-            )),
-        )
 
     def final(df: "pd.DataFrame") -> "pd.DataFrame":
         out = df.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
@@ -1022,13 +866,8 @@ def followed_by_counts(
         out["n_pairs"] = out["n_pairs"].astype(np.int64)
         return out
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
-        .groupby("fpart")
-        .map_groups(final, batch_format="pandas")
-    )
+    partials = shuffle_by(events, key_col, kern, n_parts)
+    return shuffle_by(partials, ["type_a", "type_b"], final, n_parts=1)
 
 
 def grouped_quantile_buckets(
@@ -1062,8 +901,6 @@ def grouped_quantile_buckets(
     import numpy as np
     import ray
 
-    from ontocast_ray.util import hash_u64
-
     if len(labels) != len(quantiles) + 1:
         raise ValueError("need len(quantiles)+1 labels")
     n_parts = resolve_n_parts(ds, n_parts)
@@ -1077,10 +914,6 @@ def grouped_quantile_buckets(
             .size()
             .rename(columns={"size": "n"})
         )
-        key = (
-            g[group_col].astype(str) + "\x1f" + g[score_col].astype(str)
-        ).to_numpy(dtype=object)
-        g["part"] = (hash_u64(key) % np.uint64(n_parts)).astype(np.int64)
         g["n"] = g["n"].astype(np.int64)
         return g
 
@@ -1089,12 +922,12 @@ def grouped_quantile_buckets(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    counts = (
-        ds.map_batches(_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(_final, batch_format="pandas")
-        .materialize()
-    )
+    counts = shuffle_by(
+        ds.map_batches(_partial, batch_format="pandas"),
+        [group_col, score_col],
+        _final,
+        n_parts,
+    ).materialize()
     n_distinct = counts.count()
     if n_distinct > max_distinct:
         raise ValueError(
@@ -1156,18 +989,8 @@ def next_event_context(
     once and takes all lags via vectorized ``groupby().shift`` — all
     users of a partition in one pass, no per-user Python.
     """
-    import numpy as np
-
-    n_parts = resolve_n_parts(events, n_parts)
 
     def kernel(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            cols = {id_col: pd.Series([], dtype="int64"),
-                    key_col: pd.Series([], dtype="int64")}
-            for j in range(1, context + 1):
-                cols[f"prev{j}"] = pd.Series([], dtype=object)
-            cols["label"] = pd.Series([], dtype=object)
-            return pd.DataFrame(cols)
         df = group.sort_values([key_col, ts_col, id_col], kind="mergesort")
         out = {id_col: df[id_col].to_numpy(),
                key_col: df[key_col].to_numpy()}
@@ -1177,13 +1000,7 @@ def next_event_context(
         out["label"] = df[type_col].to_numpy()
         return pd.DataFrame(out)
 
-    return (
-        events.map_batches(
-            _add_part_factory(key_col, n_parts), batch_format="pyarrow"
-        )
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, key_col, kernel, n_parts)
 
 
 def user_trend_fractions(
@@ -1210,20 +1027,14 @@ def user_trend_fractions(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     n_parts = resolve_n_parts(events, n_parts)
     unit_us = np.int64(minutes_per_unit) * 60_000_000
 
     def prep(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_numpy(zero_copy_only=False)
         return pa.table({
             key_col: batch[key_col],
             "_ts": batch[ts_col].cast(pa.int64()),
             y_col: batch[y_col].cast(pa.int64()),
-            "part": pa.array(
-                (hash_u64(keys) % np.uint64(n_parts)).astype(np.int32)
-            ),
         })
 
     def kern(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1249,10 +1060,8 @@ def user_trend_fractions(
             "slope_den": n * agg["sxx"].to_numpy(dtype=np.int64) - sx * sx,
         })
 
-    return (
-        events.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
+    return shuffle_by(
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
     )
 
 
@@ -1279,8 +1088,6 @@ def event_bursts(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     n_parts = resolve_n_parts(events, n_parts)
     every = np.int64(every_us)
 
@@ -1295,9 +1102,6 @@ def event_bursts(
             .rename(columns={"size": "n_events"})
         )
         g["n_events"] = g["n_events"].astype(np.int64)
-        g["part"] = (
-            hash_u64(g[key_col].to_numpy()) % np.uint64(n_parts)
-        ).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def kern(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1319,10 +1123,8 @@ def event_bursts(
             > np.int64(factor_num) * total,
         })
 
-    return (
-        events.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
+    return shuffle_by(
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
     )
 
 
@@ -1345,8 +1147,6 @@ def activity_streaks(
     """
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
-
     n_parts = resolve_n_parts(events, n_parts)
     day_us = np.int64(86_400_000_000)
 
@@ -1357,9 +1157,6 @@ def activity_streaks(
             pd.DataFrame({key_col: keys, "day": ts // day_us})
             .drop_duplicates()
         )
-        g["part"] = (
-            hash_u64(g[key_col].to_numpy()) % np.uint64(n_parts)
-        ).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def kern(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1380,8 +1177,6 @@ def activity_streaks(
         out["n_active_days"] = out["n_active_days"].astype(np.int64)
         return out[[key_col, "longest_streak", "n_active_days"]]
 
-    return (
-        events.map_batches(prep, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kern, batch_format="pandas")
+    return shuffle_by(
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
     )

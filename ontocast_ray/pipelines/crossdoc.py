@@ -30,6 +30,7 @@ import pyarrow as pa
 
 import ray.data
 
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.rdf.namespaces import PROV, RDF, RDFS
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -209,46 +210,18 @@ def global_entity_table(
     """Salted two-phase shuffle → global entity table
     (entity_uri, entity_key, label, types, n_docs, n_mentions).
 
-    Phase 1 groups on crc32(key⊕salt) % n_parts (kernel loops the (key,salt)
-    cells); phase 2 groups on crc32(key) % n_parts over ≤ n_salt partial rows
-    per key. Per-invocation overhead is amortized across partitions; hot-key
-    fan-in is bounded by n_salt."""
-    import pyarrow.compute as _pc
-
+    Phase 1 shuffles on (key, salt) (the kernel loops the (key, salt)
+    cells); phase 2 shuffles on key over ≤ n_salt partial rows per key,
+    both through ``shuffle_by``. Per-invocation overhead is amortized
+    across partitions; hot-key fan-in is bounded by n_salt."""
     mentions = triples.map_batches(
         lambda b: _entity_mentions(b, n_salt), batch_format="pyarrow"
     )
-
-    def add_part1(batch: pa.Table) -> pa.Table:
-        # vectorized (key ⊕ salt) partition — the part column is only a
-        # shuffle key, so any deterministic hash gives identical results
-        import numpy as np
-
-        from ontocast_ray.util import hash_u64
-
-        h = hash_u64(batch["entity_key"])
-        salt = batch["salt"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            mixed = h ^ (salt * np.uint64(0x9E3779B97F4A7C15))
-        parts = (mixed % np.uint64(n_parts)).astype(np.int32)
-        return batch.append_column("part", pa.array(parts))
-
-    def add_part2(batch: pa.Table) -> pa.Table:
-        from ontocast_ray.util import hash_partition
-
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["entity_key"], n_parts))
-        )
-
-    partial = (
-        mentions.map_batches(add_part1, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_phase1_partition, batch_format="pandas")
+    partial = shuffle_by(
+        mentions, ["entity_key", "salt"], _phase1_partition, n_parts
     )
-    return (
-        partial.map_batches(add_part2, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(_phase2_partition_factory(domain), batch_format="pandas")
+    return shuffle_by(
+        partial, "entity_key", _phase2_partition_factory(domain), n_parts
     )
 
 
@@ -301,15 +274,9 @@ def incremental_global_entities(
 
     def tag(origin: int):
         def _t(batch: pa.Table) -> pa.Table:
-            from ontocast_ray.util import hash_partition
-
-            out = batch.append_column(
+            return batch.append_column(
                 "origin",
                 pa.array(np.full(len(batch), origin, dtype=np.int8)),
-            )
-            return out.append_column(
-                "part",
-                pa.array(hash_partition(batch["entity_key"], n_parts)),
             )
 
         return _t
@@ -342,6 +309,4 @@ def incremental_global_entities(
         df["n_mentions"] = df["n_mentions"].astype("int64")
         return df
 
-    return (
-        both.groupby("part").map_groups(merge, batch_format="pandas")
-    )
+    return shuffle_by(both, "entity_key", merge, n_parts)

@@ -2,16 +2,22 @@
 reference's batch entry point, SURVEY §3.4):
 
     docs (doc_id, spans)
-      → map_batches(assemble_spans)                [stateless task]
-      → map_batches(ChunkDocuments)                [actor pool: embedder state]
-      → map_batches(ExtractTriples)                [actor pool: extractor + hub snapshot]
-      → groupby(doc_id).map_groups(canonicalize)   [shuffle #1, key reused for output layout]
+      → map_batches(KGProcessDocs)                 [default "fused" mode: one actor
+                                                    task per doc batch runs chunk →
+                                                    extract → canonicalize, no shuffle]
       → partitioned parquet + per-shard lineage manifests (resumable)
 
-Streaming end-to-end: no full materialization; the only all-to-all exchange
-is the doc_id groupby (reference semantics are strictly per-document). The
-ontology side-channel is the OntologyHub named actor (broadcast-small reads
-once per actor + batched commutative merges — not a shuffle).
+mode="staged" splits the fused stage:
+
+      → map_batches(ChunkDocuments)                [actor pool: embedder state]
+      → map_batches(ExtractTriples)                [actor pool: extractor + hub snapshot]
+      → shuffle_by(doc_id, canonicalize_partition) [the one all-to-all exchange]
+
+Streaming end-to-end: no full materialization; the fused default has no
+all-to-all exchange at all (reference semantics are strictly per-document),
+and staged mode has one, on doc_id. The ontology side-channel is the
+OntologyHub named actor (broadcast-small reads once per actor + batched
+commutative merges — not a shuffle).
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ class KGProcessDocs:
     entity merge, which is salted by design.
 
     The staged mode (mode="staged" in build_kg_pipeline) keeps extraction as
-    its own actor-pool stage + a doc_part-partitioned canonicalize shuffle —
+    its own actor-pool stage + a doc_id-partitioned canonicalize shuffle —
     preferable when extraction is expensive per chunk (live LLM) and chunk-
     level pipelining across actors matters more than shuffle cost.
     """
@@ -254,7 +260,7 @@ def build_kg_pipeline(
 
     mode="fused" (default): doc-atomic chunk+extract+canonicalize in one
     actor pool, zero shuffle. mode="staged": separate chunk / extract actor
-    pools + doc_part-partitioned canonicalize shuffle (LLM-mode pipelining).
+    pools + doc_id-partitioned canonicalize shuffle (LLM-mode pipelining).
     """
     if ontology_records is None:
         ontology_records = (
@@ -328,13 +334,13 @@ def build_kg_pipeline(
         batch_size=batch_size,
         concurrency=pool(extract_concurrency),
     )
-    from ontocast_ray.stages.canonicalize_stage import add_doc_part, canonicalize_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
+    from ontocast_ray.stages.canonicalize_stage import canonicalize_partition
 
-    ds = ds.map_batches(
-        lambda b: add_doc_part(b, canonicalize_partitions), batch_format="pyarrow"
+    return shuffle_by(
+        ds, "doc_id", canonicalize_partition, canonicalize_partitions,
+        batch_format="pyarrow",
     )
-    ds = ds.groupby("doc_part").map_groups(canonicalize_partition, batch_format="pyarrow")
-    return ds
 
 
 def spanify_flat_documents(

@@ -34,8 +34,8 @@ import ray.data
 from ontocast_ray.ops.curation import html_extract_text
 from ontocast_ray.ops.graph_cc import apply_keep_list
 from ontocast_ray.ops.packing import pack_token_meta
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.ops.urls import filter_blocked_domains, url_dedup_flags
-from ontocast_ray.util import hash_partition
 
 
 def curate_web_corpus(
@@ -86,13 +86,9 @@ def curate_web_corpus(
     # exact dedup, coarse-combiner shape: one (sha, min id, tok) row per
     # distinct sha per block crosses the wire, never per occurrence
     def sha_partial(df):
-        import pandas as pd
-
-        g = df.groupby("text_sha", as_index=False).agg(
+        return df.groupby("text_sha", as_index=False).agg(
             doc_id=("doc_id", "min"), n_tokens=("n_tokens", "min")
         )
-        g["part"] = hash_partition(g["text_sha"].to_numpy(), n_parts)
-        return g
 
     def sha_final(df):
         g = df.groupby("text_sha", as_index=False).agg(
@@ -107,9 +103,7 @@ def curate_web_corpus(
             }
         )
 
-    dedup_meta = (
-        meta.map_batches(sha_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(sha_final, batch_format="pandas")
+    dedup_meta = shuffle_by(
+        meta.map_batches(sha_partial, batch_format="pandas"), "text_sha", sha_final, n_parts
     )
     return pack_token_meta(dedup_meta, capacity=capacity, n_parts=n_parts)

@@ -181,7 +181,8 @@ def write_bucketed(
     directory pair at a time, no shuffle).
 
     Resume follows the module's commit protocol: rows of committed buckets
-    are dropped map-side before the one groupby shuffle, uncommitted
+    are dropped map-side before the one ``shuffle_by(key)`` (whose
+    partitions are exactly the buckets), uncommitted
     ``bucket=NN`` directories are purged before the write, so re-runs
     never duplicate rows. → {bucket: n_rows}, including buckets committed
     by earlier runs.
@@ -190,6 +191,7 @@ def write_bucketed(
     import pandas as pd
     import pyarrow as pa
 
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.util import hash_partition
 
     done = committed_shards(out_dir)
@@ -203,10 +205,8 @@ def write_bucketed(
     def bucket_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         return df.sort_values(key_col, kind="mergesort").reset_index(drop=True)
 
-    bucketed = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_kernel, batch_format="pandas")
+    bucketed = shuffle_by(
+        ds.map_batches(add_bucket, batch_format="pyarrow"), key_col, bucket_kernel, n_buckets
     )
     return _write_committed(bucketed, out_dir, "bucket", n_buckets, done, min_rows_per_file)
 

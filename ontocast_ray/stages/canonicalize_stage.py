@@ -8,10 +8,11 @@ disambiguation is insertion-order dependent (SURVEY §7).
 
 **Partitioning scheme**: a naive ``groupby("doc_id").map_groups`` pays one
 Python kernel invocation + format conversion PER DOCUMENT — ruinous at
-millions of docs. Instead rows carry ``doc_part = crc32(doc_id) % P`` and the
-shuffle is ``groupby("doc_part").map_groups``: P balanced partitions (P scales
-with the cluster, not the corpus), and the kernel loops the documents inside
-one Arrow table. Same exchange volume, 1/thousands of the invocation count.
+millions of docs. Instead the pipeline runs ``shuffle_by(ds, "doc_id",
+canonicalize_partition, P)``: P balanced partitions of
+``hash_partition(doc_id, P)`` (P scales with the cluster, not the corpus),
+and the kernel loops the documents inside one Arrow table. Same exchange
+volume, 1/thousands of the invocation count.
 
 Non-fact rows (ontology addendum, status) pass through unchanged, so the
 whole triple stream takes exactly one shuffle.
@@ -19,10 +20,7 @@ whole triple stream takes exactly one shuffle.
 
 from __future__ import annotations
 
-import zlib
-
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ontocast_ray.functions.uris import iri2namespace
 from ontocast_ray.model import TRIPLES_SCHEMA, graph_to_rows, rows_to_graph
@@ -91,15 +89,8 @@ def canonicalize_doc_group(group: pa.Table) -> pa.Table:
     return pa.concat_tables(out_parts, promote_options="default")
 
 
-def add_doc_part(batch: pa.Table, n_parts: int) -> pa.Table:
-    """Append the coarse partition key doc_part = crc32(doc_id) % n_parts."""
-    parts = [zlib.crc32(d.encode()) % n_parts for d in batch["doc_id"].to_pylist()]
-    return batch.append_column("doc_part", pa.array(parts, type=pa.int32()))
-
-
 def canonicalize_partition(group: pa.Table) -> pa.Table:
-    """Kernel for one doc_part partition: loop the documents inside it."""
-    group = group.drop_columns(["doc_part"])
+    """Kernel for one doc_id-hash partition: loop the documents inside it."""
     doc_ids = group["doc_id"].to_pylist()
     by_doc: dict[str, list[int]] = {}
     for i, d in enumerate(doc_ids):
@@ -107,6 +98,4 @@ def canonicalize_partition(group: pa.Table) -> pa.Table:
     outs = []
     for d in sorted(by_doc):
         outs.append(canonicalize_doc_group(group.take(by_doc[d])))
-    if not outs:
-        return TRIPLES_SCHEMA.empty_table()
     return pa.concat_tables(outs, promote_options="default")

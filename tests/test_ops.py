@@ -316,7 +316,7 @@ def test_bloom_filter_no_false_negatives():
 def test_resolve_n_parts_scales(ray_session):
     import ray.data
 
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     small = ray.data.range(1000)
     big = ray.data.range(100_000)
@@ -579,7 +579,7 @@ def test_resolve_n_parts_no_double_execution(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
-    from ontocast_ray.ops.windows import resolve_n_parts
+    from ontocast_ray.ops.shuffle import resolve_n_parts
 
     src = tmp_path / "src.parquet"
     pq.write_table(
@@ -4466,6 +4466,22 @@ def test_deterministic_walks_paths_agree(ray_session):
     assert set(a["start"]) == {1, 2, 3, 4}
     assert (a[a["step"] == 0]["node"].to_numpy()
             == a[a["step"] == 0]["start"].to_numpy()).all()
+
+
+def test_deterministic_walks_reject_steps_past_draw_key_bound(ray_session):
+    """The draw key node*4 + step collides across nodes from step 5 on, so
+    both paths refuse n_steps > 3 instead of drawing correlated hops."""
+    import ray.data
+
+    from ontocast_ray.ops.walks import deterministic_walks
+
+    edges = ray.data.from_arrow(pa.table({
+        "src": pa.array([1, 2], type=pa.int64()),
+        "dst": pa.array([2, 1], type=pa.int64()),
+    }))
+    for limit in (2_000_000, 0):  # driver fast path, distributed joins
+        with pytest.raises(ValueError, match="draw-key bound"):
+            deterministic_walks(edges, n_steps=4, small_edge_limit=limit)
 
 
 def test_bpe_train_reference_and_roundtrip(ray_session):

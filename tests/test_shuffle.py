@@ -1,0 +1,122 @@
+"""Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
+guard that keeps ``map_groups`` from spreading outside it."""
+
+from __future__ import annotations
+
+import pathlib
+import re
+import uuid
+
+import pandas as pd
+import pytest
+
+from ontocast_ray.ops.shuffle import _PART, shuffle_by
+
+# Sites where one kernel call per natural key IS the op's meaning; every
+# other keyed exchange in ontocast_ray goes through shuffle_by.
+ALLOWED_MAP_GROUPS = {
+    ("ops/clustering.py", "cluster"): "SemDeDup keep rule runs per k-means cluster",
+    ("ops/clustering.py", "pg"): "one bounded reducer per shard pair of an oversized cluster",
+    ("ops/similarity.py", "cluster"): "IVF join scores one probed cluster per call",
+    ("ops/similarity.py", "pg"): "one bounded reducer per shard pair of the all-pairs kNN",
+}
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1] / "ontocast_ray"
+_GROUPBY = re.compile(r"""groupby\(\s*["']([^"']+)["']\s*\)""")
+
+
+def _rows(n: int = 240) -> list[dict]:
+    return [
+        {"s": f"k{i % 17}", "i": i % 11, "j": i % 3, "v": i}
+        for i in range(n)
+    ]
+
+
+def _ds(n: int = 240, blocks: int = 4):
+    import ray
+
+    df = pd.DataFrame(_rows(n))
+    return ray.data.from_pandas([df.iloc[b::blocks] for b in range(blocks)])
+
+
+def _per_call_key_counts(keys: list[str]):
+    """Kernel that reports, for each key tuple in its frame, the row count
+    and an id unique to this call, plus what the frame looked like."""
+
+    def per_call(df: pd.DataFrame) -> pd.DataFrame:
+        call = uuid.uuid4().hex
+        g = df.groupby(keys, as_index=False).size()
+        return g.assign(
+            call=call, frame_rows=len(df), saw_part=_PART in df.columns,
+            n_cols=len(df.columns),
+        )
+
+    return per_call
+
+
+@pytest.mark.parametrize("keys", [["s"], ["i"], ["s", "j"]])
+def test_equal_keys_reach_one_call(ray_session, keys):
+    ds = _ds()
+    out = shuffle_by(ds, keys, _per_call_key_counts(keys), n_parts=5).to_pandas()
+    want = pd.DataFrame(_rows()).groupby(keys).size()
+    # one output row per key ⇒ every key's rows arrived in a single call
+    assert not out.duplicated(keys).any()
+    got = out.set_index(keys)["size"].sort_index()
+    assert got.to_dict() == want.sort_index().to_dict()
+
+
+def test_kernel_never_sees_empty_frame_or_partition_column(ray_session):
+    # more partitions than keys: many partitions stay empty
+    ds = _ds(40, blocks=7)
+    out = shuffle_by(ds, "j", _per_call_key_counts(["j"]), n_parts=16).to_pandas()
+    assert (out["frame_rows"] > 0).all()
+    assert not out["saw_part"].any()
+    assert (out["n_cols"] == 4).all()  # s, i, j, v — nothing added
+
+
+def test_empty_input_gives_empty_output(ray_session):
+    ds = _ds(10).filter(expr="v < 0")
+    assert shuffle_by(ds, "s", _per_call_key_counts(["s"]), n_parts=4).count() == 0
+
+
+def test_output_multiset_independent_of_n_parts(ray_session):
+    def sums(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["s", "j"], as_index=False)["v"].sum()
+
+    ds = _ds().materialize()
+    outs = []
+    for p in (1, 3, 64):
+        df = shuffle_by(ds, ["s", "j"], sums, n_parts=p).to_pandas()
+        outs.append(df.sort_values(["s", "j"]).reset_index(drop=True))
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+
+
+def test_stats_show_kernel_name(ray_session):
+    def my_distinct_kernel_name(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates("s")
+
+    out = shuffle_by(_ds(30), "s", my_distinct_kernel_name, n_parts=2).materialize()
+    assert "my_distinct_kernel_name" in out.stats()
+
+
+def test_map_groups_lives_only_in_shuffle_by():
+    """Scan ontocast_ray for ``map_groups(``: outside ops/shuffle.py each
+    site must be an allow-listed (file, groupby key) natural-key grouping,
+    and every allow-list entry must still be in use."""
+    seen = set()
+    bad = []
+    for path in sorted(_ROOT.rglob("*.py")):
+        rel = path.relative_to(_ROOT).as_posix()
+        if rel == "ops/shuffle.py":
+            continue
+        src = path.read_text()
+        for m in re.finditer(r"map_groups\(", src):
+            keys = _GROUPBY.findall(src[max(0, m.start() - 300):m.start()])
+            site = (rel, keys[-1] if keys else None)
+            if site in ALLOWED_MAP_GROUPS:
+                seen.add(site)
+            else:
+                line = src.count("\n", 0, m.start()) + 1
+                bad.append(f"{rel}:{line} groups on {site[1]!r}")
+    assert not bad, "use ops.shuffle.shuffle_by instead of map_groups: " + ", ".join(bad)
+    assert seen == set(ALLOWED_MAP_GROUPS), set(ALLOWED_MAP_GROUPS) - seen
