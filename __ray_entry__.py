@@ -5194,8 +5194,9 @@ def _q_kg_incremental_entities(sf_dir: str):
     """Incremental KG entity-table update (the daily-crawl shape the
     north-rule's 10^12-doc scale forces — never reprocess old docs):
     'yesterday' = the global entity table of docs < 250, 'today's batch'
-    = the triples of docs ≥ 250; the update merges new-batch aggregates
-    into the old table on one coarse key shuffle and tags every row
+    = the triples of docs ≥ 250; the update unions the new batch's
+    per-batch aggregates with the old table's rows into ONE shuffle on
+    entity_key (no salted pre-aggregation) and tags every row
     new/updated/unchanged. Property-tested: equals the full-batch
     global_entity_table over all docs, row for row (merge rules are
     associative). Golden-pinned (content-hash IRIs)."""

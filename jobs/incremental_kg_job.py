@@ -15,8 +15,10 @@ triples. IDEMPOTENT: if --out already holds a committed manifest for this
 input digest (every input file's path, size and mtime), the job exits 0
 without recomputation (the curation_job manifest rule); overwriting an
 input in place changes the digest, and the re-run replaces both outputs.
-Yesterday's table is never reprocessed and never shipped through a
-shuffle — only the new batch's aggregates move.
+Yesterday's table is never re-aggregated from triples: its rows are
+unioned with the new batch's per-batch aggregates into ONE shuffle on
+entity_key, so that shuffle moves |table| + |new-batch aggregate| rows,
+never the old corpus.
 """
 
 from __future__ import annotations

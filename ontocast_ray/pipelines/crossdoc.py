@@ -12,11 +12,18 @@ engine-side design layered ON TOP of the per-doc canonical output:
    ``{domain}/entity/{key}`` is a PURE FUNCTION of the row. Triple rewriting
    is therefore an embarrassingly-parallel map — no join, no broadcast.
 2. What genuinely needs a shuffle is the merged entity metadata (best label,
-   type union, mention/doc counts). A head entity ("ACME Corporation" in
-   ~30% of docs) makes a naive groupby(key) skew-bound, so it runs TWO-PHASE:
-   groupby((key, salt)) partial-aggregate → groupby(key) final merge of at
-   most ``n_salt`` partial rows per key. Phase-1 fan-in is bounded by
-   corpus_size/n_salt per reducer regardless of key skew.
+   type union, mention/doc counts). Every path starts from a per-batch
+   combiner (one merge row per key per input batch) and ends in ONE merge
+   kernel (`_merge_entities_factory`).
+   - Full corpus (`global_entity_table`): TWO-PHASE, as the north rule asks —
+     shuffle on (key, salt) and fold each cell, then shuffle on key over at
+     most ``n_salt`` partial rows per key. The salt spreads a head entity's
+     combiner rows ("ACME Corporation" in ~30% of docs) over ``n_salt``
+     phase-1 reducers, bounding ROWS per reducer; it does not bound bytes,
+     since phase 2 still unions the hot key's whole doc set in one reducer.
+   - Daily increment (`incremental_global_entities`): ONE shuffle on key over
+     the new batch's combiner rows ∪ yesterday's rows; the combiner is the
+     hot-key bound (one row per input batch plus one old row per key).
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from __future__ import annotations
 import re
 import zlib
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
@@ -112,16 +117,39 @@ def rewrite_to_global(batch: pa.Table) -> pa.Table:
     return pa.concat_tables([out, extra], promote_options="default")
 
 
-def _entity_mentions(batch: pa.Table, n_salt: int) -> pa.Table:
-    """Per-batch: extract (entity_key, salt, label, type, doc_id) mention rows
-    for doc-canonical subjects; pre-aggregated within the batch."""
+_STRS = pa.list_(pa.string())
+# one row per (entity key, source): per-batch combiner rows and their
+# phase-1 folds (origin 1, doc lists), yesterday's rows (origin 0, n_docs)
+_MERGE_SCHEMA = pa.schema({
+    "entity_key": pa.string(), "label": pa.string(), "types": _STRS, "docs": _STRS,
+    "n_docs": pa.int64(), "n_mentions": pa.int64(), "origin": pa.int8(),
+})
+_STATUS = {frozenset({0}): "unchanged", frozenset({1}): "new", frozenset({0, 1}): "updated"}
+
+
+def _new_rows(keys: list, ents) -> pa.Table:
+    """Merge rows of new-batch entries [label, {types}, {docs}, _, mentions]."""
+    return pa.table({
+        "entity_key": keys, "label": [e[0] for e in ents],
+        "types": [sorted(e[1]) for e in ents], "docs": [sorted(e[2]) for e in ents],
+        "n_docs": [0] * len(keys), "n_mentions": [e[4] for e in ents],
+        "origin": [1] * len(keys),
+    }, schema=_MERGE_SCHEMA)
+
+
+def _entity_mentions(batch: pa.Table) -> pa.Table:
+    """Per-batch combiner: one merge row per entity key of the batch's
+    doc-canonical subjects.
+
+    The within-batch label is the FIRST longest ``rdfs:label`` in triple
+    order (not `_merge_label`'s lexical tiebreak): the kg_global_entities
+    and kg_incremental_entities goldens pin this rule."""
     rdfs_label = str(RDFS.label)
     rdf_type = str(RDF.type)
     subs = batch["subject"].to_pylist()
     preds = batch["predicate"].to_pylist()
     objs = batch["object"].to_pylist()
     docs = batch["doc_id"].to_pylist()
-    # within-batch combiner: key -> [best_label, {types}, {docs}, mentions]
     acc: dict[str, list] = {}
     for s, p, o, d in zip(subs, preds, objs, docs):
         key = entity_key_of(s)
@@ -129,76 +157,81 @@ def _entity_mentions(batch: pa.Table, n_salt: int) -> pa.Table:
             continue
         ent = acc.get(key)
         if ent is None:
-            ent = ["", set(), set(), 0]
+            ent = ["", set(), set(), 0, 0]
             acc[key] = ent
-        ent[3] += 1
+        ent[4] += 1
         ent[2].add(d)
         if p == rdfs_label and len(o) > len(ent[0]):
             ent[0] = o
         elif p == rdf_type:
             ent[1].add(o)
-    keys, salts, labels, types, docsets, mentions = [], [], [], [], [], []
-    for key, (label, tset, dset, m) in acc.items():
-        keys.append(key)
-        salts.append(zlib.crc32(f"{key}:{sorted(dset)[0] if dset else ''}".encode()) % n_salt)
-        labels.append(label)
-        types.append(sorted(tset))
-        docsets.append(sorted(dset))
-        mentions.append(m)
-    return pa.table(
-        {
-            "entity_key": pa.array(keys, type=pa.string()),
-            "salt": pa.array(salts, type=pa.int32()),
-            "label": pa.array(labels, type=pa.string()),
-            "types": pa.array(types, type=pa.list_(pa.string())),
-            "docs": pa.array(docsets, type=pa.list_(pa.string())),
-            "n_mentions": pa.array(mentions, type=pa.int64()),
+    return _new_rows(list(acc), acc.values())
+
+
+def _merge_label(a: str, b: str) -> str:
+    """Longest label with a deterministic lexicographic tiebreak —
+    associative + commutative, so any fold order (and incremental merging)
+    gives the full-batch result."""
+    if len(a) != len(b):
+        return a if len(a) > len(b) else b
+    return a if a <= b else b
+
+
+def _fold(keys, rows: pa.Table) -> dict:
+    """Fold merge rows per key (``keys``: one per row) → key: [label,
+    {types}, {docs}, Σ n_docs, Σ n_mentions, {origins}]."""
+    acc: dict = {}
+    cols = (rows[c].to_pylist() for c in _MERGE_SCHEMA.names[1:])
+    for key, label, types, docs, n_docs, n_mentions, origin in zip(keys, *cols):
+        ent = acc.get(key)
+        if ent is None:
+            ent = ["", set(), set(), 0, 0, set()]
+            acc[key] = ent
+        ent[0] = _merge_label(ent[0], label)
+        ent[1].update(types)
+        ent[2].update(docs)
+        ent[3] += n_docs
+        ent[4] += n_mentions
+        ent[5].add(origin)
+    return acc
+
+
+def _merge_entities_factory(domain: str, status: bool):
+    """The one merge kernel of both entity paths: per entity_key, label by
+    `_merge_label`, sorted type union, n_docs = Σ n_docs + |∪ docs|,
+    Σ n_mentions, and (if ``status``) status from the set of origins."""
+    def merge_entities(group: pa.Table) -> pa.Table:
+        acc = _fold(group["entity_key"].to_pylist(), group)
+        ents = acc.values()
+        out = {
+            "entity_uri": [f"{domain}/entity/{k}" for k in acc],
+            "entity_key": list(acc),
+            "label": [e[0] for e in ents],
+            "types": pa.array([sorted(e[1]) for e in ents], _STRS),
+            "n_docs": [e[3] + len(e[2]) for e in ents],
+            "n_mentions": [e[4] for e in ents],
         }
-    )
+        if status:
+            out["status"] = [_STATUS[frozenset(e[5])] for e in ents]
+        return pa.table(out)
+
+    return merge_entities
 
 
-def _merge_rows(rows: pd.DataFrame) -> dict:
-    label = max(rows["label"].tolist(), key=len) if len(rows) else ""
-    types = sorted({t for ts in rows["types"] for t in ts})
-    docs = sorted({d for ds in rows["docs"] for d in ds})
-    return {
-        "label": label,
-        "types": types,
-        "docs": docs,
-        "n_mentions": int(rows["n_mentions"].sum()),
-    }
+def _salted(batch: pa.Table, n_salt: int) -> pa.Table:
+    """Merge rows + ``salt = crc32(key:first doc) % n_salt``."""
+    salts = [
+        zlib.crc32(f"{k}:{d[0] if d else ''}".encode()) % n_salt
+        for k, d in zip(batch["entity_key"].to_pylist(), batch["docs"].to_pylist())
+    ]
+    return batch.append_column("salt", pa.array(salts, type=pa.int32()))
 
 
-def _phase1_partition(group: pd.DataFrame) -> pd.DataFrame:
-    """Phase 1 kernel: all (key, salt) cells of one coarse partition. Each
-    reducer sees at most corpus/n_salt mentions of any single hot key."""
-    out = {"entity_key": [], "salt": [], "label": [], "types": [], "docs": [], "n_mentions": []}
-    for (key, salt), rows in group.groupby(["entity_key", "salt"], sort=False):
-        m = _merge_rows(rows)
-        out["entity_key"].append(key)
-        out["salt"].append(0)
-        out["label"].append(m["label"])
-        out["types"].append(m["types"])
-        out["docs"].append(m["docs"])
-        out["n_mentions"].append(m["n_mentions"])
-    return pd.DataFrame(out)
-
-
-def _phase2_partition_factory(domain: str):
-    def _phase2(group: pd.DataFrame) -> pd.DataFrame:
-        out = {"entity_uri": [], "entity_key": [], "label": [], "types": [],
-               "n_docs": [], "n_mentions": []}
-        for key, rows in group.groupby("entity_key", sort=False):
-            m = _merge_rows(rows)
-            out["entity_uri"].append(f"{domain}/entity/{key}")
-            out["entity_key"].append(key)
-            out["label"].append(m["label"])
-            out["types"].append(m["types"])
-            out["n_docs"].append(len(m["docs"]))
-            out["n_mentions"].append(m["n_mentions"])
-        return pd.DataFrame(out)
-
-    return _phase2
+def _phase1_partition(group: pa.Table) -> pa.Table:
+    """Phase 1 kernel: fold each (key, salt) cell of one coarse partition
+    into one merge row; phase 2 unions the cells' doc lists."""
+    acc = _fold(zip(group["entity_key"].to_pylist(), group["salt"].to_pylist()), group)
+    return _new_rows([k for k, _ in acc], acc.values())
 
 
 def global_entity_table(
@@ -210,18 +243,18 @@ def global_entity_table(
     """Salted two-phase shuffle → global entity table
     (entity_uri, entity_key, label, types, n_docs, n_mentions).
 
-    Phase 1 shuffles on (key, salt) (the kernel loops the (key, salt)
-    cells); phase 2 shuffles on key over ≤ n_salt partial rows per key,
-    both through ``shuffle_by``. Per-invocation overhead is amortized
-    across partitions; hot-key fan-in is bounded by n_salt."""
+    Phase 1 shuffles the combiner rows on (key, salt) and folds each cell;
+    phase 2 shuffles on key over ≤ n_salt partial rows per key and runs the
+    merge kernel of `incremental_global_entities`, without status."""
     mentions = triples.map_batches(
-        lambda b: _entity_mentions(b, n_salt), batch_format="pyarrow"
+        lambda b: _salted(_entity_mentions(b), n_salt), batch_format="pyarrow"
     )
     partial = shuffle_by(
-        mentions, ["entity_key", "salt"], _phase1_partition, n_parts
+        mentions, ["entity_key", "salt"], _phase1_partition, n_parts, batch_format="pyarrow"
     )
     return shuffle_by(
-        partial, "entity_key", _phase2_partition_factory(domain), n_parts
+        partial, "entity_key", _merge_entities_factory(domain, status=False), n_parts,
+        batch_format="pyarrow",
     )
 
 
@@ -236,77 +269,40 @@ def merge_cross_doc(
     return rewritten, entities
 
 
-def _merge_label(a: str, b: str) -> str:
-    """Longest-label rule (the batch `_merge_rows` argmax) with a
-    deterministic lexicographic tiebreak — associative + commutative, so
-    incremental merging commutes with full-batch recomputation."""
-    if len(a) != len(b):
-        return a if len(a) > len(b) else b
-    return a if a <= b else b
+def _old_rows(batch: pa.Table) -> pa.Table:
+    """Yesterday's table as merge rows (extra columns, e.g. status, drop)."""
+    n = len(batch)
+    cols = [batch[c] for c in ("entity_key", "label", "types")] + [
+        pa.array([[]] * n, _STRS), batch["n_docs"], batch["n_mentions"],
+        pa.array([0] * n, pa.int8()),
+    ]
+    return pa.Table.from_arrays(cols, names=_MERGE_SCHEMA.names).cast(_MERGE_SCHEMA)
 
 
 def incremental_global_entities(
     old_table: "ray.data.Dataset",
     new_triples: "ray.data.Dataset",
     domain: str = "https://example.com",
-    n_salt: int = 16,
     n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Incremental cross-document entity-table update — the daily-crawl
     shape for KG construction (the reference reprocesses the corpus; at
-    10¹²-doc scale only the NEW batch may be touched): aggregate the new
-    batch's mentions with the same salted two-phase shuffle as
-    `global_entity_table`, then merge against yesterday's table on ONE
-    coarse ``hash(entity_key) % P`` shuffle. → the updated table
+    10¹²-doc scale only the NEW batch may be touched). → the updated table
     (entity_uri, entity_key, label, types, n_docs, n_mentions, status)
     with status ∈ {'new', 'updated', 'unchanged'}.
 
+    ONE ``shuffle_by(entity_key)`` over the new batch's combiner rows ∪
+    yesterday's rows, folded by the merge kernel of `global_entity_table`.
+    No salt: a hot key brings one row per input batch plus one old row.
     Merge rules are associative/commutative (longest-label with lexical
     tiebreak, type-set union, count sums — doc sets of distinct crawl
-    days are disjoint by construction), so the incremental result equals
-    the full-batch `global_entity_table` over old∪new, row for row
-    (property-tested). Old rows never re-aggregate; the shuffle carries
-    O(|table| + |new batch keys|) rows, never the old corpus.
+    days are disjoint by construction), so the result equals the
+    full-batch `global_entity_table` over old∪new, row for row
+    (property-tested). Old rows never re-aggregate.
     """
-    new_agg = global_entity_table(
-        new_triples, domain=domain, n_salt=n_salt, n_parts=n_parts
+    new = new_triples.map_batches(_entity_mentions, batch_format="pyarrow")
+    old = old_table.map_batches(_old_rows, batch_format="pyarrow")
+    return shuffle_by(
+        new.union(old), "entity_key", _merge_entities_factory(domain, status=True),
+        n_parts, batch_format="pyarrow",
     )
-
-    def tag(origin: int):
-        def _t(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "origin",
-                pa.array(np.full(len(batch), origin, dtype=np.int8)),
-            )
-
-        return _t
-
-    both = old_table.map_batches(
-        tag(0), batch_format="pyarrow"
-    ).union(new_agg.map_batches(tag(1), batch_format="pyarrow"))
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        out = {"entity_uri": [], "entity_key": [], "label": [],
-               "types": [], "n_docs": [], "n_mentions": [], "status": []}
-        for key, rows in group.groupby("entity_key", sort=False):
-            origins = set(rows["origin"].tolist())
-            label = ""
-            for lb in rows["label"]:
-                label = _merge_label(label, lb)
-            types = sorted({t for ts in rows["types"] for t in ts})
-            out["entity_uri"].append(f"{domain}/entity/{key}")
-            out["entity_key"].append(key)
-            out["label"].append(label)
-            out["types"].append(types)
-            out["n_docs"].append(int(rows["n_docs"].sum()))
-            out["n_mentions"].append(int(rows["n_mentions"].sum()))
-            out["status"].append(
-                "unchanged" if origins == {0}
-                else ("new" if origins == {1} else "updated")
-            )
-        df = pd.DataFrame(out)
-        df["n_docs"] = df["n_docs"].astype("int64")
-        df["n_mentions"] = df["n_mentions"].astype("int64")
-        return df
-
-    return shuffle_by(both, "entity_key", merge, n_parts)

@@ -1,4 +1,5 @@
-"""Cross-document entity merge: salted two-phase groupby + pure-map rewrite."""
+"""Cross-document entity merge: salted two-phase full-batch table, one-shuffle
+incremental update, pure-map rewrite."""
 
 import pyarrow as pa
 import pytest
@@ -104,64 +105,128 @@ def test_rewrite_is_pure_map():
     assert len(sameas) == 2
 
 
-def test_incremental_equals_full_batch(ray_session):
+def _kg_triples(n_docs, seed, head_entity_fraction):
+    import ray.data
+
+    corpus = generate_corpus(
+        n_docs=n_docs, seed=seed, head_entity_fraction=head_entity_fraction
+    )
+    return build_kg_pipeline(
+        ray.data.from_arrow(corpus), chunk_concurrency=2, extract_concurrency=2,
+        min_chunk_size=200, max_chunk_size=2000,
+    ).materialize()
+
+
+def _docs_in(triples, lo, hi):
+    """Triples whose zero-padded doc-id string is in [lo, hi) (corpus ids
+    sort lexically; sameas/"" rows carry no mentions either way)."""
+    def keep(b):
+        return b.filter(pa.array([lo <= (d or "") < hi for d in b["doc_id"].to_pylist()]))
+
+    return triples.map_batches(keep, batch_format="pyarrow")
+
+
+_TABLE_COLS = ["entity_uri", "entity_key", "label", "n_docs", "n_mentions"]
+
+
+def _sorted_rows(df):
+    return df[_TABLE_COLS].sort_values("entity_key").reset_index(drop=True)
+
+
+@pytest.mark.parametrize(
+    "seed,head_entity_fraction",
+    [pytest.param(7, 0.4, id="head0.4"), pytest.param(3, 1.0, id="head1.0")],
+)
+def test_incremental_equals_full_batch(ray_session, seed, head_entity_fraction):
     """The associativity contract: merging a new batch into yesterday's
     table must equal full-batch recomputation over old∪new, row for row
     (modulo the status column) — the property that makes the incremental
-    op safe to run daily without drift."""
-    import pyarrow.compute as pc
-    import ray.data
-
+    op safe to run daily without drift. Run at a moderate and at an
+    extreme (head entity in every doc) skew."""
     from ontocast_ray.pipelines.crossdoc import (
         global_entity_table,
         incremental_global_entities,
     )
 
-    corpus = generate_corpus(n_docs=24, seed=7, head_entity_fraction=0.4)
-    docs = ray.data.from_arrow(corpus)
-    triples = build_kg_pipeline(
-        docs, chunk_concurrency=2, extract_concurrency=2,
-        min_chunk_size=200, max_chunk_size=2000,
-    ).materialize()
-
-    # split on the zero-padded doc-id string (corpus ids sort lexically);
-    # sameas/"" rows carry no mentions either way
-    def part_of(b, lo, hi):
-        ids = b["doc_id"].to_pylist()
-        keep = [lo <= (d or "") < hi for d in ids]
-        return b.filter(pa.array(keep))
-
-    old_t = triples.map_batches(
-        lambda b: part_of(b, "doc-000000", "doc-000012"),
-        batch_format="pyarrow")
-    new_t = triples.map_batches(
-        lambda b: part_of(b, "doc-000012", "doc-999999"),
-        batch_format="pyarrow")
+    triples = _kg_triples(24, seed, head_entity_fraction)
+    old_t = _docs_in(triples, "doc-000000", "doc-000012")
+    new_t = _docs_in(triples, "doc-000012", "doc-999999")
 
     old_table = global_entity_table(old_t, n_parts=4)
     inc = incremental_global_entities(old_table, new_t, n_parts=4).to_pandas()
     full = global_entity_table(
-        triples.map_batches(
-            lambda b: part_of(b, "doc-000000", "doc-999999"),
-            batch_format="pyarrow"),
-        n_parts=4,
+        _docs_in(triples, "doc-000000", "doc-999999"), n_parts=4
     ).to_pandas()
 
-    cols = ["entity_uri", "entity_key", "label", "n_docs", "n_mentions"]
-    a = inc[cols].sort_values("entity_key").reset_index(drop=True)
-    b = full[cols].sort_values("entity_key").reset_index(drop=True)
+    a, b = _sorted_rows(inc), _sorted_rows(full)
     assert a.equals(b), (len(a), len(b))
-    # status sanity: every row is labeled, and old-only keys say unchanged
+    # status sanity: every row is labeled, and new keys are not old keys
     assert set(inc["status"]) <= {"new", "updated", "unchanged"}
     old_keys = set(old_table.to_pandas()["entity_key"])
-    new_keys = set(
-        incremental_global_entities(
-            global_entity_table(old_t, n_parts=4), new_t, n_parts=4
-        ).to_pandas()
-        .query("status == 'new'")["entity_key"]
-    )
+    new_keys = set(inc.query("status == 'new'")["entity_key"])
     assert new_keys.isdisjoint(old_keys)
     # types merge is a set union
     ti = inc.set_index("entity_key")["types"]
     tf = full.set_index("entity_key")["types"]
     assert all(list(ti[k]) == list(tf[k]) for k in ti.index)
+
+
+@pytest.fixture(scope="module")
+def small_triples(ray_session):
+    return _kg_triples(12, 5, 0.5)
+
+
+def test_incremental_empty_new_batch_keeps_old_table(small_triples):
+    from ontocast_ray.pipelines.crossdoc import (
+        global_entity_table,
+        incremental_global_entities,
+    )
+
+    old_table = global_entity_table(small_triples, n_parts=4).materialize()
+    none = _docs_in(small_triples, "x", "x")
+    inc = incremental_global_entities(old_table, none, n_parts=4).to_pandas()
+    assert _sorted_rows(inc).equals(_sorted_rows(old_table.to_pandas()))
+    assert set(inc["status"]) == {"unchanged"}
+
+
+def test_incremental_empty_old_table_equals_full_batch(small_triples):
+    from ontocast_ray.pipelines.crossdoc import (
+        global_entity_table,
+        incremental_global_entities,
+    )
+
+    empty_old = global_entity_table(_docs_in(small_triples, "x", "x"), n_parts=4)
+    inc = incremental_global_entities(empty_old, small_triples, n_parts=4).to_pandas()
+    full = global_entity_table(small_triples, n_parts=4).to_pandas()
+    assert len(full) > 0
+    assert _sorted_rows(inc).equals(_sorted_rows(full))
+    assert set(inc["status"]) == {"new"}
+
+
+def test_incremental_both_empty(small_triples):
+    from ontocast_ray.pipelines.crossdoc import (
+        global_entity_table,
+        incremental_global_entities,
+    )
+
+    none = _docs_in(small_triples, "x", "x")
+    empty_old = global_entity_table(none, n_parts=4)
+    assert incremental_global_entities(empty_old, none, n_parts=4).count() == 0
+
+
+def test_incremental_runs_one_shuffle(small_triples, monkeypatch):
+    """Structural guard: the incremental merge is ONE shuffle over the new
+    batch's combiner rows ∪ the old table — no salted pre-aggregation."""
+    from ontocast_ray.pipelines import crossdoc
+
+    old_table = crossdoc.global_entity_table(small_triples, n_parts=4)
+    calls = []
+    real = crossdoc.shuffle_by
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(crossdoc, "shuffle_by", counting)
+    crossdoc.incremental_global_entities(old_table, small_triples, n_parts=4)
+    assert calls == ["entity_key"]
