@@ -436,16 +436,17 @@ def _q_skew_join(sf_dir: str):
 
 def _q_triangles(sf_dir: str):
     """Exact triangle count of the supplier co-occurrence graph (suppliers
-    sharing ≥30 orders): self-join → thresholded pair counts (coarse
-    shuffle, packed keys) → degree-ordered wedge semi-join. The degree
-    orientation bounds per-node wedge work at O(√m²) — the skew defusal
-    a naive wedge join lacks."""
+    sharing ≥30 orders): self-join → thresholded pair counts
+    (``shuffle_by`` on the packed pair key) → degree-ordered wedge
+    semi-join. The degree orientation bounds per-node wedge work at
+    O(√m²) — the skew defusal a naive wedge join lacks."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
     from ontocast_ray.ops.graph_cc import triangle_count
     from ontocast_ray.ops.joins import hash_join
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
     rhs = li.map_batches(
@@ -456,34 +457,23 @@ def _q_triangles(sf_dir: str):
         li, rhs, left_on="l_orderkey", right_on="o2",
         left_cols=["l_suppkey"], right_cols=["s_b"], n_parts=16,
     )
-    n_parts = 16
 
     def pair_rows(batch: pa.Table) -> pa.Table:
         a = batch["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["s_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         m = a < b
-        key = (a[m] << np.int64(31)) | b[m]
-        return pa.table(
-            {"key": pa.array(key),
-             "part": pa.array((key % np.int64(n_parts)).astype(np.int32))}
-        )
+        return pa.table({"key": pa.array((a[m] << np.int64(31)) | b[m])})
 
     def thresholded(df: "pd.DataFrame") -> "pd.DataFrame":
-        if not len(df):
-            return pd.DataFrame(
-                {"u": pd.Series([], dtype="int64"),
-                 "v": pd.Series([], dtype="int64")}
-            )
         vc = df["key"].value_counts()
         keys = vc.index.to_numpy(np.int64)[vc.to_numpy() >= 30]
         return pd.DataFrame(
             {"u": keys >> np.int64(31), "v": keys & np.int64((1 << 31) - 1)}
         )
 
-    edges = (
-        joined.map_batches(pair_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(thresholded, batch_format="pandas")
+    edges = shuffle_by(
+        joined.map_batches(pair_rows, batch_format="pyarrow"), "key",
+        thresholded, n_parts=16,
     )
     return triangle_count(edges, n_parts=16)
 
@@ -1991,14 +1981,15 @@ def _q_kg_two_hop(sf_dir: str):
     entities — paths terminating in a literal are out of scope by design).
     The entity-edge table self-joins on the middle node via the repo's
     partitioned hash_join (one coarse shuffle), then a count combiner
-    folds (p1, p2) pairs map-side. Golden-pinned like the other kg_*
-    queries (doc IRIs are content-hash-derived)."""
+    folds (p1, p2) pairs map-side ahead of one ``shuffle_by`` on
+    (p1, p2). Golden-pinned like the other kg_* queries (doc IRIs are
+    content-hash-derived)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
 
@@ -2027,8 +2018,6 @@ def _q_kg_two_hop(sf_dir: str):
         g = df.groupby(["pred_a", "pred_b"], as_index=False).size()
         g = g.rename(columns={"size": "n_paths"})
         g["n_paths"] = g["n_paths"].astype(np.int64)
-        key = (g["pred_a"] + "\x1f" + g["pred_b"]).to_numpy(dtype=object)
-        g["part"] = hash_partition(key, 8)
         return g
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2036,10 +2025,9 @@ def _q_kg_two_hop(sf_dir: str):
         out["n_paths"] = out["n_paths"].astype(np.int64)
         return out
 
-    return (
-        paths.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        paths.map_batches(partial, batch_format="pandas"),
+        ["pred_a", "pred_b"], combine, n_parts=8,
     )
 
 
@@ -2047,35 +2035,17 @@ def _q_user_max_gap(sf_dir: str):
     """Inactivity-gap analysis (churn signal): per user, the LONGEST gap
     between consecutive events in strict (ts, event_id) order, exact
     integer microseconds (float-free, engine-exact), plus a churn-risk
-    flag (> 12h). One coarse user-hash shuffle, vectorized
-    groupby().diff kernel; lag()-window SQL oracle."""
+    flag (> 12h). ``shuffle_by`` on user, vectorized groupby().diff
+    kernel; lag()-window SQL oracle."""
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    n_parts = 16
-    _ = resolve_n_parts  # explicit n_parts: query-scoped
-
-    def add_part(batch):
-        import pyarrow as pa
-
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["user_id"], n_parts))
-        )
-
     thresh_us = np.int64(12 * 3600 * 1_000_000)
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-                "max_gap_us": pd.Series([], dtype="int64"),
-                "churn_risk": pd.Series([], dtype=bool),
-            })
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         diffs = df.groupby("user_id", sort=False)["ts"].diff()
         # integer ns → us truncation: NO float roundtrip (total_seconds()
@@ -2091,11 +2061,7 @@ def _q_user_max_gap(sf_dir: str):
         g["churn_risk"] = g["max_gap_us"] > thresh_us
         return g
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, "user_id", kernel, n_parts=16)
 
 
 def _q_doc_length_histogram(sf_dir: str):
@@ -2106,6 +2072,8 @@ def _q_doc_length_histogram(sf_dir: str):
     Oracle: length(bin(n_chars))."""
     import numpy as np
     import pandas as pd
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
@@ -2123,7 +2091,6 @@ def _q_doc_length_histogram(sf_dir: str):
         )
         g["n_docs"] = g["n_docs"].astype(np.int64)
         g["total_chars"] = g["total_chars"].astype(np.int64)
-        g["part"] = (g["bucket"] % 4).astype(np.int64)
         return g
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2134,10 +2101,9 @@ def _q_doc_length_histogram(sf_dir: str):
             g[c] = g[c].astype(np.int64)
         return g
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), "bucket", combine,
+        n_parts=4,
     )
 
 
@@ -2145,13 +2111,13 @@ def _q_kg_label_ambiguity(sf_dir: str):
     """Entity-linking dictionary BUILD from the flagship KG: invert the
     facts' rdfs:label edges into label → (n_entities, min_entity) — the
     alias table a gazetteer linker consumes, with the ambiguity count
-    that decides which labels need disambiguation context. One coarse
-    label-hash combiner (map-side distinct (label, entity) first);
+    that decides which labels need disambiguation context. One
+    ``shuffle_by`` on label (map-side distinct (label, entity) first);
     golden-pinned like the other kg_* queries."""
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     _LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
     triples = _q_kg_triples(sf_dir)
@@ -2159,17 +2125,10 @@ def _q_kg_label_ambiguity(sf_dir: str):
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df[(df["graph_scope"] == "facts")
                 & (df["predicate"] == _LABEL)]
-        g = (
-            pd.DataFrame({
-                "label": df["object"].to_numpy(),
-                "entity": df["subject"].to_numpy(),
-            })
-            .drop_duplicates()
-        )
-        g["part"] = (
-            hash_u64(g["label"].to_numpy(object)) % np.uint64(16)
-        ).astype(np.int64)
-        return g
+        return pd.DataFrame({
+            "label": df["object"].to_numpy(),
+            "entity": df["subject"].to_numpy(),
+        }).drop_duplicates()
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         dd = df.drop_duplicates(["label", "entity"])
@@ -2179,10 +2138,9 @@ def _q_kg_label_ambiguity(sf_dir: str):
         g["n_entities"] = g["n_entities"].astype(np.int64)
         return g
 
-    return (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"), "label", combine,
+        n_parts=16,
     )
 
 
@@ -2190,7 +2148,7 @@ def _q_train_test_leakage(sf_dir: str):
     """Split-leakage audit (the check-your-split step every training run
     needs): docs assigned train/val/test by the splitmix rule, then
     exact-text collisions ACROSS splits counted per split pair — one
-    coarse text-hash combiner carrying (hash, split) partial counts,
+    ``shuffle_by`` on the text hash carrying (hash, split) partial counts,
     pair expansion on the distinct rows. Known duplicates are injected
     (every doc_id%10==0 re-appears at +100000 — the incremental_dedup
     clone rule) so cross-split collisions exist at every SF. Oracle: the
@@ -2202,6 +2160,7 @@ def _q_train_test_leakage(sf_dir: str):
     import pyarrow.compute as pc
 
     from ontocast_ray.ops.interleave import splitmix64
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.util import hash_u64
 
     base = _read(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2221,14 +2180,12 @@ def _q_train_test_leakage(sf_dir: str):
         u = splitmix64(ids, seed=9).astype(np.float64) / float(2**64)
         split = np.where(u < 0.9, "train", np.where(u < 0.95, "val", "test"))
         h = hash_u64(df["text"].fillna("").to_numpy(dtype=object))
-        g = (
+        return (
             pd.DataFrame({"th": h, "split": split})
             .groupby(["th", "split"], as_index=False)
             .size()
             .rename(columns={"size": "n"})
         )
-        g["part"] = (g["th"] % np.uint64(16)).astype(np.int64)
-        return g
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby(["th", "split"], as_index=False)["n"].sum()
@@ -2247,31 +2204,21 @@ def _q_train_test_leakage(sf_dir: str):
         out["n_pairs"] = out["n_pairs"].astype(np.int64)
         return out
 
-    leaks = (
-        docs.map_batches(assign, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    leaks = shuffle_by(
+        docs.map_batches(assign, batch_format="pandas"), "th", combine,
+        n_parts=16,
     )
 
-    def final(df: "pd.DataFrame") -> "pd.DataFrame":
-        out = df.groupby(["split_a", "split_b"], as_index=False)[
-            "n_pairs"
-        ].sum()
-        out["n_pairs"] = out["n_pairs"].astype(np.int64)
-        out["fpart"] = 0
-        return out
-
-    def last(df: "pd.DataFrame") -> "pd.DataFrame":
+    def total(df: "pd.DataFrame") -> "pd.DataFrame":
         out = df.groupby(["split_a", "split_b"], as_index=False)[
             "n_pairs"
         ].sum()
         out["n_pairs"] = out["n_pairs"].astype(np.int64)
         return out
 
-    return (
-        leaks.map_batches(final, batch_format="pandas")
-        .groupby("fpart")
-        .map_groups(last, batch_format="pandas")
+    return shuffle_by(
+        leaks.map_batches(total, batch_format="pandas"), "split_a", total,
+        n_parts=1,
     )
 
 
@@ -2621,6 +2568,7 @@ def _q_doc_group_components(sf_dir: str):
     """Connected components over star edges within each (source, lang)
     group — a SQL-checkable closure: component == min doc_id per group."""
     from ontocast_ray.ops.graph_cc import connected_components
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     def pairs_kernel(group):
         import pandas as pd
@@ -2638,7 +2586,7 @@ def _q_doc_group_components(sf_dir: str):
         return pd.concat(frames, ignore_index=True)
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "lang"])
-    pairs = docs.groupby("source").map_groups(pairs_kernel, batch_format="pandas")
+    pairs = shuffle_by(docs, "source", pairs_kernel, n_parts=16)
     return connected_components(pairs)
 
 
@@ -2646,14 +2594,15 @@ def _q_component_size_hist(sf_dir: str):
     """Duplicate-cluster SIZE DISTRIBUTION (the dedup accounting chart:
     how many 2-clusters vs giant components — the number that decides
     between keep-first and keep-best policies): component sizes from the
-    star-edge CC, folded to (size, n_components). Two count combiners on
-    coarse hash keys; the histogram itself is O(distinct sizes). Oracle:
-    the window-CTE closure + double GROUP BY."""
+    star-edge CC, folded to (size, n_components). Two count folds:
+    ``shuffle_by`` on component, then a one-partition gather; the
+    histogram itself is O(distinct sizes). Oracle: the window-CTE closure
+    + double GROUP BY."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     comps = _q_doc_group_components(sf_dir)
 
@@ -2663,9 +2612,6 @@ def _q_component_size_hist(sf_dir: str):
         return pa.table({
             "component": pa.array(uniq.astype(np.int64)),
             "n": pa.array(cnt.astype(np.int64)),
-            "part": pa.array(
-                (hash_u64(uniq) % np.uint64(8)).astype(np.int32)
-            ),
         })
 
     def size_combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2676,10 +2622,9 @@ def _q_component_size_hist(sf_dir: str):
         h["partial"] = h["partial"].astype(np.int64)
         return h[["size", "partial"]]
 
-    sizes = (
-        comps.map_batches(size_partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(size_combine, batch_format="pandas")
+    sizes = shuffle_by(
+        comps.map_batches(size_partial, batch_format="pyarrow"), "component",
+        size_combine, n_parts=8,
     )
 
     def hist_fold(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2690,14 +2635,7 @@ def _q_component_size_hist(sf_dir: str):
         return g[["size", "n_components"]]
 
     # distinct sizes are a handful → single-group final fold
-    return (
-        sizes.map_batches(
-            lambda df: df.assign(part=np.zeros(len(df), dtype=np.int32)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(hist_fold, batch_format="pandas")
-    )
+    return shuffle_by(sizes, "size", hist_fold, n_parts=1)
 
 
 def _q_neardup_keep_list(sf_dir: str):
@@ -3001,9 +2939,9 @@ def _q_corpus_diff(sf_dir: str):
     hash join (both-side null payloads)."""
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from ontocast_ray.ops.joins import hash_join
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
 
@@ -3040,15 +2978,13 @@ def _q_corpus_diff(sf_dir: str):
         )
 
     def merge(g):
-        out = g.groupby("status", as_index=False).agg(
+        return g.groupby("status", as_index=False).agg(
             n_docs=("n_docs", "sum"), old_chars_total=("old_chars_total", "sum")
         )
-        return out
 
-    return (
-        joined.map_batches(label, batch_format="pandas")
-        .groupby("status")
-        .map_groups(merge, batch_format="pandas")
+    return shuffle_by(
+        joined.map_batches(label, batch_format="pandas"), "status", merge,
+        n_parts=3,
     )
 
 
@@ -3496,14 +3432,14 @@ def _q_kg_entity_degrees(sf_dir: str):
     """KG analytics over the FLAGSHIP pipeline output: per-entity degree
     profile of the extracted fact graph (out = as subject, in = as
     non-literal object, scope='facts'), top-50 hubs by (degree DESC,
-    entity ASC). Runs the live KG pipeline then one coarse entity-hash
-    degree sum. Golden-pinned (doc IRIs are content-hash-derived, so
-    the value set is SF-specific like the other kg_* goldens); the
-    degree kernel itself is unit-anchored."""
+    entity ASC). Runs the live KG pipeline then one ``shuffle_by`` on
+    entity for the degree sum. Golden-pinned (doc IRIs are
+    content-hash-derived, so the value set is SF-specific like the other
+    kg_* goldens); the degree kernel itself is unit-anchored."""
+    import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
 
@@ -3518,9 +3454,7 @@ def _q_kg_entity_degrees(sf_dir: str):
         ])
         g = pd.DataFrame({"entity": ent, "out_deg": out_flag,
                           "in_deg": 1 - out_flag})
-        g = g.groupby("entity", as_index=False).sum()
-        g["part"] = hash_partition(g["entity"].to_numpy(), 16)
-        return g
+        return g.groupby("entity", as_index=False).sum()
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
         out = g.groupby("entity", as_index=False).agg(
@@ -3529,12 +3463,9 @@ def _q_kg_entity_degrees(sf_dir: str):
         out["degree"] = out["out_deg"] + out["in_deg"]
         return out
 
-    import numpy as np  # noqa: F401 (used in partial closure)
-
-    degrees = (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    degrees = shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"), "entity",
+        combine, n_parts=16,
     )
     top = degrees.sort(["degree", "entity"], descending=[True, False]).limit(50)
     return top.select_columns(["entity", "out_deg", "in_deg", "degree"])
@@ -3546,9 +3477,9 @@ def _q_langid_confusion(sf_dir: str):
     partitioned join of two per-doc label streams + a tiny pair count;
     the standard quality check before trusting a classifier gate."""
     import pandas as pd
-    import pyarrow as pa
 
     from ontocast_ray.ops.joins import hash_join
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.ops.text import LangId
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
@@ -3575,11 +3506,9 @@ def _q_langid_confusion(sf_dir: str):
         return out[["lang_declared", "lang_pred", "n_docs"]]
 
     # pair cardinality ≤ |langs|² — one tiny single-partition combine
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .map_batches(lambda df: df.assign(part=0), batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        joined.map_batches(partial, batch_format="pandas"), "lang_declared",
+        combine, n_parts=1,
     )
 
 
@@ -3666,14 +3595,14 @@ def _q_linear_attribution(sf_dir: str):
     minutes (floor share — remainders stay with the purchase, the spec);
     per-user totals of attributed credit. Composition over the interval
     count join — per-purchase counts become per-click shares as pure
-    arithmetic, then one coarse user sum. Integer end-to-end."""
+    arithmetic, then one ``shuffle_by`` user sum. Integer end-to-end."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
 
     from ontocast_ray.ops.joins import interval_count_join
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"]
@@ -3696,14 +3625,12 @@ def _q_linear_attribution(sf_dir: str):
     def credit(df: "pd.DataFrame") -> "pd.DataFrame":
         n = df["n_prior_clicks"].to_numpy().astype(np.int64)
         credited = np.where(n > 0, (10_000 // np.maximum(n, 1)) * n, 0)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "user_id": df["user_id"].to_numpy(),
             "credit": credited,
             "n_purchases": np.ones(len(df), dtype=np.int64),
             "n_attributed": (n > 0).astype(np.int64),
         }).groupby("user_id", as_index=False).sum()
-        g["part"] = hash_partition(g["user_id"].to_numpy(), 16)
-        return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
         return g.groupby("user_id", as_index=False).agg(
@@ -3712,10 +3639,9 @@ def _q_linear_attribution(sf_dir: str):
             n_attributed=("n_attributed", "sum"),
         )
 
-    return (
-        counts.map_batches(credit, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        counts.map_batches(credit, batch_format="pandas"), "user_id", combine,
+        n_parts=16,
     )
 
 
@@ -3743,7 +3669,8 @@ def _q_source_dup_rates(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ontocast_ray.ops.joins import grouped_count_distinct
+    from ontocast_ray.ops.joins import grouped_count_distinct, hash_join
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "source"])
 
@@ -3766,20 +3693,13 @@ def _q_source_dup_rates(sf_dir: str):
     def count_partial(df: "pd.DataFrame") -> "pd.DataFrame":
         vc = df["source"].value_counts()
         return pd.DataFrame({"source": vc.index.to_numpy(),
-                             "n_docs": vc.to_numpy().astype(np.int64),
-                             "part": np.zeros(len(vc), dtype=np.int32)})
+                             "n_docs": vc.to_numpy().astype(np.int64)})
 
-    totals = (
-        docs.map_batches(count_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda g: g.groupby("source", as_index=False)["n_docs"].sum(),
-            batch_format="pandas",
-        )
+    totals = shuffle_by(
+        docs.map_batches(count_partial, batch_format="pandas"), "source",
+        lambda g: g.groupby("source", as_index=False)["n_docs"].sum(),
+        n_parts=1,
     )
-
-    from ontocast_ray.ops.joins import hash_join
-
     joined = hash_join(
         totals, distinct,
         left_on="source", right_on="source",
@@ -3855,7 +3775,8 @@ def _q_dataset_card(sf_dir: str):
 
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     docs = _read(
         sf_dir, "documents", columns=["doc_id", "text", "lang", "source"]
@@ -3874,7 +3795,6 @@ def _q_dataset_card(sf_dir: str):
             )],
             "langs": [",".join(sorted(set(df["lang"])))],
             "sources": [",".join(sorted(set(df["source"])))],
-            "part": [np.int32(0)],
         })
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -3895,10 +3815,9 @@ def _q_dataset_card(sf_dir: str):
             "n_sources": [np.int64(len(sources))],
         })
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), "n_docs", combine,
+        n_parts=1,
     )
 
 
@@ -3930,31 +3849,18 @@ def _q_events_running_total(sf_dir: str):
     """Per-user RUNNING total of event value in strict (ts, event_id)
     order — the classic cumulative window, in exact integer cents
     (floor(value·100): float cumsum order-of-accumulation never leaks
-    into the compare). One coarse user-hash shuffle, vectorized
+    into the compare). ``shuffle_by`` on user, vectorized
     groupby().cumsum kernel; SUM OVER ROWS UNBOUNDED PRECEDING oracle."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "value"]
     )
-    n_parts = 16
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["user_id"], n_parts))
-        )
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "running_cents": pd.Series([], dtype="int64"),
-            })
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         cents = np.floor(df["value"].to_numpy() * 100.0).astype(np.int64)
         run = (
@@ -3969,11 +3875,7 @@ def _q_events_running_total(sf_dir: str):
             "running_cents": run.astype(np.int64),
         })
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, "user_id", kernel, n_parts=16)
 
 
 def _q_hits_scores(sf_dir: str):
@@ -3983,20 +3885,18 @@ def _q_hits_scores(sf_dir: str):
     auth2(c) = Σ hub1(s). All-integer (no normalization floats) →
     bit-exact across engines. Same distinct-pair edge derivation as
     pagerank_suppliers; each half-iteration = one partitioned hash join
-    + a coarse-shuffle keyed sum (map-side combiner, never a fine-key
+    + a ``shuffle_by`` keyed sum (map-side combiner, never a fine-key
     groupby)."""
     import numpy as np
     import pandas as pd
 
-    from ontocast_ray.ops.joins import distinct_on, hash_join
-    from ontocast_ray.util import hash_partition
-
-    from ontocast_ray.ops.joins import broadcast_join_int as _bji
+    from ontocast_ray.ops.joins import broadcast_join_int, distinct_on
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     # orders is the broadcastable dim side (the edge-builder rule)
-    joined = _bji(
+    joined = broadcast_join_int(
         li, orders, big_key="l_orderkey", small_key="o_orderkey",
         small_val="o_custkey", out_col="o_custkey",
     )
@@ -4005,9 +3905,9 @@ def _q_hits_scores(sf_dir: str):
         joined, ["l_suppkey", "o_custkey"], n_parts=16
     ).materialize()
 
-    def _keyed_sum(ds, key: str, val: str | None, out: str, n_parts=16):
+    def _keyed_sum(ds, key: str, val: str | None, out: str):
         """Σ val per key (val=None → count) via map-side combiner + one
-        coarse hash shuffle — the engine-wide grouped-sum shape."""
+        ``shuffle_by`` on key — the engine-wide grouped-sum shape."""
 
         def partial(df: "pd.DataFrame") -> "pd.DataFrame":
             if val is None:
@@ -4017,7 +3917,6 @@ def _q_hits_scores(sf_dir: str):
                 g = df.groupby(key, as_index=False)[val].sum()
                 g = g.rename(columns={val: out})
             g[out] = g[out].astype(np.int64)
-            g["part"] = hash_partition(g[key].to_numpy(), n_parts)
             return g
 
         def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -4025,10 +3924,9 @@ def _q_hits_scores(sf_dir: str):
             g[out] = g[out].astype(np.int64)
             return g
 
-        return (
-            ds.map_batches(partial, batch_format="pandas")
-            .groupby("part")
-            .map_groups(combine, batch_format="pandas")
+        return shuffle_by(
+            ds.map_batches(partial, batch_format="pandas"), key, combine,
+            n_parts=16,
         )
 
     # auth1(c) = |{s : s→c}| (hub0 = 1)
@@ -4038,8 +3936,6 @@ def _q_hits_scores(sf_dir: str):
     # half-iteration (measured 65 s → ~8 s at the sf0.01 gate; hash_join
     # remains the path when the node table outgrows a broadcast — the
     # same size gate every broadcast fast path in this repo documents)
-    from ontocast_ray.ops.joins import broadcast_join_int
-
     # hub1(s) = Σ_{c: s→c} auth1(c)
     hub1 = _keyed_sum(
         broadcast_join_int(
@@ -4090,6 +3986,8 @@ def _q_balanced_shards(sf_dir: str):
 
     import ray
 
+    from ontocast_ray.ops.shuffle import shuffle_by
+
     docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
     n_shards = 8
     inv_bits = np.int64(1) << np.int64(31)  # n_chars < 2^31 by contract
@@ -4113,20 +4011,7 @@ def _q_balanced_shards(sf_dir: str):
         acc += int(r["count()"])
     base_ref = ray.put(base)
 
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        ls = batch["lshard"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "part", pa.array((ls % np.int64(64)).astype(np.int32))
-        )
-
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "shard": pd.Series([], dtype="int64"),
-                "n_docs": pd.Series([], dtype="int64"),
-                "total_chars": pd.Series([], dtype="int64"),
-                "fpart": pd.Series([], dtype="int32"),
-            })
         df = df.sort_values(["lshard", "doc_id"], kind="mergesort")
         b = df["lshard"].map(ray.get(base_ref)).to_numpy(np.int64)
         intra = df.groupby("lshard", sort=False).cumcount().to_numpy(np.int64)
@@ -4138,7 +4023,6 @@ def _q_balanced_shards(sf_dir: str):
         )
         g["n_docs"] = g["n_docs"].astype(np.int64)
         g["total_chars"] = g["total_chars"].astype(np.int64)
-        g["fpart"] = np.int32(0)
         return g
 
     def final(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -4149,13 +4033,8 @@ def _q_balanced_shards(sf_dir: str):
         g["total_chars"] = g["total_chars"].astype(np.int64)
         return g
 
-    return (
-        keyed.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-        .groupby("fpart")
-        .map_groups(final, batch_format="pandas")
-    )
+    per_shard = shuffle_by(keyed, "lshard", kernel, n_parts=64)
+    return shuffle_by(per_shard, "shard", final, n_parts=1)
 
 
 def _q_nucleus_docs(sf_dir: str):
@@ -4163,29 +4042,16 @@ def _q_nucleus_docs(sf_dir: str):
     source while the cumulative char mass BEFORE a doc stays under 80% of
     the source total — the top-p data-selection rule (quality-ordered
     cumulative cutoff). Exact integers: keep iff 10·before < 8·total.
-    One coarse source-hash shuffle; the kernel vectorizes the per-source
+    One ``shuffle_by`` on source; the kernel vectorizes the per-source
     cumsum via groupby().transform across ALL sources in the partition."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
-    n_parts = 16
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["source"], n_parts))
-        )
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype="int64"),
-                "source": pd.Series([], dtype=object),
-                "n_chars": pd.Series([], dtype="int64"),
-            })
         df = df.sort_values(["source", "n_chars", "doc_id"],
                             ascending=[True, False, True], kind="mergesort")
         nch = df["n_chars"].to_numpy().astype(np.int64)
@@ -4200,11 +4066,7 @@ def _q_nucleus_docs(sf_dir: str):
             "n_chars": out["n_chars"].to_numpy().astype(np.int64),
         })
 
-    return (
-        docs.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(docs, "source", kernel, n_parts=16)
 
 
 def _q_deepwalk(sf_dir: str):
@@ -4297,6 +4159,8 @@ def _q_char_pair_counts(sf_dir: str):
     import numpy as np
     import pandas as pd
 
+    from ontocast_ray.ops.shuffle import shuffle_by
+
     docs = _read(sf_dir, "documents", columns=["text"])
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -4309,7 +4173,6 @@ def _q_char_pair_counts(sf_dir: str):
             return pd.DataFrame({
                 "pair": pd.Series([], dtype=object),
                 "n": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         arr = np.frombuffer(big.encode("ascii"), dtype=np.uint8)
         a, b = arr[:-1], arr[1:]
@@ -4320,7 +4183,6 @@ def _q_char_pair_counts(sf_dir: str):
         return pd.DataFrame({
             "pair": [chr(c >> 8) + chr(c & 255) for c in nz],
             "n": counts[nz].astype(np.int64),
-            "part": np.zeros(len(nz), dtype=np.int32),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -4328,10 +4190,9 @@ def _q_char_pair_counts(sf_dir: str):
         g["n"] = g["n"].astype(np.int64)
         return g
 
-    return (
-        docs.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pandas"), "pair", combine,
+        n_parts=1,
     )
 
 
@@ -4393,31 +4254,18 @@ def _q_span_corruption(sf_dir: str):
 
 def _q_events_cume_dist(sf_dir: str):
     """Per-user CUME_DIST of event value (the empirical-CDF feature):
-    cd = |{rows with value ≤ v}| / n within the user — one coarse
-    user-hash shuffle, tie handling via a vectorized per-(user, value)
+    cd = |{rows with value ≤ v}| / n within the user — one ``shuffle_by``
+    on user, tie handling via a vectorized per-(user, value)
     max-position transform; the final division is the same two integers
     on both engines → bit-exact doubles."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(sf_dir, "events", columns=["event_id", "user_id", "value"])
-    n_parts = 16
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["user_id"], n_parts))
-        )
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "event_id": pd.Series([], dtype="int64"),
-                "user_id": pd.Series([], dtype="int64"),
-                "cd": pd.Series([], dtype="float64"),
-            })
         df = df.sort_values(["user_id", "value"], kind="mergesort")
         pos = df.groupby("user_id", sort=False).cumcount().to_numpy() + 1
         peers = (
@@ -4439,35 +4287,24 @@ def _q_events_cume_dist(sf_dir: str):
             "cd": peers / n,
         })
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, "user_id", kernel, n_parts=16)
 
 
 def _q_events_winsorized(sf_dir: str):
     """Per-user winsorization report (robust feature preprocessing): clip
     values to the user's [p05, p95] discrete quantiles and sum the
     clipped series in exact integer cents; counts of low/high clips.
-    ONE colocate shuffle computes quantiles AND clips in the same kernel
-    (no second join); quantile index = ceil(p·n)−1, the SQL
+    ONE ``shuffle_by`` on user computes quantiles AND clips in the same
+    kernel (no second join); quantile index = ceil(p·n)−1, the SQL
     quantile_disc rule, so the clip boundaries match bit-for-bit."""
     import math as _math
 
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(sf_dir, "events", columns=["user_id", "value"])
-    n_parts = 16
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        return batch.append_column(
-            "part", pa.array(hash_partition(batch["user_id"], n_parts))
-        )
 
     def kernel(df: "pd.DataFrame") -> "pd.DataFrame":
         out = {
@@ -4490,11 +4327,7 @@ def _q_events_winsorized(sf_dir: str):
             )
         return pd.DataFrame(out)
 
-    return (
-        events.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(kernel, batch_format="pandas")
-    )
+    return shuffle_by(events, "user_id", kernel, n_parts=16)
 
 
 def _q_link_prediction(sf_dir: str):
@@ -4512,7 +4345,7 @@ def _q_link_prediction(sf_dir: str):
     import ray
 
     from ontocast_ray.ops.joins import broadcast_join_int, distinct_on
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
@@ -4536,41 +4369,22 @@ def _q_link_prediction(sf_dir: str):
         deg[r["l_suppkey"]] = deg.get(r["l_suppkey"], 0) + int(r["d"])
     deg_ref = ray.put(deg)
 
-    n_parts = 16
-
     def by_customer(batch: "pa.Table") -> "pa.Table":
         return pa.table({
             "s": batch["l_suppkey"].combine_chunks().cast(pa.int64()),
             "c": batch["o_custkey"].combine_chunks().cast(pa.int64()),
-            "part": pa.array(hash_partition(batch["o_custkey"], n_parts)),
         })
 
     def expand(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "key": pd.Series([], dtype="int64"),
-                "n": pd.Series([], dtype="int64"),
-                "kpart": pd.Series([], dtype="int32"),
-            })
         m = df.merge(df, on="c", suffixes=("_a", "_b"))
         m = m[m["s_a"] < m["s_b"]]
         key = (m["s_a"].to_numpy() << np.int64(31)) | m["s_b"].to_numpy()
         g = pd.DataFrame({"key": key}).groupby("key", as_index=False).size()
         g = g.rename(columns={"size": "n"})
         g["n"] = g["n"].astype(np.int64)
-        g["kpart"] = (g["key"].to_numpy() % np.int64(n_parts)).astype(
-            np.int32
-        )
         return g
 
     def score(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "s_a": pd.Series([], dtype="int64"),
-                "s_b": pd.Series([], dtype="int64"),
-                "n_common": pd.Series([], dtype="int64"),
-                "jaccard": pd.Series([], dtype="float64"),
-            })
         g = df.groupby("key", as_index=False)["n"].sum()
         g = g[g["n"] >= 2]
         a = (g["key"].to_numpy() >> np.int64(31)).astype(np.int64)
@@ -4584,13 +4398,11 @@ def _q_link_prediction(sf_dir: str):
             "jaccard": n.astype(np.float64) / (da + db - n),
         })
 
-    return (
-        pairs.map_batches(by_customer, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(expand, batch_format="pandas")
-        .groupby("kpart")
-        .map_groups(score, batch_format="pandas")
+    counts = shuffle_by(
+        pairs.map_batches(by_customer, batch_format="pyarrow"), "c", expand,
+        n_parts=16,
     )
+    return shuffle_by(counts, "key", score, n_parts=16)
 
 
 def _q_events_per_minute(sf_dir: str):
@@ -4603,6 +4415,8 @@ def _q_events_per_minute(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     events = _read(sf_dir, "events", columns=["ts"])
 
@@ -4617,15 +4431,9 @@ def _q_events_per_minute(sf_dir: str):
         return pa.table({
             "minute": pa.array(uniq),
             "n": pa.array(cnt.astype(np.int64)),
-            "part": pa.array(np.zeros(len(uniq), dtype=np.int32)),
         })
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "minute": pd.Series([], dtype="int64"),
-                "n_events": pd.Series([], dtype="int64"),
-            })
         g = df.groupby("minute")["n"].sum()
         lo, hi = int(g.index.min()), int(g.index.max())
         dense = np.arange(lo, hi + 1, dtype=np.int64)
@@ -4635,10 +4443,9 @@ def _q_events_per_minute(sf_dir: str):
             "n_events": filled.to_numpy().astype(np.int64),
         })
 
-    return (
-        events.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        events.map_batches(partial, batch_format="pyarrow"), "minute",
+        combine, n_parts=1,
     )
 
 
@@ -4687,23 +4494,18 @@ def _q_kg_validation_report(sf_dir: str):
     connectivity_report + validate_predicates surface (ref
     validate.py:157-281) exposed as a table: components, entities,
     largest component, isolated entities, predicate label coverage.
-    One coarse hash(doc)%P shuffle; the per-doc report is the
+    One ``shuffle_by`` on doc_id; the per-doc report is the
     reference's own pure-Python graph walk (doc-scoped graphs are
     chunk-sized — the same per-group contract as canonicalization).
     Golden-pinned (content-hash IRIs)."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
 
-    def add_part(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df[df["graph_scope"] == "facts"]
-        if df.empty:
-            return df.assign(part=pd.Series([], dtype="int32"))
-        return df.assign(
-            part=hash_partition(df["doc_id"].to_numpy(), 16)
-        )
+    def facts(df: "pd.DataFrame") -> "pd.DataFrame":
+        return df[df["graph_scope"] == "facts"]
 
     def report(group: "pd.DataFrame") -> "pd.DataFrame":
         from ontocast_ray.model import rows_to_graph
@@ -4732,23 +4534,11 @@ def _q_kg_validation_report(sf_dir: str):
                 ),
                 "fully_connected": bool(r["is_fully_connected"]),
             })
-        if not rows:
-            return pd.DataFrame({
-                "doc_id": pd.Series([], dtype=object),
-                "num_components": pd.Series([], dtype="int64"),
-                "total_entities": pd.Series([], dtype="int64"),
-                "largest_component": pd.Series([], dtype="int64"),
-                "n_isolated": pd.Series([], dtype="int64"),
-                "n_predicates": pd.Series([], dtype="int64"),
-                "n_pred_labeled": pd.Series([], dtype="int64"),
-                "fully_connected": pd.Series([], dtype=bool),
-            })
         return pd.DataFrame(rows)
 
-    return (
-        triples.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(report, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(facts, batch_format="pandas"), "doc_id", report,
+        n_parts=16,
     )
 
 
@@ -4757,17 +4547,17 @@ def _q_curation_funnel(sf_dir: str):
     accounting every production pipeline ships): each doc is attributed
     to its FIRST failing gate — declared-lang → alpha-ratio → full
     Gopher rule set → exact dedup — and the report counts every stage
-    per source. Gates are pure maps; only the surviving docs' (sha, id,
-    source) rows shuffle for the dedup verdict; per-source stage counts
-    are a second tiny shuffle."""
+    per source. Gates are pure maps; one ``shuffle_by`` on sha gives the
+    dedup verdict (every non-survivor has sha "" and lands in one
+    partition); per-source stage counts are a one-partition gather."""
     import hashlib
 
     import numpy as np
     import pandas as pd
     import pyarrow as pa
 
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.ops.text import gopher_quality_filter
-    from ontocast_ray.util import hash_partition
 
     docs = _read(
         sf_dir, "documents", columns=["doc_id", "source", "lang", "text"]
@@ -4801,16 +4591,12 @@ def _q_curation_funnel(sf_dir: str):
             ],
             dtype=object,
         )
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": df["doc_id"].to_numpy(np.int64),
             "source": df["source"].to_numpy(),
             "stage": stage,
             "sha": shas,
         })
-        out["part"] = np.where(
-            surv, hash_partition(shas, 16), np.int32(16)
-        ).astype(np.int32)
-        return out
 
     def dedup_verdict(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.copy()
@@ -4822,20 +4608,9 @@ def _q_curation_funnel(sf_dir: str):
         out = g.groupby(["source", "stage"], as_index=False).size()
         out = out.rename(columns={"size": "n"})
         out["n"] = out["n"].astype(np.int64)
-        out["fpart"] = np.int32(0)
-        return out[["source", "stage", "n", "fpart"]]
+        return out[["source", "stage", "n"]]
 
     def finalize(df: "pd.DataFrame") -> "pd.DataFrame":
-        if df.empty:
-            return pd.DataFrame({
-                "source": pd.Series([], dtype=object),
-                "n_docs": pd.Series([], dtype="int64"),
-                "n_fail_lang": pd.Series([], dtype="int64"),
-                "n_fail_alpha": pd.Series([], dtype="int64"),
-                "n_fail_gopher": pd.Series([], dtype="int64"),
-                "n_dup_dropped": pd.Series([], dtype="int64"),
-                "n_kept": pd.Series([], dtype="int64"),
-            })
         g = df.groupby(["source", "stage"])["n"].sum().unstack(
             fill_value=0
         )
@@ -4853,13 +4628,11 @@ def _q_curation_funnel(sf_dir: str):
             "n_kept": g[4].to_numpy(np.int64),
         })
 
-    return (
-        docs.map_batches(stage_map, batch_format="pandas")
-        .groupby("part")
-        .map_groups(dedup_verdict, batch_format="pandas")
-        .groupby("fpart")
-        .map_groups(finalize, batch_format="pandas")
+    verdicts = shuffle_by(
+        docs.map_batches(stage_map, batch_format="pandas"), "sha",
+        dedup_verdict, n_parts=16,
     )
+    return shuffle_by(verdicts, "source", finalize, n_parts=1)
 
 
 def _q_length_drift(sf_dir: str):
@@ -4872,6 +4645,7 @@ def _q_length_drift(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.ops.windows import global_quantiles_exact
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
@@ -4907,7 +4681,6 @@ def _q_length_drift(sf_dir: str):
                 "n": c.astype(np.int64),
             }))
         out = pd.concat(rows, ignore_index=True)
-        out["part"] = np.int32(0)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def combine(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -4925,10 +4698,9 @@ def _q_length_drift(sf_dir: str):
             "frac_cur_ppm": (c * np.int64(1_000_000)) // np.int64(tc),
         })
 
-    return (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        docs.map_batches(partial, batch_format="pyarrow"), "bucket", combine,
+        n_parts=1,
     )
 
 
@@ -4968,12 +4740,12 @@ def _q_kg_predicate_profile(sf_dir: str):
     predicate — triple count, distinct subjects, distinct objects,
     literal-valued share. The ontology-side 'which relations carry the
     graph' report (reference exposes graph stats via its aggregation
-    status; this is the per-predicate breakdown). One coarse
-    hash(predicate)%P shuffle of batch-combined partials; golden-pinned
-    like the other kg_* queries (content-hash IRIs)."""
+    status; this is the per-predicate breakdown). One ``shuffle_by`` on
+    predicate of batch-combined partials; golden-pinned like the other
+    kg_* queries (content-hash IRIs)."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
 
@@ -4986,7 +4758,6 @@ def _q_kg_predicate_profile(sf_dir: str):
                 "object": pd.Series([], dtype=object),
                 "is_lit": pd.Series([], dtype="int64"),
                 "n": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         g = (
             df.assign(is_lit=df["object_is_literal"].astype("int64"))
@@ -4996,18 +4767,9 @@ def _q_kg_predicate_profile(sf_dir: str):
             .rename(columns={"size": "n"})
         )
         g["n"] = g["n"].astype("int64")
-        g["part"] = hash_partition(g["predicate"].to_numpy(), 16)
         return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
-        if g.empty:
-            return pd.DataFrame({
-                "predicate": pd.Series([], dtype=object),
-                "n_triples": pd.Series([], dtype="int64"),
-                "n_subjects": pd.Series([], dtype="int64"),
-                "n_objects": pd.Series([], dtype="int64"),
-                "n_literal": pd.Series([], dtype="int64"),
-            })
         d = g.groupby(["predicate", "subject", "object", "is_lit"],
                       as_index=False)["n"].sum()
         out = d.groupby("predicate", as_index=False).agg(
@@ -5026,10 +4788,9 @@ def _q_kg_predicate_profile(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out
 
-    return (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"), "predicate",
+        combine, n_parts=16,
     )
 
 
@@ -5135,12 +4896,12 @@ def _q_kg_provenance(sf_dir: str):
     every canonical FACT triple, how many documents and chunks assert it,
     and the first (min doc_id, then chunk_idx) asserting occurrence. The
     audit trail entity-resolution QA reads when a merged triple looks
-    wrong. One coarse hash(s,p,o)%P shuffle of per-batch distinct
+    wrong. One ``shuffle_by`` on (s, p, o) of per-batch distinct
     (triple, doc) partials; golden-pinned like the other kg_* queries
     (content-hash IRIs)."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
 
@@ -5153,7 +4914,6 @@ def _q_kg_provenance(sf_dir: str):
                 "object": pd.Series([], dtype=object),
                 "doc_id": pd.Series([], dtype="int64"),
                 "n_chunks": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         g = (
             df.groupby(["subject", "predicate", "object", "doc_id"],
@@ -5162,11 +4922,6 @@ def _q_kg_provenance(sf_dir: str):
         )
         g["doc_id"] = g["doc_id"].astype("int64")
         g["n_chunks"] = g["n_chunks"].astype("int64")
-        key = (
-            g["subject"].astype(str) + "\x01" + g["predicate"].astype(str)
-            + "\x01" + g["object"].astype(str)
-        )
-        g["part"] = hash_partition(key.to_numpy(), 16)
         return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -5183,10 +4938,9 @@ def _q_kg_provenance(sf_dir: str):
         return out[["subject", "predicate", "object",
                     "n_docs", "n_chunks", "first_doc"]]
 
-    return (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"),
+        ["subject", "predicate", "object"], combine, n_parts=16,
     )
 
 
@@ -5237,11 +4991,11 @@ def _q_kg_class_instances(sf_dir: str):
     asserting it. The 'which classes does this corpus actually use'
     report that drives ontology pruning/criticism (the reference's
     criticise step reasons over exactly this signal per chunk; this is
-    the corpus-wide table). One coarse hash(class)%P shuffle of per-batch
+    the corpus-wide table). One ``shuffle_by`` on class of per-batch
     distinct partials; golden-pinned (content-hash IRIs)."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     triples = _q_kg_triples(sf_dir)
     rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -5255,14 +5009,12 @@ def _q_kg_class_instances(sf_dir: str):
                 "subject": pd.Series([], dtype=object),
                 "doc_id": pd.Series([], dtype=object),
                 "n": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         g = (
             df.groupby(["object", "subject", "doc_id"], as_index=False)
             .size().rename(columns={"size": "n", "object": "class_uri"})
         )
         g["n"] = g["n"].astype("int64")
-        g["part"] = hash_partition(g["class_uri"].to_numpy(), 16)
         return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -5275,10 +5027,9 @@ def _q_kg_class_instances(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out[["class_uri", "n_instances", "n_docs", "n_assertions"]]
 
-    return (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"), "class_uri",
+        combine, n_parts=16,
     )
 
 
@@ -5356,6 +5107,8 @@ def _q_orders_weekly_deltas(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
+    from ontocast_ray.ops.shuffle import shuffle_by
+
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5383,14 +5136,9 @@ def _q_orders_weekly_deltas(sf_dir: str):
         return g[["week_start", "n_orders", "delta"]]
 
     # the week table is tiny (one row per calendar week) → single group
-    return (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            lambda df: df.assign(part=np.zeros(len(df), dtype=np.int32)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        orders.map_batches(partial, batch_format="pyarrow"), "week_start",
+        combine, n_parts=1,
     )
 
 
@@ -5404,6 +5152,8 @@ def _q_events_dow_hour(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     ev = _read(sf_dir, "events", columns=["ts"])
 
@@ -5425,14 +5175,9 @@ def _q_events_dow_hour(sf_dir: str):
         return g[["dow", "hour", "n_events"]]
 
     # ≤168 distinct cells → single-part final combine
-    return (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            lambda df: df.assign(part=np.zeros(len(df), dtype=np.int32)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        ev.map_batches(partial, batch_format="pyarrow"), ["dow", "hour"],
+        combine, n_parts=1,
     )
 
 
@@ -5473,7 +5218,7 @@ def _q_customer_recency(sf_dir: str):
     import pandas as pd
     import pyarrow as pa
 
-    from ontocast_ray.util import hash_u64
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     orders = _read(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
     day_us = np.int64(86_400_000_000)
@@ -5492,9 +5237,6 @@ def _q_customer_recency(sf_dir: str):
             .agg(last_day=("day", "max"), n_orders=("day", "size"))
         )
         g["n_orders"] = g["n_orders"].astype(np.int64)
-        g["part"] = (
-            hash_u64(g["o_custkey"].to_numpy()) % np.uint64(16)
-        ).astype(np.int32)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     partials = orders.map_batches(
@@ -5510,20 +5252,18 @@ def _q_customer_recency(sf_dir: str):
         g["n_orders"] = g["n_orders"].astype(np.int64)
         return g[["o_custkey", "recency_days", "n_orders"]]
 
-    return (
-        partials.groupby("part").map_groups(combine, batch_format="pandas")
-    )
+    return shuffle_by(partials, "o_custkey", combine, n_parts=16)
 
 
 def _q_kg_sameas_audit(sf_dir: str):
     """owl:sameAs lineage audit over the global rewrite: per global
     entity URI, how many distinct doc-canonical aliases merged into it —
     the fan-in report entity-resolution QA reads next to the provenance
-    ledger. One coarse hash(global)%P shuffle of per-batch distinct
+    ledger. One ``shuffle_by`` on the global URI of per-batch distinct
     (global, alias) partials; golden-pinned (content-hash IRIs)."""
     import pandas as pd
 
-    from ontocast_ray.util import hash_partition
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     rewritten = _q_kg_rewritten_global(sf_dir)
 
@@ -5533,13 +5273,10 @@ def _q_kg_sameas_audit(sf_dir: str):
             return pd.DataFrame({
                 "entity_uri": pd.Series([], dtype=object),
                 "alias": pd.Series([], dtype=object),
-                "part": pd.Series([], dtype="int32"),
             })
-        g = df[["object", "subject"]].drop_duplicates().rename(
+        return df[["object", "subject"]].drop_duplicates().rename(
             columns={"object": "entity_uri", "subject": "alias"}
         )
-        g["part"] = hash_partition(g["entity_uri"].to_numpy(), 16)
-        return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
         out = (
@@ -5550,10 +5287,9 @@ def _q_kg_sameas_audit(sf_dir: str):
         out["n_aliases"] = out["n_aliases"].astype("int64")
         return out[["entity_uri", "n_aliases"]]
 
-    return (
-        rewritten.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        rewritten.map_batches(partial, batch_format="pandas"), "entity_uri",
+        combine, n_parts=16,
     )
 
 
@@ -5593,11 +5329,11 @@ def _q_kg_from_curated(sf_dir: str):
     import pyarrow.compute as pc
 
     from ontocast_ray.ops.text import gopher_quality_filter
+    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.pipelines.kg import (
         build_kg_pipeline,
         spanify_flat_documents,
     )
-    from ontocast_ray.util import hash_partition
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     docs = docs.map_batches(
@@ -5644,7 +5380,6 @@ def _q_kg_from_curated(sf_dir: str):
                 "doc_id": pd.Series([], dtype=object),
                 "n_triples": pd.Series([], dtype="int64"),
                 "n_entities": pd.Series([], dtype="int64"),
-                "part": pd.Series([], dtype="int32"),
             })
         g = df.groupby("doc_id", as_index=False).agg(
             n_triples=("subject", "size"),
@@ -5652,7 +5387,6 @@ def _q_kg_from_curated(sf_dir: str):
         )
         g["n_triples"] = g["n_triples"].astype("int64")
         g["n_entities"] = g["n_entities"].astype("int64")
-        g["part"] = hash_partition(g["doc_id"].to_numpy(), 8)
         return g
 
     def combine(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -5664,10 +5398,9 @@ def _q_kg_from_curated(sf_dir: str):
         out["n_entities"] = out["n_entities"].astype("int64")
         return out[["doc_id", "n_triples", "n_entities"]]
 
-    return (
-        triples.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        triples.map_batches(partial, batch_format="pandas"), "doc_id",
+        combine, n_parts=8,
     )
 
 
@@ -5679,7 +5412,8 @@ def _q_lineitem_pricing_summary(sf_dir: str):
     parts. Map-side combiner, one tiny groupby."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     li = _read(
         sf_dir, "lineitem",
@@ -5707,14 +5441,9 @@ def _q_lineitem_pricing_summary(sf_dir: str):
 
     # 6 (flag, status) groups → single-part final combine; the partial
     # keeps partkey so distinct-parts merges exactly
-    return (
-        li.map_batches(partial, batch_format="pandas")
-        .map_batches(
-            lambda df: df.assign(part=np.zeros(len(df), dtype=np.int32)),
-            batch_format="pandas",
-        )
-        .groupby("part")
-        .map_groups(combine, batch_format="pandas")
+    return shuffle_by(
+        li.map_batches(partial, batch_format="pandas"), "l_returnflag",
+        combine, n_parts=1,
     )
 
 

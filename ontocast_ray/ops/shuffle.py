@@ -5,9 +5,11 @@ call per group, and Ray's native keyed paths (sort aggregate, hash-shuffle
 aggregate, ``repartition(keys=)``) measured 10-1000x slower here than the
 coarse shape: hash the key into one of P partitions, sort-shuffle on that
 partition id, and let the kernel loop (vectorized) over the keys of its
-partition. Every op in ``ontocast_ray`` that needs equal keys colocated goes
-through ``shuffle_by``; only ops whose meaning is one call per natural key
-(a k-means ``cluster``, a bounded shard pair ``pg``) group directly.
+partition. Every op in ``ontocast_ray`` and every driver query in
+``__ray_entry__.py`` that needs equal keys colocated goes through
+``shuffle_by``; only ops whose meaning is one call per natural key (a
+k-means ``cluster``, a bounded shard pair ``pg``) group directly.
+``tests/test_shuffle.py`` fails on any other ``map_groups`` call in either.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""Triple-set precision/recall utilities (the BASELINE gate metric).
+"""Parity checks: triple P/R (the BASELINE gate metric) and result compares.
 
 P/R is computed on expanded-URI triple sets (the reference also compares on
 expanded URIs internally — ref /root/reference/ontocast/tool/
 aggregate.py:427-442). Blank nodes are compared structurally-blind (label
 ignored) by replacing bnode ids with a fixed marker — fixture graphs contain
 no bnodes, so this only matters for user graphs.
+
+``compare_results`` is the one rule a driver query's output must meet
+against its DuckDB oracle; ``tools/gate_sweep.py`` and
+``tests/test_driver_contract.py`` both use it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,77 @@ def precision_recall(predicted: TripleGraph, reference: TripleGraph) -> tuple[fl
     precision = tp / len(pred) if pred else 0.0
     recall = tp / len(ref) if ref else 1.0
     return precision, recall
+
+
+TABLES = [
+    "region", "nation", "customer", "supplier", "part", "orders",
+    "lineitem", "events", "documents", "embeddings",
+]
+
+
+def oracle_connection(sf_dir: str):
+    """DuckDB connection with one view per driver table present in
+    ``sf_dir`` — the namespace every oracle SQL reads."""
+    import os
+
+    import duckdb
+
+    con = duckdb.connect()
+    for t in TABLES:
+        p = os.path.join(sf_dir, f"{t}.parquet")
+        if os.path.exists(p):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
+    return con
+
+
+def to_pandas(result) -> "pd.DataFrame":
+    """A query result (pandas, arrow or Ray Dataset) as a pandas frame."""
+    import pandas as pd
+
+    return result if isinstance(result, pd.DataFrame) else result.to_pandas()
+
+
+def _canon(df: "pd.DataFrame") -> "pd.DataFrame":
+    """Columns sorted by name, object (incl. list) cells as strings,
+    datetimes at µs, rows sorted by every column."""
+    df = df[sorted(df.columns)].copy()
+    for c in df.columns:
+        if df[c].dtype == object:
+            df[c] = df[c].astype(str)
+        elif str(df[c].dtype).startswith("datetime"):
+            df[c] = df[c].astype("datetime64[us]")
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _values_match(a: "pd.Series", b: "pd.Series") -> bool:
+    """Exact equality with nulls aligned; floats compare with no
+    tolerance, NaN equal to NaN."""
+    import numpy as np
+
+    if a.dtype.kind == "f" or b.dtype.kind == "f":
+        return bool(np.array_equal(
+            a.astype(float), b.astype(float), equal_nan=True
+        ))
+    na, nb = a.isna(), b.isna()
+    if not (na == nb).all():
+        return False
+    return bool((a[~na].to_numpy() == b[~nb].to_numpy()).all())
+
+
+def compare_results(got: "pd.DataFrame", want: "pd.DataFrame") -> str:
+    """Order-insensitive compare of a query result with its oracle.
+
+    Returns ``"OK"`` or the first failing check: ``"ROWS n vs m"``,
+    ``"SCHEMA [cols] vs [cols]"`` (column names, in any order) or
+    ``"VALUES [cols]"`` (the columns whose values differ).
+    """
+    a, b = _canon(got), _canon(want)
+    if len(a) != len(b):
+        return f"ROWS {len(a)} vs {len(b)}"
+    if list(a.columns) != list(b.columns):
+        return f"SCHEMA {list(a.columns)} vs {list(b.columns)}"
+    bad = [c for c in a.columns if not _values_match(a[c], b[c])]
+    return f"VALUES {bad}" if bad else "OK"
 
 
 def _load_graph(path: str) -> TripleGraph:

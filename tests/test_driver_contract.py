@@ -1,50 +1,19 @@
 """Simulates the driver's correctness gate: each queries() entry runs at
-sf0.001 and (where an oracle exists) matches its DuckDB oracle on row count,
-column names, and order-insensitive values."""
+sf0.001 and (where an oracle exists) matches its DuckDB oracle under
+``ontocast_ray.parity.compare_results``: row count, column names, and
+order-insensitive exact values."""
 
 import os
 
-import pandas as pd
 import pytest
 
+from ontocast_ray.parity import compare_results, oracle_connection, to_pandas
+
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir(SF_DIR), reason="testdata not present"
 )
-
-
-def _to_pandas(result) -> pd.DataFrame:
-    import pyarrow as pa
-
-    if isinstance(result, pd.DataFrame):
-        return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()  # ray Dataset
-
-
-def _duck(sql: str) -> pd.DataFrame:
-    import duckdb
-
-    con = duckdb.connect()
-    for t in TABLES:
-        path = os.path.join(SF_DIR, f"{t}.parquet")
-        if os.path.exists(path):
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{path}')")
-    return con.execute(sql).df()
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")
@@ -251,33 +220,21 @@ def test_every_live_sql_oracle_is_gated(contract):
 
 @pytest.mark.parametrize("name", _SQL_GATED)
 def test_query_matches_oracle(ray_session, contract, name):
-    ray_df = _canon(_to_pandas(contract.queries()[name](SF_DIR)))
-    duck_df = _canon(_duck(contract.oracle_sql()[name]))
-    assert list(ray_df.columns) == list(duck_df.columns), (
-        ray_df.columns, duck_df.columns
-    )
-    assert len(ray_df) == len(duck_df)
-    for c in ray_df.columns:
-        a, b = ray_df[c], duck_df[c]
-        if a.dtype.kind == "f" or b.dtype.kind == "f":
-            # NaN-aware: nulls must align, values must match
-            assert (a.isna() == b.isna()).all(), c
-            diff = (a.astype(float) - b.astype(float)).abs()
-            assert diff.dropna().max() < 1e-9 or diff.dropna().empty, c
-        else:
-            assert (a.astype(str) == b.astype(str)).all(), c
+    got = to_pandas(contract.queries()[name](SF_DIR))
+    want = oracle_connection(SF_DIR).execute(contract.oracle_sql()[name]).df()
+    assert compare_results(got, want) == "OK"
 
 
 def test_rows_only_queries_produce_rows(ray_session, contract):
     for name in ["kg_chunks", "simhash_signatures", "lang_id", "doc_fingerprint",
                  "media_features"]:
-        result = _to_pandas(contract.queries()[name](SF_DIR))
+        result = to_pandas(contract.queries()[name](SF_DIR))
         assert len(result) > 0, name
 
 
 def test_entry_smoke(ray_session, contract):
     result = contract.entry()
-    df = _to_pandas(result)
+    df = to_pandas(result)
     assert len(df) >= 0
     assert "subject" in df.columns and "graph_scope" in df.columns
     assert (df["graph_scope"] == "facts").any()

@@ -1,5 +1,6 @@
 """Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
-guard that keeps ``map_groups`` from spreading outside it."""
+guard that keeps ``map_groups`` from spreading outside it, in the package
+and in the driver file ``__ray_entry__.py``."""
 
 from __future__ import annotations
 
@@ -13,15 +14,16 @@ import pytest
 from ontocast_ray.ops.shuffle import _PART, shuffle_by
 
 # Sites where one kernel call per natural key IS the op's meaning; every
-# other keyed exchange in ontocast_ray goes through shuffle_by.
+# other keyed exchange in ontocast_ray and __ray_entry__.py goes through
+# shuffle_by.
 ALLOWED_MAP_GROUPS = {
-    ("ops/clustering.py", "cluster"): "SemDeDup keep rule runs per k-means cluster",
-    ("ops/clustering.py", "pg"): "one bounded reducer per shard pair of an oversized cluster",
-    ("ops/similarity.py", "cluster"): "IVF join scores one probed cluster per call",
-    ("ops/similarity.py", "pg"): "one bounded reducer per shard pair of the all-pairs kNN",
+    ("ontocast_ray/ops/clustering.py", "cluster"): "SemDeDup keep rule runs per k-means cluster",
+    ("ontocast_ray/ops/clustering.py", "pg"): "one bounded reducer per shard pair of an oversized cluster",
+    ("ontocast_ray/ops/similarity.py", "cluster"): "IVF join scores one probed cluster per call",
+    ("ontocast_ray/ops/similarity.py", "pg"): "one bounded reducer per shard pair of the all-pairs kNN",
 }
 
-_ROOT = pathlib.Path(__file__).resolve().parents[1] / "ontocast_ray"
+_REPO = pathlib.Path(__file__).resolve().parents[1]
 _GROUPBY = re.compile(r"""groupby\(\s*["']([^"']+)["']\s*\)""")
 
 
@@ -100,14 +102,16 @@ def test_stats_show_kernel_name(ray_session):
 
 
 def test_map_groups_lives_only_in_shuffle_by():
-    """Scan ontocast_ray for ``map_groups(``: outside ops/shuffle.py each
-    site must be an allow-listed (file, groupby key) natural-key grouping,
-    and every allow-list entry must still be in use."""
+    """Scan ontocast_ray and the driver file __ray_entry__.py for
+    ``map_groups(``: outside ops/shuffle.py each site must be an
+    allow-listed (file, groupby key) natural-key grouping, and every
+    allow-list entry must still be in use."""
     seen = set()
     bad = []
-    for path in sorted(_ROOT.rglob("*.py")):
-        rel = path.relative_to(_ROOT).as_posix()
-        if rel == "ops/shuffle.py":
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        if rel == "ontocast_ray/ops/shuffle.py":
             continue
         src = path.read_text()
         for m in re.finditer(r"map_groups\(", src):

@@ -3,10 +3,10 @@
     PYTHONPATH=. python tools/gate_sweep.py [sf_dir] [num_cpus]
 
 Runs each query at the driver's gate SF (default sf0.01), compares
-against its oracle (NaT/NaN-aware, dtype-insensitive — the driver's own
-rules), and prints per-query wall time sorted slowest-first plus a BAD
-summary. Use before every round close: the heaviest legs are the ones a
-driver timeout would hit first.
+against its oracle with ``ontocast_ray.parity.compare_results``, and
+prints per-query wall time sorted slowest-first plus a BAD summary. Use
+before every round close: the heaviest legs are the ones a driver timeout
+would hit first.
 """
 
 from __future__ import annotations
@@ -19,48 +19,11 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
-
-
-def _canon(df):
-    import pandas as pd
-
-    df = df[sorted(df.columns)].copy()
-    drop = [
-        c for c in df.columns
-        if df[c].dtype == object and len(df)
-        and isinstance(df[c].iloc[0], (list, tuple))
-    ]
-    df = df.drop(columns=drop)
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-        if str(df[c].dtype).startswith("datetime"):
-            df[c] = df[c].astype("datetime64[us]")
-    return df.sort_values(list(df.columns)).reset_index(drop=True)
-
-
-def _values_match(a, b) -> bool:
-    import numpy as np
-
-    if a.dtype.kind == "f" or b.dtype.kind == "f":
-        av, bv = a.astype(float), b.astype(float)
-        return bool(np.allclose(av, bv, rtol=0, atol=0, equal_nan=True))
-    na, nb = a.isna(), b.isna()
-    if not (na == nb).all():
-        return False
-    return bool((a[~na].to_numpy() == b[~nb].to_numpy()).all())
-
 
 def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
-    import duckdb
-    import pandas as pd
-    import pyarrow as pa
-
     import ray
+
+    from ontocast_ray.parity import compare_results, oracle_connection, to_pandas
 
     if not ray.is_initialized():
         ray.init(
@@ -69,21 +32,7 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
         )
     import __ray_entry__ as entry
 
-    con = duckdb.connect()
-    for t in TABLES:
-        p = f"{sf}/{t}.parquet"
-        if os.path.exists(p):
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')"
-            )
-
-    def to_pd(r):
-        if isinstance(r, pd.DataFrame):
-            return r
-        if isinstance(r, pa.Table):
-            return r.to_pandas()
-        return r.to_pandas()
-
+    con = oracle_connection(sf)
     qs, oracles = entry.queries(), entry.oracle_sql()
     # goldens are pinned at the driver's sf0.01 gate; comparing them at
     # another SF is meaningless (content-hash IRIs etc. differ)
@@ -94,22 +43,15 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     for name, fn in qs.items():
         t0 = time.perf_counter()
         try:
-            rdf = to_pd(fn(sf))
+            rdf = to_pandas(fn(sf))
             dt = time.perf_counter() - t0
             status = "rows_only"
             if name in golden and not compare_goldens:
                 status = "golden(sf0.01-pinned)"
             elif name in oracles:
-                a = _canon(rdf)
-                b = _canon(con.execute(oracles[name]).df())
-                if len(a) != len(b):
-                    status = f"ROWS {len(a)} vs {len(b)}"
-                elif list(a.columns) != list(b.columns):
-                    status = f"SCHEMA {list(a.columns)} vs {list(b.columns)}"
-                else:
-                    bad = [c for c in a.columns
-                           if not _values_match(a[c], b[c])]
-                    status = "OK" if not bad else f"VALUES {bad}"
+                status = compare_results(
+                    rdf, con.execute(oracles[name]).df()
+                )
             results[name] = (round(dt, 2), len(rdf), status)
         except Exception as ex:  # noqa: BLE001 - sweep must finish
             results[name] = (

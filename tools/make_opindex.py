@@ -31,6 +31,11 @@ def main() -> int:
         "parquet (regenerated by `tools/make_goldens.py`, anchored by",
         "property tests / reference-fixture replay).",
         "",
+        "The driver checks #1–50 by position, so `queries()` order is frozen.",
+        "Every SQL oracle and golden is checked by `tools/gate_sweep.py`",
+        f"(sf0.01, all {len(qs)}), and every SQL oracle but `minhash_dedup_pairs`",
+        "by `tests/test_driver_contract.py` (sf0.001).",
+        "",
         f"Total: {len(qs)} queries — "
         f"{len(oracles - goldens)} SQL, {len(goldens)} golden.",
         "",
