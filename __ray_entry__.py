@@ -9,7 +9,8 @@ The driver initialises Ray BEFORE importing this module; nothing here calls
   entities; FIXTURES.md §1 says the span table is synthesized by us).
 - ``queries()``: one entry per implemented operator/pipeline (SURVEY.md §2 +
   the training-data ops). SQL-expressible ops have ``oracle_sql()`` twins
-  with matching column names; stateful/hash/model ops are rows-only.
+  with matching column names; stateful/hash/model ops have pinned goldens
+  (``_GOLDEN_QUERIES``).
 """
 
 from __future__ import annotations
@@ -5955,6 +5956,12 @@ _GOLDEN_QUERIES = [
     "pca_projection_top2",
     "minhash_calibration",
 ]
+
+# Queries whose oracle is exact only at the gate SF (sf0.01): the goldens
+# are pinned there, and minhash_dedup_pairs' LSH banding misses
+# exact-Jaccard pairs below it (recall 25 of 28 at sf0.001). The sf0.001
+# contract test and off-gate sweeps leave these to the sf0.01 gate.
+_GATE_SF_ONLY = frozenset(_GOLDEN_QUERIES) | {"minhash_dedup_pairs"}
 
 # Exact word-3-shingle Jaccard ≥ 0.8 over all doc pairs — an INDEPENDENT
 # re-derivation of the MinHash→LSH→verify pipeline's final answer (at this

@@ -1,16 +1,19 @@
 #!/usr/bin/env python
 """Benchmark harness.
 
-Default: runs the headline pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) with ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32) and prints ONE JSON line:
+Default: runs the headline legs, then the ``EXTRA_QUERIES`` table of
+``queries()`` entries, over $GRAFT_SF_DIR (default: the sf0.1 testdata,
+see ``SF_DIR``) with ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or
+32) and prints ONE JSON line:
     {"metric": ..., "value": total_sec, "unit": "sec",
-     "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-     "kg_docs_per_sec": ...}
+     "queries": {headline leg: sec, ...},
+     "extra_queries": {registry name: sec, ...}, "sf": ..., "num_cpus": N,
+     "kg_docs_per_sec": ..., "kg_triples": ...}
+``value`` sums the five headline legs only.
 
---scaling: runs the headline KG pipeline twice in FRESH subprocesses
-(num_cpus=8 then num_cpus=32) on the same input and reports both
-throughputs plus scaling efficiency = (thr_32 / thr_8) / 4.
+--scaling: runs the headline KG pipeline in FRESH subprocesses (num_cpus
+2, 8 and 32) on the same input and reports throughputs plus scaling
+efficiency = (thr_4N / thr_N) / 4 for the pairs 2→8 and 8→32.
 """
 
 from __future__ import annotations
@@ -21,10 +24,14 @@ import subprocess
 import sys
 import time
 
+import __ray_entry__ as entry
+from perfbench import host
+
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 # bump when spanify/corpus semantics change — keys the /tmp corpus cache
 CORPUS_FORMAT_VERSION = 1
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+SCALING_REPLICATE = int(os.environ.get("GRAFT_SCALING_REPLICATE", "8"))
 
 
 def _init_ray(num_cpus: int):
@@ -57,26 +64,35 @@ def _n_docs() -> int:
     return pq.read_metadata(f"{SF_DIR}/documents.parquet").num_rows
 
 
-def run_kg(concurrency: int, replicate: int = 1) -> int:
-    """Headline: full KG pipeline over the spanified documents table.
+def _corpus_path(replicate: int) -> str:
+    import hashlib
 
-    ``replicate`` unions r deterministic copies (distinct doc_ids, distinct
-    span layouts via the seed) — used by --scaling so per-run compute
-    dominates the fixed session/actor-startup cost, as a per-node-sized
-    input would on a real cluster.
-    """
+    key = hashlib.sha256(
+        f"{SF_DIR}:{replicate}:{CORPUS_FORMAT_VERSION}".encode()
+    ).hexdigest()[:12]
+    return f"/tmp/ontocast_bench/docs_{key}"
+
+
+def prepare_corpus(replicate: int) -> str:
+    """Materialize the span-doc corpus (``replicate`` copies of the
+    documents table with distinct doc_ids) ONCE, untimed: the engine's
+    contract input is a stored table of interleaved docs; generating it is
+    data prep, not pipeline throughput. Starts Ray only on a cache miss."""
+    import glob
+
+    path = _corpus_path(replicate)
+    if glob.glob(path + "/*.parquet"):
+        return path
+    _init_ray(NUM_CPUS)
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    import ray.data
-
-    from ontocast_ray.pipelines.kg import build_kg_pipeline, spanify_flat_documents
+    from ontocast_ray.pipelines.kg import spanify_flat_documents
 
     flat = _read("documents", columns=["doc_id", "text"])
     if replicate > 1:
         def shift(i):
             def _shift(batch: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
                 return batch.set_column(
                     batch.schema.get_field_index("doc_id"), "doc_id",
                     pc.add(batch["doc_id"], pa.scalar(i * 10_000_000)),
@@ -88,21 +104,37 @@ def run_kg(concurrency: int, replicate: int = 1) -> int:
             for i in range(1, replicate)
         ]
         flat = copies[0].union(*copies[1:])
-    docs = spanify_flat_documents(flat, seed=42, inject_entities=True)
-    triples = build_kg_pipeline(
-        docs,
-        chunk_concurrency=concurrency,
-        extract_concurrency=concurrency,
+    # ~64 files: read_parquet metadata fetching over hundreds of tiny files
+    # costs ~10 s at session start (inside the timed leg), while too few
+    # files caps downstream block parallelism
+    spanify_flat_documents(flat, seed=42, inject_entities=True).write_parquet(
+        path, min_rows_per_file=max(1, _n_docs() * replicate // 64)
+    )
+    return path
+
+
+def _kg_triples(corpus_path: str, num_cpus: int) -> int:
+    import ray.data
+
+    from ontocast_ray.pipelines.kg import build_kg_pipeline
+
+    return build_kg_pipeline(
+        ray.data.read_parquet(corpus_path),
+        chunk_concurrency=max(2, num_cpus - 2),
+        extract_concurrency=max(2, num_cpus - 2),
         min_chunk_size=200,
         max_chunk_size=2000,
-    )
-    return triples.count()
+    ).count()
 
 
-def run_exact_dedup() -> int:
-    from ontocast_ray.ops.dedup import exact_dedup
+def run_query(name: str) -> int:
+    """Run one ``queries()`` entry at SF_DIR to completion; → its row count."""
+    import ray.data
 
-    return exact_dedup(_read("documents", columns=["doc_id", "text"])).count()
+    result = entry.queries()[name](SF_DIR)
+    if isinstance(result, ray.data.Dataset):
+        return result.count()
+    return len(result)
 
 
 def run_minhash() -> int:
@@ -125,550 +157,79 @@ def run_knn() -> int:
     return knn_bruteforce(emb, queries, k=10, concurrency=max(2, NUM_CPUS // 4)).count()
 
 
-def run_minhash_verified() -> int:
-    """Full near-dup dedup: LSH candidates → distributed exact Jaccard."""
-    from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=16, shingle_k=3,
-        concurrency=max(2, NUM_CPUS // 4),
-    )
-    return ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3).count()
-
-
-def run_neardup_keep_list() -> int:
-    """Dedup end-game: candidates → exact verify → CC star rounds → keep."""
-    from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
-    from ontocast_ray.ops.graph_cc import dedup_keep_list
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=16, shingle_k=3,
-        concurrency=max(2, NUM_CPUS // 4),
-    )
-    verified = ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3)
-    return dedup_keep_list(verified).count()
-
-
-def run_sessionize() -> int:
-    from ontocast_ray.ops.windows import sessionize
-
-    return sessionize(
-        _read("events", columns=["event_id", "user_id", "ts"]), gap_minutes=30.0
-    ).count()
-
-
-def run_simhash() -> int:
-    from ontocast_ray.ops.dedup import simhash_candidates
-
-    return simhash_candidates(
-        _read("documents", columns=["doc_id", "text"]),
-        concurrency=max(2, NUM_CPUS // 4),
-    ).count()
-
-
-def run_lang_id() -> int:
-    from ontocast_ray.ops.text import LangId
-
-    return (
-        _read("documents", columns=["doc_id", "text"])
-        .map_batches(LangId, batch_format="pyarrow", concurrency=(1, 4))
-        .count()
-    )
-
-
-def run_curated_packing() -> int:
-    from ontocast_ray.pipelines.curation import curate_corpus
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return curate_corpus(
-        docs, lang="en", min_alpha_ratio=0.82, capacity=2048, n_parts=64
-    ).count()
-
-
-def run_hll_sketch() -> int:
-    from ontocast_ray.ops.sketch import hll_distinct
-
-    return hll_distinct(
-        _read("events", columns=["event_id", "event_type"]),
-        key_col="event_id", group_col="event_type", p=12,
-    ).count()
-
-
-def run_source_cap() -> int:
-    from ontocast_ray.ops.curation import cap_per_group
-
-    return cap_per_group(
-        _read("documents", columns=["doc_id", "source"]),
-        group_col="source", cap=100, seed=3,
-    ).count()
-
-
-def run_decontam() -> int:
-    import pyarrow as pa
-
-    from ontocast_ray.ops.curation import decontaminate
-    from ontocast_ray.ops.dedup import _WS
-
-    docs = _read("documents", columns=["doc_id", "text"])
-
-    def _eval_slice(batch):
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        f = batch.filter(pa.array(ids % 50 == 0))
-        texts = [
-            " ".join(_WS.split((t or "").strip().lower())[:20])
-            for t in f["text"].to_pylist()
-        ]
-        return pa.table({"doc_id": f["doc_id"], "text": pa.array(texts)})
-
-    eval_ds = docs.map_batches(_eval_slice, batch_format="pyarrow")
-    return decontaminate(docs, eval_ds, k=3).count()
-
-
-def run_semdedup() -> int:
-    from ontocast_ray.ops.clustering import semdedup
-
-    emb = _read("embeddings", columns=["vec_id", "embedding"])
-    return semdedup(emb, k=8, n_iters=2, threshold=0.35).count()
-
-
-def run_pagerank() -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-    from ontocast_ray.ops.pagerank import pagerank_int
-
-    # shared broadcast-dim edge builder (same code path the gate queries
-    # run); the PR iterations use the exact integer spec
-    edges = _entry._supplier_customer_edges(SF_DIR, n_parts=16)
-    return pagerank_int(edges, n_iters=3).count()
-
-
-def run_cooccurrence() -> int:
-    from ontocast_ray.ops.text import term_cooccurrence
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return term_cooccurrence(docs, window=5, min_count=3, top_n=100).count()
-
-
-def run_heavy_hitters() -> int:
-    from ontocast_ray.ops.sketch import heavy_hitters
-
-    docs = _read("documents", columns=["text"])
-    return heavy_hitters(docs, threshold=100, k=4096).count()
-
-
-def run_dup_spans() -> int:
-    from ontocast_ray.ops.dedup import dup_span_stats
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return dup_span_stats(docs, k=3).count()
-
-
-def run_dup_span_scrub() -> int:
-    from ontocast_ray.ops.dedup import remove_dup_spans
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return remove_dup_spans(docs, k=3).count()
-
-
-def run_quality_classifier() -> int:
-    from ontocast_ray.ops.text import quality_classifier_score
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return quality_classifier_score(docs).count()
-
-
-def run_knn_self_join() -> int:
-    from ontocast_ray.ops.similarity import knn_self_join
-
-    emb = _read("embeddings", columns=["vec_id", "embedding"])
-    # 200-row shards force the distributed pair-group path (n=500 → 3
-    # shards, 6 pair groups) — the shape that matters at scale
-    return knn_self_join(emb, k=5, max_rows_per_shard=200).count()
-
-
-def run_knn_ivf_join() -> int:
-    from ontocast_ray.ops.similarity import knn_join_ivf
-
-    emb = _read("embeddings", columns=["vec_id", "embedding"])
-    return knn_join_ivf(emb, k=5, n_clusters=8, n_probe=2, sample_size=500).count()
-
-
-def run_bpe_packing() -> int:
-    from ontocast_ray.functions.tokenizer import ByteBPETokenizer
-    from ontocast_ray.ops.packing import pack_sequences
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return pack_sequences(
-        docs, capacity=2048, tokenizer=ByteBPETokenizer()
-    ).count()
-
-
-def run_dsir() -> int:
-    from ontocast_ray.ops.dsir import dsir_select
-
-    docs = _read("documents", columns=["doc_id", "text", "source"])
-    return dsir_select(docs, "src0", keep_frac=0.25).count()
-
-
-def run_web_pipeline() -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-
-    return _entry.queries()["web_curated_packing"](SF_DIR).count()
-
-
-def run_global_quantiles() -> int:
-    from ontocast_ray.ops.windows import global_quantiles_exact
-
-    events = _read("events", columns=["value"])
-    return global_quantiles_exact(
-        events, quantiles=(0.25, 0.5, 0.95, 0.99)
-    ).count()
-
-
-def run_keep_best() -> int:
-    from ontocast_ray.ops.dedup import (
-        minhash_lsh_candidates,
-        ngram_jaccard_verify,
-    )
-    from ontocast_ray.ops.graph_cc import dedup_keep_best
-
-    docs = _read("documents", columns=["doc_id", "text", "n_chars"])
-    pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=32, shingle_k=3, n_parts=32
-    )
-    verified = ngram_jaccard_verify(
-        docs, pairs, threshold=0.8, shingle_k=3, n_parts=32
-    )
-    scores = docs.select_columns(["doc_id", "n_chars"])
-    return dedup_keep_best(
-        verified, scores, score_col="n_chars", n_parts=32
-    ).count()
-
-
-def run_url_dedup() -> int:
-    from ontocast_ray.ops.urls import url_dedup
-
-    docs = _read("documents", columns=["doc_id"])
-
-    def synth(df):
-        d = df["doc_id"]
-        df["url"] = (
-            "HTTP://WWW.Site" + (d % 97).astype(str)
-            + ".Example.COM:80/p/" + (d % 1009).astype(str)
-            + "/?b=" + (d % 31).astype(str)
-            + "&utm_source=feed&a=" + (d % 17).astype(str)
-            + "#s" + d.astype(str)
-        )
-        return df
-
-    return url_dedup(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=32
-    ).count()
-
-
-def run_bigram_coverage() -> int:
-    from ontocast_ray.ops.text import bigram_coverage
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return bigram_coverage(docs, min_count=3).count()
-
-
-def run_incremental_dedup() -> int:
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from ontocast_ray.ops.dedup import incremental_dedup
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    odd = docs.map_batches(
-        lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), 1)),
-        batch_format="pyarrow",
-    )
-    even = docs.map_batches(
-        lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), 0)),
-        batch_format="pyarrow",
-    )
-    return incremental_dedup(odd, even).count()
-
-
-def run_label_propagation() -> int:
-    # supplier<->customer bipartite graph; forces the broadcast-carrier
-    # rounds (the scale path: edges never move) instead of the driver
-    # fallback the auto mode would pick at this size
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-    from ontocast_ray.ops.graph_cc import label_propagation
-
-    edges = _entry._supplier_customer_edges(SF_DIR, n_parts=16).materialize()
-    return label_propagation(
-        edges, n_iters=3, n_parts=16, mode="broadcast"
-    ).count()
-
-
-def run_fuzzy_join() -> int:
-    # blocked Levenshtein record linkage: 15k × 1k names in 25 nation
-    # blocks at sf0.1 → ~600k batched-DP distances
-    from ontocast_ray.ops.fuzzy import edit_distance_join
-
-    cust = _read("customer", columns=["c_custkey", "c_name", "c_nationkey"])
-    supp = _read("supplier", columns=["s_suppkey", "s_name", "s_nationkey"])
-    return edit_distance_join(
-        cust, supp,
-        left_key="c_custkey", right_key="s_suppkey",
-        left_name="c_name", right_name="s_name",
-        left_block="c_nationkey", right_block="s_nationkey",
-        max_dist=6, n_parts=32,
-    ).count()
-
-
-def run_bigram_lm() -> int:
-    # self-trained corpus bigram LM scoring: one w1-hash shuffle of the
-    # partial counts, one doc-hash sum
-    from ontocast_ray.ops.lm import bigram_lm_scores
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return bigram_lm_scores(docs, n_parts=64, out_parts=32).count()
-
-
-def run_text_stats() -> int:
-    from ontocast_ray.ops.text import quality_stats, token_stats
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    a = docs.map_batches(token_stats, batch_format="pyarrow").count()
-    b = docs.map_batches(quality_stats, batch_format="pyarrow").count()
-    return a + b
+# The headline legs, in order; ``value`` is their summed wall time.
+# kg_pipeline reads the stored corpus that main() prepares untimed.
+HEADLINE = {
+    "kg_pipeline": lambda: _kg_triples(_corpus_path(1), NUM_CPUS),
+    "exact_dedup": lambda: run_query("exact_dedup"),
+    "minhash_dedup": run_minhash,
+    "knn_bruteforce": run_knn,
+    "text_stats": lambda: run_query("token_stats") + run_query("quality_stats"),
+}
+
+# Operator legs reported OUTSIDE the headline value (so the round-over-round
+# ``value`` comparison stays apples-to-apples): a selection of queries()
+# names, each run at SF_DIR through its own queries() entry.
+EXTRA_QUERIES = (
+    "minhash_dedup_pairs",
+    "neardup_keep_list",
+    "events_sessions",
+    "simhash_signatures",
+    "lang_id",
+    "curated_packing",
+    "events_approx_distinct",
+    "docs_source_cap",
+    "decontam_overlap",
+    "semdedup_keep",
+    "pagerank_suppliers",
+    "term_cooccurrence_top100",
+    "heavy_hitter_terms",
+    "dup_span_stats",
+    "dup_span_scrub",
+    "quality_classifier",
+    "knn_self_join_top5",
+    "knn_ivf_join_top5",
+    "packed_bpe",
+    "dsir_selected_docs",
+    "bigram_coverage",
+    "url_dedup",
+    "web_curated_packing",
+    "events_global_quantiles",
+    "neardup_keep_best",
+    "incremental_dedup_new_docs",
+    "lpa_communities",
+    "paragraph_dedup",
+    "cdc_dup_stats",
+    "epoch_shuffle_pos",
+    "supplier_k_core",
+    "dolma_curated_packing",
+    "fuzzy_name_matches",
+    "bigram_lm_scores",
+    "deepwalk_walks",
+    "hits_scores",
+    "taxonomy_closure",
+    "bpe_trained_merges",
+    "kg_incremental_entities",
+)
+
+
+def _timed(fn) -> tuple[float, int]:
+    t = time.perf_counter()
+    n = fn()
+    return round(time.perf_counter() - t, 3), n
 
 
 def main() -> None:
     _init_ray(NUM_CPUS)
-    concurrency = max(2, NUM_CPUS - 2)
-    queries = {}
-
-    # corpus prep (spanify + entity injection) is INPUT construction, not
-    # engine throughput — materialize it untimed, then measure the pipeline
-    # reading the stored interleaved-docs table (the engine's actual contract)
-    import hashlib
-
-    corpus_key = hashlib.sha256(
-        f"{SF_DIR}:1:{CORPUS_FORMAT_VERSION}".encode()
-    ).hexdigest()[:12]
-    corpus_path = f"/tmp/ontocast_bench/docs_{corpus_key}"
-    import glob as _glob
-
-    if not _glob.glob(corpus_path + "/*.parquet"):
-        from ontocast_ray.pipelines.kg import spanify_flat_documents
-
-        flat = _read("documents", columns=["doc_id", "text"])
-        spanify_flat_documents(flat, seed=42, inject_entities=True).write_parquet(
-            corpus_path, min_rows_per_file=max(1, _n_docs() // 64)
-        )
+    prepare_corpus(1)
 
     t_all = time.perf_counter()
-
-    import ray.data
-
-    from ontocast_ray.pipelines.kg import build_kg_pipeline
-
-    t = time.perf_counter()
-    n_triples = build_kg_pipeline(
-        ray.data.read_parquet(corpus_path),
-        chunk_concurrency=concurrency,
-        extract_concurrency=concurrency,
-        min_chunk_size=200,
-        max_chunk_size=2000,
-    ).count()
-    queries["kg_pipeline"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_exact_dedup()
-    queries["exact_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_minhash()
-    queries["minhash_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_knn()
-    queries["knn_bruteforce"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_text_stats()
-    queries["text_stats"] = round(time.perf_counter() - t, 3)
-
+    queries, counts = {}, {}
+    for leg, fn in HEADLINE.items():
+        queries[leg], counts[leg] = _timed(fn)
     total = round(time.perf_counter() - t_all, 3)
-    docs_per_sec = round(_n_docs() / queries["kg_pipeline"], 2)
 
-    # round-2 operator legs, reported OUTSIDE the headline value so the
-    # round-over-round `value` comparison stays apples-to-apples
-    extras = {}
-
-    t = time.perf_counter()
-    run_minhash_verified()
-    extras["minhash_verified_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_neardup_keep_list()
-    extras["neardup_keep_list"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_sessionize()
-    extras["sessionize"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_simhash()
-    extras["simhash_candidates"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_lang_id()
-    extras["lang_id"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_curated_packing()
-    extras["curated_packing"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_hll_sketch()
-    extras["hll_distinct"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_source_cap()
-    extras["source_cap"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_decontam()
-    extras["decontam"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_semdedup()
-    extras["semdedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_pagerank()
-    extras["pagerank"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_cooccurrence()
-    extras["term_cooccurrence"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_heavy_hitters()
-    extras["heavy_hitters"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_dup_spans()
-    extras["dup_span_stats"] = round(time.perf_counter() - t, 3)
-
-    # round-4 operator legs
-    t = time.perf_counter()
-    run_dup_span_scrub()
-    extras["dup_span_scrub"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_quality_classifier()
-    extras["quality_classifier"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_knn_self_join()
-    extras["knn_self_join"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_knn_ivf_join()
-    extras["knn_ivf_join"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_bpe_packing()
-    extras["bpe_packing"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_dsir()
-    extras["dsir_select"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_bigram_coverage()
-    extras["bigram_coverage"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_url_dedup()
-    extras["url_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_web_pipeline()
-    extras["web_pipeline"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_global_quantiles()
-    extras["global_quantiles"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_keep_best()
-    extras["keep_best_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_incremental_dedup()
-    extras["incremental_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_label_propagation()
-    extras["label_propagation"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_paragraph_dedup()
-    extras["paragraph_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_cdc_dedup()
-    extras["cdc_dedup"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_epoch_shuffle()
-    extras["epoch_shuffle"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_k_core()
-    extras["k_core"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_dolma_pipeline()
-    extras["dolma_pipeline"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_fuzzy_join()
-    extras["fuzzy_join"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_bigram_lm()
-    extras["bigram_lm"] = round(time.perf_counter() - t, 3)
-
-    # round-5 operator legs
-    t = time.perf_counter()
-    run_deepwalk()
-    extras["deepwalk"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_hits()
-    extras["hits"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_taxonomy_closure()
-    extras["taxonomy_closure"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_bpe_train()
-    extras["bpe_train"] = round(time.perf_counter() - t, 3)
-
-    t = time.perf_counter()
-    run_incremental_entities()
-    extras["kg_incremental_entities"] = round(time.perf_counter() - t, 3)
-
+    extras = {name: _timed(lambda: run_query(name))[0] for name in EXTRA_QUERIES}
     print(
         json.dumps(
             {
@@ -679,8 +240,8 @@ def main() -> None:
                 "extra_queries": extras,
                 "sf": SF_DIR,
                 "num_cpus": NUM_CPUS,
-                "kg_docs_per_sec": docs_per_sec,
-                "kg_triples": n_triples,
+                "kg_docs_per_sec": round(_n_docs() / queries["kg_pipeline"], 2),
+                "kg_triples": counts["kg_pipeline"],
             }
         )
     )
@@ -689,181 +250,11 @@ def main() -> None:
     ray.shutdown()
 
 
-def _entry_query(name: str) -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-
-    return _entry.queries()[name](SF_DIR).count()
-
-
-def run_deepwalk() -> int:
-    return _entry_query("deepwalk_walks")
-
-
-def run_hits() -> int:
-    return _entry_query("hits_scores")
-
-
-def run_taxonomy_closure() -> int:
-    return _entry_query("taxonomy_closure")
-
-
-def run_bpe_train() -> int:
-    return _entry_query("bpe_trained_merges")
-
-
-def run_incremental_entities() -> int:
-    return _entry_query("kg_incremental_entities")
-
-
-def run_paragraph_dedup() -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-
-    return _entry.queries()["paragraph_dedup"](SF_DIR).count()
-
-
-def run_cdc_dedup() -> int:
-    from ontocast_ray.ops.dedup import cdc_chunk_dup_stats
-
-    docs = _read("documents", columns=["doc_id", "text"])
-    return cdc_chunk_dup_stats(docs, n_parts=32).count()
-
-
-def run_epoch_shuffle() -> int:
-    from ontocast_ray.ops.interleave import epoch_shuffle
-
-    docs = _read("documents", columns=["doc_id"])
-    return epoch_shuffle(docs, seed=20, epoch=2, shard_size=256,
-                         n_parts=32).count()
-
-
-def run_k_core() -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-
-    return _entry.queries()["supplier_k_core"](SF_DIR).count()
-
-
-def run_dolma_pipeline() -> int:
-    import sys as _sys
-
-    _sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    import __ray_entry__ as _entry
-
-    return _entry.queries()["dolma_curated_packing"](SF_DIR).count()
-
-
-SCALING_REPLICATE = int(os.environ.get("GRAFT_SCALING_REPLICATE", "8"))
-
-
-def _hw_parallel_baseline(workers: int, n: int = 20_000_000) -> float:
-    """Effective parallelism the box actually delivers for `workers` busy
-    processes (this sandbox reports nproc=1 and steals cycles under load —
-    raw multiprocessing tops out well below the nominal CPU count). Used to
-    contextualize the raw scaling number."""
-    import multiprocessing as mp
-    import time as _t
-
-    def burn(k):
-        x = 0
-        for i in range(k):
-            x += i * i
-        return x
-
-    t0 = _t.perf_counter()
-    burn(n)
-    serial = _t.perf_counter() - t0
-    t0 = _t.perf_counter()
-    with mp.get_context("spawn").Pool(workers) as p:
-        p.map(_burn_child, [n] * workers)
-    elapsed = _t.perf_counter() - t0
-    return workers * serial / elapsed
-
-
-def _burn_child(k):
-    x = 0
-    for i in range(k):
-        x += i * i
-    return x
-
-
-def _scaling_corpus_path() -> str:
-    import hashlib
-
-    key = hashlib.sha256(
-        f"{SF_DIR}:{SCALING_REPLICATE}:{CORPUS_FORMAT_VERSION}".encode()
-    ).hexdigest()[:12]
-    return f"/tmp/ontocast_bench/docs_{key}"
-
-
-def prepare_scaling_corpus() -> str:
-    """Materialize the replicated span-doc corpus ONCE (untimed): the engine's
-    contract input is a stored table of interleaved docs; generating it is
-    data prep, not pipeline throughput."""
-    import glob
-
-    path = _scaling_corpus_path()
-    if glob.glob(path + "/*.parquet"):
-        return path
-    _init_ray(NUM_CPUS)
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray
-    import ray.data
-
-    from ontocast_ray.pipelines.kg import spanify_flat_documents
-
-    flat = _read("documents", columns=["doc_id", "text"])
-    if SCALING_REPLICATE > 1:
-        def shift(i):
-            def _shift(batch: pa.Table) -> pa.Table:
-                return batch.set_column(
-                    batch.schema.get_field_index("doc_id"), "doc_id",
-                    pc.add(batch["doc_id"], pa.scalar(i * 10_000_000)),
-                )
-            return _shift
-
-        copies = [flat] + [
-            flat.map_batches(shift(i), batch_format="pyarrow")
-            for i in range(1, SCALING_REPLICATE)
-        ]
-        flat = copies[0].union(*copies[1:])
-    # ~64 files: read_parquet metadata fetching over hundreds of tiny files
-    # costs ~10 s at session start (inside the timed leg), while too few
-    # files caps downstream block parallelism
-    n_docs = _n_docs() * SCALING_REPLICATE
-    spanify_flat_documents(flat, seed=42, inject_entities=True).write_parquet(
-        path, min_rows_per_file=max(1, n_docs // 64)
-    )
-    ray.shutdown()
-    return path
-
-
 def scaling_child(num_cpus: int, corpus_path: str) -> None:
     _init_ray(num_cpus)
     import ray
-    import ray.data
 
-    from ontocast_ray.pipelines.kg import build_kg_pipeline
-
-    docs = ray.data.read_parquet(corpus_path)
-    t = time.perf_counter()
-    n_rows = build_kg_pipeline(
-        docs,
-        chunk_concurrency=max(2, num_cpus - 2),
-        extract_concurrency=max(2, num_cpus - 2),
-        min_chunk_size=200,
-        max_chunk_size=2000,
-    ).count()
-    elapsed = time.perf_counter() - t
+    elapsed, n_rows = _timed(lambda: _kg_triples(corpus_path, num_cpus))
     print(
         json.dumps(
             {"num_cpus": num_cpus, "sec": elapsed,
@@ -873,20 +264,9 @@ def scaling_child(num_cpus: int, corpus_path: str) -> None:
     ray.shutdown()
 
 
-def _serial_burn(n: int = 20_000_000) -> float:
-    """Seconds for a fixed single-process CPU burn — the machine-state probe.
-
-    The sandbox hypervisor steals cycles in episodes (documented ±40% in
-    CLAUDE.md); a leg run during a steal episode measures the hypervisor,
-    not the pipeline. Each leg is stamped with the burn measured right
-    before it so outlier legs can be detected and re-run."""
-    t0 = time.perf_counter()
-    _burn_child(n)
-    return time.perf_counter() - t0
-
-
 def _run_scaling_leg(n: int, corpus_path: str) -> dict:
-    burn = _serial_burn()
+    # the serial burn right before the leg stamps the machine state it ran in
+    burn = host.burn()
     out = subprocess.run(
         [sys.executable, __file__, "--scaling-child", str(n), corpus_path],
         capture_output=True, text=True, env=dict(os.environ), check=True,
@@ -901,16 +281,19 @@ def scaling_main() -> None:
 
     The sandbox's hypervisor throttles high worker counts (the burn-test
     baseline measures < 4× effective CPU for 4× workers at the top end), so
-    both pairs are reported together with the measured hardware baselines:
-    2→8 sits in the platform's linear region; 8→32 shows the pipeline
-    tracking the hardware ceiling.
+    both pairs are reported together with the measured hardware baselines
+    (``perfbench.host.effective_cores``): 2→8 sits in the platform's linear
+    region; 8→32 shows the pipeline tracking the hardware ceiling.
 
     Burn gating: each leg is stamped with a serial CPU-burn probe taken
     immediately before it; legs whose burn deviates > 25% from the run
     median were measured in a different machine state and are re-run (up
     to 3 sweeps), so the efficiency numbers compare legs from the SAME
     hardware window without manual window-picking."""
-    corpus_path = prepare_scaling_corpus()
+    corpus_path = prepare_corpus(SCALING_REPLICATE)
+    import ray
+
+    ray.shutdown()
     results = {n: _run_scaling_leg(n, corpus_path) for n in (2, 8, 32)}
     retried = 0
     for _sweep in range(3):
@@ -925,7 +308,7 @@ def scaling_main() -> None:
     thr = {n: results[n]["docs"] / results[n]["sec"] for n in results}
     eff_2_8 = (thr[8] / thr[2]) / 4.0
     eff_8_32 = (thr[32] / thr[8]) / 4.0
-    hw = {n: _hw_parallel_baseline(n) for n in (2, 8, 32)}
+    hw = {n: host.effective_cores(n)[1] for n in (2, 8, 32)}
     print(
         json.dumps(
             {

@@ -34,10 +34,8 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
 
     con = oracle_connection(sf)
     qs, oracles = entry.queries(), entry.oracle_sql()
-    # goldens are pinned at the driver's sf0.01 gate; comparing them at
-    # another SF is meaningless (content-hash IRIs etc. differ)
-    golden = set(getattr(entry, "_GOLDEN_QUERIES", []))
-    compare_goldens = os.path.basename(str(sf).rstrip("/")) == "sf0.01"
+    # off the sf0.01 gate, _GATE_SF_ONLY oracles are not exact
+    at_gate = os.path.basename(str(sf).rstrip("/")) == "sf0.01"
     results = {}
     t_all = time.perf_counter()
     for name, fn in qs.items():
@@ -45,10 +43,11 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
         try:
             rdf = to_pandas(fn(sf))
             dt = time.perf_counter() - t0
-            status = "rows_only"
-            if name in golden and not compare_goldens:
-                status = "golden(sf0.01-pinned)"
-            elif name in oracles:
+            if name not in oracles:
+                status = "NO_ORACLE"
+            elif name in entry._GATE_SF_ONLY and not at_gate:
+                status = "sf0.01-only"
+            else:
                 status = compare_results(
                     rdf, con.execute(oracles[name]).df()
                 )
@@ -67,8 +66,7 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     ):
         print(f"{dt:8.2f}s {n:8d} {st:<14} {name}")
     bad = {k: v for k, v in results.items()
-           if v[2] not in ("OK", "rows_only", "golden(sf0.01-pinned)")
-           and not (k == "minhash_dedup_pairs" and not compare_goldens)}
+           if v[2] not in ("OK", "sf0.01-only")}
     print("BAD:", json.dumps(bad) if bad else "none")
     ray.shutdown()
     return 1 if bad else 0
