@@ -5,7 +5,7 @@ reference's batch entry point, SURVEY §3.4):
       → map_batches(KGProcessDocs)                 [default "fused" mode: one actor
                                                     task per doc batch runs chunk →
                                                     extract → canonicalize, no shuffle]
-      → partitioned parquet + per-shard lineage manifests (resumable)
+      → materialize → partitioned parquet + per-shard lineage manifests (resumable)
 
 mode="staged" splits the fused stage:
 
@@ -13,9 +13,13 @@ mode="staged" splits the fused stage:
       → map_batches(ExtractTriples)                [actor pool: extractor + hub snapshot]
       → shuffle_by(doc_id, canonicalize_partition) [the one all-to-all exchange]
 
-Streaming end-to-end: no full materialization; the fused default has no
-all-to-all exchange at all (reference semantics are strictly per-document),
-and staged mode has one, on doc_id. The ontology side-channel is the
+``build_kg_pipeline`` streams: the fused default has no all-to-all exchange
+at all (reference semantics are strictly per-document), and staged mode has
+one, on doc_id. The resumable sink (``run_resumable``) materializes the
+triples before its coalescing write, so the KG stage runs one task per doc
+block instead of being fused into, and serialized by, the write (see
+``sources.io``); the blocks wait in the object store, which spills. The
+ontology side-channel is the
 OntologyHub named actor (broadcast-small reads once per actor + batched
 commutative merges — not a shuffle).
 """
@@ -364,13 +368,19 @@ def run_resumable(
 
     Shards partition the corpus by ``hash_partition(doc_id, n_shards)``.
     One pass: documents of committed shards are dropped before extraction,
-    the pipeline runs once, and each triple row is tagged with its doc's
-    shard for the partitioned write. The sink's commit protocol
-    (``sources.io``) purges uncommitted shard directories first and
-    commits every shard only after the whole write, so a resume never
-    duplicates rows; the trade-off is that a crash re-runs every
-    uncommitted shard in one pass. At multi-node scale shards would be
-    input-file groups; the hash keeps the same layout on one input file.
+    the pipeline runs once (one task per doc block), and each triple row is
+    tagged with its doc's shard. The sink's commit protocol (``sources.io``)
+    purges uncommitted shard directories, materializes the triples, writes
+    them partitioned by shard and commits every shard only after the whole
+    write, so a resume never duplicates rows; the trade-off is that a crash
+    re-runs every uncommitted shard in one pass. At multi-node scale shards
+    would be input-file groups; the hash keeps the same layout on one input
+    file.
+
+    → {shards_total, shards_skipped, shards_run, rows_written, blocks}:
+    ``rows_written`` sums the rows of the shards this run wrote, ``blocks``
+    counts the materialized triple blocks (one per doc block while the KG
+    stage runs a task per block, so a collapse shows as a drop).
     """
     import pyarrow as pa
 
@@ -378,7 +388,8 @@ def run_resumable(
 
     done = committed_shards(out_dir)
     todo = [s for s in range(n_shards) if s not in done]
-    stats = {"shards_total": n_shards, "shards_skipped": len(done), "shards_run": len(todo)}
+    stats = {"shards_total": n_shards, "shards_skipped": len(done), "shards_run": len(todo),
+             "rows_written": 0, "blocks": 0}
     if not todo:
         return stats
     docs = docs.map_batches(_shard_filter_factory(done, n_shards), batch_format="pyarrow")
@@ -386,8 +397,11 @@ def run_resumable(
         lambda b: b.append_column("part", pa.array(hash_partition(b["doc_id"], n_shards))),
         batch_format="pyarrow",
     )
-    # consolidate small blocks: one file per ~200k rows, not one per block
-    _write_committed(triples, out_dir, "part", n_shards, done, min_rows_per_file=200_000)
+    # one file per ~200k rows per shard, not one per block
+    rows, stats["blocks"] = _write_committed(
+        triples, out_dir, "part", n_shards, done, min_rows_per_file=200_000
+    )
+    stats["rows_written"] = sum(rows[s] for s in todo)
     return stats
 
 

@@ -12,12 +12,22 @@ Layout (``<col>`` is ``part`` for the KG sink, ``bucket`` for
       _manifest/<N>.json                # {"rows": n}, committed AFTER the data
 
 One commit protocol (``_write_committed``) serves both sinks. A run purges
-the directories of uncommitted partitions (orphans of a crashed run), writes
-every uncommitted partition in ONE partitioned write, and only then commits
-each partition's marker. A committed partition is never rewritten, so
-resume is idempotent. The trade-off of the single write: a crash anywhere
-in it leaves every partition of that run uncommitted, and the re-run redoes
-all of them in one pass.
+the directories of uncommitted partitions (orphans of a crashed run),
+materializes its input, writes every uncommitted partition in ONE
+partitioned write, and only then commits each partition's marker. A
+committed partition is never rewritten, so resume is idempotent. The
+trade-off of the single write: a crash anywhere in it leaves every partition
+of that run uncommitted, and the re-run redoes all of them in one pass.
+
+The materialize step keeps the producing stage parallel: Ray fuses a
+``write_parquet(min_rows_per_file=N)`` into the map chain before it and then
+bundles that chain's INPUT blocks up to N rows, so a run of fewer than N
+documents would execute the whole KG stage in one task. Materialized, the
+chain runs one task per input block (blocks sit in the object store, which
+spills) and only the cheap write is bundled. The bundle is the row minimum
+times the number of parts written, because a block can hold rows of every
+part (the KG sink's do): a smaller bundle would give each part one small
+file per write task.
 """
 
 from __future__ import annotations
@@ -135,14 +145,18 @@ def commit_shard(out_dir: str, shard: int, stats: dict) -> str:
 
 def _write_committed(
     ds, out_dir: str, col: str, n_parts: int, done: set[int], min_rows_per_file: int
-) -> dict[int, int]:
+) -> tuple[dict[int, int], int]:
     """The commit protocol of both resumable sinks. ``ds`` carries an int
     ``col`` in [0, n_parts) and no rows of the ``done`` (committed) parts.
-    Purges the ``<col>=N/`` directories of uncommitted parts, writes ``ds``
-    once partitioned by ``col``, then commits each uncommitted part with
-    its row count read from the parquet footers — markers only after the
-    whole write returned. → {part: rows}, including ``done`` parts (and
-    0 for parts that got no rows: they are complete too)."""
+    Purges the ``<col>=N/`` directories of uncommitted parts, materializes
+    ``ds`` and writes it once partitioned by ``col``, then commits each
+    uncommitted part with its row count read from the parquet footers —
+    markers only after the whole write returned. ``min_rows_per_file`` is
+    per part file (a run with fewer rows than that per part writes one
+    file per part). → ({part: rows}, blocks):
+    rows include ``done`` parts (and 0 for parts that got no rows: they are
+    complete too); blocks is the materialized block count (0 when every
+    part was already committed)."""
     import glob
     import shutil
 
@@ -158,13 +172,20 @@ def _write_committed(
         with open(os.path.join(manifest_dir(out_dir), f"{p}.json"), encoding="utf-8") as fh:
             rows[p] = int(json.load(fh).get("rows", 0))
     todo = [p for p in range(n_parts) if p not in done]
+    blocks = 0
     if todo:
-        ds.write_parquet(out_dir, partition_cols=[col], min_rows_per_file=min_rows_per_file)
+        # min_rows_per_file bundles the fused upstream's INPUT blocks (one task
+        # for a whole small run): materialize so the producing maps stay parallel
+        ds = ds.materialize()
+        blocks = ds.num_blocks()
+        # the minimum applies per write task, whose rows spread over every part
+        ds.write_parquet(out_dir, partition_cols=[col],
+                         min_rows_per_file=min_rows_per_file * len(todo))
     for p in todo:
         files = glob.glob(os.path.join(out_dir, f"{prefix}{p}", "*.parquet"))
         rows[p] = sum(pq.read_metadata(f).num_rows for f in files)
         commit_shard(out_dir, p, {"rows": rows[p]})
-    return rows
+    return rows, blocks
 
 
 def write_bucketed(
@@ -208,7 +229,7 @@ def write_bucketed(
     bucketed = shuffle_by(
         ds.map_batches(add_bucket, batch_format="pyarrow"), key_col, bucket_kernel, n_buckets
     )
-    return _write_committed(bucketed, out_dir, "bucket", n_buckets, done, min_rows_per_file)
+    return _write_committed(bucketed, out_dir, "bucket", n_buckets, done, min_rows_per_file)[0]
 
 
 def read_bucket(out_dir: str, bucket: int, columns: list | None = None):

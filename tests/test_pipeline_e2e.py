@@ -142,6 +142,10 @@ def test_resumable_writes(ray_session, corpus, tmp_path):
     # readable back as a Dataset keyed by the same doc_id partitioning
     ds = ray.data.read_parquet(out + "/part=0")
     assert ds.count() >= 0
+    # the sink counters: every row written is read back; a skipped run writes none
+    assert stats1["rows_written"] == sum(pq.read_metadata(f).num_rows for f in files) > 0
+    assert stats1["blocks"] >= 1
+    assert stats2["rows_written"] == 0 and stats2["blocks"] == 0
 
 
 RESUME_KW = dict(n_shards=4, min_chunk_size=200, max_chunk_size=2000,
@@ -164,6 +168,25 @@ def _triple_multiset(out_dir):
         t = pq.read_table(f, columns=TRIPLES_SCHEMA.names)
         rows.update((part, *r) for r in zip(*(t[c].to_pylist() for c in TRIPLES_SCHEMA.names)))
     return rows
+
+
+def _staged(corpus, rows=8):
+    """The corpus as an in-object-store dataset of ``rows``-row blocks."""
+    import ray.data
+
+    return ray.data.from_arrow(
+        [corpus.slice(i, rows) for i in range(0, corpus.num_rows, rows)]
+    ).materialize()
+
+
+def _tasks_of(stats: str, kernel: str) -> int:
+    """Tasks executed by the operator of ``ds.stats()`` that runs ``kernel``."""
+    import re
+
+    m = re.search(rf"^Operator \d+ .*MapBatches\({kernel}\).*: (\d+) tasks executed",
+                  stats, re.M)
+    assert m, stats
+    return int(m.group(1))
 
 
 @pytest.fixture(scope="module")
@@ -242,4 +265,82 @@ def test_kg_job_sigkill_resume(ray_session, corpus, tmp_path, clean_triples):
     kg_job = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kg_job)
     assert kg_job.main(argv) == 0
+    assert _triple_multiset(out) == clean_triples
+
+
+@pytest.mark.parametrize("sink", ["run_resumable", "write_bucketed"])
+def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_triples,
+                                      monkeypatch, sink):
+    """The coalescing write (``min_rows_per_file``) must not fuse into the
+    stage that feeds it: fused, Ray bundles that stage's input blocks up to
+    the row minimum, and the KG kernel (or the bucket kernel) of a small run
+    executes in ONE task. The dataset each sink writes is captured, and its
+    ``stats()`` after the write must show the kernel in several tasks."""
+    import glob
+    import os
+
+    import numpy as np
+    import ray.data
+
+    from ontocast_ray.sources.io import write_bucketed
+
+    written = []
+    write_parquet = ray.data.Dataset.write_parquet
+
+    def capture(ds, *args, **kwargs):
+        written.append(ds)
+        return write_parquet(ds, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
+    out = str(tmp_path / "out")
+    if sink == "run_resumable":
+        stats = run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
+        kernel = "_process"
+    else:
+        t = pa.table({"k": pa.array(np.arange(2000) % 97, type=pa.int64())})
+        write_bucketed(ray.data.from_arrow(t).repartition(6), out, "k", n_buckets=8)
+        kernel = "bucket_kernel"
+    assert len(written) == 1
+    assert _tasks_of(written[0].stats(), kernel) > 1
+    if sink == "run_resumable":
+        assert stats["blocks"] == 4
+        assert _triple_multiset(out) == clean_triples
+        for shard in range(RESUME_KW["n_shards"]):  # the write still coalesces
+            assert len(glob.glob(os.path.join(out, f"part={shard}", "*.parquet"))) == 1
+
+
+def test_worker_crash_in_kg_task_is_retried(ray_session, corpus, tmp_path, clean_triples,
+                                           monkeypatch):
+    """A worker dying mid-batch (not an exception: Ray Data does not retry
+    those) is retried by Ray, and the sink's output equals a clean run's.
+    The first batch holding a seeded doc kills its worker once per test,
+    guarded by a marker file created with O_EXCL."""
+    import os
+    import random
+
+    from ontocast_ray.pipelines import kg
+
+    marker = str(tmp_path / "crashed")
+    victim = random.Random(7).choice(corpus["doc_id"].to_pylist())
+    factory = kg._kg_process_docs_task_factory
+
+    def crashing_factory(cfg):
+        process = factory(cfg)
+
+        def crash_once(batch):
+            if victim in batch["doc_id"].to_pylist():
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return process(batch)
+
+        return crash_once
+
+    monkeypatch.setattr(kg, "_kg_process_docs_task_factory", crashing_factory)
+    out = str(tmp_path / "triples")
+    run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
+    assert os.path.exists(marker)
     assert _triple_multiset(out) == clean_triples

@@ -264,6 +264,30 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path):
     assert len(back3) == n and set(back3["v"]) == set(range(n))
 
 
+def test_write_committed_min_rows_per_part_file(ray_session, tmp_path):
+    """``min_rows_per_file`` holds per part file when every block carries
+    rows of every part (the KG sink's shape): 4 blocks of 1000 rows over 4
+    parts with a 500-row minimum give 2 files of 500 rows per part, not 4
+    files of 250 (one per block)."""
+    import glob
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from ontocast_ray.sources.io import _write_committed
+
+    blocks = [pa.table({"part": pa.array([i % 4 for i in range(1000)], type=pa.int32()),
+                        "v": pa.array(range(b * 1000, (b + 1) * 1000))}) for b in range(4)]
+    out = str(tmp_path / "out")
+    rows, n_blocks = _write_committed(ray.data.from_arrow(blocks), out, "part", 4, set(), 500)
+    assert rows == {p: 1000 for p in range(4)} and n_blocks == 4
+    for p in range(4):
+        files = glob.glob(os.path.join(out, f"part={p}", "*.parquet"))
+        assert sorted(pq.read_metadata(f).num_rows for f in files) == [500, 500]
+
+
 def test_read_documents_jsonl(ray_session, tmp_path):
     """JSONL (plain + gzipped) corpus inputs stream through read_documents
     with client-side column projection."""
