@@ -142,7 +142,7 @@ def run_minhash() -> int:
 
     return minhash_lsh_candidates(
         _read("documents", columns=["doc_id", "text"]), num_perm=64, bands=16,
-        shingle_k=3, concurrency=max(2, NUM_CPUS // 4),
+        shingle_k=3,
     ).count()
 
 

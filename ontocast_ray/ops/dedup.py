@@ -2,15 +2,18 @@
 
 Scale shapes (the part that must survive 100 TB):
 
-- **exact**: hash inside ``map_batches`` (never shuffle raw text), then ONE
-  ``groupby(text_sha)`` with vectorized Min/Count aggregates — the classic
+- **exact**: hash inside ``map_batches`` (never shuffle raw text), combine
+  (min doc_id, count) per sha within each batch, then ONE
+  ``shuffle_by(text_sha)`` that folds the partials — the classic
   hash-partition + per-group-first.
-- **minhash-lsh**: signatures are numpy-vectorized per batch; each doc emits
-  ``bands`` tiny (band_key, doc_id) rows; ONE groupby on band_key; candidate
-  pairs verified per bucket. Bucket rows are ~16 bytes — the shuffle moves
-  signatures, not documents.
-- **simhash**: 64-bit signature per doc, banded into 4×16-bit keys, same
-  bucket-groupby shape; Hamming check per bucket.
+- **minhash-lsh**: signatures are numpy-vectorized per batch in a plain task
+  map (the kernel's state is two num_perm-entry arrays, so no actor pool);
+  each doc emits ``bands`` tiny (band_key, doc_id) rows; two ``shuffle_by``
+  calls: band_key (candidate pairs per bucket), then (doc_id_a, doc_id_b)
+  (distinct pairs with their band count). Bucket rows are ~16 bytes — the
+  shuffle moves signatures, not documents.
+- **simhash**: 64-bit signature per doc (task map), banded into 4×16-bit
+  keys, same two-``shuffle_by`` shape; Hamming check per bucket.
 - **ngram-jaccard**: exact verifier used inside buckets (never all-pairs).
 - **embedding-cosine**: random-hyperplane LSH buckets → within-bucket matmul.
 
@@ -27,12 +30,12 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Min
 
-from ontocast_ray.ops.shuffle import shuffle_by
-from ontocast_ray.util import pool, vectors_2d
+from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
+from ontocast_ray.util import pool, to_arrow_type, vectors_2d
 
 _WS = re.compile(r"\s+")
 
@@ -54,13 +57,35 @@ def _sha_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def _sha_partial(batch: pa.Table) -> pa.Table:
+    """Map-side combiner: one (text_sha, doc_id_min, n) row per distinct
+    sha of the batch — the shuffle carries these, never the text."""
+    g = _sha_batch(batch).group_by("text_sha").aggregate(
+        [("doc_id", "min"), ("doc_id", "count", pc.CountOptions(mode="all"))]
+    )
+    return pa.table({"text_sha": g["text_sha"], "doc_id_min": g["doc_id_min"],
+                     "n": g["doc_id_count"]})
+
+
+def _sha_firsts(docs: "ray.data.Dataset", count_col: str, n_parts: int) -> "ray.data.Dataset":
+    """→ (text_sha, doc_id, count_col): per distinct text the min doc_id and
+    the copy count (int64) — per-batch combiner, then ONE coarse
+    ``shuffle_by(text_sha)`` whose kernel takes the min of the batch mins
+    and the sum of the batch counts."""
+
+    def final(t: pa.Table) -> pa.Table:
+        g = t.group_by("text_sha").aggregate([("doc_id_min", "min"), ("n", "sum")])
+        return pa.table({"text_sha": g["text_sha"], "doc_id": g["doc_id_min_min"],
+                         count_col: g["n_sum"]})
+
+    partials = docs.map_batches(_sha_partial, batch_format="pyarrow")
+    return shuffle_by(partials, "text_sha", final, n_parts, batch_format="pyarrow")
+
+
 def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     """→ (doc_id, n_copies): one row per distinct text, keeping min doc_id."""
-    hashed = docs.map_batches(_sha_batch, batch_format="pyarrow")
-    agg = hashed.groupby("text_sha").aggregate(
-        Min("doc_id", alias_name="doc_id"), Count(alias_name="n_copies")
-    )
-    return agg.select_columns(["doc_id", "n_copies"])
+    firsts = _sha_firsts(docs, "n_copies", resolve_n_parts(docs, None))
+    return firsts.select_columns(["doc_id", "n_copies"])
 
 
 def incremental_dedup(
@@ -73,18 +98,18 @@ def incremental_dedup(
     crawl within itself, then drop anything already indexed).
 
     Scale shape: sha-128 computed inside map_batches on BOTH sides (text
-    never shuffles), within-new dedup is the `exact_dedup` groupby, and
-    the index side ships one 32-char sha per doc into a partitioned
-    `hash_join(how="anti")` — which map-side-dedups right keys per batch,
-    so neither corpus is ever broadcast or materialized. Re-running with
-    the same index is idempotent (survivors are disjoint from it).
+    never shuffles), within-new dedup is the `exact_dedup` combiner +
+    shuffle, and the index side ships one 32-char sha per doc into a
+    partitioned `hash_join(how="anti")` — which map-side-dedups right keys
+    per batch, so neither corpus is ever broadcast or materialized. Only
+    the within-new firsts (one ~50-byte row per distinct new text) are
+    materialized: `hash_join` probes their schema, which on a lazy input
+    would run the shuffle twice. Re-running with the same index is
+    idempotent (survivors are disjoint from it).
     """
     from ontocast_ray.ops.joins import hash_join
 
-    new_h = new_docs.map_batches(_sha_batch, batch_format="pyarrow")
-    firsts = new_h.groupby("text_sha").aggregate(
-        Min("doc_id", alias_name="doc_id"), Count(alias_name="n_new_copies")
-    )
+    firsts = _sha_firsts(new_docs, "n_new_copies", n_parts).materialize()
     idx_sha = index_docs.map_batches(
         _sha_batch, batch_format="pyarrow"
     ).select_columns(["text_sha"])
@@ -168,7 +193,11 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
 
 
 class MinHasher:
-    """num_perm multiply-xor minhash; coefficient table built once per actor.
+    """num_perm multiply-xor minhash; coefficient table built once per instance.
+
+    Map with an INSTANCE (``map_batches(MinHasher(...))``): Ray runs it as a
+    task that fuses with the map after it; the two num_perm-entry arrays
+    ship with the task, so an actor pool would only add its spawn cost.
 
     Batched: all documents' shingles concatenate into one (num_perm, N)
     hash matrix per column-chunk, per-doc minima via ``np.minimum.reduceat``
@@ -276,14 +305,16 @@ def _bucket_all_pairs_partition(
     transitive pairs (fine for components, wrong for per-doc partner
     counts). One vectorized self-merge per partition; buckets truncated
     to ``max_bucket`` members (smallest ids) bound the quadratic blowup —
-    the documented LSH hot-bucket degradation."""
+    the documented LSH hot-bucket degradation. A pair shared by several
+    buckets is emitted once per bucket, as in the star form, so the pair
+    count downstream is its band count."""
     df = group.drop_duplicates(["band_key", "doc_id"]).sort_values(
         ["band_key", "doc_id"], kind="stable"
     )
     df = df.groupby("band_key", sort=False).head(max_bucket)
     m = df.merge(df, on="band_key", suffixes=("_a", "_b"))
     m = m[m["doc_id_a"] < m["doc_id_b"]]
-    return m[["doc_id_a", "doc_id_b"]].drop_duplicates()
+    return m[["doc_id_a", "doc_id_b"]]
 
 
 def _bucket_pairs_partition(group: pd.DataFrame) -> pd.DataFrame:
@@ -302,17 +333,39 @@ def _bucket_pairs_partition(group: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _pair_counts(group: pd.DataFrame) -> pa.Table:
+    """Distinct pairs of one coarse partition, with ``n_bands`` (int64): how
+    many band buckets surfaced each pair. Arrow out, like the pinned empty
+    block it is unioned with."""
+    counts = group.groupby(["doc_id_a", "doc_id_b"], sort=False).size()
+    return pa.Table.from_pandas(counts.reset_index(name="n_bands"), preserve_index=False)
+
+
+def _pin_pair_schema(
+    pairs: "ray.data.Dataset", docs: "ray.data.Dataset", col: str
+) -> "ray.data.Dataset":
+    """``pairs`` plus one 0-row (doc_id_a, doc_id_b, ``col`` int64) block:
+    ``shuffle_by`` calls no kernel on an empty input, so without it an
+    empty result has no schema. The id type is the docs' ``doc_id`` type
+    when the plan knows it without executing, else int64."""
+    sch = docs.schema(fetch_if_missing=False)
+    types = dict(zip(sch.names, sch.types)) if sch is not None else {}
+    t = to_arrow_type(types["doc_id"]) if "doc_id" in types else pa.int64()
+    empty = pa.schema([("doc_id_a", t), ("doc_id_b", t), (col, pa.int64())]).empty_table()
+    return pairs.union(ray.data.from_arrow(empty))
+
+
 def minhash_lsh_candidates(
     docs: "ray.data.Dataset",
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 5,
-    concurrency: int = 4,
     n_parts: int = 64,
     shuffle_blocks: int | None = None,
     pair_mode: str = "star",
 ) -> "ray.data.Dataset":
-    """→ candidate near-dup pairs (doc_id_a, doc_id_b), deduped.
+    """→ candidate near-dup pairs (doc_id_a, doc_id_b, n_bands), deduped;
+    ``n_bands`` (int64) counts the band buckets that surfaced the pair.
 
     ``pair_mode="star"`` (default, the scale path) emits one
     (bucket-min → member) pair per bucket member — sufficient for the
@@ -331,10 +384,7 @@ def minhash_lsh_candidates(
     if shuffle_blocks is None:
         shuffle_blocks = max(8, n_parts // 8)
     sigs = docs.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={"num_perm": num_perm, "shingle_k": shingle_k},
-        batch_format="pyarrow",
-        concurrency=pool(concurrency),
+        MinHasher(num_perm=num_perm, shingle_k=shingle_k), batch_format="pyarrow"
     )
     band_rows = sigs.map_batches(
         lambda b: _band_rows(b, bands), batch_format="pyarrow"
@@ -347,7 +397,8 @@ def minhash_lsh_candidates(
     )
     pairs = shuffle_by(band_rows, "band_key", kernel, n_parts)
     # same pair can surface from several bands → distinct
-    return pairs.groupby(["doc_id_a", "doc_id_b"]).aggregate(Count(alias_name="n_bands"))
+    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], _pair_counts, n_parts)
+    return _pin_pair_schema(counted, docs, "n_bands")
 
 
 # --- distributed exact-Jaccard verification -------------------------------
@@ -711,24 +762,26 @@ class SimHasher:
         )
 
 
-def simhash_signatures(docs: "ray.data.Dataset", concurrency: int = 4) -> "ray.data.Dataset":
-    return docs.map_batches(SimHasher, batch_format="pyarrow", concurrency=pool(concurrency))
+def simhash_signatures(docs: "ray.data.Dataset") -> "ray.data.Dataset":
+    """→ (doc_id, simhash int64): a plain task map (SimHasher is stateless)."""
+    return docs.map_batches(SimHasher(), batch_format="pyarrow")
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
 def simhash_candidates(
-    docs: "ray.data.Dataset", max_hamming: int = 3, concurrency: int = 4,
+    docs: "ray.data.Dataset", max_hamming: int = 3,
     n_parts: int = 64, shuffle_blocks: int | None = None,
     max_bucket: int = 4096,
 ) -> "ray.data.Dataset":
     """Banded simhash near-dup pairs: 4×16-bit keys → coarse-partitioned
-    bucket groupby (see _bucket_pairs_partition) → Hamming check.
+    bucket shuffle (see _bucket_pairs_partition) → Hamming check → a
+    (doc_id_a, doc_id_b) shuffle keeping each pair's min ``hamming``.
     ``shuffle_blocks`` as in minhash_lsh_candidates."""
     if shuffle_blocks is None:
         shuffle_blocks = max(8, n_parts // 8)
-    sigs = simhash_signatures(docs, concurrency=concurrency)
+    sigs = simhash_signatures(docs)
 
     def bands(batch: pa.Table) -> pa.Table:
         """(doc, 16-bit band) rows, vectorized: key = band<<16 | band bits."""
@@ -783,7 +836,16 @@ def simhash_candidates(
             a_out.extend(ids[iu[keep]])
             b_out.extend(ids[ju[keep]])
             d_out.extend(d[keep])
-        return pd.DataFrame({"doc_id_a": a_out, "doc_id_b": b_out, "hamming": d_out})
+        id_dtype = group["doc_id"].dtype
+        return pd.DataFrame({
+            "doc_id_a": np.asarray(a_out, dtype=id_dtype),
+            "doc_id_b": np.asarray(b_out, dtype=id_dtype),
+            "hamming": np.asarray(d_out, dtype=np.int64),
+        })
+
+    def min_hamming(group: pd.DataFrame) -> pa.Table:
+        mins = group.groupby(["doc_id_a", "doc_id_b"], sort=False)["hamming"].min()
+        return pa.Table.from_pandas(mins.reset_index(), preserve_index=False)
 
     pairs = shuffle_by(
         sigs.map_batches(bands, batch_format="pyarrow").repartition(shuffle_blocks),
@@ -791,7 +853,8 @@ def simhash_candidates(
         bucket_partition,
         n_parts,
     )
-    return pairs.groupby(["doc_id_a", "doc_id_b"]).aggregate(Min("hamming", alias_name="hamming"))
+    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], min_hamming, n_parts)
+    return _pin_pair_schema(counted, docs, "hamming")
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1239,6 @@ def incremental_minhash_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 5,
-    concurrency: int = 4,
     n_parts: int = 64,
     max_bucket_side: int = 256,
 ) -> "ray.data.Dataset":
@@ -1187,8 +1249,8 @@ def incremental_minhash_candidates(
     `incremental_dedup`: the daily-crawl shape where the index is never
     re-deduped against itself, only probed.
 
-    Scale shape: both sides' signatures are map-side (`MinHasher` actor
-    pool, text never shuffles); band rows are 17-byte (band_key, doc_id,
+    Scale shape: both sides' signatures are map-side (`MinHasher` task
+    map, text never shuffles); band rows are 17-byte (band_key, doc_id,
     side) tuples on the SAME coarse ``hash(band_key) % P`` shuffle as the
     batch op; the per-partition kernel cross-merges the two sides per
     band_key in one vectorized ``pd.merge``. Hot buckets are truncated
@@ -1210,12 +1272,7 @@ def incremental_minhash_candidates(
 
     def _sigs(ds):
         return ds.map_batches(
-            MinHasher,
-            fn_constructor_kwargs={
-                "num_perm": num_perm, "shingle_k": shingle_k
-            },
-            batch_format="pyarrow",
-            concurrency=pool(concurrency),
+            MinHasher(num_perm=num_perm, shingle_k=shingle_k), batch_format="pyarrow"
         )
 
     rows = _sigs(index_docs).map_batches(
@@ -1390,7 +1447,6 @@ def cdc_chunk_dup_stats(
     import pandas as pd
 
     from ontocast_ray.ops.interleave import splitmix64
-    from ontocast_ray.ops.shuffle import resolve_n_parts
     from ontocast_ray.ops.text import _explode_words, fnv1a_words
 
     n_parts = resolve_n_parts(docs, n_parts)
@@ -1493,8 +1549,6 @@ def source_similarity_matrix(
     collision-free assumption (same kernel as MinHash / exact-Jaccard
     verify); the SQL oracle re-derives with exact shingle strings.
     """
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
     n_parts = resolve_n_parts(docs, n_parts)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1835,7 +1889,7 @@ def minhash_estimate_errors(
     → (doc_id_a, doc_id_b, n_matching, est_jaccard, exact_jaccard,
     abs_err).
 
-    Shapes reused whole: signatures from the MinHasher actor kernel
+    Shapes reused whole: signatures from the MinHasher task kernel
     (doc-count-sized, num_perm ints each → broadcast as one sorted
     matrix, the gazetteer catalog contract); candidates from
     ``pair_mode="all"`` (the pair list IS the product here); exact
@@ -1846,12 +1900,7 @@ def minhash_estimate_errors(
 
     docs = docs.materialize()  # consumed by signatures, LSH, verifier
     sigs = docs.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={
-            "num_perm": num_perm, "shingle_k": shingle_k,
-        },
-        batch_format="pyarrow",
-        concurrency=pool(4),
+        MinHasher(num_perm=num_perm, shingle_k=shingle_k), batch_format="pyarrow"
     )
     ids_l, sig_l = [], []
     for b in sigs.iter_batches(batch_size=None, batch_format="pyarrow"):

@@ -41,7 +41,9 @@ def test_exact_dedup(ray_session, docs_table):
     from ontocast_ray.ops.dedup import exact_dedup
 
     docs = ray.data.from_arrow(docs_table)
-    out = exact_dedup(docs).take_all()
+    ds = exact_dedup(docs.repartition(4))
+    out = ds.take_all()
+    assert [str(t) for t in ds.schema().types] == ["int64", "int64"]
     # 3 duplicated texts collapse: 15 rows → 12 distinct
     assert len(out) == 12
     by_id = {r["doc_id"]: r["n_copies"] for r in out}
@@ -74,6 +76,69 @@ def test_simhash_candidates(ray_session, docs_table):
     found = {(r["doc_id_a"], r["doc_id_b"]): r["hamming"] for r in out}
     assert found.get((0, 1)) == 0  # identical text → identical simhash
     assert found.get((3, 4)) == 0
+
+
+@pytest.mark.parametrize("pair_mode", ["star", "all"])
+def test_minhash_lsh_n_bands_matches_driver_recount(ray_session, docs_table, pair_mode):
+    """``n_bands`` is the number of band buckets that surfaced each pair,
+    recounted on the driver from the same signatures and band keys."""
+    from collections import Counter
+
+    import ray.data
+
+    from ontocast_ray.ops.dedup import MinHasher, _band_rows, minhash_lsh_candidates
+
+    bands = 16
+    docs = ray.data.from_arrow(docs_table).repartition(3)
+    got = minhash_lsh_candidates(
+        docs, num_perm=64, bands=bands, shingle_k=3, n_parts=4, pair_mode=pair_mode
+    ).to_pandas()
+    assert str(got["n_bands"].dtype) == "int64"
+
+    rows = _band_rows(MinHasher(num_perm=64, shingle_k=3)(docs_table), bands).to_pandas()
+    want: Counter = Counter()
+    for _, ids in rows.groupby("band_key")["doc_id"]:
+        ids = sorted(set(ids))
+        if pair_mode == "star":
+            want.update((ids[0], b) for b in ids[1:])
+        else:
+            want.update((a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
+    assert max(want.values()) >= 2  # some pair collides in several bands
+    assert dict(zip(zip(got["doc_id_a"], got["doc_id_b"]), got["n_bands"])) == dict(want)
+
+
+def test_lsh_candidates_on_empty_docs(ray_session):
+    """No docs → no pairs, with the pair schema pinned (to_pandas drops the
+    columns of a fully-empty dataset, so check schema())."""
+    import ray.data
+
+    from ontocast_ray.ops.dedup import minhash_lsh_candidates, simhash_candidates
+
+    empty = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([], type=pa.int64()), "text": pa.array([], type=pa.string()),
+    }))
+    lsh = minhash_lsh_candidates(empty, shingle_k=3, n_parts=4)
+    assert lsh.count() == 0
+    assert lsh.schema().names == ["doc_id_a", "doc_id_b", "n_bands"]
+    sim = simhash_candidates(empty, n_parts=4)
+    assert sim.count() == 0
+    assert sim.schema().names == ["doc_id_a", "doc_id_b", "hamming"]
+
+
+def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(ray_session, docs_table):
+    """The MinHash kernel is a task map fused into the band map (Ray fuses
+    only task maps, never an actor pool into the map after it), and the
+    pair count is a ``shuffle_by``, not Ray's native ``Aggregate``."""
+    import ray.data
+
+    from ontocast_ray.ops.dedup import minhash_lsh_candidates
+
+    docs = ray.data.from_arrow(docs_table).repartition(3)
+    out = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3, n_parts=4)
+    ops = [line for line in out.materialize().stats().splitlines()
+           if line.startswith("Operator ")]
+    assert any("MapBatches(MinHasher)->MapBatches(" in line for line in ops), ops
+    assert not any(" Aggregate" in line for line in ops), ops
 
 
 def test_embedding_dedup(ray_session):
