@@ -376,10 +376,12 @@ def minhash_lsh_candidates(
     metrics).
 
     ``shuffle_blocks``: physical block count fed into the bucket groupby.
-    The sort shuffle schedules O(blocks × reducers) tasks; coalescing the
-    tiny 16-byte band rows first cuts that grid (measured ~2× end-to-end at
-    bench scale). Defaults to n_parts/8 — raise n_parts (and with it this)
-    for corpus sizes where a reducer's slice would exceed worker memory.
+    It matters only above ``shuffle_by``'s gather limit: a smaller input
+    runs in one task whatever its block count. Above it, the sort shuffle
+    schedules O(blocks × reducers) tasks; coalescing the tiny 16-byte band
+    rows first cuts that grid (measured ~2× end-to-end at bench scale).
+    Defaults to n_parts/8 — raise n_parts (and with it this) for corpus
+    sizes where a reducer's slice would exceed worker memory.
     """
     if shuffle_blocks is None:
         shuffle_blocks = max(8, n_parts // 8)

@@ -36,6 +36,7 @@ import pyarrow as pa
 
 import ray.data
 
+from ontocast_ray.ops.interleave import splitmix64
 from ontocast_ray.ops.shuffle import shuffle_by
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
@@ -288,7 +289,9 @@ def connected_components(
             u = batch["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
             v = batch["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
             with np.errstate(over="ignore"):
-                mix = (u * np.uint64(0x9E3779B97F4A7C15)) ^ v
+                # splitmix64 per edge: the bare u·G ^ v term summed to the
+                # same value for two different rounds of a 4k chain
+                mix = splitmix64((u * np.uint64(0x9E3779B97F4A7C15)) ^ v)
             # small modulus: per-block values must SUM within int64 range
             return pa.table({"n": pa.array([len(u)], type=pa.int64()),
                              "chk": pa.array([int(mix.sum() % (1 << 40))], type=pa.int64())})

@@ -204,11 +204,21 @@ def hash_join(
         raise ValueError("semi/anti joins return left columns only")
     from ontocast_ray.util import to_arrow_type
 
+    # a side with no schema is empty (e.g. a shuffle that called no
+    # kernel): with no left rows only a full join has output, and the
+    # empty side drops out of the union, its payload typed null
     _lsch, _rsch = left.schema(), right.schema()
-    _ltypes = {n: to_arrow_type(t) for n, t in zip(_lsch.names, _lsch.types)}
-    _rtypes = {n: to_arrow_type(t) for n, t in zip(_rsch.names, _rsch.types)}
+    if _lsch is None and (how != "full" or _rsch is None):
+        return left
+    _ltypes = {n: to_arrow_type(t) for n, t in zip(_lsch.names, _lsch.types)} if _lsch else {}
+    _rtypes = {n: to_arrow_type(t) for n, t in zip(_rsch.names, _rsch.types)} if _rsch else {}
     lcols = [c for c in left_cols if c != left_on]
     rcols = [c for c in right_cols if c != right_on]
+    _ltypes.setdefault(left_on, _rtypes.get(right_on))
+    for c in lcols:
+        _ltypes.setdefault(c, pa.null())
+    for c in rcols:
+        _rtypes.setdefault(c, pa.null())
 
     def tag_left(batch: pa.Table) -> pa.Table:
         cols = {left_on: batch[left_on]}
@@ -272,9 +282,12 @@ def hash_join(
             merged = merged.astype({**_rcast, **_lcast_post})
         return merged.reset_index(drop=True)
 
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
+    sides = [
+        side.map_batches(tag, batch_format="pyarrow")
+        for side, sch, tag in ((left, _lsch, tag_left), (right, _rsch, tag_right))
+        if sch is not None
+    ]
+    tagged = sides[0].union(sides[1]) if len(sides) == 2 else sides[0]
     return shuffle_by(tagged, left_on, kernel, n_parts)
 
 

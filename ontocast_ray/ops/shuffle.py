@@ -10,11 +10,20 @@ partition. Every op in ``ontocast_ray`` and every driver query in
 ``shuffle_by``; only ops whose meaning is one call per natural key (a
 k-means ``cluster``, a bounded shard pair ``pg``) group directly.
 ``tests/test_shuffle.py`` fails on any other ``map_groups`` call in either.
+
+``shuffle_by`` is adaptive and eager: it materializes its input at call
+time (the sort is an all-to-all barrier that holds the whole input in the
+object store anyway), then reads rows and bytes from block metadata. An
+input of at most ``_GATHER_BYTES`` skips the sort shuffle: every block
+goes to one task and the kernel runs once over all rows (the ``n_parts=1``
+semantics, returned as one block). A larger input takes the sort path.
+Each call logs the path it took at DEBUG level.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 
 import numpy as np
@@ -25,6 +34,9 @@ from ontocast_ray.util import hash_partition, hash_u64
 
 _PART = "__shuffle_part__"
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GATHER_BYTES = 2 << 20  # staged canonicalize: gather ties the sort at 2.1 MiB, loses at 3.1 (4 CPUs)
+
+_log = logging.getLogger(__name__)
 
 
 def resolve_n_parts(
@@ -116,15 +128,34 @@ def shuffle_by(
 ) -> "ray.data.Dataset":
     """Colocate rows with equal ``keys`` and run ``kernel`` per partition.
 
-    Rows are hashed into ``n_parts`` partitions (``resolve_n_parts`` when
-    None), sort-shuffled on that id, and ``kernel`` is called once per
-    non-empty partition with a ``batch_format`` frame that holds every row
-    of its keys (many keys per call) and no partition column. Output is the
-    union of the kernel's frames. ``n_parts=1`` gathers every row into one
-    kernel call.
+    The input is materialized first, so the call runs everything upstream
+    of it before it returns. Then one of two paths:
+
+    - gather: a non-empty input of at most ``_GATHER_BYTES`` (block
+      metadata) goes to one task, and ``kernel`` is called once with a
+      frame of every row;
+    - sort: rows are hashed into ``n_parts`` partitions
+      (``resolve_n_parts`` when None), sort-shuffled on that id, and
+      ``kernel`` is called once per non-empty partition with a frame that
+      holds every row of its keys (many keys per call).
+
+    Either way ``kernel`` gets a ``batch_format`` frame with no partition
+    column, never an empty one, and the output is the union of its
+    frames. ``n_parts=1`` gathers every row into one kernel call.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-    p = resolve_n_parts(ds, n_parts)
+    ds = ds.materialize()
+    n, size = ds.count(), ds.size_bytes()
+    gather = 0 < n and size is not None and size <= _GATHER_BYTES
+    p = 1 if gather else resolve_n_parts(ds, n_parts)
+    _log.debug(
+        "shuffle_by %s: path=%s rows=%d bytes=%s blocks=%d n_parts=%d",
+        getattr(kernel, "__name__", type(kernel).__name__),
+        "gather" if gather else "sort", n, size, ds.num_blocks(), p,
+    )
+
+    if gather:
+        return ds.map_batches(kernel, batch_size=n, batch_format=batch_format)
 
     def add_part(batch):
         part = _partition_ids(batch, keys, p)

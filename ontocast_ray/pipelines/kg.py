@@ -11,15 +11,18 @@ mode="staged" splits the fused stage:
 
       → map_batches(ChunkDocuments)                [actor pool: embedder state]
       → map_batches(ExtractTriples)                [actor pool: extractor + hub snapshot]
-      → shuffle_by(doc_id, canonicalize_partition) [the one all-to-all exchange]
+      → shuffle_by(doc_id, canonicalize_partition) [the one exchange: a sort
+                                                    shuffle, or one gather task
+                                                    below shuffle_by's limit]
 
-``build_kg_pipeline`` streams: the fused default has no all-to-all exchange
-at all (reference semantics are strictly per-document), and staged mode has
-one, on doc_id. The resumable sink (``run_resumable``) materializes the
-triples before its coalescing write, so the KG stage runs one task per doc
-block instead of being fused into, and serialized by, the write (see
-``sources.io``); the blocks wait in the object store, which spills. The
-ontology side-channel is the
+``build_kg_pipeline`` streams in the fused default, which has no all-to-all
+exchange at all (reference semantics are strictly per-document). Staged
+mode has one, on doc_id, and ``shuffle_by`` materializes its input: the
+call runs chunk and extract before it returns. The resumable sink
+(``run_resumable``) materializes the triples before its coalescing write,
+so the KG stage runs one task per doc block instead of being fused into,
+and serialized by, the write (see ``sources.io``); the blocks wait in the
+object store, which spills. The ontology side-channel is the
 OntologyHub named actor (broadcast-small reads once per actor + batched
 commutative merges — not a shuffle).
 """

@@ -2535,6 +2535,30 @@ def test_incremental_dedup_idempotent(ray_session):
     )
 
 
+def test_incremental_dedup_empty_sides(ray_session):
+    """A day with no new docs, or an empty index, leaves a side of the
+    anti join with no schema: no new docs gives no rows, and an empty
+    index keeps every within-new first."""
+    import ray.data
+
+    from ontocast_ray.ops.dedup import incremental_dedup
+
+    new = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array([10, 11, 12], type=pa.int64()),
+        "text": pa.array(["delta page", "delta page", "epsilon page"]),
+    }))
+    empty = new.filter(expr="doc_id < 0")
+    got = (
+        incremental_dedup(new, empty, n_parts=4)
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(
+        got,
+        pd.DataFrame({"doc_id": [10, 12], "n_new_copies": [2, 1]}).astype("int64"),
+    )
+    assert incremental_dedup(empty, empty, n_parts=4).count() == 0
+    assert incremental_dedup(empty, new, n_parts=4).count() == 0
+
 def test_bigram_coverage_hand_fixture(ray_session):
     """LM-coverage gate: corpus-frequent bigrams counted with multiplicity,
     zero-bigram docs present with coverage 0.0, parallelism-invariant."""
@@ -2865,6 +2889,33 @@ def test_hash_join_full_outer(ray_session):
     assert out["lv"].fillna(-1).astype(int).tolist() == [10, 20, 21, 30, -1]
     assert out["rv"].fillna(-1).astype(int).tolist() == [-1, 200, 200, -1, 400]
 
+
+def test_hash_join_empty_side(ray_session):
+    """A side with no schema (a shuffle that called no kernel) is empty,
+    and every ``how`` keeps its SQL result."""
+    import ray
+
+    from ontocast_ray.ops.joins import hash_join
+    from ontocast_ray.ops.shuffle import shuffle_by
+
+    left = ray.data.from_pandas(pd.DataFrame({"k": [1, 2], "lv": [10, 20]}))
+    right = ray.data.from_pandas(pd.DataFrame({"k": [2, 3], "rv": [200, 300]}))
+
+    def no_schema(ds):
+        out = shuffle_by(ds.filter(expr="k < 0"), "k", lambda df: df, n_parts=2)
+        assert out.schema() is None
+        return out
+
+    def keys(ds):
+        return sorted(ds.to_pandas()["k"]) if ds.count() else []
+
+    for how in ("inner", "left", "full", "semi", "anti"):
+        kw = dict(left_on="k", right_on="k", left_cols=["lv"], how=how, n_parts=2,
+                  right_cols=[] if how in ("semi", "anti") else ["rv"])
+        want = [1, 2] if how in ("left", "full", "anti") else []
+        assert keys(hash_join(left, no_schema(right), **kw)) == want, how
+        want = [2, 3] if how == "full" else []
+        assert keys(hash_join(no_schema(left), right, **kw)) == want, how
 
 def test_temperature_mix_rates(ray_session):
     """T=0.5 rate law: group with c <= k^2 keeps everything; a bigger

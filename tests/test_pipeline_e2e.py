@@ -297,6 +297,11 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
         stats = run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
         kernel = "_process"
     else:
+        # the bucket kernel runs per partition on shuffle_by's sort path
+        # only; an input this small would take the one-task gather path
+        from ontocast_ray.ops import shuffle
+
+        monkeypatch.setattr(shuffle, "_GATHER_BYTES", 0)
         t = pa.table({"k": pa.array(np.arange(2000) % 97, type=pa.int64())})
         write_bucketed(ray.data.from_arrow(t).repartition(6), out, "k", n_buckets=8)
         kernel = "bucket_kernel"

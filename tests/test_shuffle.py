@@ -1,9 +1,14 @@
 """Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
 guard that keeps ``map_groups`` from spreading outside it, in the package
-and in the driver file ``__ray_entry__.py``."""
+and in the driver file ``__ray_entry__.py``.
+
+Every contract case runs on both paths of ``shuffle_by``: the gather path
+its small inputs take, and the sort path, forced by patching the module's
+byte limit to 0."""
 
 from __future__ import annotations
 
+import logging
 import pathlib
 import re
 import uuid
@@ -11,6 +16,7 @@ import uuid
 import pandas as pd
 import pytest
 
+from ontocast_ray.ops import shuffle
 from ontocast_ray.ops.shuffle import _PART, shuffle_by
 
 # Sites where one kernel call per natural key IS the op's meaning; every
@@ -41,6 +47,19 @@ def _ds(n: int = 240, blocks: int = 4):
     return ray.data.from_pandas([df.iloc[b::blocks] for b in range(blocks)])
 
 
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Call to iterate the two paths: yields "gather", then "sort" with
+    the byte limit patched to 0."""
+
+    def each():
+        for path, limit in (("gather", shuffle._GATHER_BYTES), ("sort", 0)):
+            monkeypatch.setattr(shuffle, "_GATHER_BYTES", limit)
+            yield path
+
+    return each
+
+
 def _per_call_key_counts(keys: list[str]):
     """Kernel that reports, for each key tuple in its frame, the row count
     and an id unique to this call, plus what the frame looked like."""
@@ -57,48 +76,83 @@ def _per_call_key_counts(keys: list[str]):
 
 
 @pytest.mark.parametrize("keys", [["s"], ["i"], ["s", "j"]])
-def test_equal_keys_reach_one_call(ray_session, keys):
-    ds = _ds()
-    out = shuffle_by(ds, keys, _per_call_key_counts(keys), n_parts=5).to_pandas()
+def test_equal_keys_reach_one_call(ray_session, both_paths, keys):
     want = pd.DataFrame(_rows()).groupby(keys).size()
-    # one output row per key ⇒ every key's rows arrived in a single call
-    assert not out.duplicated(keys).any()
-    got = out.set_index(keys)["size"].sort_index()
-    assert got.to_dict() == want.sort_index().to_dict()
+    for _ in both_paths():
+        out = shuffle_by(_ds(), keys, _per_call_key_counts(keys), n_parts=5).to_pandas()
+        # one output row per key ⇒ every key's rows arrived in a single call
+        assert not out.duplicated(keys).any()
+        got = out.set_index(keys)["size"].sort_index()
+        assert got.to_dict() == want.sort_index().to_dict()
 
 
-def test_kernel_never_sees_empty_frame_or_partition_column(ray_session):
+def test_kernel_never_sees_empty_frame_or_partition_column(ray_session, both_paths):
     # more partitions than keys: many partitions stay empty
-    ds = _ds(40, blocks=7)
-    out = shuffle_by(ds, "j", _per_call_key_counts(["j"]), n_parts=16).to_pandas()
-    assert (out["frame_rows"] > 0).all()
-    assert not out["saw_part"].any()
-    assert (out["n_cols"] == 4).all()  # s, i, j, v — nothing added
+    for _ in both_paths():
+        ds = _ds(40, blocks=7)
+        out = shuffle_by(ds, "j", _per_call_key_counts(["j"]), n_parts=16).to_pandas()
+        assert (out["frame_rows"] > 0).all()
+        assert not out["saw_part"].any()
+        assert (out["n_cols"] == 4).all()  # s, i, j, v — nothing added
 
 
-def test_empty_input_gives_empty_output(ray_session):
-    ds = _ds(10).filter(expr="v < 0")
-    assert shuffle_by(ds, "s", _per_call_key_counts(["s"]), n_parts=4).count() == 0
+def test_empty_input_gives_empty_output(ray_session, both_paths):
+    def never(df: pd.DataFrame) -> pd.DataFrame:
+        raise AssertionError("kernel called on an empty input")
+
+    for _ in both_paths():
+        ds = _ds(10).filter(expr="v < 0")
+        assert shuffle_by(ds, "s", never, n_parts=4).count() == 0
 
 
-def test_output_multiset_independent_of_n_parts(ray_session):
+def test_output_multiset_independent_of_n_parts(ray_session, both_paths):
     def sums(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["s", "j"], as_index=False)["v"].sum()
 
     ds = _ds().materialize()
     outs = []
-    for p in (1, 3, 64):
-        df = shuffle_by(ds, ["s", "j"], sums, n_parts=p).to_pandas()
-        outs.append(df.sort_values(["s", "j"]).reset_index(drop=True))
-    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+    for _ in both_paths():
+        for p in (1, 3, 64):
+            df = shuffle_by(ds, ["s", "j"], sums, n_parts=p).to_pandas()
+            outs.append(df.sort_values(["s", "j"]).reset_index(drop=True))
+    assert all(outs[0].equals(o) for o in outs[1:])
 
 
-def test_stats_show_kernel_name(ray_session):
+def test_stats_show_kernel_name(ray_session, both_paths):
     def my_distinct_kernel_name(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("s")
 
-    out = shuffle_by(_ds(30), "s", my_distinct_kernel_name, n_parts=2).materialize()
-    assert "my_distinct_kernel_name" in out.stats()
+    for _ in both_paths():
+        out = shuffle_by(_ds(30), "s", my_distinct_kernel_name, n_parts=2).materialize()
+        assert "my_distinct_kernel_name" in out.stats()
+
+
+def test_small_input_skips_sort_shuffle(ray_session):
+    """Under the byte limit there is no Sort operator, and the kernel's
+    operator runs one task that returns one block."""
+
+    def small_kernel(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("s", as_index=False)["v"].sum()
+
+    out = shuffle_by(_ds(blocks=6), "s", small_kernel, n_parts=5).materialize()
+    stats = out.stats()
+    assert "Sort" not in stats
+    assert re.search(r"MapBatches\(small_kernel\): 1 tasks executed", stats), stats
+    assert out.num_blocks() == 1 and out.count() == 17
+
+
+def test_path_is_logged(ray_session, both_paths, caplog):
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def kern(df: pd.DataFrame) -> pd.DataFrame:
+        return df
+
+    for path in both_paths():
+        caplog.clear()
+        shuffle_by(_ds(), "s", kern, n_parts=3).materialize()
+        [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+        assert f"shuffle_by kern: path={path} rows=240 " in msg
+        assert msg.endswith(f"blocks=4 n_parts={1 if path == 'gather' else 3}")
 
 
 def test_map_groups_lives_only_in_shuffle_by():
