@@ -73,8 +73,6 @@ def _q_kg_triples(sf_dir: str):
         return cached
     out = build_kg_pipeline(
         _kg_docs(sf_dir),
-        chunk_concurrency=4,
-        extract_concurrency=4,
         min_chunk_size=200,
         max_chunk_size=2000,
     ).materialize()
@@ -1748,7 +1746,7 @@ def _q_paragraph_dedup(sf_dir: str):
     (doc_id, idx) occurrence. Winner pass is a map-side combiner + coarse
     hash%P groupby; scrub is a pure map against the broadcast (hash,
     min_position) dup map (Bloom + shuffle semi-join scale path kept and
-    tested at broadcast_limit=0). Oracle re-derives with ROW_NUMBER over
+    tested with the broadcast limit at 0). Oracle re-derives with ROW_NUMBER over
     the exploded paragraph strings."""
     import pyarrow as pa
 
@@ -5370,8 +5368,7 @@ def _q_kg_from_curated(sf_dir: str):
     survivors = docs.map_batches(keep_only, batch_format="pyarrow")
     spans = spanify_flat_documents(survivors, seed=42, inject_entities=True)
     triples = build_kg_pipeline(
-        spans, chunk_concurrency=4, extract_concurrency=4,
-        min_chunk_size=200, max_chunk_size=2000,
+        spans, min_chunk_size=200, max_chunk_size=2000,
     )
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":

@@ -113,15 +113,13 @@ def prepare_corpus(replicate: int) -> str:
     return path
 
 
-def _kg_triples(corpus_path: str, num_cpus: int) -> int:
+def _kg_triples(corpus_path: str) -> int:
     import ray.data
 
     from ontocast_ray.pipelines.kg import build_kg_pipeline
 
     return build_kg_pipeline(
         ray.data.read_parquet(corpus_path),
-        chunk_concurrency=max(2, num_cpus - 2),
-        extract_concurrency=max(2, num_cpus - 2),
         min_chunk_size=200,
         max_chunk_size=2000,
     ).count()
@@ -160,7 +158,7 @@ def run_knn() -> int:
 # The headline legs, in order; ``value`` is their summed wall time.
 # kg_pipeline reads the stored corpus that main() prepares untimed.
 HEADLINE = {
-    "kg_pipeline": lambda: _kg_triples(_corpus_path(1), NUM_CPUS),
+    "kg_pipeline": lambda: _kg_triples(_corpus_path(1)),
     "exact_dedup": lambda: run_query("exact_dedup"),
     "minhash_dedup": run_minhash,
     "knn_bruteforce": run_knn,
@@ -254,7 +252,7 @@ def scaling_child(num_cpus: int, corpus_path: str) -> None:
     _init_ray(num_cpus)
     import ray
 
-    elapsed, n_rows = _timed(lambda: _kg_triples(corpus_path, num_cpus))
+    elapsed, n_rows = _timed(lambda: _kg_triples(corpus_path))
     print(
         json.dumps(
             {"num_cpus": num_cpus, "sec": elapsed,

@@ -40,6 +40,11 @@ from .dedup import _fold_kgrams, _word_hashes_batch
 from .interleave import splitmix64
 from .shuffle import shuffle_by
 
+# Hash-set size at or below which remove_boilerplate_lines and
+# paragraph_dedup broadcast the set. Read at call time, so a test can set
+# it to 0 to force the Bloom + shuffle semi-join path.
+_BROADCAST_LIMIT = 1_000_000
+
 
 def cap_per_group(
     ds: "ray.data.Dataset",
@@ -183,7 +188,6 @@ def remove_boilerplate_lines(
     text_col: str = "text",
     id_col: str = "doc_id",
     n_parts: int = 16,
-    broadcast_limit: int = 1_000_000,
 ) -> "ray.data.Dataset":
     """C4-style line-level dedup: drop every line occurring ≥ ``min_count``
     times across the corpus (boilerplate headers/footers/nav), keeping the
@@ -196,7 +200,7 @@ def remove_boilerplate_lines(
     paths, chosen by the frequent-set size (a cheap ``count()``, never the
     rows):
 
-    - **Broadcast fast path** (≤ ``broadcast_limit`` frequent hashes): the
+    - **Broadcast fast path** (≤ ``_BROADCAST_LIMIT`` frequent hashes): the
       set is collected once, ``ray.put``, and a pure map drops matching
       lines — zero extra shuffles. Boilerplate is usually high-count /
       low-distinct so this is the common case.
@@ -244,7 +248,7 @@ def remove_boilerplate_lines(
         docs.map_batches(_count, batch_format="pyarrow"), "line_hash", _freq, n_parts
     ).materialize()
 
-    if frequent.count() <= broadcast_limit:
+    if frequent.count() <= _BROADCAST_LIMIT:
         freq = np.sort(
             np.array(
                 [r["line_hash"] for r in frequent.take_all()], dtype=np.uint64
@@ -511,7 +515,6 @@ def paragraph_dedup(
     text_col: str = "text",
     id_col: str = "doc_id",
     n_parts: int | None = None,
-    broadcast_limit: int = 1_000_000,
 ) -> "ray.data.Dataset":
     """Dolma-style cross-document paragraph dedup: every paragraph (a
     ``\\n``-split segment) that occurs more than once in the corpus keeps
@@ -528,7 +531,7 @@ def paragraph_dedup(
     (para_hash, min_packed_pos, n) row per distinct paragraph, combined
     through one coarse ``hash % P`` shuffle; only hashes with corpus count
     ≥ 2 survive (the duplicated set, small by construction). Scrub is then
-    either the broadcast fast path (dup set ≤ ``broadcast_limit``:
+    either the broadcast fast path (dup set ≤ ``_BROADCAST_LIMIT``:
     ``ray.put`` once, pure map, zero extra shuffles) or the bounded scale
     path (Bloom bitmap prune → exact ``hash % P`` shuffle semi-join →
     ``hash(doc_id) % P`` scrub join — the `remove_boilerplate_lines` pattern,
@@ -604,7 +607,7 @@ def paragraph_dedup(
         n_parts,
     ).materialize()
 
-    if dups.count() <= broadcast_limit:
+    if dups.count() <= _BROADCAST_LIMIT:
         rows = dups.take_all()
         dh = np.array([r["para_hash"] for r in rows], dtype=np.uint64)
         dm = np.array([r["min_packed"] for r in rows], dtype=np.int64)

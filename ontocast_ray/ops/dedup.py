@@ -555,7 +555,8 @@ def _verify_pairs_small(
 
 
 # below this many candidate pairs the two-shuffle distributed join costs
-# more than the whole verification; the fast path collects ≤ 2·limit blobs
+# more than the whole verification; the fast path collects ≤ 2·limit blobs.
+# Read at call time; set to 0 to force the distributed join.
 _SMALL_PAIR_LIMIT = 5_000
 
 
@@ -565,13 +566,11 @@ def ngram_jaccard_verify(
     threshold: float = 0.7,
     shingle_k: int = 5,
     n_parts: int = 64,
-    small_pair_limit: int = _SMALL_PAIR_LIMIT,
 ) -> "ray.data.Dataset":
     """Exact Jaccard check of candidate pairs, fully distributed (see module
     comment above): Bloom-pruned shingle computation + doc_id shuffle join +
     per-bucket verification. No corpus- or pair-sized driver materialization
-    (the ``small_pair_limit`` fast path is bounded by construction; pass 0
-    to force the distributed join).
+    (the ``_SMALL_PAIR_LIMIT`` fast path is bounded by construction).
     """
     import ray
 
@@ -590,7 +589,7 @@ def ngram_jaccard_verify(
         return ray.data.from_arrow(empty)
     _sch = pairs.schema()
     id_type = dict(zip(_sch.names, _sch.types))["doc_id_a"]
-    if n_pairs <= small_pair_limit:
+    if n_pairs <= _SMALL_PAIR_LIMIT:
         return _verify_pairs_small(
             docs, pairs.take_all(), threshold, shingle_k, id_type
         )

@@ -41,6 +41,14 @@ from ontocast_ray.ops.shuffle import shuffle_by
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 
+# Size limits at or below which an op takes its driver or broadcast fast
+# path. Read at call time, so a test can set one to 0 to force the
+# distributed path.
+_SMALL_EDGE_LIMIT = 2_000_000  # triangle_count, label_propagation: edges
+_BROADCAST_LIMIT = 2_000_000  # k_core fringe nodes, ancestor_closure jump rows
+_KEEP_LIST_BROADCAST = 5_000_000  # apply_keep_list: dropped ids (≈40 MB of int64)
+_KEEP_BEST_BROADCAST = 1_000_000  # dedup_keep_best: pair-graph members
+
 
 def _large_star_part(df: pd.DataFrame) -> pd.DataFrame:
     """Large-star over a coarse hash(u) partition.
@@ -350,13 +358,12 @@ def apply_keep_list(
     keep_list: "ray.data.Dataset",
     id_col: str = "doc_id",
     n_parts: int = 64,
-    broadcast_limit: int = 5_000_000,
 ) -> "ray.data.Dataset":
     """Drop non-representative duplicates from the corpus — fully
     distributed (nothing corpus-sized touches the driver).
 
-    Fast path: a dropped-id set at or below ``broadcast_limit`` (≈40 MB
-    of int64 at the default — tiny next to any corpus that produced it)
+    Fast path: a dropped-id set at or below ``_KEEP_LIST_BROADCAST`` (≈40 MB
+    of int64 — tiny next to any corpus that produced it)
     is broadcast ONCE as a sorted array and every doc filters map-side
     via searchsorted — zero shuffles, exact (the k_core fringe lesson:
     broadcasting a small id set beats an anti-join exchange by the whole
@@ -388,7 +395,7 @@ def apply_keep_list(
     if n_dropped == 0:
         return docs
 
-    if n_dropped <= broadcast_limit:
+    if n_dropped <= _KEEP_LIST_BROADCAST:
         drop_sorted = np.sort(
             np.concatenate([
                 b[id_col].to_numpy(zero_copy_only=False)
@@ -537,7 +544,6 @@ def _triangle_count_driver(edf: "pd.DataFrame") -> int:
 def triangle_count(
     edges: "ray.data.Dataset",
     n_parts: int = 64,
-    small_edge_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """→ one row ``(n_triangles,)``: exact triangle count of the undirected
     simple graph — the third classic distributed graph kernel next to
@@ -581,7 +587,7 @@ def triangle_count(
     n_edges = e.count()
     if n_edges == 0:  # empty graph: downstream groupbys lose the schema
         return _zero()
-    if n_edges <= small_edge_limit:  # pass 0 to force the distributed path
+    if n_edges <= _SMALL_EDGE_LIMIT:  # 0 forces the distributed path
         n = _triangle_count_driver(e.to_pandas())
         return ray.data.from_arrow(
             pa.table({"n_triangles": pa.array([n], type=pa.int64())})
@@ -820,7 +826,6 @@ def label_propagation(
     edges: "ray.data.Dataset",
     n_iters: int = 3,
     n_parts: int = 16,
-    small_edge_limit: int = 2_000_000,
     mode: str = "auto",
 ) -> "ray.data.Dataset":
     """→ (node, label): deterministic synchronous Label Propagation
@@ -839,7 +844,7 @@ def label_propagation(
     Input ``edges`` must carry both directions as (src, dst). Three paths,
     picked by ``mode`` (default "auto" = by size):
 
-    - "local" (E ≤ ``small_edge_limit``): vectorized pandas on the driver
+    - "local" (E ≤ ``_SMALL_EDGE_LIMIT``): vectorized pandas on the driver
       — the pagerank/union-find bounded-fallback pattern.
     - "broadcast" (default at scale): edges NEVER move; labels are the
       O(V) broadcast carrier and each round is a pure map + ONE coarse
@@ -862,8 +867,8 @@ def label_propagation(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "local" or (
         mode == "auto"
-        and small_edge_limit
-        and edges.count() <= small_edge_limit
+        and _SMALL_EDGE_LIMIT
+        and edges.count() <= _SMALL_EDGE_LIMIT
     ):
         return _local_label_propagation(edges, n_iters)
     if mode in ("auto", "broadcast"):
@@ -940,7 +945,6 @@ def dedup_keep_best(
     a_col: str = "doc_id_a",
     b_col: str = "doc_id_b",
     n_parts: int = 16,
-    broadcast_limit: int = 1_000_000,
 ) -> "ray.data.Dataset":
     """→ (doc_id, keep_id, keep): quality-aware near-dup representative —
     within each connected component of the pair graph the member with the
@@ -978,7 +982,7 @@ def dedup_keep_best(
     # shuffles, unavoidable there).
     comp = comp.materialize()
     n_members = comp.count()
-    if n_members and n_members <= broadcast_limit:
+    if n_members and n_members <= _KEEP_BEST_BROADCAST:
         mem_ids, mem_comps = [], []
         for b in comp.iter_batches(batch_size=None, batch_format="pyarrow"):
             mem_ids.append(b["doc_id"].to_numpy(zero_copy_only=False))
@@ -1256,7 +1260,6 @@ def k_core(
     dst_col: str = "dst",
     n_parts: int | None = None,
     max_rounds: int = 64,
-    broadcast_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """K-core decomposition by synchronous peeling: repeatedly drop every
     node of degree < k (and its edges) until fixpoint — the standard
@@ -1270,12 +1273,12 @@ def k_core(
     P`` shuffle), then one of two exact removal paths chosen by the
     peeled-fringe size (a scalar ``count()``, never the rows): the
     fringe is usually tiny (the boundary layer of the core), so ≤
-    ``broadcast_limit`` nodes take the broadcast fast path — sorted
+    ``_BROADCAST_LIMIT`` nodes take the broadcast fast path — sorted
     array ``ray.put`` once, edges dropped by a pure searchsorted map,
     ZERO removal shuffles; a larger fringe falls back to two partitioned
     hash anti-joins (no driver collection, any scale — forced in tests
-    via ``broadcast_limit=0``). The driver sees one scalar per round;
-    edges re-materialize per round to keep lineage flat. Raises after
+    by setting ``_BROADCAST_LIMIT`` to 0). The driver sees one scalar per
+    round; edges re-materialize per round to keep lineage flat. Raises after
     ``max_rounds`` (a path graph peels one layer per round — k-cores of
     real graphs converge in a handful)."""
     import pandas as pd
@@ -1314,7 +1317,7 @@ def k_core(
         n_low = low.count()
         if n_low == 0:
             return degrees
-        if n_low <= broadcast_limit:
+        if n_low <= _BROADCAST_LIMIT:
             import ray
 
             bad = np.sort(np.array(
@@ -1362,7 +1365,6 @@ def ancestor_closure(
     parent_col: str = "parent",
     n_parts: int | None = None,
     max_rounds: int = 40,
-    broadcast_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Transitive ancestor closure of a functional forest (each node ≤ 1
     parent, no cycles) by RECURSIVE DOUBLING — the rdfs:subClassOf /
@@ -1376,12 +1378,12 @@ def ancestor_closure(
     union is disjoint by construction and needs NO dedup shuffle — and
     J_{k+1} ← J_k ∘ J_k. The jump table is node-sized (two int64 columns,
     shrinking every round as paths top out at their roots) while R is the
-    depth-multiplied big side: ≤ ``broadcast_limit`` jump rows take the
+    depth-multiplied big side: ≤ ``_BROADCAST_LIMIT`` jump rows take the
     broadcast fast path (sorted arrays ``ray.put`` once per round, R
     composed by a pure searchsorted map — ZERO shuffles for R, the k_core
     fringe lesson); a larger jump table falls back to partitioned hash
-    joins (forced in tests via ``broadcast_limit=0``). Converges when the
-    jump table empties; raises after ``max_rounds`` (2^40 depth) — a cycle
+    joins (forced in tests by setting ``_BROADCAST_LIMIT`` to 0). Converges
+    when the jump table empties; raises after ``max_rounds`` (2^40 depth) — a cycle
     would never top out, so the guard doubles as cycle detection.
     """
     import pandas as pd
@@ -1410,7 +1412,7 @@ def ancestor_closure(
         n_jump = jump.count()
         if n_jump == 0:
             return closed
-        if n_jump <= broadcast_limit:
+        if n_jump <= _BROADCAST_LIMIT:
             jdf = jump.to_pandas()
             jn = jdf["node"].to_numpy(dtype=np.int64)
             ja = jdf["ancestor"].to_numpy(dtype=np.int64)

@@ -64,7 +64,8 @@ def _project_nodes(edges: "ray.data.Dataset") -> "ray.data.Dataset":
 # below this many edges the per-iteration shuffle overhead (2 AllToAll
 # rounds × n_iters) dwarfs the work; the driver fallback is exact-identical
 # (same integer spec) and zero-shuffle — same rationale as the union-find
-# fallback in ops/graph_cc.py. Pass 0 to force the distributed path.
+# fallback in ops/graph_cc.py. Read at call time; set to 0 to force the
+# distributed path.
 _SMALL_EDGE_LIMIT = 2_000_000
 
 
@@ -114,7 +115,6 @@ def pagerank_int(
     d_num: int = 17,
     d_den: int = 20,
     n_parts: int = 16,
-    small_edge_limit: int = _SMALL_EDGE_LIMIT,
     seed_mod: int | None = None,
     seed_rem: int = 0,
 ) -> "ray.data.Dataset":
@@ -132,7 +132,7 @@ def pagerank_int(
     from ray.data.aggregate import Max, Sum
 
     edges = edges.select_columns(["src", "dst"]).materialize()
-    if edges.count() <= small_edge_limit:
+    if edges.count() <= _SMALL_EDGE_LIMIT:
         return _pagerank_driver(
             edges, n_iters, mass, d_num, d_den, seed_mod, seed_rem
         )

@@ -34,7 +34,10 @@ from ontocast_ray.util import hash_partition, hash_u64
 
 _PART = "__shuffle_part__"
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_GATHER_BYTES = 2 << 20  # staged canonicalize: gather ties the sort at 2.1 MiB, loses at 3.1 (4 CPUs)
+# Measured crossover of a CPU-heavy per-partition kernel (4 CPUs): one gather
+# task ties the sort at 2.1 MiB and loses at 3.1 MiB, where it drops the
+# kernel's per-partition parallelism.
+_GATHER_BYTES = 2 << 20
 
 _log = logging.getLogger(__name__)
 

@@ -89,7 +89,7 @@ def _walks_driver(
     }))
 
 
-_SMALL_EDGE_LIMIT = 2_000_000
+_SMALL_EDGE_LIMIT = 2_000_000  # read at call time; 0 forces the distributed joins
 
 
 def deterministic_walks(
@@ -98,7 +98,6 @@ def deterministic_walks(
     seed: int = 41,
     start_below: int | None = None,
     n_parts: int = 16,
-    small_edge_limit: int = _SMALL_EDGE_LIMIT,
 ) -> "ray.data.Dataset":
     """→ (start, step, node): one deterministic walk of ``n_steps`` hops
     from every distinct source node (optionally only sources
@@ -108,8 +107,8 @@ def deterministic_walks(
     does ``n_steps > 3`` (the draw-key bound: ``node·4 + step`` collides
     across nodes from step 5 on).
 
-    Below ``small_edge_limit`` edges the exact-identical driver fast
-    path runs (pass 0 to force the distributed joins — tests do); on the
+    Up to ``_SMALL_EDGE_LIMIT`` edges the exact-identical driver fast
+    path runs (tests set it to 0 to force the distributed joins); on the
     distributed path the node-sized degree table broadcasts onto the
     walk state (one searchsorted map per step) and only the EDGE-sized
     ranked adjacency is a partitioned join.
@@ -122,9 +121,9 @@ def deterministic_walks(
             f"n_steps={n_steps} exceeds the draw-key bound {_MAX_STEPS}: "
             "the key node*4 + step is unique per (node, step) only for step < 4"
         )
-    if small_edge_limit:
+    if _SMALL_EDGE_LIMIT:
         edges = edges.materialize()
-        if edges.count() <= small_edge_limit:
+        if edges.count() <= _SMALL_EDGE_LIMIT:
             return _walks_driver(edges, n_steps, seed, start_below)
 
     def rank_kernel(df: "pd.DataFrame") -> "pd.DataFrame":

@@ -2,29 +2,20 @@
 reference's batch entry point, SURVEY §3.4):
 
     docs (doc_id, spans)
-      → map_batches(KGProcessDocs)                 [default "fused" mode: one actor
-                                                    task per doc batch runs chunk →
-                                                    extract → canonicalize, no shuffle]
+      → map_batches(assemble_spans)
+      → map_batches(KGProcessDocs)   [one task per doc block runs chunk →
+                                      extract → canonicalize, no shuffle]
       → materialize → partitioned parquet + per-shard lineage manifests (resumable)
 
-mode="staged" splits the fused stage:
-
-      → map_batches(ChunkDocuments)                [actor pool: embedder state]
-      → map_batches(ExtractTriples)                [actor pool: extractor + hub snapshot]
-      → shuffle_by(doc_id, canonicalize_partition) [the one exchange: a sort
-                                                    shuffle, or one gather task
-                                                    below shuffle_by's limit]
-
-``build_kg_pipeline`` streams in the fused default, which has no all-to-all
-exchange at all (reference semantics are strictly per-document). Staged
-mode has one, on doc_id, and ``shuffle_by`` materializes its input: the
-call runs chunk and extract before it returns. The resumable sink
+There is one execution path and no all-to-all exchange: the reference's
+aggregation scope is strictly per document, so each document's chunks are
+extracted and folded inside the call that chunked them. The resumable sink
 (``run_resumable``) materializes the triples before its coalescing write,
 so the KG stage runs one task per doc block instead of being fused into,
 and serialized by, the write (see ``sources.io``); the blocks wait in the
-object store, which spills. The ontology side-channel is the
-OntologyHub named actor (broadcast-small reads once per actor + batched
-commutative merges — not a shuffle).
+object store, which spills. The ontology side-channel is the OntologyHub
+named actor (broadcast-small reads once per actor + batched commutative
+merges — not a shuffle).
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from ontocast_ray.stages.assemble import assemble_spans
 from ontocast_ray.stages.chunking import ChunkDocuments
 from ontocast_ray.stages.extract import ExtractTriples
 from ontocast_ray.state.ontology_hub import get_or_create_hub, seed_from_records
-from ontocast_ray.util import pool
 
 DEFAULT_DOMAIN = "https://example.com"
 
@@ -90,19 +80,21 @@ def _rec(ttl: str) -> OntologyRecord:
 
 
 class KGProcessDocs:
-    """Fused doc-atomic actor stage: chunk → extract → canonicalize per doc.
+    """Doc-atomic map_batches stage: chunk → extract → canonicalize per doc.
 
     The reference's aggregation scope is strictly per-document
     (aggregate_facts.py:23-25), and chunking emits all of a document's chunks
-    in one call — so the whole per-doc path can run inside ONE actor task
-    with ZERO shuffle. This is the default execution mode: at any scale, the
-    only all-to-all left in the pipeline is the (optional) cross-document
-    entity merge, which is salted by design.
+    in one call — so the whole per-doc path runs inside one call with no
+    shuffle. At any scale, the only all-to-all left in the pipeline is the
+    (optional) cross-document entity merge, which is salted by design.
 
-    The staged mode (mode="staged" in build_kg_pipeline) keeps extraction as
-    its own actor-pool stage + a doc_id-partitioned canonicalize shuffle —
-    preferable when extraction is expensive per chunk (live LLM) and chunk-
-    level pipelining across actors matters more than shuffle cost.
+    Composes ``self.chunker`` (``ChunkDocuments``) and ``self.extractor``
+    (``ExtractTriples``: the extractor model plus the hub snapshot). Within a
+    document, chunk i+1 sees the term labels chunk i's addendum defined
+    (ref criticise_ontology.py:82-92); a new document starts from the
+    snapshot again. With a hub, the batch's addenda are merged into it once
+    per call. Output: TRIPLES_SCHEMA rows — per chunk, its ontology addendum
+    and status rows; per document, its aggregated facts (``chunk_idx`` -1).
     """
 
     def __init__(
@@ -126,12 +118,11 @@ class KGProcessDocs:
             hub_name=hub_name,
             domain=domain,
             max_visits=max_visits,
-            merge_to_hub=hub_name is not None,
         )
 
     def __call__(self, batch):
-        """Direct graph path: the per-doc fold runs on graphs in memory — no
-        rows→graph round-trip between extract and canonicalize."""
+        """Chunk the batch, then per doc: extract each chunk in chunk_idx
+        order and fold the chunk graphs in memory into the doc's facts."""
         import inspect
         import pyarrow as pa
 
@@ -210,7 +201,7 @@ class KGProcessDocs:
                 )
             )
 
-        if self.extractor.merge_to_hub and self.extractor._hub is not None and deltas:
+        if self.extractor._hub is not None and deltas:
             import ray
 
             refs = [
@@ -253,21 +244,18 @@ def build_kg_pipeline(
     ontology_records: Optional[list[OntologyRecord]] = None,
     domain: str = DEFAULT_DOMAIN,
     hub_name: Optional[str] = None,
-    chunk_concurrency: int = 4,
-    extract_concurrency: int = 4,
     batch_size: int = 64,
     max_visits: int = 3,
     min_chunk_size: int = 2000,
     max_chunk_size: int = 20000,
     max_chunks: Optional[int] = None,
-    canonicalize_partitions: int = 64,
-    mode: str = "fused",
 ) -> "ray.data.Dataset":
     """docs (DOCS_SCHEMA) → canonicalized triple rows (TRIPLES_SCHEMA).
 
-    mode="fused" (default): doc-atomic chunk+extract+canonicalize in one
-    actor pool, zero shuffle. mode="staged": separate chunk / extract actor
-    pools + doc_id-partitioned canonicalize shuffle (LLM-mode pipelining).
+    Assembles spans, then runs ``KGProcessDocs`` over blocks of
+    ``batch_size`` docs: as plain tasks with a per-worker processor cache,
+    or, with a ``hub_name``, as a pool of 2-4 actors that each hold the hub
+    snapshot and merge their addenda into the hub.
     """
     if ontology_records is None:
         ontology_records = (
@@ -278,75 +266,36 @@ def build_kg_pipeline(
         get_or_create_hub(seeds, name=hub_name)
 
     ds = docs.map_batches(assemble_spans, batch_format="pyarrow", batch_size=batch_size)
-
-    if mode == "fused":
-        cfg = {
-            "ontology_seeds": None if hub_name else seeds,
-            "hub_name": hub_name,
-            "domain": domain,
-            "max_visits": max_visits,
-            "min_chunk_size": min_chunk_size,
-            "max_chunk_size": max_chunk_size,
-            "max_chunks": max_chunks,
-        }
-        # Actor pool vs tasks: actors exist to amortize EXPENSIVE per-worker
-        # state (models, hub connections). The deterministic processor's
-        # state is compiled regexes + tiny ontology views (~ms to build), so
-        # plain tasks — which reuse Ray's prestarted worker processes instead
-        # of spawning dedicated actor processes — start faster and schedule
-        # freely. A per-worker processor cache keeps the build-once property.
-        # With a hub (mutable shared state) or a real model, use the pool.
-        if hub_name is not None:
-            return ds.map_batches(
-                KGProcessDocs,
-                fn_constructor_kwargs=cfg,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                # no AllToAll downstream to starve → high-minimum pool is safe
-                # and avoids the autoscaler's slow ramp from 1 actor
-                concurrency=(
-                    max(1, max(chunk_concurrency, extract_concurrency) // 2),
-                    max(chunk_concurrency, extract_concurrency),
-                ),
-            )
+    cfg = {
+        "ontology_seeds": None if hub_name else seeds,
+        "hub_name": hub_name,
+        "domain": domain,
+        "max_visits": max_visits,
+        "min_chunk_size": min_chunk_size,
+        "max_chunk_size": max_chunk_size,
+        "max_chunks": max_chunks,
+    }
+    # Actor pool vs tasks: actors exist to amortize EXPENSIVE per-worker
+    # state (models, hub connections). The deterministic processor's
+    # state is compiled regexes + tiny ontology views (~ms to build), so
+    # plain tasks — which reuse Ray's prestarted worker processes instead
+    # of spawning dedicated actor processes — start faster and schedule
+    # freely. A per-worker processor cache keeps the build-once property.
+    # With a hub (mutable shared state), use the pool.
+    if hub_name is not None:
         return ds.map_batches(
-            _kg_process_docs_task_factory(cfg),
+            KGProcessDocs,
+            fn_constructor_kwargs=cfg,
             batch_format="pyarrow",
             batch_size=batch_size,
+            # no AllToAll downstream to starve → high-minimum pool is safe
+            # and avoids the autoscaler's slow ramp from 1 actor
+            concurrency=(2, 4),
         )
-
-    extract_kwargs: dict = {"domain": domain, "max_visits": max_visits}
-    if hub_name is not None:
-        extract_kwargs["hub_name"] = hub_name
-    else:
-        extract_kwargs["ontology_seeds"] = seeds
-        extract_kwargs["merge_to_hub"] = False
-
-    ds = ds.map_batches(
-        ChunkDocuments,
-        fn_constructor_kwargs={
-            "domain": domain,
-            "min_chunk_size": min_chunk_size,
-            "max_chunk_size": max_chunk_size,
-            "max_chunks": max_chunks,
-        },
+    return ds.map_batches(
+        _kg_process_docs_task_factory(cfg),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool(chunk_concurrency),
-    )
-    ds = ds.map_batches(
-        ExtractTriples,
-        fn_constructor_kwargs=extract_kwargs,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=pool(extract_concurrency),
-    )
-    from ontocast_ray.ops.shuffle import shuffle_by
-    from ontocast_ray.stages.canonicalize_stage import canonicalize_partition
-
-    return shuffle_by(
-        ds, "doc_id", canonicalize_partition, canonicalize_partitions,
-        batch_format="pyarrow",
     )
 
 

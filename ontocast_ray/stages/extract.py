@@ -3,8 +3,8 @@
 Restructures the reference's LangGraph agent cycle
 (/root/reference/ontocast/stategraph/create.py:82-144 — SELECT_ONTOLOGY →
 TEXT_TO_ONTOLOGY → CRITICISE_ONTOLOGY → TEXT_TO_FACTS → SUBLIMATE_ONTOLOGY →
-CRITICISE_FACTS, with bounded retries) into ONE actor-pool ``map_batches``
-stage: one actor call runs the whole loop for each chunk row in the batch.
+CRITICISE_FACTS, with bounded retries) into one ``process_chunk`` call per
+chunk, which ``pipelines.kg.KGProcessDocs`` runs for each chunk of a doc.
 
 The extractor backend is pluggable (``ExtractorModel`` protocol). The default
 ``DeterministicExtractor`` is a rule-based stand-in for the LLM (the
@@ -21,9 +21,10 @@ counters, at most ``max_visits`` attempts per node per chunk, and on
 exhaustion the chunk is **force-completed with partial results** (status
 SUCCESS, failure stage/reason recorded in the emitted status columns).
 
-Ontology deltas are merged into the OntologyHub named actor once per batch
-(commutative union — order-insensitive), and the snapshot version used is
-recorded per chunk for lineage.
+``ExtractTriples`` holds the model and the ontology views it was built
+from. ``KGProcessDocs`` merges ontology deltas into the OntologyHub named
+actor once per batch (commutative union — order-insensitive) and records the
+snapshot version used per chunk for lineage.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Optional, Protocol
 
 from ontocast_ray.functions.hashing import render_text_hash
 from ontocast_ray.functions.uris import clean_local_name, iri2namespace
-from ontocast_ray.model import TRIPLES_SCHEMA, graph_to_rows
 from ontocast_ray.rdf import RDF, RDFS, TripleGraph
 from ontocast_ray.rdf.namespaces import XSD
 from ontocast_ray.rdf.terms import Literal, URI
@@ -336,11 +336,13 @@ def addendum_delta_rows(addendum: TripleGraph) -> list:
 
 
 class ExtractTriples:
-    """Actor-pool map_batches stage: chunk rows → triple rows.
+    """The extractor model plus the ontology views it was built from.
 
-    Stateful: the extractor model (compiled patterns + ontology snapshot) is
-    built once per actor. Per batch: one optional hub-snapshot refresh, one
-    batched delta merge back to the hub (not per row).
+    ``KGProcessDocs`` composes one per processor and runs the per-chunk
+    loop itself. With a ``hub_name``, the views come from the OntologyHub's
+    snapshot (its version is recorded per chunk for lineage) and ``_hub``
+    holds the actor that the processor merges addenda into; otherwise they
+    come from ``ontology_seeds`` and ``_hub`` is None.
     """
 
     def __init__(
@@ -349,16 +351,12 @@ class ExtractTriples:
         hub_name: Optional[str] = None,
         domain: str = "https://example.com",
         max_visits: int = 3,
-        merge_to_hub: bool = True,
         extractor_factory=None,
     ):
         """``extractor_factory``: optional callable ``(views, domain) ->
         ExtractorModel`` — e.g. an LLMExtractor builder (stages/llm_extract.py).
         Default: the deterministic rule-based model."""
-        self.domain = domain
         self.max_visits = max_visits
-        self.hub_name = hub_name
-        self.merge_to_hub = merge_to_hub
         self._hub = None
         self._snapshot_version = -1
         views: list[OntologyView] = []
@@ -377,101 +375,3 @@ class ExtractTriples:
             self.extractor = extractor_factory(views, domain)
         else:
             self.extractor = DeterministicExtractor(views, domain=domain)
-
-    def __call__(self, batch):
-        import pyarrow as pa
-
-        doc_ids = batch["doc_id"].to_pylist()
-        doc_iris = batch["doc_iri"].to_pylist()
-        chunk_idxs = batch["chunk_idx"].to_pylist()
-        chunk_hids = batch["chunk_hid"].to_pylist()
-        texts = batch["text"].to_pylist()
-
-        parts = []
-        deltas: dict[str, list] = {}
-        from ontocast_ray.model import node_to_cell, term_to_cell
-        from ontocast_ray.rdf.namespaces import RDFS as _RDFS
-        from ontocast_ray.rdf.terms import Literal as _Literal
-
-        # per-document evolving term set: chunk i+1 sees chunk i's addendum
-        # (chunk rows of one doc arrive contiguously, in chunk_idx order)
-        doc_known: dict[str, set] = {}
-        import inspect as _inspect
-
-        supports_extra = "extra_known" in _inspect.signature(
-            self.extractor.process_chunk
-        ).parameters
-
-        for doc_id, doc_iri, chunk_idx, chunk_hid, text in zip(
-            doc_ids, doc_iris, chunk_idxs, chunk_hids, texts
-        ):
-            extra = doc_known.setdefault(doc_id, set())
-            if supports_extra:
-                result = self.extractor.process_chunk(
-                    text, doc_iri, chunk_hid, max_visits=self.max_visits,
-                    extra_known=extra,
-                )
-            else:
-                result = self.extractor.process_chunk(
-                    text, doc_iri, chunk_hid, max_visits=self.max_visits
-                )
-            for s, p, o in result.ontology_addendum:
-                if p == _RDFS.label and isinstance(o, _Literal):
-                    extra.add(str(o).lower())
-            parts.append(
-                graph_to_rows(
-                    result.facts,
-                    doc_id=doc_id,
-                    doc_iri=doc_iri,
-                    chunk_hid=chunk_hid,
-                    chunk_idx=chunk_idx,
-                    graph_scope="facts",
-                )
-            )
-            parts.append(
-                graph_to_rows(
-                    result.ontology_addendum,
-                    doc_id=doc_id,
-                    doc_iri=doc_iri,
-                    chunk_hid=chunk_hid,
-                    chunk_idx=chunk_idx,
-                    graph_scope="ontology",
-                )
-            )
-            # status rows: chunk-level metrics as queryable triples
-            status_g = status_graph(
-                result, f"{doc_iri}/chunk/{chunk_hid}", self._snapshot_version
-            )
-            parts.append(
-                graph_to_rows(
-                    status_g,
-                    doc_id=doc_id,
-                    doc_iri=doc_iri,
-                    chunk_hid=chunk_hid,
-                    chunk_idx=chunk_idx,
-                    graph_scope="status",
-                )
-            )
-            if result.ontology_addendum is not None and len(result.ontology_addendum):
-                deltas.setdefault(result.ontology_id, []).extend(
-                    addendum_delta_rows(result.ontology_addendum)
-                )
-
-        if self.merge_to_hub and self._hub is not None and deltas:
-            import ray
-
-            refs = [
-                self._hub.merge_delta.remote(oid, None, rows)
-                for oid, rows in deltas.items()
-            ]
-            ray.wait(refs, num_returns=len(refs))
-
-        from ontocast_ray.model import concat_triple_columns
-
-        cols = concat_triple_columns(parts)
-        return pa.table(
-            {
-                name: pa.array(cols[name], type=TRIPLES_SCHEMA.field(name).type)
-                for name in TRIPLES_SCHEMA.names
-            }
-        )

@@ -1,6 +1,7 @@
 """LLM-backed extraction model (implements the same ``ExtractorModel``
-protocol as the deterministic extractor, so it drops into ExtractTriples /
-KGProcessDocs unchanged).
+protocol as the deterministic extractor, so an ``ExtractTriples`` built with
+an ``extractor_factory`` that returns one drops into ``KGProcessDocs`` as its
+``extractor``, unchanged).
 
 Restructures the reference's agent cycle L1→L5 with L7 retry semantics
 (/root/reference/ontocast/agent/*.py, stategraph/util.py:8-30):

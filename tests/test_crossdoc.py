@@ -29,8 +29,7 @@ def test_cross_doc_merge_end_to_end(ray_session):
     corpus = generate_corpus(n_docs=20, seed=42, head_entity_fraction=0.5)
     docs = ray.data.from_arrow(corpus)
     triples = build_kg_pipeline(
-        docs, chunk_concurrency=2, extract_concurrency=2,
-        min_chunk_size=200, max_chunk_size=2000,
+        docs, min_chunk_size=200, max_chunk_size=2000,
     )
     rewritten, entities = merge_cross_doc(triples)
     ent_rows = entities.take_all()
@@ -65,8 +64,7 @@ def test_salting_is_result_invariant(ray_session):
     corpus = generate_corpus(n_docs=16, seed=3, head_entity_fraction=1.0)
     docs = ray.data.from_arrow(corpus)
     triples = build_kg_pipeline(
-        docs, chunk_concurrency=2, extract_concurrency=2,
-        min_chunk_size=200, max_chunk_size=2000,
+        docs, min_chunk_size=200, max_chunk_size=2000,
     ).materialize()
 
     def table_of(n_salt):
@@ -112,8 +110,7 @@ def _kg_triples(n_docs, seed, head_entity_fraction):
         n_docs=n_docs, seed=seed, head_entity_fraction=head_entity_fraction
     )
     return build_kg_pipeline(
-        ray.data.from_arrow(corpus), chunk_concurrency=2, extract_concurrency=2,
-        min_chunk_size=200, max_chunk_size=2000,
+        ray.data.from_arrow(corpus), min_chunk_size=200, max_chunk_size=2000,
     ).materialize()
 
 

@@ -105,14 +105,15 @@ def test_remove_boilerplate_lines(ray_session):
     assert out2["text"].tolist() == tbl["text"].to_pylist()
 
 
-def test_remove_boilerplate_scale_path_matches_broadcast(ray_session):
+def test_remove_boilerplate_scale_path_matches_broadcast(ray_session, monkeypatch):
     """min_count=2 worst case (EVERY line duplicated → the frequent set is
-    O(corpus distinct lines), the 100 TB broadcast killer): broadcast_limit=0
+    O(corpus distinct lines), the 100 TB broadcast killer): a 0 limit
     forces the Bloom-pruned shuffle-semi-join path; driver memory is bounded
     by the fixed-size bitmap and the output is byte-identical to the
     broadcast path."""
     import numpy as np
 
+    from ontocast_ray.ops import curation
     from ontocast_ray.ops.curation import remove_boilerplate_lines
 
     rng = np.random.default_rng(11)
@@ -134,8 +135,9 @@ def test_remove_boilerplate_scale_path_matches_broadcast(ray_session):
         remove_boilerplate_lines(ds(), min_count=2, n_parts=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    monkeypatch.setattr(curation, "_BROADCAST_LIMIT", 0)
     scale = (
-        remove_boilerplate_lines(ds(), min_count=2, n_parts=4, broadcast_limit=0)
+        remove_boilerplate_lines(ds(), min_count=2, n_parts=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(fast, scale)
@@ -268,12 +270,13 @@ def test_paragraph_dedup_keep_first(ray_session):
     assert out["n_removed"].tolist() == [0, 2, 1]
 
 
-def test_paragraph_dedup_scale_path_matches_broadcast(ray_session):
-    """broadcast_limit=0 forces the Bloom-pruned shuffle-semi-join path;
+def test_paragraph_dedup_scale_path_matches_broadcast(ray_session, monkeypatch):
+    """A 0 broadcast limit forces the Bloom-pruned shuffle-semi-join path;
     output must be byte-identical to the broadcast fast path even when
     every paragraph is duplicated (the worst-case dup set)."""
     import numpy as np
 
+    from ontocast_ray.ops import curation
     from ontocast_ray.ops.curation import paragraph_dedup
 
     rng = np.random.default_rng(17)
@@ -291,8 +294,9 @@ def test_paragraph_dedup_scale_path_matches_broadcast(ray_session):
         paragraph_dedup(ds(), n_parts=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
+    monkeypatch.setattr(curation, "_BROADCAST_LIMIT", 0)
     scale = (
-        paragraph_dedup(ds(), n_parts=4, broadcast_limit=0)
+        paragraph_dedup(ds(), n_parts=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(fast, scale)
@@ -307,19 +311,20 @@ def test_paragraph_dedup_scale_path_matches_broadcast(ray_session):
     assert scale["n_removed"].sum() > 0
 
 
-def test_paragraph_dedup_scale_path_pandas_block_lineage(ray_session):
+def test_paragraph_dedup_scale_path_pandas_block_lineage(ray_session, monkeypatch):
     """The CLAUDE.md schema trap: pandas-block lineage reports numpy
     dtypes; the scale path's null-id rows must still build typed arrow
     columns (to_arrow_type normalization) instead of crashing."""
+    from ontocast_ray.ops import curation
     from ontocast_ray.ops.curation import paragraph_dedup
 
+    monkeypatch.setattr(curation, "_BROADCAST_LIMIT", 0)
     df = pd.DataFrame({
         "doc_id": [1, 2, 3],
         "text": ["dup para\nalpha", "dup para\nbeta", "dup para\ngamma"],
     })
     out = (
-        paragraph_dedup(ray.data.from_pandas(df).repartition(2),
-                        n_parts=4, broadcast_limit=0)
+        paragraph_dedup(ray.data.from_pandas(df).repartition(2), n_parts=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["text"].tolist() == ["dup para\nalpha", "beta", "gamma"]

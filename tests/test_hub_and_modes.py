@@ -1,33 +1,7 @@
-"""OntologyHub integration + fused vs staged execution-mode equivalence."""
-
-import pytest
+"""OntologyHub integration: the hub actor path of ``build_kg_pipeline`` and
+the hub's merge semantics."""
 
 from ontocast_ray.corpus import generate_corpus
-
-
-def _triple_set(rows):
-    return {
-        (r["subject"], r["predicate"], r["object"], r["object_is_literal"],
-         r["graph_scope"])
-        for r in rows
-    }
-
-
-def test_fused_and_staged_modes_agree(ray_session):
-    import ray.data
-
-    from ontocast_ray.pipelines.kg import build_kg_pipeline
-
-    corpus = generate_corpus(n_docs=12, seed=7)
-    docs = ray.data.from_arrow(corpus)
-    kwargs = dict(
-        chunk_concurrency=2, extract_concurrency=2,
-        min_chunk_size=200, max_chunk_size=2000,
-    )
-    fused = build_kg_pipeline(docs, mode="fused", **kwargs).take_all()
-    staged = build_kg_pipeline(docs, mode="staged", **kwargs).take_all()
-    assert _triple_set(fused) == _triple_set(staged)
-    assert len(fused) == len(staged)
 
 
 def test_ontology_hub_receives_deltas(ray_session):
@@ -42,7 +16,6 @@ def test_ontology_hub_receives_deltas(ray_session):
     docs = ray.data.from_arrow(corpus)
     triples = build_kg_pipeline(
         docs, hub_name=hub_name,
-        chunk_concurrency=2, extract_concurrency=2,
         min_chunk_size=200, max_chunk_size=2000,
     )
     n = triples.count()

@@ -102,8 +102,13 @@ def test_null_ontology_fallback():
 
 
 def test_plugs_into_extract_stage():
+    """An LLM-backed ``ExtractTriples`` runs inside ``KGProcessDocs``'s
+    per-chunk loop, the one production runs."""
     import pyarrow as pa
 
+    from ontocast_ray.model import DOCS_SCHEMA
+    from ontocast_ray.pipelines.kg import KGProcessDocs
+    from ontocast_ray.stages.assemble import assemble_spans
     from ontocast_ray.stages.extract import ExtractTriples
 
     def factory(views, domain):
@@ -112,15 +117,18 @@ def test_plugs_into_extract_stage():
             _views(), domain=domain,
         )
 
-    stage = ExtractTriples(ontology_seeds=[], merge_to_hub=False, extractor_factory=factory)
+    stage = KGProcessDocs(ontology_seeds=[])
+    stage.extractor = ExtractTriples(ontology_seeds=[], extractor_factory=factory)
     batch = pa.table(
         {
-            "doc_id": ["d1"], "doc_iri": [DOC_IRI],
-            "chunk_idx": pa.array([0], type=pa.int32()),
-            "chunk_hid": [CHUNK], "text": ["Alice works at Acme."],
+            "doc_id": ["d1"],
+            "spans": pa.array(
+                [[{"kind": "text", "text": "Alice works at Acme.", "media_ref": "", "offset": 0}]],
+                type=DOCS_SCHEMA.field("spans").type,
+            ),
         }
     )
-    out = stage(batch)
+    out = stage(assemble_spans(batch))
     scopes = set(out["graph_scope"].to_pylist())
     assert "facts" in scopes and "status" in scopes and "ontology" in scopes
 

@@ -1,12 +1,19 @@
 """In-document ontology co-evolution: chunk i+1 must not re-define terms
 chunk i already added (ref criticise_ontology.py:82-92 — the shared manager
-mutates mid-document)."""
+mutates mid-document). Runs ``KGProcessDocs``'s per-chunk loop on chunk
+rows given as they are, in place of the chunker's output."""
 
 import pyarrow as pa
 
-from ontocast_ray.stages.extract import ExtractTriples
+from ontocast_ray.pipelines.kg import KGProcessDocs
 
 DOC_IRI = "https://example.com/doc/abcdefabcdef"
+
+
+def _stage():
+    stage = KGProcessDocs(ontology_seeds=[])
+    stage.chunker = lambda batch: batch  # the batches below are chunk rows
+    return stage
 
 
 def _batch(chunks):
@@ -22,7 +29,7 @@ def _batch(chunks):
 
 
 def test_second_chunk_sees_first_chunks_addendum():
-    stage = ExtractTriples(ontology_seeds=[], merge_to_hub=False)
+    stage = _stage()
     text = "Acme Corp is a company. Acme Corp employs 10 people."
     out = stage(_batch([text, text]))
 
@@ -43,7 +50,7 @@ def test_second_chunk_sees_first_chunks_addendum():
 
 def test_coevolution_is_doc_scoped():
     """A different document's chunks start from the base snapshot again."""
-    stage = ExtractTriples(ontology_seeds=[], merge_to_hub=False)
+    stage = _stage()
     text = "Acme Corp is a company."
     b1 = _batch([text])
     b2 = pa.table(

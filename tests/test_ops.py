@@ -301,11 +301,12 @@ def test_multimodal_plumbing(ray_session):
         MediaFeatureExtractor(decoder="real")(media)
 
 
-def test_jaccard_verify_matches_exact_oracle(ray_session, docs_table):
+def test_jaccard_verify_matches_exact_oracle(ray_session, docs_table, monkeypatch):
     """Distributed verify (bloom prune + shuffle join + bucket kernel) must
     equal a direct in-memory Jaccard over the same candidate pairs."""
     import ray.data
 
+    from ontocast_ray.ops import dedup
     from ontocast_ray.ops.dedup import _shingle_hashes, ngram_jaccard_verify
 
     docs = ray.data.from_arrow(docs_table)
@@ -332,17 +333,17 @@ def test_jaccard_verify_matches_exact_oracle(ray_session, docs_table):
     # both execution shapes — the driver-side small path (default) and the
     # distributed shuffle join (limit=0) — must produce identical results
     for limit in (5_000, 0):
-        out = ngram_jaccard_verify(
-            docs, pairs, threshold=0.3, shingle_k=3, small_pair_limit=limit
-        ).take_all()
+        monkeypatch.setattr(dedup, "_SMALL_PAIR_LIMIT", limit)
+        out = ngram_jaccard_verify(docs, pairs, threshold=0.3, shingle_k=3).take_all()
         got = {(r["doc_id_a"], r["doc_id_b"]): r["jaccard"] for r in out}
         assert got == expected, limit
         assert got[(0, 1)] == 1.0  # exact dup pair
 
 
-def test_jaccard_verify_empty_and_missing(ray_session, docs_table):
+def test_jaccard_verify_empty_and_missing(ray_session, docs_table, monkeypatch):
     import ray.data
 
+    from ontocast_ray.ops import dedup
     from ontocast_ray.ops.dedup import ngram_jaccard_verify
 
     docs = ray.data.from_arrow(docs_table)
@@ -357,9 +358,8 @@ def test_jaccard_verify_empty_and_missing(ray_session, docs_table):
                   "doc_id_b": pa.array([9999], type=pa.int64())})
     )
     for limit in (5_000, 0):
-        assert ngram_jaccard_verify(
-            docs, ghost, threshold=0.0, small_pair_limit=limit
-        ).take_all() == []
+        monkeypatch.setattr(dedup, "_SMALL_PAIR_LIMIT", limit)
+        assert ngram_jaccard_verify(docs, ghost, threshold=0.0).take_all() == []
 
 
 def test_bloom_filter_no_false_negatives():
@@ -558,13 +558,14 @@ def test_connected_components_scale_star_and_chain(ray_session):
     assert elapsed < 120, f"CC rounds took {elapsed:.0f}s — per-node dispatch?"
 
 
-def test_apply_keep_list_large_dropped_fraction(ray_session):
+def test_apply_keep_list_large_dropped_fraction(ray_session, monkeypatch):
     """Anti-join path: 40% of the corpus dropped — both the Bloom pass-
     through and the shuffle anti-join branches produce the exact survivor
     set, with full doc rows (multiple column types) intact."""
     import numpy as np
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import apply_keep_list
 
     n = 5_000
@@ -589,11 +590,10 @@ def test_apply_keep_list_large_dropped_fraction(ray_session):
         )
     )
     # broadcast fast path (default limit) and the Bloom+shuffle anti-join
-    # scale path (broadcast_limit=0) must produce the identical survivor set
+    # scale path (a 0 limit) must produce the identical survivor set
     out = apply_keep_list(docs, keep_list).take_all()
-    out_shuffle = apply_keep_list(
-        docs, keep_list, broadcast_limit=0
-    ).take_all()
+    monkeypatch.setattr(graph_cc, "_KEEP_LIST_BROADCAST", 0)
+    out_shuffle = apply_keep_list(docs, keep_list).take_all()
     assert {r["doc_id"] for r in out} == set(ids[~dropped_mask].tolist())
     assert {r["doc_id"] for r in out_shuffle} == {r["doc_id"] for r in out}
     by_id = {r["doc_id"]: r for r in out}
@@ -1812,9 +1812,10 @@ def test_semdedup_oversized_cluster_guard_exact(ray_session):
     assert keep[2] and not keep[40] and not keep[73]
 
 
-def test_pagerank_int_both_paths_match_spec(ray_session):
+def test_pagerank_int_both_paths_match_spec(ray_session, monkeypatch):
     import ray.data
 
+    from ontocast_ray.ops import pagerank
     from ontocast_ray.ops.pagerank import pagerank_int
 
     # toy directed graph with a dangling node (3 has no out-edges)
@@ -1845,12 +1846,8 @@ def test_pagerank_int_both_paths_match_spec(ray_session):
     # driver fallback (default) and distributed path (limit=0) must both
     # reproduce the spec exactly
     for limit in (2_000_000, 0):
-        out = {
-            row["node"]: row["rank"]
-            for row in pagerank_int(
-                edges, n_iters=3, small_edge_limit=limit
-            ).take_all()
-        }
+        monkeypatch.setattr(pagerank, "_SMALL_EDGE_LIMIT", limit)
+        out = {row["node"]: row["rank"] for row in pagerank_int(edges, n_iters=3).take_all()}
         assert out == r, limit
     # dangling node still accumulates teleport + redistributed mass
     assert r[3] > 0
@@ -1978,7 +1975,7 @@ def test_group_minmax_scale_and_pivot(ray_session):
     )
 
 
-def test_triangle_count_matches_bruteforce(ray_session):
+def test_triangle_count_matches_bruteforce(ray_session, monkeypatch):
     """Degree-ordered wedge count == itertools brute force on random
     graphs, incl. duplicate/reversed input edges and the empty graph."""
     from itertools import combinations
@@ -1986,6 +1983,7 @@ def test_triangle_count_matches_bruteforce(ray_session):
     import numpy as np
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import triangle_count
 
     rng = np.random.default_rng(31)
@@ -2011,11 +2009,9 @@ def test_triangle_count_matches_bruteforce(ray_session):
              "v": pa.array(np.concatenate([v, u]))}
         )
         for limit in (2_000_000, 0):
+            monkeypatch.setattr(graph_cc, "_SMALL_EDGE_LIMIT", limit)
             got = (
-                triangle_count(
-                    ray.data.from_arrow(t).repartition(5), n_parts=4,
-                    small_edge_limit=limit,
-                )
+                triangle_count(ray.data.from_arrow(t).repartition(5), n_parts=4)
                 .to_pandas()["n_triangles"].iloc[0]
             )
             assert got == exp, (trial, limit, got, exp)
@@ -3508,22 +3504,23 @@ def test_quantile_bucketize(ray_session):
     assert (np.diff(s["bucket"].to_numpy()) >= 0).all()
 
 
-def test_personalized_pagerank_paths_agree(ray_session):
+def test_personalized_pagerank_paths_agree(ray_session, monkeypatch):
     """Driver fallback and the distributed rounds produce identical PPR;
     non-seed sinks get zero teleport."""
     import ray
 
+    from ontocast_ray.ops import pagerank
     from ontocast_ray.ops.pagerank import pagerank_int
 
     # 1 -> 2 -> 3 (odd sink), 4 -> 2; seeds = even nodes {2, 4}
     edges = pd.DataFrame({"src": [1, 2, 4], "dst": [2, 3, 2]})
     outs = []
     for limit in (2_000_000, 0):   # driver path, then forced distributed
+        monkeypatch.setattr(pagerank, "_SMALL_EDGE_LIMIT", limit)
         out = (
             pagerank_int(
                 ray.data.from_pandas(edges).repartition(2),
-                n_iters=3, seed_mod=2, seed_rem=0,
-                small_edge_limit=limit, n_parts=4,
+                n_iters=3, seed_mod=2, seed_rem=0, n_parts=4,
             ).to_pandas().sort_values("node").reset_index(drop=True)
         )
         outs.append(out)
@@ -3853,12 +3850,13 @@ def test_cdc_chunk_dup_realigns_after_shift(ray_session):
     assert 10 < out.loc[1, "n_chunks"] < 150
 
 
-def test_k_core_peels_to_fixpoint(ray_session):
+def test_k_core_peels_to_fixpoint(ray_session, monkeypatch):
     """A 4-clique with pendant chains: 2-core = the clique exactly (chains
     peel away layer by layer, exercising the cascade), every survivor's
     degree >= k."""
     import ray
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import k_core
 
     und = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),  # 4-clique
@@ -3874,10 +3872,10 @@ def test_k_core_peels_to_fixpoint(ray_session):
     assert out["node"].tolist() == [0, 1, 2, 3]
     assert out["degree"].tolist() == [3, 3, 3, 3]
 
-    # anti-join scale path (broadcast_limit=0) must match the fast path
+    # anti-join scale path (a 0 limit) must match the fast path
+    monkeypatch.setattr(graph_cc, "_BROADCAST_LIMIT", 0)
     scale = (
-        k_core(ray.data.from_arrow(tbl).repartition(3), k=2, n_parts=4,
-               broadcast_limit=0)
+        k_core(ray.data.from_arrow(tbl).repartition(3), k=2, n_parts=4)
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, scale)
@@ -4280,11 +4278,12 @@ def test_wordset_dedup_order_and_multiplicity_insensitive(ray_session):
     assert 2 not in out.index
 
 
-def test_dedup_keep_best_paths_agree(ray_session):
+def test_dedup_keep_best_paths_agree(ray_session, monkeypatch):
     """Broadcast winner-map fast path ≡ hash_join+pick scale path
-    (broadcast_limit=0), including unscored members and ties."""
+    (a 0 limit), including unscored members and ties."""
     import ray
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import dedup_keep_best
 
     pairs = pd.DataFrame({
@@ -4297,11 +4296,12 @@ def test_dedup_keep_best_paths_agree(ray_session):
     })
     outs = []
     for limit in (1_000_000, 0):
+        monkeypatch.setattr(graph_cc, "_KEEP_BEST_BROADCAST", limit)
         outs.append(
             dedup_keep_best(
                 ray.data.from_pandas(pairs).repartition(2),
                 ray.data.from_pandas(scores).repartition(2),
-                score_col="q", n_parts=4, broadcast_limit=limit,
+                score_col="q", n_parts=4,
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -4439,13 +4439,16 @@ def _closure_expected(parents: dict[int, int]) -> set[tuple[int, int, int]]:
 
 
 @pytest.mark.parametrize("broadcast_limit", [2_000_000, 0])
-def test_ancestor_closure_both_paths(ray_session, broadcast_limit):
+def test_ancestor_closure_both_paths(ray_session, monkeypatch, broadcast_limit):
     """Recursive doubling must emit every (node, ancestor, depth) exactly
     once, on the broadcast fast path AND the shuffle-join scale path
-    (broadcast_limit=0), over a deep chain + a branchy forest."""
+    (a 0 limit), over a deep chain + a branchy forest."""
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import ancestor_closure
+
+    monkeypatch.setattr(graph_cc, "_BROADCAST_LIMIT", broadcast_limit)
 
     parents = {i: i - 1 for i in range(1, 12)}      # depth-11 chain
     parents.update({100 + i: (100 + i - 1) // 3 * 1 for i in range(1, 9)})
@@ -4455,10 +4458,7 @@ def test_ancestor_closure_both_paths(ray_session, broadcast_limit):
         "child": pa.array(list(parents), type=pa.int64()),
         "parent": pa.array(list(parents.values()), type=pa.int64()),
     })
-    out = ancestor_closure(
-        ray.data.from_arrow(edges), n_parts=4,
-        broadcast_limit=broadcast_limit,
-    ).to_pandas()
+    out = ancestor_closure(ray.data.from_arrow(edges), n_parts=4).to_pandas()
     got = set(map(tuple, out[["node", "ancestor", "depth"]].itertuples(
         index=False)))
     assert got == _closure_expected(parents)
@@ -4556,11 +4556,12 @@ def test_broadcast_join_int_inner(ray_session):
     assert out["payload"].tolist() == ["a", "b", "d", "c"]
 
 
-def test_deterministic_walks_paths_agree(ray_session):
-    """Driver fast path ≡ distributed-join path (small_edge_limit=0) —
+def test_deterministic_walks_paths_agree(ray_session, monkeypatch):
+    """Driver fast path ≡ distributed-join path (a 0 limit) —
     same walk corpus row for row; dead-end nodes stop walking."""
     import ray.data
 
+    from ontocast_ray.ops import walks
     from ontocast_ray.ops.walks import deterministic_walks
 
     edges = pa.table({
@@ -4571,11 +4572,9 @@ def test_deterministic_walks_paths_agree(ray_session):
         deterministic_walks(ray.data.from_arrow(edges), n_steps=3, seed=41)
         .to_pandas().sort_values(["start", "step"]).reset_index(drop=True)
     )
+    monkeypatch.setattr(walks, "_SMALL_EDGE_LIMIT", 0)
     b = (
-        deterministic_walks(
-            ray.data.from_arrow(edges), n_steps=3, seed=41,
-            n_parts=2, small_edge_limit=0,
-        )
+        deterministic_walks(ray.data.from_arrow(edges), n_steps=3, seed=41, n_parts=2)
         .to_pandas().sort_values(["start", "step"]).reset_index(drop=True)
     )
     assert a.equals(b), (a, b)
@@ -4584,11 +4583,12 @@ def test_deterministic_walks_paths_agree(ray_session):
             == a[a["step"] == 0]["start"].to_numpy()).all()
 
 
-def test_deterministic_walks_reject_steps_past_draw_key_bound(ray_session):
+def test_deterministic_walks_reject_steps_past_draw_key_bound(ray_session, monkeypatch):
     """The draw key node*4 + step collides across nodes from step 5 on, so
     both paths refuse n_steps > 3 instead of drawing correlated hops."""
     import ray.data
 
+    from ontocast_ray.ops import walks
     from ontocast_ray.ops.walks import deterministic_walks
 
     edges = ray.data.from_arrow(pa.table({
@@ -4596,8 +4596,9 @@ def test_deterministic_walks_reject_steps_past_draw_key_bound(ray_session):
         "dst": pa.array([2, 1], type=pa.int64()),
     }))
     for limit in (2_000_000, 0):  # driver fast path, distributed joins
+        monkeypatch.setattr(walks, "_SMALL_EDGE_LIMIT", limit)
         with pytest.raises(ValueError, match="draw-key bound"):
-            deterministic_walks(edges, n_steps=4, small_edge_limit=limit)
+            deterministic_walks(edges, n_steps=4)
 
 
 def test_bpe_train_reference_and_roundtrip(ray_session):

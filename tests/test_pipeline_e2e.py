@@ -71,8 +71,6 @@ def test_kg_pipeline_end_to_end(ray_session, corpus, tmp_path):
     docs = ray.data.from_arrow(corpus)
     triples = build_kg_pipeline(
         docs,
-        chunk_concurrency=2,
-        extract_concurrency=2,
         min_chunk_size=200,
         max_chunk_size=2000,
     )
@@ -117,13 +115,11 @@ def test_resumable_writes(ray_session, corpus, tmp_path):
     docs = ray.data.from_arrow(corpus)
     stats1 = run_resumable(
         docs, out, n_shards=4, min_chunk_size=200, max_chunk_size=2000,
-        chunk_concurrency=2, extract_concurrency=2,
     )
     assert stats1["shards_run"] == 4 and stats1["shards_skipped"] == 0
     # second run: everything skipped (idempotent resume)
     stats2 = run_resumable(
         docs, out, n_shards=4, min_chunk_size=200, max_chunk_size=2000,
-        chunk_concurrency=2, extract_concurrency=2,
     )
     assert stats2["shards_run"] == 0 and stats2["shards_skipped"] == 4
 
@@ -148,8 +144,7 @@ def test_resumable_writes(ray_session, corpus, tmp_path):
     assert stats2["rows_written"] == 0 and stats2["blocks"] == 0
 
 
-RESUME_KW = dict(n_shards=4, min_chunk_size=200, max_chunk_size=2000,
-                 chunk_concurrency=2, extract_concurrency=2)
+RESUME_KW = dict(n_shards=4, min_chunk_size=200, max_chunk_size=2000)
 
 
 def _triple_multiset(out_dir):
