@@ -88,10 +88,7 @@ def _q_kg_chunks(sf_dir: str):
     docs = _kg_docs(sf_dir)
     ds = docs.map_batches(assemble_spans, batch_format="pyarrow")
     ds = ds.map_batches(
-        ChunkDocuments,
-        fn_constructor_kwargs={"min_chunk_size": 200, "max_chunk_size": 2000},
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        ChunkDocuments(min_chunk_size=200, max_chunk_size=2000), batch_format="pyarrow"
     )
     return ds.select_columns(["doc_id", "doc_hid", "chunk_idx", "chunk_hid"])
 
@@ -177,12 +174,7 @@ def _q_customers_by_region(sf_dir: str):
     lookup_ref = ray.put({nk: region[rk] for nk, rk in nation.items()})
     customers = _read(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
     joined = customers.map_batches(
-        BroadcastLookup,
-        fn_constructor_kwargs={
-            "lookup_ref": lookup_ref, "key_col": "c_nationkey", "out_col": "r_name",
-        },
-        batch_format="pyarrow",
-        concurrency=(1, 4),
+        BroadcastLookup(lookup_ref, "c_nationkey", "r_name"), batch_format="pyarrow"
     )
     return joined.groupby("r_name").aggregate(
         Count(alias_name="n_customers"),
@@ -1433,7 +1425,7 @@ def _q_lang_id(sf_dir: str):
     from ontocast_ray.ops.text import LangId
 
     return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
-        LangId, batch_format="pyarrow", concurrency=(1, 2)
+        LangId(), batch_format="pyarrow"
     )
 
 
@@ -3482,9 +3474,9 @@ def _q_langid_confusion(sf_dir: str):
     from ontocast_ray.ops.text import LangId
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-    pred = docs.map_batches(
-        LangId, batch_format="pyarrow", concurrency=(1, 2)
-    ).select_columns(["doc_id", "lang_pred"])
+    pred = docs.map_batches(LangId(), batch_format="pyarrow").select_columns(
+        ["doc_id", "lang_pred"]
+    )
     declared = docs.select_columns(["doc_id", "lang"])
     joined = hash_join(
         declared, pred,

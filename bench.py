@@ -152,7 +152,7 @@ def run_knn() -> int:
     emb = _read("embeddings", columns=["vec_id", "embedding"])
     qrows = emb.limit(8).take_all()
     queries = np.array([r["embedding"] for r in qrows], dtype=np.float64)
-    return knn_bruteforce(emb, queries, k=10, concurrency=max(2, NUM_CPUS // 4)).count()
+    return knn_bruteforce(emb, queries, k=10).count()
 
 
 # The headline legs, in order; ``value`` is their summed wall time.

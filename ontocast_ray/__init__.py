@@ -4,8 +4,8 @@ A from-scratch reimplementation of the query/data-processing capabilities of
 genericrobot77/ontocast (reference at /root/reference) on top of
 ``ray.data.Dataset``: streaming reads of interleaved text+media document
 tables, span-aware semantic chunking, deterministic/LLM-pluggable triple
-extraction in actor pools, entity/predicate canonicalization via per-document
-``groupby.map_groups`` (plus a salted cross-doc merge path), and partitioned,
+extraction and per-document entity/predicate canonicalization in one fused
+task map (plus a cross-doc merge path), and partitioned,
 resumable Parquet sinks with per-partition lineage manifests.
 
 This is NOT a port of the reference's LangGraph engine; only its *semantics*

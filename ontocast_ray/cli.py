@@ -187,13 +187,10 @@ def cmd_chunk(args: argparse.Namespace) -> int:
                          "spans": batch["spans"]})
 
     chunks = docs.map_batches(to_text, batch_format="pyarrow").map_batches(
-        ChunkDocuments,
-        fn_constructor_kwargs={
-            "min_chunk_size": args.min_chunk_size,
-            "max_chunk_size": args.max_chunk_size,
-        },
+        ChunkDocuments(
+            min_chunk_size=args.min_chunk_size, max_chunk_size=args.max_chunk_size
+        ),
         batch_format="pyarrow",
-        concurrency=(1, 4),
     )
     by_doc: dict[str, list] = {}
     for row in chunks.sort(["doc_id", "chunk_idx"]).iter_rows():

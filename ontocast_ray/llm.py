@@ -12,10 +12,9 @@ protocol so extraction stages can host either:
   / ONTOCAST_LLM_MODEL); the sandbox has no network, so this path is
   exercised only structurally.
 
-Actors receive a *factory* (module-level callable + kwargs), never a live
+Stages receive a *factory* (module-level callable + kwargs), never a live
 client — clients are constructed inside ``__init__`` on the worker, once per
-actor, which is the actor-pool pattern the whole engine uses for stateful
-stages.
+processor (the KG task path caches one processor per worker process).
 """
 
 from __future__ import annotations

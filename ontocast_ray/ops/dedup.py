@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
-from ontocast_ray.util import pool, to_arrow_type, vectors_2d
+from ontocast_ray.util import to_arrow_type, vectors_2d
 
 _WS = re.compile(r"\s+")
 
@@ -611,41 +611,38 @@ def ngram_jaccard_verify(
             schema=schema,
         )
 
-    class ShingleRows:
-        """Bloom-pruned shingle extraction (bitmap fetched once per worker)."""
-
-        def __init__(self):
-            self.bloom = ray.get(bloom_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            if len(ids) == 0:
-                return schema.empty_table()
-            mask = _bloom_contains(self.bloom, ids, _BLOOM_BITS)
-            sub = batch.filter(pa.array(mask))
-            texts = sub["text"].to_pylist()
-            # one hash_array call for ALL surviving docs, then per-doc folds
-            word_hashes, ranges, empty = _word_hashes_batch(texts)
-            blobs = [
-                (np.zeros(1, dtype=np.uint64) if empty[i]
-                 else _fold_kgrams(word_hashes[s:e], shingle_k)).tobytes()
-                for i, (s, e) in enumerate(ranges)
-            ]
-            sub_ids = sub["doc_id"]
-            n = len(texts)
-            return pa.Table.from_arrays(
-                [
-                    pa.array(np.ones(n, dtype=np.int8)),
-                    sub_ids.combine_chunks(),
-                    sub_ids.combine_chunks(),  # unused for kind=1
-                    sub_ids.combine_chunks(),
-                    pa.array(blobs, type=pa.binary()),
-                ],
-                schema=schema,
-            )
+    def shingle_rows(batch: pa.Table) -> pa.Table:
+        """Bloom-pruned shingle extraction. The 1 MiB bitmap stays behind
+        its ref: ``ray.get`` of a NumPy array reads the object store
+        without a copy, so the task does not carry it."""
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        if len(ids) == 0:
+            return schema.empty_table()
+        mask = _bloom_contains(ray.get(bloom_ref), ids, _BLOOM_BITS)
+        sub = batch.filter(pa.array(mask))
+        texts = sub["text"].to_pylist()
+        # one hash_array call for ALL surviving docs, then per-doc folds
+        word_hashes, ranges, empty = _word_hashes_batch(texts)
+        blobs = [
+            (np.zeros(1, dtype=np.uint64) if empty[i]
+             else _fold_kgrams(word_hashes[s:e], shingle_k)).tobytes()
+            for i, (s, e) in enumerate(ranges)
+        ]
+        sub_ids = sub["doc_id"]
+        n = len(texts)
+        return pa.Table.from_arrays(
+            [
+                pa.array(np.ones(n, dtype=np.int8)),
+                sub_ids.combine_chunks(),
+                sub_ids.combine_chunks(),  # unused for kind=1
+                sub_ids.combine_chunks(),
+                pa.array(blobs, type=pa.binary()),
+            ],
+            schema=schema,
+        )
 
     requests = pairs.map_batches(request_rows, batch_format="pyarrow")
-    shingle_rows = docs.map_batches(ShingleRows, batch_format="pyarrow", concurrency=pool(4))
+    shingles = docs.map_batches(shingle_rows, batch_format="pyarrow")
 
     def join_kernel(group: pd.DataFrame) -> pa.Table:
         have = group[group["kind"] == 1]
@@ -662,7 +659,7 @@ def ngram_jaccard_verify(
             }
         )
 
-    joined = shuffle_by(requests.union(shingle_rows), "doc_id", join_kernel, n_parts)
+    joined = shuffle_by(requests.union(shingles), "doc_id", join_kernel, n_parts)
 
     def verify_kernel(group: pd.DataFrame) -> pa.Table:
         out_a, out_b, sims = [], [], []
@@ -956,42 +953,34 @@ def embedding_dedup_candidates(
     if ppb > 56:
         raise ValueError("planes per band must fit a packed uint64 with band tag")
 
-    import ray
-
-    planes_ref = ray.put(planes)
-
-    class Bucketer:
-        def __init__(self, planes_ref):
-            self.planes = ray.get(planes_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            if n == 0:
-                return pa.table(
-                    {"bucket": pa.array([], type=pa.int64()),
-                     id_col: pa.array([], type=batch[id_col].type),
-                     vec_col: pa.array([], type=batch[vec_col].type)}
-                )
-            vecs = vectors_2d(batch[vec_col])
-            signs = (vecs @ self.planes) > 0  # (n, n_planes)
-            keys = np.empty((n, bands), dtype=np.uint64)
-            for b in range(bands):
-                sub = signs[:, b * ppb:(b + 1) * ppb]
-                packed = np.packbits(sub, axis=1, bitorder="little")  # (n, ceil(ppb/8))
-                padded = np.zeros((n, 8), dtype=np.uint8)
-                padded[:, : packed.shape[1]] = packed
-                keys[:, b] = padded.view(np.uint64).reshape(-1) | (
-                    np.uint64(b) << np.uint64(56)
-                )
-            flat = keys.reshape(-1)
-            idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
+    def bucketer(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        if n == 0:
             return pa.table(
-                {
-                    "bucket": pa.array(flat.view(np.int64)),
-                    id_col: batch[id_col].take(idx),
-                    vec_col: batch[vec_col].take(idx),
-                }
+                {"bucket": pa.array([], type=pa.int64()),
+                 id_col: pa.array([], type=batch[id_col].type),
+                 vec_col: pa.array([], type=batch[vec_col].type)}
             )
+        vecs = vectors_2d(batch[vec_col])
+        signs = (vecs @ planes) > 0  # (n, n_planes)
+        keys = np.empty((n, bands), dtype=np.uint64)
+        for b in range(bands):
+            sub = signs[:, b * ppb:(b + 1) * ppb]
+            packed = np.packbits(sub, axis=1, bitorder="little")  # (n, ceil(ppb/8))
+            padded = np.zeros((n, 8), dtype=np.uint8)
+            padded[:, : packed.shape[1]] = packed
+            keys[:, b] = padded.view(np.uint64).reshape(-1) | (
+                np.uint64(b) << np.uint64(56)
+            )
+        flat = keys.reshape(-1)
+        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), bands))
+        return pa.table(
+            {
+                "bucket": pa.array(flat.view(np.int64)),
+                id_col: batch[id_col].take(idx),
+                vec_col: batch[vec_col].take(idx),
+            }
+        )
 
     def bucket_pairs_partition(group: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out, s_out = [], [], []
@@ -1009,10 +998,8 @@ def embedding_dedup_candidates(
             s_out.extend(s)
         return pd.DataFrame({"id_a": a_out, "id_b": b_out, "cosine": s_out})
 
-    bucketed = embeddings.map_batches(
-        Bucketer, fn_constructor_kwargs={"planes_ref": planes_ref},
-        batch_format="pyarrow", concurrency=pool(2),
-    )
+    # the (dim, n_planes) planes are small: they ship with the task
+    bucketed = embeddings.map_batches(bucketer, batch_format="pyarrow")
     pairs = shuffle_by(bucketed, "bucket", bucket_pairs_partition, n_parts)
     # a pair can surface from more than one band's bucket → distinct
     return _pair_max_cosine(pairs, n_parts)

@@ -406,22 +406,18 @@ def apply_keep_list(
         )
         drop_ref = ray.put(drop_sorted)
 
-        class KeepByBroadcast:
-            """Exact map-side anti-filter against the broadcast id array."""
+        def keep_by_broadcast(batch: pa.Table) -> pa.Table:
+            """Exact map-side anti-filter against the broadcast id array
+            (up to 40 MB: fetched from the object store, never pickled
+            into the task)."""
+            drop = ray.get(drop_ref)
+            ids = batch[id_col].to_numpy(zero_copy_only=False)
+            pos = np.searchsorted(drop, ids)
+            pos[pos >= len(drop)] = len(drop) - 1
+            hit = drop[pos] == ids
+            return batch.filter(pa.array(~hit))
 
-            def __init__(self):
-                self.drop = ray.get(drop_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                ids = batch[id_col].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(self.drop, ids)
-                pos[pos >= len(self.drop)] = len(self.drop) - 1
-                hit = self.drop[pos] == ids
-                return batch.filter(pa.array(~hit))
-
-        return docs.map_batches(
-            KeepByBroadcast, batch_format="pyarrow", concurrency=(1, 8)
-        )
+        return docs.map_batches(keep_by_broadcast, batch_format="pyarrow")
 
     from ontocast_ray.util import to_arrow_type
 
@@ -433,26 +429,16 @@ def apply_keep_list(
     ]
     id_type = dict(doc_fields)[id_col]
 
-    class PassThrough:
+    def pass_through(batch: pa.Table) -> pa.Table:
         """Docs whose id misses the Bloom: keep, no shuffle."""
+        hit = _bloom_contains(ray.get(bloom_ref), batch[id_col], _BLOOM_BITS)
+        return batch.filter(pa.array(~hit))
 
-        def __init__(self):
-            self.bloom = ray.get(bloom_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            hit = _bloom_contains(self.bloom, batch[id_col], _BLOOM_BITS)
-            return batch.filter(pa.array(~hit))
-
-    class MaybeDropped:
+    def maybe_dropped(batch: pa.Table) -> pa.Table:
         """Docs whose id hits the Bloom: tag with kind=0 for the join."""
-
-        def __init__(self):
-            self.bloom = ray.get(bloom_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            hit = _bloom_contains(self.bloom, batch[id_col], _BLOOM_BITS)
-            b = batch.filter(pa.array(hit))
-            return b.append_column("__kind", pa.array(np.zeros(len(b), dtype=np.int8)))
+        hit = _bloom_contains(ray.get(bloom_ref), batch[id_col], _BLOOM_BITS)
+        b = batch.filter(pa.array(hit))
+        return b.append_column("__kind", pa.array(np.zeros(len(b), dtype=np.int8)))
 
     def dropped_rows(batch: pa.Table) -> pa.Table:
         """Dropped ids null-padded to the doc schema + kind=1."""
@@ -473,8 +459,8 @@ def apply_keep_list(
             keep &= ~pd.Series(ids).isin(drop_ids).to_numpy()
         return part.filter(pa.array(keep)).drop_columns(["__kind"])
 
-    kept_fast = docs.map_batches(PassThrough, batch_format="pyarrow", concurrency=(1, 8))
-    maybe = docs.map_batches(MaybeDropped, batch_format="pyarrow", concurrency=(1, 8))
+    kept_fast = docs.map_batches(pass_through, batch_format="pyarrow")
+    maybe = docs.map_batches(maybe_dropped, batch_format="pyarrow")
     verified = shuffle_by(
         maybe.union(dropped.map_batches(dropped_rows, batch_format="pyarrow")),
         id_col,

@@ -26,17 +26,23 @@ def collect_lookup(ds: "ray.data.Dataset", key_col: str, value_col: str) -> dict
 class BroadcastLookup:
     """map_batches stage: append ``out_col`` = lookup[batch[key_col]].
 
-    The dict ships via the object store once per actor/worker, not per batch.
+    Map with an instance (``map_batches(BroadcastLookup(ref, ...))``): it
+    runs as a task. The instance holds only the ``ray.put`` ref, so the
+    dict is not pickled into the task; each instance copy resolves it on
+    its first batch and keeps it for the rest.
     """
 
     def __init__(self, lookup_ref, key_col: str, out_col: str):
-        self.lookup = ray.get(lookup_ref)
+        self.lookup_ref = lookup_ref
+        self.lookup = None
         self.key_col = key_col
         self.out_col = out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pandas as pd
 
+        if self.lookup is None:
+            self.lookup = ray.get(self.lookup_ref)
         # Series.map factorizes the keys once and takes from the dict's
         # value array — vectorized, no per-row Python dict.get loop
         mapped = pd.Series(batch[self.key_col].to_pandas()).map(self.lookup)
@@ -51,21 +57,11 @@ def broadcast_join(
     key_col: str,
     value_col: str,
     out_col: str,
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """big ⋈ small on key_col, small side broadcast (no shuffle of big)."""
-    from ontocast_ray.util import pool
-
     lookup_ref = ray.put(collect_lookup(small, key_col, value_col))
     return big.map_batches(
-        BroadcastLookup,
-        fn_constructor_kwargs={
-            "lookup_ref": lookup_ref,
-            "key_col": key_col,
-            "out_col": out_col,
-        },
-        batch_format="pyarrow",
-        concurrency=pool(concurrency),
+        BroadcastLookup(lookup_ref, key_col, out_col), batch_format="pyarrow"
     )
 
 
@@ -355,7 +351,6 @@ def broadcast_range_join(
     intervals: list[tuple],
     value_col: str,
     out_col: str = "band",
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Inner range join against a small interval table — broadcast, no shuffle.
 
@@ -365,36 +360,24 @@ def broadcast_range_join(
     the classic small-side interval lookup). Non-matching rows drop (inner
     join semantics, mirroring SQL ``JOIN ON v >= lo AND v < hi``).
     """
-    import numpy as np
-
-    from ontocast_ray.util import pool
-
     los = np.array([iv[0] for iv in intervals], dtype=np.float64)
     his = np.array([iv[1] for iv in intervals], dtype=np.float64)
     labels = np.array([iv[2] for iv in intervals], dtype=object)
     if not (np.all(np.diff(los) > 0) and np.all(los < his)):
         raise ValueError("intervals must be sorted and well-formed")
-    table_ref = ray.put((los, his, labels))
 
-    class RangeLookup:
-        def __init__(self):
-            self.los, self.his, self.labels = ray.get(table_ref)
+    def range_lookup(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
+            return batch.append_column(out_col, pa.array([], type=pa.string()))
+        v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        idx = np.searchsorted(los, v, side="right") - 1
+        valid = (idx >= 0) & (v < his[np.clip(idx, 0, len(his) - 1)])
+        sub = batch.filter(pa.array(valid))
+        out_labels = labels[idx[valid]]
+        return sub.append_column(out_col, pa.array(out_labels, type=pa.string()))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return batch.append_column(out_col, pa.array([], type=pa.string()))
-            import numpy as np
-
-            v = batch[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-            idx = np.searchsorted(self.los, v, side="right") - 1
-            valid = (idx >= 0) & (v < self.his[np.clip(idx, 0, len(self.his) - 1)])
-            sub = batch.filter(pa.array(valid))
-            out_labels = self.labels[idx[valid]]
-            return sub.append_column(out_col, pa.array(out_labels, type=pa.string()))
-
-    return big.map_batches(
-        RangeLookup, batch_format="pyarrow", concurrency=pool(concurrency)
-    )
+    # the interval table is small: it ships with the task
+    return big.map_batches(range_lookup, batch_format="pyarrow")
 
 
 def skew_join(

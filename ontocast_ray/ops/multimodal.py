@@ -23,7 +23,6 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
-from ontocast_ray.util import pool
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -89,11 +88,12 @@ def synth_media_table(n: int = 64, seed: int = 9) -> pa.Table:
 
 
 class MediaFeatureExtractor:
-    """Actor-pool map_batches stage: decode → feature-extract media payloads.
+    """map_batches stage, mapped as a task with an instance: decode →
+    feature-extract media payloads.
 
     Large binary payloads need SMALL batch sizes: size ``batch_size`` so
-    batch_bytes × concurrency fits the worker heap (documented contract; the
-    pipeline builder passes batch_size explicitly).
+    batch bytes × concurrent tasks fits the worker heap (documented
+    contract; the pipeline builder passes batch_size explicitly).
     """
 
     def __init__(self, decoder: str = "fake", feature_dim: int = 32):
@@ -103,8 +103,9 @@ class MediaFeatureExtractor:
             raise ValueError("raw features need feature_dim >= 4")
         self.decoder = decoder
         self.feature_dim = feature_dim
-        # model-load slot: in a real deployment the vision/audio model loads
-        # here, once per actor.
+        # no model loads here: every backend is a pure function of the
+        # payload. A backend that loads a vision/audio model would need an
+        # actor pool to load it once per worker.
 
     def _decode_real(self, kind: str, payload: bytes) -> np.ndarray:
         raise NotImplementedError(
@@ -195,20 +196,18 @@ def extract_media_features(
     decoder: str = "fake",
     feature_dim: int = 32,
     batch_size: int = 16,
-    concurrency: int = 2,
 ):
     """Dataset-level wrapper (small batches: payloads are large binaries)."""
     return media.map_batches(
-        MediaFeatureExtractor,
-        fn_constructor_kwargs={"decoder": decoder, "feature_dim": feature_dim},
+        MediaFeatureExtractor(decoder, feature_dim),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool(concurrency),
     )
 
 
 class ImageResizer:
-    """Actor-pool resize stage: payload → resized payload + updated dims.
+    """Resize stage, mapped as a task with an instance: payload → resized
+    payload + updated dims.
 
     ``backend="fake"`` emits a deterministic byte transform (truncated
     payload hash-extended to a size proportional to the target area) so the
@@ -286,7 +285,8 @@ class ImageResizer:
 
 
 class FrameSampler:
-    """Actor-pool frame-sampling stage: one video row → N frame rows.
+    """Frame-sampling stage, mapped as a task with an instance: one video
+    row → N frame rows.
 
     Emits evenly-spaced frame timestamps over duration_ms with a
     deterministic fake frame payload per (video, timestamp);
@@ -371,23 +371,19 @@ class FrameSampler:
 
 
 def resize_images(media, target_w: int = 64, target_h: int = 64,
-                  backend: str = "fake", batch_size: int = 16, concurrency: int = 2):
+                  backend: str = "fake", batch_size: int = 16):
     """Dataset wrapper (small batches: payloads are large binaries)."""
     return media.map_batches(
-        ImageResizer,
-        fn_constructor_kwargs={"target_w": target_w, "target_h": target_h,
-                               "backend": backend},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=pool(concurrency),
+        ImageResizer(target_w, target_h, backend),
+        batch_format="pyarrow", batch_size=batch_size,
     )
 
 
 def sample_frames(media, n_frames: int = 4, backend: str = "fake",
-                  batch_size: int = 8, concurrency: int = 2):
+                  batch_size: int = 8):
     """Dataset wrapper: video rows fan out to frame rows (small batches)."""
     return media.map_batches(
-        FrameSampler,
-        fn_constructor_kwargs={"n_frames": n_frames, "backend": backend},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=pool(concurrency),
+        FrameSampler(n_frames, backend), batch_format="pyarrow", batch_size=batch_size
     )
 
 

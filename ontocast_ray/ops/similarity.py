@@ -1,13 +1,18 @@
 """Similarity search over an embedding column (``list<float>``).
 
-- ``knn_bruteforce``: exact cosine top-k. The query matrix is broadcast once
-  (``ray.put``), every batch computes a vectorized matmul against it and
+- ``knn_bruteforce``: exact cosine top-k. The query matrix ships with the
+  map task, every batch computes a vectorized matmul against it and
   emits per-batch PARTIAL top-k rows; a single small groupby(query_id) merge
   picks the global top-k. The shuffle moves k rows per (query, batch) — not
   the corpus.
 - ``knn_ivf``: the scale path — seeded k-means-lite centroids (built from a
   driver-side sample), cluster assignment per batch, search only the
   ``n_probe`` closest clusters per query.
+
+Every per-batch stage here is a task map (a function, or an instance such
+as ``_PartialTopK(...)``): its state — query matrix, centroids, codebooks,
+lookup tables, candidate ids — is small and bounded by the query batch,
+so it ships with the task instead of paying an actor pool's spawn.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import ray
 import ray.data
 
 from ontocast_ray.ops.shuffle import shuffle_by
-from ontocast_ray.util import pool, vectors_2d
+from ontocast_ray.util import vectors_2d
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -30,8 +35,8 @@ def _normalize(mat: np.ndarray) -> np.ndarray:
 
 
 class _PartialTopK:
-    def __init__(self, queries_ref, k: int, id_col: str, vec_col: str):
-        self.queries = _normalize(np.asarray(ray.get(queries_ref), dtype=np.float32))
+    def __init__(self, query_matrix, k: int, id_col: str, vec_col: str):
+        self.queries = _normalize(np.asarray(query_matrix, dtype=np.float32))
         self.k = k
         self.id_col = id_col
         self.vec_col = vec_col
@@ -94,20 +99,10 @@ def knn_bruteforce(
     k: int = 10,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """→ (query_id, vec_id, cosine, rank): exact top-k per query row."""
-    queries_ref = ray.put(np.asarray(query_matrix, dtype=np.float32))
     partial = embeddings.map_batches(
-        _PartialTopK,
-        fn_constructor_kwargs={
-            "queries_ref": queries_ref,
-            "k": k,
-            "id_col": id_col,
-            "vec_col": vec_col,
-        },
-        batch_format="pyarrow",
-        concurrency=pool(concurrency),
+        _PartialTopK(query_matrix, k, id_col, vec_col), batch_format="pyarrow"
     )
     return _merged_topk(partial, _final_topk_factory(k, id_col))
 
@@ -161,24 +156,21 @@ def build_ivf_index(
     sample_rows = embeddings.limit(sample_size).take_all()
     sample = np.array([r[vec_col] for r in sample_rows], dtype=np.float32)
     centroids = kmeans_lite(sample, n_clusters, seed=seed)
-    centroids_ref = ray.put(centroids)
 
-    class Assign:
-        def __init__(self):
-            self.centroids = ray.get(centroids_ref)
+    def assign_cluster(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
+            out = batch.append_column("cluster", pa.array([], type=pa.int32()))
+            return out.append_column("cluster_id", pa.array([], type=pa.int32()))
+        vecs = _normalize(vectors_2d(batch[vec_col]))
+        assign = (vecs @ centroids.T).argmax(axis=1).astype(np.int32)
+        # "cluster" becomes the hive partition key (stripped from data
+        # files); "cluster_id" stays physical so probed reads see it
+        out = batch.append_column("cluster", pa.array(assign))
+        return out.append_column("cluster_id", pa.array(assign))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                out = batch.append_column("cluster", pa.array([], type=pa.int32()))
-                return out.append_column("cluster_id", pa.array([], type=pa.int32()))
-            vecs = _normalize(vectors_2d(batch[vec_col]))
-            assign = (vecs @ self.centroids.T).argmax(axis=1).astype(np.int32)
-            # "cluster" becomes the hive partition key (stripped from data
-            # files); "cluster_id" stays physical so probed reads see it
-            out = batch.append_column("cluster", pa.array(assign))
-            return out.append_column("cluster_id", pa.array(assign))
-
-    embeddings.map_batches(Assign, batch_format="pyarrow", concurrency=pool(4)).write_parquet(
+    # materialize: a task map fused into a min_rows_per_file write runs on
+    # input bundled up to that many rows, i.e. one task for a small corpus
+    embeddings.map_batches(assign_cluster, batch_format="pyarrow").materialize().write_parquet(
         index_dir, partition_cols=["cluster"], min_rows_per_file=min_rows_per_file
     )
     np.save(os.path.join(index_dir, "centroids.npy"), centroids)
@@ -210,7 +202,6 @@ def knn_ivf_search(
     n_probe: int = 4,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """ANN top-k over a built IVF index; reads only probed partitions."""
     import os
@@ -228,44 +219,39 @@ def knn_ivf_search(
                       "cosine": pa.array([], type=pa.float64()),
                       "rank": pa.array([], type=pa.int64())})
         )
-    queries_ref = ray.put(queries)
 
-    class ProbedTopK:
-        def __init__(self):
-            self.queries = ray.get(queries_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table({"query_id": pa.array([], type=pa.int64()),
-                                 id_col: batch[id_col],
-                                 "cosine": pa.array([], type=pa.float64())})
-            ids = np.asarray(batch[id_col].to_pylist())
-            vecs = _normalize(vectors_2d(batch[vec_col]))
-            assign = np.asarray(batch["cluster_id"].to_pylist())
-            q_out, id_out, s_out = [], [], []
-            for qi, probe in enumerate(probe_sets):
-                mask = np.isin(assign, list(probe))
-                if not mask.any():
-                    continue
-                sub = vecs[mask]
-                sub_ids = ids[mask]
-                sims = self.queries[qi] @ sub.T
-                kk = min(k, len(sub_ids))
-                for j in np.lexsort((sub_ids, -sims))[:kk]:  # tie-exact
-                    q_out.append(qi)
-                    id_out.append(sub_ids[j])
-                    s_out.append(float(sims[j]))
-            return pa.table(
-                {
-                    "query_id": pa.array(q_out, type=pa.int64()),
-                    id_col: pa.array(id_out),
-                    "cosine": pa.array(s_out, type=pa.float64()),
-                }
-            )
+    def probed_topk(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
+            return pa.table({"query_id": pa.array([], type=pa.int64()),
+                             id_col: batch[id_col],
+                             "cosine": pa.array([], type=pa.float64())})
+        ids = np.asarray(batch[id_col].to_pylist())
+        vecs = _normalize(vectors_2d(batch[vec_col]))
+        assign = np.asarray(batch["cluster_id"].to_pylist())
+        q_out, id_out, s_out = [], [], []
+        for qi, probe in enumerate(probe_sets):
+            mask = np.isin(assign, list(probe))
+            if not mask.any():
+                continue
+            sub = vecs[mask]
+            sub_ids = ids[mask]
+            sims = queries[qi] @ sub.T
+            kk = min(k, len(sub_ids))
+            for j in np.lexsort((sub_ids, -sims))[:kk]:  # tie-exact
+                q_out.append(qi)
+                id_out.append(sub_ids[j])
+                s_out.append(float(sims[j]))
+        return pa.table(
+            {
+                "query_id": pa.array(q_out, type=pa.int64()),
+                id_col: pa.array(id_out),
+                "cosine": pa.array(s_out, type=pa.float64()),
+            }
+        )
 
     partial = ray.data.read_parquet(
         paths, columns=[id_col, vec_col, "cluster_id"]
-    ).map_batches(ProbedTopK, batch_format="pyarrow", concurrency=pool(concurrency))
+    ).map_batches(probed_topk, batch_format="pyarrow")
     return _merged_topk(partial, _final_topk_factory(k, id_col))
 
 
@@ -279,7 +265,6 @@ def knn_ivf(
     seed: int = 3,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    concurrency: int = 4,
     index_dir: str | None = None,
 ) -> "ray.data.Dataset":
     """Build-then-search convenience: one-shot IVF ANN.
@@ -297,7 +282,7 @@ def knn_ivf(
     )
     return knn_ivf_search(
         index_dir, query_matrix, k=k, n_probe=n_probe,
-        id_col=id_col, vec_col=vec_col, concurrency=concurrency,
+        id_col=id_col, vec_col=vec_col,
     )
 
 
@@ -363,30 +348,24 @@ def build_pq_index(
     m uint8 codes, write the compact code table. Returns the codebooks."""
     import os
 
-    from ontocast_ray.util import vectors_2d
-
     sample_rows = embeddings.limit(sample_size).take_all()
     sample = np.array([r[vec_col] for r in sample_rows], dtype=np.float32)
     codebooks = train_pq(sample, m=m, n_codes=n_codes, seed=seed)
-    books_ref = ray.put(codebooks)
 
-    class Encode:
-        def __init__(self):
-            self.books = ray.get(books_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table({id_col: batch[id_col],
-                                 "pq_code": pa.array([], type=pa.binary())})
-            vecs = _normalize(vectors_2d(batch[vec_col]))
-            codes = pq_encode(vecs, self.books)
-            return pa.table(
-                {id_col: batch[id_col],
-                 "pq_code": pa.array([c.tobytes() for c in codes], type=pa.binary())}
-            )
+    def pq_encode_batch(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
+            return pa.table({id_col: batch[id_col],
+                             "pq_code": pa.array([], type=pa.binary())})
+        vecs = _normalize(vectors_2d(batch[vec_col]))
+        codes = pq_encode(vecs, codebooks)
+        return pa.table(
+            {id_col: batch[id_col],
+             "pq_code": pa.array([c.tobytes() for c in codes], type=pa.binary())}
+        )
 
     os.makedirs(index_dir, exist_ok=True)
-    embeddings.map_batches(Encode, batch_format="pyarrow", concurrency=pool(4)).write_parquet(
+    # materialized before the coalescing write, as in build_ivf_index
+    embeddings.map_batches(pq_encode_batch, batch_format="pyarrow").materialize().write_parquet(
         os.path.join(index_dir, "codes"), min_rows_per_file=min_rows_per_file
     )
     np.save(os.path.join(index_dir, "pq_codebooks.npy"), codebooks)
@@ -419,34 +398,26 @@ def build_ivfpq_index(
     sample = np.array([r[vec_col] for r in sample_rows], dtype=np.float32)
     centroids = kmeans_lite(sample, n_clusters, seed=seed)
     codebooks = train_pq(sample, m=m, n_codes=n_codes, seed=seed)
-    centroids_ref = ray.put(centroids)
-    books_ref = ray.put(codebooks)
 
-    class AssignEncode:
-        def __init__(self):
-            self.centroids = ray.get(centroids_ref)
-            self.books = ray.get(books_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table(
-                    {id_col: batch[id_col], vec_col: batch[vec_col],
-                     "pq_code": pa.array([], type=pa.binary()),
-                     "cluster": pa.array([], type=pa.int32()),
-                     "cluster_id": pa.array([], type=pa.int32())}
-                )
-            vecs = _normalize(vectors_2d(batch[vec_col]))
-            assign = (vecs @ self.centroids.T).argmax(axis=1).astype(np.int32)
-            codes = pq_encode(vecs, self.books)
+    def assign_encode(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
             return pa.table(
                 {id_col: batch[id_col], vec_col: batch[vec_col],
-                 "pq_code": pa.array([c.tobytes() for c in codes], type=pa.binary()),
-                 "cluster": pa.array(assign), "cluster_id": pa.array(assign)}
+                 "pq_code": pa.array([], type=pa.binary()),
+                 "cluster": pa.array([], type=pa.int32()),
+                 "cluster_id": pa.array([], type=pa.int32())}
             )
+        vecs = _normalize(vectors_2d(batch[vec_col]))
+        assign = (vecs @ centroids.T).argmax(axis=1).astype(np.int32)
+        codes = pq_encode(vecs, codebooks)
+        return pa.table(
+            {id_col: batch[id_col], vec_col: batch[vec_col],
+             "pq_code": pa.array([c.tobytes() for c in codes], type=pa.binary()),
+             "cluster": pa.array(assign), "cluster_id": pa.array(assign)}
+        )
 
-    embeddings.map_batches(
-        AssignEncode, batch_format="pyarrow", concurrency=pool(4)
-    ).write_parquet(
+    # materialized before the coalescing write, as in build_ivf_index
+    embeddings.map_batches(assign_encode, batch_format="pyarrow").materialize().write_parquet(
         index_dir, partition_cols=["cluster"], min_rows_per_file=min_rows_per_file
     )
     np.save(os.path.join(index_dir, "centroids.npy"), centroids)
@@ -465,15 +436,14 @@ def knn_ivfpq_rerank_search(
     rerank_factor: int = 4,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Two-phase ANN over an IVF-PQ index:
 
     1. ADC candidate scan — probed partitions, code column only, top-k′
        (k′ = rerank_factor·k) per query by approximate cosine;
     2. exact re-rank — float vectors of the SAME probed partitions,
-       map-side filtered to the candidate ids (a bounded nq·k′ set
-       broadcast once), exact cosine, final top-k.
+       map-side filtered to the candidate ids (a bounded nq·k′ set that
+       ships with the task), exact cosine, final top-k.
 
     The re-rank repairs PQ quantization error: recall-vs-bruteforce is
     asserted ≥ 0.9 in tests (tests/test_ops.py)."""
@@ -498,38 +468,33 @@ def knn_ivfpq_rerank_search(
     luts = np.einsum(
         "qmd,mcd->qmc", queries.reshape(len(queries), m, dsub), codebooks
     ).astype(np.float32)
-    luts_ref = ray.put(luts)
 
-    class ADCCandidates:
-        def __init__(self):
-            self.luts = ray.get(luts_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            if n == 0:
-                return pa.table({"query_id": pa.array([], type=pa.int64()),
-                                 id_col: batch[id_col],
-                                 "adc": pa.array([], type=pa.float64())})
-            ids = np.asarray(batch[id_col].to_pylist())
-            assign = batch["cluster_id"].to_numpy(zero_copy_only=False)
-            blob = b"".join(batch["pq_code"].to_pylist())
-            codes = np.frombuffer(blob, dtype=np.uint8).reshape(n, m)
-            cols = np.arange(m)
-            q_out, id_out, s_out = [], [], []
-            for qi, probe in enumerate(probe_sets):
-                mask = np.isin(assign, list(probe))
-                if not mask.any():
-                    continue
-                sims = self.luts[qi][cols[None, :], codes[mask]].sum(axis=1)
-                kk = min(k_prime, int(mask.sum()))
-                sub_ids = ids[mask]
-                top = np.lexsort((sub_ids, -sims))[:kk]  # tie-exact
-                q_out.extend([qi] * kk)
-                id_out.extend(sub_ids[top])
-                s_out.extend(float(s) for s in sims[top])
-            return pa.table({"query_id": pa.array(q_out, type=pa.int64()),
-                             id_col: pa.array(id_out),
-                             "adc": pa.array(s_out, type=pa.float64())})
+    def adc_candidates(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        if n == 0:
+            return pa.table({"query_id": pa.array([], type=pa.int64()),
+                             id_col: batch[id_col],
+                             "adc": pa.array([], type=pa.float64())})
+        ids = np.asarray(batch[id_col].to_pylist())
+        assign = batch["cluster_id"].to_numpy(zero_copy_only=False)
+        blob = b"".join(batch["pq_code"].to_pylist())
+        codes = np.frombuffer(blob, dtype=np.uint8).reshape(n, m)
+        cols = np.arange(m)
+        q_out, id_out, s_out = [], [], []
+        for qi, probe in enumerate(probe_sets):
+            mask = np.isin(assign, list(probe))
+            if not mask.any():
+                continue
+            sims = luts[qi][cols[None, :], codes[mask]].sum(axis=1)
+            kk = min(k_prime, int(mask.sum()))
+            sub_ids = ids[mask]
+            top = np.lexsort((sub_ids, -sims))[:kk]  # tie-exact
+            q_out.extend([qi] * kk)
+            id_out.extend(sub_ids[top])
+            s_out.extend(float(s) for s in sims[top])
+        return pa.table({"query_id": pa.array(q_out, type=pa.int64()),
+                         id_col: pa.array(id_out),
+                         "adc": pa.array(s_out, type=pa.float64())})
 
     def _adc_final(group: pd.DataFrame) -> pd.DataFrame:
         return group.sort_values(["adc", id_col], ascending=[False, True]).head(k_prime)
@@ -537,7 +502,7 @@ def knn_ivfpq_rerank_search(
     # phase 1: code-column-only scan of probed partitions
     candidates = _merged_topk(
         ray.data.read_parquet(paths, columns=[id_col, "pq_code", "cluster_id"])
-        .map_batches(ADCCandidates, batch_format="pyarrow", concurrency=pool(concurrency)),
+        .map_batches(adc_candidates, batch_format="pyarrow"),
         _adc_final,
     ).take_all()  # bounded: nq × k′ rows — NOT corpus-sized
     cand_ids: dict[int, set] = {}
@@ -545,38 +510,31 @@ def knn_ivfpq_rerank_search(
         cand_ids.setdefault(int(r["query_id"]), set()).add(r[id_col])
     if not cand_ids:
         return ray.data.from_arrow(empty)
-    cand_ref = ray.put(cand_ids)
-    queries_ref = ray.put(queries)
 
-    class ExactRerank:
-        def __init__(self):
-            self.cand = ray.get(cand_ref)
-            self.queries = ray.get(queries_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table({"query_id": pa.array([], type=pa.int64()),
-                                 id_col: batch[id_col],
-                                 "cosine": pa.array([], type=pa.float64())})
-            ids = np.asarray(batch[id_col].to_pylist())
-            vecs = _normalize(vectors_2d(batch[vec_col]))
-            q_out, id_out, s_out = [], [], []
-            for qi, cset in self.cand.items():
-                mask = np.isin(ids, list(cset))
-                if not mask.any():
-                    continue
-                sims = self.queries[qi] @ vecs[mask].T
-                for i, s in zip(ids[mask], sims):
-                    q_out.append(qi)
-                    id_out.append(i)
-                    s_out.append(float(s))
-            return pa.table({"query_id": pa.array(q_out, type=pa.int64()),
-                             id_col: pa.array(id_out),
-                             "cosine": pa.array(s_out, type=pa.float64())})
+    def exact_rerank(batch: pa.Table) -> pa.Table:
+        if len(batch) == 0:
+            return pa.table({"query_id": pa.array([], type=pa.int64()),
+                             id_col: batch[id_col],
+                             "cosine": pa.array([], type=pa.float64())})
+        ids = np.asarray(batch[id_col].to_pylist())
+        vecs = _normalize(vectors_2d(batch[vec_col]))
+        q_out, id_out, s_out = [], [], []
+        for qi, cset in cand_ids.items():
+            mask = np.isin(ids, list(cset))
+            if not mask.any():
+                continue
+            sims = queries[qi] @ vecs[mask].T
+            for i, s in zip(ids[mask], sims):
+                q_out.append(qi)
+                id_out.append(i)
+                s_out.append(float(s))
+        return pa.table({"query_id": pa.array(q_out, type=pa.int64()),
+                         id_col: pa.array(id_out),
+                         "cosine": pa.array(s_out, type=pa.float64())})
 
     # phase 2: float column of the same probed partitions, candidate-filtered
     rerank = ray.data.read_parquet(paths, columns=[id_col, vec_col]).map_batches(
-        ExactRerank, batch_format="pyarrow", concurrency=pool(concurrency)
+        exact_rerank, batch_format="pyarrow"
     )
     return _merged_topk(rerank, _final_topk_factory(k, id_col))
 
@@ -586,7 +544,6 @@ def knn_pq_search(
     query_matrix: np.ndarray,
     k: int = 10,
     id_col: str = "vec_id",
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """ADC search over PQ codes: one (m, n_codes) dot-product table per
     query, approximate cosine = sum of table lookups over the m codes —
@@ -597,39 +554,36 @@ def knn_pq_search(
     m, n_codes, dsub = codebooks.shape
     queries = _normalize(np.asarray(query_matrix, dtype=np.float32))
     # (nq, m, n_codes): dot of each query subvector with every codeword
-    luts = np.einsum("qmd,mcd->qmc", queries.reshape(len(queries), m, dsub), codebooks)
-    luts_ref = ray.put(luts.astype(np.float32))
+    luts = np.einsum(
+        "qmd,mcd->qmc", queries.reshape(len(queries), m, dsub), codebooks
+    ).astype(np.float32)
 
-    class ADCTopK:
-        def __init__(self):
-            self.luts = ray.get(luts_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            if n == 0:
-                return pa.table({"query_id": pa.array([], type=pa.int64()),
-                                 id_col: batch[id_col],
-                                 "cosine": pa.array([], type=pa.float64())})
-            ids = np.asarray(batch[id_col].to_pylist())
-            blob = b"".join(batch["pq_code"].to_pylist())
-            codes = np.frombuffer(blob, dtype=np.uint8).reshape(n, m)
-            q_out, id_out, s_out = [], [], []
-            cols = np.arange(m)
-            for qi in range(len(self.luts)):
-                sims = self.luts[qi][cols[None, :], codes].sum(axis=1)  # (n,)
-                kk = min(k, n)
-                top = np.lexsort((ids, -sims))[:kk]  # tie-exact
-                q_out.extend([qi] * kk)
-                id_out.extend(ids[top])
-                s_out.extend(float(s) for s in sims[top])
-            return pa.table(
-                {"query_id": pa.array(q_out, type=pa.int64()),
-                 id_col: pa.array(id_out),
-                 "cosine": pa.array(s_out, type=pa.float64())}
-            )
+    def adc_topk(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        if n == 0:
+            return pa.table({"query_id": pa.array([], type=pa.int64()),
+                             id_col: batch[id_col],
+                             "cosine": pa.array([], type=pa.float64())})
+        ids = np.asarray(batch[id_col].to_pylist())
+        blob = b"".join(batch["pq_code"].to_pylist())
+        codes = np.frombuffer(blob, dtype=np.uint8).reshape(n, m)
+        q_out, id_out, s_out = [], [], []
+        cols = np.arange(m)
+        for qi in range(len(luts)):
+            sims = luts[qi][cols[None, :], codes].sum(axis=1)  # (n,)
+            kk = min(k, n)
+            top = np.lexsort((ids, -sims))[:kk]  # tie-exact
+            q_out.extend([qi] * kk)
+            id_out.extend(ids[top])
+            s_out.extend(float(s) for s in sims[top])
+        return pa.table(
+            {"query_id": pa.array(q_out, type=pa.int64()),
+             id_col: pa.array(id_out),
+             "cosine": pa.array(s_out, type=pa.float64())}
+        )
 
     partial = ray.data.read_parquet(os.path.join(index_dir, "codes")).map_batches(
-        ADCTopK, batch_format="pyarrow", concurrency=pool(concurrency)
+        adc_topk, batch_format="pyarrow"
     )
     return _merged_topk(partial, _final_topk_factory(k, id_col))
 

@@ -93,7 +93,9 @@ def quality_stats(batch: pa.Table) -> pa.Table:
 
 
 class LangId:
-    """Stopword-ratio language heuristic (profiles built once per actor).
+    """Stopword-ratio language heuristic. Map with an instance
+    (``map_batches(LangId())``): the stopword profiles and the compiled
+    regex ship with the task.
 
     Vectorized: one findall pass, one explode, one isin+bincount per
     language; strict-> argmax keeps the en,de,fr,es tie priority the DuckDB

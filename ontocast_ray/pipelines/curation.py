@@ -93,16 +93,12 @@ def curate_corpus(
     capacity: int = 2048,
     shard_span: int = 65_536,
     n_parts: int = 64,
-    filter_concurrency=None,
 ) -> "ray.data.Dataset":
     """→ packed-sequence placements (doc_id, shard, n_tokens,
     global_offset, first_bin, last_bin, offset_in_bin) of the curated
     corpus: ``lang``-predicted docs with alpha_ratio ≥ threshold, exact
     duplicates collapsed to the min doc_id, packed at ``capacity``."""
-    kwargs = {"batch_format": "pyarrow"}
-    if filter_concurrency is not None:
-        kwargs["concurrency"] = filter_concurrency
-    meta = docs.map_batches(CurationFilter(lang, min_alpha_ratio), **kwargs)
+    meta = docs.map_batches(CurationFilter(lang, min_alpha_ratio), batch_format="pyarrow")
 
     winners = meta.groupby("text_sha").min(["doc_id", "n_tokens"])
 

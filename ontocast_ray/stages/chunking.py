@@ -16,8 +16,8 @@ chunk/chunker.py:14-71 and chunk/util.py:21-301):
 The embedding model is pluggable (``Embedder`` protocol). The default is a
 deterministic hashed-character-ngram projector (no model download, stable
 across processes); a sentence-transformers embedder can be dropped in where
-available. The Ray stage is an **actor-pool** ``map_batches`` class — the
-embedder state is built once per actor (__init__), not per batch.
+available. The Ray stage is a ``map_batches`` class mapped as an instance
+(a task): the embedder is built once in ``__init__``, not per batch.
 """
 
 from __future__ import annotations
@@ -206,11 +206,14 @@ def assign_spans_to_chunks(spans: List[dict], chunk_texts: List[str]) -> List[Li
 
 
 class ChunkDocuments:
-    """Actor-pool map_batches stage: 1 doc row → N chunk rows.
+    """map_batches stage: 1 doc row → N chunk rows.
 
-    Stateful (embedder built once per actor — ref loads the sentence
-    transformer once per ChunkerTool). Input batch: DOCS_SCHEMA + ``text``
-    column (from the assemble stage); output: CHUNKS_SCHEMA.
+    Map with an instance (``map_batches(ChunkDocuments(...))``): the default
+    hashing embedder is cheap, so it ships with the task (the reference
+    loads a sentence transformer once per ChunkerTool; a model-backed
+    ``embedder_factory`` is the case for an actor pool). Input batch:
+    DOCS_SCHEMA + ``text`` column (from the assemble stage); output:
+    CHUNKS_SCHEMA.
     """
 
     def __init__(

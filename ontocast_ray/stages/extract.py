@@ -94,7 +94,7 @@ _ENT = r"[A-Z][A-Za-z0-9'&.-]*(?: [A-Z][A-Za-z0-9'&.-]*)*"
 class DeterministicExtractor:
     """Rule-based extraction model (LLM stand-in; deterministic, vector-friendly).
 
-    Patterns are compiled once (per actor). Relation vocabulary mirrors the
+    Patterns are compiled once per instance. Relation vocabulary mirrors the
     synthetic corpus and the reference's validation scenarios (worksAt /
     knows / locatedIn / hasSkill / employs / filedOn).
     """

@@ -46,19 +46,6 @@ def vectors_2d(column, dtype=np.float32) -> "np.ndarray":
     return flat.reshape(n, -1).astype(dtype, copy=False)
 
 
-def pool(n) -> tuple[int, int]:
-    """Actor-pool concurrency spec: autoscaling (1, n).
-
-    A fixed ``concurrency=n`` reserves n CPUs for the pool's whole lifetime;
-    when n equals the session CPU count this starves concurrent AllToAll
-    (repartition/groupby/sort) tasks and deadlocks the streaming executor.
-    ``(1, n)`` lets the pool shrink so shuffle tasks always make progress.
-    """
-    if isinstance(n, tuple):
-        return n
-    return (1, max(1, int(n)))
-
-
 def to_arrow_type(t):
     """Normalize a Dataset schema type to pyarrow: pandas-block datasets
     report numpy dtypes (object → string)."""

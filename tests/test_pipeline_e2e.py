@@ -263,14 +263,23 @@ def test_kg_job_sigkill_resume(ray_session, corpus, tmp_path, clean_triples):
     assert _triple_multiset(out) == clean_triples
 
 
-@pytest.mark.parametrize("sink", ["run_resumable", "write_bucketed"])
+# the vector-index builds end on a task map before a min_rows_per_file write
+_INDEX_BUILDS = {
+    "build_ivf_index": ("assign_cluster", {"n_clusters": 4}),
+    "build_pq_index": ("pq_encode_batch", {"m": 4, "n_codes": 16}),
+    "build_ivfpq_index": ("assign_encode", {"n_clusters": 4, "m": 4, "n_codes": 16}),
+}
+
+
+@pytest.mark.parametrize("sink", ["run_resumable", "write_bucketed", *_INDEX_BUILDS])
 def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_triples,
                                       monkeypatch, sink):
     """The coalescing write (``min_rows_per_file``) must not fuse into the
     stage that feeds it: fused, Ray bundles that stage's input blocks up to
-    the row minimum, and the KG kernel (or the bucket kernel) of a small run
-    executes in ONE task. The dataset each sink writes is captured, and its
-    ``stats()`` after the write must show the kernel in several tasks."""
+    the row minimum, and the KG kernel (or the bucket or index-build kernel)
+    of a small run executes in ONE task. The dataset each sink writes is
+    captured, and its ``stats()`` after the write must show the kernel in
+    several tasks."""
     import glob
     import os
 
@@ -291,6 +300,15 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
     if sink == "run_resumable":
         stats = run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
         kernel = "_process"
+    elif sink in _INDEX_BUILDS:
+        from ontocast_ray.ops import similarity
+
+        kernel, kw = _INDEX_BUILDS[sink]
+        vecs = np.random.RandomState(5).normal(size=(600, 16)).astype(np.float32)
+        t = pa.table({"vec_id": pa.array(np.arange(600), type=pa.int64()),
+                      "embedding": pa.array(list(vecs), type=pa.list_(pa.float32()))})
+        getattr(similarity, sink)(ray.data.from_arrow(t).repartition(6), out,
+                                  sample_size=200, **kw)
     else:
         # the bucket kernel runs per partition on shuffle_by's sort path
         # only; an input this small would take the one-task gather path

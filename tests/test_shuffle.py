@@ -1,6 +1,7 @@
 """Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
 guard that keeps ``map_groups`` from spreading outside it, in the package
-and in the driver file ``__ray_entry__.py``.
+and in the driver file ``__ray_entry__.py``; plus its twin, the guard that
+keeps actor pools to the one stage that holds mutable shared state.
 
 Every contract case runs on both paths of ``shuffle_by``: the gather path
 its small inputs take, and the sort path, forced by patching the module's
@@ -8,6 +9,7 @@ byte limit to 0."""
 
 from __future__ import annotations
 
+import ast
 import logging
 import pathlib
 import re
@@ -28,6 +30,15 @@ ALLOWED_MAP_GROUPS = {
     ("ontocast_ray/ops/similarity.py", "cluster"): "IVF join scores one probed cluster per call",
     ("ontocast_ray/ops/similarity.py", "pg"): "one bounded reducer per shard pair of the all-pairs kNN",
 }
+
+# Sites that may map with an actor pool, as (file, function, enclosing if):
+# only state that is expensive or mutable and shared earns one. Every
+# other stage maps as a task, with a function or an instance.
+ALLOWED_ACTOR_POOLS = {
+    ("ontocast_ray/pipelines/kg.py", "build_kg_pipeline", "hub_name is not None"):
+        "every KG actor holds a hub snapshot and merges addenda into the hub",
+}
+_POOL_ARGS = {"concurrency", "fn_constructor_kwargs"}
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _GROUPBY = re.compile(r"""groupby\(\s*["']([^"']+)["']\s*\)""")
@@ -178,3 +189,49 @@ def test_map_groups_lives_only_in_shuffle_by():
                 bad.append(f"{rel}:{line} groups on {site[1]!r}")
     assert not bad, "use ops.shuffle.shuffle_by instead of map_groups: " + ", ".join(bad)
     assert seen == set(ALLOWED_MAP_GROUPS), set(ALLOWED_MAP_GROUPS) - seen
+
+
+def _actor_pool_sites(src: str):
+    """(function, enclosing if-test, line) of every ``concurrency`` or
+    ``fn_constructor_kwargs`` keyword, or string naming one (a kwargs dict)."""
+
+    def visit(node, func, cond):
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg in _POOL_ARGS:
+                    yield func, cond, node.lineno
+        elif isinstance(node, ast.Constant) and node.value in _POOL_ARGS:
+            yield func, cond, node.lineno
+        if isinstance(node, ast.If):
+            yield from visit(node.test, func, cond)
+            for child in node.body:
+                yield from visit(child, func, ast.unparse(node.test))
+            for child in node.orelse:
+                yield from visit(child, func, f"not ({ast.unparse(node.test)})")
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, cond = node.name, None
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func, cond)
+
+    yield from visit(ast.parse(src), None, None)
+
+
+def test_actor_pools_live_only_in_the_kg_hub_branch():
+    """Scan ontocast_ray, __ray_entry__.py, bench.py and jobs for a
+    ``concurrency`` or ``fn_constructor_kwargs`` argument (what makes
+    ``map_batches`` start an actor pool): each site must be allow-listed,
+    and every allow-list entry must still be in use."""
+    seen = set()
+    bad = set()
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py")) + sorted((_REPO / "jobs").glob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py", _REPO / "bench.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        for func, cond, line in _actor_pool_sites(path.read_text()):
+            site = (rel, func, cond)
+            if site in ALLOWED_ACTOR_POOLS:
+                seen.add(site)
+            else:
+                bad.add(f"{rel}:{line} in {func} (if {cond})")
+    assert not bad, "map cheap-state stages as tasks, not actor pools: " + ", ".join(sorted(bad))
+    assert seen == set(ALLOWED_ACTOR_POOLS), set(ALLOWED_ACTOR_POOLS) - seen
