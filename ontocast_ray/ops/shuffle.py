@@ -14,10 +14,11 @@ k-means ``cluster``, a bounded shard pair ``pg``) group directly.
 ``shuffle_by`` is adaptive and eager: it materializes its input at call
 time (the sort is an all-to-all barrier that holds the whole input in the
 object store anyway), then reads rows and bytes from block metadata. An
-input of at most ``_GATHER_BYTES`` skips the sort shuffle: every block
-goes to one task and the kernel runs once over all rows (the ``n_parts=1``
-semantics, returned as one block). A larger input takes the sort path.
-Each call logs the path it took at DEBUG level.
+input of at most ``_GATHER_BYTES`` (64 MiB) skips the sort shuffle: every
+block goes to one task, the kernel runs once over all rows (the
+``n_parts=1`` semantics), and the output is one block. A larger input
+takes the sort path, so no single task holds an unbounded input. Each
+call logs the path it took at DEBUG level.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ from ontocast_ray.util import hash_partition, hash_u64
 
 _PART = "__shuffle_part__"
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-# Measured crossover of a CPU-heavy per-partition kernel (4 CPUs): one gather
-# task ties the sort at 2.1 MiB and loses at 3.1 MiB, where it drops the
-# kernel's per-partition parallelism.
-_GATHER_BYTES = 2 << 20
+# The most one task may gather: the memory bound of one kernel call, which
+# holds the whole input plus its own frames. Larger inputs take the sort
+# path, which spreads them over reducers. Under the limit a gather wins,
+# because a sort costs what its block grid costs: every call between 2 and
+# 64 MiB that bench.py makes at sf0.1 (18, up to 34 MiB) and the gate sweep
+# makes at sf0.01 (13, up to 17.6 MiB) gathered 1.3-6.3x faster on 4 CPUs.
+_GATHER_BYTES = 64 << 20
 
 _log = logging.getLogger(__name__)
 
@@ -134,9 +138,9 @@ def shuffle_by(
     The input is materialized first, so the call runs everything upstream
     of it before it returns. Then one of two paths:
 
-    - gather: a non-empty input of at most ``_GATHER_BYTES`` (block
-      metadata) goes to one task, and ``kernel`` is called once with a
-      frame of every row;
+    - gather: a non-empty input of at most ``_GATHER_BYTES`` (64 MiB by
+      block metadata) goes to one task, ``kernel`` is called once with a
+      frame of every row, and the output is that call's one block;
     - sort: rows are hashed into ``n_parts`` partitions
       (``resolve_n_parts`` when None), sort-shuffled on that id, and
       ``kernel`` is called once per non-empty partition with a frame that

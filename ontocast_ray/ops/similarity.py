@@ -67,28 +67,20 @@ class _PartialTopK:
         )
 
 
-def _final_topk_factory(k: int, id_col: str):
-    def _final(group: pd.DataFrame) -> pd.DataFrame:
-        top = group.sort_values(
-            ["cosine", id_col], ascending=[False, True]
-        ).head(k).copy()
-        top["rank"] = range(1, len(top) + 1)
-        top["cosine"] = top["cosine"].round(6)
-        return top[["query_id", id_col, "cosine", "rank"]]
-
-    return _final
-
-
-def _merged_topk(partial, per_query_fn, n_parts: int = 16):
-    """Final per-query merge, shuffled on ``query_id`` with the per-query
-    fold looped inside the kernel — one Python call per partition instead
-    of per query (a raw ``groupby("query_id").map_groups`` pays one call
-    per query: harmless for broadcast-small query sets, ruinous if the
-    query count grows — the repo-wide groupby lesson)."""
+def _merged_topk(partial, k: int, id_col: str, score: str = "cosine", n_parts: int = 16):
+    """Final per-query merge of partial top-k rows: per ``query_id``, the
+    ``k`` best by ``score`` desc then ``id_col`` asc, with ``rank`` 1..k and
+    ``score`` rounded to 6 places. Shuffled on ``query_id``; the kernel is
+    one sort over its whole frame, so its cost does not grow with the
+    number of queries in it (a self-join has one query per vector)."""
 
     def _kernel(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [per_query_fn(g) for _, g in df.groupby("query_id", sort=True)]
-        return pd.concat(outs, ignore_index=True)
+        top = df.sort_values(
+            ["query_id", score, id_col], ascending=[True, False, True]
+        ).groupby("query_id", sort=False).head(k)
+        top = top.assign(rank=top.groupby("query_id", sort=False).cumcount() + 1)
+        top[score] = top[score].round(6)
+        return top[["query_id", id_col, score, "rank"]].reset_index(drop=True)
 
     return shuffle_by(partial, "query_id", _kernel, n_parts)
 
@@ -104,7 +96,7 @@ def knn_bruteforce(
     partial = embeddings.map_batches(
         _PartialTopK(query_matrix, k, id_col, vec_col), batch_format="pyarrow"
     )
-    return _merged_topk(partial, _final_topk_factory(k, id_col))
+    return _merged_topk(partial, k, id_col)
 
 
 def kmeans_lite(sample: np.ndarray, n_clusters: int, seed: int = 3, iters: int = 8) -> np.ndarray:
@@ -252,7 +244,7 @@ def knn_ivf_search(
     partial = ray.data.read_parquet(
         paths, columns=[id_col, vec_col, "cluster_id"]
     ).map_batches(probed_topk, batch_format="pyarrow")
-    return _merged_topk(partial, _final_topk_factory(k, id_col))
+    return _merged_topk(partial, k, id_col)
 
 
 def knn_ivf(
@@ -271,19 +263,28 @@ def knn_ivf(
 
     For repeated queries call build_ivf_index once and knn_ivf_search per
     query batch — the build is the full-corpus pass, the search is pruned.
+    With ``index_dir`` None the index lives in a temp dir that is removed
+    before returning: the search's final ``shuffle_by`` has already read
+    the probed clusters.
     """
+    import shutil
     import tempfile
 
+    tmp = None
     if index_dir is None:
-        index_dir = tempfile.mkdtemp(prefix="ivf_index_")
-    build_ivf_index(
-        embeddings, index_dir, n_clusters=n_clusters, sample_size=sample_size,
-        seed=seed, id_col=id_col, vec_col=vec_col,
-    )
-    return knn_ivf_search(
-        index_dir, query_matrix, k=k, n_probe=n_probe,
-        id_col=id_col, vec_col=vec_col,
-    )
+        index_dir = tmp = tempfile.mkdtemp(prefix="ivf_index_")
+    try:
+        build_ivf_index(
+            embeddings, index_dir, n_clusters=n_clusters,
+            sample_size=sample_size, seed=seed, id_col=id_col, vec_col=vec_col,
+        )
+        return knn_ivf_search(
+            index_dir, query_matrix, k=k, n_probe=n_probe,
+            id_col=id_col, vec_col=vec_col,
+        )
+    finally:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 # --- Product quantization (PQ): compressed codes + ADC search ---------------
@@ -496,14 +497,11 @@ def knn_ivfpq_rerank_search(
                          id_col: pa.array(id_out),
                          "adc": pa.array(s_out, type=pa.float64())})
 
-    def _adc_final(group: pd.DataFrame) -> pd.DataFrame:
-        return group.sort_values(["adc", id_col], ascending=[False, True]).head(k_prime)
-
     # phase 1: code-column-only scan of probed partitions
     candidates = _merged_topk(
         ray.data.read_parquet(paths, columns=[id_col, "pq_code", "cluster_id"])
         .map_batches(adc_candidates, batch_format="pyarrow"),
-        _adc_final,
+        k_prime, id_col, score="adc",
     ).take_all()  # bounded: nq × k′ rows — NOT corpus-sized
     cand_ids: dict[int, set] = {}
     for r in candidates:
@@ -536,7 +534,7 @@ def knn_ivfpq_rerank_search(
     rerank = ray.data.read_parquet(paths, columns=[id_col, vec_col]).map_batches(
         exact_rerank, batch_format="pyarrow"
     )
-    return _merged_topk(rerank, _final_topk_factory(k, id_col))
+    return _merged_topk(rerank, k, id_col)
 
 
 def knn_pq_search(
@@ -585,7 +583,7 @@ def knn_pq_search(
     partial = ray.data.read_parquet(os.path.join(index_dir, "codes")).map_batches(
         adc_topk, batch_format="pyarrow"
     )
-    return _merged_topk(partial, _final_topk_factory(k, id_col))
+    return _merged_topk(partial, k, id_col)
 
 
 def knn_self_join(
@@ -711,15 +709,7 @@ def knn_self_join(
         .map_groups(_pair, batch_format="pandas")
     )
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        top = g.sort_values(
-            ["cosine", "neighbor"], ascending=[False, True]
-        ).head(k).copy()
-        top["rank"] = range(1, len(top) + 1)
-        top["cosine"] = top["cosine"].round(6)
-        return top[["query_id", "neighbor", "cosine", "rank"]]
-
-    return _merged_topk(partial, _final)
+    return _merged_topk(partial, k, "neighbor")
 
 
 def knn_join_ivf(
@@ -840,15 +830,7 @@ def knn_join_ivf(
         .map_groups(_cluster_topk, batch_format="pandas")
     )
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        top = g.sort_values(
-            ["cosine", "neighbor"], ascending=[False, True]
-        ).head(k).copy()
-        top["rank"] = range(1, len(top) + 1)
-        top["cosine"] = top["cosine"].round(6)
-        return top[["query_id", "neighbor", "cosine", "rank"]]
-
-    return _merged_topk(partial, _final)
+    return _merged_topk(partial, k, "neighbor")
 
 
 def knn_recall(

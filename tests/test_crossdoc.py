@@ -227,3 +227,61 @@ def test_incremental_runs_one_shuffle(small_triples, monkeypatch):
     monkeypatch.setattr(crossdoc, "shuffle_by", counting)
     crossdoc.incremental_global_entities(old_table, small_triples, n_parts=4)
     assert calls == ["entity_key"]
+
+
+def _crawl_day(n_blocks, per_block, n_keys, seed):
+    """Synthetic doc-canonical triples: ``n_blocks`` blocks of one doc
+    each, ``per_block`` entities per doc drawn from ``n_keys`` keys, each
+    with an rdfs:label and an rdf:type triple."""
+    import numpy as np
+    import ray.data
+
+    from ontocast_ray.rdf.namespaces import RDF, RDFS
+
+    rng = np.random.RandomState(seed)
+    blocks = []
+    for b in range(n_blocks):
+        doc = f"doc-{seed:02d}{b:04d}"
+        hid = f"{seed * 10_000 + b:012x}"
+        subs, preds, objs = [], [], []
+        for k in rng.choice(n_keys, size=per_block, replace=False):
+            s = f"https://example.com/doc/{hid}/Entity{k}"
+            subs += [s, s]
+            preds += [str(RDFS.label), str(RDF.type)]
+            objs += [f"Entity {k} " + "x" * int(rng.randint(8)),
+                     f"https://example.com/type/T{k % 13}"]
+        blocks.append(pa.table({"subject": subs, "predicate": preds,
+                                "object": objs, "doc_id": [doc] * len(subs)}))
+    return ray.data.from_arrow(blocks)
+
+
+def test_incremental_merge_same_on_gather_and_sort(ray_session, monkeypatch, caplog):
+    """A crawl-sized merge (~3.5 MiB of merge rows in 26 blocks) gathers
+    under the default byte limit, and gives the same table, row for row
+    and status included, as the sort path forced by a limit of 0."""
+    import logging
+
+    from ontocast_ray.ops import shuffle
+    from ontocast_ray.pipelines.crossdoc import (
+        global_entity_table,
+        incremental_global_entities,
+    )
+
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+    old_table = global_entity_table(_crawl_day(8, 2_000, 24_000, 1), n_parts=8).materialize()
+    new_t = _crawl_day(25, 1_000, 24_000, 2).materialize()
+
+    tables, paths = [], []
+    for limit in (shuffle._GATHER_BYTES, 0):
+        monkeypatch.setattr(shuffle, "_GATHER_BYTES", limit)
+        caplog.clear()
+        df = incremental_global_entities(old_table, new_t, n_parts=8).to_pandas()
+        [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+        paths.append(msg)
+        df["types"] = df["types"].map(list)
+        tables.append(df.sort_values("entity_key").to_dict("records"))
+    assert "path=gather" in paths[0] and "path=sort" in paths[1], paths
+    mb = int(paths[0].split("bytes=")[1].split()[0]) / 2**20
+    assert 2 < mb < 64, paths[0]
+    assert {r["status"] for r in tables[0]} == {"new", "updated", "unchanged"}
+    assert tables[0] == tables[1]

@@ -213,6 +213,34 @@ def test_knn_ivf_recall(ray_session):
     assert 3 in approx  # self must be found (its own cluster is the nearest)
 
 
+def test_knn_ivf_removes_its_temp_index(ray_session, tmp_path, monkeypatch):
+    """With no ``index_dir``, the index dir ``knn_ivf`` makes is gone when
+    it returns, and the result (already read by the final shuffle) still
+    holds k rows per query."""
+    import tempfile
+
+    import ray.data
+
+    from ontocast_ray.ops.similarity import knn_ivf
+
+    made = []
+
+    def mkdtemp(prefix=None):
+        made.append(tmp_path / f"{prefix}made")
+        made[-1].mkdir()
+        return str(made[-1])
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    vecs = np.random.RandomState(4).normal(size=(300, 8)).astype(np.float32)
+    ds = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(300), type=pa.int64()),
+        "embedding": pa.array([v.tolist() for v in vecs], type=pa.list_(pa.float32())),
+    }))
+    out = knn_ivf(ds, vecs[[1, 7]], k=5, n_clusters=4, n_probe=2).to_pandas()
+    assert len(made) == 1 and not made[0].exists()
+    assert out.groupby("query_id").size().to_dict() == {0: 5, 1: 5}
+
+
 def test_knn_ivfpq_rerank_recall(ray_session, tmp_path):
     """IVF-PQ ADC candidates + exact float re-rank: recall@10 vs brute force
     must be ≥ 0.9 (the re-rank repairs PQ quantization error), and the

@@ -152,6 +152,31 @@ def test_small_input_skips_sort_shuffle(ray_session):
     assert out.num_blocks() == 1 and out.count() == 17
 
 
+def test_mid_size_many_block_input_gathers(ray_session, caplog):
+    """A ~3 MiB input in 25 blocks, the size and grid of the crawl merge,
+    is under the byte limit: one kernel task, no Sort operator."""
+    import ray
+
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def mid_kernel(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("s", as_index=False)["v"].sum()
+
+    n, blocks = 14_000, 25
+    df = pd.DataFrame({"s": [f"k{i % 97}" for i in range(n)], "v": range(n),
+                       "pad": ["x" * 100] * n})
+    ds = ray.data.from_pandas([df.iloc[b::blocks] for b in range(blocks)]).materialize()
+    assert 2 << 20 < ds.size_bytes() < 4 << 20 and ds.num_blocks() == blocks
+
+    out = shuffle_by(ds, "s", mid_kernel, n_parts=8).materialize()
+    [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+    assert "path=gather" in msg and f"blocks={blocks}" in msg, msg
+    stats = out.stats()
+    assert "Sort" not in stats
+    assert re.search(r"MapBatches\(mid_kernel\): 1 tasks executed", stats), stats
+    assert out.count() == 97 and out.sum("v") == n * (n - 1) // 2
+
+
 def test_path_is_logged(ray_session, both_paths, caplog):
     caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
 
@@ -164,6 +189,34 @@ def test_path_is_logged(ray_session, both_paths, caplog):
         [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
         assert f"shuffle_by kern: path={path} rows=240 " in msg
         assert msg.endswith(f"blocks=4 n_parts={1 if path == 'gather' else 3}")
+
+
+def test_gate_sweep_records_each_exchange(ray_session, both_paths):
+    """tools/gate_sweep.py reads every call's kernel, path, bytes and
+    blocks from the DEBUG record, under the query that made it."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "gate_sweep", _REPO / "tools" / "gate_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    log = logging.getLogger(shuffle.__name__)
+    exchanges, level = sweep._Exchanges(), log.level
+    log.addHandler(exchanges)
+    log.setLevel(logging.DEBUG)
+
+    def kern(df: pd.DataFrame) -> pd.DataFrame:
+        return df
+
+    try:
+        for path in both_paths():
+            exchanges.query = path
+            ds = _ds().materialize()
+            shuffle_by(ds, "s", kern, n_parts=3)
+            assert exchanges.calls[path] == [["kern", path, ds.size_bytes(), 4]]
+    finally:
+        log.removeHandler(exchanges)
+        log.setLevel(level)
 
 
 def test_map_groups_lives_only_in_shuffle_by():

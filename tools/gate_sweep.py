@@ -6,18 +6,34 @@ Runs each query at the driver's gate SF (default sf0.01), compares
 against its oracle with ``ontocast_ray.parity.compare_results``, and
 prints per-query wall time sorted slowest-first plus a BAD summary. Use
 before every round close: the heaviest legs are the ones a driver timeout
-would hit first.
+would hit first. The JSON line also holds ``exchanges``: per query, the
+``[kernel, path, bytes, blocks]`` of every ``shuffle_by`` call it made,
+read from that op's DEBUG log.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import sys
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
+
+
+class _Exchanges(logging.Handler):
+    """Collects ``shuffle_by``'s DEBUG records as [kernel, path, bytes,
+    blocks] under the query that is running."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.query, self.calls = None, {}
+
+    def emit(self, record):
+        kernel, path, _rows, size, blocks, _p = record.args
+        self.calls.setdefault(self.query, []).append([kernel, path, size, blocks])
 
 
 def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
@@ -31,7 +47,12 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
             include_dashboard=False,
         )
     import __ray_entry__ as entry
+    from ontocast_ray.ops import shuffle
 
+    exchanges = _Exchanges()
+    log = logging.getLogger(shuffle.__name__)
+    log.addHandler(exchanges)
+    log.setLevel(logging.DEBUG)
     con = oracle_connection(sf)
     qs, oracles = entry.queries(), entry.oracle_sql()
     # off the sf0.01 gate, _GATE_SF_ONLY oracles are not exact
@@ -39,6 +60,7 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     results = {}
     t_all = time.perf_counter()
     for name, fn in qs.items():
+        exchanges.query = name
         t0 = time.perf_counter()
         try:
             rdf = to_pandas(fn(sf))
@@ -59,7 +81,7 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
             )
     print(json.dumps(
         {"total_s": round(time.perf_counter() - t_all, 1),
-         "n": len(results)}
+         "n": len(results), "exchanges": exchanges.calls}
     ))
     for name, (dt, n, st) in sorted(
         results.items(), key=lambda kv: -kv[1][0]
