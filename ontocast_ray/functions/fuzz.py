@@ -14,6 +14,8 @@ matches rapidfuzz's result exactly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def _lcs_length(a: str, b: str) -> int:
     """Longest-common-subsequence length (Hyyrö bit-parallel formulation)."""
@@ -56,3 +58,25 @@ def ratio_at_least(s1: str, s2: str, threshold: float) -> bool:
     if 200.0 * min(len(s1), len(s2)) / total < threshold:
         return False
     return 200.0 * _lcs_length(s1, s2) / total >= threshold
+
+
+
+@lru_cache(maxsize=65536)
+def char_bag(s: str) -> tuple[int, int]:
+    """``(code, overflow)``: the characters of ``s`` as a bag, for an LCS
+    upper bound. Characters fall into 64 classes (code point mod 64); each
+    class counts its occurrences in unary in an 8-bit slot of ``code``, and
+    ``overflow`` holds the occurrences past 8. For any two strings,
+    ``(code_a & code_b).bit_count() + overflow_a + overflow_b`` is at least
+    the number of characters they share counted with multiplicity, which is
+    at least their LCS length: a cheap exact pre-test for ``ratio``."""
+    counts = [0] * 64
+    for ch in s:
+        counts[ord(ch) & 63] += 1
+    code = overflow = 0
+    for slot, k in enumerate(counts):
+        if k > 8:
+            overflow += k - 8
+            k = 8
+        code |= ((1 << k) - 1) << (slot * 8)
+    return code, overflow

@@ -17,8 +17,9 @@ object store anyway), then reads rows and bytes from block metadata. An
 input of at most ``_GATHER_BYTES`` (64 MiB) skips the sort shuffle: every
 block goes to one task, the kernel runs once over all rows (the
 ``n_parts=1`` semantics), and the output is one block. A larger input
-takes the sort path, so no single task holds an unbounded input. Each
-call logs the path it took at DEBUG level.
+takes the sort path, so no single task holds an unbounded input. An input
+with no rows takes neither: it returns one empty block. Each call logs the
+path it took at DEBUG level.
 """
 
 from __future__ import annotations
@@ -136,11 +137,13 @@ def shuffle_by(
     """Colocate rows with equal ``keys`` and run ``kernel`` per partition.
 
     The input is materialized first, so the call runs everything upstream
-    of it before it returns. Then one of two paths:
+    of it before it returns. An input with no rows returns one empty block
+    with no schema, and ``kernel`` is never called. Otherwise one of two
+    paths:
 
-    - gather: a non-empty input of at most ``_GATHER_BYTES`` (64 MiB by
-      block metadata) goes to one task, ``kernel`` is called once with a
-      frame of every row, and the output is that call's one block;
+    - gather: an input of at most ``_GATHER_BYTES`` (64 MiB by block
+      metadata) goes to one task, ``kernel`` is called once with a frame of
+      every row, and the output is that call's one block;
     - sort: rows are hashed into ``n_parts`` partitions
       (``resolve_n_parts`` when None), sort-shuffled on that id, and
       ``kernel`` is called once per non-empty partition with a frame that
@@ -153,14 +156,19 @@ def shuffle_by(
     keys = [keys] if isinstance(keys, str) else list(keys)
     ds = ds.materialize()
     n, size = ds.count(), ds.size_bytes()
-    gather = 0 < n and size is not None and size <= _GATHER_BYTES
-    p = 1 if gather else resolve_n_parts(ds, n_parts)
+    gather = size is not None and size <= _GATHER_BYTES
+    p = 1 if gather or n == 0 else resolve_n_parts(ds, n_parts)
     _log.debug(
         "shuffle_by %s: path=%s rows=%d bytes=%s blocks=%d n_parts=%d",
         getattr(kernel, "__name__", type(kernel).__name__),
-        "gather" if gather else "sort", n, size, ds.num_blocks(), p,
+        "empty" if n == 0 else "gather" if gather else "sort", n, size, ds.num_blocks(), p,
     )
 
+    if n == 0:
+        import ray.data
+
+        # what the sort path gives an empty input: one empty block, no schema
+        return ray.data.from_pandas(pd.DataFrame())
     if gather:
         return ds.map_batches(kernel, batch_size=n, batch_format=batch_format)
 

@@ -31,7 +31,9 @@ from __future__ import annotations
 import re
 import zlib
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -137,35 +139,74 @@ def _new_rows(keys: list, ents) -> pa.Table:
     }, schema=_MERGE_SCHEMA)
 
 
+def _sorted_lists(groups: np.ndarray, values: pa.Array, n: int) -> pa.Array:
+    """Per group id in ``range(n)``: the sorted distinct ``values`` (non-null)
+    of the rows with that id, as a list column; a group without rows gets
+    an empty list. Strings sort in code point order, as Python sorts str."""
+    enc = pc.dictionary_encode(values)
+    uniq = enc.dictionary
+    order = pc.array_sort_indices(uniq).to_numpy().astype(np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    pairs = np.unique(groups * len(uniq) + rank[enc.indices.to_numpy()])
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    if len(pairs):
+        np.cumsum(np.bincount(pairs // len(uniq), minlength=n), out=offsets[1:])
+        uniq = uniq.take(order).take(pairs % len(uniq))
+    return pa.ListArray.from_arrays(pa.array(offsets), uniq)
+
+
 def _entity_mentions(batch: pa.Table) -> pa.Table:
     """Per-batch combiner: one merge row per entity key of the batch's
-    doc-canonical subjects.
+    doc-canonical subjects, in order of the key's first triple, with its
+    mention count and the sorted distinct docs and ``rdf:type`` objects.
 
     The within-batch label is the FIRST longest ``rdfs:label`` in triple
     order (not `_merge_label`'s lexical tiebreak): the kg_global_entities
-    and kg_incremental_entities goldens pin this rule."""
-    rdfs_label = str(RDFS.label)
-    rdf_type = str(RDF.type)
-    subs = batch["subject"].to_pylist()
-    preds = batch["predicate"].to_pylist()
-    objs = batch["object"].to_pylist()
-    docs = batch["doc_id"].to_pylist()
-    acc: dict[str, list] = {}
-    for s, p, o, d in zip(subs, preds, objs, docs):
-        key = entity_key_of(s)
-        if key is None:
-            continue
-        ent = acc.get(key)
-        if ent is None:
-            ent = ["", set(), set(), 0, 0]
-            acc[key] = ent
-        ent[4] += 1
-        ent[2].add(d)
-        if p == rdfs_label and len(o) > len(ent[0]):
-            ent[0] = o
-        elif p == rdf_type:
-            ent[1].add(o)
-    return _new_rows(list(acc), acc.values())
+    and kg_incremental_entities goldens pin this rule. Length is in code
+    points, as Python's ``len``. The key is ``entity_key_of``'s: the
+    local name lowered by ``str.lower``, run once per distinct local name."""
+    if batch.num_rows == 0:
+        return _new_rows([], [])
+    subject = batch["subject"].combine_chunks()
+    matched = pc.match_substring_regex(subject, _DOC_ENTITY_RE.pattern)
+    rows = pc.indices_nonzero(pc.fill_null(matched, False))
+    # the pattern ends in /(?P<local>[^/]+)$: the local name is the last segment
+    local = pc.list_element(pc.split_pattern(
+        subject.take(rows), "/", max_splits=1, reverse=True), 1)
+    named = pc.not_equal(local, "chunk")
+    rows, local = rows.filter(named), local.filter(named)
+    if len(rows) == 0:
+        return _new_rows([], [])
+    # dictionary_encode numbers the local names in order of first row, so
+    # the key ids, given in dictionary order, number the keys that way too
+    local = pc.dictionary_encode(local)
+    key_ids: dict = {}
+    of_local = np.array([key_ids.setdefault(name.lower(), len(key_ids))
+                         for name in local.dictionary.to_pylist()], dtype=np.int64)
+    gid = of_local[local.indices.to_numpy()]
+    n = len(key_ids)
+    pred, obj, doc = (pc.take(batch[c], rows).combine_chunks()
+                      for c in ("predicate", "object", "doc_id"))
+
+    label = np.full(n, "", dtype=object)
+    at = np.flatnonzero(pc.equal(pred, str(RDFS.label)).to_numpy(zero_copy_only=False))
+    if len(at):
+        # each key's label rows, longest first, then in triple order
+        g, length = gid[at], pc.utf8_length(obj.take(at)).to_numpy()
+        at = at[np.lexsort((at, -length, g))]
+        g = gid[at]
+        head = at[np.r_[True, g[1:] != g[:-1]]]
+        label[gid[head]] = obj.take(head).to_pylist()
+    typed = np.flatnonzero(pc.equal(pred, str(RDF.type)).to_numpy(zero_copy_only=False))
+    return pa.table({
+        "entity_key": list(key_ids),
+        "label": pa.array(label, pa.string()),
+        "types": _sorted_lists(gid[typed], obj.take(typed), n),
+        "docs": _sorted_lists(gid, doc, n),
+        "n_docs": np.zeros(n, dtype=np.int64), "n_mentions": np.bincount(gid, minlength=n),
+        "origin": np.ones(n, dtype=np.int8),
+    }, schema=_MERGE_SCHEMA)
 
 
 def _merge_label(a: str, b: str) -> str:

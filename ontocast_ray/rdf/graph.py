@@ -40,6 +40,11 @@ class TripleGraph:
         self._triples[triple] = None
         return self
 
+    def update(self, triples: Iterable[Triple]) -> "TripleGraph":
+        """``add`` each of ``triples``, in order."""
+        self._triples.update(dict.fromkeys(triples))
+        return self
+
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)
 

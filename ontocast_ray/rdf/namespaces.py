@@ -12,17 +12,18 @@ from ontocast_ray.rdf.terms import URI
 
 
 class Namespace(str):
-    """A namespace base; attribute access mints URIs: ``RDF.type``."""
+    """A namespace base; attribute access mints URIs: ``RDF.type``.
 
-    __slots__ = ()
+    Each term is minted once, on its first access, and kept in the instance
+    ``__dict__``: every later ``RDF.type`` is a plain attribute read that
+    returns the same object, so dict and set probes with it match by
+    identity instead of calling ``URI.__eq__``."""
 
     def __getattr__(self, name: str) -> URI:
         if name.startswith("__"):
             raise AttributeError(name)
-        return URI(str(self) + name)
-
-    def term(self, name: str) -> URI:
-        return URI(str(self) + name)
+        term = self.__dict__[name] = URI(str(self) + name)
+        return term
 
 
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")

@@ -5,8 +5,11 @@ deliberately not a dependency — triples cross stage boundaries as Arrow
 columns, these objects exist only inside per-chunk/per-doc Python kernels).
 
 Like rdflib, terms subclass ``str`` so the lexical form is the string value,
-but equality/hashing are type-aware: ``URI("x") != Literal("x")`` and
-literals compare on (value, datatype, lang).
+but equality is type-aware: ``URI("x") != Literal("x")``, ``URI("x") != "x"``
+and literals compare on (value, datatype, lang). Every term hashes with the
+native ``str`` hash (no Python call per dict or set probe): terms that share a
+lexical form only collide, and ``__eq__`` tells them apart. No output depends
+on the hash value, which ``str`` already randomizes per process.
 """
 
 from __future__ import annotations
@@ -28,10 +31,7 @@ class URI(str):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def __hash__(self) -> int:
-        # hot path (canonicalization dict ops): plain str hash xor a type tag
-        # — no tuple allocation per call
-        return str.__hash__(self) ^ 0x75BCD15
+    __hash__ = str.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"URI({str.__repr__(self)})"
@@ -51,8 +51,7 @@ class BNode(str):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def __hash__(self) -> int:
-        return str.__hash__(self) ^ 0x3ADE68B1
+    __hash__ = str.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BNode({str.__repr__(self)})"
@@ -61,7 +60,7 @@ class BNode(str):
 class Literal(str):
     """A literal term with optional datatype IRI and language tag."""
 
-    __slots__ = ("datatype", "lang", "_hash")
+    __slots__ = ("datatype", "lang")
 
     datatype: Optional[str]
     lang: Optional[str]
@@ -70,7 +69,6 @@ class Literal(str):
         obj = str.__new__(cls, value)
         obj.datatype = datatype or None
         obj.lang = lang or None
-        obj._hash = None
         return obj
 
     def __eq__(self, other) -> bool:
@@ -86,12 +84,7 @@ class Literal(str):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = str.__hash__(self) ^ hash((self.datatype, self.lang)) ^ 0x1B873593
-            self._hash = h
-        return h
+    __hash__ = str.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Literal({str.__repr__(self)}, datatype={self.datatype}, lang={self.lang})"

@@ -25,21 +25,37 @@ gated by goldens):
   ``chunk prov:wasPartOf doc`` (:239-243) and ``entity prov:wasGeneratedBy
   chunk`` for doc-namespace subjects (:262-265).
 
-At cross-document scale the same rules run as a two-level shuffle (see
-``ontocast_ray.pipelines.kg``): this per-doc kernel is invoked from
-``groupby("doc_id").map_groups``.
+The kernel runs once per document inside ``pipelines.kg.KGProcessDocs``,
+which folds the doc's chunk graphs in memory in chunk order: there is no
+shuffle. Merging entities across documents is ``pipelines.crossdoc``'s.
+
+Cost: each chunk graph is scanned once (``scan_graph``); the vocabulary
+terms it dispatches on are interned objects (``rdf.namespaces``), so dict
+probes match by identity; and the greedy grouping runs over per-entity
+arrays computed once, with candidates pruned by an exact-name index, a
+label-length band and a character-bag bound on the LCS (``_Candidates``).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ontocast_ray.functions.fuzz import ratio_at_least
+from ontocast_ray.functions.fuzz import char_bag, ratio_at_least
 from ontocast_ray.functions.uris import clean_local_name, derive_ontology_id, iri2namespace
 from ontocast_ray.rdf.graph import TripleGraph
 from ontocast_ray.rdf.namespaces import PROV, RDF, RDFS
 from ontocast_ray.rdf.terms import Literal, URI
+
+# The vocabulary terms the scans dispatch on: one interned object each, the
+# same objects the extractor and the Turtle parser put into chunk graphs, so
+# ``_VOCAB.get(pred)`` mostly matches by identity.
+_LABEL, _COMMENT, _DOMAIN, _RANGE = RDFS.label, RDFS.comment, RDFS.domain, RDFS.range
+_TYPE, _PROPERTY = RDF.type, RDF.Property
+_VOCAB = {term: term for term in (_LABEL, _COMMENT, _DOMAIN, _RANGE, _TYPE)}
+_PROV_ENTITY, _WAS_PART_OF, _WAS_GENERATED_BY = PROV.Entity, PROV.wasPartOf, PROV.wasGeneratedBy
 
 
 @dataclass
@@ -89,184 +105,178 @@ class EntityDisambiguator:
         self.similarity_threshold = similarity_threshold
         self.semantic_threshold = semantic_threshold
 
-    def normalize_uri(self, uri, namespaces: Dict[str, str], _memo: Optional[dict] = None) -> Tuple[str, str]:
+    def normalize_uri(self, uri, namespaces: Dict[str, str]) -> Tuple[str, str]:
         """Expand prefixed form; local name via derive_ontology_id (ref :427-442)."""
         uri_str = str(uri)
-        if _memo is not None:
-            hit = _memo.get(uri_str)
-            if hit is not None:
-                return hit
         for prefix, namespace in namespaces.items():
             if uri_str.startswith(f"{prefix}:"):
                 full_uri = uri_str.replace(f"{prefix}:", str(namespace))
-                out = (full_uri, derive_ontology_id(full_uri))
-                if _memo is not None:
-                    _memo[uri_str] = out
-                return out
-        out = (uri_str, derive_ontology_id(uri_str))
-        if _memo is not None:
-            _memo[uri_str] = out
-        return out
+                return full_uri, derive_ontology_id(full_uri)
+        return uri_str, derive_ontology_id(uri_str)
 
-    def _norm_term(self, term: URI, namespaces: Dict[str, str], memo: dict):
-        """Memoized (normalized URI object, local name). When no prefix form
-        matches (the common case — our pipeline stores expanded URIs), the
-        original term object is reused instead of allocating an equal one."""
-        hit = memo.get(term)
-        if hit is not None:
-            return hit
-        full_uri, local_name = self.normalize_uri(term, namespaces)
-        uri_ref = term if full_uri == str(term) else URI(full_uri)
-        out = (uri_ref, local_name)
-        memo[term] = out
-        return out
+    def scan_graph(
+        self, graph: TripleGraph
+    ) -> Tuple[Dict[URI, EntityMetadata], Dict[URI, Set[URI]], Dict[URI, PredicateMetadata]]:
+        """One pass over a chunk graph → (entities, types, predicates).
+
+        - entities (ref :444-482): every URI subject or object, keyed by its
+          normalized form. Those with an rdfs:label/comment literal come
+          first, in the order of their first such triple (the last one
+          wins), then the rest in order of first mention.
+        - types (ref :113-172): the URI objects of each URI subject's
+          rdf:type triples, keyed by the subject as written.
+        - predicates (ref :648-690): every URI predicate in order of first
+          use, with the label, comment, domain, range and rdf:Property
+          facts stated about it anywhere in the graph (the last one wins).
+        """
+        namespaces = dict(graph.namespaces())
+        memo: dict = {}
+
+        def norm(term: URI) -> Tuple[URI, str]:
+            # The term object itself stands for its normalized form unless a
+            # prefixed form was expanded.
+            full_uri, local_name = self.normalize_uri(term, namespaces)
+            out = memo[term] = (term if full_uri == str(term) else URI(full_uri), local_name)
+            return out
+
+        labeled: Dict[URI, EntityMetadata] = {}
+        mentioned: Dict[URI, str] = {}
+        types: Dict[URI, Set[URI]] = {}
+        predicates: Dict[URI, PredicateMetadata] = {}
+        stated: list = []  # (subject, vocabulary term, object): maybe about a predicate
+        for subj, pred, obj in graph:
+            if isinstance(pred, URI):
+                uri_ref, local_name = memo.get(pred) or norm(pred)
+                if uri_ref not in predicates:
+                    predicates[uri_ref] = PredicateMetadata(local_name=local_name)
+            if isinstance(subj, URI):
+                uri_ref, local_name = memo.get(subj) or norm(subj)
+                if uri_ref not in mentioned:
+                    mentioned[uri_ref] = local_name
+                kind = _VOCAB.get(pred)
+                if kind is _LABEL or kind is _COMMENT:
+                    if isinstance(obj, Literal):
+                        meta = labeled.get(uri_ref)
+                        if meta is None:
+                            meta = labeled[uri_ref] = EntityMetadata(local_name=local_name)
+                        if kind is _LABEL:
+                            meta.label = str(obj)
+                        else:
+                            meta.comment = str(obj)
+                        stated.append((uri_ref, kind, obj))
+                elif kind is _TYPE:
+                    if isinstance(obj, URI):
+                        types.setdefault(subj, set()).add(obj)
+                        if obj == _PROPERTY:
+                            stated.append((uri_ref, kind, obj))
+                elif kind is not None:
+                    stated.append((uri_ref, kind, obj))
+            if isinstance(obj, URI):
+                uri_ref, local_name = memo.get(obj) or norm(obj)
+                if uri_ref not in mentioned:
+                    mentioned[uri_ref] = local_name
+
+        for uri_ref, local_name in mentioned.items():
+            if uri_ref not in labeled:
+                labeled[uri_ref] = EntityMetadata(local_name=local_name)
+        for uri_ref, kind, obj in stated:
+            info = predicates.get(uri_ref)
+            if info is None:
+                continue
+            if kind is _TYPE:
+                info.is_explicit_property = True
+            elif kind is _LABEL:
+                info.label = str(obj)
+            elif kind is _COMMENT:
+                info.comment = str(obj)
+            elif kind is _DOMAIN:
+                info.domain = obj
+            else:
+                info.range = obj
+        return labeled, types, predicates
 
     def extract_entity_labels(self, graph: TripleGraph) -> Dict[URI, EntityMetadata]:
-        """ref :444-482 — two passes: labeled entities first, then all URIs."""
-        labels: Dict[URI, EntityMetadata] = {}
-        namespaces = dict(graph.namespaces())
-        memo: dict = {}
-
-        for subj, pred, obj in graph:
-            if (
-                (pred == RDFS.label or pred == RDFS.comment)
-                and isinstance(obj, Literal)
-                and isinstance(subj, URI)
-            ):
-                uri_ref, local_name = self._norm_term(subj, namespaces, memo)
-                if uri_ref not in labels:
-                    labels[uri_ref] = EntityMetadata(local_name=local_name)
-                if pred == RDFS.label:
-                    labels[uri_ref].label = str(obj)
-                elif pred == RDFS.comment:
-                    labels[uri_ref].comment = str(obj)
-
-        for subj, pred, obj in graph:
-            for entity in (subj, obj):
-                if isinstance(entity, URI):
-                    uri_ref, local_name = self._norm_term(entity, namespaces, memo)
-                    if uri_ref not in labels:
-                        labels[uri_ref] = EntityMetadata(local_name=local_name)
-        return labels
-
-    def extract_predicate_info(self, graph: TripleGraph) -> Dict[URI, PredicateMetadata]:
-        """ref :648-690."""
-        predicate_info: Dict[URI, PredicateMetadata] = {}
-        namespaces = dict(graph.namespaces())
-        memo: dict = {}
-
-        for _, pred, _ in graph:
-            if isinstance(pred, URI):
-                uri_ref, local_name = self._norm_term(pred, namespaces, memo)
-                if uri_ref not in predicate_info:
-                    predicate_info[uri_ref] = PredicateMetadata(local_name=local_name)
-
-        for subj, pred, obj in graph:
-            if isinstance(subj, URI):
-                norm_subj, _ = self._norm_term(subj, namespaces, memo)
-                if pred == RDF.type and obj == RDF.Property:
-                    if norm_subj in predicate_info:
-                        predicate_info[norm_subj].is_explicit_property = True
-                elif (pred == RDFS.label or pred == RDFS.comment) and isinstance(obj, Literal):
-                    if norm_subj in predicate_info:
-                        if pred == RDFS.label:
-                            predicate_info[norm_subj].label = str(obj)
-                        else:
-                            predicate_info[norm_subj].comment = str(obj)
-                elif pred == RDFS.domain and norm_subj in predicate_info:
-                    predicate_info[norm_subj].domain = obj
-                elif pred == RDFS.range and norm_subj in predicate_info:
-                    predicate_info[norm_subj].range = obj
-        return predicate_info
+        """ref :444-482 — the entities of ``scan_graph``."""
+        return self.scan_graph(graph)[0]
 
     def find_similar_entities(
         self,
         entities_with_labels: Dict[URI, EntityMetadata],
         entity_types: Optional[Dict[URI, Set[URI]]] = None,
     ) -> List[List[URI]]:
-        """Greedy single-pass grouping (ref :484-559)."""
+        """Greedy single-pass grouping (ref :484-559).
+
+        Each entity not yet grouped, in insertion order, takes every later
+        ungrouped entity that is type-compatible (either side untyped, or a
+        shared type) and either has the same local name, case-insensitively,
+        or a label within fuzz.ratio of the threshold (semantic when they
+        share a type, else similarity). Lowered names, lowered labels and
+        type sets are computed once per entity; ``_Candidates`` only prunes
+        the later entities that cannot pass."""
         if entity_types is None:
             entity_types = {}
+        keys = list(entities_with_labels)
+        metas = entities_with_labels.values()
+        names = [m.local_name.lower() for m in metas]
+        labels = [m.label.lower() if m.label else None for m in metas]
+        untyped: Set[URI] = set()
+        types = [entity_types.get(k, untyped) for k in keys]
+        candidates = _Candidates(
+            names, labels, min(self.similarity_threshold, self.semantic_threshold)
+        )
+        grouped = [False] * len(keys)
         entity_groups: List[List[URI]] = []
-        processed: set = set()
-        entities_list = list(entities_with_labels.keys())
-
-        for i, entity1 in enumerate(entities_list):
-            if entity1 in processed:
+        for i, name1 in enumerate(names):
+            if grouped[i]:
                 continue
-            similar_group = [entity1]
-            info1 = entities_with_labels[entity1]
-            types1 = entity_types.get(entity1, set())
-            processed.add(entity1)
-
-            for entity2 in entities_list[i + 1:]:
-                if entity2 in processed:
+            grouped[i] = True
+            group = [i]
+            types1 = types[i]
+            for j in candidates.after(i):
+                if grouped[j]:
                     continue
-                info2 = entities_with_labels[entity2]
-                types2 = entity_types.get(entity2, set())
-
-                type_compatible = (
-                    not types1 or not types2 or bool(types1.intersection(types2))
-                )
-                if not type_compatible:
-                    continue
-
-                if info1.local_name.lower() == info2.local_name.lower():
-                    similar_group.append(entity2)
-                    processed.add(entity2)
-                    continue
-
-                label1 = info1.label.lower() if info1.label is not None else ""
-                label2 = info2.label.lower() if info2.label is not None else ""
-                if label1 and label2:
-                    threshold = (
-                        self.semantic_threshold
-                        if types1.intersection(types2)
-                        else self.similarity_threshold
-                    )
-                    if ratio_at_least(label1, label2, threshold):
-                        similar_group.append(entity2)
-                        processed.add(entity2)
-
-            if len(similar_group) > 1:
-                entity_groups.append(similar_group)
+                types2 = types[j]
+                if types1 and types2:
+                    if types1.isdisjoint(types2):
+                        continue
+                    threshold = self.semantic_threshold
+                else:
+                    threshold = self.similarity_threshold
+                if names[j] == name1 or candidates.similar(i, j, threshold):
+                    group.append(j)
+                    grouped[j] = True
+            if len(group) > 1:
+                entity_groups.append([keys[k] for k in group])
         return entity_groups
 
     def find_similar_predicates(
         self, predicates_with_info: Dict[URI, PredicateMetadata]
     ) -> List[List[URI]]:
-        """ref :692-751."""
+        """ref :692-751: the greedy grouping of ``find_similar_entities``,
+        where the same local name or a label at the similarity threshold
+        merges only domain/range-compatible predicates, and a same-name
+        pair that is not compatible is not tried on its labels."""
+        keys = list(predicates_with_info)
+        infos = list(predicates_with_info.values())
+        names = [p.local_name.lower() for p in infos]
+        labels = [p.label.lower() if p.label is not None else None for p in infos]
+        candidates = _Candidates(names, labels, self.similarity_threshold)
+        grouped = [False] * len(keys)
         predicate_groups: List[List[URI]] = []
-        processed: set = set()
-        predicates_list = list(predicates_with_info.keys())
-
-        for i, pred_a in enumerate(predicates_list):
-            if pred_a in processed:
+        for i, name1 in enumerate(names):
+            if grouped[i]:
                 continue
-            similar_group = [pred_a]
-            info1 = predicates_with_info[pred_a]
-            processed.add(pred_a)
-
-            for pred_b in predicates_list[i + 1:]:
-                if pred_b in processed:
+            grouped[i] = True
+            group = [i]
+            for j in candidates.after(i):
+                if grouped[j]:
                     continue
-                info2 = predicates_with_info[pred_b]
-
-                if info1.local_name.lower() == info2.local_name.lower():
-                    if self._check_domain_range_compatibility(info1, info2):
-                        similar_group.append(pred_b)
-                        processed.add(pred_b)
-                    continue
-
-                if info1.label is not None and info2.label is not None:
-                    if ratio_at_least(
-                        info1.label.lower(), info2.label.lower(), self.similarity_threshold
-                    ) and self._check_domain_range_compatibility(info1, info2):
-                        similar_group.append(pred_b)
-                        processed.add(pred_b)
-
-            if len(similar_group) > 1:
-                predicate_groups.append(similar_group)
+                if names[j] == name1 or candidates.similar(i, j, self.similarity_threshold):
+                    if self._check_domain_range_compatibility(infos[i], infos[j]):
+                        group.append(j)
+                        grouped[j] = True
+            if len(group) > 1:
+                predicate_groups.append([keys[k] for k in group])
         return predicate_groups
 
     def _check_domain_range_compatibility(
@@ -323,6 +333,65 @@ class EntityDisambiguator:
         return URI(f"{doc_namespace}{clean_local_name(best_info.local_name)}")
 
 
+def _length_band(length: int, threshold: float) -> Tuple[float, float]:
+    """The label lengths ``m`` for which fuzz.ratio against a label of
+    ``length`` can reach ``threshold``: the ratio is at most
+    200·min(length, m)/(length + m), as in ``ratio_at_least``. Widened by
+    one on each side, so float rounding never drops a candidate."""
+    if threshold <= 0:
+        return 0, float("inf")
+    if threshold >= 200:
+        return 1, 0
+    return (
+        math.floor(length * threshold / (200 - threshold)) - 1,
+        math.ceil(length * (200 - threshold) / threshold) + 1,
+    )
+
+
+class _Candidates:
+    """The later members that could join member ``i``'s greedy group: those
+    with the same lowered local name (an exact index), and those whose
+    lowered label length lies in ``_length_band`` (a bisect over the labels
+    sorted by length; ``None`` labels take no part). A superset: the
+    caller's exact tests decide, the fuzzy one through ``similar``.
+    Ascending, so a group is filled in insertion order."""
+
+    def __init__(self, names: List[str], labels: List[Optional[str]], threshold: float):
+        self.names, self.labels, self.threshold = names, labels, threshold
+        self.by_name: Dict[str, List[int]] = {}
+        for i, name in enumerate(names):
+            self.by_name.setdefault(name, []).append(i)
+        by_length = sorted((len(label), i) for i, label in enumerate(labels) if label is not None)
+        self.lengths = [n for n, _ in by_length]
+        self.order = [i for _, i in by_length]
+        self.bags = [char_bag(label) if label is not None else (0, 0) for label in labels]
+
+    def after(self, i: int) -> List[int]:
+        found = {j for j in self.by_name[self.names[i]] if j > i}
+        label = self.labels[i]
+        if label is not None:
+            lo, hi = _length_band(len(label), self.threshold)
+            lengths = self.lengths
+            band = self.order[bisect.bisect_left(lengths, lo):bisect.bisect_right(lengths, hi)]
+            found.update(j for j in band if j > i)
+        return sorted(found)
+
+    def similar(self, i: int, j: int, threshold: float) -> bool:
+        """Both labels are given and ``fuzz.ratio(labels[i], labels[j]) >=
+        threshold``, exactly. The characters the labels share
+        (``char_bag``) bound their LCS from above, so a pair that bound
+        rules out skips the LCS."""
+        label1, label2 = self.labels[i], self.labels[j]
+        if label1 is None or label2 is None:
+            return False
+        total = len(label1) + len(label2)
+        (code1, over1), (code2, over2) = self.bags[i], self.bags[j]
+        shared = (code1 & code2).bit_count() + over1 + over2
+        if total and 200.0 * shared / total < threshold:
+            return False
+        return ratio_at_least(label1, label2, threshold)
+
+
 class ChunkGraphAggregator:
     """ref aggregate.py:44-398 — aggregate chunk graphs into one doc graph."""
 
@@ -355,14 +424,10 @@ class ChunkGraphAggregator:
         entity_types: Dict[URI, Set[URI]] = {}
 
         for chunk in chunks:
-            entities_labels = self.disambiguator.extract_entity_labels(chunk.graph)
+            entities_labels, types, predicates_info = self.disambiguator.scan_graph(chunk.graph)
             all_entities_with_labels.update(entities_labels)
-
-            for subj, pred, obj in chunk.graph:
-                if pred == RDF.type and isinstance(subj, URI) and isinstance(obj, URI):
-                    entity_types.setdefault(subj, set()).add(obj)
-
-            predicates_info = self.disambiguator.extract_predicate_info(chunk.graph)
+            for subj, objs in types.items():
+                entity_types.setdefault(subj, set()).update(objs)
             for pred, info in predicates_info.items():
                 if pred not in all_predicates_with_info:
                     all_predicates_with_info[pred] = info
@@ -434,21 +499,23 @@ class ChunkGraphAggregator:
         )
 
         # Re-emit chunk triples with mappings + provenance (ref :234-265)
+        doc_uri = URI(doc_namespace.rstrip("#/"))
         for chunk in chunks:
             chunk_iri = URI(chunk.iri)
-            aggregated_graph.add((chunk_iri, RDF.type, PROV.Entity))
-            aggregated_graph.add(
-                (chunk_iri, PROV.wasPartOf, URI(doc_namespace.rstrip("#/")))
-            )
+            # a set probe hashes natively and calls URI.__eq__ only when the
+            # lexical forms match
+            chunk_only = {chunk_iri}
+            emitted = [(chunk_iri, _TYPE, _PROV_ENTITY), (chunk_iri, _WAS_PART_OF, doc_uri)]
             for subj, pred, obj in chunk.graph:
-                if subj == chunk_iri:
+                if subj in chunk_only:
                     continue
                 new_subj = entity_mapping.get(subj, subj)
                 new_pred = predicate_mapping.get(pred, pred)
                 new_obj = entity_mapping.get(obj, obj) if isinstance(obj, URI) else obj
-                aggregated_graph.add((new_subj, new_pred, new_obj))
-                if isinstance(new_subj, URI) and str(new_subj).startswith(doc_namespace):
-                    aggregated_graph.add((new_subj, PROV.wasGeneratedBy, chunk_iri))
+                emitted.append((new_subj, new_pred, new_obj))
+                if isinstance(new_subj, URI) and new_subj.startswith(doc_namespace):
+                    emitted.append((new_subj, _WAS_GENERATED_BY, chunk_iri))
+            aggregated_graph.update(emitted)
 
         return aggregated_graph
 
@@ -470,12 +537,12 @@ class ChunkGraphAggregator:
         for canonical, originals in canonical_to_originals.items():
             best_label = self._get_best_label([entity_labels.get(o) for o in originals])
             if best_label:
-                graph.add((canonical, RDFS.label, Literal(best_label)))
+                graph.add((canonical, _LABEL, Literal(best_label)))
             all_types: Set[URI] = set()
             for orig in originals:
                 all_types.update(entity_types.get(orig, set()))
             for type_uri in sorted(all_types):  # deterministic emit order
-                graph.add((canonical, RDF.type, type_uri))
+                graph.add((canonical, _TYPE, type_uri))
 
         processed_entities = set(entity_mapping.keys())
         # ref :309 unions two dict key-sets; preserve insertion order instead
@@ -489,10 +556,10 @@ class ChunkGraphAggregator:
             if entity not in processed_entities:
                 meta = entity_labels.get(entity)
                 if meta is not None and meta.label is not None:
-                    graph.add((entity, RDFS.label, Literal(meta.label)))
+                    graph.add((entity, _LABEL, Literal(meta.label)))
                 if entity in entity_types:
                     for type_uri in sorted(entity_types[entity]):
-                        graph.add((entity, RDF.type, type_uri))
+                        graph.add((entity, _TYPE, type_uri))
 
         canonical_pred_to_originals: Dict[URI, List[URI]] = {}
         for original, canonical in predicate_mapping.items():
@@ -504,29 +571,29 @@ class ChunkGraphAggregator:
                 [predicate_info.get(o) for o in originals]
             )
             if merged_info.label:
-                graph.add((canonical, RDFS.label, Literal(merged_info.label)))
+                graph.add((canonical, _LABEL, Literal(merged_info.label)))
             if merged_info.comment:
-                graph.add((canonical, RDFS.comment, Literal(merged_info.comment)))
+                graph.add((canonical, _COMMENT, Literal(merged_info.comment)))
             if merged_info.domain:
-                graph.add((canonical, RDFS.domain, merged_info.domain))
+                graph.add((canonical, _DOMAIN, merged_info.domain))
             if merged_info.range:
-                graph.add((canonical, RDFS.range, merged_info.range))
+                graph.add((canonical, _RANGE, merged_info.range))
             if merged_info.is_explicit_property:
-                graph.add((canonical, RDF.type, RDF.Property))
+                graph.add((canonical, _TYPE, _PROPERTY))
 
         processed_predicates = set(predicate_mapping.keys())
         for predicate, info in predicate_info.items():
             if str(predicate).startswith(doc_namespace) and predicate not in processed_predicates:
                 if info.label:
-                    graph.add((predicate, RDFS.label, Literal(info.label)))
+                    graph.add((predicate, _LABEL, Literal(info.label)))
                 if info.comment:
-                    graph.add((predicate, RDFS.comment, Literal(info.comment)))
+                    graph.add((predicate, _COMMENT, Literal(info.comment)))
                 if info.domain:
-                    graph.add((predicate, RDFS.domain, info.domain))
+                    graph.add((predicate, _DOMAIN, info.domain))
                 if info.range:
-                    graph.add((predicate, RDFS.range, info.range))
+                    graph.add((predicate, _RANGE, info.range))
                 if info.is_explicit_property:
-                    graph.add((predicate, RDF.type, RDF.Property))
+                    graph.add((predicate, _TYPE, _PROPERTY))
 
     @staticmethod
     def _get_best_label(label_dicts: List[Optional[EntityMetadata]]) -> Optional[str]:

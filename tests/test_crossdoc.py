@@ -285,3 +285,108 @@ def test_incremental_merge_same_on_gather_and_sort(ray_session, monkeypatch, cap
     assert 2 < mb < 64, paths[0]
     assert {r["status"] for r in tables[0]} == {"new", "updated", "unchanged"}
     assert tables[0] == tables[1]
+
+
+def _loop_entity_mentions(batch: pa.Table) -> pa.Table:
+    """The per-row combiner that ``_entity_mentions`` replaced, verbatim:
+    the oracle for its vectorized form."""
+    from ontocast_ray.pipelines.crossdoc import _new_rows
+    from ontocast_ray.rdf.namespaces import RDF, RDFS
+
+    rdfs_label = str(RDFS.label)
+    rdf_type = str(RDF.type)
+    subs = batch["subject"].to_pylist()
+    preds = batch["predicate"].to_pylist()
+    objs = batch["object"].to_pylist()
+    docs = batch["doc_id"].to_pylist()
+    acc: dict[str, list] = {}
+    for s, p, o, d in zip(subs, preds, objs, docs):
+        key = entity_key_of(s)
+        if key is None:
+            continue
+        ent = acc.get(key)
+        if ent is None:
+            ent = ["", set(), set(), 0, 0]
+            acc[key] = ent
+        ent[4] += 1
+        ent[2].add(d)
+        if p == rdfs_label and len(o) > len(ent[0]):
+            ent[0] = o
+        elif p == rdf_type:
+            ent[1].add(o)
+    return _new_rows(list(acc), acc.values())
+
+
+def _mention_rows():
+    """Label ties, keys without a label, non-ASCII labels and keys (where
+    str.lower and Arrow's lowering differ), case-only key twins, chunk IRIs
+    and non-entity subjects."""
+    label = "http://www.w3.org/2000/01/rdf-schema#label"
+    rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+    other = "https://example.com/onto#worksAt"
+    doc = "https://example.com/doc/0123456789ab"
+    chunk = f"{doc}/chunk/fedcba987654"
+    return [
+        (f"{doc}/Acme", label, "Acme Inc", "d2"),
+        (f"{doc}/ACME", label, "ACME Co.", "d1"),  # same key, same length: first wins
+        (f"{doc}/acme", rdf_type, "https://schema.org/Org", "d1"),
+        (f"{doc}/Acme", rdf_type, "https://schema.org/Company", "d2"),
+        (f"{doc}/Acme", rdf_type, "https://schema.org/Org", "d3"),
+        (f"{chunk}/Zoë", label, "Zoëë", "d1"),  # 4 code points, 6 bytes
+        (f"{chunk}/Zoë", label, "Zoeee", "d1"),  # 5 code points: longer
+        (f"{chunk}/Zoë", label, "Zoëëë", "d1"),  # 5 code points: a tie
+        (f"{doc}/İstanbul", other, f"{doc}/ΟΔΟΣ", "d4"),  # no label
+        (f"{doc}/ΟΔΟΣ", label, "Οδός", "d4"),
+        (f"{doc}/ΟΔΟΣ", label, "", "d5"),
+        (chunk, rdf_type, "http://www.w3.org/ns/prov#Entity", "d1"),  # chunk IRI
+        (f"{doc}/chunk", label, "not an entity", "d1"),
+        ("https://schema.org/Person", label, "Person", "d1"),
+        (f"{doc}/x/y", label, "too deep", "d1"),
+        (f"{doc}/Only_Type", rdf_type, "https://schema.org/Thing", "d6"),
+    ]
+
+
+def _mention_table(rows, chunks: int = 1) -> pa.Table:
+    cols = list(zip(*rows))
+    names = ["subject", "predicate", "object", "doc_id"]
+    t = pa.table({n: pa.array(c, pa.string()) for n, c in zip(names, cols)})
+    step = max(1, -(-len(t) // chunks))
+    return pa.concat_tables([t.slice(i, step) for i in range(0, len(t), step)])
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_entity_mentions_equal_the_row_loop(chunks):
+    from ontocast_ray.pipelines.crossdoc import _entity_mentions
+
+    rows = _mention_rows()
+    table = _mention_table(rows, chunks)
+    got, want = _entity_mentions(table), _loop_entity_mentions(table)
+    assert got.equals(want), (got.to_pylist(), want.to_pylist())
+    by_key = {r["entity_key"]: r for r in got.to_pylist()}
+    assert by_key["acme"]["label"] == "Acme Inc"
+    assert by_key["zoë"]["label"] == "Zoeee"
+    assert "İstanbul".lower() in by_key and by_key["İstanbul".lower()]["label"] == ""
+    assert by_key["only_type"]["types"] == ["https://schema.org/Thing"]
+    # any order of the same rows
+    shuffled = rows[::-1]
+    assert _entity_mentions(_mention_table(shuffled)).equals(
+        _loop_entity_mentions(_mention_table(shuffled)))
+
+
+def test_entity_mentions_without_entities_is_empty():
+    from ontocast_ray.pipelines.crossdoc import _MERGE_SCHEMA, _entity_mentions
+
+    table = _mention_table([("https://schema.org/Person", "p", "o", "d1")])
+    assert _entity_mentions(table).equals(_loop_entity_mentions(table))
+    assert _entity_mentions(table.slice(0, 0)).schema == _MERGE_SCHEMA
+
+
+def test_entity_mentions_equal_the_row_loop_on_kernel_output():
+    from ontocast_ray.pipelines.crossdoc import _entity_mentions
+    from ontocast_ray.pipelines.kg import KGProcessDocs
+    from ontocast_ray.stages.assemble import assemble_spans
+
+    docs = generate_corpus(n_docs=48, seed=11, head_entity_fraction=0.5,
+                           target_doc_chars=400)
+    triples = KGProcessDocs(min_chunk_size=200, max_chunk_size=2000)(assemble_spans(docs))
+    assert _entity_mentions(triples).equals(_loop_entity_mentions(triples))

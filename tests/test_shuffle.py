@@ -116,6 +116,23 @@ def test_empty_input_gives_empty_output(ray_session, both_paths):
         assert shuffle_by(ds, "s", never, n_parts=4).count() == 0
 
 
+def test_empty_input_skips_the_exchange(ray_session, both_paths, caplog):
+    """No rows, no exchange: no Sort operator, and the result the sort
+    path gave an empty input (no rows, one block, no schema)."""
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def never(df: pd.DataFrame) -> pd.DataFrame:
+        raise AssertionError("kernel called on an empty input")
+
+    for _ in both_paths():
+        caplog.clear()
+        out = shuffle_by(_ds(10).filter(expr="v < 0"), "s", never, n_parts=4).materialize()
+        assert "Sort" not in out.stats()
+        assert out.count() == 0 and out.num_blocks() == 1 and out.schema() is None
+        [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+        assert "shuffle_by never: path=empty rows=0 " in msg, msg
+
+
 def test_output_multiset_independent_of_n_parts(ray_session, both_paths):
     def sums(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["s", "j"], as_index=False)["v"].sum()
