@@ -61,6 +61,9 @@ def ratio_at_least(s1: str, s2: str, threshold: float) -> bool:
 
 
 
+_UNARY = [(1 << k) - 1 for k in range(9)]
+
+
 @lru_cache(maxsize=65536)
 def char_bag(s: str) -> tuple[int, int]:
     """``(code, overflow)``: the characters of ``s`` as a bag, for an LCS
@@ -70,13 +73,14 @@ def char_bag(s: str) -> tuple[int, int]:
     ``(code_a & code_b).bit_count() + overflow_a + overflow_b`` is at least
     the number of characters they share counted with multiplicity, which is
     at least their LCS length: a cheap exact pre-test for ``ratio``."""
-    counts = [0] * 64
-    for ch in s:
-        counts[ord(ch) & 63] += 1
+    counts: dict[int, int] = {}
+    for ch in set(s):
+        slot = ord(ch) & 63
+        counts[slot] = counts.get(slot, 0) + s.count(ch)
     code = overflow = 0
-    for slot, k in enumerate(counts):
+    for slot, k in counts.items():
         if k > 8:
             overflow += k - 8
             k = 8
-        code |= ((1 << k) - 1) << (slot * 8)
+        code |= _UNARY[k] << (slot * 8)
     return code, overflow

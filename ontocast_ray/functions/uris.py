@@ -37,6 +37,10 @@ _TLD_RE = re.compile(r"^(.*?)\.(org|com|net|io|edu|gov|int|mil)$", re.IGNORECASE
 _NON_ID_RE = re.compile(r"[^a-zA-Z0-9_-]")
 _NON_WORD_RE = re.compile(r"[^\w\-.]")
 _MULTI_UNDERSCORE_RE = re.compile(r"_+")
+# http(s) IRIs that ``urlparse`` splits only at '/': URL-safe ASCII without
+# '?', '#', ';' or brackets (no query, fragment, params or IPv6 host), and
+# no whitespace or control characters (which urlsplit strips or rejects).
+_PLAIN_HTTP_RE = re.compile(r"https?://([A-Za-z0-9\-._~:/@!$&'()*+,=%]+)")
 
 
 def iri2namespace(iri: str, ontology: bool = False) -> str:
@@ -54,12 +58,18 @@ def clean_derived_id(value: str) -> str:
     return _NON_ID_RE.sub("", value).lower() or ONTOLOGY_NULL_ID
 
 
+# A segment repeats across documents where full IRIs do not.
+_clean_segment = lru_cache(maxsize=65536)(clean_derived_id)
+
+
 @lru_cache(maxsize=65536)
 def derive_ontology_id(iri: str) -> str:
     """Derive a short id from an IRI (last path segment / first netloc token).
 
-    lru_cached: canonicalization calls this for every URI occurrence and the
-    same entity URIs repeat across triples/chunks (pure function of the IRI).
+    lru_cached (a pure function of the IRI). A plain http(s) IRI
+    (``_PLAIN_HTTP_RE``) is split at '/' by string operations, which give
+    ``urlparse``'s netloc and path; every other IRI goes through
+    ``urlparse``.
     """
     if not isinstance(iri, str) or not iri.strip():
         return ONTOLOGY_NULL_ID
@@ -68,6 +78,13 @@ def derive_ontology_id(iri: str) -> str:
 
     if normalized_iri in CONVENTIONAL_MAPPINGS:
         return CONVENTIONAL_MAPPINGS[normalized_iri]
+
+    plain = _PLAIN_HTTP_RE.fullmatch(normalized_iri)
+    if plain is not None:
+        rest = plain.group(1)  # netloc, then the path from its first '/'
+        if "/" in rest:
+            return _clean_segment(rest.rsplit("/", 1)[-1])
+        return _clean_segment(rest.split(".")[0])
 
     parsed = urlparse(normalized_iri)
 

@@ -13,11 +13,14 @@ Input table shape is the north-rule input_hint:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
+import numpy as np
 import pyarrow as pa
 
 from ontocast_ray.rdf.graph import TripleGraph
+from ontocast_ray.rdf.table import TermTable
 from ontocast_ray.rdf.terms import BNode, Literal, URI
 
 SPAN_STRUCT = pa.struct(
@@ -67,15 +70,6 @@ TRIPLES_SCHEMA = pa.schema(
 _BNODE_MARK = "_:"
 
 
-def term_to_cell(term) -> tuple[str, bool, str | None, str | None]:
-    """Encode an RDF term into (value, is_literal, datatype, lang) columns."""
-    if isinstance(term, Literal):
-        return str(term), True, term.datatype, term.lang
-    if isinstance(term, BNode):
-        return _BNODE_MARK + str(term), False, None, None
-    return str(term), False, None, None
-
-
 def cell_to_term(value: str, is_literal: bool, datatype: str | None, lang: str | None):
     if is_literal:
         return Literal(value, datatype=datatype, lang=lang)
@@ -84,43 +78,35 @@ def cell_to_term(value: str, is_literal: bool, datatype: str | None, lang: str |
     return URI(value)
 
 
-def node_to_cell(term) -> str:
-    """Encode a subject/predicate (URI or BNode) as a string cell."""
-    if isinstance(term, BNode):
-        return _BNODE_MARK + str(term)
-    return str(term)
-
-
 def cell_to_node(value: str):
     if value.startswith(_BNODE_MARK):
         return BNode(value[len(_BNODE_MARK):])
     return URI(value)
 
 
-def graph_to_rows(
-    graph: TripleGraph,
-    doc_id: str = "",
-    doc_iri: str = "",
-    chunk_hid: str = "",
-    chunk_idx: int = 0,
-    graph_scope: str = "facts",
-) -> dict[str, list]:
-    """TripleGraph → dict-of-columns matching TRIPLES_SCHEMA (insertion order kept)."""
-    cols: dict[str, list] = {name: [] for name in TRIPLES_SCHEMA.names}
-    for s, p, o in graph:
-        ov, is_lit, dt, lang = term_to_cell(o)
-        cols["subject"].append(node_to_cell(s))
-        cols["predicate"].append(node_to_cell(p))
-        cols["object"].append(ov)
-        cols["object_is_literal"].append(is_lit)
-        cols["object_datatype"].append(dt)
-        cols["object_lang"].append(lang)
-        cols["doc_id"].append(doc_id)
-        cols["doc_iri"].append(doc_iri)
-        cols["chunk_hid"].append(chunk_hid)
-        cols["chunk_idx"].append(chunk_idx)
-        cols["graph_scope"].append(graph_scope)
-    return cols
+def graph_to_rows(terms: TermTable, triples: list, segments: list) -> pa.Table:
+    """One batch's graphs of ids → one TRIPLES_SCHEMA table.
+
+    ``triples`` holds the (s, p, o) ids of every graph, graph after graph,
+    each in insertion order; ``segments`` holds per graph its row count and
+    (doc_id, doc_iri, chunk_hid, chunk_idx, graph_scope). The term columns
+    are a ``take`` over ``terms``' cell columns, the graph columns a
+    ``take`` over the segments."""
+    spo = np.fromiter(chain.from_iterable(triples), dtype=np.int32, count=3 * len(triples))
+    s, p, o = np.ascontiguousarray(spo.reshape(-1, 3).T)
+    seg = np.repeat(np.arange(len(segments), dtype=np.int32),
+                    np.fromiter((g[0] for g in segments), dtype=np.int64, count=len(segments)))
+    value = pa.array(terms.value, pa.string())
+    cols = [
+        value.take(s), value.take(p), value.take(o),
+        pa.array(terms.is_literal, pa.bool_()).take(o),
+        pa.array(terms.datatype, pa.string()).take(o),
+        pa.array(terms.lang, pa.string()).take(o),
+    ]
+    for k, name in enumerate(TRIPLES_SCHEMA.names[6:], start=1):
+        typ = TRIPLES_SCHEMA.field(name).type
+        cols.append(pa.array([g[k] for g in segments], typ).take(seg))
+    return pa.Table.from_arrays(cols, schema=TRIPLES_SCHEMA)
 
 
 def rows_to_graph(
@@ -149,21 +135,3 @@ def table_to_graph(table: pa.Table) -> TripleGraph:
         table["object_datatype"].to_pylist(),
         table["object_lang"].to_pylist(),
     )
-
-
-def columns_to_table(cols: dict[str, list]) -> pa.Table:
-    return pa.table(
-        {name: pa.array(cols[name], type=TRIPLES_SCHEMA.field(name).type) for name in TRIPLES_SCHEMA.names}
-    )
-
-
-def empty_triples_table() -> pa.Table:
-    return TRIPLES_SCHEMA.empty_table()
-
-
-def concat_triple_columns(parts: Iterable[dict[str, list]]) -> dict[str, list]:
-    out: dict[str, list] = {name: [] for name in TRIPLES_SCHEMA.names}
-    for part in parts:
-        for name in TRIPLES_SCHEMA.names:
-            out[name].extend(part[name])
-    return out

@@ -126,7 +126,6 @@ _MERGE_SCHEMA = pa.schema({
     "entity_key": pa.string(), "label": pa.string(), "types": _STRS, "docs": _STRS,
     "n_docs": pa.int64(), "n_mentions": pa.int64(), "origin": pa.int8(),
 })
-_STATUS = {frozenset({0}): "unchanged", frozenset({1}): "new", frozenset({0, 1}): "updated"}
 
 
 def _new_rows(keys: list, ents) -> pa.Table:
@@ -162,8 +161,13 @@ def _entity_mentions(batch: pa.Table) -> pa.Table:
     mention count and the sorted distinct docs and ``rdf:type`` objects.
 
     The within-batch label is the FIRST longest ``rdfs:label`` in triple
-    order (not `_merge_label`'s lexical tiebreak): the kg_global_entities
-    and kg_incremental_entities goldens pin this rule. Length is in code
+    order (not the merge's lexical tiebreak, `_fold_cells`): the
+    kg_global_entities and kg_incremental_entities goldens pin this rule.
+    So a key with two distinct longest labels ('Amara Haddad', 'Maria
+    Haddad', 'Omar Haddad' for ``amara_haddad``; 9, 7 and 9 such keys in
+    ``crawl_update`` at seeds 1/2/3) gets the label that the batch
+    boundaries select, which perfbench's ``label_chars`` digest cannot
+    see. Length is in code
     points, as Python's ``len``. The key is ``entity_key_of``'s: the
     local name lowered by ``str.lower``, run once per distinct local name."""
     if batch.num_rows == 0:
@@ -209,51 +213,66 @@ def _entity_mentions(batch: pa.Table) -> pa.Table:
     }, schema=_MERGE_SCHEMA)
 
 
-def _merge_label(a: str, b: str) -> str:
-    """Longest label with a deterministic lexicographic tiebreak —
-    associative + commutative, so any fold order (and incremental merging)
-    gives the full-batch result."""
-    if len(a) != len(b):
-        return a if len(a) > len(b) else b
-    return a if a <= b else b
+def _fold_cells(group: pa.Table, cell: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Fold merge rows per cell (``cell``: an int code per row) → (the
+    first row of each cell, the folded columns), cells in order of first
+    row. Per cell: the longest label, ties broken lexicographically
+    (associative and commutative, so any fold order, incremental merging
+    included, gives the full-batch result); the sorted distinct types and
+    docs; Σ n_docs, Σ n_mentions; and whether an origin 0 / origin 1 row
+    is present."""
+    codes, first, gid = np.unique(cell, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")  # cells numbered by first row
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    gid, first, n = renumber[gid.ravel()], first[order], len(order)
 
+    label = group["label"].combine_chunks()
+    enc = pc.dictionary_encode(label)
+    rank = np.empty(len(enc.dictionary), dtype=np.int64)
+    rank[pc.array_sort_indices(enc.dictionary).to_numpy()] = np.arange(len(rank))
+    length = pc.utf8_length(label).to_numpy()
+    by_cell = np.lexsort((rank[enc.indices.to_numpy()], -length, gid))
+    head = by_cell[np.r_[True, gid[by_cell][1:] != gid[by_cell][:-1]]] if n else by_cell
 
-def _fold(keys, rows: pa.Table) -> dict:
-    """Fold merge rows per key (``keys``: one per row) → key: [label,
-    {types}, {docs}, Σ n_docs, Σ n_mentions, {origins}]."""
-    acc: dict = {}
-    cols = (rows[c].to_pylist() for c in _MERGE_SCHEMA.names[1:])
-    for key, label, types, docs, n_docs, n_mentions, origin in zip(keys, *cols):
-        ent = acc.get(key)
-        if ent is None:
-            ent = ["", set(), set(), 0, 0, set()]
-            acc[key] = ent
-        ent[0] = _merge_label(ent[0], label)
-        ent[1].update(types)
-        ent[2].update(docs)
-        ent[3] += n_docs
-        ent[4] += n_mentions
-        ent[5].add(origin)
-    return acc
+    def lists(column: str) -> pa.Array:
+        values = group[column].combine_chunks()
+        parents = pc.list_parent_indices(values).to_numpy()
+        return _sorted_lists(gid[parents], pc.list_flatten(values), n)
+
+    origin = group["origin"].to_numpy()
+    # bincount sums integer counts in float64: exact below 2**53
+    return first, {
+        "label": label.take(head),
+        "types": lists("types"),
+        "docs": lists("docs"),
+        "n_docs": np.bincount(gid, group["n_docs"].to_numpy(), n).astype(np.int64),
+        "n_mentions": np.bincount(gid, group["n_mentions"].to_numpy(), n).astype(np.int64),
+        "old": np.bincount(gid[origin == 0], minlength=n) > 0,
+        "new": np.bincount(gid[origin == 1], minlength=n) > 0,
+    }
 
 
 def _merge_entities_factory(domain: str, status: bool):
-    """The one merge kernel of both entity paths: per entity_key, label by
-    `_merge_label`, sorted type union, n_docs = Σ n_docs + |∪ docs|,
-    Σ n_mentions, and (if ``status``) status from the set of origins."""
+    """The one merge kernel of both entity paths: per entity_key, in order
+    of its first row, the label, sorted type union, n_docs = Σ n_docs +
+    |∪ docs|, Σ n_mentions of `_fold_cells`, and (if ``status``) 'new',
+    'unchanged' or 'updated' for rows of origin 1, 0 or both."""
     def merge_entities(group: pa.Table) -> pa.Table:
-        acc = _fold(group["entity_key"].to_pylist(), group)
-        ents = acc.values()
+        keys = group["entity_key"].combine_chunks()
+        first, acc = _fold_cells(group, pc.dictionary_encode(keys).indices.to_numpy())
+        keys = keys.take(first)
         out = {
-            "entity_uri": [f"{domain}/entity/{k}" for k in acc],
-            "entity_key": list(acc),
-            "label": [e[0] for e in ents],
-            "types": pa.array([sorted(e[1]) for e in ents], _STRS),
-            "n_docs": [e[3] + len(e[2]) for e in ents],
-            "n_mentions": [e[4] for e in ents],
+            "entity_uri": pc.binary_join_element_wise(f"{domain}/entity/", keys, ""),
+            "entity_key": keys,
+            "label": acc["label"],
+            "types": acc["types"],
+            "n_docs": acc["n_docs"] + pc.list_value_length(acc["docs"]).to_numpy(),
+            "n_mentions": acc["n_mentions"],
         }
         if status:
-            out["status"] = [_STATUS[frozenset(e[5])] for e in ents]
+            out["status"] = np.where(
+                acc["old"], np.where(acc["new"], "updated", "unchanged"), "new").tolist()
         return pa.table(out)
 
     return merge_entities
@@ -271,8 +290,16 @@ def _salted(batch: pa.Table, n_salt: int) -> pa.Table:
 def _phase1_partition(group: pa.Table) -> pa.Table:
     """Phase 1 kernel: fold each (key, salt) cell of one coarse partition
     into one merge row; phase 2 unions the cells' doc lists."""
-    acc = _fold(zip(group["entity_key"].to_pylist(), group["salt"].to_pylist()), group)
-    return _new_rows([k for k, _ in acc], acc.values())
+    keys = pc.dictionary_encode(group["entity_key"].combine_chunks()).indices.to_numpy()
+    salt = group["salt"].to_numpy().astype(np.int64)
+    first, acc = _fold_cells(group, keys.astype(np.int64) * (int(salt.max(initial=0)) + 1) + salt)
+    n = len(first)
+    return pa.table({
+        "entity_key": group["entity_key"].take(first), "label": acc["label"],
+        "types": acc["types"], "docs": acc["docs"],
+        "n_docs": np.zeros(n, dtype=np.int64), "n_mentions": acc["n_mentions"],
+        "origin": np.ones(n, dtype=np.int8),
+    }, schema=_MERGE_SCHEMA)
 
 
 def global_entity_table(

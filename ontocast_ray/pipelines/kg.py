@@ -122,22 +122,25 @@ class KGProcessDocs:
 
     def __call__(self, batch):
         """Chunk the batch, then per doc: extract each chunk in chunk_idx
-        order and fold the chunk graphs in memory into the doc's facts."""
-        import inspect
-        import pyarrow as pa
+        order and fold the chunk graphs in memory into the doc's facts.
 
+        Every graph holds ids of one term table per call; an extractor model
+        that returns term objects is encoded into it. The rows of the whole
+        call come out of ``model.graph_to_rows`` at once."""
+        import inspect
+
+        import ontocast_ray.model
         from ontocast_ray.functions.uris import iri2namespace
-        from ontocast_ray.model import TRIPLES_SCHEMA, concat_triple_columns, graph_to_rows
-        from ontocast_ray.rdf.namespaces import RDFS
-        from ontocast_ray.rdf.terms import Literal
+        from ontocast_ray.rdf.table import LABEL, TermTable
         from ontocast_ray.stages.canonicalize import ChunkGraph, ChunkGraphAggregator
-        from ontocast_ray.stages.extract import addendum_delta_rows, status_graph
+        from ontocast_ray.stages.extract import status_graph
 
         chunks = self.chunker(batch)
         model = self.extractor.extractor
-        supports_extra = "extra_known" in inspect.signature(model.process_chunk).parameters
+        params = inspect.signature(model.process_chunk).parameters
+        supports_extra, supports_terms = "extra_known" in params, "terms" in params
         max_visits = self.extractor.max_visits
-        hub_version = self.extractor._snapshot_version
+        hub, hub_version = self.extractor._hub, self.extractor._snapshot_version
 
         doc_ids = chunks["doc_id"].to_pylist()
         doc_iris = chunks["doc_iri"].to_pylist()
@@ -150,73 +153,57 @@ class KGProcessDocs:
         for i, d in enumerate(doc_ids):
             by_doc.setdefault(d, []).append(i)
 
+        terms = TermTable()
+        is_literal, value = terms.is_literal, terms.value
         aggregator = ChunkGraphAggregator()
-        parts = []
+        triples: list = []
+        # per emitted graph: (rows, doc_id, doc_iri, chunk_hid, chunk_idx, scope)
+        segments: list = []
         deltas: dict[str, list] = {}
         for doc_id, idxs in by_doc.items():
             doc_iri = doc_iris[idxs[0]]
             doc_known: set = set()
             chunk_graphs: list[ChunkGraph] = []
             for i in idxs:
-                if supports_extra:
-                    result = model.process_chunk(
-                        texts[i], doc_iri, chunk_hids[i], max_visits=max_visits,
-                        extra_known=doc_known,
-                    )
-                else:
-                    result = model.process_chunk(
-                        texts[i], doc_iri, chunk_hids[i], max_visits=max_visits
-                    )
-                for s, p, o in result.ontology_addendum:
-                    if p == RDFS.label and isinstance(o, Literal):
-                        doc_known.add(str(o).lower())
-                parts.append(
-                    graph_to_rows(
-                        result.ontology_addendum, doc_id=doc_id, doc_iri=doc_iri,
-                        chunk_hid=chunk_hids[i], chunk_idx=chunk_idxs[i],
-                        graph_scope="ontology",
-                    )
+                kwargs = {"extra_known": doc_known} if supports_extra else {}
+                if supports_terms:
+                    kwargs["terms"] = terms
+                result = model.process_chunk(
+                    texts[i], doc_iri, chunk_hids[i], max_visits=max_visits, **kwargs
                 )
-                parts.append(
-                    graph_to_rows(
-                        status_graph(result, f"{doc_iri}/chunk/{chunk_hids[i]}", hub_version),
-                        doc_id=doc_id, doc_iri=doc_iri,
-                        chunk_hid=chunk_hids[i], chunk_idx=chunk_idxs[i],
-                        graph_scope="status",
-                    )
-                )
-                if len(result.ontology_addendum):
-                    deltas.setdefault(result.ontology_id, []).extend(
-                        addendum_delta_rows(result.ontology_addendum)
-                    )
+                if not supports_terms:
+                    result.facts = terms.encode_graph(result.facts)
+                    result.ontology_addendum = terms.encode_graph(result.ontology_addendum)
+                addendum = result.ontology_addendum
+                for s, p, o in addendum:
+                    if p == LABEL and is_literal[o]:
+                        doc_known.add(value[o].lower())
+                chunk_iri = f"{doc_iri}/chunk/{chunk_hids[i]}"
+                status = status_graph(result, chunk_iri, hub_version, terms)
+                for graph, scope in ((addendum, "ontology"), (status, "status")):
+                    triples.extend(graph)
+                    segments.append(
+                        (len(graph), doc_id, doc_iri, chunk_hids[i], chunk_idxs[i], scope))
+                if hub is not None and len(addendum):
+                    deltas.setdefault(result.ontology_id, []).extend(terms.cells(addendum))
                 chunk = ChunkGraph(hid=chunk_hids[i], doc_iri=doc_iri, graph=result.facts)
                 chunk.sanitize()  # ref aggregate_facts.py:20-21
                 chunk_graphs.append(chunk)
 
-            aggregated = aggregator.aggregate_graphs(chunk_graphs, iri2namespace(doc_iri))
-            parts.append(
-                graph_to_rows(
-                    aggregated, doc_id=doc_id, doc_iri=doc_iri,
-                    chunk_hid="", chunk_idx=-1, graph_scope="facts",
-                )
-            )
+            aggregated = aggregator.aggregate_graphs(chunk_graphs, iri2namespace(doc_iri), terms)
+            triples.extend(aggregated)
+            segments.append((len(aggregated), doc_id, doc_iri, "", -1, "facts"))
 
-        if self.extractor._hub is not None and deltas:
+        if deltas:
             import ray
 
             refs = [
-                self.extractor._hub.merge_delta.remote(oid, None, rows)
-                for oid, rows in deltas.items()
+                hub.merge_delta.remote(oid, None, cells)
+                for oid, cells in deltas.items()
             ]
             ray.wait(refs, num_returns=len(refs))
 
-        cols = concat_triple_columns(parts)
-        return pa.table(
-            {
-                name: pa.array(cols[name], type=TRIPLES_SCHEMA.field(name).type)
-                for name in TRIPLES_SCHEMA.names
-            }
-        )
+        return ontocast_ray.model.graph_to_rows(terms, triples, segments)
 
 
 _TASK_PROCESSOR_CACHE: dict = {}

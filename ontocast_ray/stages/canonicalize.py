@@ -2,8 +2,8 @@
 
 Rule-for-rule port of the reference's ``ChunkRDFGraphAggregator`` /
 ``EntityDisambiguator`` (/root/reference/ontocast/tool/aggregate.py:44-764),
-operating on our TripleGraph. The reference semantics that MUST hold (and are
-gated by goldens):
+operating on our TripleGraph of term ids. The reference semantics that MUST
+hold (and are gated by goldens):
 
 - per-document scope; chunks processed in chunk order (the greedy grouping is
   insertion-order dependent — ref aggregate.py:484-559);
@@ -29,10 +29,11 @@ The kernel runs once per document inside ``pipelines.kg.KGProcessDocs``,
 which folds the doc's chunk graphs in memory in chunk order: there is no
 shuffle. Merging entities across documents is ``pipelines.crossdoc``'s.
 
-Cost: each chunk graph is scanned once (``scan_graph``); the vocabulary
-terms it dispatches on are interned objects (``rdf.namespaces``), so dict
-probes match by identity; and the greedy grouping runs over per-entity
-arrays computed once, with candidates pruned by an exact-name index, a
+Cost: the kernel runs on term ids of the call's ``TermTable``
+(``rdf.table``): the vocabulary it dispatches on has fixed ids, and each
+URI's local name is derived once per call. Each chunk graph is scanned
+once (``scan_graph``), and the greedy grouping runs over per-entity arrays
+computed once, with candidates pruned by an exact-name index, a
 label-length band and a character-bag bound on the LCS (``_Candidates``).
 """
 
@@ -46,33 +47,31 @@ from typing import Dict, List, Optional, Set, Tuple
 from ontocast_ray.functions.fuzz import char_bag, ratio_at_least
 from ontocast_ray.functions.uris import clean_local_name, derive_ontology_id, iri2namespace
 from ontocast_ray.rdf.graph import TripleGraph
-from ontocast_ray.rdf.namespaces import PROV, RDF, RDFS
-from ontocast_ray.rdf.terms import Literal, URI
-
-# The vocabulary terms the scans dispatch on: one interned object each, the
-# same objects the extractor and the Turtle parser put into chunk graphs, so
-# ``_VOCAB.get(pred)`` mostly matches by identity.
-_LABEL, _COMMENT, _DOMAIN, _RANGE = RDFS.label, RDFS.comment, RDFS.domain, RDFS.range
-_TYPE, _PROPERTY = RDF.type, RDF.Property
-_VOCAB = {term: term for term in (_LABEL, _COMMENT, _DOMAIN, _RANGE, _TYPE)}
-_PROV_ENTITY, _WAS_PART_OF, _WAS_GENERATED_BY = PROV.Entity, PROV.wasPartOf, PROV.wasGeneratedBy
+from ontocast_ray.rdf.namespaces import PROV
+from ontocast_ray.rdf.table import (
+    COMMENT, DOMAIN, LABEL, PROPERTY, PROV_ENTITY, RANGE, TYPE, WAS_GENERATED_BY, WAS_PART_OF,
+    TermTable,
+)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityMetadata:
     local_name: str
     label: Optional[str] = None
     comment: Optional[str] = None
-    types: Set[URI] = field(default_factory=set)
+    types: Set = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class PredicateMetadata:
+    """``domain`` and ``range`` are terms of the graph scanned: ids in the
+    kernel, term objects at the term-graph edge."""
+
     local_name: str
     label: Optional[str] = None
     comment: Optional[str] = None
-    domain: Optional[URI] = None
-    range: Optional[URI] = None
+    domain: Optional[object] = None
+    range: Optional[object] = None
     is_explicit_property: bool = False
 
 
@@ -115,9 +114,11 @@ class EntityDisambiguator:
         return uri_str, derive_ontology_id(uri_str)
 
     def scan_graph(
-        self, graph: TripleGraph
-    ) -> Tuple[Dict[URI, EntityMetadata], Dict[URI, Set[URI]], Dict[URI, PredicateMetadata]]:
-        """One pass over a chunk graph → (entities, types, predicates).
+        self, graph: TripleGraph, terms: Optional[TermTable] = None
+    ) -> Tuple[Dict[int, EntityMetadata], Dict[int, Set[int]], Dict[int, PredicateMetadata]]:
+        """One pass over a chunk graph of ``terms`` ids → (entities, types,
+        predicates). With ``terms`` None, the graph and the result hold
+        term objects.
 
         - entities (ref :444-482): every URI subject or object, keyed by its
           normalized form. Those with an rdfs:label/comment literal come
@@ -129,81 +130,80 @@ class EntityDisambiguator:
           use, with the label, comment, domain, range and rdf:Property
           facts stated about it anywhere in the graph (the last one wins).
         """
+        if terms is None:
+            terms = TermTable()
+            return _decode_scan(terms, self.scan_graph(terms.encode_graph(graph), terms))
+        is_uri, is_literal, value = terms.is_uri, terms.is_literal, terms.value
+        # An id stands for its normalized form unless a prefixed form expands.
         namespaces = dict(graph.namespaces())
-        memo: dict = {}
+        expanded: Dict[int, int] = {}
+        if namespaces:
+            for i in {i for t in graph for i in t if is_uri[i]}:
+                full_uri, _ = self.normalize_uri(value[i], namespaces)
+                if full_uri != value[i]:
+                    expanded[i] = terms.uri(full_uri)
+        ref = expanded.get
 
-        def norm(term: URI) -> Tuple[URI, str]:
-            # The term object itself stands for its normalized form unless a
-            # prefixed form was expanded.
-            full_uri, local_name = self.normalize_uri(term, namespaces)
-            out = memo[term] = (term if full_uri == str(term) else URI(full_uri), local_name)
-            return out
-
-        labeled: Dict[URI, EntityMetadata] = {}
-        mentioned: Dict[URI, str] = {}
-        types: Dict[URI, Set[URI]] = {}
-        predicates: Dict[URI, PredicateMetadata] = {}
-        stated: list = []  # (subject, vocabulary term, object): maybe about a predicate
+        texts: Dict[int, list] = {}  # entity → [label, comment]
+        mentioned: Dict[int, None] = {}
+        types: Dict[int, Set[int]] = {}
+        used: Dict[int, None] = {}  # predicates
+        stated: list = []  # (subject, vocabulary id, object): maybe about a predicate
         for subj, pred, obj in graph:
-            if isinstance(pred, URI):
-                uri_ref, local_name = memo.get(pred) or norm(pred)
-                if uri_ref not in predicates:
-                    predicates[uri_ref] = PredicateMetadata(local_name=local_name)
-            if isinstance(subj, URI):
-                uri_ref, local_name = memo.get(subj) or norm(subj)
-                if uri_ref not in mentioned:
-                    mentioned[uri_ref] = local_name
-                kind = _VOCAB.get(pred)
-                if kind is _LABEL or kind is _COMMENT:
-                    if isinstance(obj, Literal):
-                        meta = labeled.get(uri_ref)
-                        if meta is None:
-                            meta = labeled[uri_ref] = EntityMetadata(local_name=local_name)
-                        if kind is _LABEL:
-                            meta.label = str(obj)
-                        else:
-                            meta.comment = str(obj)
-                        stated.append((uri_ref, kind, obj))
-                elif kind is _TYPE:
-                    if isinstance(obj, URI):
+            if is_uri[pred]:
+                used[ref(pred, pred)] = None
+            if is_uri[subj]:
+                uri_ref = ref(subj, subj)
+                mentioned[uri_ref] = None
+                if pred == LABEL or pred == COMMENT:
+                    if is_literal[obj]:
+                        text = texts.get(uri_ref)
+                        if text is None:
+                            text = texts[uri_ref] = [None, None]
+                        text[pred == COMMENT] = value[obj]
+                        stated.append((uri_ref, pred, obj))
+                elif pred == TYPE:
+                    if is_uri[obj]:
                         types.setdefault(subj, set()).add(obj)
-                        if obj == _PROPERTY:
-                            stated.append((uri_ref, kind, obj))
-                elif kind is not None:
-                    stated.append((uri_ref, kind, obj))
-            if isinstance(obj, URI):
-                uri_ref, local_name = memo.get(obj) or norm(obj)
-                if uri_ref not in mentioned:
-                    mentioned[uri_ref] = local_name
+                        if obj == PROPERTY:
+                            stated.append((uri_ref, pred, obj))
+                elif pred == DOMAIN or pred == RANGE:
+                    stated.append((uri_ref, pred, obj))
+            if is_uri[obj]:
+                mentioned[ref(obj, obj)] = None
 
-        for uri_ref, local_name in mentioned.items():
-            if uri_ref not in labeled:
-                labeled[uri_ref] = EntityMetadata(local_name=local_name)
+        local = terms.local
+        entities = {i: EntityMetadata(local(i), label, comment)
+                    for i, (label, comment) in texts.items()}
+        for i in mentioned:
+            if i not in entities:
+                entities[i] = EntityMetadata(local(i))
+        predicates = {i: PredicateMetadata(local(i)) for i in used}
         for uri_ref, kind, obj in stated:
             info = predicates.get(uri_ref)
             if info is None:
                 continue
-            if kind is _TYPE:
+            if kind == TYPE:
                 info.is_explicit_property = True
-            elif kind is _LABEL:
-                info.label = str(obj)
-            elif kind is _COMMENT:
-                info.comment = str(obj)
-            elif kind is _DOMAIN:
+            elif kind == LABEL:
+                info.label = value[obj]
+            elif kind == COMMENT:
+                info.comment = value[obj]
+            elif kind == DOMAIN:
                 info.domain = obj
             else:
                 info.range = obj
-        return labeled, types, predicates
+        return entities, types, predicates
 
-    def extract_entity_labels(self, graph: TripleGraph) -> Dict[URI, EntityMetadata]:
-        """ref :444-482 — the entities of ``scan_graph``."""
+    def extract_entity_labels(self, graph: TripleGraph) -> Dict[object, EntityMetadata]:
+        """ref :444-482 — the entities of ``scan_graph`` (term objects)."""
         return self.scan_graph(graph)[0]
 
     def find_similar_entities(
         self,
-        entities_with_labels: Dict[URI, EntityMetadata],
-        entity_types: Optional[Dict[URI, Set[URI]]] = None,
-    ) -> List[List[URI]]:
+        entities_with_labels: Dict[object, EntityMetadata],
+        entity_types: Optional[Dict[object, Set[object]]] = None,
+    ) -> List[list]:
         """Greedy single-pass grouping (ref :484-559).
 
         Each entity not yet grouped, in insertion order, takes every later
@@ -219,13 +219,13 @@ class EntityDisambiguator:
         metas = entities_with_labels.values()
         names = [m.local_name.lower() for m in metas]
         labels = [m.label.lower() if m.label else None for m in metas]
-        untyped: Set[URI] = set()
+        untyped: set = set()
         types = [entity_types.get(k, untyped) for k in keys]
         candidates = _Candidates(
             names, labels, min(self.similarity_threshold, self.semantic_threshold)
         )
         grouped = [False] * len(keys)
-        entity_groups: List[List[URI]] = []
+        entity_groups: List[list] = []
         for i, name1 in enumerate(names):
             if grouped[i]:
                 continue
@@ -250,8 +250,8 @@ class EntityDisambiguator:
         return entity_groups
 
     def find_similar_predicates(
-        self, predicates_with_info: Dict[URI, PredicateMetadata]
-    ) -> List[List[URI]]:
+        self, predicates_with_info: Dict[object, PredicateMetadata]
+    ) -> List[list]:
         """ref :692-751: the greedy grouping of ``find_similar_entities``,
         where the same local name or a label at the similarity threshold
         merges only domain/range-compatible predicates, and a same-name
@@ -262,7 +262,7 @@ class EntityDisambiguator:
         labels = [p.label.lower() if p.label is not None else None for p in infos]
         candidates = _Candidates(names, labels, self.similarity_threshold)
         grouped = [False] * len(keys)
-        predicate_groups: List[List[URI]] = []
+        predicate_groups: List[list] = []
         for i, name1 in enumerate(names):
             if grouped[i]:
                 continue
@@ -292,45 +292,56 @@ class EntityDisambiguator:
         return domain_compatible and range_compatible
 
     def create_canonical_iri(
-        self,
-        similar_entities: List[URI],
-        doc_namespace: str,
-        entity_labels: Dict[URI, EntityMetadata],
-    ) -> URI:
+        self, similar_entities: list, doc_namespace: str,
+        entity_labels: Dict[object, EntityMetadata],
+    ) -> str:
         """Longest-label member wins; mint in doc namespace (ref :561-592)."""
-        best_entity = max(
-            similar_entities,
-            key=lambda e: len(entity_labels.get(e, EntityMetadata(local_name="")).label or ""),
-        )
-        best_info = entity_labels.get(
-            best_entity, EntityMetadata(local_name=derive_ontology_id(str(best_entity)))
-        )
-        return URI(f"{doc_namespace}{clean_local_name(best_info.local_name)}")
+        best = max(similar_entities, key=lambda e: len(entity_labels[e].label or ""))
+        return f"{doc_namespace}{clean_local_name(entity_labels[best].local_name)}"
 
     def create_canonical_predicate(
-        self,
-        similar_predicates: List[URI],
-        doc_namespace: str,
-        predicate_info: Dict[URI, PredicateMetadata],
-    ) -> URI:
+        self, similar_predicates: list, doc_namespace: str,
+        predicate_info: Dict[object, PredicateMetadata],
+    ) -> str:
         """Most-metadata member wins (ref :594-633)."""
-        best_pred = max(
-            similar_predicates,
-            key=lambda p: sum(
-                1
-                for v in [
-                    predicate_info.get(p, PredicateMetadata(local_name="")).label,
-                    predicate_info.get(p, PredicateMetadata(local_name="")).comment,
-                    predicate_info.get(p, PredicateMetadata(local_name="")).domain,
-                    predicate_info.get(p, PredicateMetadata(local_name="")).range,
-                ]
-                if v is not None
-            ),
-        )
-        best_info = predicate_info.get(
-            best_pred, PredicateMetadata(local_name=derive_ontology_id(str(best_pred)))
-        )
-        return URI(f"{doc_namespace}{clean_local_name(best_info.local_name)}")
+        def filled(p) -> int:
+            info = predicate_info[p]
+            return sum(v is not None for v in (info.label, info.comment, info.domain, info.range))
+
+        best = max(similar_predicates, key=filled)
+        return f"{doc_namespace}{clean_local_name(predicate_info[best].local_name)}"
+
+
+def _decode_scan(terms: TermTable, scan: tuple) -> tuple:
+    """``scan_graph``'s result with its ids decoded to term objects."""
+    labeled, types, predicates = scan
+    dec = terms.decode
+    for info in predicates.values():
+        if info.domain is not None:
+            info.domain = dec(info.domain)
+        if info.range is not None:
+            info.range = dec(info.range)
+    return (
+        {dec(i): meta for i, meta in labeled.items()},
+        {dec(i): {dec(t) for t in objs} for i, objs in types.items()},
+        {dec(i): info for i, info in predicates.items()},
+    )
+
+
+def _merge_predicate(merged: PredicateMetadata, info: PredicateMetadata, lexical) -> None:
+    """Fold ``info`` into ``merged`` (ref :147-172, :594-633): a field
+    ``merged`` lacks is taken, a longer value replaces it (terms compare
+    by their string form, ``lexical`` of the id), and rdf:Property sticks."""
+    for key in ("label", "comment"):
+        new, cur = getattr(info, key), getattr(merged, key)
+        if new is not None and (cur is None or len(new) > len(cur)):
+            setattr(merged, key, new)
+    for key in ("domain", "range"):
+        new, cur = getattr(info, key), getattr(merged, key)
+        if new is not None and (cur is None or len(lexical(new)) > len(lexical(cur))):
+            setattr(merged, key, new)
+    if info.is_explicit_property:
+        merged.is_explicit_property = True
 
 
 def _length_band(length: int, threshold: float) -> Tuple[float, float]:
@@ -364,17 +375,16 @@ class _Candidates:
         by_length = sorted((len(label), i) for i, label in enumerate(labels) if label is not None)
         self.lengths = [n for n, _ in by_length]
         self.order = [i for _, i in by_length]
-        self.bags = [char_bag(label) if label is not None else (0, 0) for label in labels]
 
     def after(self, i: int) -> List[int]:
-        found = {j for j in self.by_name[self.names[i]] if j > i}
+        same_name = self.by_name[self.names[i]]
         label = self.labels[i]
-        if label is not None:
-            lo, hi = _length_band(len(label), self.threshold)
-            lengths = self.lengths
-            band = self.order[bisect.bisect_left(lengths, lo):bisect.bisect_right(lengths, hi)]
-            found.update(j for j in band if j > i)
-        return sorted(found)
+        if label is None:
+            return [j for j in same_name if j > i]
+        lo, hi = _length_band(len(label), self.threshold)
+        lengths = self.lengths
+        band = self.order[bisect.bisect_left(lengths, lo):bisect.bisect_right(lengths, hi)]
+        return sorted({j for j in band if j > i}.union(j for j in same_name if j > i))
 
     def similar(self, i: int, j: int, threshold: float) -> bool:
         """Both labels are given and ``fuzz.ratio(labels[i], labels[j]) >=
@@ -385,7 +395,7 @@ class _Candidates:
         if label1 is None or label2 is None:
             return False
         total = len(label1) + len(label2)
-        (code1, over1), (code2, over2) = self.bags[i], self.bags[j]
+        (code1, over1), (code2, over2) = char_bag(label1), char_bag(label2)
         shared = (code1 & code2).bit_count() + over1 + over2
         if total and 200.0 * shared / total < threshold:
             return False
@@ -398,7 +408,15 @@ class ChunkGraphAggregator:
     def __init__(self, similarity_threshold: float = 85.0, semantic_threshold: float = 90.0):
         self.disambiguator = EntityDisambiguator(similarity_threshold, semantic_threshold)
 
-    def aggregate_graphs(self, chunks: List[ChunkGraph], doc_namespace: str) -> TripleGraph:
+    def aggregate_graphs(
+        self, chunks: List[ChunkGraph], doc_namespace: str, terms: Optional[TermTable] = None
+    ) -> TripleGraph:
+        """The doc graph of ``chunks``, whose graphs hold ids of ``terms``.
+        With ``terms`` None they hold term objects, and so does the result."""
+        decode = terms is None
+        if decode:
+            terms = TermTable()
+            chunks = [ChunkGraph(c.hid, c.doc_iri, terms.encode_graph(c.graph)) for c in chunks]
         aggregated_graph = TripleGraph()
 
         if not doc_namespace.endswith(("/", "#")):
@@ -419,34 +437,23 @@ class ChunkGraphAggregator:
         aggregated_graph.bind("cd", doc_namespace)
 
         # First pass: collect entities/predicates/types across chunks (ref :113-172)
-        all_entities_with_labels: Dict[URI, EntityMetadata] = {}
-        all_predicates_with_info: Dict[URI, PredicateMetadata] = {}
-        entity_types: Dict[URI, Set[URI]] = {}
+        all_entities_with_labels: Dict[int, EntityMetadata] = {}
+        all_predicates_with_info: Dict[int, PredicateMetadata] = {}
+        entity_types: Dict[int, Set[int]] = {}
 
         for chunk in chunks:
-            entities_labels, types, predicates_info = self.disambiguator.scan_graph(chunk.graph)
+            entities_labels, types, predicates_info = self.disambiguator.scan_graph(
+                chunk.graph, terms
+            )
             all_entities_with_labels.update(entities_labels)
             for subj, objs in types.items():
                 entity_types.setdefault(subj, set()).update(objs)
             for pred, info in predicates_info.items():
-                if pred not in all_predicates_with_info:
+                existing_info = all_predicates_with_info.get(pred)
+                if existing_info is None:
                     all_predicates_with_info[pred] = info
                 else:
-                    existing_info = all_predicates_with_info[pred]
-                    for key in ("label", "comment", "domain", "range"):
-                        new_val = getattr(info, key)
-                        cur_val = getattr(existing_info, key)
-                        if cur_val is None and new_val is not None:
-                            setattr(existing_info, key, new_val)
-                        elif (
-                            cur_val is not None
-                            and new_val is not None
-                            and isinstance(new_val, str)
-                            and len(str(new_val)) > len(str(cur_val))
-                        ):
-                            setattr(existing_info, key, new_val)
-                    if info.is_explicit_property:
-                        existing_info.is_explicit_property = True
+                    _merge_predicate(existing_info, info, terms.lexical)
 
         similar_entity_groups = self.disambiguator.find_similar_entities(
             all_entities_with_labels, entity_types
@@ -456,41 +463,19 @@ class ChunkGraphAggregator:
         )
 
         # Canonical mappings with _{counter} uniqueness (ref :184-222)
-        entity_mapping: Dict[URI, URI] = {}
-        canonical_entities: set = set()
-        for group in similar_entity_groups:
-            canonical_uri = self.disambiguator.create_canonical_iri(
-                group, doc_namespace, all_entities_with_labels
-            )
-            base_canonical = canonical_uri
-            counter = 1
-            while canonical_uri in canonical_entities:
-                local_name = str(base_canonical).split(doc_namespace)[-1]
-                canonical_uri = URI(f"{doc_namespace}{local_name}_{counter}")
-                counter += 1
-            canonical_entities.add(canonical_uri)
-            for entity in group:
-                entity_mapping[entity] = canonical_uri
-
-        predicate_mapping: Dict[URI, URI] = {}
-        canonical_predicates: set = set()
-        for group in similar_predicate_groups:
-            canonical_uri = self.disambiguator.create_canonical_predicate(
-                group, doc_namespace, all_predicates_with_info
-            )
-            base_canonical = canonical_uri
-            counter = 1
-            while canonical_uri in canonical_predicates:
-                local_name = str(base_canonical).split(doc_namespace)[-1]
-                canonical_uri = URI(f"{doc_namespace}{local_name}_{counter}")
-                counter += 1
-            canonical_predicates.add(canonical_uri)
-            for predicate in group:
-                predicate_mapping[predicate] = canonical_uri
+        entity_mapping = self._canonical_mapping(
+            similar_entity_groups, doc_namespace, terms, lambda group: (
+                self.disambiguator.create_canonical_iri(
+                    group, doc_namespace, all_entities_with_labels)))
+        predicate_mapping = self._canonical_mapping(
+            similar_predicate_groups, doc_namespace, terms, lambda group: (
+                self.disambiguator.create_canonical_predicate(
+                    group, doc_namespace, all_predicates_with_info)))
 
         self._add_canonical_metadata(
             aggregated_graph,
             doc_namespace,
+            terms,
             entity_mapping,
             predicate_mapping,
             all_entities_with_labels,
@@ -498,102 +483,111 @@ class ChunkGraphAggregator:
             entity_types,
         )
 
-        # Re-emit chunk triples with mappings + provenance (ref :234-265)
-        doc_uri = URI(doc_namespace.rstrip("#/"))
+        # Re-emit chunk triples with mappings + provenance (ref :234-265).
+        # The mappings' keys are all URIs, so a literal object never maps.
+        is_uri, value = terms.is_uri, terms.value
+        doc_uri = terms.uri(doc_namespace.rstrip("#/"))
         for chunk in chunks:
-            chunk_iri = URI(chunk.iri)
-            # a set probe hashes natively and calls URI.__eq__ only when the
-            # lexical forms match
-            chunk_only = {chunk_iri}
-            emitted = [(chunk_iri, _TYPE, _PROV_ENTITY), (chunk_iri, _WAS_PART_OF, doc_uri)]
+            chunk_iri = terms.uri(chunk.iri)
+            emitted = [(chunk_iri, TYPE, PROV_ENTITY), (chunk_iri, WAS_PART_OF, doc_uri)]
             for subj, pred, obj in chunk.graph:
-                if subj in chunk_only:
+                if subj == chunk_iri:
                     continue
                 new_subj = entity_mapping.get(subj, subj)
-                new_pred = predicate_mapping.get(pred, pred)
-                new_obj = entity_mapping.get(obj, obj) if isinstance(obj, URI) else obj
-                emitted.append((new_subj, new_pred, new_obj))
-                if isinstance(new_subj, URI) and new_subj.startswith(doc_namespace):
-                    emitted.append((new_subj, _WAS_GENERATED_BY, chunk_iri))
+                emitted.append(
+                    (new_subj, predicate_mapping.get(pred, pred), entity_mapping.get(obj, obj)))
+                if is_uri[new_subj] and value[new_subj].startswith(doc_namespace):
+                    emitted.append((new_subj, WAS_GENERATED_BY, chunk_iri))
             aggregated_graph.update(emitted)
 
-        return aggregated_graph
+        return terms.decode_graph(aggregated_graph) if decode else aggregated_graph
+
+    @staticmethod
+    def _canonical_mapping(groups: List[list], doc_namespace: str, terms: TermTable,
+                           mint) -> Dict[int, int]:
+        """member → canonical id, ``mint(group)``'s IRI made unique with a
+        ``_{counter}`` suffix (ref :184-222)."""
+        mapping: Dict[int, int] = {}
+        minted: set = set()
+        for group in groups:
+            canonical = base = mint(group)
+            counter = 1
+            while canonical in minted:
+                local_name = base.split(doc_namespace)[-1]
+                canonical = f"{doc_namespace}{local_name}_{counter}"
+                counter += 1
+            minted.add(canonical)
+            canonical_id = terms.uri(canonical)
+            for member in group:
+                mapping[member] = canonical_id
+        return mapping
 
     def _add_canonical_metadata(
         self,
         graph: TripleGraph,
         doc_namespace: str,
-        entity_mapping: Dict[URI, URI],
-        predicate_mapping: Dict[URI, URI],
-        entity_labels: Dict[URI, EntityMetadata],
-        predicate_info: Dict[URI, PredicateMetadata],
-        entity_types: Dict[URI, Set[URI]],
+        terms: TermTable,
+        entity_mapping: Dict[int, int],
+        predicate_mapping: Dict[int, int],
+        entity_labels: Dict[int, EntityMetadata],
+        predicate_info: Dict[int, PredicateMetadata],
+        entity_types: Dict[int, Set[int]],
     ) -> None:
-        """ref :275-362. ``doc_namespace`` replaces the 'cd'-binding lookup."""
-        canonical_to_originals: Dict[URI, List[URI]] = {}
+        """ref :275-362. ``doc_namespace`` replaces the 'cd'-binding lookup.
+        Types are emitted sorted by their IRI."""
+        value, lexical, literal = terms.value, terms.lexical, terms.literal
+        by_iri = value.__getitem__
+        out: list = []
+
+        canonical_to_originals: Dict[int, List[int]] = {}
         for original, canonical in entity_mapping.items():
             canonical_to_originals.setdefault(canonical, []).append(original)
 
         for canonical, originals in canonical_to_originals.items():
             best_label = self._get_best_label([entity_labels.get(o) for o in originals])
             if best_label:
-                graph.add((canonical, _LABEL, Literal(best_label)))
-            all_types: Set[URI] = set()
+                out.append((canonical, LABEL, literal(best_label)))
+            all_types: Set[int] = set()
             for orig in originals:
-                all_types.update(entity_types.get(orig, set()))
-            for type_uri in sorted(all_types):  # deterministic emit order
-                graph.add((canonical, _TYPE, type_uri))
+                all_types.update(entity_types.get(orig, ()))
+            out.extend((canonical, TYPE, t) for t in sorted(all_types, key=by_iri))
 
-        processed_entities = set(entity_mapping.keys())
         # ref :309 unions two dict key-sets; preserve insertion order instead
-        all_entities: Dict[URI, None] = {}
-        for e in entity_labels:
-            all_entities.setdefault(e, None)
-        for e in entity_types:
-            all_entities.setdefault(e, None)
-
-        for entity in all_entities:
-            if entity not in processed_entities:
+        for entity in dict.fromkeys([*entity_labels, *entity_types]):
+            if entity not in entity_mapping:
                 meta = entity_labels.get(entity)
                 if meta is not None and meta.label is not None:
-                    graph.add((entity, _LABEL, Literal(meta.label)))
+                    out.append((entity, LABEL, literal(meta.label)))
                 if entity in entity_types:
-                    for type_uri in sorted(entity_types[entity]):
-                        graph.add((entity, _TYPE, type_uri))
+                    out.extend((entity, TYPE, t) for t in sorted(entity_types[entity], key=by_iri))
 
-        canonical_pred_to_originals: Dict[URI, List[URI]] = {}
+        def describe(predicate: int, info: PredicateMetadata) -> None:
+            if info.label:
+                out.append((predicate, LABEL, literal(info.label)))
+            if info.comment:
+                out.append((predicate, COMMENT, literal(info.comment)))
+            if info.domain is not None and lexical(info.domain):
+                out.append((predicate, DOMAIN, info.domain))
+            if info.range is not None and lexical(info.range):
+                out.append((predicate, RANGE, info.range))
+            if info.is_explicit_property:
+                out.append((predicate, TYPE, PROPERTY))
+
+        canonical_pred_to_originals: Dict[int, List[int]] = {}
         for original, canonical in predicate_mapping.items():
-            if str(canonical).startswith(doc_namespace):
+            if value[canonical].startswith(doc_namespace):
                 canonical_pred_to_originals.setdefault(canonical, []).append(original)
 
         for canonical, originals in canonical_pred_to_originals.items():
-            merged_info = self._merge_predicate_info(
-                [predicate_info.get(o) for o in originals]
-            )
-            if merged_info.label:
-                graph.add((canonical, _LABEL, Literal(merged_info.label)))
-            if merged_info.comment:
-                graph.add((canonical, _COMMENT, Literal(merged_info.comment)))
-            if merged_info.domain:
-                graph.add((canonical, _DOMAIN, merged_info.domain))
-            if merged_info.range:
-                graph.add((canonical, _RANGE, merged_info.range))
-            if merged_info.is_explicit_property:
-                graph.add((canonical, _TYPE, _PROPERTY))
+            merged = PredicateMetadata(local_name="")
+            for original in originals:
+                _merge_predicate(merged, predicate_info[original], lexical)
+            describe(canonical, merged)
 
-        processed_predicates = set(predicate_mapping.keys())
         for predicate, info in predicate_info.items():
-            if str(predicate).startswith(doc_namespace) and predicate not in processed_predicates:
-                if info.label:
-                    graph.add((predicate, _LABEL, Literal(info.label)))
-                if info.comment:
-                    graph.add((predicate, _COMMENT, Literal(info.comment)))
-                if info.domain:
-                    graph.add((predicate, _DOMAIN, info.domain))
-                if info.range:
-                    graph.add((predicate, _RANGE, info.range))
-                if info.is_explicit_property:
-                    graph.add((predicate, _TYPE, _PROPERTY))
+            if value[predicate].startswith(doc_namespace) and predicate not in predicate_mapping:
+                describe(predicate, info)
+        graph.update(out)
 
     @staticmethod
     def _get_best_label(label_dicts: List[Optional[EntityMetadata]]) -> Optional[str]:
@@ -601,25 +595,3 @@ class ChunkGraphAggregator:
         if not labels:
             return None
         return max(labels, key=len)
-
-    @staticmethod
-    def _merge_predicate_info(info_dicts: List[Optional[PredicateMetadata]]) -> PredicateMetadata:
-        merged = PredicateMetadata(local_name="", is_explicit_property=False)
-        for info in info_dicts:
-            if info is None:
-                continue
-            for key in ("label", "comment", "domain", "range"):
-                current_value = getattr(merged, key)
-                new_value = getattr(info, key)
-                if current_value is None and new_value is not None:
-                    setattr(merged, key, new_value)
-                elif (
-                    current_value is not None
-                    and new_value is not None
-                    and isinstance(new_value, str)
-                    and len(new_value) > len(str(current_value))
-                ):
-                    setattr(merged, key, new_value)
-            if info.is_explicit_property:
-                merged.is_explicit_property = True
-        return merged

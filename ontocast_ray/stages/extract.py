@@ -31,17 +31,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Protocol
 
 from ontocast_ray.functions.hashing import render_text_hash
 from ontocast_ray.functions.uris import clean_local_name, iri2namespace
-from ontocast_ray.rdf import RDF, RDFS, TripleGraph
+from ontocast_ray.rdf import RDFS, TripleGraph
 from ontocast_ray.rdf.namespaces import XSD
-from ontocast_ray.rdf.terms import Literal, URI
+from ontocast_ray.rdf.table import CLASS, DOMAIN, LABEL, PROPERTY, RANGE, TYPE, TermTable
 from ontocast_ray.stages.sublimate import sublimate_graph
 from ontocast_ray.stages.validate import validate_and_connect
 
 ENGINE_NS = "https://ontocast-ray.dev/meta#"
+_XSD_INTEGER, _XSD_DATE, _XSD_DOUBLE = (str(XSD) + t for t in ("integer", "date", "double"))
+
+# entity phrases repeat across chunks and documents
+_local_name = lru_cache(maxsize=65536)(clean_local_name)
 
 # workflow stage names (ref onto.py:831-843) — used in status columns
 STAGE_FACTS_CRITIQUE = "FACTS_CRITIQUE"
@@ -61,6 +66,9 @@ class OntologyView:
 
 @dataclass
 class ChunkResult:
+    """``facts`` and ``ontology_addendum`` hold term objects, or ids of the
+    ``TermTable`` the caller passed to ``process_chunk``."""
+
     facts: TripleGraph
     ontology_addendum: TripleGraph
     ontology_id: str
@@ -137,76 +145,71 @@ class DeterministicExtractor:
 
     # -- L2+L4: render semantic graph (facts + novel-term definitions) ------
     def render_graph(
-        self, text: str, chunk_ns: str, onto_ns: str, known_terms: set
+        self, text: str, chunk_ns: str, onto_ns: str, known_terms: set, terms: TermTable
     ) -> TripleGraph:
-        g = TripleGraph()
-        g.bind("cd", chunk_ns)
+        """The chunk's triples as ids of ``terms``, in extraction order."""
+        out: list = []
+        uri, literal = terms.uri, terms.literal
 
-        def ent(phrase: str) -> URI:
-            return URI(chunk_ns + clean_local_name(phrase))
+        def ent(phrase: str) -> int:
+            e = uri(chunk_ns + _local_name(phrase))
+            out.append((e, LABEL, literal(phrase)))
+            return e
 
-        def ensure_label(e: URI, phrase: str) -> None:
-            g.add((e, RDFS.label, Literal(phrase)))
-
-        def ensure_class(local: str, label: str) -> URI:
-            c = URI(onto_ns + local)
+        def ensure_class(local: str, label: str) -> int:
+            c = uri(onto_ns + local)
             if label.lower() not in known_terms:
-                g.add((c, RDF.type, RDFS.Class))
-                g.add((c, RDFS.label, Literal(label)))
+                out.append((c, TYPE, CLASS))
+                out.append((c, LABEL, literal(label)))
             return c
 
-        def ensure_property(local: str, label: str, dom: Optional[str], rng: Optional[str]) -> URI:
-            p = URI(onto_ns + local)
+        def ensure_property(local: str, label: str, dom: Optional[str], rng: Optional[str]) -> int:
+            p = uri(onto_ns + local)
             if label.lower() not in known_terms:
-                g.add((p, RDF.type, RDF.Property))
-                g.add((p, RDFS.label, Literal(label)))
+                out.append((p, TYPE, PROPERTY))
+                out.append((p, LABEL, literal(label)))
                 if dom:
-                    g.add((p, RDFS.domain, URI(onto_ns + dom)))
+                    out.append((p, DOMAIN, uri(onto_ns + dom)))
                 if rng:
-                    g.add((p, RDFS.range, URI(onto_ns + rng)))
+                    out.append((p, RANGE, uri(onto_ns + rng)))
             return p
 
         for m in self.TYPE_RE.finditer(text):
-            phrase, type_word = m.group("a"), m.group("t")
-            e = ent(phrase)
-            ensure_label(e, phrase)
-            cls = ensure_class(_camel(type_word), type_word.capitalize())
-            g.add((e, RDF.type, cls))
+            e = ent(m.group("a"))
+            type_word = m.group("t")
+            out.append((e, TYPE, ensure_class(_camel(type_word), type_word.capitalize())))
 
         for rx, local, label, dom, rng in self.RELATIONS:
-            pred: Optional[URI] = None
+            pred: Optional[int] = None
             for m in rx.finditer(text):
                 if pred is None:
                     pred = ensure_property(local, label, dom, rng)
-                a, b = ent(m.group("a")), ent(m.group("b"))
-                ensure_label(a, m.group("a"))
-                ensure_label(b, m.group("b"))
-                g.add((a, pred, b))
+                a = ent(m.group("a"))
+                out.append((a, pred, ent(m.group("b"))))
 
-        emp_pred: Optional[URI] = None
+        emp_pred: Optional[int] = None
         for m in self.EMPLOYS_RE.finditer(text):
             if emp_pred is None:
                 emp_pred = ensure_property("employeeCount", "employee count", "Company", None)
             a = ent(m.group("a"))
-            ensure_label(a, m.group("a"))
-            g.add((a, emp_pred, Literal(m.group("n"), datatype=str(XSD) + "integer")))
+            out.append((a, emp_pred, literal(m.group("n"), _XSD_INTEGER)))
 
-        filed_pred: Optional[URI] = None
+        filed_pred: Optional[int] = None
         for m in self.FILED_RE.finditer(text):
             if filed_pred is None:
                 filed_pred = ensure_property("filedOn", "filed on", "Document", None)
-            report = ent("Report")
-            ensure_label(report, "Report")
-            g.add((report, filed_pred, Literal(m.group("d"), datatype=str(XSD) + "date")))
+            out.append((ent("Report"), filed_pred, literal(m.group("d"), _XSD_DATE)))
 
+        g = TripleGraph().update(out)
+        g.bind("cd", chunk_ns)
         return g
 
     # -- L3/L5: deterministic critics ---------------------------------------
     @staticmethod
-    def critique_facts(facts: TripleGraph, chunk_ns: str) -> tuple[bool, float]:
+    def critique_facts(facts: TripleGraph, chunk_ns: str, terms: TermTable) -> tuple[bool, float]:
         """Pass iff at least one chunk-namespace fact triple exists."""
         for s, _, _ in facts:
-            if str(s).startswith(chunk_ns):
+            if terms.lexical(s).startswith(chunk_ns):
                 return True, 0.9
         return False, 0.0
 
@@ -223,11 +226,18 @@ class DeterministicExtractor:
         chunk_hid: str,
         max_visits: int = 3,
         extra_known: Optional[set] = None,
+        terms: Optional[TermTable] = None,
     ) -> ChunkResult:
         """``extra_known``: term labels added by EARLIER chunks of the same
         document — the reference mutates the shared ontology manager
         mid-document so chunk i+1 sees chunk i's addendum (ref
-        criticise_ontology.py:82-92); the caller threads this per-doc set."""
+        criticise_ontology.py:82-92); the caller threads this per-doc set.
+
+        ``terms``: the table the result's graphs index; with None, they
+        hold term objects (``ExtractorModel``'s protocol)."""
+        decode = terms is None
+        if decode:
+            terms = TermTable()
         chunk_iri = f"{doc_iri}/chunk/{chunk_hid}"
         chunk_ns = iri2namespace(chunk_iri)
 
@@ -250,14 +260,14 @@ class DeterministicExtractor:
         addendum = TripleGraph()
         for attempt in range(1, max_visits + 1):
             attempts = attempt
-            graph = self.render_graph(text, chunk_ns, onto_ns, known)
+            graph = self.render_graph(text, chunk_ns, onto_ns, known, terms)
             ok_onto, onto_score = self.critique_ontology(graph)
             if not ok_onto:
                 failure_stage, score = STAGE_ONTOLOGY_CRITIQUE, onto_score
                 continue
-            addendum, facts = sublimate_graph(graph, chunk_ns)
-            facts = validate_and_connect(facts, chunk_iri, auto_connect=True)
-            ok_facts, facts_score = self.critique_facts(facts, chunk_ns)
+            addendum, facts = sublimate_graph(graph, chunk_ns, terms)
+            facts = validate_and_connect(facts, chunk_iri, auto_connect=True, terms=terms)
+            ok_facts, facts_score = self.critique_facts(facts, chunk_ns, terms)
             score = facts_score
             if ok_facts:
                 failure_stage = None
@@ -267,6 +277,8 @@ class DeterministicExtractor:
             # max_visits exhausted: force SUCCESS, keep partials (ref util.py:25-29)
             status = "success"
 
+        if decode:
+            facts, addendum = terms.decode_graph(facts), terms.decode_graph(addendum)
         return ChunkResult(
             facts=facts,
             ontology_addendum=addendum,
@@ -302,37 +314,20 @@ def views_from_hub_snapshot(snapshot: dict) -> list[OntologyView]:
     return views
 
 
-def status_graph(result: ChunkResult, chunk_iri: str, hub_version: int) -> TripleGraph:
-    """Chunk-level metrics as queryable triples (scope 'status')."""
+def status_graph(
+    result: ChunkResult, chunk_iri: str, hub_version: int, terms: TermTable
+) -> TripleGraph:
+    """Chunk-level metrics as queryable triples (scope 'status'), as ids."""
+    iri, uri, literal = terms.uri(chunk_iri), terms.uri, terms.literal
     g = TripleGraph()
-    iri = URI(chunk_iri)
-    g.add((iri, URI(ENGINE_NS + "status"), Literal(result.status)))
-    g.add(
-        (iri, URI(ENGINE_NS + "successScore"),
-         Literal(repr(result.success_score), datatype=str(XSD) + "double"))
-    )
-    g.add(
-        (iri, URI(ENGINE_NS + "attempts"),
-         Literal(str(result.attempts), datatype=str(XSD) + "integer"))
-    )
-    g.add((iri, URI(ENGINE_NS + "ontologyUsed"), Literal(result.ontology_id)))
-    g.add(
-        (iri, URI(ENGINE_NS + "hubVersion"),
-         Literal(str(hub_version), datatype=str(XSD) + "integer"))
-    )
+    g.add((iri, uri(ENGINE_NS + "status"), literal(result.status)))
+    g.add((iri, uri(ENGINE_NS + "successScore"), literal(repr(result.success_score), _XSD_DOUBLE)))
+    g.add((iri, uri(ENGINE_NS + "attempts"), literal(str(result.attempts), _XSD_INTEGER)))
+    g.add((iri, uri(ENGINE_NS + "ontologyUsed"), literal(result.ontology_id)))
+    g.add((iri, uri(ENGINE_NS + "hubVersion"), literal(str(hub_version), _XSD_INTEGER)))
     if result.failure_stage:
-        g.add((iri, URI(ENGINE_NS + "failureStage"), Literal(result.failure_stage)))
+        g.add((iri, uri(ENGINE_NS + "failureStage"), literal(result.failure_stage)))
     return g
-
-
-def addendum_delta_rows(addendum: TripleGraph) -> list:
-    from ontocast_ray.model import node_to_cell, term_to_cell
-
-    rows = []
-    for s, p, o in addendum:
-        ov, is_lit, dt, lang = term_to_cell(o)
-        rows.append((node_to_cell(s), node_to_cell(p), ov, is_lit, dt, lang))
-    return rows
 
 
 class ExtractTriples:

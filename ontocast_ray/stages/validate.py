@@ -15,9 +15,10 @@ Faithful port of the reference's connectivity semantics
   deterministic, and triple-set cardinality is identical either way.
 
 Unlike the reference (rdflib graph object), this operates on our
-insertion-ordered TripleGraph; graphs here are per-chunk (tens of triples),
-so the pure-Python BFS is not a hot path — the engine calls it inside a
-``map_batches`` task, once per chunk row.
+insertion-ordered TripleGraph of term ids (``rdf.table``); graphs here are
+per-chunk (tens of triples), and the engine calls it inside a
+``map_batches`` task, once per chunk row. ``connectivity_report`` and
+``validate_and_connect(terms=None)`` take graphs of term objects.
 """
 
 from __future__ import annotations
@@ -26,40 +27,43 @@ from collections import deque
 from typing import Optional
 
 from ontocast_ray.rdf.graph import TripleGraph
-from ontocast_ray.rdf.namespaces import PROV, RDF, RDFS, SCHEMA
-from ontocast_ray.rdf.terms import Literal, URI
+from ontocast_ray.rdf.namespaces import RDF, RDFS
+from ontocast_ray.rdf.table import (
+    COMMENT, HAS_PART, LABEL, TEXT_DOCUMENT, TYPE, WAS_QUOTED_FROM, TermTable,
+)
+from ontocast_ray.rdf.terms import URI
 
 
-def _all_entities(graph: TripleGraph) -> list[URI]:
+def _all_entities(graph: TripleGraph, terms: TermTable) -> list[int]:
     """Unique URI entities in insertion order (ref validate.py:94-108 uses a set)."""
-    seen: dict[URI, None] = {}
+    is_uri = terms.is_uri
+    seen: dict[int, None] = {}
     for s, _, o in graph:
-        if isinstance(s, URI):
-            seen.setdefault(s, None)
-        if isinstance(o, URI):
-            seen.setdefault(o, None)
+        if is_uri[s]:
+            seen[s] = None
+        if is_uri[o]:
+            seen[o] = None
     return list(seen)
 
 
-def _adjacency(graph: TripleGraph) -> dict[URI, dict[URI, None]]:
-    adj: dict[URI, dict[URI, None]] = {}
-    for s, _, o in graph:
-        if isinstance(s, URI) and isinstance(o, URI):
-            adj.setdefault(s, {})[o] = None
-            adj.setdefault(o, {})[s] = None
-    return adj
-
-
-def find_connected_components(graph: TripleGraph) -> list[list[URI]]:
+def find_connected_components(graph: TripleGraph, terms: TermTable) -> list[list[int]]:
     """BFS components over URI entities (ref validate.py:125-155), insertion-ordered."""
-    entities = _all_entities(graph)
-    adj = _adjacency(graph)
-    visited: set[URI] = set()
-    components: list[list[URI]] = []
-    for entity in entities:
+    is_uri = terms.is_uri
+    adj: dict[int, dict[int, None]] = {}  # every URI entity, in order of first mention
+    for s, _, o in graph:
+        if is_uri[s]:
+            s_adj = adj.setdefault(s, {})
+            if is_uri[o]:
+                s_adj[o] = None
+                adj.setdefault(o, {})[s] = None
+        elif is_uri[o]:
+            adj.setdefault(o, {})
+    visited: set[int] = set()
+    components: list[list[int]] = []
+    for entity in adj:
         if entity in visited:
             continue
-        component: list[URI] = []
+        component: list[int] = []
         queue = deque([entity])
         while queue:
             current = queue.popleft()
@@ -67,11 +71,10 @@ def find_connected_components(graph: TripleGraph) -> list[list[URI]]:
                 continue
             visited.add(current)
             component.append(current)
-            for neighbor in adj.get(current, {}):
+            for neighbor in adj[current]:
                 if neighbor not in visited:
                     queue.append(neighbor)
-        if component:
-            components.append(component)
+        components.append(component)
     return components
 
 
@@ -83,14 +86,12 @@ def _degree_and_labeled(graph: TripleGraph) -> tuple[dict, set]:
     for s, p, o in graph:
         degrees[s] = degrees.get(s, 0) + 1
         degrees[o] = degrees.get(o, 0) + 1
-        if p == RDFS.label or p == RDFS.comment:
+        if p == LABEL or p == COMMENT:
             labeled.add(s)
     return degrees, labeled
 
 
-def _choose_representative(
-    component: list[URI], degrees: dict, labeled: set
-) -> Optional[URI]:
+def _choose_representative(component: list[int], degrees: dict, labeled: set) -> int:
     """Labeled entity with max degree, else max degree (ref validate.py:346-379).
 
     The reference recomputes degrees against the evolving graph per component;
@@ -99,40 +100,48 @@ def _choose_representative(
     representatives — never members of a *later* component (components are
     disjoint and the hub is a fresh node; the hub-in-component edge case is
     handled by the caller updating the map incrementally)."""
-    if not component:
-        return None
     pool = [e for e in component if e in labeled] or component
     # max() keeps the first maximum → insertion order is the deterministic tiebreak
     return max(pool, key=lambda e: degrees.get(e, 0))
 
 
-def make_graph_connected(graph: TripleGraph, chunk_iri: str) -> TripleGraph:
+def make_graph_connected(graph: TripleGraph, chunk_iri: str, terms: TermTable) -> TripleGraph:
     """Connect components via a chunk-IRI hub (ref validate.py:283-344)."""
-    components = find_connected_components(graph)
+    components = find_connected_components(graph, terms)
     if len(components) <= 1:
         return graph
     connected = graph.copy()
-    hub_uri = URI(chunk_iri)
-    hub_id = str(hub_uri).split("/")[-1]
-    connected.add((hub_uri, RDF.type, SCHEMA.TextDigitalDocument))
-    connected.add((hub_uri, RDFS.label, Literal(f"Chunk {hub_id}")))
+    hub = terms.uri(chunk_iri)
+    hub_id = chunk_iri.split("/")[-1]
+    connected.add((hub, TYPE, TEXT_DOCUMENT))
+    connected.add((hub, LABEL, terms.literal(f"Chunk {hub_id}")))
     degrees, labeled = _degree_and_labeled(connected)
     for component in components:
         representative = _choose_representative(component, degrees, labeled)
-        connected.add((hub_uri, SCHEMA.hasPart, representative))
-        connected.add((representative, PROV.wasQuotedFrom, hub_uri))
+        connected.add((hub, HAS_PART, representative))
+        connected.add((representative, WAS_QUOTED_FROM, hub))
         # keep the map faithful to the evolving graph (matters only if the
         # hub or an earlier representative appears in a later component)
-        degrees[hub_uri] = degrees.get(hub_uri, 0) + 2
+        degrees[hub] = degrees.get(hub, 0) + 2
         degrees[representative] = degrees.get(representative, 0) + 2
     return connected
 
 
-def validate_and_connect(graph: TripleGraph, chunk_iri: str, auto_connect: bool = True) -> TripleGraph:
-    """validate_and_connect_chunk semantics (ref validate.py:18-72)."""
-    if auto_connect:
-        return make_graph_connected(graph, chunk_iri)
-    return graph
+def validate_and_connect(
+    graph: TripleGraph, chunk_iri: str, auto_connect: bool = True,
+    terms: Optional[TermTable] = None,
+) -> TripleGraph:
+    """validate_and_connect_chunk semantics (ref validate.py:18-72).
+
+    ``graph`` holds ids of ``terms``; with ``terms`` None it holds term
+    objects, and so does the graph returned."""
+    if not auto_connect:
+        return graph
+    if terms is None:
+        terms = TermTable()
+        return terms.decode_graph(
+            make_graph_connected(terms.encode_graph(graph), chunk_iri, terms))
+    return make_graph_connected(graph, chunk_iri, terms)
 
 
 def validate_predicates(graph: TripleGraph) -> dict:
@@ -199,14 +208,15 @@ def validate_predicates(graph: TripleGraph) -> dict:
 
 def connectivity_report(graph: TripleGraph) -> dict:
     """Summary stats matching ref validate.py:250-281 (component/entity counts)."""
-    components = find_connected_components(graph)
-    entities = _all_entities(graph)
+    terms = TermTable()
+    ids = terms.encode_graph(graph)
+    components = find_connected_components(ids, terms)
     report = {
         "is_fully_connected": len(components) <= 1,
         "num_components": len(components),
-        "total_entities": len(entities),
+        "total_entities": len(_all_entities(ids, terms)),
         "largest_component_size": max((len(c) for c in components), default=0),
-        "isolated_entities": [c[0] for c in components if len(c) == 1],
+        "isolated_entities": [terms.decode(c[0]) for c in components if len(c) == 1],
     }
     report.update(validate_predicates(graph))  # ref validate.py:277-279
     return report

@@ -83,14 +83,12 @@ class OntologyHub:
 
 def seed_from_records(records: list[OntologyRecord]) -> list[dict]:
     """OntologyRecord list → plain-dict seeds for the hub actor."""
-    from ontocast_ray.model import term_to_cell, node_to_cell
+    from ontocast_ray.rdf.table import TermTable
 
     seeds = []
     for rec in records:
-        triples = []
-        for s, p, o in rec.graph:
-            ov, is_lit, dt, lang = term_to_cell(o)
-            triples.append((node_to_cell(s), node_to_cell(p), ov, is_lit, dt, lang))
+        terms = TermTable()
+        triples = terms.cells(terms.encode_graph(rec.graph))
         seeds.append(
             {
                 "ontology_id": rec.ontology_id,

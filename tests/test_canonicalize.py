@@ -381,15 +381,90 @@ def test_terms_hash_natively_and_compare_by_type():
 def test_kg_kernel_time_smoke(capsys):
     """tools/kg_kernel_time.py runs the kernel in-process and prints its
     CPU times and the output digest, the same on every run."""
-    import importlib.util
     import json
+
+    out = _kernel_time_tool().main(["--docs", "6", "--runs", "2"])
+    assert json.loads(capsys.readouterr().out) == out
+    assert out["docs"] == 6 and len(out["process_time_s"]) == 2 and out["rows"] > 0
+    assert len(out["digest"]) == 16 and "pin_ok" not in out
+
+
+def _kernel_time_tool():
+    import importlib.util
     import pathlib
 
     path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "kg_kernel_time.py"
     spec = importlib.util.spec_from_file_location("kg_kernel_time", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    out = tool.main(["--docs", "6", "--runs", "2"])
-    assert json.loads(capsys.readouterr().out) == out
-    assert out["docs"] == 6 and len(out["process_time_s"]) == 2 and out["rows"] > 0
-    assert len(out["digest"]) == 16 and "pin_ok" not in out
+    return tool
+
+
+def test_kg_rows_do_not_depend_on_batching():
+    """``KGProcessDocs`` emits the seed-1 ``crawl_update`` rows whatever the
+    batch size, and one processor reused across calls emits what fresh
+    processors do: no term-table state leaks from one call to the next."""
+    from perfbench.checks import TRIPLE_COLUMNS, digest
+    from perfbench.workloads import CHUNKING, load_pins
+
+    from ontocast_ray.pipelines.kg import KGProcessDocs, default_ontology_records
+    from ontocast_ray.state.ontology_hub import seed_from_records
+
+    tool = _kernel_time_tool()
+    docs = tool.day2_docs(1, 1024)
+    pin = load_pins()["crawl_update"]["1"]
+    for rows in (1, 7, 64, 256):
+        tables = tool.run_kernel(docs, rows)
+        assert digest(tables, TRIPLE_COLUMNS) == (pin["triples"], pin["digest"]), rows
+    seeds = seed_from_records(default_ontology_records())
+    fresh = [KGProcessDocs(ontology_seeds=seeds, **CHUNKING)(docs.slice(i, 64))
+             for i in range(0, 256, 64)]
+    reused = KGProcessDocs(ontology_seeds=seeds, **CHUNKING)
+    assert [reused(docs.slice(i, 64)) for i in range(0, 256, 64)] == fresh
+
+
+def test_sublimate_splits_on_the_chunk_namespace():
+    """A triple is a fact iff its subject or predicate, or its object when
+    a URI, lies in the chunk namespace; a literal object never counts."""
+    from ontocast_ray.stages.sublimate import sublimate_graph
+
+    onto = URI("https://example.com/onto#Person")
+    graph_in = [
+        (URI(NS + "alice"), RDFS.label, Literal("Alice")),
+        (onto, RDFS.label, Literal(NS + "looks like an IRI")),
+        (onto, RDF.type, RDFS.Class),
+        (BNode("b0"), URI(NS + "knows"), URI("https://example.com/x")),
+        (BNode(NS + "b1"), RDFS.label, Literal("blank label in the namespace")),
+        (onto, URI("https://example.com/onto#sameAs"), URI(NS + "bob")),
+        (onto, URI("https://example.com/onto#sameAs"), BNode(NS + "b2")),
+    ]
+    from ontocast_ray.rdf.graph import TripleGraph
+
+    addendum, facts = sublimate_graph(TripleGraph(graph_in), NS)
+    assert list(facts) == [graph_in[0], graph_in[3], graph_in[4], graph_in[5]]
+    assert list(addendum) == [graph_in[1], graph_in[2], graph_in[6]]
+    assert dict(facts.namespaces()) == {"cd": NS}
+
+
+def test_predicate_metadata_merges_across_chunks():
+    """The same predicate described in two chunks keeps, per field, the
+    first value given, replaced by a longer one (ref :147-172): for
+    domain and range, the longer IRI."""
+    from ontocast_ray.rdf.graph import TripleGraph
+    from ontocast_ray.stages.canonicalize import ChunkGraph, ChunkGraphAggregator
+
+    doc_ns = "https://example.com/doc/0123456789ab/"
+    pred = URI(doc_ns + "worksAt")
+    short, longer = URI("https://e.org/A"), URI("https://example.org/Company")
+
+    def chunk(hid, domain, label):
+        g = TripleGraph([(pred, RDFS.domain, domain), (pred, RDFS.label, Literal(label)),
+                         (URI(doc_ns + "x"), pred, URI(doc_ns + "y"))])
+        return ChunkGraph(hid=hid, doc_iri=doc_ns.rstrip("/"), graph=g)
+
+    agg = ChunkGraphAggregator().aggregate_graphs(
+        [chunk("c1", short, "works at company"), chunk("c2", longer, "works at")], doc_ns)
+    # the chunks' own rdfs:domain triples are re-emitted under the grouped
+    # predicate (rdfs:domain and rdfs:label share the local name rdf-schema)
+    assert {o for s, p, o in agg if s == pred and p == RDFS.domain} == {longer}
+    assert (pred, RDFS.label, Literal("works at company")) in agg

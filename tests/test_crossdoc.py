@@ -390,3 +390,145 @@ def test_entity_mentions_equal_the_row_loop_on_kernel_output():
                            target_doc_chars=400)
     triples = KGProcessDocs(min_chunk_size=200, max_chunk_size=2000)(assemble_spans(docs))
     assert _entity_mentions(triples).equals(_loop_entity_mentions(triples))
+
+
+# --- the merge kernels against the row loops they replaced ------------------
+
+def _loop_merge_label(a: str, b: str) -> str:
+    if len(a) != len(b):
+        return a if len(a) > len(b) else b
+    return a if a <= b else b
+
+
+def _loop_fold(keys, rows: pa.Table) -> dict:
+    """The per-row fold of the merge kernels, verbatim: the oracle for
+    ``_fold_cells``."""
+    from ontocast_ray.pipelines.crossdoc import _MERGE_SCHEMA
+
+    acc: dict = {}
+    cols = (rows[c].to_pylist() for c in _MERGE_SCHEMA.names[1:])
+    for key, label, types, docs, n_docs, n_mentions, origin in zip(keys, *cols):
+        ent = acc.get(key)
+        if ent is None:
+            ent = ["", set(), set(), 0, 0, set()]
+            acc[key] = ent
+        ent[0] = _loop_merge_label(ent[0], label)
+        ent[1].update(types)
+        ent[2].update(docs)
+        ent[3] += n_docs
+        ent[4] += n_mentions
+        ent[5].add(origin)
+    return acc
+
+
+def _loop_merge_entities(group: pa.Table, domain: str, status: bool) -> pa.Table:
+    statuses = {frozenset({0}): "unchanged", frozenset({1}): "new",
+                frozenset({0, 1}): "updated"}
+    acc = _loop_fold(group["entity_key"].to_pylist(), group)
+    ents = acc.values()
+    out = {
+        "entity_uri": [f"{domain}/entity/{k}" for k in acc],
+        "entity_key": list(acc),
+        "label": [e[0] for e in ents],
+        "types": pa.array([sorted(e[1]) for e in ents], pa.list_(pa.string())),
+        "n_docs": [e[3] + len(e[2]) for e in ents],
+        "n_mentions": [e[4] for e in ents],
+    }
+    if status:
+        out["status"] = [statuses[frozenset(e[5])] for e in ents]
+    return pa.table(out)
+
+
+def _loop_phase1(group: pa.Table) -> pa.Table:
+    from ontocast_ray.pipelines.crossdoc import _new_rows
+
+    acc = _loop_fold(zip(group["entity_key"].to_pylist(), group["salt"].to_pylist()), group)
+    return _new_rows([k for k, _ in acc], acc.values())
+
+
+def _merge_rows(seed: int, n: int = 400, chunks: int = 3) -> pa.Table:
+    """Merge rows with label ties (same length, different text), non-ASCII
+    labels (code points ≠ bytes), empty labels and type lists, doc lists
+    that overlap across rows, and origins 0 and 1, so every status shows."""
+    import random
+
+    from ontocast_ray.pipelines.crossdoc import _MERGE_SCHEMA
+
+    rng = random.Random(seed)
+    labels = ["Amara Haddad", "Maria Haddad", "Omar Haddad", "Zoë", "Zoe", "Zoëë", "中文",
+              "ab", "AB", "Ab", "", "😀x", "x😀", "Acme Corporation"]
+    types = ["https://schema.org/Person", "https://schema.org/Org", "https://é.org/T"]
+    keys = [f"k{i}" for i in range(40)] + ["zoë", "amara_haddad"]
+    rows = []
+    for _ in range(n):
+        origin = rng.random() < 0.3
+        rows.append({
+            "entity_key": rng.choice(keys), "label": rng.choice(labels),
+            "types": sorted(rng.sample(types, rng.randint(0, 2))),
+            "docs": [] if origin else sorted(rng.sample([f"d{i}" for i in range(30)],
+                                                        rng.randint(1, 3))),
+            "n_docs": rng.randint(1, 9) if origin else 0, "n_mentions": rng.randint(1, 5),
+            "origin": 0 if origin else 1,
+        })
+    rows += [{"entity_key": "untyped", "label": label, "types": [], "docs": [doc],
+              "n_docs": 0, "n_mentions": 1, "origin": 1}
+             for label, doc in [("Zoë", "d1"), ("Zoe", "d2"), ("Zoëë", "d1")]]
+    rows.append({"entity_key": "yesterday_only", "label": "Old", "types": types[:1],
+                 "docs": [], "n_docs": 4, "n_mentions": 7, "origin": 0})
+    t = pa.Table.from_pylist(rows, schema=_MERGE_SCHEMA)
+    step = -(-len(t) // chunks)
+    return pa.concat_tables([t.slice(i, step) for i in range(0, len(t), step)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("status", [False, True])
+def test_merge_kernel_equals_the_row_loop(seed, status):
+    from ontocast_ray.pipelines.crossdoc import _merge_entities_factory
+
+    rows = _merge_rows(seed)
+    got = _merge_entities_factory("https://example.com", status)(rows)
+    want = _loop_merge_entities(rows, "https://example.com", status)
+    assert got.equals(want), (got.slice(0, 3).to_pylist(), want.slice(0, 3).to_pylist())
+    if status:
+        assert set(got["status"].to_pylist()) == {"new", "updated", "unchanged"}
+    untyped = got.filter(pa.compute.equal(got["entity_key"], "untyped")).to_pylist()
+    assert [(r["label"], r["types"], r["n_docs"]) for r in untyped] == [("Zoëë", [], 2)]
+
+
+def test_merge_kernel_breaks_label_ties_lexically():
+    from ontocast_ray.pipelines.crossdoc import _MERGE_SCHEMA, _merge_entities_factory
+
+    rows = pa.Table.from_pylist([
+        {"entity_key": "amara_haddad", "label": label, "types": [], "docs": [doc],
+         "n_docs": 0, "n_mentions": 1, "origin": 1}
+        for label, doc in [("Omar Haddad", "d1"), ("Amara Haddad", "d2"),
+                           ("Maria Haddad", "d1"), ("Zoë", "d3")]
+    ], schema=_MERGE_SCHEMA)
+    got = _merge_entities_factory("https://example.com", True)(rows).to_pylist()
+    assert got == [{"entity_uri": "https://example.com/entity/amara_haddad",
+                    "entity_key": "amara_haddad", "label": "Amara Haddad", "types": [],
+                    "n_docs": 3, "n_mentions": 4, "status": "new"}]
+    assert got == _loop_merge_entities(rows, "https://example.com", True).to_pylist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phase1_kernel_equals_the_row_loop(seed):
+    from ontocast_ray.pipelines.crossdoc import _phase1_partition
+
+    rows = _merge_rows(seed)
+    rows = rows.append_column("salt", pa.array([i % 3 for i in range(len(rows))], pa.int32()))
+    got, want = _phase1_partition(rows), _loop_phase1(rows)
+    assert got.equals(want), (got.slice(0, 3).to_pylist(), want.slice(0, 3).to_pylist())
+
+
+def test_merge_kernels_on_empty_input():
+    from ontocast_ray.pipelines.crossdoc import (
+        _MERGE_SCHEMA, _merge_entities_factory, _phase1_partition,
+    )
+
+    rows = _MERGE_SCHEMA.empty_table()
+    got = _merge_entities_factory("https://example.com", True)(rows)
+    assert got.num_rows == 0
+    assert got.schema.names == _loop_merge_entities(rows, "https://example.com", True).schema.names
+    salted = rows.append_column("salt", pa.array([], pa.int32()))
+    assert _phase1_partition(salted).equals(_loop_phase1(salted))
