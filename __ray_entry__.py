@@ -588,16 +588,8 @@ def _q_neardup_scrubbed_packing(sf_dir: str):
     # pack re-reads once more — materialize the filtered corpus ONCE so the
     # minhash→verify→CC chain doesn't re-execute per consumer (object-store
     # backed and spillable; the same reason pack_token_meta materializes).
-    # repartition collapses the ~64 shuffle-width blocks the anti-join
-    # leaves behind: at gate SF each downstream stage would otherwise pay
-    # per-block task overhead on near-empty blocks (the tiny-files lesson,
-    # in-memory form); at real scale the block count tracks data size and
-    # the consolidation is a no-op knob.
-    kept = (
-        apply_keep_list(docs, dedup_keep_list(verified))
-        .materialize().repartition(8)
-    )
-    scrubbed = remove_dup_spans(kept, k=3, n_parts=8).materialize().repartition(8)
+    kept = apply_keep_list(docs, dedup_keep_list(verified)).materialize()
+    scrubbed = remove_dup_spans(kept, k=3, n_parts=8).materialize()
     return pack_sequences(scrubbed, capacity=64, shard_span=100, n_parts=4)
 
 
@@ -3257,10 +3249,7 @@ def _q_neighbor_agg(sf_dir: str):
     from ontocast_ray.ops.graph_cc import neighbor_feature_sum
     from ontocast_ray.ops.joins import distinct_on, hash_join
 
-    edges = (
-        _supplier_customer_edges(sf_dir, n_parts=16)
-        .materialize().repartition(8)
-    )
+    edges = _supplier_customer_edges(sf_dir, n_parts=16).materialize()
 
     supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
@@ -3291,7 +3280,7 @@ def _q_neighbor_agg(sf_dir: str):
     feats = (
         supp.map_batches(s_feat, batch_format="pyarrow")
         .union(cust.map_batches(c_feat, batch_format="pyarrow"))
-        .materialize().repartition(4)
+        .materialize()
     )
     return neighbor_feature_sum(edges, feats, hops=2, n_parts=16)
 

@@ -361,7 +361,6 @@ def minhash_lsh_candidates(
     bands: int = 16,
     shingle_k: int = 5,
     n_parts: int = 64,
-    shuffle_blocks: int | None = None,
     pair_mode: str = "star",
 ) -> "ray.data.Dataset":
     """→ candidate near-dup pairs (doc_id_a, doc_id_b, n_bands), deduped;
@@ -375,22 +374,14 @@ def minhash_lsh_candidates(
     itself is the product (audit/evidence reports, pairwise verify
     metrics).
 
-    ``shuffle_blocks``: physical block count fed into the bucket groupby.
-    It matters only above ``shuffle_by``'s gather limit: a smaller input
-    runs in one task whatever its block count. Above it, the sort shuffle
-    schedules O(blocks × reducers) tasks; coalescing the tiny 16-byte band
-    rows first cuts that grid (measured ~2× end-to-end at bench scale).
-    Defaults to n_parts/8 — raise n_parts (and with it this) for corpus
-    sizes where a reducer's slice would exceed worker memory.
+    ``shuffle_by`` bounds its own input blocks (ops/shuffle.py).
     """
-    if shuffle_blocks is None:
-        shuffle_blocks = max(8, n_parts // 8)
     sigs = docs.map_batches(
         MinHasher(num_perm=num_perm, shingle_k=shingle_k), batch_format="pyarrow"
     )
     band_rows = sigs.map_batches(
         lambda b: _band_rows(b, bands), batch_format="pyarrow"
-    ).repartition(shuffle_blocks)
+    )
     if pair_mode not in ("star", "all"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
     kernel = (
@@ -582,8 +573,10 @@ def ngram_jaccard_verify(
         }
     )
     # candidates are consumed three times (bloom, requests, join); a
-    # materialized pair set lives in the object store — small next to docs
-    pairs = pairs.select_columns(["doc_id_a", "doc_id_b"]).materialize()
+    # materialized pair set lives in the object store — small next to docs.
+    # No projection: every consumer reads only doc_id_a/doc_id_b, and a
+    # Project would cost its own execution on an already materialized input.
+    pairs = pairs.materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
         return ray.data.from_arrow(empty)
@@ -770,15 +763,11 @@ _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 def simhash_candidates(
     docs: "ray.data.Dataset", max_hamming: int = 3,
-    n_parts: int = 64, shuffle_blocks: int | None = None,
-    max_bucket: int = 4096,
+    n_parts: int = 64, max_bucket: int = 4096,
 ) -> "ray.data.Dataset":
     """Banded simhash near-dup pairs: 4×16-bit keys → coarse-partitioned
     bucket shuffle (see _bucket_pairs_partition) → Hamming check → a
-    (doc_id_a, doc_id_b) shuffle keeping each pair's min ``hamming``.
-    ``shuffle_blocks`` as in minhash_lsh_candidates."""
-    if shuffle_blocks is None:
-        shuffle_blocks = max(8, n_parts // 8)
+    (doc_id_a, doc_id_b) shuffle keeping each pair's min ``hamming``."""
     sigs = simhash_signatures(docs)
 
     def bands(batch: pa.Table) -> pa.Table:
@@ -846,7 +835,7 @@ def simhash_candidates(
         return pa.Table.from_pandas(mins.reset_index(), preserve_index=False)
 
     pairs = shuffle_by(
-        sigs.map_batches(bands, batch_format="pyarrow").repartition(shuffle_blocks),
+        sigs.map_batches(bands, batch_format="pyarrow"),
         "band_key",
         bucket_partition,
         n_parts,

@@ -18,8 +18,17 @@ input of at most ``_GATHER_BYTES`` (64 MiB) skips the sort shuffle: every
 block goes to one task, the kernel runs once over all rows (the
 ``n_parts=1`` semantics), and the output is one block. A larger input
 takes the sort path, so no single task holds an unbounded input. An input
-with no rows takes neither: it returns one empty block. Each call logs the
-path it took at DEBUG level.
+with no rows takes neither: it returns one empty block. Each call logs at
+DEBUG level the path it took, the input's rows, bytes and blocks, the block
+count after coalescing (``map_blocks``) and ``n_parts``.
+
+The exchange owns input-block coalescing, so no caller repartitions in
+front of it. Ray's sort runs one sample, one map and one reduce task per
+input block, so the block count is the sort's width. The sort path bundles
+its input into at most ``n_parts`` blocks, the partition count. It
+bundles in the map that adds the partition id, so it adds no operator, and
+it never splits: an input of at most ``n_parts`` blocks keeps its blocks.
+The gather path needs no rule: its one task reads every block.
 """
 
 from __future__ import annotations
@@ -144,7 +153,8 @@ def shuffle_by(
     - gather: an input of at most ``_GATHER_BYTES`` (64 MiB by block
       metadata) goes to one task, ``kernel`` is called once with a frame of
       every row, and the output is that call's one block;
-    - sort: rows are hashed into ``n_parts`` partitions
+    - sort: the input's blocks are bundled into at most ``n_parts``
+      (module docstring), rows are hashed into ``n_parts`` partitions
       (``resolve_n_parts`` when None), sort-shuffled on that id, and
       ``kernel`` is called once per non-empty partition with a frame that
       holds every row of its keys (many keys per call).
@@ -155,13 +165,14 @@ def shuffle_by(
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     ds = ds.materialize()
-    n, size = ds.count(), ds.size_bytes()
+    n, size, blocks = ds.count(), ds.size_bytes(), ds.num_blocks()
     gather = size is not None and size <= _GATHER_BYTES
     p = 1 if gather or n == 0 else resolve_n_parts(ds, n_parts)
     _log.debug(
-        "shuffle_by %s: path=%s rows=%d bytes=%s blocks=%d n_parts=%d",
+        "shuffle_by %s: path=%s rows=%d bytes=%s blocks=%d map_blocks=%d n_parts=%d",
         getattr(kernel, "__name__", type(kernel).__name__),
-        "empty" if n == 0 else "gather" if gather else "sort", n, size, ds.num_blocks(), p,
+        "empty" if n == 0 else "gather" if gather else "sort", n, size, blocks,
+        min(blocks, p), p,
     )
 
     if n == 0:
@@ -190,7 +201,10 @@ def shuffle_by(
         return kernel(drop(group))
 
     return (
-        ds.map_batches(add_part, batch_format=None)
+        ds.map_batches(
+            add_part, batch_format=None,
+            batch_size=math.ceil(n / p) if blocks > p else None,
+        )
         .groupby(_PART)
         .map_groups(run, batch_format=batch_format)
     )

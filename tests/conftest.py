@@ -1,4 +1,5 @@
-"""Session-scoped Ray fixture — Ray is initialised ONCE per pytest session."""
+"""Session-scoped Ray fixture — Ray is initialised ONCE per pytest session —
+and ``both_paths``, which runs a case on both paths of ``shuffle_by``."""
 
 from __future__ import annotations
 
@@ -32,3 +33,17 @@ def _quiet_ray_data():
     except Exception:
         pass
     yield
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """Call to iterate the two paths of ``ops.shuffle.shuffle_by``: yields
+    "gather", then "sort" with the byte limit patched to 0."""
+    from ontocast_ray.ops import shuffle
+
+    def each():
+        for path, limit in (("gather", shuffle._GATHER_BYTES), ("sort", 0)):
+            monkeypatch.setattr(shuffle, "_GATHER_BYTES", limit)
+            yield path
+
+    return each

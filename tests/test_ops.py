@@ -66,22 +66,32 @@ def test_minhash_lsh_finds_near_dups(ray_session, docs_table):
     assert (0, 2) in found or (1, 2) in found
 
 
-def test_simhash_candidates(ray_session, docs_table):
+def test_simhash_candidates(ray_session, docs_table, both_paths):
+    """Identical texts pair at Hamming 0, with the same pairs on both
+    exchange paths (6 doc blocks over n_parts=4: the sort path coalesces)."""
     import ray.data
 
     from ontocast_ray.ops.dedup import simhash_candidates
 
-    docs = ray.data.from_arrow(docs_table)
-    out = simhash_candidates(docs, max_hamming=3).take_all()
-    found = {(r["doc_id_a"], r["doc_id_b"]): r["hamming"] for r in out}
-    assert found.get((0, 1)) == 0  # identical text → identical simhash
-    assert found.get((3, 4)) == 0
+    docs = ray.data.from_arrow(docs_table).repartition(6)
+    outs = []
+    for _ in both_paths():
+        out = simhash_candidates(docs, max_hamming=3, n_parts=4).take_all()
+        found = {(r["doc_id_a"], r["doc_id_b"]): r["hamming"] for r in out}
+        assert found.get((0, 1)) == 0  # identical text → identical simhash
+        assert found.get((3, 4)) == 0
+        outs.append(found)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("pair_mode", ["star", "all"])
-def test_minhash_lsh_n_bands_matches_driver_recount(ray_session, docs_table, pair_mode):
+def test_minhash_lsh_n_bands_matches_driver_recount(
+    ray_session, docs_table, both_paths, pair_mode
+):
     """``n_bands`` is the number of band buckets that surfaced each pair,
-    recounted on the driver from the same signatures and band keys."""
+    recounted on the driver from the same signatures and band keys, on
+    both exchange paths (6 doc blocks over n_parts=4: the sort path
+    coalesces)."""
     from collections import Counter
 
     import ray.data
@@ -89,12 +99,7 @@ def test_minhash_lsh_n_bands_matches_driver_recount(ray_session, docs_table, pai
     from ontocast_ray.ops.dedup import MinHasher, _band_rows, minhash_lsh_candidates
 
     bands = 16
-    docs = ray.data.from_arrow(docs_table).repartition(3)
-    got = minhash_lsh_candidates(
-        docs, num_perm=64, bands=bands, shingle_k=3, n_parts=4, pair_mode=pair_mode
-    ).to_pandas()
-    assert str(got["n_bands"].dtype) == "int64"
-
+    docs = ray.data.from_arrow(docs_table).repartition(6)
     rows = _band_rows(MinHasher(num_perm=64, shingle_k=3)(docs_table), bands).to_pandas()
     want: Counter = Counter()
     for _, ids in rows.groupby("band_key")["doc_id"]:
@@ -104,7 +109,12 @@ def test_minhash_lsh_n_bands_matches_driver_recount(ray_session, docs_table, pai
         else:
             want.update((a, b) for i, a in enumerate(ids) for b in ids[i + 1:])
     assert max(want.values()) >= 2  # some pair collides in several bands
-    assert dict(zip(zip(got["doc_id_a"], got["doc_id_b"]), got["n_bands"])) == dict(want)
+    for _ in both_paths():
+        got = minhash_lsh_candidates(
+            docs, num_perm=64, bands=bands, shingle_k=3, n_parts=4, pair_mode=pair_mode
+        ).to_pandas()
+        assert str(got["n_bands"].dtype) == "int64"
+        assert dict(zip(zip(got["doc_id_a"], got["doc_id_b"]), got["n_bands"])) == dict(want)
 
 
 def test_lsh_candidates_on_empty_docs(ray_session):
@@ -3170,10 +3180,11 @@ def test_dedup_keep_best_policy(ray_session):
     assert out[out["keep"]]["doc_id"].tolist() == [2, 9]
 
 
-def test_connected_components_modes_agree(ray_session):
-    """local union-find, broadcast min-label rounds, and star rounds
-    produce identical component labelings on a random multi-component
-    graph with chains (diameter > 1)."""
+def test_connected_components_modes_agree(ray_session, both_paths):
+    """local union-find, broadcast min-label rounds, star rounds and the
+    default ``auto`` produce identical component labelings on a random
+    multi-component graph with chains (diameter > 1), on both exchange
+    paths (6 edge blocks over n_parts=4: the sort path coalesces)."""
     import ray
 
     from ontocast_ray.ops.graph_cc import connected_components
@@ -3192,19 +3203,20 @@ def test_connected_components_modes_agree(ray_session):
         "doc_id_b": [b for a, b in edges],
     })
     outs = []
-    for mode in ("local", "broadcast", "stars"):
-        out = (
-            connected_components(
-                ray.data.from_pandas(pairs).repartition(3), mode=mode,
-                n_parts=4, n_blocks=2,
+    for path in both_paths():
+        for mode in ("local", "broadcast", "stars", "auto"):
+            out = (
+                connected_components(
+                    ray.data.from_pandas(pairs).repartition(6), mode=mode,
+                    n_parts=4,
+                )
+                .to_pandas().sort_values("doc_id").reset_index(drop=True)
             )
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-        outs.append(out)
-    pd.testing.assert_frame_equal(outs[0], outs[1], obj="broadcast")
-    pd.testing.assert_frame_equal(outs[0], outs[2], obj="stars")
+            outs.append((f"{mode}/{path}", out))
+    for name, out in outs[1:]:
+        pd.testing.assert_frame_equal(outs[0][1], out, obj=name)
     # chain components collapse to their min
-    lab = dict(zip(outs[0]["doc_id"], outs[0]["component"]))
+    lab = dict(zip(outs[0][1]["doc_id"], outs[0][1]["component"]))
     assert lab[129] == 100 and lab[29] == 0 and lab[951] == 950
 
 

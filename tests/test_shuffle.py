@@ -3,9 +3,10 @@ guard that keeps ``map_groups`` from spreading outside it, in the package
 and in the driver file ``__ray_entry__.py``; plus its twin, the guard that
 keeps actor pools to the one stage that holds mutable shared state.
 
-Every contract case runs on both paths of ``shuffle_by``: the gather path
-its small inputs take, and the sort path, forced by patching the module's
-byte limit to 0."""
+Every contract case runs on both paths of ``shuffle_by`` (the
+``both_paths`` fixture of conftest.py): the gather path its small inputs
+take, and the sort path, forced by patching the module's byte limit to
+0."""
 
 from __future__ import annotations
 
@@ -56,19 +57,6 @@ def _ds(n: int = 240, blocks: int = 4):
 
     df = pd.DataFrame(_rows(n))
     return ray.data.from_pandas([df.iloc[b::blocks] for b in range(blocks)])
-
-
-@pytest.fixture
-def both_paths(monkeypatch):
-    """Call to iterate the two paths: yields "gather", then "sort" with
-    the byte limit patched to 0."""
-
-    def each():
-        for path, limit in (("gather", shuffle._GATHER_BYTES), ("sort", 0)):
-            monkeypatch.setattr(shuffle, "_GATHER_BYTES", limit)
-            yield path
-
-    return each
 
 
 def _per_call_key_counts(keys: list[str]):
@@ -205,12 +193,50 @@ def test_path_is_logged(ray_session, both_paths, caplog):
         shuffle_by(_ds(), "s", kern, n_parts=3).materialize()
         [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
         assert f"shuffle_by kern: path={path} rows=240 " in msg
-        assert msg.endswith(f"blocks=4 n_parts={1 if path == 'gather' else 3}")
+        # sort: 4 blocks bundled into n_parts = 3
+        assert msg.endswith(
+            "blocks=4 map_blocks=1 n_parts=1" if path == "gather"
+            else "blocks=4 map_blocks=3 n_parts=3"
+        ), msg
+
+
+@pytest.mark.parametrize("blocks, fit, n_parts, k", [
+    (60, None, 8, 8), (60, 3, 8, 8), (60, None, 3, 3), (6, None, 8, 6),
+])
+def test_sort_path_coalesces_tiny_blocks(
+    ray_session, monkeypatch, caplog, blocks, fit, n_parts, k,
+):
+    """A sort-path input reaches the exchange in at most n_parts blocks:
+    60 tiny blocks become 8 (or 3) whether the byte limit is 0 or a third
+    of the input, and 6 blocks against n_parts=8 stay 6 (never a split).
+    The output equals the gather path's."""
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def sums(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(["s", "j"], as_index=False)["v"].sum()
+
+    def rows(out):
+        return out.to_pandas().sort_values(["s", "j"]).reset_index(drop=True)
+
+    ds = _ds(blocks=blocks).materialize()
+    want = rows(shuffle_by(ds, ["s", "j"], sums, n_parts=n_parts))
+    monkeypatch.setattr(
+        shuffle, "_GATHER_BYTES", 0 if fit is None else -(-ds.size_bytes() // fit))
+    caplog.clear()
+    out = shuffle_by(ds, ["s", "j"], sums, n_parts=n_parts).materialize()
+    [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+    assert "path=sort rows=240 " in msg
+    assert msg.endswith(f"blocks={blocks} map_blocks={k} n_parts={n_parts}"), msg
+    stats = out.stats()
+    m = re.search(r"MapBatches\(add_part\): (\d+) tasks executed, (\d+) blocks produced", stats)
+    assert m and int(m[1]) == k and int(m[2]) <= k, stats
+    assert rows(out).equals(want)
 
 
 def test_gate_sweep_records_each_exchange(ray_session, both_paths):
-    """tools/gate_sweep.py reads every call's kernel, path, bytes and
-    blocks from the DEBUG record, under the query that made it."""
+    """tools/gate_sweep.py reads every call's kernel, path, bytes, blocks
+    and coalesced block count from the DEBUG record, under the query that
+    made it."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -230,7 +256,8 @@ def test_gate_sweep_records_each_exchange(ray_session, both_paths):
             exchanges.query = path
             ds = _ds().materialize()
             shuffle_by(ds, "s", kern, n_parts=3)
-            assert exchanges.calls[path] == [["kern", path, ds.size_bytes(), 4]]
+            assert exchanges.calls[path] == [
+                ["kern", path, ds.size_bytes(), 4, 1 if path == "gather" else 3]]
     finally:
         log.removeHandler(exchanges)
         log.setLevel(level)

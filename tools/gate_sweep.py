@@ -7,8 +7,9 @@ against its oracle with ``ontocast_ray.parity.compare_results``, and
 prints per-query wall time sorted slowest-first plus a BAD summary. Use
 before every round close: the heaviest legs are the ones a driver timeout
 would hit first. The JSON line also holds ``exchanges``: per query, the
-``[kernel, path, bytes, blocks]`` of every ``shuffle_by`` call it made,
-read from that op's DEBUG log.
+``[kernel, path, bytes, blocks, map_blocks]`` of every ``shuffle_by`` call
+it made, read from that op's DEBUG log (``map_blocks``: the block count
+after the exchange's coalescing).
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ sys.path.insert(0, REPO)
 
 class _Exchanges(logging.Handler):
     """Collects ``shuffle_by``'s DEBUG records as [kernel, path, bytes,
-    blocks] under the query that is running."""
+    blocks, map_blocks] under the query that is running."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.query, self.calls = None, {}
 
     def emit(self, record):
-        kernel, path, _rows, size, blocks, _p = record.args
-        self.calls.setdefault(self.query, []).append([kernel, path, size, blocks])
+        kernel, path, _rows, size, blocks, map_blocks, _p = record.args
+        self.calls.setdefault(self.query, []).append(
+            [kernel, path, size, blocks, map_blocks])
 
 
 def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
