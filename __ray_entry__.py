@@ -280,7 +280,7 @@ def _q_rollup(sf_dir: str):
     from ontocast_ray.ops.features import rollup_counts
 
     docs = _read(sf_dir, "documents", columns=["source", "lang"])
-    return rollup_counts(docs, ["source", "lang"], n_parts=8)
+    return rollup_counts(docs, ["source", "lang"])
 
 
 def _q_rebalance_sample(sf_dir: str):
@@ -304,7 +304,7 @@ def _q_hourly_distinct_users(sf_dir: str):
     events = _read(sf_dir, "events", columns=["user_id", "ts"])
     windowed = events.map_batches(add_tumbling_window, batch_format="pyarrow")
     return grouped_count_distinct(
-        windowed, group_col="window_start", key_col="user_id", n_parts=16
+        windowed, group_col="window_start", key_col="user_id"
     )
 
 
@@ -350,7 +350,7 @@ def _q_top_terms_per_source(sf_dir: str):
     from ontocast_ray.ops.text import top_terms_per_group
 
     docs = _read(sf_dir, "documents", columns=["source", "text"])
-    out = top_terms_per_group(docs, group_col="source", k=5, n_parts=16)
+    out = top_terms_per_group(docs, group_col="source", k=5)
     return out.select_columns(["source", "term", "n_count", "rank"])
 
 
@@ -378,7 +378,7 @@ def _q_interval_count(sf_dir: str):
     return interval_count_join(
         purchases, clicks,
         key_col="user_id", ts_col="ts", left_id_col="event_id",
-        window="30min", out_col="n_prior_clicks", n_parts=16,
+        window="30min", out_col="n_prior_clicks",
     )
 
 
@@ -389,7 +389,7 @@ def _q_grouped_count_distinct(sf_dir: str):
 
     events = _read(sf_dir, "events", columns=["event_type", "user_id"])
     return grouped_count_distinct(
-        events, group_col="event_type", key_col="user_id", n_parts=16
+        events, group_col="event_type", key_col="user_id"
     )
 
 
@@ -421,7 +421,6 @@ def _q_skew_join(sf_dir: str):
         left_cols=["l_orderkey", "l_linenumber"],
         right_cols=["s_nationkey"],
         hot_threshold=600,
-        n_parts=16,
     )
 
 
@@ -446,7 +445,7 @@ def _q_triangles(sf_dir: str):
     )
     joined = hash_join(
         li, rhs, left_on="l_orderkey", right_on="o2",
-        left_cols=["l_suppkey"], right_cols=["s_b"], n_parts=16,
+        left_cols=["l_suppkey"], right_cols=["s_b"],
     )
 
     def pair_rows(batch: pa.Table) -> pa.Table:
@@ -464,9 +463,9 @@ def _q_triangles(sf_dir: str):
 
     edges = shuffle_by(
         joined.map_batches(pair_rows, batch_format="pyarrow"), "key",
-        thresholded, n_parts=16,
+        thresholded,
     )
-    return triangle_count(edges, n_parts=16)
+    return triangle_count(edges)
 
 
 def _q_minmax_scale(sf_dir: str):
@@ -546,9 +545,8 @@ def _q_classifier_curated_packing(sf_dir: str):
         left_cols=["text"],
         right_cols=[],
         how="semi",
-        n_parts=16,
     )
-    return pack_sequences(kept_docs, capacity=64, shard_span=100, n_parts=4)
+    return pack_sequences(kept_docs, capacity=64, shard_span=100)
 
 
 def _q_knn_self_join(sf_dir: str):
@@ -589,8 +587,8 @@ def _q_neardup_scrubbed_packing(sf_dir: str):
     # minhash→verify→CC chain doesn't re-execute per consumer (object-store
     # backed and spillable; the same reason pack_token_meta materializes).
     kept = apply_keep_list(docs, dedup_keep_list(verified)).materialize()
-    scrubbed = remove_dup_spans(kept, k=3, n_parts=8).materialize()
-    return pack_sequences(scrubbed, capacity=64, shard_span=100, n_parts=4)
+    scrubbed = remove_dup_spans(kept, k=3).materialize()
+    return pack_sequences(scrubbed, capacity=64, shard_span=100)
 
 
 def _q_quality_classifier(sf_dir: str):
@@ -614,8 +612,8 @@ def _q_lpa_communities(sf_dir: str):
     no visit order, bit-replayable by the generated-CTE SQL oracle."""
     from ontocast_ray.ops.graph_cc import label_propagation
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16).materialize()
-    return label_propagation(edges, n_iters=3, n_parts=16)
+    edges = _supplier_customer_edges(sf_dir).materialize()
+    return label_propagation(edges, n_iters=3)
 
 
 def _q_k_core(sf_dir: str):
@@ -626,8 +624,8 @@ def _q_k_core(sf_dir: str):
     fixed-round CTEs (the LPA/Lloyd pattern)."""
     from ontocast_ray.ops.graph_cc import k_core
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16)
-    return k_core(edges, k=_K_CORE_K, n_parts=16)
+    edges = _supplier_customer_edges(sf_dir)
+    return k_core(edges, k=_K_CORE_K)
 
 
 _K_CORE_K = 9
@@ -722,7 +720,7 @@ def _q_bigram_coverage(sf_dir: str):
     from ontocast_ray.ops.text import bigram_coverage
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return bigram_coverage(docs, min_count=3, n_parts=16)
+    return bigram_coverage(docs, min_count=3)
 
 
 def _q_incremental_dedup(sf_dir: str):
@@ -759,7 +757,7 @@ def _q_incremental_dedup(sf_dir: str):
         lambda b: b.filter(pc.equal(pc.bit_wise_and(b["doc_id"], 1), 0)),
         batch_format="pyarrow",
     )
-    return incremental_dedup(odd.union(recrawl), index, n_parts=16)
+    return incremental_dedup(odd.union(recrawl), index)
 
 
 def _q_dsir_select(sf_dir: str):
@@ -1328,7 +1326,7 @@ def _q_pagerank(sf_dir: str):
     the SQL oracle reproduces every rank bit-for-bit."""
     from ontocast_ray.ops.pagerank import pagerank_int
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16)
+    edges = _supplier_customer_edges(sf_dir)
     return pagerank_int(edges, n_iters=3)
 
 
@@ -1544,7 +1542,6 @@ def _q_pack_sequences(sf_dir: str):
         _read(sf_dir, "documents", columns=["doc_id", "text"]),
         capacity=64,
         shard_span=100,
-        n_parts=4,
     )
 
 
@@ -1560,7 +1557,6 @@ def _q_packed_bpe(sf_dir: str):
         _read(sf_dir, "documents", columns=["doc_id", "text"]),
         capacity=256,
         shard_span=100,
-        n_parts=4,
         tokenizer=ByteBPETokenizer(),
     )
 
@@ -1590,7 +1586,6 @@ def _q_curated_packing(sf_dir: str):
         min_alpha_ratio=0.82,
         capacity=64,
         shard_span=100,
-        n_parts=4,
     )
 
 
@@ -1607,7 +1602,6 @@ def _q_events_hll(sf_dir: str):
         key_col="event_id",
         group_col="event_type",
         p=12,
-        n_parts=4,
     )
 
 
@@ -1623,7 +1617,6 @@ def _q_events_dd_quantiles(sf_dir: str):
         group_col="event_type",
         quantiles=(0.5, 0.95, 0.99),
         alpha=0.01,
-        n_parts=4,
     )
 
 
@@ -1641,7 +1634,6 @@ def _q_docs_source_cap(sf_dir: str):
         cap=10,
         id_col="doc_id",
         seed=3,
-        n_parts=4,
     )
 
 
@@ -1693,7 +1685,7 @@ def _q_boilerplate(sf_dir: str):
         return pa.table({"doc_id": batch["doc_id"], "text": pa.array(texts)})
 
     return remove_boilerplate_lines(
-        docs.map_batches(_inject, batch_format="pyarrow"), min_count=2, n_parts=4
+        docs.map_batches(_inject, batch_format="pyarrow"), min_count=2
     )
 
 
@@ -1739,7 +1731,6 @@ def _q_paragraph_dedup(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return paragraph_dedup(
         docs.map_batches(_para_inject_batch, batch_format="pyarrow"),
-        n_parts=4,
     )
 
 
@@ -1778,7 +1769,7 @@ def _q_gazetteer(sf_dir: str):
         return df
 
     return gazetteer_mentions(
-        docs.map_batches(synth, batch_format="pandas"), aliases, n_parts=8
+        docs.map_batches(synth, batch_format="pandas"), aliases
     )
 
 
@@ -1818,7 +1809,7 @@ def _q_next_event_context(sf_dir: str):
     events = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"]
     )
-    return next_event_context(events, context=3, n_parts=16)
+    return next_event_context(events, context=3)
 
 
 def _q_vocab_coverage(sf_dir: str):
@@ -1830,7 +1821,7 @@ def _q_vocab_coverage(sf_dir: str):
     from ontocast_ray.ops.text import vocab_coverage
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return vocab_coverage(docs, ks=(100, 1_000, 10_000), n_parts=16)
+    return vocab_coverage(docs, ks=(100, 1_000, 10_000))
 
 
 def _q_comention_edges(sf_dir: str):
@@ -1863,7 +1854,7 @@ def _q_comention_edges(sf_dir: str):
         return df
 
     return entity_comention_edges(
-        docs.map_batches(synth, batch_format="pandas"), aliases, n_parts=8
+        docs.map_batches(synth, batch_format="pandas"), aliases
     )
 
 
@@ -1877,7 +1868,7 @@ def _q_source_similarity(sf_dir: str):
     from ontocast_ray.ops.dedup import source_similarity_matrix
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
-    return source_similarity_matrix(docs, shingle_k=3, n_parts=16)
+    return source_similarity_matrix(docs, shingle_k=3)
 
 
 def _q_cdc_dup_stats(sf_dir: str):
@@ -1891,7 +1882,7 @@ def _q_cdc_dup_stats(sf_dir: str):
     from ontocast_ray.ops.dedup import cdc_chunk_dup_stats
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return cdc_chunk_dup_stats(docs, n_parts=16)
+    return cdc_chunk_dup_stats(docs)
 
 
 def _q_span_transitions(sf_dir: str):
@@ -1924,7 +1915,7 @@ def _q_span_transitions(sf_dir: str):
                              "text": spans.to_numpy()})
 
     return span_kind_transitions(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=8
+        docs.map_batches(synth, batch_format="pandas")
     )
 
 
@@ -1953,7 +1944,7 @@ def _q_domain_report(sf_dir: str):
 
     pages = docs.map_batches(synth, batch_format="pandas")
     scored = quality_classifier_score(pages, extra_cols=("url", "text"))
-    return domain_report(scored, n_parts=8)
+    return domain_report(scored)
 
 
 def _q_kg_two_hop(sf_dir: str):
@@ -1994,7 +1985,7 @@ def _q_kg_two_hop(sf_dir: str):
     )
     paths = hash_join(
         left, right, left_on="object", right_on="subject",
-        left_cols=["pred_a"], right_cols=["pred_b"], n_parts=16,
+        left_cols=["pred_a"], right_cols=["pred_b"],
     )
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2010,7 +2001,7 @@ def _q_kg_two_hop(sf_dir: str):
 
     return shuffle_by(
         paths.map_batches(partial, batch_format="pandas"),
-        ["pred_a", "pred_b"], combine, n_parts=8,
+        ["pred_a", "pred_b"], combine,
     )
 
 
@@ -2044,7 +2035,7 @@ def _q_user_max_gap(sf_dir: str):
         g["churn_risk"] = g["max_gap_us"] > thresh_us
         return g
 
-    return shuffle_by(events, "user_id", kernel, n_parts=16)
+    return shuffle_by(events, "user_id", kernel)
 
 
 def _q_doc_length_histogram(sf_dir: str):
@@ -2086,7 +2077,6 @@ def _q_doc_length_histogram(sf_dir: str):
 
     return shuffle_by(
         docs.map_batches(partial, batch_format="pandas"), "bucket", combine,
-        n_parts=4,
     )
 
 
@@ -2123,7 +2113,6 @@ def _q_kg_label_ambiguity(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(partial, batch_format="pandas"), "label", combine,
-        n_parts=16,
     )
 
 
@@ -2189,7 +2178,6 @@ def _q_train_test_leakage(sf_dir: str):
 
     leaks = shuffle_by(
         docs.map_batches(assign, batch_format="pandas"), "th", combine,
-        n_parts=16,
     )
 
     def total(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2216,7 +2204,7 @@ def _q_epoch_shuffle(sf_dir: str):
 
     docs = _read(sf_dir, "documents", columns=["doc_id"])
     return epoch_shuffle(
-        docs, seed=20, epoch=2, shard_size=256, n_parts=16
+        docs, seed=20, epoch=2, shard_size=256
     )
 
 
@@ -2237,7 +2225,6 @@ def _q_lang_quality_buckets(sf_dir: str):
         scored.select_columns(["doc_id", "lang", "raw_score"]),
         group_col="lang",
         score_col="raw_score",
-        n_parts=8,
     )
 
 
@@ -2258,7 +2245,6 @@ def _q_dolma_pipeline(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     scrubbed = paragraph_dedup(
         docs.map_batches(_para_inject_batch, batch_format="pyarrow"),
-        n_parts=4,
     )
 
     def _gate_meta(batch: pa.Table) -> pa.Table:
@@ -2276,7 +2262,7 @@ def _q_dolma_pipeline(sf_dir: str):
         })
 
     meta = scrubbed.map_batches(_gate_meta, batch_format="pyarrow")
-    return pack_token_meta(meta, capacity=64, n_parts=16)
+    return pack_token_meta(meta, capacity=64)
 
 
 def _q_gopher_filter(sf_dir: str):
@@ -2307,7 +2293,6 @@ def _q_hash_join(sf_dir: str):
         left_cols=["l_linenumber", "l_quantity"],
         right_cols=["o_custkey", "o_totalprice"],
         how="inner",
-        n_parts=16,
     )
 
 
@@ -2337,7 +2322,6 @@ def _q_semi_join(sf_dir: str):
         left_cols=["c_nationkey", "c_mktsegment"],
         right_cols=[],
         how="semi",
-        n_parts=16,
     )
 
 
@@ -2363,7 +2347,6 @@ def _q_anti_join(sf_dir: str):
         left_cols=["c_nationkey", "c_mktsegment"],
         right_cols=[],
         how="anti",
-        n_parts=16,
     )
 
 
@@ -2383,9 +2366,8 @@ def _q_distinct_pairs(sf_dir: str):
         left_cols=["l_suppkey"],
         right_cols=["o_custkey"],
         how="inner",
-        n_parts=16,
     )
-    return distinct_on(joined, ["l_suppkey", "o_custkey"], n_parts=16)
+    return distinct_on(joined, ["l_suppkey", "o_custkey"])
 
 
 def _q_split_assign(sf_dir: str):
@@ -2569,7 +2551,7 @@ def _q_doc_group_components(sf_dir: str):
         return pd.concat(frames, ignore_index=True)
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source", "lang"])
-    pairs = shuffle_by(docs, "source", pairs_kernel, n_parts=16)
+    pairs = shuffle_by(docs, "source", pairs_kernel)
     return connected_components(pairs)
 
 
@@ -2607,7 +2589,7 @@ def _q_component_size_hist(sf_dir: str):
 
     sizes = shuffle_by(
         comps.map_batches(size_partial, batch_format="pyarrow"), "component",
-        size_combine, n_parts=8,
+        size_combine,
     )
 
     def hist_fold(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -2820,7 +2802,7 @@ def _q_url_dedup(sf_dir: str):
         return df
 
     return url_dedup(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=16
+        docs.map_batches(synth, batch_format="pandas")
     )
 
 
@@ -2850,7 +2832,7 @@ def _q_knn_ivf_recall(sf_dir: str):
         index_dir=_index_scratch(sf_dir, "ivf_recall"),
     )
     exact = knn_bruteforce(emb, queries, k=10)
-    return knn_recall(approx, exact, n_parts=8)
+    return knn_recall(approx, exact)
 
 
 def _q_html_extract(sf_dir: str):
@@ -2945,7 +2927,7 @@ def _q_corpus_diff(sf_dir: str):
     joined = hash_join(
         old, new, left_on="doc_id", right_on="doc_id",
         left_cols=["old_chars", "old_flag"], right_cols=["new_flag"],
-        how="full", n_parts=16,
+        how="full",
     )
 
     def label(df):
@@ -2967,7 +2949,6 @@ def _q_corpus_diff(sf_dir: str):
 
     return shuffle_by(
         joined.map_batches(label, batch_format="pandas"), "status", merge,
-        n_parts=3,
     )
 
 
@@ -2993,7 +2974,7 @@ def _q_label_centroids(sf_dir: str):
     from ontocast_ray.ops.features import label_centroids
 
     emb = _read(sf_dir, "embeddings", columns=["label", "embedding"])
-    return label_centroids(emb, n_parts=8)
+    return label_centroids(emb)
 
 
 def _q_incremental_neardup(sf_dir: str):
@@ -3040,10 +3021,10 @@ def _q_incremental_neardup(sf_dir: str):
 
     new = odd.union(docs.map_batches(_recrawl, batch_format="pyarrow"))
     pairs = incremental_minhash_candidates(
-        new, index, num_perm=64, bands=32, shingle_k=3, n_parts=16
+        new, index, num_perm=64, bands=32, shingle_k=3
     )
     return ngram_jaccard_verify(
-        index.union(new), pairs, threshold=0.8, shingle_k=3, n_parts=16
+        index.union(new), pairs, threshold=0.8, shingle_k=3
     )
 
 
@@ -3104,14 +3085,14 @@ def _q_keep_best(sf_dir: str):
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
     pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=32, shingle_k=3, n_parts=16
+        docs, num_perm=64, bands=32, shingle_k=3
     )
     verified = ngram_jaccard_verify(
-        docs, pairs, threshold=0.8, shingle_k=3, n_parts=16
+        docs, pairs, threshold=0.8, shingle_k=3
     )
     scores = docs.select_columns(["doc_id", "n_chars"])
     return dedup_keep_best(
-        verified, scores, score_col="n_chars", n_parts=16
+        verified, scores, score_col="n_chars"
     )
 
 
@@ -3129,14 +3110,14 @@ def _q_dedup_audit(sf_dir: str):
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=32, shingle_k=3, n_parts=16,
+        docs, num_perm=64, bands=32, shingle_k=3,
         pair_mode="all",
     )
     verified = ngram_jaccard_verify(
-        docs, pairs, threshold=0.8, shingle_k=3, n_parts=16
+        docs, pairs, threshold=0.8, shingle_k=3
     ).materialize()
     keep = dedup_keep_list(verified)
-    return dedup_audit(verified, keep, n_parts=16)
+    return dedup_audit(verified, keep)
 
 
 def _q_global_robust(sf_dir: str):
@@ -3179,7 +3160,7 @@ def _q_web_pipeline(sf_dir: str):
     pages = docs.map_batches(synth, batch_format="pandas")
     return curate_web_corpus(
         pages, {"site1.example.com"},
-        min_alpha_ratio=0.6, capacity=64, shard_span=100, n_parts=16,
+        min_alpha_ratio=0.6, capacity=64, shard_span=100,
     )
 
 
@@ -3194,7 +3175,6 @@ def _q_stratified_split(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
     return stratified_split(
         docs, group_col="source", fracs=(0.8, 0.1, 0.1), seed=41,
-        n_parts=16,
     )
 
 
@@ -3234,7 +3214,6 @@ def _q_incremental_embedding(sf_dir: str):
     new = odd.union(emb.map_batches(_copies, batch_format="pyarrow"))
     return incremental_embedding_dedup(
         new, index, threshold=0.95, n_planes=16, bands=2, seed=5,
-        n_parts=16,
     )
 
 
@@ -3249,7 +3228,7 @@ def _q_neighbor_agg(sf_dir: str):
     from ontocast_ray.ops.graph_cc import neighbor_feature_sum
     from ontocast_ray.ops.joins import distinct_on, hash_join
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16).materialize()
+    edges = _supplier_customer_edges(sf_dir).materialize()
 
     supp = _read(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
@@ -3282,7 +3261,7 @@ def _q_neighbor_agg(sf_dir: str):
         .union(cust.map_batches(c_feat, batch_format="pyarrow"))
         .materialize()
     )
-    return neighbor_feature_sum(edges, feats, hops=2, n_parts=16)
+    return neighbor_feature_sum(edges, feats, hops=2)
 
 
 def _q_weekly_retention(sf_dir: str):
@@ -3292,7 +3271,7 @@ def _q_weekly_retention(sf_dir: str):
     from ontocast_ray.ops.windows import weekly_retention
 
     events = _read(sf_dir, "events", columns=["user_id", "ts"])
-    return weekly_retention(events, n_parts=16)
+    return weekly_retention(events)
 
 
 def _q_quantile_buckets(sf_dir: str):
@@ -3306,8 +3285,7 @@ def _q_quantile_buckets(sf_dir: str):
     return quantile_bucketize(events, k=10)
 
 
-def _supplier_customer_edges(sf_dir: str, n_parts: int = 16,
-                             with_ek: bool = False):
+def _supplier_customer_edges(sf_dir: str, with_ek: bool = False):
     """Shared bipartite-edge builder (supplier ↔ customer via distinct
     lineitem⋈orders pairs, customers offset +1,000,000, both
     directions) — single source of truth for the graph queries (ppr,
@@ -3329,8 +3307,7 @@ def _supplier_customer_edges(sf_dir: str, n_parts: int = 16,
         li, orders, big_key="l_orderkey", small_key="o_orderkey",
         small_val="o_custkey", out_col="o_custkey",
     )
-    pairs = distinct_on(joined, ["l_suppkey", "o_custkey"],
-                        n_parts=n_parts)
+    pairs = distinct_on(joined, ["l_suppkey", "o_custkey"])
 
     def mk(b: pa.Table) -> pa.Table:
         s = b["l_suppkey"].combine_chunks().cast(pa.int64())
@@ -3357,7 +3334,7 @@ def _q_ppr(sf_dir: str):
     from ontocast_ray.ops.joins import distinct_on, hash_join
     from ontocast_ray.ops.pagerank import pagerank_int
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16)
+    edges = _supplier_customer_edges(sf_dir)
     return pagerank_int(edges, n_iters=3, seed_mod=2, seed_rem=0)
 
 
@@ -3369,7 +3346,7 @@ def _q_doc_keywords(sf_dir: str):
     from ontocast_ray.ops.text import doc_keywords
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return doc_keywords(docs, k=3, n_parts=16)
+    return doc_keywords(docs, k=3)
 
 
 def _q_rrf(sf_dir: str):
@@ -3445,7 +3422,7 @@ def _q_kg_entity_degrees(sf_dir: str):
 
     degrees = shuffle_by(
         triples.map_batches(partial, batch_format="pandas"), "entity",
-        combine, n_parts=16,
+        combine,
     )
     top = degrees.sort(["degree", "entity"], descending=[True, False]).limit(50)
     return top.select_columns(["entity", "out_deg", "in_deg", "degree"])
@@ -3471,7 +3448,6 @@ def _q_langid_confusion(sf_dir: str):
         declared, pred,
         left_on="doc_id", right_on="doc_id",
         left_cols=["lang"], right_cols=["lang_pred"],
-        n_parts=16,
     )
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -3504,9 +3480,9 @@ def _q_neighbor_sample(sf_dir: str):
     from ontocast_ray.ops.curation import cap_per_group
     from ontocast_ray.ops.joins import distinct_on, hash_join
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16, with_ek=True)
+    edges = _supplier_customer_edges(sf_dir, with_ek=True)
     return cap_per_group(
-        edges, group_col="src", cap=3, id_col="ek", seed=13, n_parts=16
+        edges, group_col="src", cap=3, id_col="ek", seed=13
     ).select_columns(["src", "dst"])
 
 
@@ -3529,11 +3505,11 @@ def _q_contrastive_triplets(sf_dir: str):
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = docs.count()
     pairs = minhash_lsh_candidates(
-        docs, num_perm=64, bands=32, shingle_k=3, n_parts=16,
+        docs, num_perm=64, bands=32, shingle_k=3,
         pair_mode="all",  # the pair LIST is the product, not components
     )
     verified = ngram_jaccard_verify(
-        docs, pairs, threshold=0.8, shingle_k=3, n_parts=16
+        docs, pairs, threshold=0.8, shingle_k=3
     )
 
     def draw(batch: pa.Table) -> pa.Table:
@@ -3566,7 +3542,7 @@ def _q_decayed_value(sf_dir: str):
     from ontocast_ray.ops.windows import decayed_user_value
 
     events = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
-    return decayed_user_value(events, n_parts=16)
+    return decayed_user_value(events)
 
 
 def _q_linear_attribution(sf_dir: str):
@@ -3599,7 +3575,7 @@ def _q_linear_attribution(sf_dir: str):
     counts = interval_count_join(
         purchases, clicks,
         key_col="user_id", ts_col="ts", left_id_col="event_id",
-        window="30min", out_col="n_prior_clicks", n_parts=16,
+        window="30min", out_col="n_prior_clicks",
     )
 
     def credit(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -3621,7 +3597,6 @@ def _q_linear_attribution(sf_dir: str):
 
     return shuffle_by(
         counts.map_batches(credit, batch_format="pandas"), "user_id", combine,
-        n_parts=16,
     )
 
 
@@ -3634,7 +3609,7 @@ def _q_top_sessions(sf_dir: str):
     events = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "value"]
     )
-    return top_sessions_by_value(events, gap_minutes=30.0, k=10, n_parts=16)
+    return top_sessions_by_value(events, gap_minutes=30.0, k=10)
 
 
 def _q_source_dup_rates(sf_dir: str):
@@ -3667,7 +3642,7 @@ def _q_source_dup_rates(sf_dir: str):
 
     shas = docs.map_batches(sha_rows, batch_format="pandas")
     distinct = grouped_count_distinct(
-        shas, group_col="source", key_col="sha", n_parts=16
+        shas, group_col="source", key_col="sha"
     )
 
     def count_partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -3684,7 +3659,6 @@ def _q_source_dup_rates(sf_dir: str):
         totals, distinct,
         left_on="source", right_on="source",
         left_cols=["n_docs"], right_cols=["n_distinct"],
-        n_parts=8,
     )
 
     def rate(b: pa.Table) -> pa.Table:
@@ -3708,7 +3682,7 @@ def _q_embedding_gram(sf_dir: str):
     from ontocast_ray.ops.features import embedding_gram
 
     emb = _read(sf_dir, "embeddings", columns=["embedding"])
-    return embedding_gram(emb, scale=1 << 8, n_parts=8)
+    return embedding_gram(emb, scale=1 << 8)
 
 
 def _q_rademacher(sf_dir: str):
@@ -3730,7 +3704,7 @@ def _q_sliding_hll(sf_dir: str):
 
     events = _read(sf_dir, "events", columns=["user_id", "ts"])
     return sliding_hll_distinct(
-        events, window_hours=3, p=12, n_parts=16
+        events, window_hours=3, p=12
     )
 
 
@@ -3743,7 +3717,7 @@ def _q_followed_by(sf_dir: str):
     events = _read(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"]
     )
-    return followed_by_counts(events, window_minutes=10, n_parts=16)
+    return followed_by_counts(events, window_minutes=10)
 
 
 def _q_dataset_card(sf_dir: str):
@@ -3821,7 +3795,6 @@ def _q_fuzzy_name_matches(sf_dir: str):
         left_block="c_nationkey",
         right_block="s_nationkey",
         max_dist=6,
-        n_parts=16,
     )
 
 
@@ -3855,7 +3828,7 @@ def _q_events_running_total(sf_dir: str):
             "running_cents": run.astype(np.int64),
         })
 
-    return shuffle_by(events, "user_id", kernel, n_parts=16)
+    return shuffle_by(events, "user_id", kernel)
 
 
 def _q_hits_scores(sf_dir: str):
@@ -3882,7 +3855,7 @@ def _q_hits_scores(sf_dir: str):
     )
     # edges consumed by 3 downstream passes → materialize (CLAUDE.md rule)
     edges = distinct_on(
-        joined, ["l_suppkey", "o_custkey"], n_parts=16
+        joined, ["l_suppkey", "o_custkey"]
     ).materialize()
 
     def _keyed_sum(ds, key: str, val: str | None, out: str):
@@ -3906,7 +3879,6 @@ def _q_hits_scores(sf_dir: str):
 
         return shuffle_by(
             ds.map_batches(partial, batch_format="pandas"), key, combine,
-            n_parts=16,
         )
 
     # auth1(c) = |{s : s→c}| (hub0 = 1)
@@ -4013,7 +3985,7 @@ def _q_balanced_shards(sf_dir: str):
         g["total_chars"] = g["total_chars"].astype(np.int64)
         return g
 
-    per_shard = shuffle_by(keyed, "lshard", kernel, n_parts=64)
+    per_shard = shuffle_by(keyed, "lshard", kernel)
     return shuffle_by(per_shard, "shard", final, n_parts=1)
 
 
@@ -4046,7 +4018,7 @@ def _q_nucleus_docs(sf_dir: str):
             "n_chars": out["n_chars"].to_numpy().astype(np.int64),
         })
 
-    return shuffle_by(docs, "source", kernel, n_parts=16)
+    return shuffle_by(docs, "source", kernel)
 
 
 def _q_deepwalk(sf_dir: str):
@@ -4059,9 +4031,9 @@ def _q_deepwalk(sf_dir: str):
     joins on composite keys; adjacency ranked once and reused."""
     from ontocast_ray.ops.walks import deterministic_walks
 
-    edges = _supplier_customer_edges(sf_dir, n_parts=16)
+    edges = _supplier_customer_edges(sf_dir)
     return deterministic_walks(
-        edges, n_steps=3, seed=41, start_below=1_000_000, n_parts=16
+        edges, n_steps=3, seed=41, start_below=1_000_000
     )
 
 
@@ -4267,7 +4239,7 @@ def _q_events_cume_dist(sf_dir: str):
             "cd": peers / n,
         })
 
-    return shuffle_by(events, "user_id", kernel, n_parts=16)
+    return shuffle_by(events, "user_id", kernel)
 
 
 def _q_events_winsorized(sf_dir: str):
@@ -4307,7 +4279,7 @@ def _q_events_winsorized(sf_dir: str):
             )
         return pd.DataFrame(out)
 
-    return shuffle_by(events, "user_id", kernel, n_parts=16)
+    return shuffle_by(events, "user_id", kernel)
 
 
 def _q_link_prediction(sf_dir: str):
@@ -4335,7 +4307,7 @@ def _q_link_prediction(sf_dir: str):
         small_val="o_custkey", out_col="o_custkey",
     )
     pairs = distinct_on(
-        joined, ["l_suppkey", "o_custkey"], n_parts=16
+        joined, ["l_suppkey", "o_custkey"]
     ).materialize()  # consumed by degrees + pair expansion
 
     # degrees: map-side combiner + driver fold (suppliers = small dim)
@@ -4380,9 +4352,8 @@ def _q_link_prediction(sf_dir: str):
 
     counts = shuffle_by(
         pairs.map_batches(by_customer, batch_format="pyarrow"), "c", expand,
-        n_parts=16,
     )
-    return shuffle_by(counts, "key", score, n_parts=16)
+    return shuffle_by(counts, "key", score)
 
 
 def _q_events_per_minute(sf_dir: str):
@@ -4444,7 +4415,7 @@ def _q_lm_band_filter(sf_dir: str):
     from ontocast_ray.ops.windows import global_quantiles_exact
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    scores = bigram_lm_scores(docs, n_parts=32, out_parts=16).materialize()
+    scores = bigram_lm_scores(docs).materialize()
 
     def as_value(batch: "pa.Table") -> "pa.Table":
         return pa.table({
@@ -4518,7 +4489,6 @@ def _q_kg_validation_report(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(facts, batch_format="pandas"), "doc_id", report,
-        n_parts=16,
     )
 
 
@@ -4610,7 +4580,7 @@ def _q_curation_funnel(sf_dir: str):
 
     verdicts = shuffle_by(
         docs.map_batches(stage_map, batch_format="pandas"), "sha",
-        dedup_verdict, n_parts=16,
+        dedup_verdict,
     )
     return shuffle_by(verdicts, "source", finalize, n_parts=1)
 
@@ -4702,7 +4672,7 @@ def _q_wordset_dedup(sf_dir: str):
     from ontocast_ray.ops.dedup import wordset_dedup
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return wordset_dedup(docs, n_parts=32)
+    return wordset_dedup(docs)
 
 
 def _q_compression_ratio(sf_dir: str):
@@ -4770,7 +4740,7 @@ def _q_kg_predicate_profile(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(partial, batch_format="pandas"), "predicate",
-        combine, n_parts=16,
+        combine,
     )
 
 
@@ -4806,7 +4776,7 @@ def _q_link_host_degrees(sf_dir: str):
         return df[["doc_id", "html"]]
 
     return link_host_degrees(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=16
+        docs.map_batches(synth, batch_format="pandas")
     )
 
 
@@ -4839,7 +4809,7 @@ def _q_anchor_text_top(sf_dir: str):
         return df[["doc_id", "html"]]
 
     return anchor_text_top(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=16
+        docs.map_batches(synth, batch_format="pandas")
     )
 
 
@@ -4852,10 +4822,7 @@ def _q_containment_pairs(sf_dir: str):
     from ontocast_ray.ops.dedup import containment_pairs
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return containment_pairs(
-        docs, shingle_k=3, threshold_ppm=600_000, max_df=64,
-        n_parts=32, out_parts=16,
-    )
+    return containment_pairs(docs, shingle_k=3, threshold_ppm=600_000, max_df=64)
 
 
 def _q_bigram_lm(sf_dir: str):
@@ -4867,7 +4834,7 @@ def _q_bigram_lm(sf_dir: str):
     from ontocast_ray.ops.lm import bigram_lm_scores
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return bigram_lm_scores(docs, n_parts=32, out_parts=16)
+    return bigram_lm_scores(docs)
 
 
 def _q_kg_provenance(sf_dir: str):
@@ -4920,7 +4887,7 @@ def _q_kg_provenance(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(partial, batch_format="pandas"),
-        ["subject", "predicate", "object"], combine, n_parts=16,
+        ["subject", "predicate", "object"], combine,
     )
 
 
@@ -4956,9 +4923,9 @@ def _q_kg_incremental_entities(sf_dir: str):
 
         return triples.map_batches(f, batch_format="pyarrow")
 
-    old_table = global_entity_table(half(0, 250), n_parts=16)
+    old_table = global_entity_table(half(0, 250))
     return incremental_global_entities(
-        old_table, half(250, 10**9), n_parts=16
+        old_table, half(250, 10**9)
     ).select_columns(
         ["entity_uri", "entity_key", "label",
          "n_docs", "n_mentions", "status"]
@@ -5009,7 +4976,7 @@ def _q_kg_class_instances(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(partial, batch_format="pandas"), "class_uri",
-        combine, n_parts=16,
+        combine,
     )
 
 
@@ -5074,7 +5041,7 @@ def _q_bpe_trained_merges(sf_dir: str):
     from ontocast_ray.ops.packing import bpe_train
 
     docs = _read(sf_dir, "documents", columns=["text"])
-    return bpe_train(docs, n_merges=24, n_parts=16)
+    return bpe_train(docs, n_merges=24)
 
 
 def _q_orders_weekly_deltas(sf_dir: str):
@@ -5171,7 +5138,7 @@ def _q_minhash_calibration(sf_dir: str):
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return minhash_estimate_errors(
-        docs, num_perm=64, bands=16, shingle_k=3, n_parts=16
+        docs, num_perm=64, bands=16, shingle_k=3
     )
 
 
@@ -5185,7 +5152,7 @@ def _q_pca_projection(sf_dir: str):
     from ontocast_ray.ops.features import pca_project
 
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    return pca_project(emb, k=2, scale=1 << 8, n_parts=8)
+    return pca_project(emb, k=2, scale=1 << 8)
 
 
 def _q_customer_recency(sf_dir: str):
@@ -5232,7 +5199,7 @@ def _q_customer_recency(sf_dir: str):
         g["n_orders"] = g["n_orders"].astype(np.int64)
         return g[["o_custkey", "recency_days", "n_orders"]]
 
-    return shuffle_by(partials, "o_custkey", combine, n_parts=16)
+    return shuffle_by(partials, "o_custkey", combine)
 
 
 def _q_kg_sameas_audit(sf_dir: str):
@@ -5269,7 +5236,7 @@ def _q_kg_sameas_audit(sf_dir: str):
 
     return shuffle_by(
         rewritten.map_batches(partial, batch_format="pandas"), "entity_uri",
-        combine, n_parts=16,
+        combine,
     )
 
 
@@ -5281,7 +5248,7 @@ def _q_activity_streaks(sf_dir: str):
     from ontocast_ray.ops.windows import activity_streaks
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    return activity_streaks(ev, n_parts=16)
+    return activity_streaks(ev)
 
 
 def _q_gram_novelty(sf_dir: str):
@@ -5293,7 +5260,7 @@ def _q_gram_novelty(sf_dir: str):
     from ontocast_ray.ops.dedup import gram_novelty
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return gram_novelty(docs, k=3, n_parts=16)
+    return gram_novelty(docs, k=3)
 
 
 def _q_kg_from_curated(sf_dir: str):
@@ -5379,7 +5346,7 @@ def _q_kg_from_curated(sf_dir: str):
 
     return shuffle_by(
         triples.map_batches(partial, batch_format="pandas"), "doc_id",
-        combine, n_parts=8,
+        combine,
     )
 
 
@@ -5435,7 +5402,7 @@ def _q_event_bursts(sf_dir: str):
     from ontocast_ray.ops.windows import event_bursts
 
     ev = _read(sf_dir, "events", columns=["user_id", "ts"])
-    return event_bursts(ev, n_parts=16)
+    return event_bursts(ev)
 
 
 def _q_user_trend(sf_dir: str):
@@ -5462,7 +5429,7 @@ def _q_user_trend(sf_dir: str):
         })
 
     return user_trend_fractions(
-        ev.map_batches(with_y, batch_format="pyarrow"), n_parts=16
+        ev.map_batches(with_y, batch_format="pyarrow")
     )
 
 
@@ -5487,7 +5454,7 @@ def _q_knn_hubness(sf_dir: str):
 
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     pairs = knn_self_join(emb, k=5, max_rows_per_shard=200)
-    return knn_hubness(pairs, n_parts=16)
+    return knn_hubness(pairs)
 
 
 def _q_c4_line_filter(sf_dir: str):
@@ -5598,7 +5565,7 @@ def _q_url_templates(sf_dir: str):
         return df
 
     return url_path_templates(
-        docs.map_batches(synth, batch_format="pandas"), n_parts=16
+        docs.map_batches(synth, batch_format="pandas")
     )
 
 
@@ -5661,7 +5628,6 @@ def _q_taxonomy_closure(sf_dir: str):
 
     return ancestor_closure(
         docs.map_batches(edges, batch_format="pyarrow"),
-        n_parts=16,
     ).map_batches(
         lambda b: b.select(["node", "ancestor", "depth"]),
         batch_format="pyarrow",

@@ -418,5 +418,5 @@ def semdedup(
              "keep": ~agg["hit"].to_numpy()}
         )
 
-    big_out = shuffle_by(pair_hits, id_col, _or_reduce, 64)
+    big_out = shuffle_by(pair_hits, id_col, _or_reduce)
     return small_out.union(big_out)

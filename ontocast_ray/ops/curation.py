@@ -52,7 +52,6 @@ def cap_per_group(
     cap: int,
     id_col: str = "doc_id",
     seed: int = 0,
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """Keep at most ``cap`` rows per ``group_col`` value, deterministically.
 
@@ -84,7 +83,7 @@ def cap_per_group(
         return out.drop(columns=["_cap_u"])
 
     return shuffle_by(
-        ds.map_batches(_precap, batch_format="pyarrow"), group_col, _finish, n_parts
+        ds.map_batches(_precap, batch_format="pyarrow"), group_col, _finish
     )
 
 
@@ -123,7 +122,6 @@ def _scrub_marked_positions(
     id_col: str,
     text_col: str,
     idx_col: str,
-    n_parts: int,
 ) -> "ray.data.Dataset":
     """Shared tail of the bounded scale paths (`remove_boilerplate_lines`,
     `paragraph_dedup`): confirmed-bad (id, segment-index) rows meet the
@@ -179,7 +177,7 @@ def _scrub_marked_positions(
             }
         )
 
-    return shuffle_by(joined, id_col, _scrub_group, n_parts)
+    return shuffle_by(joined, id_col, _scrub_group)
 
 
 def remove_boilerplate_lines(
@@ -187,7 +185,6 @@ def remove_boilerplate_lines(
     min_count: int = 2,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """C4-style line-level dedup: drop every line occurring ≥ ``min_count``
     times across the corpus (boilerplate headers/footers/nav), keeping the
@@ -245,7 +242,7 @@ def remove_boilerplate_lines(
         return pd.DataFrame({"line_hash": agg.index.to_numpy(dtype=np.uint64)})
 
     frequent = shuffle_by(
-        docs.map_batches(_count, batch_format="pyarrow"), "line_hash", _freq, n_parts
+        docs.map_batches(_count, batch_format="pyarrow"), "line_hash", _freq
     ).materialize()
 
     if frequent.count() <= _BROADCAST_LIMIT:
@@ -362,10 +359,10 @@ def remove_boilerplate_lines(
              "line_idx": bad["line_idx"].cast(pa.int64())}
         )
 
-    bad_rows = shuffle_by(tagged, "line_hash", _confirm, n_parts, batch_format="pyarrow")
+    bad_rows = shuffle_by(tagged, "line_hash", _confirm, batch_format="pyarrow")
     return _scrub_marked_positions(
         docs, bad_rows, id_col=id_col, text_col=text_col,
-        idx_col="line_idx", n_parts=n_parts,
+        idx_col="line_idx",
     )
 
 
@@ -514,7 +511,6 @@ def paragraph_dedup(
     docs: "ray.data.Dataset",
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Dolma-style cross-document paragraph dedup: every paragraph (a
     ``\\n``-split segment) that occurs more than once in the corpus keeps
@@ -546,9 +542,7 @@ def paragraph_dedup(
         _bloom_build_cols,
         _bloom_contains,
     )
-    from ontocast_ray.ops.shuffle import resolve_n_parts
 
-    n_parts = resolve_n_parts(docs, n_parts)
     # consumed 2x (winner + scrub) or 3x (scale path adds the candidate
     # pass): materialize so the input lineage executes once
     docs = docs.materialize()
@@ -604,7 +598,6 @@ def paragraph_dedup(
         docs.map_batches(_winner_partial, batch_format="pyarrow"),
         "para_hash",
         _winner_final,
-        n_parts,
     ).materialize()
 
     if dups.count() <= _BROADCAST_LIMIT:
@@ -720,10 +713,10 @@ def paragraph_dedup(
             "para_idx": pa.array(cidx[bad]),
         })
 
-    bad_rows = shuffle_by(tagged, "para_hash", _confirm, n_parts, batch_format="pyarrow")
+    bad_rows = shuffle_by(tagged, "para_hash", _confirm, batch_format="pyarrow")
     return _scrub_marked_positions(
         docs, bad_rows, id_col=id_col, text_col=text_col,
-        idx_col="para_idx", n_parts=n_parts,
+        idx_col="para_idx",
     )
 
 

@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
+from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import to_arrow_type, vectors_2d
 
 _WS = re.compile(r"\s+")
@@ -67,7 +67,7 @@ def _sha_partial(batch: pa.Table) -> pa.Table:
                      "n": g["doc_id_count"]})
 
 
-def _sha_firsts(docs: "ray.data.Dataset", count_col: str, n_parts: int) -> "ray.data.Dataset":
+def _sha_firsts(docs: "ray.data.Dataset", count_col: str) -> "ray.data.Dataset":
     """→ (text_sha, doc_id, count_col): per distinct text the min doc_id and
     the copy count (int64) — per-batch combiner, then ONE coarse
     ``shuffle_by(text_sha)`` whose kernel takes the min of the batch mins
@@ -79,19 +79,18 @@ def _sha_firsts(docs: "ray.data.Dataset", count_col: str, n_parts: int) -> "ray.
                          count_col: g["n_sum"]})
 
     partials = docs.map_batches(_sha_partial, batch_format="pyarrow")
-    return shuffle_by(partials, "text_sha", final, n_parts, batch_format="pyarrow")
+    return shuffle_by(partials, "text_sha", final, batch_format="pyarrow")
 
 
 def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     """→ (doc_id, n_copies): one row per distinct text, keeping min doc_id."""
-    firsts = _sha_firsts(docs, "n_copies", resolve_n_parts(docs, None))
+    firsts = _sha_firsts(docs, "n_copies")
     return firsts.select_columns(["doc_id", "n_copies"])
 
 
 def incremental_dedup(
     new_docs: "ray.data.Dataset",
     index_docs: "ray.data.Dataset",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """→ (doc_id, n_new_copies): exact dedup of a NEW batch against an
     EXISTING corpus — the daily-crawl production shape (dedupe today's
@@ -109,7 +108,7 @@ def incremental_dedup(
     """
     from ontocast_ray.ops.joins import hash_join
 
-    firsts = _sha_firsts(new_docs, "n_new_copies", n_parts).materialize()
+    firsts = _sha_firsts(new_docs, "n_new_copies").materialize()
     idx_sha = index_docs.map_batches(
         _sha_batch, batch_format="pyarrow"
     ).select_columns(["text_sha"])
@@ -121,7 +120,6 @@ def incremental_dedup(
         left_cols=["doc_id", "n_new_copies"],
         right_cols=[],
         how="anti",
-        n_parts=n_parts,
     )
     return out.select_columns(["doc_id", "n_new_copies"])
 
@@ -360,7 +358,6 @@ def minhash_lsh_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 5,
-    n_parts: int = 64,
     pair_mode: str = "star",
 ) -> "ray.data.Dataset":
     """→ candidate near-dup pairs (doc_id_a, doc_id_b, n_bands), deduped;
@@ -388,9 +385,9 @@ def minhash_lsh_candidates(
         _bucket_pairs_partition if pair_mode == "star"
         else _bucket_all_pairs_partition
     )
-    pairs = shuffle_by(band_rows, "band_key", kernel, n_parts)
+    pairs = shuffle_by(band_rows, "band_key", kernel)
     # same pair can surface from several bands → distinct
-    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], _pair_counts, n_parts)
+    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], _pair_counts)
     return _pin_pair_schema(counted, docs, "n_bands")
 
 
@@ -556,7 +553,6 @@ def ngram_jaccard_verify(
     pairs: "ray.data.Dataset",
     threshold: float = 0.7,
     shingle_k: int = 5,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Exact Jaccard check of candidate pairs, fully distributed (see module
     comment above): Bloom-pruned shingle computation + doc_id shuffle join +
@@ -652,7 +648,7 @@ def ngram_jaccard_verify(
             }
         )
 
-    joined = shuffle_by(requests.union(shingles), "doc_id", join_kernel, n_parts)
+    joined = shuffle_by(requests.union(shingles), "doc_id", join_kernel)
 
     def verify_kernel(group: pd.DataFrame) -> pa.Table:
         out_a, out_b, sims = [], [], []
@@ -680,7 +676,7 @@ def ngram_jaccard_verify(
             }
         )
 
-    return shuffle_by(joined, ["doc_id_a", "doc_id_b"], verify_kernel, n_parts)
+    return shuffle_by(joined, ["doc_id_a", "doc_id_b"], verify_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +758,7 @@ _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
 
 
 def simhash_candidates(
-    docs: "ray.data.Dataset", max_hamming: int = 3,
-    n_parts: int = 64, max_bucket: int = 4096,
+    docs: "ray.data.Dataset", max_hamming: int = 3, max_bucket: int = 4096,
 ) -> "ray.data.Dataset":
     """Banded simhash near-dup pairs: 4×16-bit keys → coarse-partitioned
     bucket shuffle (see _bucket_pairs_partition) → Hamming check → a
@@ -838,9 +833,8 @@ def simhash_candidates(
         sigs.map_batches(bands, batch_format="pyarrow"),
         "band_key",
         bucket_partition,
-        n_parts,
     )
-    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], min_hamming, n_parts)
+    counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], min_hamming)
     return _pin_pair_schema(counted, docs, "hamming")
 
 
@@ -893,9 +887,7 @@ def _bucket_cosine_pairs(
     return a_out, b_out, s_out
 
 
-def _pair_max_cosine(
-    pairs: "ray.data.Dataset", n_parts: int = 64
-) -> "ray.data.Dataset":
+def _pair_max_cosine(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Distinct (id_a, id_b) with max cosine — the coarse-combiner shape
     (per-batch groupby-max, one hash%P shuffle) instead of Ray's native
     multi-key groupby aggregate (sort-based AllToAll, the measured
@@ -909,7 +901,6 @@ def _pair_max_cosine(
         pairs.map_batches(pair_max, batch_format="pandas"),
         ["id_a", "id_b"],
         pair_max,
-        n_parts,
     )
 
 
@@ -921,7 +912,6 @@ def embedding_dedup_candidates(
     seed: int = 5,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    n_parts: int = 64,
     max_bucket: int = 4096,
 ) -> "ray.data.Dataset":
     """Banded random-hyperplane LSH → within-bucket cosine ≥ threshold pairs.
@@ -989,9 +979,9 @@ def embedding_dedup_candidates(
 
     # the (dim, n_planes) planes are small: they ship with the task
     bucketed = embeddings.map_batches(bucketer, batch_format="pyarrow")
-    pairs = shuffle_by(bucketed, "bucket", bucket_pairs_partition, n_parts)
+    pairs = shuffle_by(bucketed, "bucket", bucket_pairs_partition)
     # a pair can surface from more than one band's bucket → distinct
-    return _pair_max_cosine(pairs, n_parts)
+    return _pair_max_cosine(pairs)
 
 
 def dup_span_stats(
@@ -999,7 +989,6 @@ def dup_span_stats(
     k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (doc_id, n_shingles, n_shared, shared_frac): per-document
     duplicated-span signal — how much of each document's distinct k-word
@@ -1062,9 +1051,8 @@ def dup_span_stats(
         docs.map_batches(pairs, batch_format="pyarrow"),
         "gram",
         partition_partials,
-        n_parts,
     )
-    return shuffle_by(partials, "doc_id", final_sum, n_parts)
+    return shuffle_by(partials, "doc_id", final_sum)
 
 
 def _fold_kgrams_positional(word_hashes: np.ndarray, k: int) -> np.ndarray:
@@ -1090,7 +1078,6 @@ def remove_dup_spans(
     k: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
     min_docs: int = 2,
 ) -> "ray.data.Dataset":
     """ExactSubstr-style duplicated-span REMOVAL (Lee et al. 2021; the
@@ -1146,7 +1133,7 @@ def remove_dup_spans(
         return bad[[id_col, "q"]].reset_index(drop=True)
 
     cut_starts = shuffle_by(
-        docs.map_batches(_gram_rows, batch_format="pyarrow"), "gram", _confirm, n_parts
+        docs.map_batches(_gram_rows, batch_format="pyarrow"), "gram", _confirm
     )
 
     def _doc_rows(batch: pa.Table) -> pa.Table:
@@ -1207,7 +1194,7 @@ def remove_dup_spans(
              "n_removed": np.asarray(out_removed, dtype=np.int64)}
         )
 
-    return shuffle_by(joined, id_col, _scrub, n_parts)
+    return shuffle_by(joined, id_col, _scrub)
 
 
 def incremental_minhash_candidates(
@@ -1216,7 +1203,6 @@ def incremental_minhash_candidates(
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 5,
-    n_parts: int = 64,
     max_bucket_side: int = 256,
 ) -> "ray.data.Dataset":
     """→ (doc_id_a, doc_id_b): candidate near-dup pairs BETWEEN a new
@@ -1272,8 +1258,8 @@ def incremental_minhash_candidates(
         m = idx.merge(new, on="band_key", suffixes=("_a", "_b"))
         return m[["doc_id_a", "doc_id_b"]].drop_duplicates()
 
-    pairs = shuffle_by(rows, "band_key", cross_pairs, n_parts)
-    return distinct_on(pairs, ["doc_id_a", "doc_id_b"], n_parts=n_parts)
+    pairs = shuffle_by(rows, "band_key", cross_pairs)
+    return distinct_on(pairs, ["doc_id_a", "doc_id_b"])
 
 
 def incremental_embedding_dedup(
@@ -1285,7 +1271,6 @@ def incremental_embedding_dedup(
     seed: int = 5,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    n_parts: int = 64,
     max_bucket_side: int = 2048,
     chunk: int = 512,
 ) -> "ray.data.Dataset":
@@ -1386,8 +1371,8 @@ def incremental_embedding_dedup(
     rows = index_embs.map_batches(bucket(0), batch_format="pyarrow").union(
         new_embs.map_batches(bucket(1), batch_format="pyarrow")
     )
-    pairs = shuffle_by(rows, "bucket", cross_pairs, n_parts)
-    return _pair_max_cosine(pairs, n_parts)
+    pairs = shuffle_by(rows, "bucket", cross_pairs)
+    return _pair_max_cosine(pairs)
 
 
 def cdc_chunk_dup_stats(
@@ -1396,7 +1381,6 @@ def cdc_chunk_dup_stats(
     id_col: str = "doc_id",
     boundary_mask: int = 64,
     boundary_thresh: int = 8,
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Content-defined-chunking dedup signal (the FastCDC/storage-dedup
     shape at word granularity): token stream cut into VARIABLE-length
@@ -1426,7 +1410,6 @@ def cdc_chunk_dup_stats(
     from ontocast_ray.ops.interleave import splitmix64
     from ontocast_ray.ops.text import _explode_words, fnv1a_words
 
-    n_parts = resolve_n_parts(docs, n_parts)
     mask = np.uint64(boundary_mask)
     thresh = np.uint64(boundary_thresh)
 
@@ -1496,9 +1479,8 @@ def cdc_chunk_dup_stats(
         docs.map_batches(occurrences, batch_format="pyarrow"),
         "chunk_hash",
         per_partition,
-        n_parts,
     )
-    return shuffle_by(partials, id_col, per_doc, n_parts)
+    return shuffle_by(partials, id_col, per_doc)
 
 
 def source_similarity_matrix(
@@ -1506,7 +1488,6 @@ def source_similarity_matrix(
     group_col: str = "source",
     text_col: str = "text",
     shingle_k: int = 3,
-    n_parts: int | None = None,
 ) -> "pa.Table":
     """Corpus-level overlap report: EXACT pairwise Jaccard similarity
     between every two sources' word-``k``-shingle SETS — the
@@ -1526,7 +1507,6 @@ def source_similarity_matrix(
     collision-free assumption (same kernel as MinHash / exact-Jaccard
     verify); the SQL oracle re-derives with exact shingle strings.
     """
-    n_parts = resolve_n_parts(docs, n_parts)
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
@@ -1570,7 +1550,7 @@ def source_similarity_matrix(
         })
 
     rows = shuffle_by(
-        docs.map_batches(partial, batch_format="pyarrow"), "sh", per_partition, n_parts
+        docs.map_batches(partial, batch_format="pyarrow"), "sh", per_partition
     ).take_all()
     sizes: dict = {}
     inter: dict = {}
@@ -1601,8 +1581,6 @@ def containment_pairs(
     max_df: int = 64,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
-    out_parts: int = 32,
 ) -> "ray.data.Dataset":
     """Exact shingle-CONTAINMENT near-dup pairs: C(A→B) = |sh(A) ∩ sh(B)|
     / |sh(A)| in fixed-point ppm — the one-sided overlap that catches
@@ -1700,16 +1678,14 @@ def containment_pairs(
         docs.map_batches(shingle_rows, batch_format="pyarrow"),
         "sh",
         pair_partials,
-        n_parts,
     )
-    return shuffle_by(partials, ["doc_id_a", "doc_id_b"], finalize, out_parts)
+    return shuffle_by(partials, ["doc_id_a", "doc_id_b"], finalize)
 
 
 def wordset_dedup(
     docs: "ray.data.Dataset",
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Bag-of-words exact dedup: two documents are duplicates iff their
     DISTINCT word SETS are equal (tokenization = the dedup rule: lower +
@@ -1763,7 +1739,7 @@ def wordset_dedup(
         })
 
     return shuffle_by(
-        docs.map_batches(partial, batch_format="pandas"), "key", combine, n_parts
+        docs.map_batches(partial, batch_format="pandas"), "key", combine
     )
 
 
@@ -1772,7 +1748,6 @@ def gram_novelty(
     k: int = 3,
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """Per-document n-gram NOVELTY — the Lee et al. (2022) dedup-analysis
     metric ("what fraction of this page's k-grams appear here first?"):
@@ -1814,7 +1789,7 @@ def gram_novelty(
         g = g.rename(columns={id_col: "first_doc"})
         return g[["gram", "first_doc"]]
 
-    winners = shuffle_by(grams, "gram", min_doc, n_parts)
+    winners = shuffle_by(grams, "gram", min_doc)
 
     # flow winners back on the doc key: gram rows re-keyed by their doc,
     # winner rows re-keyed by the winning doc (only winners count)
@@ -1849,7 +1824,7 @@ def gram_novelty(
             "novelty": nv / np.maximum(ng, 1),
         })
 
-    return shuffle_by(both, id_col, fold, n_parts)
+    return shuffle_by(both, id_col, fold)
 
 
 def minhash_estimate_errors(
@@ -1857,7 +1832,6 @@ def minhash_estimate_errors(
     num_perm: int = 64,
     bands: int = 16,
     shingle_k: int = 5,
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """MinHash CALIBRATION report — the num_perm-tuning table every dedup
     deployment reads before fixing its threshold: for every within-bucket
@@ -1892,10 +1866,10 @@ def minhash_estimate_errors(
 
     pairs = minhash_lsh_candidates(
         docs, num_perm=num_perm, bands=bands, shingle_k=shingle_k,
-        n_parts=n_parts, pair_mode="all",
+        pair_mode="all",
     )
     exact = ngram_jaccard_verify(
-        docs, pairs, threshold=0.0, shingle_k=shingle_k, n_parts=n_parts
+        docs, pairs, threshold=0.0, shingle_k=shingle_k
     )
 
     np_f = float(num_perm)

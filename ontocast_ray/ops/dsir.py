@@ -72,7 +72,6 @@ def dsir_fit_lambda(
     target_source: str,
     n_features: int = 1 << 16,
     scale_bits: int = 30,
-    n_parts: int = 32,
     text_col: str = "text",
     source_col: str = "source",
 ) -> np.ndarray:
@@ -107,7 +106,7 @@ def dsir_fit_lambda(
         return g
 
     agg = shuffle_by(
-        docs.map_batches(partial, batch_format="pyarrow"), "bucket", sum_part, n_parts
+        docs.map_batches(partial, batch_format="pyarrow"), "bucket", sum_part
     )
     rows = agg.take_all()
     # Python-int arithmetic below: exact at any magnitude (no int64
@@ -178,7 +177,6 @@ def dsir_select(
     keep_frac: float = 0.25,
     n_features: int = 1 << 16,
     scale_bits: int = 30,
-    n_parts: int = 32,
     text_col: str = "text",
     source_col: str = "source",
     id_col: str = "doc_id",
@@ -193,7 +191,6 @@ def dsir_select(
         target_source,
         n_features=n_features,
         scale_bits=scale_bits,
-        n_parts=n_parts,
         text_col=text_col,
         source_col=source_col,
     )

@@ -32,7 +32,6 @@ def group_minmax_scale(
     key_col: str,
     value_col: str,
     out_col: str = "scaled",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ input columns + ``out_col``; constant groups (max == min) scale
     to 0.0 (mirror the same CASE in the SQL oracle)."""
@@ -46,7 +45,7 @@ def group_minmax_scale(
         scaled = np.where(rng > 0, (v - mn) / np.where(rng > 0, rng, 1.0), 0.0)
         return df.assign(**{out_col: scaled}).reset_index(drop=True)
 
-    return shuffle_by(ds, key_col, kernel, n_parts)
+    return shuffle_by(ds, key_col, kernel)
 
 
 def pivot_counts(
@@ -54,7 +53,6 @@ def pivot_counts(
     row_col: str,
     col_col: str,
     categories: list[str],
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (row_col, <one int64 count column per category>). Categories not
     listed are dropped (static output schema — the contract for a wide
@@ -81,7 +79,7 @@ def pivot_counts(
         return df.groupby(row_col, sort=False)[categories].sum().reset_index()
 
     return shuffle_by(
-        ds.map_batches(partial, batch_format="pyarrow"), row_col, merge, n_parts
+        ds.map_batches(partial, batch_format="pyarrow"), row_col, merge
     )
 
 
@@ -89,7 +87,6 @@ def rollup_counts(
     ds: "ray.data.Dataset",
     cols: list[str],
     sentinel: str = "ALL",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ cols + ``n``: counts at every GROUP BY ROLLUP level of the
     (string) hierarchy ``cols`` — (c1..ck), (c1..ck-1), …, grand total.
@@ -126,7 +123,7 @@ def rollup_counts(
         return df.groupby(cols, sort=False)["n"].sum().reset_index()
 
     return shuffle_by(
-        ds.map_batches(partial, batch_format="pandas"), cols, merge, n_parts
+        ds.map_batches(partial, batch_format="pandas"), cols, merge
     )
 
 
@@ -164,7 +161,6 @@ def mad_outliers(
     key_col: str,
     value_col: str,
     k: float = 3.0,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ input + (med, mad, is_outlier): robust per-group outlier flag
     ``|v - median| > k · MAD`` (median absolute deviation) — the
@@ -189,7 +185,7 @@ def mad_outliers(
             med=med, mad=mad, is_outlier=dev > k * mad
         ).reset_index(drop=True)
 
-    return shuffle_by(ds, key_col, kernel, n_parts)
+    return shuffle_by(ds, key_col, kernel)
 
 
 def label_centroids(
@@ -197,7 +193,6 @@ def label_centroids(
     label_col: str = "label",
     vec_col: str = "embedding",
     scale: int = 1 << 20,
-    n_parts: int = 8,
 ) -> "ray.data.Dataset":
     """→ (label, dim, qsum, n_vecs): per-label centroid sums of an
     embedding column, INTEGER-quantized so the result is order-free and
@@ -242,7 +237,7 @@ def label_centroids(
         )
 
     return shuffle_by(
-        embeddings.map_batches(partial, batch_format="pyarrow"), "label", combine, n_parts
+        embeddings.map_batches(partial, batch_format="pyarrow"), "label", combine
     )
 
 
@@ -250,7 +245,6 @@ def embedding_gram(
     embeddings: "ray.data.Dataset",
     vec_col: str = "embedding",
     scale: int = 1 << 8,
-    n_parts: int = 8,
 ) -> "ray.data.Dataset":
     """→ (i, j, qsum, n_vecs): the d×d Gram matrix Σ q·qᵀ of the
     integer-quantized corpus (q = floor(v·scale)) — the input to
@@ -295,7 +289,6 @@ def embedding_gram(
         embeddings.map_batches(partial, batch_format="pyarrow"),
         ["i", "j"],
         combine,
-        n_parts,
     )
 
 
@@ -389,7 +382,6 @@ def pca_project(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     scale: int = 1 << 8,
-    n_parts: int = 8,
 ) -> "ray.data.Dataset":
     """Distributed PCA projection (the whitening/visualization prep step):
     exact integer second moments via `embedding_gram`'s shuffle (float
@@ -412,7 +404,7 @@ def pca_project(
     emb = embeddings.materialize()  # consumed by moments AND projection
     gram_rows = embedding_gram(
         emb.select_columns([vec_col]), vec_col=vec_col,
-        scale=scale, n_parts=n_parts,
+        scale=scale,
     )
 
     def sum_partial(batch: pa.Table) -> pa.Table:

@@ -101,7 +101,6 @@ def edit_distance_join(
     left_block: str,
     right_block: str,
     max_dist: int,
-    n_parts: int = 16,
     max_block: int = 10_000,
 ) -> "ray.data.Dataset":
     """→ (left_key, right_key, dist): all cross-block pairs with
@@ -165,4 +164,4 @@ def edit_distance_join(
             }
         )
 
-    return shuffle_by(tagged, "block", block_kernel, n_parts)
+    return shuffle_by(tagged, "block", block_kernel)

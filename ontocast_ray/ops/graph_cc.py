@@ -20,8 +20,8 @@ Execution shape (the part that must survive 100 TB):
   ``drop_duplicates`` is a global distinct.  This removes one all-to-all
   shuffle per round (the old ``groupby(["u","v"]).aggregate(Count)``),
   leaving exactly two shuffles per round — the algorithmic minimum.
-- ``P`` is sized from the edge count so per-reducer work is bounded at
-  any scale.
+- ``shuffle_by`` sizes ``P`` from its input's row count, so per-reducer
+  work is bounded at any scale.
 
 Edge rows are two int64s — at 100 TB the edge set (candidate pairs) is
 orders of magnitude smaller than the corpus, so each round's shuffle is
@@ -48,6 +48,13 @@ _SMALL_EDGE_LIMIT = 2_000_000  # triangle_count, label_propagation: edges
 _BROADCAST_LIMIT = 2_000_000  # k_core fringe nodes, ancestor_closure jump rows
 _KEEP_LIST_BROADCAST = 5_000_000  # apply_keep_list: dropped ids (≈40 MB of int64)
 _KEEP_BEST_BROADCAST = 1_000_000  # dedup_keep_best: pair-graph members
+
+# neighbor_feature_sum: blocks of the V-sized feature carrier between hops.
+# A sorted shuffle_by leaves one near-empty block per partition and the next
+# hop's join would double them again (tiny-blocks snowball: 65 s vs 9 s on
+# the 1600-node gate graph); without the repartition the forced-sort leg
+# read 4.19 s against 3.95 s.
+_CARRIER_BLOCKS = 4
 
 
 def _large_star_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -244,7 +251,6 @@ def connected_components(
     a_col: str = "doc_id_a",
     b_col: str = "doc_id_b",
     max_rounds: int = 50,
-    n_parts: int | None = None,
     small_graph_threshold: int = 1_000_000,
     mode: str = "auto",
 ) -> "ray.data.Dataset":
@@ -257,10 +263,9 @@ def connected_components(
     per-round shuffle overhead only pays off when edges outgrow one
     machine. Both paths are property-tested against each other.
 
-    ``shuffle_by`` bounds its own input blocks (ops/shuffle.py).
-    ``n_parts`` is the coarse star-kernel partition count; by default it
-    is sized from the edge count (~64k edges per reducer, clamped to
-    [8, 256]) so per-reducer memory is bounded at any scale.
+    ``shuffle_by`` bounds its own input blocks and sizes its partitions
+    from the row count (ops/shuffle.py), so per-reducer memory is bounded
+    at any scale.
     """
     from ray.data.aggregate import Sum
 
@@ -283,9 +288,6 @@ def connected_components(
         return _local_union_find(edges)
     if mode == "broadcast":
         return _broadcast_cc_rounds(edges, max_rounds)
-
-    if n_parts is None:
-        n_parts = int(np.clip(n_edges // 65536, 8, 256))
 
     def _signature(ds) -> tuple[int, int]:
         def _chk(batch: pa.Table) -> pa.Table:
@@ -315,9 +317,8 @@ def connected_components(
             edges.map_batches(_both_directions, batch_format="pyarrow"),
             "u",
             _large_star_part,
-            n_parts,
         )
-        edges = shuffle_by(large, "u", _small_star_part, n_parts).materialize()
+        edges = shuffle_by(large, "u", _small_star_part).materialize()
         sig = _signature(edges)
         if sig == prev:
             break
@@ -343,7 +344,7 @@ def connected_components(
     # the coarse exchange, not Ray's native keyed aggregate, whose sort
     # reduce ran 1.2M nodes in one task for 165 s (4 CPUs); this took 9 s
     return shuffle_by(
-        edges.map_batches(finalize, batch_format="pyarrow"), "doc_id", component_min, n_parts
+        edges.map_batches(finalize, batch_format="pyarrow"), "doc_id", component_min
     )
 
 
@@ -351,7 +352,6 @@ def apply_keep_list(
     docs: "ray.data.Dataset",
     keep_list: "ray.data.Dataset",
     id_col: str = "doc_id",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Drop non-representative duplicates from the corpus — fully
     distributed (nothing corpus-sized touches the driver).
@@ -459,7 +459,6 @@ def apply_keep_list(
         maybe.union(dropped.map_batches(dropped_rows, batch_format="pyarrow")),
         id_col,
         anti_join,
-        n_parts,
         batch_format="pyarrow",
     )
     return kept_fast.union(verified)
@@ -523,7 +522,6 @@ def _triangle_count_driver(edf: "pd.DataFrame") -> int:
 
 def triangle_count(
     edges: "ray.data.Dataset",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ one row ``(n_triangles,)``: exact triangle count of the undirected
     simple graph — the third classic distributed graph kernel next to
@@ -562,7 +560,7 @@ def triangle_count(
         )
 
     e = distinct_on(
-        edges.map_batches(norm, batch_format="pyarrow"), ["u", "v"], n_parts
+        edges.map_batches(norm, batch_format="pyarrow"), ["u", "v"]
     ).materialize()
     n_edges = e.count()
     if n_edges == 0:  # empty graph: downstream groupbys lose the schema
@@ -588,7 +586,7 @@ def triangle_count(
         )
 
     deg = shuffle_by(
-        e.map_batches(both, batch_format="pyarrow"), "node", count_nodes, n_parts
+        e.map_batches(both, batch_format="pyarrow"), "node", count_nodes
     ).materialize()
     deg_u = deg.map_batches(
         lambda b: pa.table({"node": b["node"], "du": b["deg"]}),
@@ -600,11 +598,11 @@ def triangle_count(
     )
     with_du = hash_join(
         e, deg_u, left_on="u", right_on="node",
-        left_cols=["v"], right_cols=["du"], n_parts=n_parts,
+        left_cols=["v"], right_cols=["du"],
     )
     with_both = hash_join(
         with_du, deg_v, left_on="v", right_on="node",
-        left_cols=["u", "du"], right_cols=["dv"], n_parts=n_parts,
+        left_cols=["u", "du"], right_cols=["dv"],
     )
 
     def orient(batch: pa.Table) -> pa.Table:
@@ -640,7 +638,7 @@ def triangle_count(
             return pd.DataFrame({"pair": pd.Series([], dtype="int64")})
         return pd.DataFrame({"pair": np.concatenate(out)})
 
-    wedge_ds = shuffle_by(oriented, "src", wedges, n_parts).materialize()
+    wedge_ds = shuffle_by(oriented, "src", wedges).materialize()
     if wedge_ds.count() == 0:  # forest: no wedges, no triangles
         return _zero()
 
@@ -657,7 +655,6 @@ def triangle_count(
         left_cols=[],
         right_cols=[],
         how="semi",
-        n_parts=n_parts,
     )
     n = matches.count()
     return ray.data.from_arrow(
@@ -703,7 +700,7 @@ def _local_label_propagation(
 
 
 def _broadcast_label_rounds(
-    edges: "ray.data.Dataset", n_iters: int, n_parts: int
+    edges: "ray.data.Dataset", n_iters: int
 ) -> "ray.data.Dataset":
     """LPA rounds with EDGES NEVER MOVING and ZERO per-round shuffles:
     labels are the O(V) carrier.
@@ -805,7 +802,6 @@ def _broadcast_label_rounds(
 def label_propagation(
     edges: "ray.data.Dataset",
     n_iters: int = 3,
-    n_parts: int = 16,
     mode: str = "auto",
 ) -> "ray.data.Dataset":
     """→ (node, label): deterministic synchronous Label Propagation
@@ -852,14 +848,13 @@ def label_propagation(
     ):
         return _local_label_propagation(edges, n_iters)
     if mode in ("auto", "broadcast"):
-        return _broadcast_label_rounds(edges, n_iters, n_parts)
+        return _broadcast_label_rounds(edges, n_iters)
 
     labels = distinct_on(
         edges.map_batches(
             lambda b: pa.table({"node": b["src"]}), batch_format="pyarrow"
         ),
         ["node"],
-        n_parts=n_parts,
     ).map_batches(
         lambda b: pa.table({"node": b["node"], "label": b["node"]}),
         batch_format="pyarrow",
@@ -873,7 +868,6 @@ def label_propagation(
             right_on="node",
             left_cols=["src"],
             right_cols=["label"],
-            n_parts=n_parts,
         )  # (dst, src, label): one neighbour-label vote per edge
 
         def vote_rows(batch: pa.Table) -> pa.Table:
@@ -912,7 +906,6 @@ def label_propagation(
             .union(labels.map_batches(old_rows, batch_format="pyarrow")),
             "node",
             adopt,
-            n_parts,
         ).materialize()
     return labels
 
@@ -924,7 +917,6 @@ def dedup_keep_best(
     id_col: str = "doc_id",
     a_col: str = "doc_id_a",
     b_col: str = "doc_id_b",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (doc_id, keep_id, keep): quality-aware near-dup representative —
     within each connected component of the pair graph the member with the
@@ -1018,7 +1010,6 @@ def dedup_keep_best(
             scores.map_batches(partial, batch_format="pyarrow"),
             "component",
             combine,
-            8,
         ).take_all()
         # components whose every member is unscored fall back to min id
         # (the hash_join path's fillna(int64-min) + min-id tiebreak rule)
@@ -1054,7 +1045,6 @@ def dedup_keep_best(
         left_on="doc_id", right_on=id_col,
         left_cols=["component"], right_cols=[score_col],
         how="left",
-        n_parts=n_parts,
     )
 
     def pick(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -1078,13 +1068,12 @@ def dedup_keep_best(
             }
         )
 
-    return shuffle_by(scored, "component", pick, n_parts)
+    return shuffle_by(scored, "component", pick)
 
 
 def dedup_audit(
     verified_pairs: "ray.data.Dataset",
     keep_list: "ray.data.Dataset",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (doc_id, keep_id, max_jaccard, n_partners): the accountability
     report production dedup ships alongside a keep-list — for every doc
@@ -1143,7 +1132,7 @@ def dedup_audit(
     tagged = verified_pairs.map_batches(
         explode, batch_format="pyarrow"
     ).union(keep_list.map_batches(tag_keep, batch_format="pyarrow"))
-    return shuffle_by(tagged, "doc_id", kern, n_parts)
+    return shuffle_by(tagged, "doc_id", kern)
 
 
 def neighbor_feature_sum(
@@ -1152,7 +1141,6 @@ def neighbor_feature_sum(
     hops: int = 2,
     id_col: str = "node",
     feat_col: str = "f",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (node, h_sum, n_msgs): ``hops`` rounds of GNN-style neighbor
     feature aggregation (sum message passing) over directed edges —
@@ -1179,7 +1167,6 @@ def neighbor_feature_sum(
             edges, cur,
             left_on="src", right_on=id_col,
             left_cols=["dst"], right_cols=[feat_col],
-            n_parts=n_parts,
         )
 
         def partial(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1199,26 +1186,22 @@ def neighbor_feature_sum(
                 }
             )
 
-        # consolidate the V-sized carrier between hops: the groupby
-        # leaves ~n_parts near-empty blocks and the next hop's join
-        # would double them again (tiny-blocks snowball — measured 65 s
-        # vs 9 s on the 1600-node gate graph)
+        # consolidate the V-sized carrier between hops (_CARRIER_BLOCKS)
         cur = (
             shuffle_by(
                 contrib.map_batches(partial, batch_format="pandas"),
                 "dst",
                 combine,
-                n_parts,
             )
             .materialize()
-            .repartition(max(2, n_parts // 4))
+            .repartition(_CARRIER_BLOCKS)
         )
 
     final = hash_join(
         feats.select_columns([id_col]), cur,
         left_on=id_col, right_on=id_col,
         left_cols=[], right_cols=[feat_col, "n_msgs"],
-        how="left", n_parts=n_parts,
+        how="left",
     )
 
     def fill(df: "pd.DataFrame") -> "pd.DataFrame":
@@ -1238,7 +1221,6 @@ def k_core(
     k: int,
     src_col: str = "src",
     dst_col: str = "dst",
-    n_parts: int | None = None,
     max_rounds: int = 64,
 ) -> "ray.data.Dataset":
     """K-core decomposition by synchronous peeling: repeatedly drop every
@@ -1264,9 +1246,6 @@ def k_core(
     import pandas as pd
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(edges, n_parts)
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         src = batch[src_col].to_numpy(zero_copy_only=False)
@@ -1289,7 +1268,6 @@ def k_core(
             cur.map_batches(deg_partial, batch_format="pyarrow"),
             "node",
             deg_final,
-            n_parts,
         ).materialize()
         low = degrees.filter(
             expr=f"degree < {int(k)}"
@@ -1320,13 +1298,11 @@ def k_core(
                 cur, low.select_columns(["node"]),
                 left_on=src_col, right_on="node",
                 left_cols=[dst_col], right_cols=[], how="anti",
-                n_parts=n_parts,
             )
             kept = hash_join(
                 kept, low.select_columns(["node"]),
                 left_on=dst_col, right_on="node",
                 left_cols=[src_col], right_cols=[], how="anti",
-                n_parts=n_parts,
             )
         cur = kept.materialize()
         if cur.count() == 0:
@@ -1343,7 +1319,6 @@ def ancestor_closure(
     edges: "ray.data.Dataset",
     child_col: str = "child",
     parent_col: str = "parent",
-    n_parts: int | None = None,
     max_rounds: int = 40,
 ) -> "ray.data.Dataset":
     """Transitive ancestor closure of a functional forest (each node ≤ 1
@@ -1371,9 +1346,6 @@ def ancestor_closure(
     import ray
 
     from ontocast_ray.ops.joins import hash_join
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(edges, n_parts)
 
     def base(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1440,7 +1412,6 @@ def ancestor_closure(
                 out = hash_join(
                     left, jr, left_on="ancestor", right_on="j_node",
                     left_cols=["node", "depth"], right_cols=["j_anc"],
-                    n_parts=n_parts,
                 )
                 s = stride
                 return out.map_batches(

@@ -249,7 +249,6 @@ def stratified_split(
     names: tuple[str, ...] = ("train", "val", "test"),
     seed: int = 41,
     id_col: str = "doc_id",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (id_col, group_col, split): EXACT per-group train/val/test
     assignment — every group contributes ⌈f·n⌉-floored cumulative
@@ -296,7 +295,7 @@ def stratified_split(
         })
 
     return shuffle_by(
-        docs.map_batches(prep, batch_format="pandas"), group_col, assign, n_parts
+        docs.map_batches(prep, batch_format="pandas"), group_col, assign
     )
 
 
@@ -306,7 +305,6 @@ def epoch_shuffle(
     seed: int = 0,
     epoch: int = 0,
     shard_size: int = 256,
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Deterministic EPOCH shuffle for training-data loading: every row's
     global sample position = exact rank of ``splitmix64(seed+epoch, id)``
@@ -322,16 +320,13 @@ def epoch_shuffle(
     16 bits of the mix (uniform by construction); per-block bucket
     histograms stream to the driver which keeps ≤65,536 ints and computes
     exclusive base offsets (never row-sized data); one coarse
-    ``hash(bucket) % n_parts`` shuffle colocates buckets; each kernel sorts its
+    ``hash(bucket) % P`` shuffle colocates buckets; each kernel sorts its
     buckets locally and adds base + cumcount. One shuffle total, driver
     memory O(2^16).
     """
     import pandas as pd
     import ray
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(ds, n_parts)
     eff = seed + epoch
 
     def _mix(batch: pa.Table) -> pa.Table:
@@ -373,7 +368,7 @@ def epoch_shuffle(
             )
     else:
         summed = shuffle_by(
-            mixed.map_batches(_hist, batch_format="pyarrow"), "bucket", _hist_sum, n_parts
+            mixed.map_batches(_hist, batch_format="pyarrow"), "bucket", _hist_sum
         )
         for row in summed.take_all():
             hist[row["bucket"]] += row["n"]
@@ -394,7 +389,7 @@ def epoch_shuffle(
             "pos_in_shard": pa.array(pos % span),
         })
 
-    return shuffle_by(mixed, "bucket", _rank, n_parts)
+    return shuffle_by(mixed, "bucket", _rank)
 
 
 def sample_exact_k(

@@ -74,7 +74,6 @@ def asof_join(
     right_value_col: str,
     out_ts_col: str = "asof_ts",
     out_value_col: str = "asof_value",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Backward as-of join (the trades/quotes operator Ray Data lacks):
     each left row gets the latest right row with the same key and
@@ -159,7 +158,7 @@ def asof_join(
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    return shuffle_by(tagged, key_col, kernel, n_parts)
+    return shuffle_by(tagged, key_col, kernel)
 
 
 def hash_join(
@@ -170,13 +169,12 @@ def hash_join(
     left_cols: list[str],
     right_cols: list[str],
     how: str = "inner",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Shuffle hash equi-join of two LARGE datasets (fact ⋈ fact).
 
     When neither side fits in memory a broadcast is impossible — this is
     the textbook partitioned hash join: both sides are tagged and unioned
-    under one schema, ONE coarse ``hash(key) % n_parts`` shuffle colocates
+    under one schema, ONE coarse ``hash(key) % P`` shuffle colocates
     each key's rows from both sides, and the per-partition kernel runs a
     single vectorized ``pd.merge`` across all keys in the partition.
     Duplicate keys produce the full cross product per key (SQL join
@@ -284,13 +282,12 @@ def hash_join(
         if sch is not None
     ]
     tagged = sides[0].union(sides[1]) if len(sides) == 2 else sides[0]
-    return shuffle_by(tagged, left_on, kernel, n_parts)
+    return shuffle_by(tagged, left_on, kernel)
 
 
 def distinct_on(
     ds: "ray.data.Dataset",
     cols: list[str],
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Multi-column DISTINCT — map-side combiner + ONE coarse shuffle.
 
@@ -299,7 +296,7 @@ def distinct_on(
     two-key distinct on this box). This is the coarse-shuffle shape the
     rest of the repo uses instead: per-batch ``drop_duplicates`` prunes
     shuffle volume before anything crosses the wire, a single
-    ``hash(cols) % n_parts`` partition colocates equal rows, and one
+    ``hash(cols) % P`` partition colocates equal rows, and one
     vectorized per-partition dedup finishes. Output columns = ``cols``.
     """
     cols = list(cols)
@@ -308,7 +305,7 @@ def distinct_on(
         return df.drop_duplicates(cols)[cols].reset_index(drop=True)
 
     return shuffle_by(
-        ds.map_batches(dedup, batch_format="pandas"), cols, dedup, n_parts
+        ds.map_batches(dedup, batch_format="pandas"), cols, dedup
     )
 
 
@@ -316,7 +313,6 @@ def grouped_count_distinct(
     ds: "ray.data.Dataset",
     group_col: str,
     key_col: str,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (group_col, n_distinct): EXACT per-group COUNT(DISTINCT key) —
     the companion to the approximate ``hll_distinct``. Composition:
@@ -327,7 +323,7 @@ def grouped_count_distinct(
     import numpy as np
     import pandas as pd
 
-    pairs = distinct_on(ds, [group_col, key_col], n_parts=n_parts)
+    pairs = distinct_on(ds, [group_col, key_col])
 
     def partial(df: "pd.DataFrame") -> "pd.DataFrame":
         vc = df[group_col].value_counts()
@@ -342,7 +338,7 @@ def grouped_count_distinct(
         )
 
     return shuffle_by(
-        pairs.map_batches(partial, batch_format="pandas"), group_col, final, n_parts
+        pairs.map_batches(partial, batch_format="pandas"), group_col, final
     )
 
 
@@ -388,7 +384,6 @@ def skew_join(
     left_cols: list[str],
     right_cols: list[str],
     hot_threshold: int,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Skew-aware inner equi-join (the head-key defusal the plain
     partitioned hash join documents as the caller's problem).
@@ -434,7 +429,6 @@ def skew_join(
             big.map_batches(count_partial, batch_format="pyarrow"),
             "key",
             hot_keys,
-            n_parts,
         ).take_all()
     )
     hot_ref = ray.put(hot)
@@ -479,7 +473,6 @@ def skew_join(
         left_cols=lcols,
         right_cols=rcols,
         how="inner",
-        n_parts=n_parts,
     )
     if not hot:
         return cold_out
@@ -545,7 +538,6 @@ def interval_count_join(
     left_id_col: str,
     window,
     out_col: str = "n_in_window",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ left rows + ``out_col``: for every left row, the COUNT of right
     rows with the same key and ``right.ts ∈ [left.ts - window, left.ts]``
@@ -617,7 +609,7 @@ def interval_count_join(
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
     )
-    return shuffle_by(tagged, key_col, kernel, n_parts)
+    return shuffle_by(tagged, key_col, kernel)
 
 
 def broadcast_join_int(
@@ -638,17 +630,23 @@ def broadcast_join_int(
     is absent from the dim side (SQL inner-join semantics — the dict path
     keeps them with a NaN, so pick by need). Expects a UNIQUE dim key;
     with duplicates the first occurrence in the dim table wins (stable
-    sort + left ``searchsorted``), unlike a dict's last write.
+    sort + left ``searchsorted``), unlike a dict's last write. A dim side
+    with no rows joins nothing.
     """
-    import pandas as pd
-
-    sdf = small.select_columns([small_key, small_val]).to_pandas()
-    k = sdf[small_key].to_numpy(dtype=np.int64)
-    v = sdf[small_val].to_numpy(dtype=np.int64)
-    order = np.argsort(k, kind="stable")
-    ref = ray.put((k[order], v[order]))
     if how != "inner":
         raise ValueError("broadcast_join_int supports how='inner' only")
+    # Arrow blocks, not to_pandas(), which drops the columns of an empty
+    # Dataset; the empty int64 arrays type a zero-row dim side
+    ks, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for t in small.select_columns([small_key, small_val]).iter_batches(
+        batch_format="pyarrow", batch_size=None
+    ):
+        if t.num_rows:
+            ks.append(t[small_key].to_numpy().astype(np.int64))
+            vs.append(t[small_val].to_numpy().astype(np.int64))
+    k, v = np.concatenate(ks), np.concatenate(vs)
+    order = np.argsort(k, kind="stable")
+    ref = ray.put((k[order], v[order]))
 
     def probe(batch: pa.Table) -> pa.Table:
         ks, vs = ray.get(ref)

@@ -85,8 +85,6 @@ def bigram_lm_scores(
     text_col: str = "text",
     id_col: str = "doc_id",
     scale: int = 1_000_000,
-    n_parts: int = 64,
-    out_parts: int = 32,
     model_docs: "ray.data.Dataset | None" = None,
 ) -> "ray.data.Dataset":
     """→ (doc_id, n_bigrams, lm_score, lm_avg): integer self-likelihood
@@ -149,7 +147,7 @@ def bigram_lm_scores(
         g["n_bg"] = g["n_bg"].astype(np.int64)
         return g
 
-    scored = shuffle_by(merged, "w1", score_kern, n_parts)
+    scored = shuffle_by(merged, "w1", score_kern)
 
     def final_kern(df: "pd.DataFrame") -> "pd.DataFrame":
         g = df.groupby(id_col, as_index=False)[["contrib", "n_bg"]].sum()
@@ -163,7 +161,7 @@ def bigram_lm_scores(
             ),
         })
 
-    return shuffle_by(scored, id_col, final_kern, out_parts)
+    return shuffle_by(scored, id_col, final_kern)
 
 
 def fim_transform(

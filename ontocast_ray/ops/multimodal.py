@@ -393,7 +393,6 @@ def span_kind_transitions(
     id_col: str = "doc_id",
     image_every: int = 7,
     image_offset: int = 3,
-    n_parts: int | None = None,
 ):
     """Interleaved-document structure analytics: corpus-wide counts of
     consecutive span-kind transitions (text→image, image→text, …) over
@@ -411,9 +410,7 @@ def span_kind_transitions(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
-
-    n_parts = resolve_n_parts(docs, n_parts)
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pandas().fillna("")
@@ -455,7 +452,6 @@ def span_kind_transitions(
         docs.map_batches(partial, batch_format="pyarrow"),
         ["kind_a", "kind_b"],
         combine,
-        n_parts,
     )
 
 
@@ -535,7 +531,6 @@ def phash_dup_pairs(
     hashed: "ray.data.Dataset",
     max_hamming: int = 3,
     n_bands: int = 4,
-    n_parts: int = 16,
     max_bucket: int = 4096,
 ) -> "ray.data.Dataset":
     """→ (ref_a, ref_b, hamming): perceptual near-dup pairs — hashes
@@ -607,7 +602,7 @@ def phash_dup_pairs(
     from .joins import distinct_on
 
     raw = shuffle_by(
-        hashed.map_batches(band_rows, batch_format="pyarrow"), "bkey", pairs, n_parts
+        hashed.map_batches(band_rows, batch_format="pyarrow"), "bkey", pairs
     )
     # hamming is a pure function of the pair → safe in the distinct key
-    return distinct_on(raw, ["ref_a", "ref_b", "hamming"], n_parts=n_parts)
+    return distinct_on(raw, ["ref_a", "ref_b", "hamming"])

@@ -72,7 +72,6 @@ def pack_sequences(
     id_col: str = "doc_id",
     text_col: str = "text",
     shard_span: int = 65_536,
-    n_parts: int = 64,
     tokenizer=None,
 ) -> "ray.data.Dataset":
     """→ (doc_id, shard, n_tokens, global_offset, first_bin, last_bin,
@@ -96,13 +95,12 @@ def pack_sequences(
         _token_meta_factory(id_col, text_col, shard_span, tokenizer),
         batch_format="pyarrow",
     )
-    return pack_token_meta(meta, capacity=capacity, n_parts=n_parts)
+    return pack_token_meta(meta, capacity=capacity)
 
 
 def pack_token_meta(
     meta: "ray.data.Dataset",
     capacity: int = 2048,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Packing over a precomputed (doc_id, shard, n_tokens) meta dataset —
     the entry point for pipelines that already tokenized (e.g. curation
@@ -152,7 +150,7 @@ def pack_token_meta(
             }
         )
 
-    return shuffle_by(meta, "shard", _pack_partition, n_parts)
+    return shuffle_by(meta, "shard", _pack_partition)
 
 
 def sliding_token_windows(
@@ -208,7 +206,6 @@ def bpe_train(
     docs: "ray.data.Dataset",
     n_merges: int = 16,
     text_col: str = "text",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """BPE merge-table TRAINING over the corpus — the tokenizer-training
     inner loop (the GPT-2/HF algorithm, industrial shape: ONE distributed
@@ -246,7 +243,7 @@ def bpe_train(
         return g[["word", "n"]]
 
     vocab_rows = shuffle_by(
-        docs.map_batches(wc_partial, batch_format="pandas"), "word", wc_combine, n_parts
+        docs.map_batches(wc_partial, batch_format="pandas"), "word", wc_combine
     )
     words: list[str] = []
     freqs: list[int] = []

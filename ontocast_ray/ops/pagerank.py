@@ -114,7 +114,6 @@ def pagerank_int(
     mass: int = 10**12,
     d_num: int = 17,
     d_den: int = 20,
-    n_parts: int = 16,
     seed_mod: int | None = None,
     seed_rem: int = 0,
 ) -> "ray.data.Dataset":
@@ -155,7 +154,6 @@ def pagerank_int(
         left_cols=[],
         right_cols=["outdeg"],
         how="left",
-        n_parts=n_parts,
     ).map_batches(
         lambda b: pa.table(
             {
@@ -239,7 +237,6 @@ def pagerank_int(
             left_cols=["dst"],
             right_cols=["give"],
             how="inner",
-            n_parts=n_parts,
         ).map_batches(
             lambda b: pa.table(
                 {

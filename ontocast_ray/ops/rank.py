@@ -22,7 +22,6 @@ def global_row_number(
     ntile: int | None = None,
     percent_rank: bool = False,
     shard_span: int = 65_536,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (order_col, rn[, tile][, pct_rank]): contiguous 1-based global row
     numbers ordered by a UNIQUE int64 column — SQL ``ROW_NUMBER() OVER
@@ -87,7 +86,7 @@ def global_row_number(
             cols["pct_rank"] = pa.array((rn - 1).astype(np.float64) / denom)
         return pa.table(cols)
 
-    return shuffle_by(ids_ds, "shard", kernel, n_parts)
+    return shuffle_by(ids_ds, "shard", kernel)
 
 
 def topk_per_group(
@@ -97,7 +96,6 @@ def topk_per_group(
     k: int,
     tiebreak_col: str,
     descending: bool = True,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ input columns + rank (1-based within group, ordered by order_col
     desc/asc with tiebreak_col asc)."""
@@ -122,5 +120,5 @@ def topk_per_group(
         return pd.concat(frames, ignore_index=True)
 
     return shuffle_by(
-        ds.map_batches(partial, batch_format="pyarrow"), group_col, final, n_parts
+        ds.map_batches(partial, batch_format="pyarrow"), group_col, final
     )

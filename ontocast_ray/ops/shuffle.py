@@ -20,15 +20,23 @@ block goes to one task, the kernel runs once over all rows (the
 takes the sort path, so no single task holds an unbounded input. An input
 with no rows takes neither: it returns one empty block. Each call logs at
 DEBUG level the path it took, the input's rows, bytes and blocks, the block
-count after coalescing (``map_blocks``) and ``n_parts``.
+count after coalescing (``map_blocks``) and the partition count
+(``n_parts``).
 
-The exchange owns input-block coalescing, so no caller repartitions in
-front of it. Ray's sort runs one sample, one map and one reduce task per
-input block, so the block count is the sort's width. The sort path bundles
-its input into at most ``n_parts`` blocks, the partition count. It
-bundles in the map that adds the partition id, so it adds no operator, and
-it never splits: an input of at most ``n_parts`` blocks keeps its blocks.
-The gather path needs no rule: its one task reads every block.
+The exchange sizes its own partitions, so no op takes a partition count.
+The sort path hashes the keys into P = ceil(rows / ``_ROWS_PER_PART``)
+partitions, clamped to [``_MIN_PARTS``, ``_MAX_PARTS``]: the row count
+is read from the materialized input, so the upstream runs once. Callers
+pass only ``n_parts=1`` (one kernel call over every row, for global
+folds), and ``incremental_global_entities`` forwards its caller's value.
+
+The exchange also owns input-block coalescing, so no caller repartitions
+in front of it. Ray's sort runs one sample, one map and one reduce task
+per input block, so the block count is the sort's width. The sort path
+bundles its input into at most P blocks. It bundles in the map that adds
+the partition id, so it adds no operator, and it never splits: an input
+of at most P blocks keeps its blocks. The gather path needs no rule: its
+one task reads every block.
 """
 
 from __future__ import annotations
@@ -52,74 +60,16 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # 64 MiB that bench.py makes at sf0.1 (18, up to 34 MiB) and the gate sweep
 # makes at sf0.01 (13, up to 17.6 MiB) gathered 1.3-6.3x faster on 4 CPUs.
 _GATHER_BYTES = 64 << 20
+# The sort path's partition count, from the row count the call already
+# holds: ~_ROWS_PER_PART rows per reducer frame, clamped to [_MIN_PARTS,
+# _MAX_PARTS]. The floor keeps a small sort spread over the reducers; a
+# larger P only widens the sort's grid (global_entity_table over 81.5 MiB
+# of mentions, 4 CPUs: 14.4 s at P=8, 20.7 s at P=64).
+_ROWS_PER_PART = 250_000
+_MIN_PARTS = 8
+_MAX_PARTS = 65_536
 
 _log = logging.getLogger(__name__)
-
-
-def resolve_n_parts(
-    ds: "ray.data.Dataset | None",
-    n_parts: int | None,
-    target_rows_per_part: int = 250_000,
-    lo: int = 8,
-    hi: int = 65_536,
-) -> int:
-    """Partition count sized to the input, not a constant.
-
-    A fixed P means each reducer holds rows/P events in one pandas frame —
-    fine at sf0.1, ~terabytes per group at 100 TB. Deriving P from the row
-    count (parquet metadata makes ``count()`` cheap) bounds every reducer at
-    ~``target_rows_per_part`` rows regardless of input size; keys still
-    colocate because partition = hash(key) % P within one run.
-
-    For a DERIVED dataset (map_batches upstream), ``count()`` would execute
-    that pipeline once before the shuffle re-executes it — so the row count
-    is first ESTIMATED from the input files' parquet metadata (an upper
-    bound: upstream filters only shrink it, and P only needs the right
-    order of magnitude). ``count()`` runs only when there are no input
-    files to read metadata from (in-memory datasets — where it is cheap).
-    """
-    if n_parts is not None:
-        return n_parts
-    if ds is None:
-        n = 0
-    else:
-        n = _estimate_rows_from_metadata(ds)
-        if n is None:
-            n = ds.count()
-    return int(min(hi, max(lo, math.ceil(n / target_rows_per_part))))
-
-
-def _estimate_rows_from_metadata(ds: "ray.data.Dataset") -> int | None:
-    """Row count from the lineage's parquet file footers — no execution.
-
-    ``ds.input_files()`` only resolves for pure read datasets, so this walks
-    the logical plan to the leaf Read operator and sums the parquet footers
-    of its source paths (Ray 2.49 internals, guarded — any drift falls back
-    to ``count()`` by returning None). Returns None when the dataset has no
-    single-source parquet lineage.
-    """
-    import pyarrow.parquet as pq
-
-    try:
-        op = ds._logical_plan.dag
-        while op.input_dependencies:
-            if len(op.input_dependencies) > 1:  # union/zip: no single lineage
-                return None
-            op = op.input_dependencies[0]
-        paths = getattr(getattr(op, "_datasource", None), "_pq_paths", None)
-    except Exception:
-        return None
-    if not paths:
-        return None
-    total = 0
-    for f in paths:
-        if "://" in f:
-            f = f.split("://", 1)[1]
-        try:
-            total += pq.read_metadata(f).num_rows
-        except Exception:
-            return None
-    return total
 
 
 def _partition_ids(batch, keys: list[str], n_parts: int) -> np.ndarray:
@@ -153,11 +103,11 @@ def shuffle_by(
     - gather: an input of at most ``_GATHER_BYTES`` (64 MiB by block
       metadata) goes to one task, ``kernel`` is called once with a frame of
       every row, and the output is that call's one block;
-    - sort: the input's blocks are bundled into at most ``n_parts``
-      (module docstring), rows are hashed into ``n_parts`` partitions
-      (``resolve_n_parts`` when None), sort-shuffled on that id, and
-      ``kernel`` is called once per non-empty partition with a frame that
-      holds every row of its keys (many keys per call).
+    - sort: rows are hashed into ``n_parts`` partitions (sized from the
+      row count when None, module docstring), the input's blocks are
+      bundled into at most that many, sort-shuffled on the partition id,
+      and ``kernel`` is called once per non-empty partition with a frame
+      that holds every row of its keys (many keys per call).
 
     Either way ``kernel`` gets a ``batch_format`` frame with no partition
     column, never an empty one, and the output is the union of its
@@ -167,7 +117,12 @@ def shuffle_by(
     ds = ds.materialize()
     n, size, blocks = ds.count(), ds.size_bytes(), ds.num_blocks()
     gather = size is not None and size <= _GATHER_BYTES
-    p = 1 if gather or n == 0 else resolve_n_parts(ds, n_parts)
+    if gather or n == 0:
+        p = 1
+    elif n_parts is None:
+        p = min(_MAX_PARTS, max(_MIN_PARTS, math.ceil(n / _ROWS_PER_PART)))
+    else:
+        p = n_parts
     _log.debug(
         "shuffle_by %s: path=%s rows=%d bytes=%s blocks=%d map_blocks=%d n_parts=%d",
         getattr(kernel, "__name__", type(kernel).__name__),

@@ -67,7 +67,7 @@ class _PartialTopK:
         )
 
 
-def _merged_topk(partial, k: int, id_col: str, score: str = "cosine", n_parts: int = 16):
+def _merged_topk(partial, k: int, id_col: str, score: str = "cosine"):
     """Final per-query merge of partial top-k rows: per ``query_id``, the
     ``k`` best by ``score`` desc then ``id_col`` asc, with ``rank`` 1..k and
     ``score`` rounded to 6 places. Shuffled on ``query_id``; the kernel is
@@ -82,7 +82,7 @@ def _merged_topk(partial, k: int, id_col: str, score: str = "cosine", n_parts: i
         top[score] = top[score].round(6)
         return top[["query_id", id_col, score, "rank"]].reset_index(drop=True)
 
-    return shuffle_by(partial, "query_id", _kernel, n_parts)
+    return shuffle_by(partial, "query_id", _kernel)
 
 
 def knn_bruteforce(
@@ -838,7 +838,6 @@ def knn_recall(
     exact: "ray.data.Dataset",
     query_col: str = "query_id",
     id_col: str = "vec_id",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (query_id, n_exact, n_hits, recall): per-query recall of an
     approximate kNN result against the exact one — the evaluation step
@@ -890,7 +889,7 @@ def knn_recall(
     tagged = approx.map_batches(tag(1), batch_format="pyarrow").union(
         exact.map_batches(tag(0), batch_format="pyarrow")
     )
-    return shuffle_by(tagged, query_col, score, n_parts)
+    return shuffle_by(tagged, query_col, score)
 
 
 def scalar_quantize_embeddings(
@@ -973,7 +972,6 @@ def scalar_quantize_embeddings(
 def knn_hubness(
     knn_pairs: "ray.data.Dataset",
     neighbor_col: str = "neighbor",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """Hubness report over a kNN graph (the standard ANN-index health
     check: in high dimensions a few 'hub' vectors appear in everyone's
@@ -1002,5 +1000,5 @@ def knn_hubness(
         return g[["vec_id", "in_degree"]]
 
     return shuffle_by(
-        knn_pairs.map_batches(partial, batch_format="pyarrow"), "vec_id", combine, n_parts
+        knn_pairs.map_batches(partial, batch_format="pyarrow"), "vec_id", combine
     )

@@ -79,7 +79,6 @@ def hll_distinct(
     key_col: str,
     group_col: str,
     p: int = 12,
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (group_col, approx_distinct): HyperLogLog distinct ``key_col`` per
     group. Shuffle volume is one 2^p-byte blob per (input block, group)."""
@@ -114,7 +113,7 @@ def hll_distinct(
         )
 
     return shuffle_by(
-        ds.map_batches(_partial, batch_format="pyarrow"), group_col, _merge, n_parts
+        ds.map_batches(_partial, batch_format="pyarrow"), group_col, _merge
     )
 
 
@@ -127,7 +126,6 @@ def dd_quantiles(
     group_col: str,
     quantiles: tuple[float, ...] = (0.5, 0.95, 0.99),
     alpha: float = 0.01,
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (group_col, q_50, q_95, ... one column per requested quantile):
     DDSketch quantiles of the positive ``value_col`` per group, each within
@@ -188,7 +186,7 @@ def dd_quantiles(
             rows.append({group_col: g, **vals})
         return pd.DataFrame(rows, columns=[group_col, *qcols])
 
-    return shuffle_by(counts, group_col, _finalize, n_parts)
+    return shuffle_by(counts, group_col, _finalize)
 
 
 def heavy_hitters(
@@ -411,7 +409,6 @@ def sliding_hll_distinct(
     key_col: str = "user_id",
     ts_col: str = "ts",
     p: int = 12,
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (window_end, approx_distinct): distinct keys over every sliding
     ``window_hours``-hour range, computed by MERGING per-hour HLL
@@ -479,11 +476,10 @@ def sliding_hll_distinct(
         })
 
     hours = shuffle_by(
-        events.map_batches(_partial, batch_format="pyarrow"), "hour", _merge_hour, n_parts
+        events.map_batches(_partial, batch_format="pyarrow"), "hour", _merge_hour
     )
     return shuffle_by(
         hours.map_batches(_fanout, batch_format="pyarrow"),
         "window_end",
         _merge_window,
-        n_parts,
     )

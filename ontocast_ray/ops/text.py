@@ -235,7 +235,6 @@ def stratified_sample(
     n: int,
     id_col: str = "doc_id",
     seed: int = 13,
-    n_parts: int = 64,
 ):
     """Deterministic stratified sample: the ``n`` rows per group with the
     smallest ``splitmix64(seed, id)`` — an exact per-group uniform draw
@@ -263,7 +262,6 @@ def stratified_sample(
         k=n,
         tiebreak_col=id_col,
         descending=False,
-        n_parts=n_parts,
     )
     return ranked.drop_columns(["u"])
 
@@ -458,7 +456,6 @@ def top_terms_per_group(
     group_col: str = "source",
     k: int = 5,
     text_col: str = "text",
-    n_parts: int = 64,
 ):
     """→ (group, term, n_count, rank): the k most frequent terms per group
     (per-domain vocabulary profile — the corpus-drift signal between
@@ -497,11 +494,10 @@ def top_terms_per_group(
         docs.map_batches(partial, batch_format="pyarrow"),
         [group_col, "term"],
         merge,
-        n_parts,
     )
     return topk_per_group(
         counted, group_col=group_col, order_col="n_count", k=k,
-        tiebreak_col="term", descending=True, n_parts=n_parts,
+        tiebreak_col="term", descending=True,
     )
 
 
@@ -625,7 +621,6 @@ def quality_classifier_score(
 def bigram_coverage(
     docs: "ray.data.Dataset",
     min_count: int = 3,
-    n_parts: int = 64,
     text_col: str = "text",
     id_col: str = "doc_id",
 ) -> "ray.data.Dataset":
@@ -698,7 +693,7 @@ def bigram_coverage(
         return out
 
     partials = shuffle_by(
-        docs.map_batches(bigram_rows, batch_format="pyarrow"), "bh", count_part, n_parts
+        docs.map_batches(bigram_rows, batch_format="pyarrow"), "bh", count_part
     )
 
     def sum_doc(df):
@@ -714,7 +709,7 @@ def bigram_coverage(
         g["coverage"] = cov
         return g
 
-    return shuffle_by(partials, "doc_id", sum_doc, n_parts)
+    return shuffle_by(partials, "doc_id", sum_doc)
 
 
 def diversity_stats(batch: pa.Table) -> pa.Table:
@@ -777,7 +772,6 @@ def doc_keywords(
     k: int = 3,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (doc_id, term, tf, df, rank≤k): per-document keywords by the
     TF-IDF ORDER without TF-IDF's float log — rank terms by (tf DESC,
@@ -827,14 +821,13 @@ def doc_keywords(
         return out.rename(columns={"n": "df"})
 
     dfreq = shuffle_by(
-        tf.map_batches(df_partial, batch_format="pandas"), "term", df_final, n_parts
+        tf.map_batches(df_partial, batch_format="pandas"), "term", df_final
     )
 
     joined = hash_join(
         tf, dfreq,
         left_on="term", right_on="term",
         left_cols=[id_col, "tf"], right_cols=["df"],
-        n_parts=n_parts,
     )
 
     def topk(group: "pd.DataFrame") -> "pd.DataFrame":
@@ -850,7 +843,7 @@ def doc_keywords(
              "rank": np.int64}
         )
 
-    return shuffle_by(joined, id_col, topk, n_parts)
+    return shuffle_by(joined, id_col, topk)
 
 
 # the 8-word Gopher "stop word" presence rule (Rae et al. 2021 §A1.1):
@@ -922,7 +915,6 @@ def gazetteer_mentions(
     aliases: "list[tuple[int, str]]",
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Dictionary-based entity linking (gazetteer NER — the first stage of
     KG entity linking): count exact alias mentions (1- or 2-token, on the
@@ -940,9 +932,6 @@ def gazetteer_mentions(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(docs, n_parts)
     uni = {a: e for e, a in aliases if " " not in a}
     bi = {a: e for e, a in aliases if a.count(" ") == 1}
     if len(uni) + len(bi) != len(aliases):
@@ -1009,7 +998,7 @@ def gazetteer_mentions(
         )
 
     return shuffle_by(
-        docs.map_batches(partial, batch_format="pyarrow"), "entity_id", combine, n_parts
+        docs.map_batches(partial, batch_format="pyarrow"), "entity_id", combine
     )
 
 
@@ -1018,7 +1007,6 @@ def entity_comention_edges(
     aliases: "list[tuple[int, str]]",
     text_col: str = "text",
     id_col: str = "doc_id",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Entity co-mention graph construction — the KG edge-CANDIDATE
     generator that feeds relation extraction: for every document, the
@@ -1035,9 +1023,6 @@ def entity_comention_edges(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(docs, n_parts)
     uni = {a: e for e, a in aliases if " " not in a}
     bi = {a: e for e, a in aliases if a.count(" ") == 1}
     if len(uni) + len(bi) != len(aliases):
@@ -1099,7 +1084,6 @@ def entity_comention_edges(
         docs.map_batches(partial, batch_format="pyarrow"),
         ["entity_a", "entity_b"],
         combine,
-        n_parts,
     )
 
 
@@ -1107,7 +1091,6 @@ def vocab_coverage(
     docs: "ray.data.Dataset",
     ks: tuple = (100, 1_000, 10_000),
     text_col: str = "text",
-    n_parts: int | None = None,
 ) -> pa.Table:
     """Vocabulary coverage curve — the tokenizer-design / dataset-card
     statistic: what share of the corpus token mass the k most frequent
@@ -1121,9 +1104,6 @@ def vocab_coverage(
     folds from per-partition scalar sums. No full-vocabulary collection
     anywhere.
     """
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    n_parts = resolve_n_parts(docs, n_parts)
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pandas().fillna("")
@@ -1146,7 +1126,7 @@ def vocab_coverage(
         return g
 
     vocab = shuffle_by(
-        docs.map_batches(partial, batch_format="pyarrow"), "term", combine, n_parts
+        docs.map_batches(partial, batch_format="pyarrow"), "term", combine
     ).materialize()  # consumed twice: top-k sort + total fold
 
     def _sums(batch: pa.Table) -> pa.Table:

@@ -124,7 +124,6 @@ def url_dedup(
     docs: "ray.data.Dataset",
     url_col: str = "url",
     id_col: str = "doc_id",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (id_col, url_canon, n_copies): one representative per canonical
     URL (smallest id), with the copy count.
@@ -166,7 +165,7 @@ def url_dedup(
         return out[[id_col, "url_canon", "n_copies"]]
 
     return shuffle_by(
-        docs.map_batches(partial, batch_format="pandas"), "url_canon", combine, n_parts
+        docs.map_batches(partial, batch_format="pandas"), "url_canon", combine
     )
 
 
@@ -216,7 +215,6 @@ def url_dedup_flags(
     docs: "ray.data.Dataset",
     url_col: str = "url",
     id_col: str = "doc_id",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ (id_col, keep_id, keep): per-ROW URL-dedup verdicts — the
     `dedup_keep_list`-shaped companion of `url_dedup`, for feeding
@@ -258,7 +256,7 @@ def url_dedup_flags(
         )
 
     return shuffle_by(
-        docs.map_batches(prep, batch_format="pandas"), "url_canon", mark, n_parts
+        docs.map_batches(prep, batch_format="pandas"), "url_canon", mark
     )
 
 
@@ -268,7 +266,6 @@ def domain_report(
     text_col: str = "text",
     score_col: str = "raw_score",
     tok_col: str = "n_tokens",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Per-domain quality/duplication accounting — the report that BUILDS
     a domain blocklist (the step before ``filter_blocked_domains``
@@ -290,10 +287,7 @@ def domain_report(
     """
     import pandas as pd
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
     from ontocast_ray.util import hash_u64
-
-    n_parts = resolve_n_parts(pages, n_parts)
 
     def _domains(urls: "pd.Series") -> "pd.Series":
         parts = urls.str.extract(_URL_RE)
@@ -358,9 +352,8 @@ def domain_report(
         pages.map_batches(partial, batch_format="pandas"),
         ["domain", "th"],
         combine_pairs,
-        n_parts,
     )
-    return shuffle_by(pairs, "domain", combine_domains, n_parts)
+    return shuffle_by(pairs, "domain", combine_domains)
 
 
 _HREF_RE = re.compile(r'<a\s[^>]*href="([^"]+)"', re.IGNORECASE)
@@ -371,7 +364,6 @@ def link_host_degrees(
     pages: "ray.data.Dataset",
     html_col: str = "html",
     id_col: str = "doc_id",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """Link-graph construction from crawled HTML — the stage behind every
     host-level PageRank / CommonCrawl host ranking. Extracts
@@ -429,7 +421,7 @@ def link_host_degrees(
         return g
 
     return shuffle_by(
-        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine, n_parts
+        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine
     )
 
 
@@ -441,7 +433,6 @@ _ANCHOR_RE = re.compile(
 def anchor_text_top(
     pages: "ray.data.Dataset",
     html_col: str = "html",
-    n_parts: int = 32,
 ) -> "ray.data.Dataset":
     """Anchor-text aggregation per link TARGET host — the classic
     link-graph signal (anchor text describes the target better than the
@@ -501,14 +492,13 @@ def anchor_text_top(
         })
 
     return shuffle_by(
-        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine, n_parts
+        pages.map_batches(partial, batch_format="pandas"), "dst_host", combine
     )
 
 
 def url_path_templates(
     docs: "ray.data.Dataset",
     url_col: str = "url",
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Crawl-frontier path-template mining: collapse every digit run in the
     URL path to ``N`` and count pages per (host, template). The report
@@ -557,5 +547,4 @@ def url_path_templates(
         docs.map_batches(partial, batch_format="pandas"),
         ["host", "template"],
         combine,
-        n_parts,
     )

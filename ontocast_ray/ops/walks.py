@@ -97,7 +97,6 @@ def deterministic_walks(
     n_steps: int = 3,
     seed: int = 41,
     start_below: int | None = None,
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (start, step, node): one deterministic walk of ``n_steps`` hops
     from every distinct source node (optionally only sources
@@ -148,7 +147,7 @@ def deterministic_walks(
         })
 
     # consumed by degs + every step join
-    ranked = shuffle_by(edges, "src", rank_kernel, n_parts).materialize()
+    ranked = shuffle_by(edges, "src", rank_kernel).materialize()
 
     def only_rank0(batch: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc
@@ -212,7 +211,7 @@ def deterministic_walks(
         stepped = hash_join(
             keyed, ranked,
             left_on="skey", right_on="akey",
-            left_cols=["start"], right_cols=["dst"], n_parts=n_parts,
+            left_cols=["start"], right_cols=["dst"],
         )
 
         def to_state(batch: "pa.Table") -> "pa.Table":

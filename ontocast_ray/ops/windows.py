@@ -25,7 +25,7 @@ import pyarrow as pa
 import ray.data
 from ray.data.aggregate import Count, Max, Min
 
-from ontocast_ray.ops.shuffle import resolve_n_parts, shuffle_by
+from ontocast_ray.ops.shuffle import shuffle_by
 
 
 def add_tumbling_window(batch: pa.Table, ts_col: str = "ts", every: str = "1h") -> pa.Table:
@@ -152,17 +152,14 @@ def with_previous_event(
     ts_col: str = "ts",
     id_col: str = "event_id",
     value_col: str = "value",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Per-key lag (the as-of-previous-row family): each event annotated with
     the previous event's ts/value for the same key. Same coarse-partitioned
-    sort kernel as sessionize; event_id tiebreak keeps it deterministic.
-    ``n_parts=None`` → sized from the input (see resolve_n_parts)."""
+    sort kernel as sessionize; event_id tiebreak keeps it deterministic."""
     return shuffle_by(
         events,
         key_col,
         _lag_partition_factory(key_col, ts_col, id_col, value_col),
-        n_parts,
     )
 
 
@@ -173,7 +170,6 @@ def event_sequences(
     id_col: str = "event_id",
     value_col: str = "event_type",
     sep: str = ",",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """→ (key, n_events, sequence): each key's values concatenated in
     strict (ts, id) order — the user-journey / behavioral-sequence
@@ -194,7 +190,7 @@ def event_sequences(
         out.insert(1, "n_events", g.size().to_numpy())
         return out
 
-    return shuffle_by(events, key_col, kernel, n_parts)
+    return shuffle_by(events, key_col, kernel)
 
 
 def window_first_last(
@@ -204,7 +200,6 @@ def window_first_last(
     ts_col: str = "ts",
     id_col: str = "event_id",
     value_col: str = "value",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """→ (key, window_start, first_value, last_value, n_events): first-
     and last-touch value per key per tumbling window, ordered by
@@ -212,8 +207,6 @@ def window_first_last(
     arithmetic, so float values are bit-exact vs the SQL row_number
     oracle. Same coarse-partitioned sort kernel as sessionize."""
     import pandas as pd
-
-    n_parts = resolve_n_parts(events, n_parts)
 
     def kernel(group: "pd.DataFrame") -> "pd.DataFrame":
         df = group.sort_values([key_col, "window_start", ts_col, id_col])
@@ -227,7 +220,7 @@ def window_first_last(
         lambda b: add_tumbling_window(b, ts_col=ts_col, every=every),
         batch_format="pyarrow",
     )
-    return shuffle_by(windowed, key_col, kernel, n_parts)
+    return shuffle_by(windowed, key_col, kernel)
 
 
 def _rolling_partition_factory(
@@ -259,7 +252,6 @@ def rolling_window_agg(
     ts_col: str = "ts",
     id_col: str = "event_id",
     value_col: str = "value",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Sliding row-window aggregate per key — SQL ``agg(value) OVER
     (PARTITION BY key ORDER BY ts, id ROWS BETWEEN k-1 PRECEDING AND
@@ -278,7 +270,6 @@ def rolling_window_agg(
         events,
         key_col,
         _rolling_partition_factory(key_col, ts_col, id_col, value_col, k, agg),
-        n_parts,
     )
 
 
@@ -288,17 +279,15 @@ def sessionize(
     key_col: str = "user_id",
     ts_col: str = "ts",
     id_col: str = "event_id",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """→ (user_id, session_id, n_events, session_start, session_end).
 
     session_id restarts at 1 per user (matches the SQL cumulative-sum-over-
-    lag oracle). ``n_parts=None`` → sized from the input (resolve_n_parts)."""
+    lag oracle)."""
     return shuffle_by(
         events,
         key_col,
         _sessionize_partition_factory(gap_minutes, key_col, ts_col, id_col),
-        n_parts,
     )
 
 
@@ -307,7 +296,6 @@ def group_quantiles(
     key_col: str = "event_type",
     value_col: str = "value",
     quantiles: tuple = (0.5, 0.95, 0.99),
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Exact per-group discrete quantiles (key, q50, q95, ... columns).
 
@@ -335,7 +323,7 @@ def group_quantiles(
                 out[c].append(float(v[idx]))
         return pd.DataFrame(out)
 
-    return shuffle_by(events, key_col, kernel, n_parts)
+    return shuffle_by(events, key_col, kernel)
 
 
 def tumbling_window_late_drop(
@@ -555,7 +543,6 @@ def weekly_retention(
     events: "ray.data.Dataset",
     user_col: str = "user_id",
     ts_col: str = "ts",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (week_start, n_active, n_retained, retention): classic cohort
     week-over-week retention — of the users active in ISO week w, how
@@ -591,7 +578,6 @@ def weekly_retention(
     uw = distinct_on(
         events.map_batches(to_week, batch_format="pyarrow"),
         [user_col, "week_start"],
-        n_parts=n_parts,
     )
 
     week = pd.Timedelta(days=7)
@@ -608,7 +594,7 @@ def weekly_retention(
         return part.groupby("week_start", as_index=False).sum()
 
     counts = (
-        shuffle_by(uw, user_col, flag, n_parts)
+        shuffle_by(uw, user_col, flag)
         .groupby("week_start")
         .aggregate(
             Sum("n_active", alias_name="n_active"),
@@ -679,7 +665,6 @@ def decayed_user_value(
     user_col: str = "user_id",
     ts_col: str = "ts",
     value_col: str = "value",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (user_id, decayed_cents, n_events): recency-weighted per-user
     value — each event contributes ``floor(value·100) >> (age //
@@ -728,7 +713,6 @@ def decayed_user_value(
         events.map_batches(partial, batch_format="pandas"),
         user_col,
         combine,
-        n_parts,
     )
 
 
@@ -740,7 +724,6 @@ def top_sessions_by_value(
     ts_col: str = "ts",
     id_col: str = "event_id",
     value_col: str = "value",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """→ top-k (user_id, session_id, n_events, value_cents): the
     highest-value sessions corpus-wide — sessionization composed with a
@@ -782,7 +765,7 @@ def top_sessions_by_value(
             ascending=[False, True, True],
         ).head(k)
 
-    ranked = shuffle_by(events, key_col, kern, n_parts)
+    ranked = shuffle_by(events, key_col, kern)
     return ranked.sort(
         ["value_cents", key_col, "session_id"],
         descending=[True, False, False],
@@ -796,7 +779,6 @@ def followed_by_counts(
     ts_col: str = "ts",
     type_col: str = "event_type",
     id_col: str = "event_id",
-    n_parts: int = 16,
 ) -> "ray.data.Dataset":
     """→ (type_a, type_b, n_pairs): complex-event sequence mining — for
     every ordered pair of events of the SAME user with
@@ -866,7 +848,7 @@ def followed_by_counts(
         out["n_pairs"] = out["n_pairs"].astype(np.int64)
         return out
 
-    partials = shuffle_by(events, key_col, kern, n_parts)
+    partials = shuffle_by(events, key_col, kern)
     return shuffle_by(partials, ["type_a", "type_b"], final, n_parts=1)
 
 
@@ -876,7 +858,6 @@ def grouped_quantile_buckets(
     score_col: str,
     quantiles: tuple = (1.0 / 3, 2.0 / 3),
     labels: tuple = ("tail", "middle", "head"),
-    n_parts: int | None = None,
     max_distinct: int = 1_000_000,
 ) -> "ray.data.Dataset":
     """CCNet-style per-group quantile bucketing: each row gets the bucket
@@ -903,7 +884,6 @@ def grouped_quantile_buckets(
 
     if len(labels) != len(quantiles) + 1:
         raise ValueError("need len(quantiles)+1 labels")
-    n_parts = resolve_n_parts(ds, n_parts)
     # consumed twice (count pass + assignment map): materialize so the
     # upstream lineage (e.g. a classifier scoring every document) runs once
     ds = ds.materialize()
@@ -926,7 +906,6 @@ def grouped_quantile_buckets(
         ds.map_batches(_partial, batch_format="pandas"),
         [group_col, score_col],
         _final,
-        n_parts,
     ).materialize()
     n_distinct = counts.count()
     if n_distinct > max_distinct:
@@ -975,7 +954,6 @@ def next_event_context(
     type_col: str = "event_type",
     context: int = 3,
     pad: str = "<s>",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Next-event-prediction training pairs from an event log (the
     sequence-model dataset constructor): for every event, the previous
@@ -1000,7 +978,7 @@ def next_event_context(
         out["label"] = df[type_col].to_numpy()
         return pd.DataFrame(out)
 
-    return shuffle_by(events, key_col, kernel, n_parts)
+    return shuffle_by(events, key_col, kernel)
 
 
 def user_trend_fractions(
@@ -1009,7 +987,6 @@ def user_trend_fractions(
     ts_col: str = "ts",
     y_col: str = "y",
     minutes_per_unit: int = 1,
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Per-key OLS trend of an integer signal over time, kept EXACT as two
     integer fractions (the featurize-per-entity step of churn/LTV models —
@@ -1027,7 +1004,6 @@ def user_trend_fractions(
     """
     import pandas as pd
 
-    n_parts = resolve_n_parts(events, n_parts)
     unit_us = np.int64(minutes_per_unit) * 60_000_000
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1061,7 +1037,7 @@ def user_trend_fractions(
         })
 
     return shuffle_by(
-        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern
     )
 
 
@@ -1072,7 +1048,6 @@ def event_bursts(
     every_us: int = 3_600_000_000,
     factor_num: int = 2,
     factor_den: int = 1,
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Burst detection — the monitoring primitive behind crawl-trap and
     abuse detection: per (key, tumbling window) event counts, flagged
@@ -1088,7 +1063,6 @@ def event_bursts(
     """
     import pandas as pd
 
-    n_parts = resolve_n_parts(events, n_parts)
     every = np.int64(every_us)
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1124,7 +1098,7 @@ def event_bursts(
         })
 
     return shuffle_by(
-        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern
     )
 
 
@@ -1132,7 +1106,6 @@ def activity_streaks(
     events: "ray.data.Dataset",
     key_col: str = "user_id",
     ts_col: str = "ts",
-    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Longest consecutive-day activity streak per key — the classic
     gaps-and-islands analytic (engagement/retention feature): distinct
@@ -1147,7 +1120,6 @@ def activity_streaks(
     """
     import pandas as pd
 
-    n_parts = resolve_n_parts(events, n_parts)
     day_us = np.int64(86_400_000_000)
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -1178,5 +1150,5 @@ def activity_streaks(
         return out[[key_col, "longest_streak", "n_active_days"]]
 
     return shuffle_by(
-        events.map_batches(prep, batch_format="pyarrow"), key_col, kern, n_parts
+        events.map_batches(prep, batch_format="pyarrow"), key_col, kern
     )

@@ -306,7 +306,6 @@ def global_entity_table(
     triples: "ray.data.Dataset",
     domain: str = "https://example.com",
     n_salt: int = 16,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """Salted two-phase shuffle → global entity table
     (entity_uri, entity_key, label, types, n_docs, n_mentions).
@@ -318,10 +317,10 @@ def global_entity_table(
         lambda b: _salted(_entity_mentions(b), n_salt), batch_format="pyarrow"
     )
     partial = shuffle_by(
-        mentions, ["entity_key", "salt"], _phase1_partition, n_parts, batch_format="pyarrow"
+        mentions, ["entity_key", "salt"], _phase1_partition, batch_format="pyarrow"
     )
     return shuffle_by(
-        partial, "entity_key", _merge_entities_factory(domain, status=False), n_parts,
+        partial, "entity_key", _merge_entities_factory(domain, status=False),
         batch_format="pyarrow",
     )
 
@@ -351,7 +350,7 @@ def incremental_global_entities(
     old_table: "ray.data.Dataset",
     new_triples: "ray.data.Dataset",
     domain: str = "https://example.com",
-    n_parts: int = 64,
+    n_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Incremental cross-document entity-table update — the daily-crawl
     shape for KG construction (the reference reprocesses the corpus; at
@@ -367,6 +366,9 @@ def incremental_global_entities(
     days are disjoint by construction), so the result equals the
     full-batch `global_entity_table` over old∪new, row for row
     (property-tested). Old rows never re-aggregate.
+
+    ``n_parts`` goes to ``shuffle_by`` as is (None: sized there from the
+    row count); it stays because the perfbench harness passes it.
     """
     new = new_triples.map_batches(_entity_mentions, batch_format="pyarrow")
     old = old_table.map_batches(_old_rows, batch_format="pyarrow")

@@ -92,7 +92,6 @@ def curate_corpus(
     min_alpha_ratio: float = 0.75,
     capacity: int = 2048,
     shard_span: int = 65_536,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """→ packed-sequence placements (doc_id, shard, n_tokens,
     global_offset, first_bin, last_bin, offset_in_bin) of the curated
@@ -117,4 +116,4 @@ def curate_corpus(
         )
 
     dedup_meta = winners.map_batches(to_meta, batch_format="pyarrow")
-    return pack_token_meta(dedup_meta, capacity=capacity, n_parts=n_parts)
+    return pack_token_meta(dedup_meta, capacity=capacity)

@@ -44,7 +44,6 @@ def curate_web_corpus(
     min_alpha_ratio: float = 0.6,
     capacity: int = 2048,
     shard_span: int = 65_536,
-    n_parts: int = 64,
 ) -> "ray.data.Dataset":
     """pages (doc_id, url, html) → packed-sequence placements (doc_id,
     shard, n_tokens, global_offset, first_bin, last_bin, offset_in_bin)
@@ -52,9 +51,9 @@ def curate_web_corpus(
     # consumed twice (flag pass reads urls, keep pass reads bodies)
     pages = pages.materialize()
     flags = url_dedup_flags(
-        pages.select_columns(["doc_id", "url"]), n_parts=n_parts
+        pages.select_columns(["doc_id", "url"])
     )
-    kept = apply_keep_list(pages, flags, n_parts=n_parts)
+    kept = apply_keep_list(pages, flags)
     unblocked = filter_blocked_domains(kept, blocked_domains, url_col="url")
     texts = html_extract_text(
         unblocked, html_col="html", out_col="text"
@@ -104,6 +103,6 @@ def curate_web_corpus(
         )
 
     dedup_meta = shuffle_by(
-        meta.map_batches(sha_partial, batch_format="pandas"), "text_sha", sha_final, n_parts
+        meta.map_batches(sha_partial, batch_format="pandas"), "text_sha", sha_final
     )
-    return pack_token_meta(dedup_meta, capacity=capacity, n_parts=n_parts)
+    return pack_token_meta(dedup_meta, capacity=capacity)

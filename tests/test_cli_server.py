@@ -236,7 +236,7 @@ def test_incremental_kg_job_entry(ray_session, tmp_path, capsys):
         ray.data.from_arrow(day1), min_chunk_size=200, max_chunk_size=2000,
     )
     ent_dir = str(tmp_path / "entities_v1")
-    global_entity_table(t1, n_parts=2).write_parquet(ent_dir)
+    global_entity_table(t1).write_parquet(ent_dir)
 
     # day-2 batch: 6 fresh docs (different seed → overlapping + new keys)
     day2 = generate_corpus(n_docs=6, seed=11)
@@ -290,7 +290,7 @@ def test_incremental_kg_job_reruns_on_overwritten_input(ray_session, tmp_path, c
     t1 = build_kg_pipeline(ray.data.from_arrow(generate_corpus(n_docs=6, seed=5)),
                            min_chunk_size=200, max_chunk_size=2000)
     ent_dir = str(tmp_path / "entities_v1")
-    global_entity_table(t1, n_parts=2).write_parquet(ent_dir)
+    global_entity_table(t1).write_parquet(ent_dir)
     docs2 = str(tmp_path / "day2.parquet")
     out = str(tmp_path / "entities_v2")
     argv = ["--new-docs", docs2, "--entities", ent_dir, "--out", out,

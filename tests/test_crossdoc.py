@@ -149,10 +149,10 @@ def test_incremental_equals_full_batch(ray_session, seed, head_entity_fraction):
     old_t = _docs_in(triples, "doc-000000", "doc-000012")
     new_t = _docs_in(triples, "doc-000012", "doc-999999")
 
-    old_table = global_entity_table(old_t, n_parts=4)
+    old_table = global_entity_table(old_t)
     inc = incremental_global_entities(old_table, new_t, n_parts=4).to_pandas()
     full = global_entity_table(
-        _docs_in(triples, "doc-000000", "doc-999999"), n_parts=4
+        _docs_in(triples, "doc-000000", "doc-999999")
     ).to_pandas()
 
     a, b = _sorted_rows(inc), _sorted_rows(full)
@@ -179,7 +179,7 @@ def test_incremental_empty_new_batch_keeps_old_table(small_triples):
         incremental_global_entities,
     )
 
-    old_table = global_entity_table(small_triples, n_parts=4).materialize()
+    old_table = global_entity_table(small_triples).materialize()
     none = _docs_in(small_triples, "x", "x")
     inc = incremental_global_entities(old_table, none, n_parts=4).to_pandas()
     assert _sorted_rows(inc).equals(_sorted_rows(old_table.to_pandas()))
@@ -192,9 +192,9 @@ def test_incremental_empty_old_table_equals_full_batch(small_triples):
         incremental_global_entities,
     )
 
-    empty_old = global_entity_table(_docs_in(small_triples, "x", "x"), n_parts=4)
+    empty_old = global_entity_table(_docs_in(small_triples, "x", "x"))
     inc = incremental_global_entities(empty_old, small_triples, n_parts=4).to_pandas()
-    full = global_entity_table(small_triples, n_parts=4).to_pandas()
+    full = global_entity_table(small_triples).to_pandas()
     assert len(full) > 0
     assert _sorted_rows(inc).equals(_sorted_rows(full))
     assert set(inc["status"]) == {"new"}
@@ -207,7 +207,7 @@ def test_incremental_both_empty(small_triples):
     )
 
     none = _docs_in(small_triples, "x", "x")
-    empty_old = global_entity_table(none, n_parts=4)
+    empty_old = global_entity_table(none)
     assert incremental_global_entities(empty_old, none, n_parts=4).count() == 0
 
 
@@ -216,7 +216,7 @@ def test_incremental_runs_one_shuffle(small_triples, monkeypatch):
     batch's combiner rows ∪ the old table — no salted pre-aggregation."""
     from ontocast_ray.pipelines import crossdoc
 
-    old_table = crossdoc.global_entity_table(small_triples, n_parts=4)
+    old_table = crossdoc.global_entity_table(small_triples)
     calls = []
     real = crossdoc.shuffle_by
 
@@ -268,7 +268,7 @@ def test_incremental_merge_same_on_gather_and_sort(ray_session, monkeypatch, cap
     )
 
     caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
-    old_table = global_entity_table(_crawl_day(8, 2_000, 24_000, 1), n_parts=8).materialize()
+    old_table = global_entity_table(_crawl_day(8, 2_000, 24_000, 1)).materialize()
     new_t = _crawl_day(25, 1_000, 24_000, 2).materialize()
 
     tables, paths = [], []

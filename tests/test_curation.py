@@ -45,7 +45,7 @@ def test_cap_per_group_matches_reference(ray_session):
     got = (
         cap_per_group(
             ray.data.from_arrow(tbl).repartition(8),
-            group_col="source", cap=10, seed=3, n_parts=4,
+            group_col="source", cap=10, seed=3,
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
@@ -66,7 +66,7 @@ def test_cap_per_group_parallelism_invariant(ray_session):
         outs.append(
             cap_per_group(
                 ray.data.from_arrow(tbl).repartition(parts),
-                group_col="source", cap=7, seed=1, n_parts=3,
+                group_col="source", cap=7, seed=1,
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -90,7 +90,7 @@ def test_remove_boilerplate_lines(ray_session):
     )
     out = (
         remove_boilerplate_lines(
-            ray.data.from_arrow(tbl).repartition(3), min_count=2, n_parts=2
+            ray.data.from_arrow(tbl).repartition(3), min_count=2
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
@@ -132,12 +132,12 @@ def test_remove_boilerplate_scale_path_matches_broadcast(ray_session, monkeypatc
     ds = lambda: ray.data.from_arrow(tbl).repartition(7)  # noqa: E731
 
     fast = (
-        remove_boilerplate_lines(ds(), min_count=2, n_parts=4)
+        remove_boilerplate_lines(ds(), min_count=2)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     monkeypatch.setattr(curation, "_BROADCAST_LIMIT", 0)
     scale = (
-        remove_boilerplate_lines(ds(), min_count=2, n_parts=4)
+        remove_boilerplate_lines(ds(), min_count=2)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(fast, scale)
@@ -263,7 +263,7 @@ def test_paragraph_dedup_keep_first(ray_session):
         ]),
     })
     out = (
-        paragraph_dedup(ray.data.from_arrow(tbl).repartition(2), n_parts=4)
+        paragraph_dedup(ray.data.from_arrow(tbl).repartition(2))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["text"].tolist() == ["alpha\n\nshared para", "beta", " \ngamma"]
@@ -291,12 +291,12 @@ def test_paragraph_dedup_scale_path_matches_broadcast(ray_session, monkeypatch):
     ds = lambda: ray.data.from_arrow(tbl).repartition(7)  # noqa: E731
 
     fast = (
-        paragraph_dedup(ds(), n_parts=4)
+        paragraph_dedup(ds())
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     monkeypatch.setattr(curation, "_BROADCAST_LIMIT", 0)
     scale = (
-        paragraph_dedup(ds(), n_parts=4)
+        paragraph_dedup(ds())
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(fast, scale)
@@ -324,7 +324,7 @@ def test_paragraph_dedup_scale_path_pandas_block_lineage(ray_session, monkeypatc
         "text": ["dup para\nalpha", "dup para\nbeta", "dup para\ngamma"],
     })
     out = (
-        paragraph_dedup(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        paragraph_dedup(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["text"].tolist() == ["dup para\nalpha", "beta", "gamma"]

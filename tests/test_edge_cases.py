@@ -82,7 +82,7 @@ def test_round3_ops_edge_cases(ray_session):
         {"a": pa.array([1, 1, None, None, 2], type=pa.int64()),
          "b": pa.array(["x", "x", "y", "y", None])}
     )
-    got = distinct_on(ray.data.from_arrow(t), ["a", "b"], n_parts=3).to_pandas()
+    got = distinct_on(ray.data.from_arrow(t), ["a", "b"]).to_pandas()
     assert len(got) == 3
 
     # stratified sample: n larger than the group → whole group, ranks 1..size
@@ -101,7 +101,7 @@ def test_round3_ops_edge_cases(ray_session):
          "value": pa.array([3.0, 4.0], type=pa.float64())}
     )
     r = (
-        rolling_window_agg(ray.data.from_arrow(t3), k=100, agg="sum", n_parts=2)
+        rolling_window_agg(ray.data.from_arrow(t3), k=100, agg="sum")
         .to_pandas().sort_values("event_id")
     )
     assert r["rolling_sum"].tolist() == [3.0, 7.0]
@@ -110,13 +110,13 @@ def test_round3_ops_edge_cases(ray_session):
     t4 = pa.table(
         {"g": pa.array(["a"] * 10), "k": pa.array([7] * 10, type=pa.int64())}
     )
-    cd = grouped_count_distinct(ray.data.from_arrow(t4), "g", "k", n_parts=2).to_pandas()
+    cd = grouped_count_distinct(ray.data.from_arrow(t4), "g", "k").to_pandas()
     assert cd["n_distinct"].tolist() == [1]
 
     # pivot where a requested category never occurs → zero column
     pv = (
         pivot_counts(ray.data.from_arrow(t4), "g", "k2" if False else "g",
-                     categories=["a", "zz"], n_parts=2)
+                     categories=["a", "zz"])
         .to_pandas().set_index("g")
     )
     assert pv.loc["a", "a"] == 10 and pv.loc["a", "zz"] == 0

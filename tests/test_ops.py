@@ -68,15 +68,16 @@ def test_minhash_lsh_finds_near_dups(ray_session, docs_table):
 
 def test_simhash_candidates(ray_session, docs_table, both_paths):
     """Identical texts pair at Hamming 0, with the same pairs on both
-    exchange paths (6 doc blocks over n_parts=4: the sort path coalesces)."""
+    exchange paths (12 doc blocks over the sort path's 8 partitions: it
+    coalesces)."""
     import ray.data
 
     from ontocast_ray.ops.dedup import simhash_candidates
 
-    docs = ray.data.from_arrow(docs_table).repartition(6)
+    docs = ray.data.from_arrow(docs_table).repartition(12)
     outs = []
     for _ in both_paths():
-        out = simhash_candidates(docs, max_hamming=3, n_parts=4).take_all()
+        out = simhash_candidates(docs, max_hamming=3).take_all()
         found = {(r["doc_id_a"], r["doc_id_b"]): r["hamming"] for r in out}
         assert found.get((0, 1)) == 0  # identical text → identical simhash
         assert found.get((3, 4)) == 0
@@ -90,8 +91,8 @@ def test_minhash_lsh_n_bands_matches_driver_recount(
 ):
     """``n_bands`` is the number of band buckets that surfaced each pair,
     recounted on the driver from the same signatures and band keys, on
-    both exchange paths (6 doc blocks over n_parts=4: the sort path
-    coalesces)."""
+    both exchange paths (12 doc blocks over the sort path's 8 partitions:
+    it coalesces)."""
     from collections import Counter
 
     import ray.data
@@ -99,7 +100,7 @@ def test_minhash_lsh_n_bands_matches_driver_recount(
     from ontocast_ray.ops.dedup import MinHasher, _band_rows, minhash_lsh_candidates
 
     bands = 16
-    docs = ray.data.from_arrow(docs_table).repartition(6)
+    docs = ray.data.from_arrow(docs_table).repartition(12)
     rows = _band_rows(MinHasher(num_perm=64, shingle_k=3)(docs_table), bands).to_pandas()
     want: Counter = Counter()
     for _, ids in rows.groupby("band_key")["doc_id"]:
@@ -111,7 +112,7 @@ def test_minhash_lsh_n_bands_matches_driver_recount(
     assert max(want.values()) >= 2  # some pair collides in several bands
     for _ in both_paths():
         got = minhash_lsh_candidates(
-            docs, num_perm=64, bands=bands, shingle_k=3, n_parts=4, pair_mode=pair_mode
+            docs, num_perm=64, bands=bands, shingle_k=3, pair_mode=pair_mode
         ).to_pandas()
         assert str(got["n_bands"].dtype) == "int64"
         assert dict(zip(zip(got["doc_id_a"], got["doc_id_b"]), got["n_bands"])) == dict(want)
@@ -127,10 +128,10 @@ def test_lsh_candidates_on_empty_docs(ray_session):
     empty = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([], type=pa.int64()), "text": pa.array([], type=pa.string()),
     }))
-    lsh = minhash_lsh_candidates(empty, shingle_k=3, n_parts=4)
+    lsh = minhash_lsh_candidates(empty, shingle_k=3)
     assert lsh.count() == 0
     assert lsh.schema().names == ["doc_id_a", "doc_id_b", "n_bands"]
-    sim = simhash_candidates(empty, n_parts=4)
+    sim = simhash_candidates(empty)
     assert sim.count() == 0
     assert sim.schema().names == ["doc_id_a", "doc_id_b", "hamming"]
 
@@ -144,7 +145,7 @@ def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(ray_session, docs_table
     from ontocast_ray.ops.dedup import minhash_lsh_candidates
 
     docs = ray.data.from_arrow(docs_table).repartition(3)
-    out = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3, n_parts=4)
+    out = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     ops = [line for line in out.materialize().stats().splitlines()
            if line.startswith("Operator ")]
     assert any("MapBatches(MinHasher)->MapBatches(" in line for line in ops), ops
@@ -416,20 +417,6 @@ def test_bloom_filter_no_false_negatives():
     assert fp < 0.01
 
 
-def test_resolve_n_parts_scales(ray_session):
-    import ray.data
-
-    from ontocast_ray.ops.shuffle import resolve_n_parts
-
-    small = ray.data.range(1000)
-    big = ray.data.range(100_000)
-    p_small = resolve_n_parts(small, None, target_rows_per_part=500)
-    p_big = resolve_n_parts(big, None, target_rows_per_part=500)
-    assert p_small == 2 or p_small == 8  # clamped at lo
-    assert p_big > p_small  # P grows with input size
-    assert resolve_n_parts(small, 17) == 17  # explicit wins
-
-
 def test_bucket_cosine_pairs_exact_matches_bruteforce():
     """Chunked argwhere kernel == naive double loop (incl. chunk boundaries)."""
     from ontocast_ray.ops.dedup import _bucket_cosine_pairs
@@ -676,36 +663,50 @@ def test_hopping_window_multi_membership(ray_session):
     assert sum(r["n_events"] for r in out) == 6  # every event in exactly 2 windows
 
 
-def test_resolve_n_parts_no_double_execution(ray_session, tmp_path):
-    """Sizing P for a DERIVED dataset must read parquet footers, not execute
-    the upstream pipeline (which the shuffle would then re-execute)."""
-    import pyarrow.parquet as pq
+def test_ops_run_their_upstream_once(ray_session, both_paths, tmp_path):
+    """An op over a derived in-memory lineage processes each input row
+    once: the exchange sizes its partitions from the input it
+    materializes, so no row count runs the upstream first."""
     import ray.data
 
-    from ontocast_ray.ops.shuffle import resolve_n_parts
+    from ontocast_ray.ops.dedup import exact_dedup
+    from ontocast_ray.ops.windows import window_first_last
 
-    src = tmp_path / "src.parquet"
-    pq.write_table(
-        pa.table({"x": pa.array(range(1000), type=pa.int64())}), str(src)
-    )
-    markers = tmp_path / "exec_markers"
-    markers.mkdir()
+    n = 200
+    docs = pa.table({
+        "doc_id": pa.array(range(n), type=pa.int64()),
+        "text": pa.array([f"text {i % 50}" for i in range(n)]),
+    })
+    events = pa.table({
+        "event_id": pa.array(range(n), type=pa.int64()),
+        "user_id": pa.array([i % 7 for i in range(n)], type=pa.int64()),
+        "ts": pa.array(pd.Timestamp("2024-01-01")
+                       + pd.to_timedelta(np.arange(n) * 7, "min")),
+        "value": pa.array(np.arange(n, dtype=np.float64)),
+    })
 
-    def touch_and_pass(batch: pa.Table) -> pa.Table:
-        import os
-        import uuid
+    def counted(tbl: pa.Table, seen):
+        def count_rows(batch: pa.Table) -> pa.Table:
+            import uuid
 
-        (markers / f"{os.getpid()}-{uuid.uuid4().hex}").touch()
-        return batch
+            (seen / f"{uuid.uuid4().hex}-{batch.num_rows}").touch()
+            return batch
 
-    derived = ray.data.read_parquet(str(src)).map_batches(
-        touch_and_pass, batch_format="pyarrow"
-    )
-    p = resolve_n_parts(derived, None, target_rows_per_part=100, lo=2, hi=64)
-    assert p == 10  # 1000 rows / 100 per part, straight from the footer
-    assert list(markers.iterdir()) == []  # upstream map NEVER ran
-    derived.take_all()
-    assert len(list(markers.iterdir())) > 0  # sanity: markers do fire on exec
+        return ray.data.from_arrow(tbl).repartition(4).map_batches(
+            count_rows, batch_format="pyarrow")
+
+    def rows_seen(seen) -> int:
+        return sum(int(f.name.rsplit("-", 1)[1]) for f in seen.iterdir())
+
+    for path in both_paths():
+        for name, tbl, op in (
+            ("exact_dedup", docs, exact_dedup),
+            ("window_first_last", events, lambda ds: window_first_last(ds, every="1h")),
+        ):
+            seen = tmp_path / f"{name}-{path}"
+            seen.mkdir()
+            assert op(counted(tbl, seen)).count() > 0
+            assert rows_seen(seen) == n, (name, path)
 
 
 def test_topk_per_group(ray_session):
@@ -810,7 +811,7 @@ def test_hash_join_matches_pandas(ray_session):
                 ray.data.from_arrow(right).repartition(3),
                 left_on="k", right_on="rk",
                 left_cols=["lv"], right_cols=["rv"],
-                how=how, n_parts=5,
+                how=how,
             )
             .to_pandas()
             .sort_values(["k", "lv", "rv"]).reset_index(drop=True)
@@ -847,7 +848,7 @@ def test_global_row_number_and_ntile(ray_session):
     got = (
         global_row_number(
             ray.data.from_arrow(t).repartition(6),
-            order_col="doc_id", ntile=7, shard_span=1000, n_parts=4,
+            order_col="doc_id", ntile=7, shard_span=1000,
         )
         .to_pandas().sort_values("rn").reset_index(drop=True)
     )
@@ -888,7 +889,7 @@ def test_rolling_window_agg_matches_pandas(ray_session):
         ).sort_values("event_id").reset_index(drop=True)
         got = (
             rolling_window_agg(
-                ray.data.from_arrow(t).repartition(7), k=3, agg=agg, n_parts=5
+                ray.data.from_arrow(t).repartition(7), k=3, agg=agg
             )
             .to_pandas()
             .sort_values("event_id")
@@ -953,7 +954,7 @@ def test_semi_anti_join_matches_pandas(ray_session):
                 ray.data.from_arrow(right).repartition(4),
                 left_on="k", right_on="rk",
                 left_cols=["lv"], right_cols=[],
-                how=how, n_parts=5,
+                how=how,
             )
             .to_pandas()
             .sort_values(["k", "lv"]).reset_index(drop=True)
@@ -967,9 +968,9 @@ def test_semi_anti_join_matches_pandas(ray_session):
         )
 
 
-def test_distinct_on_matches_pandas(ray_session):
+def test_distinct_on_matches_pandas(ray_session, both_paths):
     """Multi-column DISTINCT == pandas drop_duplicates, mixed int/string
-    keys, heavy duplication, at any input partitioning."""
+    keys, heavy duplication, on both exchange paths."""
     import numpy as np
     import ray.data
 
@@ -990,9 +991,9 @@ def test_distinct_on_matches_pandas(ray_session):
         t.to_pandas()[["a", "b"]].drop_duplicates()
         .sort_values(["a", "b"]).reset_index(drop=True)
     )
-    for parts in (1, 5):
+    for _ in both_paths():
         got = (
-            distinct_on(ray.data.from_arrow(t).repartition(9), ["a", "b"], n_parts=parts)
+            distinct_on(ray.data.from_arrow(t).repartition(9), ["a", "b"])
             .to_pandas()
             .sort_values(["a", "b"]).reset_index(drop=True)
         )
@@ -1291,7 +1292,7 @@ def test_pack_sequences_concat_split(ray_session):
         )
     )
     out = (
-        pack_sequences(docs, capacity=4, shard_span=3, n_parts=2)
+        pack_sequences(docs, capacity=4, shard_span=3)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1320,7 +1321,7 @@ def test_pack_sequences_invariants(ray_session):
         pa.table({"doc_id": pa.array(ids), "text": texts})
     )
     out = (
-        pack_sequences(docs, capacity=16, shard_span=64, n_parts=8)
+        pack_sequences(docs, capacity=16, shard_span=64)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -1519,7 +1520,7 @@ def test_remove_dup_spans_exact_rule(ray_session):
     for parts in (1, 4):
         outs.append(
             remove_dup_spans(
-                ray.data.from_arrow(tbl).repartition(parts), k=5, n_parts=3
+                ray.data.from_arrow(tbl).repartition(parts), k=5
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -1605,7 +1606,7 @@ def test_pack_sequences_with_bpe_tokenizer(ray_session):
     ).repartition(5)
     cap = 16
     out = (
-        pack_sequences(docs, capacity=cap, shard_span=16, n_parts=4,
+        pack_sequences(docs, capacity=cap, shard_span=16,
                        tokenizer=tok)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
@@ -1946,7 +1947,7 @@ def test_dup_span_stats_hand_case(ray_session):
         }
     )
     got = (
-        dup_span_stats(ray.data.from_arrow(t).repartition(3), k=3, n_parts=4)
+        dup_span_stats(ray.data.from_arrow(t).repartition(3), k=3)
         .to_pandas().set_index("doc_id").sort_index()
     )
     assert got.loc[1, "n_shingles"] == 3 and got.loc[1, "n_shared"] == 1
@@ -1984,7 +1985,7 @@ def test_group_minmax_scale_and_pivot(ray_session):
     )
     got = (
         group_minmax_scale(
-            ray.data.from_arrow(t).repartition(5), "user_id", "value", n_parts=4
+            ray.data.from_arrow(t).repartition(5), "user_id", "value"
         )
         .to_pandas().sort_values("event_id")
     )
@@ -2005,7 +2006,7 @@ def test_group_minmax_scale_and_pivot(ray_session):
         .reindex(columns=cats, fill_value=0).astype("int64")
     )
     got2 = (
-        pivot_counts(ray.data.from_arrow(t2).repartition(7), "src", "cat", cats, n_parts=3)
+        pivot_counts(ray.data.from_arrow(t2).repartition(7), "src", "cat", cats)
         .to_pandas().set_index("src").sort_index()
     )
     pd.testing.assert_frame_equal(
@@ -2049,7 +2050,7 @@ def test_triangle_count_matches_bruteforce(ray_session, monkeypatch):
         for limit in (2_000_000, 0):
             monkeypatch.setattr(graph_cc, "_SMALL_EDGE_LIMIT", limit)
             got = (
-                triangle_count(ray.data.from_arrow(t).repartition(5), n_parts=4)
+                triangle_count(ray.data.from_arrow(t).repartition(5))
                 .to_pandas()["n_triangles"].iloc[0]
             )
             assert got == exp, (trial, limit, got, exp)
@@ -2093,7 +2094,7 @@ def test_skew_join_matches_pandas(ray_session):
                 ray.data.from_arrow(small).repartition(2),
                 left_on="k", right_on="rk",
                 left_cols=["lv"], right_cols=["rv"],
-                hot_threshold=thr, n_parts=4,
+                hot_threshold=thr,
             )
             .to_pandas()
             .sort_values(["k", "lv", "rv"]).reset_index(drop=True)
@@ -2119,7 +2120,7 @@ def test_grouped_count_distinct_and_window_first_last(ray_session):
     exp = t.to_pandas().groupby("event_type")["user_id"].nunique()
     got = (
         grouped_count_distinct(
-            ray.data.from_arrow(t).repartition(5), "event_type", "user_id", n_parts=3
+            ray.data.from_arrow(t).repartition(5), "event_type", "user_id"
         )
         .to_pandas().set_index("event_type")["n_distinct"].sort_index()
     )
@@ -2141,7 +2142,7 @@ def test_grouped_count_distinct_and_window_first_last(ray_session):
     )
     expw = g["value"].agg(["first", "last", "size"]).reset_index()
     gotw = (
-        window_first_last(ray.data.from_arrow(ev).repartition(6), every="1h", n_parts=4)
+        window_first_last(ray.data.from_arrow(ev).repartition(6), every="1h")
         .to_pandas()
         .sort_values(["user_id", "window_start"]).reset_index(drop=True)
     )
@@ -2167,7 +2168,7 @@ def test_rollup_counts_matches_pandas(ray_session):
     df = t.to_pandas()
     full = df.groupby(["a", "b"]).size()
     got = (
-        rollup_counts(ray.data.from_arrow(t).repartition(7), ["a", "b"], n_parts=3)
+        rollup_counts(ray.data.from_arrow(t).repartition(7), ["a", "b"])
         .to_pandas().set_index(["a", "b"])["n"]
     )
     for (a, b), c in full.items():
@@ -2227,7 +2228,7 @@ def test_mad_outliers_flags(ray_session):
     exp = (dev > 3.0 * mad).to_numpy()
     got = (
         mad_outliers(
-            ray.data.from_arrow(t).repartition(5), "user_id", "value", n_parts=4
+            ray.data.from_arrow(t).repartition(5), "user_id", "value"
         )
         .to_pandas().sort_values("event_id")
     )
@@ -2381,7 +2382,7 @@ def test_interval_count_join_matches_bruteforce(ray_session):
             ray.data.from_arrow(left).repartition(5),
             ray.data.from_arrow(right).repartition(3),
             key_col="user_id", ts_col="ts", left_id_col="event_id",
-            window="120s", n_parts=4,
+            window="120s",
         )
         .to_pandas().set_index("event_id")["n_in_window"]
     )
@@ -2548,7 +2549,6 @@ def test_incremental_dedup_idempotent(ray_session):
             incremental_dedup(
                 ray.data.from_arrow(new).repartition(parts),
                 ray.data.from_arrow(index).repartition(parts),
-                n_parts=4,
             ).to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, expected)
@@ -2560,7 +2560,7 @@ def test_incremental_dedup_idempotent(ray_session):
     })
     again = (
         incremental_dedup(
-            ray.data.from_arrow(survivors), ray.data.from_arrow(index), n_parts=4
+            ray.data.from_arrow(survivors), ray.data.from_arrow(index)
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
@@ -2583,15 +2583,15 @@ def test_incremental_dedup_empty_sides(ray_session):
     }))
     empty = new.filter(expr="doc_id < 0")
     got = (
-        incremental_dedup(new, empty, n_parts=4)
+        incremental_dedup(new, empty)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(
         got,
         pd.DataFrame({"doc_id": [10, 12], "n_new_copies": [2, 1]}).astype("int64"),
     )
-    assert incremental_dedup(empty, empty, n_parts=4).count() == 0
-    assert incremental_dedup(empty, new, n_parts=4).count() == 0
+    assert incremental_dedup(empty, empty).count() == 0
+    assert incremental_dedup(empty, new).count() == 0
 
 def test_bigram_coverage_hand_fixture(ray_session):
     """LM-coverage gate: corpus-frequent bigrams counted with multiplicity,
@@ -2625,7 +2625,7 @@ def test_bigram_coverage_hand_fixture(ray_session):
         got = (
             bigram_coverage(
                 ray.data.from_arrow(tbl).repartition(parts),
-                min_count=3, n_parts=4,
+                min_count=3,
             ).to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, expected)
@@ -2680,7 +2680,7 @@ def test_label_propagation_matches_pure_python(ray_session):
         got = (
             label_propagation(
                 ray.data.from_arrow(t).repartition(parts),
-                n_iters=3, n_parts=4, mode=mode,
+                n_iters=3, mode=mode,
             ).to_pandas().sort_values("node").reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, exp_df, obj=mode)
@@ -2733,7 +2733,7 @@ def test_canonicalize_urls_rules(ray_session):
         ],
     })
     out = (
-        url_dedup(ray.data.from_pandas(dup).repartition(3), n_parts=4)
+        url_dedup(ray.data.from_pandas(dup).repartition(3))
         .to_pandas().sort_values("url_canon").reset_index(drop=True)
     )
     assert out["url_canon"].tolist() == ["http://a.com/x", "http://b.com/y"]
@@ -2796,7 +2796,6 @@ def test_knn_recall_scoring(ray_session):
         knn_recall(
             ray.data.from_pandas(approx).repartition(2),
             ray.data.from_pandas(exact).repartition(3),
-            n_parts=4,
         )
         .to_pandas().sort_values("query_id").reset_index(drop=True)
     )
@@ -2807,7 +2806,6 @@ def test_knn_recall_scoring(ray_session):
     self_score = (
         knn_recall(
             ray.data.from_pandas(exact), ray.data.from_pandas(exact),
-            n_parts=2,
         ).to_pandas()
     )
     assert (self_score["recall"] == 1.0).all()
@@ -2915,7 +2913,7 @@ def test_hash_join_full_outer(ray_session):
             ray.data.from_pandas(right).repartition(2),
             left_on="k", right_on="k",
             left_cols=["lv"], right_cols=["rv"],
-            how="full", n_parts=4,
+            how="full",
         )
         .to_pandas().sort_values(["k", "lv"]).reset_index(drop=True)
     )
@@ -2944,7 +2942,7 @@ def test_hash_join_empty_side(ray_session):
         return sorted(ds.to_pandas()["k"]) if ds.count() else []
 
     for how in ("inner", "left", "full", "semi", "anti"):
-        kw = dict(left_on="k", right_on="k", left_cols=["lv"], how=how, n_parts=2,
+        kw = dict(left_on="k", right_on="k", left_cols=["lv"], how=how,
                   right_cols=[] if how in ("semi", "anti") else ["rv"])
         want = [1, 2] if how in ("left", "full", "anti") else []
         assert keys(hash_join(left, no_schema(right), **kw)) == want, how
@@ -3060,7 +3058,7 @@ def test_incremental_minhash_candidates(ray_session):
             incremental_minhash_candidates(
                 ray.data.from_pandas(new).repartition(parts),
                 ray.data.from_pandas(idx).repartition(parts),
-                num_perm=64, bands=32, shingle_k=3, n_parts=4,
+                num_perm=64, bands=32, shingle_k=3,
             )
             .to_pandas().sort_values(["doc_id_a", "doc_id_b"])
             .reset_index(drop=True)
@@ -3169,7 +3167,7 @@ def test_dedup_keep_best_policy(ray_session):
         dedup_keep_best(
             ray.data.from_pandas(pairs).repartition(2),
             ray.data.from_pandas(scores).repartition(2),
-            score_col="q", n_parts=4,
+            score_col="q",
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
@@ -3184,7 +3182,8 @@ def test_connected_components_modes_agree(ray_session, both_paths):
     """local union-find, broadcast min-label rounds, star rounds and the
     default ``auto`` produce identical component labelings on a random
     multi-component graph with chains (diameter > 1), on both exchange
-    paths (6 edge blocks over n_parts=4: the sort path coalesces)."""
+    paths (12 edge blocks over the sort path's 8 partitions: it
+    coalesces)."""
     import ray
 
     from ontocast_ray.ops.graph_cc import connected_components
@@ -3207,8 +3206,7 @@ def test_connected_components_modes_agree(ray_session, both_paths):
         for mode in ("local", "broadcast", "stars", "auto"):
             out = (
                 connected_components(
-                    ray.data.from_pandas(pairs).repartition(6), mode=mode,
-                    n_parts=4,
+                    ray.data.from_pandas(pairs).repartition(12), mode=mode
                 )
                 .to_pandas().sort_values("doc_id").reset_index(drop=True)
             )
@@ -3287,14 +3285,14 @@ def test_url_dedup_null_passthrough(ray_session):
         "url": ["http://a.com/x", "http://a.com/x/", None, None],
     })
     out = (
-        url_dedup(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        url_dedup(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("doc_id")
     )
     assert out["doc_id"].tolist() == [1, 3, 4]   # nulls both kept
     assert out["n_copies"].tolist() == [2, 1, 1]
 
     flags = (
-        url_dedup_flags(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        url_dedup_flags(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert flags["doc_id"].tolist() == [1, 2, 3, 4]
@@ -3315,14 +3313,14 @@ def test_url_dedup_empty_string_passthrough(ray_session):
         "url": ["", "", "http://b.com/y", "HTTP://b.com:80/y/"],
     })
     out = (
-        url_dedup(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        url_dedup(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("doc_id")
     )
     assert out["doc_id"].tolist() == [1, 2, 3]   # both '' rows kept
     assert out["n_copies"].tolist() == [1, 1, 2]
 
     flags = (
-        url_dedup_flags(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        url_dedup_flags(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert flags["keep"].tolist() == [True, True, True, False]
@@ -3362,7 +3360,7 @@ def test_dedup_keep_best_missing_scores(ray_session):
     out = (
         dedup_keep_best(
             ray.data.from_pandas(pairs), ray.data.from_pandas(scores),
-            score_col="q", n_parts=2,
+            score_col="q",
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["doc_id"].tolist() == [1, 2]
@@ -3385,7 +3383,7 @@ def test_stratified_split_exact_proportions(ray_session):
         out = (
             stratified_split(
                 ray.data.from_pandas(df).repartition(parts),
-                group_col="g", fracs=(0.8, 0.1, 0.1), seed=41, n_parts=4,
+                group_col="g", fracs=(0.8, 0.1, 0.1), seed=41,
             ).to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
         outs.append(out)
@@ -3431,7 +3429,7 @@ def test_incremental_embedding_dedup(ray_session):
             incremental_embedding_dedup(
                 ray.data.from_arrow(new).repartition(parts),
                 ray.data.from_arrow(idx).repartition(parts),
-                threshold=0.95, n_planes=16, bands=2, seed=5, n_parts=4,
+                threshold=0.95, n_planes=16, bands=2, seed=5,
             ).to_pandas().sort_values(["id_a", "id_b"])
             .reset_index(drop=True)
         )
@@ -3463,7 +3461,7 @@ def test_neighbor_feature_sum_two_hops(ray_session):
         neighbor_feature_sum(
             ray.data.from_pandas(edges).repartition(2),
             ray.data.from_pandas(feats).repartition(2),
-            hops=2, n_parts=4,
+            hops=2,
         ).to_pandas().sort_values("node").reset_index(drop=True)
     )
     got = dict(zip(out["node"], zip(out["h_sum"], out["n_msgs"])))
@@ -3477,7 +3475,7 @@ def test_neighbor_feature_sum_two_hops(ray_session):
     h1 = (
         neighbor_feature_sum(
             ray.data.from_pandas(edges), ray.data.from_pandas(feats),
-            hops=1, n_parts=4,
+            hops=1,
         ).to_pandas()
     )
     g1 = dict(zip(h1["node"], zip(h1["h_sum"], h1["n_msgs"])))
@@ -3504,7 +3502,7 @@ def test_weekly_retention_counts(ray_session):
         ],
     })
     out = (
-        weekly_retention(ray.data.from_pandas(df).repartition(2), n_parts=4)
+        weekly_retention(ray.data.from_pandas(df).repartition(2))
         .to_pandas().sort_values("week_start").reset_index(drop=True)
     )
     assert out["week_start"].tolist() == [
@@ -3560,7 +3558,7 @@ def test_personalized_pagerank_paths_agree(ray_session, monkeypatch):
         out = (
             pagerank_int(
                 ray.data.from_pandas(edges).repartition(2),
-                n_iters=3, seed_mod=2, seed_rem=0, n_parts=4,
+                n_iters=3, seed_mod=2, seed_rem=0,
             ).to_pandas().sort_values("node").reset_index(drop=True)
         )
         outs.append(out)
@@ -3590,8 +3588,7 @@ def test_doc_keywords_ranking(ray_session):
         ],
     })
     out = (
-        doc_keywords(ray.data.from_pandas(docs).repartition(2), k=2,
-                     n_parts=4)
+        doc_keywords(ray.data.from_pandas(docs).repartition(2), k=2)
         .to_pandas().sort_values(["doc_id", "rank"]).reset_index(drop=True)
     )
     d0 = out[out["doc_id"] == 0]
@@ -3685,7 +3682,7 @@ def test_decayed_user_value(ray_session):
     for parts in (1, 3):
         out = (
             decayed_user_value(
-                ray.data.from_pandas(df).repartition(parts), n_parts=4
+                ray.data.from_pandas(df).repartition(parts)
             ).to_pandas().sort_values("user_id").reset_index(drop=True)
         )
         assert out["decayed_cents"].tolist() == [1000 + 500, 1000]
@@ -3708,7 +3705,7 @@ def test_embedding_gram_exact(ray_session):
     for parts in (1, 4):
         out = (
             embedding_gram(ray.data.from_arrow(t).repartition(parts),
-                           scale=256, n_parts=4)
+                           scale=256)
             .to_pandas().sort_values(["i", "j"]).reset_index(drop=True)
         )
         got = out["qsum"].to_numpy().reshape(6, 6)
@@ -3776,7 +3773,7 @@ def test_sliding_hll_merge_equals_union(ray_session):
         out = (
             sliding_hll_distinct(
                 ray.data.from_pandas(df).repartition(parts),
-                window_hours=3, p=12, n_parts=4,
+                window_hours=3, p=12,
             ).to_pandas().sort_values("window_end").reset_index(drop=True)
         )
         outs.append(out)
@@ -3819,7 +3816,7 @@ def test_followed_by_counts(ray_session):
         out = (
             followed_by_counts(
                 ray.data.from_pandas(df).repartition(parts),
-                window_minutes=10, n_parts=4,
+                window_minutes=10,
             ).to_pandas().sort_values(["type_a", "type_b"])
             .reset_index(drop=True)
         )
@@ -3845,8 +3842,7 @@ def test_span_kind_transitions(ray_session):
         "text": pa.array(["a\nb\nc\nd\ne\nf\ng\nh\ni", "x\ny"]),
     })
     out = (
-        span_kind_transitions(ray.data.from_arrow(tbl).repartition(2),
-                              n_parts=4)
+        span_kind_transitions(ray.data.from_arrow(tbl).repartition(2))
         .to_pandas().sort_values(["kind_a", "kind_b"]).reset_index(drop=True)
     )
     got = {(r.kind_a, r.kind_b): r.n for r in out.itertuples()}
@@ -3877,8 +3873,7 @@ def test_cdc_chunk_dup_realigns_after_shift(ray_session):
         "text": pa.array([base, shifted, "entirely different words here"]),
     })
     out = (
-        cdc_chunk_dup_stats(ray.data.from_arrow(tbl).repartition(2),
-                            n_parts=4)
+        cdc_chunk_dup_stats(ray.data.from_arrow(tbl).repartition(2))
         .to_pandas().set_index("doc_id").sort_index()
     )
     # almost every chunk of doc 1 reappears in doc 2 (only the chunk
@@ -3906,7 +3901,7 @@ def test_k_core_peels_to_fixpoint(ray_session, monkeypatch):
     tbl = pa.table({"src": pa.array(src, type=pa.int64()),
                     "dst": pa.array(dst, type=pa.int64())})
     out = (
-        k_core(ray.data.from_arrow(tbl).repartition(3), k=2, n_parts=4)
+        k_core(ray.data.from_arrow(tbl).repartition(3), k=2)
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     assert out["node"].tolist() == [0, 1, 2, 3]
@@ -3915,14 +3910,14 @@ def test_k_core_peels_to_fixpoint(ray_session, monkeypatch):
     # anti-join scale path (a 0 limit) must match the fast path
     monkeypatch.setattr(graph_cc, "_BROADCAST_LIMIT", 0)
     scale = (
-        k_core(ray.data.from_arrow(tbl).repartition(3), k=2, n_parts=4)
+        k_core(ray.data.from_arrow(tbl).repartition(3), k=2)
         .to_pandas().sort_values("node").reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(out, scale)
 
     # k above the max degree → empty core; schema stays pinned (Ray's
     # to_pandas drops columns on fully-empty datasets, so check schema())
-    empty = k_core(ray.data.from_arrow(tbl), k=10, n_parts=4)
+    empty = k_core(ray.data.from_arrow(tbl), k=10)
     assert empty.schema().names == ["node", "degree"]
     assert empty.count() == 0
 
@@ -3943,7 +3938,7 @@ def test_domain_report_null_text_semantics(ray_session):
         "n_tokens": pa.array([1, 1, 1, 1], type=pa.int64()),
     })
     out = (
-        domain_report(ray.data.from_arrow(tbl), n_parts=4)
+        domain_report(ray.data.from_arrow(tbl))
         .to_pandas().set_index("domain").sort_index()
     )
     # a.com: 3 pages, distinct texts = 1 ('' once; NULL excluded)
@@ -3968,7 +3963,6 @@ def test_gazetteer_multi_alias_entity(ray_session):
         gazetteer_mentions(
             ray.data.from_arrow(tbl),
             [(1, "acme"), (1, "acme corp"), (2, "widgets")],
-            n_parts=4,
         )
         .to_pandas().sort_values(["entity_id", "alias"])
         .reset_index(drop=True)
@@ -4042,7 +4036,7 @@ def test_edit_distance_join_blocks_and_threshold(ray_session):
         left_key="lk", right_key="rk",
         left_name="lname", right_name="rname",
         left_block="lb", right_block="rb",
-        max_dist=2, n_parts=4,
+        max_dist=2,
     ).to_pandas().sort_values(["lk", "rk"]).reset_index(drop=True)
     # block 0: alpha~alphq dist 1 (beta~alphq dist 4 > 2);
     # block 1: gamma~gamma dist 0; cross-block alpha~gamma never compared
@@ -4051,10 +4045,10 @@ def test_edit_distance_join_blocks_and_threshold(ray_session):
     ]
 
 
-def test_deterministic_walks_match_reference(ray_session):
+def test_deterministic_walks_match_reference(ray_session, both_paths):
     """3-hop walks on a small undirected graph equal a pure-Python replay
-    of the splitmix neighbor rule, and are parallelism-invariant (n_parts
-    2 vs 8 → identical rows)."""
+    of the splitmix neighbor rule, and are parallelism-invariant (both
+    exchange paths → identical rows)."""
     import numpy as np
     import pyarrow as pa
 
@@ -4087,12 +4081,12 @@ def test_deterministic_walks_match_reference(ray_session):
             cur = adj[cur][draw % len(adj[cur])]
             want.add((start, t, cur))
 
-    for parts in (2, 8):
+    for path in both_paths():
         out = deterministic_walks(
-            edges, n_steps=3, seed=41, start_below=100, n_parts=parts
+            edges, n_steps=3, seed=41, start_below=100
         ).to_pandas()
         got = {tuple(r) for r in out.itertuples(index=False)}
-        assert got == want, parts
+        assert got == want, path
 
 
 def test_phash_pairs_threshold_and_banding(ray_session):
@@ -4119,7 +4113,7 @@ def test_phash_pairs_threshold_and_banding(ray_session):
             np.array(list(rows.values()), dtype=np.uint64).view(np.int64)
         ),
     }))
-    out = phash_dup_pairs(hashed, max_hamming=3, n_parts=4).to_pandas()
+    out = phash_dup_pairs(hashed, max_hamming=3).to_pandas()
     got = {(r.ref_a, r.ref_b): r.hamming for r in out.itertuples()}
     assert got[("a", "b")] == 3 and got[("a", "d")] == 1
     assert ("a", "c") not in got
@@ -4154,7 +4148,6 @@ def test_bigram_lm_scores_hand_computed(ray_session):
     out = (
         bigram_lm_scores(
             ray.data.from_pandas(docs).repartition(3),
-            n_parts=4, out_parts=2,
         )
         .to_pandas()
         .set_index("doc_id")
@@ -4176,7 +4169,6 @@ def test_bigram_lm_scores_hand_computed(ray_session):
     out2 = bigram_lm_scores(
         ray.data.from_pandas(docs),
         model_docs=ray.data.from_pandas(ref),
-        n_parts=4, out_parts=2,
     ).to_pandas()
     assert out2["lm_score"].tolist() == [0] * len(out2)
     assert sorted(out2["doc_id"]) == [1, 2, 3]
@@ -4202,7 +4194,6 @@ def test_containment_pairs_subset_doc(ray_session):
     out = containment_pairs(
         ray.data.from_pandas(docs).repartition(2),
         shingle_k=3, threshold_ppm=900_000, max_df=64,
-        n_parts=4, out_parts=2,
     ).to_pandas()
     assert len(out) == 1
     r = out.iloc[0]
@@ -4219,7 +4210,7 @@ def test_containment_pairs_subset_doc(ray_session):
     })
     out2 = containment_pairs(
         ray.data.from_pandas(hot), shingle_k=3,
-        threshold_ppm=500_000, max_df=2, n_parts=4, out_parts=2,
+        threshold_ppm=500_000, max_df=2,
     )
     assert out2.count() == 0
 
@@ -4246,8 +4237,7 @@ def test_link_host_degrees_extraction(ray_session):
         ],
     })
     out = (
-        link_host_degrees(ray.data.from_pandas(pages).repartition(2),
-                          n_parts=4)
+        link_host_degrees(ray.data.from_pandas(pages).repartition(2))
         .to_pandas()
         .set_index("dst_host")
         .sort_index()
@@ -4308,7 +4298,7 @@ def test_wordset_dedup_order_and_multiplicity_insensitive(ray_session):
         ],
     })
     out = (
-        wordset_dedup(ray.data.from_pandas(docs).repartition(2), n_parts=4)
+        wordset_dedup(ray.data.from_pandas(docs).repartition(2))
         .to_pandas().set_index("doc_id").sort_index()
     )
     assert out.loc[1, "n_copies"] == 2
@@ -4341,7 +4331,7 @@ def test_dedup_keep_best_paths_agree(ray_session, monkeypatch):
             dedup_keep_best(
                 ray.data.from_pandas(pairs).repartition(2),
                 ray.data.from_pandas(scores).repartition(2),
-                score_col="q", n_parts=4,
+                score_col="q",
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -4430,7 +4420,7 @@ def test_url_path_templates(ray_session):
         ]),
     })
     out = (
-        url_path_templates(ray.data.from_arrow(docs), n_parts=4)
+        url_path_templates(ray.data.from_arrow(docs))
         .to_pandas().sort_values(["host", "template"]).reset_index(drop=True)
     )
     rows = set(map(tuple, out.itertuples(index=False)))
@@ -4498,7 +4488,7 @@ def test_ancestor_closure_both_paths(ray_session, monkeypatch, broadcast_limit):
         "child": pa.array(list(parents), type=pa.int64()),
         "parent": pa.array(list(parents.values()), type=pa.int64()),
     })
-    out = ancestor_closure(ray.data.from_arrow(edges), n_parts=4).to_pandas()
+    out = ancestor_closure(ray.data.from_arrow(edges)).to_pandas()
     got = set(map(tuple, out[["node", "ancestor", "depth"]].itertuples(
         index=False)))
     assert got == _closure_expected(parents)
@@ -4525,7 +4515,7 @@ def test_user_trend_fractions_exact(ray_session):
         "y": pa.array([1, 4, 7, 5, 5, 9], type=pa.int64()),
     })
     out = (
-        user_trend_fractions(ray.data.from_arrow(tbl), n_parts=2)
+        user_trend_fractions(ray.data.from_arrow(tbl))
         .to_pandas().set_index("user_id").sort_index()
     )
     # user 1: n=3, x=[0,1,2], y=[1,4,7] → num=3*18-3*12=18, den=3*5-9=6 → 3
@@ -4564,7 +4554,7 @@ def test_knn_hubness_counts(ray_session):
         "rank": pa.array([1, 1, 1, 1], type=pa.int64()),
     })
     out = (
-        knn_hubness(ray.data.from_arrow(pairs), n_parts=2)
+        knn_hubness(ray.data.from_arrow(pairs))
         .to_pandas().set_index("vec_id").sort_index()
     )
     assert out.loc[9, "in_degree"] == 3 and out.loc[5, "in_degree"] == 1
@@ -4596,6 +4586,33 @@ def test_broadcast_join_int_inner(ray_session):
     assert out["payload"].tolist() == ["a", "b", "d", "c"]
 
 
+def test_broadcast_join_int_dim_side_blocks(ray_session):
+    """A dim side with no rows (its to_pandas() has no columns) joins
+    nothing; one whose rows sit in several blocks, some empty, joins them
+    all."""
+    import ray.data
+
+    from ontocast_ray.ops.joins import broadcast_join_int
+
+    big = pa.table({
+        "k": pa.array([1, 2, 3, 2, 9], type=pa.int64()),
+        "payload": pa.array(["a", "b", "c", "d", "e"]),
+    })
+    small = pa.table({
+        "sk": pa.array([3, 1, 2], type=pa.int64()),
+        "sv": pa.array([30, 10, 20], type=pa.int64()),
+    })
+    kw = dict(big_key="k", small_key="sk", small_val="sv", out_col="v")
+    none = ray.data.from_arrow(small).filter(expr="sk < 0")
+    out = broadcast_join_int(ray.data.from_arrow(big), none, **kw).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["k", "payload", "v"]
+
+    split = ray.data.from_arrow([small.slice(0, 1), small.slice(0, 0), small.slice(1)])
+    got = broadcast_join_int(ray.data.from_arrow(big), split, **kw).to_pandas()
+    assert sorted(zip(got["k"], got["v"])) == [(1, 10), (2, 20), (2, 20), (3, 30)]
+
+
 def test_deterministic_walks_paths_agree(ray_session, monkeypatch):
     """Driver fast path ≡ distributed-join path (a 0 limit) —
     same walk corpus row for row; dead-end nodes stop walking."""
@@ -4614,7 +4631,7 @@ def test_deterministic_walks_paths_agree(ray_session, monkeypatch):
     )
     monkeypatch.setattr(walks, "_SMALL_EDGE_LIMIT", 0)
     b = (
-        deterministic_walks(ray.data.from_arrow(edges), n_steps=3, seed=41, n_parts=2)
+        deterministic_walks(ray.data.from_arrow(edges), n_steps=3, seed=41)
         .to_pandas().sort_values(["start", "step"]).reset_index(drop=True)
     )
     assert a.equals(b), (a, b)
@@ -4657,7 +4674,7 @@ def test_bpe_train_reference_and_roundtrip(ray_session):
     # (a,b) adjacent → (aa,ab)x3, ('ab') alone → merge3 ('aa','ab') n=3
     docs = pa.table({"text": pa.array(["aaab aaab", "aaab ab"])})
     m = (
-        bpe_train(ray.data.from_arrow(docs), n_merges=3, n_parts=2)
+        bpe_train(ray.data.from_arrow(docs), n_merges=3)
         .to_pandas()
     )
     got = list(map(tuple, m[["left", "right", "n"]].itertuples(index=False)))
@@ -4697,7 +4714,7 @@ def test_bpe_train_reference_and_roundtrip(ray_session):
         for w in t.split():
             freqs[w] = freqs.get(w, 0) + 1
     docs2 = pa.table({"text": pa.array(texts)})
-    m2 = bpe_train(ray.data.from_arrow(docs2), n_merges=12, n_parts=2).to_pandas()
+    m2 = bpe_train(ray.data.from_arrow(docs2), n_merges=12).to_pandas()
     got2 = list(map(tuple, m2[["left", "right", "n"]].itertuples(index=False)))
     assert got2 == ref_train(freqs, 12), (got2, ref_train(freqs, 12))
 
@@ -4728,7 +4745,7 @@ def test_pca_project_matches_numpy(ray_session):
         "embedding": pa.array(rng_free, type=pa.list_(pa.float32())),
     })
     out = (
-        pca_project(ray.data.from_arrow(tbl), k=2, scale=1 << 8, n_parts=2)
+        pca_project(ray.data.from_arrow(tbl), k=2, scale=1 << 8)
         .to_pandas().sort_values("vec_id").reset_index(drop=True)
     )
 
@@ -4760,4 +4777,4 @@ def test_pca_project_empty_input_raises(ray_session):
         "embedding": pa.array([], type=pa.list_(pa.float32())),
     })
     with pytest.raises(ValueError, match="empty"):
-        pca_project(ray.data.from_arrow(tbl), k=2, n_parts=2)
+        pca_project(ray.data.from_arrow(tbl), k=2)

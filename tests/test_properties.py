@@ -227,7 +227,7 @@ def test_global_row_number_matches_sorted_rank(ray_session, ids, k):
     got = (
         global_row_number(
             ray.data.from_arrow(t).repartition(3),
-            order_col="doc_id", ntile=k, shard_span=97, n_parts=4,
+            order_col="doc_id", ntile=k, shard_span=97,
         )
         .to_pandas().sort_values("rn")
     )
@@ -262,7 +262,7 @@ def test_distinct_on_equals_pandas_property(ray_session, rows):
     )
     exp = t.to_pandas().drop_duplicates().sort_values(["a", "b"]).reset_index(drop=True)
     got = (
-        distinct_on(ray.data.from_arrow(t).repartition(4), ["a", "b"], n_parts=3)
+        distinct_on(ray.data.from_arrow(t).repartition(4), ["a", "b"])
         .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
@@ -293,7 +293,7 @@ def test_remove_dup_spans_matches_reference(ray_session, texts, k):
     )
     got = (
         remove_dup_spans(
-            ray.data.from_arrow(tbl).repartition(3), k=k, n_parts=3
+            ray.data.from_arrow(tbl).repartition(3), k=k
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )

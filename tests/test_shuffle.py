@@ -1,7 +1,8 @@
 """Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
-guard that keeps ``map_groups`` from spreading outside it, in the package
-and in the driver file ``__ray_entry__.py``; plus its twin, the guard that
-keeps actor pools to the one stage that holds mutable shared state.
+guards that keep ``map_groups`` and partition counts (``n_parts``) from
+spreading outside it, in the package and in the driver file
+``__ray_entry__.py``; plus their twin, the guard that keeps actor pools to
+the one stage that holds mutable shared state.
 
 Every contract case runs on both paths of ``shuffle_by`` (the
 ``both_paths`` fixture of conftest.py): the gather path its small inputs
@@ -30,6 +31,17 @@ ALLOWED_MAP_GROUPS = {
     ("ontocast_ray/ops/clustering.py", "pg"): "one bounded reducer per shard pair of an oversized cluster",
     ("ontocast_ray/ops/similarity.py", "cluster"): "IVF join scores one probed cluster per call",
     ("ontocast_ray/ops/similarity.py", "pg"): "one bounded reducer per shard pair of the all-pairs kNN",
+}
+
+# Defs that may take an ``n_parts`` parameter, as (file, function). The
+# exchange sizes its own partitions; every op leaves the count to it.
+ALLOWED_N_PARTS = {
+    ("ontocast_ray/ops/shuffle.py", "shuffle_by"): "the exchange: None sizes from rows, 1 gathers",
+    ("ontocast_ray/ops/shuffle.py", "_partition_ids"): "the exchange's row hash",
+    ("ontocast_ray/util.py", "hash_partition"): "value hash into [0, n_parts)",
+    ("ontocast_ray/sources/io.py", "_write_committed"): "the resumable sink's shard count",
+    ("ontocast_ray/pipelines/crossdoc.py", "incremental_global_entities"):
+        "the perfbench harness passes it",
 }
 
 # Sites that may map with an actor pool, as (file, function, enclosing if):
@@ -200,6 +212,35 @@ def test_path_is_logged(ray_session, both_paths, caplog):
         ), msg
 
 
+def test_sort_path_sizes_partitions_from_rows(ray_session, monkeypatch, caplog):
+    """On the sort path ``n_parts=None`` takes ceil(rows / _ROWS_PER_PART)
+    partitions, clamped to [_MIN_PARTS, _MAX_PARTS], and an explicit
+    ``n_parts`` wins; the DEBUG line reports the count."""
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+    monkeypatch.setattr(shuffle, "_GATHER_BYTES", 0)
+    ds = _ds(blocks=30).materialize()
+
+    def kern(df: pd.DataFrame) -> pd.DataFrame:
+        return df
+
+    def logged(**kw) -> str:
+        caplog.clear()
+        out = shuffle_by(ds, "s", kern, **kw).materialize()
+        assert out.count() == 240
+        [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
+        assert "path=sort rows=240 " in msg, msg
+        return msg.split("blocks=30 ", 1)[1]
+
+    assert logged() == "map_blocks=8 n_parts=8"  # 240 rows: at the floor
+    assert logged(n_parts=1) == "map_blocks=1 n_parts=1"
+    monkeypatch.setattr(shuffle, "_ROWS_PER_PART", 100)
+    assert logged() == "map_blocks=8 n_parts=8"  # ceil(2.4) = 3, raised to 8
+    monkeypatch.setattr(shuffle, "_ROWS_PER_PART", 10)
+    assert logged() == "map_blocks=24 n_parts=24"  # grows with the rows
+    monkeypatch.setattr(shuffle, "_MAX_PARTS", 16)
+    assert logged() == "map_blocks=16 n_parts=16"  # clamped at the ceiling
+
+
 @pytest.mark.parametrize("blocks, fit, n_parts, k", [
     (60, None, 8, 8), (60, 3, 8, 8), (60, None, 3, 3), (6, None, 8, 6),
 ])
@@ -286,6 +327,30 @@ def test_map_groups_lives_only_in_shuffle_by():
                 bad.append(f"{rel}:{line} groups on {site[1]!r}")
     assert not bad, "use ops.shuffle.shuffle_by instead of map_groups: " + ", ".join(bad)
     assert seen == set(ALLOWED_MAP_GROUPS), set(ALLOWED_MAP_GROUPS) - seen
+
+
+def test_n_parts_lives_only_in_the_exchange():
+    """Scan ontocast_ray and __ray_entry__.py for a def with an ``n_parts``
+    parameter: each must be allow-listed, and every allow-list entry must
+    still be in use. Ops leave the partition count to ``shuffle_by``."""
+    seen = set()
+    bad = []
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            if "n_parts" not in {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}:
+                continue
+            site = (rel, getattr(node, "name", "<lambda>"))
+            if site in ALLOWED_N_PARTS:
+                seen.add(site)
+            else:
+                bad.append(f"{rel}:{node.lineno} {site[1]}")
+    assert not bad, "let shuffle_by size its partitions: " + ", ".join(bad)
+    assert seen == set(ALLOWED_N_PARTS), set(ALLOWED_N_PARTS) - seen
 
 
 def _actor_pool_sites(src: str):

@@ -25,7 +25,7 @@ def _hll_frame():
 def test_hll_accuracy_and_dup_insensitivity(ray_session):
     ds = ray.data.from_arrow(_hll_frame()).repartition(8)
     out = (
-        hll_distinct(ds, key_col="k", group_col="g", p=12, n_parts=4)
+        hll_distinct(ds, key_col="k", group_col="g", p=12)
         .to_pandas()
         .set_index("g")["approx_distinct"]
     )
@@ -61,7 +61,7 @@ def test_dd_quantiles_relative_error_bound(ray_session):
         dd_quantiles(
             ray.data.from_arrow(tbl).repartition(8),
             value_col="v", group_col="g",
-            quantiles=(0.5, 0.95, 0.99), alpha=0.02, n_parts=4,
+            quantiles=(0.5, 0.95, 0.99), alpha=0.02,
         )
         .to_pandas().set_index("g")
     )
