@@ -10,9 +10,9 @@ primitive is Lloyd's algorithm expressed as Ray Data passes:
   ``map_batches`` pass assigns every vector to its nearest centroid
   (vectorized ``|x|² - 2x·Cᵀ + |c|²`` argmin) and emits per-batch PARTIAL
   sums (≤k rows per batch: cluster, count, sum-vector blob). Partials are
-  tree-reduced — ``repartition(reduce_parts)`` + per-block combine — so the
-  driver only ever folds ``reduce_parts × k`` rows regardless of corpus
-  size. Empty clusters keep their previous centroid.
+  tree-reduced — ``repartition(_REDUCE_PARTS)`` + per-block combine — so
+  the driver only ever folds ``_REDUCE_PARTS × k`` rows regardless of
+  corpus size. Empty clusters keep their previous centroid.
 - **final pass** — assignment only: (id, cluster).
 
 The corpus is re-read once per pass (iters + 1 passes total); callers
@@ -33,6 +33,11 @@ import ray.data
 
 from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import vectors_2d
+
+# Execution sizes, read on the driver at call time so a test can patch them:
+_REDUCE_PARTS = 16  # kmeans_fit: blocks the per-iteration partial sums fold into
+_SEMDEDUP_CHUNK = 512  # semdedup: query rows per chunked matmul
+_MAX_CLUSTER_ROWS = 100_000  # semdedup: clusters above this are sub-sharded
 
 _PARTIAL_SCHEMA = pa.schema(
     [
@@ -125,7 +130,6 @@ def kmeans_fit(
     n_iters: int = 2,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    reduce_parts: int = 16,
 ) -> np.ndarray:
     """Lloyd's k-means → (k, dim) float64 centroid matrix."""
     cents = _k_smallest_vectors(emb, k, id_col, vec_col)
@@ -135,7 +139,7 @@ def kmeans_fit(
             _partial_sums_factory(cents_ref, vec_col), batch_format="pyarrow"
         )
         rows = (
-            partials.repartition(reduce_parts)
+            partials.repartition(_REDUCE_PARTS)
             .map_batches(_combine_partials, batch_format="pyarrow")
             .take_all()
         )
@@ -182,10 +186,9 @@ def kmeans_fit_predict(
     n_iters: int = 2,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    reduce_parts: int = 16,
 ) -> "ray.data.Dataset":
     """fit + assign → (id_col, cluster)."""
-    cents = kmeans_fit(emb, k, n_iters, id_col, vec_col, reduce_parts)
+    cents = kmeans_fit(emb, k, n_iters, id_col, vec_col)
     return kmeans_assign(emb, cents, id_col, vec_col)
 
 
@@ -196,9 +199,6 @@ def semdedup(
     threshold: float = 0.35,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    reduce_parts: int = 16,
-    chunk: int = 512,
-    max_cluster_rows: int = 100_000,
 ) -> "ray.data.Dataset":
     """SemDeDup (Abbas et al. 2023): k-means, then within each cluster drop
     every vector that has a LOWER-id member with cosine ≥ threshold.
@@ -207,27 +207,28 @@ def semdedup(
     predicate on the pair set, not a sequential greedy scan) so it is
     parallelism-invariant and SQL-expressible. One shuffle moves each
     vector to its cluster's reducer; within a cluster the scan is a
-    chunked matmul (peak memory ``chunk × cluster_size`` floats). Pick k
-    so n/k fits one worker (the paper uses k ≈ n/10⁴).
+    chunked matmul (peak memory ``_SEMDEDUP_CHUNK × cluster_size``
+    floats). Pick k so n/k fits one worker (the paper uses k ≈ n/10⁴).
 
     **Oversized-cluster guard**: a skewed k-means (one giant cluster —
     common on near-duplicate-heavy corpora) would otherwise send that
-    whole cluster to one reducer. Clusters above ``max_cluster_rows`` are
+    whole cluster to one reducer. Clusters above ``_MAX_CLUSTER_ROWS`` are
     sub-sharded by a deterministic hash sub-key into S =
-    ⌈size/max_cluster_rows⌉ shards, and every unordered shard pair (a,b)
+    ⌈size/_MAX_CLUSTER_ROWS⌉ shards, and every unordered shard pair (a,b)
     gets its OWN reducer holding ≤ 2·max(shard) rows; each cross pair is
     evaluated in exactly one pair-group, so the hit predicate — and
     therefore the output — is byte-identical to the single-reducer path
     (the guard bounds MEMORY; the O(m²) pair compute is inherent to the
     rule). Per-id hits are OR-reduced in a coarse ``hash(id) % P``
     groupby. Total shipped data for an oversized cluster is S copies of
-    its vectors (= m²/max_cluster_rows), all streamed — nothing touches
+    its vectors (= m²/_MAX_CLUSTER_ROWS), all streamed — nothing touches
     the driver but the k-row cluster-size table."""
     import pandas as pd
 
     from ontocast_ray.util import hash_u64
 
-    cents = kmeans_fit(emb, k, n_iters, id_col, vec_col, reduce_parts)
+    chunk = _SEMDEDUP_CHUNK  # the kernels close over the driver's value
+    cents = kmeans_fit(emb, k, n_iters, id_col, vec_col)
     cents_ref = ray.put(cents)
 
     def _with_cluster(batch: pa.Table) -> pa.Table:
@@ -284,9 +285,9 @@ def semdedup(
     for r in assigned.map_batches(_sizes, batch_format="pyarrow").take_all():
         sizes[int(r["cluster"])] = sizes.get(int(r["cluster"]), 0) + int(r["n"])
     over = {
-        c: -(-n // max_cluster_rows)
+        c: -(-n // _MAX_CLUSTER_ROWS)
         for c, n in sizes.items()
-        if max_cluster_rows and n > max_cluster_rows
+        if n > _MAX_CLUSTER_ROWS
     }
 
     if not over:

@@ -841,6 +841,10 @@ def simhash_candidates(
 # ---------------------------------------------------------------------------
 # embedding cosine near-dup
 
+# incremental_embedding_dedup: new-side rows per chunked matmul (peak memory
+# chunk × bucket floats). Read on the driver at call time.
+_COSINE_CHUNK = 512
+
 
 def _bucket_cosine_pairs(
     ids: np.ndarray,
@@ -1272,7 +1276,6 @@ def incremental_embedding_dedup(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     max_bucket_side: int = 2048,
-    chunk: int = 512,
 ) -> "ray.data.Dataset":
     """→ (id_a=index vec, id_b=new vec, cosine): cross-side embedding
     near-dups between a new batch and the existing index — the semantic
@@ -1294,6 +1297,7 @@ def incremental_embedding_dedup(
 
     if n_planes % bands:
         raise ValueError("n_planes must be divisible by bands")
+    chunk = _COSINE_CHUNK
     first = index_embs.take(1) or new_embs.take(1)
     dim = len(first[0][vec_col])
     rng = np.random.RandomState(seed)

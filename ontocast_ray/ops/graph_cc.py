@@ -45,6 +45,7 @@ _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 # path. Read at call time, so a test can set one to 0 to force the
 # distributed path.
 _SMALL_EDGE_LIMIT = 2_000_000  # triangle_count, label_propagation: edges
+_UNION_FIND_LIMIT = 1_000_000  # connected_components: edges (≈16 MB of int64)
 _BROADCAST_LIMIT = 2_000_000  # k_core fringe nodes, ancestor_closure jump rows
 _KEEP_LIST_BROADCAST = 5_000_000  # apply_keep_list: dropped ids (≈40 MB of int64)
 _KEEP_BEST_BROADCAST = 1_000_000  # dedup_keep_best: pair-graph members
@@ -112,7 +113,7 @@ def _local_union_find(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Small-graph path: classic path-halving union-find on the driver.
 
     Each distributed star round costs ~4 small shuffles of fixed Ray
-    overhead; below ``small_graph_threshold`` edges that overhead dwarfs
+    overhead; below ``_UNION_FIND_LIMIT`` edges that overhead dwarfs
     the work, and the edge list (two int64 columns) fits trivially in
     driver memory — so solve exactly there and skip the rounds."""
     import pandas as pd
@@ -145,123 +146,22 @@ def _local_union_find(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
 
-def _broadcast_cc_rounds(
-    edges: "ray.data.Dataset", max_rounds: int
-) -> "ray.data.Dataset":
-    """Min-label propagation with EDGES NEVER MOVING (the LPA broadcast
-    shape transferred to connected components): labels are the O(V)
-    driver-resident carrier; each round is ONE pure map over the static
-    max-min edge blocks (both directions computed in-kernel) emitting
-    map-combined per-node label minima that STREAM to the driver —
-    zero shuffles per round, vs the star rounds' two. Converges to the
-    component min in O(diameter) rounds — for dedup graphs (star-shaped
-    near-dup clusters, diameter ≤ 3) that beats the O(log n) star
-    alternation whose every round re-shuffles the edge multiset. Bound:
-    V must fit the driver (same contract as `_broadcast_label_rounds`);
-    for V beyond memory use the star rounds.
-    """
-    import ray
-
-    # per-block unique BEFORE anything reaches the driver: each chunk is
-    # ≤ the block's distinct endpoints, so driver transient memory is
-    # O(V · blocks-per-node), not O(E)
-    def block_nodes(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": np.unique(
-                    np.concatenate(
-                        [
-                            batch["u"].to_numpy(zero_copy_only=False),
-                            batch["v"].to_numpy(zero_copy_only=False),
-                        ]
-                    )
-                )
-            }
-        )
-
-    chunks = [
-        part["node"].to_numpy()
-        for part in edges.map_batches(
-            block_nodes, batch_format="pyarrow"
-        ).iter_batches(batch_format="pandas", batch_size=None)
-    ]
-    nodes = (
-        np.unique(np.concatenate(chunks))
-        if chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    lab = nodes.copy()
-    compact_cap = max(4 * len(nodes), 262_144)
-
-    for _ in range(max_rounds):
-        ref = ray.put((nodes, lab))
-
-        def vote(batch: pa.Table) -> pa.Table:
-            ns, ls = ray.get(ref)
-            u = batch["u"].to_numpy(zero_copy_only=False)
-            v = batch["v"].to_numpy(zero_copy_only=False)
-            m = np.minimum(ls[np.searchsorted(ns, u)],
-                           ls[np.searchsorted(ns, v)])
-            df = pd.DataFrame(
-                {"node": np.concatenate([u, v]),
-                 "m": np.concatenate([m, m])}
-            )
-            cnt = df.groupby("node", as_index=False)["m"].min()
-            return pa.table({"node": pa.array(cnt["node"].to_numpy()),
-                             "m": pa.array(cnt["m"].to_numpy())})
-
-        acc = [pd.DataFrame({"node": pd.Series([], dtype=np.int64),
-                             "m": pd.Series([], dtype=np.int64)})]
-        acc_rows = 0
-        for part in edges.map_batches(
-            vote, batch_format="pyarrow"
-        ).iter_batches(batch_format="pandas", batch_size=None):
-            acc.append(part)
-            acc_rows += len(part)
-            if acc_rows > compact_cap:
-                merged = (
-                    pd.concat(acc, ignore_index=True)
-                    .groupby("node", as_index=False)["m"].min()
-                )
-                acc, acc_rows = [merged], len(merged)
-        mins = (
-            pd.concat(acc, ignore_index=True)
-            .groupby("node", as_index=False)["m"].min()
-        )
-        new = lab.copy()
-        if len(mins):
-            idx = np.searchsorted(nodes, mins["node"].to_numpy())
-            new[idx] = np.minimum(new[idx], mins["m"].to_numpy())
-        if (new == lab).all():
-            break
-        lab = new
-    else:
-        raise RuntimeError(
-            f"broadcast CC did not converge in {max_rounds} rounds — "
-            "graph diameter exceeds max_rounds; raise max_rounds or use "
-            "the star rounds (mode='stars')"
-        )
-    return ray.data.from_arrow(
-        pa.table({"doc_id": pa.array(nodes), "component": pa.array(lab)})
-    )
-
-
 def connected_components(
     pairs: "ray.data.Dataset",
     a_col: str = "doc_id_a",
     b_col: str = "doc_id_b",
     max_rounds: int = 50,
-    small_graph_threshold: int = 1_000_000,
-    mode: str = "auto",
 ) -> "ray.data.Dataset":
     """→ (doc_id, component): every node of the pair graph labeled with its
     component's min id. Alternating star rounds until the edge multiset is
-    stable (checked via count + checksum aggregates — tiny driver values).
+    stable (checked via count + checksum aggregates — tiny driver values);
+    raises if it is still changing after ``max_rounds`` rounds.
 
-    Edge sets at or below ``small_graph_threshold`` (≈16 MB of int64
-    pairs) solve exactly on the driver instead — the star rounds' fixed
+    Edge sets at or below ``_UNION_FIND_LIMIT`` (≈16 MB of int64 pairs)
+    solve exactly on the driver instead — the star rounds' fixed
     per-round shuffle overhead only pays off when edges outgrow one
-    machine. Both paths are property-tested against each other.
+    machine. Both paths are tested against a union-find reference and
+    against each other, with the limit patched to 0 to force the rounds.
 
     ``shuffle_by`` bounds its own input blocks and sizes its partitions
     from the row count (ops/shuffle.py), so per-reducer memory is bounded
@@ -277,17 +177,9 @@ def connected_components(
         # silently drop their nodes) — remove them up front
         return _as_max_min(t.filter(pa.compute.not_equal(t["u"], t["v"])))
 
-    if mode not in ("auto", "local", "broadcast", "stars"):
-        raise ValueError(f"unknown mode {mode!r}")
     edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-
-    n_edges = edges.count()
-    if mode == "local" or (
-        mode == "auto" and n_edges <= small_graph_threshold
-    ):
+    if edges.count() <= _UNION_FIND_LIMIT:
         return _local_union_find(edges)
-    if mode == "broadcast":
-        return _broadcast_cc_rounds(edges, max_rounds)
 
     def _signature(ds) -> tuple[int, int]:
         def _chk(batch: pa.Table) -> pa.Table:
@@ -323,6 +215,10 @@ def connected_components(
         if sig == prev:
             break
         prev = sig
+    else:
+        raise RuntimeError(
+            f"connected_components did not converge in {max_rounds} star rounds"
+        )
 
     # converged: every remaining edge is (node, component_min); add the
     # representatives themselves
@@ -666,10 +562,9 @@ def _local_label_propagation(
     edges: "ray.data.Dataset", n_iters: int
 ) -> "ray.data.Dataset":
     """Small-graph path: vectorized pandas LPA on the driver. Same rule,
-    same output; each distributed round costs ~5 small shuffles of fixed
-    Ray overhead (measured 76 s for a 1 600-node graph at gate SF), and a
-    two-int64-column edge list below the threshold fits trivially in
-    driver memory."""
+    same output as `_broadcast_label_rounds` without a Ray pass per round;
+    a two-int64-column edge list at or below ``_SMALL_EDGE_LIMIT`` fits
+    trivially in driver memory."""
     import pandas as pd
     import ray
 
@@ -718,13 +613,11 @@ def _broadcast_label_rounds(
     ~1 s for the streamed combine; the naive shape (re-shuffling the
     E-row edge list through a hash join every round) measured 465 s.
     Bound: V must fit the driver — the entity-resolution regime (E ≫ V),
-    and the same contract the label broadcast already imposes; for V
-    beyond memory use ``mode="shuffle"``.
+    and the same contract the label broadcast already imposes. No path
+    of `label_propagation` serves a V beyond driver memory.
     """
     import pandas as pd
     import ray
-
-    edges = edges.materialize()
 
     # node discovery, same streamed shape as the rounds: per-block
     # np.unique prunes to ≤ V values per block, the driver unions —
@@ -802,7 +695,6 @@ def _broadcast_label_rounds(
 def label_propagation(
     edges: "ray.data.Dataset",
     n_iters: int = 3,
-    mode: str = "auto",
 ) -> "ray.data.Dataset":
     """→ (node, label): deterministic synchronous Label Propagation
     communities (Raghavan et al. 2007, made order-free): every node starts
@@ -817,97 +709,31 @@ def label_propagation(
     LPA finds densely-connected communities INSIDE a component — the
     graph-clustering step of entity-resolution at KG scale.
 
-    Input ``edges`` must carry both directions as (src, dst). Three paths,
-    picked by ``mode`` (default "auto" = by size):
+    Input ``edges`` must carry both directions as (src, dst). Two paths,
+    picked by size:
 
-    - "local" (E ≤ ``_SMALL_EDGE_LIMIT``): vectorized pandas on the driver
-      — the pagerank/union-find bounded-fallback pattern.
-    - "broadcast" (default at scale): edges NEVER move; labels are the
-      O(V) broadcast carrier and each round is a pure map + ONE coarse
-      shuffle of map-combined (node, label) vote counts (≲ few × V rows,
-      never E). Requires V to fit the object store — the entity-
-      resolution regime (E ≫ V). See `_broadcast_label_rounds`.
-    - "shuffle": fully distributed rounds (hash_join of labels onto edges
-      by dst + a vote shuffle) for V beyond memory — E-row AllToAll per
-      round, measured ~45× slower than "broadcast" on a 1M-edge graph
-      here, but bounded by nothing except cluster disk.
+    - E ≤ ``_SMALL_EDGE_LIMIT``: vectorized pandas on the driver — the
+      pagerank/union-find bounded-fallback pattern.
+    - above it: edges NEVER move; labels are the O(V) broadcast carrier
+      and each round is a pure map whose map-combined (node, label) vote
+      counts (≲ few × V rows, never E) stream to the driver. V must fit
+      the driver — the entity-resolution regime (E ≫ V). See
+      `_broadcast_label_rounds`.
 
-    All three implement the identical rule bit-for-bit (unit-tested
-    against a pure-Python replay on every path).
+    Both implement the identical rule bit-for-bit (unit-tested against a
+    pure-Python replay on both paths). Empty edges give an empty int64
+    (node, label) table.
     """
-    import ray
-
-    from ontocast_ray.ops.joins import distinct_on, hash_join
-
-    if mode not in ("auto", "local", "broadcast", "shuffle"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "local" or (
-        mode == "auto"
-        and _SMALL_EDGE_LIMIT
-        and edges.count() <= _SMALL_EDGE_LIMIT
-    ):
+    edges = edges.materialize()
+    n_edges = edges.count()
+    if n_edges == 0:
+        return ray.data.from_arrow(
+            pa.table({"node": pa.array([], type=pa.int64()),
+                      "label": pa.array([], type=pa.int64())})
+        )
+    if n_edges <= _SMALL_EDGE_LIMIT:
         return _local_label_propagation(edges, n_iters)
-    if mode in ("auto", "broadcast"):
-        return _broadcast_label_rounds(edges, n_iters)
-
-    labels = distinct_on(
-        edges.map_batches(
-            lambda b: pa.table({"node": b["src"]}), batch_format="pyarrow"
-        ),
-        ["node"],
-    ).map_batches(
-        lambda b: pa.table({"node": b["node"], "label": b["node"]}),
-        batch_format="pyarrow",
-    ).materialize()
-
-    for _ in range(n_iters):
-        nb = hash_join(
-            edges,
-            labels,
-            left_on="dst",
-            right_on="node",
-            left_cols=["src"],
-            right_cols=["label"],
-        )  # (dst, src, label): one neighbour-label vote per edge
-
-        def vote_rows(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch["src"],
-                    "label": batch["label"],
-                    "is_old": pa.array(
-                        np.zeros(len(batch), dtype=np.int8)
-                    ),
-                }
-            )
-
-        def old_rows(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "label": batch["label"],
-                    "is_old": pa.array(np.ones(len(batch), dtype=np.int8)),
-                }
-            )
-
-        def adopt(df: pd.DataFrame) -> pd.DataFrame:
-            votes = df[df["is_old"] == 0]
-            cnt = votes.groupby(["node", "label"], as_index=False).size()
-            cnt = cnt.sort_values(
-                ["node", "size", "label"], ascending=[True, False, True]
-            )
-            win = cnt.drop_duplicates("node", keep="first")[["node", "label"]]
-            old = df[df["is_old"] == 1][["node", "label"]]
-            keep_old = old[~old["node"].isin(win["node"])]
-            return pd.concat([win, keep_old], ignore_index=True)
-
-        labels = shuffle_by(
-            nb.map_batches(vote_rows, batch_format="pyarrow")
-            .union(labels.map_batches(old_rows, batch_format="pyarrow")),
-            "node",
-            adopt,
-        ).materialize()
-    return labels
+    return _broadcast_label_rounds(edges, n_iters)
 
 
 def dedup_keep_best(

@@ -24,6 +24,11 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
+# Rows per map batch of the payload stages (small: payloads are large
+# binaries). Read on the driver at call time.
+_MEDIA_BATCH_ROWS = 16  # extract_media_features, resize_images
+_FRAME_BATCH_ROWS = 8  # sample_frames
+
 MEDIA_SCHEMA = pa.schema(
     [
         pa.field("media_ref", pa.string()),
@@ -91,9 +96,9 @@ class MediaFeatureExtractor:
     """map_batches stage, mapped as a task with an instance: decode →
     feature-extract media payloads.
 
-    Large binary payloads need SMALL batch sizes: size ``batch_size`` so
-    batch bytes × concurrent tasks fits the worker heap (documented
-    contract; the pipeline builder passes batch_size explicitly).
+    Large binary payloads need SMALL batches: the dataset wrappers map it
+    ``_MEDIA_BATCH_ROWS`` rows at a time, so batch bytes × concurrent tasks
+    fits the worker heap.
     """
 
     def __init__(self, decoder: str = "fake", feature_dim: int = 32):
@@ -195,13 +200,12 @@ def extract_media_features(
     media: "object",
     decoder: str = "fake",
     feature_dim: int = 32,
-    batch_size: int = 16,
 ):
     """Dataset-level wrapper (small batches: payloads are large binaries)."""
     return media.map_batches(
         MediaFeatureExtractor(decoder, feature_dim),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=_MEDIA_BATCH_ROWS,
     )
 
 
@@ -371,19 +375,19 @@ class FrameSampler:
 
 
 def resize_images(media, target_w: int = 64, target_h: int = 64,
-                  backend: str = "fake", batch_size: int = 16):
+                  backend: str = "fake"):
     """Dataset wrapper (small batches: payloads are large binaries)."""
     return media.map_batches(
         ImageResizer(target_w, target_h, backend),
-        batch_format="pyarrow", batch_size=batch_size,
+        batch_format="pyarrow", batch_size=_MEDIA_BATCH_ROWS,
     )
 
 
-def sample_frames(media, n_frames: int = 4, backend: str = "fake",
-                  batch_size: int = 8):
+def sample_frames(media, n_frames: int = 4, backend: str = "fake"):
     """Dataset wrapper: video rows fan out to frame rows (small batches)."""
     return media.map_batches(
-        FrameSampler(n_frames, backend), batch_format="pyarrow", batch_size=batch_size
+        FrameSampler(n_frames, backend), batch_format="pyarrow",
+        batch_size=_FRAME_BATCH_ROWS,
     )
 
 

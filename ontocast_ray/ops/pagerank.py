@@ -125,13 +125,19 @@ def pagerank_int(
     relevance to the seed set, the recommendation/similar-entities
     primitive. The seed set is a pure node PREDICATE (no broadcast set,
     SQL-replayable verbatim); initial rank stays uniform M // N (spec
-    choice, mirrored)."""
+    choice, mirrored). No edges give an empty int64 (node, rank) table."""
     import pyarrow.compute as pc
 
     from ray.data.aggregate import Max, Sum
 
     edges = edges.select_columns(["src", "dst"]).materialize()
-    if edges.count() <= _SMALL_EDGE_LIMIT:
+    n_edges = edges.count()
+    if n_edges == 0:  # no nodes: M // N is undefined
+        return ray.data.from_arrow(
+            pa.table({"node": pa.array([], type=pa.int64()),
+                      "rank": pa.array([], type=pa.int64())})
+        )
+    if n_edges <= _SMALL_EDGE_LIMIT:
         return _pagerank_driver(
             edges, n_iters, mass, d_num, d_den, seed_mod, seed_rem
         )

@@ -27,6 +27,11 @@ import ray.data
 from ontocast_ray.ops.shuffle import shuffle_by
 from ontocast_ray.util import vectors_2d
 
+# Execution sizes, read on the driver at call time so a test can patch them:
+_KNN_CHUNK = 1024  # knn_self_join, knn_join_ivf: query rows per matmul tile
+_IVF_MIN_ROWS_PER_FILE = 50_000  # build_ivf_index, build_ivfpq_index
+_PQ_MIN_ROWS_PER_FILE = 100_000  # build_pq_index
+
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -134,7 +139,6 @@ def build_ivf_index(
     seed: int = 3,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    min_rows_per_file: int = 50_000,
 ) -> np.ndarray:
     """One pass over the corpus → cluster-partitioned layout; returns centroids.
 
@@ -163,7 +167,7 @@ def build_ivf_index(
     # materialize: a task map fused into a min_rows_per_file write runs on
     # input bundled up to that many rows, i.e. one task for a small corpus
     embeddings.map_batches(assign_cluster, batch_format="pyarrow").materialize().write_parquet(
-        index_dir, partition_cols=["cluster"], min_rows_per_file=min_rows_per_file
+        index_dir, partition_cols=["cluster"], min_rows_per_file=_IVF_MIN_ROWS_PER_FILE
     )
     np.save(os.path.join(index_dir, "centroids.npy"), centroids)
     with open(os.path.join(index_dir, "ivf_meta.json"), "w", encoding="utf-8") as fh:
@@ -343,7 +347,6 @@ def build_pq_index(
     seed: int = 13,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    min_rows_per_file: int = 100_000,
 ) -> np.ndarray:
     """One pass: train codebooks on a bounded sample, encode every vector to
     m uint8 codes, write the compact code table. Returns the codebooks."""
@@ -367,7 +370,7 @@ def build_pq_index(
     os.makedirs(index_dir, exist_ok=True)
     # materialized before the coalescing write, as in build_ivf_index
     embeddings.map_batches(pq_encode_batch, batch_format="pyarrow").materialize().write_parquet(
-        os.path.join(index_dir, "codes"), min_rows_per_file=min_rows_per_file
+        os.path.join(index_dir, "codes"), min_rows_per_file=_PQ_MIN_ROWS_PER_FILE
     )
     np.save(os.path.join(index_dir, "pq_codebooks.npy"), codebooks)
     return codebooks
@@ -383,7 +386,6 @@ def build_ivfpq_index(
     seed: int = 3,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    min_rows_per_file: int = 50_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """IVF-PQ build: ONE pass assigns every vector to its nearest centroid,
     PQ-encodes it, and writes a cluster-partitioned layout carrying BOTH the
@@ -419,7 +421,7 @@ def build_ivfpq_index(
 
     # materialized before the coalescing write, as in build_ivf_index
     embeddings.map_batches(assign_encode, batch_format="pyarrow").materialize().write_parquet(
-        index_dir, partition_cols=["cluster"], min_rows_per_file=min_rows_per_file
+        index_dir, partition_cols=["cluster"], min_rows_per_file=_IVF_MIN_ROWS_PER_FILE
     )
     np.save(os.path.join(index_dir, "centroids.npy"), centroids)
     np.save(os.path.join(index_dir, "pq_codebooks.npy"), codebooks)
@@ -592,7 +594,6 @@ def knn_self_join(
     id_col: str = "vec_id",
     vec_col: str = "embedding",
     max_rows_per_shard: int = 100_000,
-    chunk: int = 1024,
 ) -> "ray.data.Dataset":
     """EXACT all-pairs kNN join — every vector's top-k cosine neighbors
     among ALL OTHER vectors, where BOTH sides are datasets (no broadcast
@@ -608,12 +609,13 @@ def knn_self_join(
     shard)), and the global merge is the repo's coarse ``hash(query_id) % P``
     fold. Total shipped data is S copies of the vectors (= n²/
     max_rows_per_shard rows — the inherent all-pairs cost, streamed);
-    compute is the unavoidable O(n²) matmul, tiled ``chunk`` rows at a
-    time. For approximate-but-cheaper joins at extreme n, cluster both
+    compute is the unavoidable O(n²) matmul, tiled ``_KNN_CHUNK`` rows at
+    a time. For approximate-but-cheaper joins at extreme n, cluster both
     sides with the IVF layout and run this per probed cluster pair.
     """
     from ontocast_ray.util import hash_u64
 
+    chunk = _KNN_CHUNK
     n = embeddings.count()
     s = max(1, -(-n // max_rows_per_shard))
 
@@ -721,7 +723,6 @@ def knn_join_ivf(
     seed: int = 3,
     id_col: str = "vec_id",
     vec_col: str = "embedding",
-    chunk: int = 1024,
 ) -> "ray.data.Dataset":
     """IVF-bucketed approximate kNN self-join — the scale path of
     ``knn_self_join``: instead of all shard pairs (O(n²) compute), every
@@ -737,6 +738,7 @@ def knn_join_ivf(
     ``build_ivf_index`` recipe — and pure argmax assignment), so the
     oracle is a pinned golden. One shuffle (cluster groupby) + the coarse
     ``hash(query_id) % P`` merge."""
+    chunk = _KNN_CHUNK
     sample_rows = embeddings.limit(sample_size).take_all()
     sample = np.array([r[vec_col] for r in sample_rows], dtype=np.float32)
     centroids = kmeans_lite(sample, n_clusters, seed=seed)

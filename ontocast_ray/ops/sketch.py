@@ -119,6 +119,10 @@ def hll_distinct(
 
 _ZERO_BUCKET = np.iinfo(np.int64).min
 
+# heavy_hitters: rows per map batch of both passes; None lets Ray pick (one
+# batch per block). Read on the driver at call time.
+_HEAVY_HITTER_BATCH_ROWS: int | None = None
+
 
 def dd_quantiles(
     ds: "ray.data.Dataset",
@@ -194,7 +198,6 @@ def heavy_hitters(
     threshold: int,
     k: int = 4096,
     text_col: str = "text",
-    batch_size: int | None = None,
 ) -> "ray.data.Dataset":
     """→ (term, n_count): every term occurring ≥ ``threshold`` times,
     EXACTLY — the two-pass Misra-Gries heavy-hitters pattern (Misra &
@@ -260,9 +263,9 @@ def heavy_hitters(
         )
 
     summaries = docs.map_batches(
-        mg_summary, batch_format="pyarrow", batch_size=batch_size
+        mg_summary, batch_format="pyarrow", batch_size=_HEAVY_HITTER_BATCH_ROWS
     ).materialize()
-    # driver state: ≤ k entries per batch (bounded by corpus/batch_size ×
+    # driver state: ≤ k entries per batch (bounded by n_batches ×
     # k, tiny vs vocabulary) — one vectorized groupby-sum merge
     sdf = summaries.to_pandas()
     n_total = int(sdf["n_tokens"].sum())
@@ -293,7 +296,9 @@ def heavy_hitters(
         )
 
     agg = (
-        docs.map_batches(exact_partial, batch_format="pyarrow", batch_size=batch_size)
+        docs.map_batches(
+            exact_partial, batch_format="pyarrow", batch_size=_HEAVY_HITTER_BATCH_ROWS
+        )
         .groupby("term")
         .aggregate(Sum("n", alias_name="n_count"))
     )

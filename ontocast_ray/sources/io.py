@@ -35,6 +35,9 @@ from __future__ import annotations
 import json
 import os
 
+# write_bucketed: row minimum per bucket file. Read at call time.
+_BUCKET_MIN_ROWS_PER_FILE = 50_000
+
 
 def is_lance_dataset(path: str) -> bool:
     """Lance dataset layout probe: a directory with a ``_versions`` (or
@@ -193,7 +196,6 @@ def write_bucketed(
     out_dir: str,
     key_col: str,
     n_buckets: int = 16,
-    min_rows_per_file: int = 50_000,
 ) -> dict:
     """Hash-bucketed sink: ``out_dir/bucket=NN/*.parquet`` where every row
     of bucket NN satisfies ``hash(key) % n_buckets == NN``, sorted by key
@@ -229,7 +231,9 @@ def write_bucketed(
     bucketed = shuffle_by(
         ds.map_batches(add_bucket, batch_format="pyarrow"), key_col, bucket_kernel, n_buckets
     )
-    return _write_committed(bucketed, out_dir, "bucket", n_buckets, done, min_rows_per_file)[0]
+    return _write_committed(
+        bucketed, out_dir, "bucket", n_buckets, done, _BUCKET_MIN_ROWS_PER_FILE
+    )[0]
 
 
 def read_bucket(out_dir: str, bucket: int, columns: list | None = None):

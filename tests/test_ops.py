@@ -546,7 +546,7 @@ def test_connected_components_chain_and_clusters(ray_session):
     assert kept == {0, 20, 30, 40}
 
 
-def test_connected_components_scale_star_and_chain(ray_session):
+def test_connected_components_scale_star_and_chain(ray_session, monkeypatch):
     """Per-round cost must be per-PARTITION, not per-node: a 100k-node star
     (one Python call per node would take minutes) plus a 4k chain (multi-
     round convergence at coarse partitions) both finish promptly & exactly."""
@@ -555,6 +555,7 @@ def test_connected_components_scale_star_and_chain(ray_session):
     import numpy as np
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import connected_components
 
     n_star, n_chain = 100_000, 4_096
@@ -569,11 +570,10 @@ def test_connected_components_scale_star_and_chain(ray_session):
         }
     )
     t0 = time.monotonic()
-    # threshold 0 forces the distributed star rounds (the path under test —
+    # a 0 limit forces the distributed star rounds (the path under test —
     # the default would route this small graph to the union-find fallback)
-    out = connected_components(
-        ray.data.from_arrow(tbl), small_graph_threshold=0
-    ).take_all()
+    monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", 0)
+    out = connected_components(ray.data.from_arrow(tbl)).take_all()
     elapsed = time.monotonic() - t0
     comp = {r["doc_id"]: r["component"] for r in out}
     assert len(comp) == n_star + n_chain
@@ -635,6 +635,43 @@ def test_connected_components_empty(ray_session):
                   "doc_id_b": pa.array([], type=pa.int64())})
     )
     assert connected_components(empty).take_all() == []
+
+
+def test_label_propagation_empty(ray_session):
+    """No edges give an empty int64 (node, label) table, not a crash."""
+    import ray.data
+
+    from ontocast_ray.ops.graph_cc import label_propagation
+
+    empty = ray.data.from_arrow(
+        pa.table({"src": pa.array([], type=pa.int64()),
+                  "dst": pa.array([], type=pa.int64())})
+    )
+    out = label_propagation(empty).materialize()
+    assert out.count() == 0
+    assert out.schema().names == ["node", "label"]
+    assert out.schema().types == [pa.int64(), pa.int64()]
+
+
+def test_pagerank_int_empty(ray_session, monkeypatch):
+    """An edge set with no nodes gives an empty int64 (node, rank) table on
+    both paths, plain and personalized (M // N would divide by zero)."""
+    import ray.data
+
+    from ontocast_ray.ops import pagerank
+    from ontocast_ray.ops.pagerank import pagerank_int
+
+    empty = ray.data.from_arrow(
+        pa.table({"src": pa.array([], type=pa.int64()),
+                  "dst": pa.array([], type=pa.int64())})
+    )
+    for limit in (pagerank._SMALL_EDGE_LIMIT, 0):
+        monkeypatch.setattr(pagerank, "_SMALL_EDGE_LIMIT", limit)
+        for seed_mod in (None, 2):
+            out = pagerank_int(empty, seed_mod=seed_mod).materialize()
+            assert out.count() == 0, (limit, seed_mod)
+            assert out.schema().names == ["node", "rank"]
+            assert out.schema().types == [pa.int64(), pa.int64()]
 
 
 def test_hopping_window_multi_membership(ray_session):
@@ -1337,16 +1374,18 @@ def test_pack_sequences_invariants(ray_session):
     ).all()
 
 
-def test_knn_self_join_exact_and_sharded(ray_session):
+def test_knn_self_join_exact_and_sharded(ray_session, monkeypatch):
     """Dataset-to-dataset exact kNN join: matches the O(n²) numpy answer,
     and the sharded pair-group path (max_rows_per_shard below n) is
     byte-identical to the single-group path."""
     import ray.data
 
+    from ontocast_ray.ops import similarity
     from ontocast_ray.ops.similarity import knn_self_join
 
     rng = np.random.default_rng(3)
     n, k = 40, 4
+    monkeypatch.setattr(similarity, "_KNN_CHUNK", 7)
     vecs = rng.normal(size=(n, 8)).astype(np.float64)
     tbl = pa.table(
         {"vec_id": pa.array(np.arange(n, dtype=np.int64)),
@@ -1357,7 +1396,7 @@ def test_knn_self_join_exact_and_sharded(ray_session):
         return (
             knn_self_join(
                 ray.data.from_arrow(tbl).repartition(4), k=k,
-                max_rows_per_shard=max_rows, chunk=7,
+                max_rows_per_shard=max_rows,
             )
             .to_pandas()
             .sort_values(["query_id", "rank"]).reset_index(drop=True)
@@ -1380,12 +1419,13 @@ def test_knn_self_join_exact_and_sharded(ray_session):
         assert got["cosine"].tolist() == pytest.approx(exp, abs=1e-6)
 
 
-def test_knn_join_ivf_semantics(ray_session):
+def test_knn_join_ivf_semantics(ray_session, monkeypatch):
     """IVF join == exact top-k RESTRICTED to the probed candidate set
     (re-derived here from the same seeded centroids), invariant across
     parallelism, with sane recall vs the exact join."""
     import ray.data
 
+    from ontocast_ray.ops import similarity
     from ontocast_ray.ops.similarity import (
         _normalize,
         kmeans_lite,
@@ -1393,6 +1433,7 @@ def test_knn_join_ivf_semantics(ray_session):
         knn_self_join,
     )
 
+    monkeypatch.setattr(similarity, "_KNN_CHUNK", 11)
     rng = np.random.default_rng(9)
     n, k = 60, 3
     # 4 loose blobs so clusters are meaningful
@@ -1409,7 +1450,7 @@ def test_knn_join_ivf_semantics(ray_session):
         return (
             knn_join_ivf(
                 ray.data.from_arrow(tbl).repartition(parts), k=k,
-                n_clusters=4, n_probe=2, sample_size=60, seed=3, chunk=11,
+                n_clusters=4, n_probe=2, sample_size=60, seed=3,
             )
             .to_pandas().sort_values(["query_id", "rank"])
             .reset_index(drop=True)
@@ -1764,9 +1805,10 @@ def test_kmeans_empty_cluster_keeps_centroid(ray_session):
     assert np.isfinite(cents).all()
 
 
-def test_semdedup_matches_reference_rule(ray_session):
+def test_semdedup_matches_reference_rule(ray_session, monkeypatch):
     import ray.data
 
+    from ontocast_ray.ops import clustering
     from ontocast_ray.ops.clustering import semdedup
 
     rng = np.random.default_rng(7)
@@ -1778,11 +1820,13 @@ def test_semdedup_matches_reference_rule(ray_session):
     tbl = pa.table(
         {"vec_id": np.arange(60, dtype=np.int64), "embedding": list(vecs)}
     )
-    # chunk=4 forces the chunked-matmul boundary logic through many windows
+    # a chunk of 4 forces the chunked-matmul boundary logic through many
+    # windows
+    monkeypatch.setattr(clustering, "_SEMDEDUP_CHUNK", 4)
     out = (
         semdedup(
             ray.data.from_arrow(tbl).repartition(5),
-            k=3, n_iters=2, threshold=0.9, chunk=4,
+            k=3, n_iters=2, threshold=0.9,
         )
         .to_pandas()
         .sort_values("vec_id")
@@ -1808,14 +1852,15 @@ def test_semdedup_matches_reference_rule(ray_session):
     assert keep[5] and not keep[20]
 
 
-def test_semdedup_oversized_cluster_guard_exact(ray_session):
+def test_semdedup_oversized_cluster_guard_exact(ray_session, monkeypatch):
     """Hot-cluster case (every vector lands in ONE k-means cluster — the
-    skew that melts a single reducer): a tiny max_cluster_rows forces the
+    skew that melts a single reducer): a tiny _MAX_CLUSTER_ROWS forces the
     sub-sharded pair-group path; its output must be BYTE-IDENTICAL to the
     unguarded single-reducer path, and no pair-group reducer may ever see
     more than ~2 shards of rows."""
     import ray.data
 
+    from ontocast_ray.ops import clustering
     from ontocast_ray.ops.clustering import semdedup
 
     rng = np.random.default_rng(13)
@@ -1830,12 +1875,14 @@ def test_semdedup_oversized_cluster_guard_exact(ray_session):
         {"vec_id": np.arange(90, dtype=np.int64), "embedding": list(vecs)}
     )
 
+    monkeypatch.setattr(clustering, "_SEMDEDUP_CHUNK", 7)
+
     def run(max_rows):
+        monkeypatch.setattr(clustering, "_MAX_CLUSTER_ROWS", max_rows)
         return (
             semdedup(
                 ray.data.from_arrow(tbl).repartition(5),
-                k=3, n_iters=2, threshold=0.99, chunk=7,
-                max_cluster_rows=max_rows,
+                k=3, n_iters=2, threshold=0.99,
             )
             .to_pandas()
             .sort_values("vec_id")
@@ -2631,7 +2678,7 @@ def test_bigram_coverage_hand_fixture(ray_session):
         pd.testing.assert_frame_equal(got, expected)
 
 
-def test_label_propagation_matches_pure_python(ray_session):
+def test_label_propagation_matches_pure_python(ray_session, monkeypatch):
     """Deterministic sync LPA: distributed result equals a pure-Python
     replay of the most-frequent/smallest-label rule, at any parallelism;
     two dense cliques joined by one bridge resolve to two communities."""
@@ -2639,6 +2686,7 @@ def test_label_propagation_matches_pure_python(ray_session):
 
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import label_propagation
 
     und = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),     # clique A
@@ -2673,17 +2721,16 @@ def test_label_propagation_matches_pure_python(ray_session):
         "src": pa.array([u for u, v in edges], type=pa.int64()),
         "dst": pa.array([v for u, v in edges], type=pa.int64()),
     })
-    # all three paths (local fallback / broadcast carrier / full shuffle)
+    # both paths (local fallback / broadcast carrier, forced by a 0 limit)
     # implement the identical rule
-    for parts, mode in ((2, "local"), (1, "broadcast"), (4, "broadcast"),
-                        (4, "shuffle")):
+    for parts, limit in ((2, graph_cc._SMALL_EDGE_LIMIT), (1, 0), (4, 0)):
+        monkeypatch.setattr(graph_cc, "_SMALL_EDGE_LIMIT", limit)
         got = (
             label_propagation(
-                ray.data.from_arrow(t).repartition(parts),
-                n_iters=3, mode=mode,
+                ray.data.from_arrow(t).repartition(parts), n_iters=3,
             ).to_pandas().sort_values("node").reset_index(drop=True)
         )
-        pd.testing.assert_frame_equal(got, exp_df, obj=mode)
+        pd.testing.assert_frame_equal(got, exp_df, obj=f"{parts}/{limit}")
     # communities: clique A collapses to label 0, clique B to 10
     lab = dict(zip(exp_df["node"], exp_df["label"]))
     assert {lab[n] for n in (0, 1, 2)} == {0}
@@ -3178,14 +3225,14 @@ def test_dedup_keep_best_policy(ray_session):
     assert out[out["keep"]]["doc_id"].tolist() == [2, 9]
 
 
-def test_connected_components_modes_agree(ray_session, both_paths):
-    """local union-find, broadcast min-label rounds, star rounds and the
-    default ``auto`` produce identical component labelings on a random
-    multi-component graph with chains (diameter > 1), on both exchange
-    paths (12 edge blocks over the sort path's 8 partitions: it
-    coalesces)."""
+def test_connected_components_modes_agree(ray_session, both_paths, monkeypatch):
+    """local union-find and the star rounds (forced by a 0 limit) produce
+    identical component labelings on a random multi-component graph with
+    chains (diameter > 1), on both exchange paths (12 edge blocks over the
+    sort path's 8 partitions: it coalesces)."""
     import ray
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import connected_components
 
     rng = np.random.default_rng(17)
@@ -3203,14 +3250,13 @@ def test_connected_components_modes_agree(ray_session, both_paths):
     })
     outs = []
     for path in both_paths():
-        for mode in ("local", "broadcast", "stars", "auto"):
+        for limit in (graph_cc._UNION_FIND_LIMIT, 0):
+            monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", limit)
             out = (
-                connected_components(
-                    ray.data.from_pandas(pairs).repartition(12), mode=mode
-                )
+                connected_components(ray.data.from_pandas(pairs).repartition(12))
                 .to_pandas().sort_values("doc_id").reset_index(drop=True)
             )
-            outs.append((f"{mode}/{path}", out))
+            outs.append((f"{limit}/{path}", out))
     for name, out in outs[1:]:
         pd.testing.assert_frame_equal(outs[0][1], out, obj=name)
     # chain components collapse to their min
@@ -3327,25 +3373,26 @@ def test_url_dedup_empty_string_passthrough(ray_session):
     assert flags["keep_id"].tolist() == [1, 2, 3, 3]
 
 
-def test_broadcast_cc_nonconvergence_raises(ray_session):
-    """A path graph longer than max_rounds must raise, not return wrong
-    labels silently."""
+def test_star_cc_nonconvergence_raises(ray_session, monkeypatch):
+    """Star rounds that have not converged within max_rounds must raise,
+    not return a chain split into several components silently."""
     import ray
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import connected_components
 
+    monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", 0)
     chain = pd.DataFrame({
-        "doc_id_a": list(range(0, 12)),
-        "doc_id_b": list(range(1, 13)),
+        "doc_id_a": list(range(0, 64)),
+        "doc_id_b": list(range(1, 65)),
     })
-    with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components(
-            ray.data.from_pandas(chain), mode="broadcast", max_rounds=3,
-        ).materialize()
-    ok = connected_components(
-        ray.data.from_pandas(chain), mode="broadcast", max_rounds=20,
-    ).to_pandas()
-    assert (ok["component"] == 0).all()
+    for max_rounds in (1, 2):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            connected_components(
+                ray.data.from_pandas(chain), max_rounds=max_rounds,
+            ).materialize()
+    ok = connected_components(ray.data.from_pandas(chain)).to_pandas()
+    assert len(ok) == 65 and (ok["component"] == 0).all()
 
 
 def test_dedup_keep_best_missing_scores(ray_session):

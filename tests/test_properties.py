@@ -2,6 +2,7 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,6 +108,7 @@ def test_connected_components_equals_union_find(ray_session, edges):
     import pyarrow as pa
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import connected_components
 
     edges = [(a, b) for a, b in edges if a != b]
@@ -118,14 +120,14 @@ def test_connected_components_equals_union_find(ray_session, edges):
             "doc_id_b": pa.array([b for a, b in edges], type=pa.int64()),
         }
     )
-    # distributed star rounds (threshold 0 forces them) AND the driver
+    # distributed star rounds (a 0 limit forces them) AND the driver
     # union-find fallback must both match the reference implementation
-    got = {
-        r["doc_id"]: r["component"]
-        for r in connected_components(
-            ray.data.from_arrow(tbl), small_graph_threshold=0
-        ).take_all()
-    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_cc, "_UNION_FIND_LIMIT", 0)
+        got = {
+            r["doc_id"]: r["component"]
+            for r in connected_components(ray.data.from_arrow(tbl)).take_all()
+        }
     got_local = {
         r["doc_id"]: r["component"]
         for r in connected_components(ray.data.from_arrow(tbl)).take_all()
@@ -350,6 +352,7 @@ def test_knn_self_join_matches_bruteforce(ray_session, vec_rows, k):
     import pyarrow as pa
     import ray.data
 
+    from ontocast_ray.ops import similarity
     from ontocast_ray.ops.similarity import knn_self_join
 
     vecs = np.asarray(vec_rows, dtype=np.float64)
@@ -358,14 +361,16 @@ def test_knn_self_join_matches_bruteforce(ray_session, vec_rows, k):
         {"vec_id": pa.array(range(n), type=pa.int64()),
          "embedding": list(vecs)}
     )
-    got = (
-        knn_self_join(
-            ray.data.from_arrow(tbl).repartition(2), k=k,
-            max_rows_per_shard=5, chunk=3,
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_KNN_CHUNK", 3)
+        got = (
+            knn_self_join(
+                ray.data.from_arrow(tbl).repartition(2), k=k,
+                max_rows_per_shard=5,
+            )
+            .to_pandas().sort_values(["query_id", "rank"])
+            .reset_index(drop=True)
         )
-        .to_pandas().sort_values(["query_id", "rank"])
-        .reset_index(drop=True)
-    )
     nr = np.linalg.norm(vecs, axis=1, keepdims=True)
     nr[nr == 0] = 1.0
     nv = vecs / nr

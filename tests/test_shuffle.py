@@ -44,6 +44,22 @@ ALLOWED_N_PARTS = {
         "the perfbench harness passes it",
 }
 
+# Parameters that choose how an op runs rather than what it computes. An op
+# reads such a choice from a module constant, and its tests patch that;
+# only these (file, function, parameter) sites keep one, for the reason given.
+_EXECUTION_KNOBS = {"mode", "small_graph_threshold", "reduce_parts", "chunk",
+                    "max_cluster_rows", "batch_size", "min_rows_per_file"}
+ALLOWED_EXECUTION_KNOBS = {
+    ("ontocast_ray/pipelines/kg.py", "build_kg_pipeline", "batch_size"):
+        "run_resumable forwards it; the KG tests pass 8",
+    ("ontocast_ray/sources/io.py", "_write_committed", "min_rows_per_file"):
+        "private: each resumable sink passes its own file size",
+    ("ontocast_ray/sources/io.py", "compact_parquet", "min_rows_per_file"):
+        "the output file size is what the op computes",
+    ("ontocast_ray/ops/dedup.py", "_bucket_cosine_pairs", "chunk"):
+        "private kernel: its unit test crosses chunk boundaries",
+}
+
 # Sites that may map with an actor pool, as (file, function, enclosing if):
 # only state that is expensive or mutable and shared earns one. Every
 # other stage maps as a task, with a function or an instance.
@@ -351,6 +367,31 @@ def test_n_parts_lives_only_in_the_exchange():
                 bad.append(f"{rel}:{node.lineno} {site[1]}")
     assert not bad, "let shuffle_by size its partitions: " + ", ".join(bad)
     assert seen == set(ALLOWED_N_PARTS), set(ALLOWED_N_PARTS) - seen
+
+
+def test_callers_choose_what_not_how():
+    """Scan ontocast_ray and __ray_entry__.py for a def with a parameter
+    that picks an execution path or size (``_EXECUTION_KNOBS``): each must
+    be allow-listed, and every allow-list entry must still be in use. An op
+    reads such a choice from a module constant on the driver."""
+    seen = set()
+    bad = []
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            for knob in sorted(names & _EXECUTION_KNOBS):
+                site = (rel, getattr(node, "name", "<lambda>"), knob)
+                if site in ALLOWED_EXECUTION_KNOBS:
+                    seen.add(site)
+                else:
+                    bad.append(f"{rel}:{node.lineno} {site[1]}({knob})")
+    assert not bad, "make it a module constant, not a parameter: " + ", ".join(bad)
+    assert seen == set(ALLOWED_EXECUTION_KNOBS), set(ALLOWED_EXECUTION_KNOBS) - seen
 
 
 def _actor_pool_sites(src: str):

@@ -139,13 +139,14 @@ def test_heavy_hitters_exact_above_threshold(ray_session):
         heavy_hitters(ds, threshold=2, k=16).to_pandas()
 
 
-def test_heavy_hitters_flat_batch_empty_mg_summary(ray_session):
+def test_heavy_hitters_flat_batch_empty_mg_summary(ray_session, monkeypatch):
     """A batch with > k distinct terms all at equal count decrements every
     MG counter to zero — the summary is empty but the batch token total
     must still feed the N/(k+1) bound (regression: pyarrow column-length
     crash + silently lost token mass)."""
     from collections import Counter
 
+    from ontocast_ray.ops import sketch
     from ontocast_ray.ops.sketch import heavy_hitters
 
     # one flat batch: 40 distinct words (> k=8), each exactly 5 times
@@ -158,7 +159,8 @@ def test_heavy_hitters_flat_batch_empty_mg_summary(ray_session):
     ds = ray.data.from_arrow(
         pa.table({"text": pa.array([flat_doc, skew_doc], type=pa.string())})
     ).repartition(2)
-    got = heavy_hitters(ds, threshold=40, k=8, batch_size=1).to_pandas()
+    monkeypatch.setattr(sketch, "_HEAVY_HITTER_BATCH_ROWS", 1)
+    got = heavy_hitters(ds, threshold=40, k=8).to_pandas()
     exp = sorted(
         ((w, c) for w, c in exact.items() if c >= 40),
         key=lambda t: (-t[1], t[0]),

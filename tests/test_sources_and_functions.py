@@ -194,15 +194,18 @@ def test_read_documents_lance_dispatch(ray_session, tmp_path):
         write_documents(ds, str(tmp_path / "out"), fmt="lance")
 
 
-def test_write_bucketed_roundtrip(ray_session, tmp_path):
+def test_write_bucketed_roundtrip(ray_session, tmp_path, monkeypatch):
     """Bucket invariant (hash(key)%B == dir), within-bucket sort, full
     roundtrip, manifests committed per bucket, pruned single-bucket read."""
     import numpy as np
     import pyarrow as pa
     import ray.data
 
+    from ontocast_ray.sources import io
     from ontocast_ray.sources.io import committed_shards, read_bucket, write_bucketed
     from ontocast_ray.util import hash_partition
+
+    monkeypatch.setattr(io, "_BUCKET_MIN_ROWS_PER_FILE", 10_000)
 
     rng = np.random.default_rng(6)
     n = 2000
@@ -213,7 +216,7 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path):
     out = str(tmp_path / "bucketed")
     counts = write_bucketed(
         ray.data.from_arrow(t).repartition(6), out, "user_id",
-        n_buckets=8, min_rows_per_file=10_000,
+        n_buckets=8,
     )
     assert sum(counts.values()) == n
     assert committed_shards(out) == set(counts)
@@ -228,7 +231,7 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path):
     # writes NOTHING new (no duplicate rows), returning the same manifest
     counts2 = write_bucketed(
         ray.data.from_arrow(t).repartition(6), out, "user_id",
-        n_buckets=8, min_rows_per_file=10_000,
+        n_buckets=8,
     )
     assert counts2 == counts
     assert len(ray.data.read_parquet(out).to_pandas()) == n
@@ -242,7 +245,7 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path):
     shutil.rmtree(os.path.join(out, "bucket=3"))
     counts3 = write_bucketed(
         ray.data.from_arrow(t).repartition(6), out, "user_id",
-        n_buckets=8, min_rows_per_file=10_000,
+        n_buckets=8,
     )
     assert counts3 == counts
     back2 = ray.data.read_parquet(out).to_pandas()
@@ -257,7 +260,7 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path):
     assert os.path.isdir(os.path.join(out, "bucket=5"))
     counts4 = write_bucketed(
         ray.data.from_arrow(t).repartition(6), out, "user_id",
-        n_buckets=8, min_rows_per_file=10_000,
+        n_buckets=8,
     )
     assert counts4 == counts
     back3 = ray.data.read_parquet(out).to_pandas()
