@@ -2,36 +2,42 @@
 reference's batch entry point, SURVEY §3.4):
 
     docs (doc_id, spans)
-      → map_batches(assemble_spans)
-      → map_batches(KGProcessDocs)   [one task per doc block runs chunk →
-                                      extract → canonicalize, no shuffle]
-      → materialize → partitioned parquet + per-shard lineage manifests (resumable)
+      → one block function (``_kg_blocks``): assemble_spans → KGProcessDocs
+        per ≤batch_size docs [chunk → extract → canonicalize, no shuffle]
+      → partitioned parquet + per-shard lineage manifests (resumable)
 
 There is one execution path and no all-to-all exchange: the reference's
 aggregation scope is strictly per document, so each document's chunks are
-extracted and folded inside the call that chunked them. The resumable sink
-(``run_resumable``) materializes the triples before its coalescing write,
-so the KG stage runs one task per doc block instead of being fused into,
-and serialized by, the write (see ``sources.io``); the blocks wait in the
-object store, which spills. The ontology side-channel is the OntologyHub
-named actor (broadcast-small reads once per actor + batched commutative
-merges — not a shuffle).
+extracted and folded inside the call that chunked them. The block
+function runs two ways. ``build_kg_pipeline`` maps it lazily, so driver
+queries compose it. The resumable sink (``run_resumable``) runs it eagerly
+with ``ops.shuffle.map_blocks``, one plain Ray task per doc block outside
+Ray Data's streaming executor: the sink materializes the triples before
+its coalescing write anyway (see ``sources.io``), and the blocks wait in
+the object store, which spills. The ontology side-channel is the
+OntologyHub named actor (broadcast-small reads once per actor + batched
+commutative merges — not a shuffle), used by ``build_kg_pipeline``'s hub
+branch only.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import pyarrow as pa
 import ray
 import ray.data
 
 from ontocast_ray.corpus import spanify_batch
+from ontocast_ray.model import TRIPLES_SCHEMA
+from ontocast_ray.ops.shuffle import map_blocks
 from ontocast_ray.sources.io import _write_committed, committed_shards
 from ontocast_ray.sources.ontologies import OntologyRecord, fetch_ontologies
 from ontocast_ray.stages.assemble import assemble_spans
 from ontocast_ray.stages.chunking import ChunkDocuments
 from ontocast_ray.stages.extract import ExtractTriples
 from ontocast_ray.state.ontology_hub import get_or_create_hub, seed_from_records
+from ontocast_ray.util import hash_partition
 
 DEFAULT_DOMAIN = "https://example.com"
 
@@ -237,53 +243,103 @@ def build_kg_pipeline(
     max_chunk_size: int = 20000,
     max_chunks: Optional[int] = None,
 ) -> "ray.data.Dataset":
-    """docs (DOCS_SCHEMA) → canonicalized triple rows (TRIPLES_SCHEMA).
+    """docs (DOCS_SCHEMA) → canonicalized triple rows (TRIPLES_SCHEMA), lazily.
 
-    Assembles spans, then runs ``KGProcessDocs`` over blocks of
-    ``batch_size`` docs: as plain tasks with a per-worker processor cache,
-    or, with a ``hub_name``, as a pool of 2-4 actors that each hold the hub
-    snapshot and merge their addenda into the hub.
+    Without a ``hub_name`` the stage is one task map of ``_kg_blocks``'s
+    block function over batches of ``batch_size`` docs, the function that
+    ``run_resumable`` runs eagerly. With one, spans are assembled and a pool
+    of 2-4 ``KGProcessDocs`` actors, each holding the hub snapshot, runs
+    the kernel and merges its addenda into the hub.
     """
-    if ontology_records is None:
-        ontology_records = (
-            fetch_ontologies(ontology_dir) if ontology_dir else default_ontology_records()
-        )
-    seeds = seed_from_records(ontology_records)
     if hub_name is not None:
-        get_or_create_hub(seeds, name=hub_name)
-
-    ds = docs.map_batches(assemble_spans, batch_format="pyarrow", batch_size=batch_size)
-    cfg = {
-        "ontology_seeds": None if hub_name else seeds,
-        "hub_name": hub_name,
-        "domain": domain,
-        "max_visits": max_visits,
-        "min_chunk_size": min_chunk_size,
-        "max_chunk_size": max_chunk_size,
-        "max_chunks": max_chunks,
-    }
-    # Actor pool vs tasks: actors exist to amortize EXPENSIVE per-worker
-    # state (models, hub connections). The deterministic processor's
-    # state is compiled regexes + tiny ontology views (~ms to build), so
-    # plain tasks — which reuse Ray's prestarted worker processes instead
-    # of spawning dedicated actor processes — start faster and schedule
-    # freely. A per-worker processor cache keeps the build-once property.
-    # With a hub (mutable shared state), use the pool.
-    if hub_name is not None:
-        return ds.map_batches(
+        get_or_create_hub(_ontology_seeds(ontology_dir, ontology_records), name=hub_name)
+        # Actors exist to amortize expensive or mutable shared state: the hub is
+        # the latter. The deterministic processor's own state (compiled regexes,
+        # tiny ontology views) costs ~ms, so the task branch keeps a per-worker
+        # processor cache instead.
+        return docs.map_batches(
+            assemble_spans, batch_format="pyarrow", batch_size=batch_size,
+        ).map_batches(
             KGProcessDocs,
-            fn_constructor_kwargs=cfg,
+            fn_constructor_kwargs={
+                "ontology_seeds": None,
+                "hub_name": hub_name,
+                "domain": domain,
+                "max_visits": max_visits,
+                "min_chunk_size": min_chunk_size,
+                "max_chunk_size": max_chunk_size,
+                "max_chunks": max_chunks,
+            },
             batch_format="pyarrow",
             batch_size=batch_size,
             # no AllToAll downstream to starve → high-minimum pool is safe
             # and avoids the autoscaler's slow ramp from 1 actor
             concurrency=(2, 4),
         )
-    return ds.map_batches(
-        _kg_process_docs_task_factory(cfg),
+    return docs.map_batches(
+        _kg_blocks(ontology_dir=ontology_dir, ontology_records=ontology_records,
+                   domain=domain, batch_size=batch_size, max_visits=max_visits,
+                   min_chunk_size=min_chunk_size, max_chunk_size=max_chunk_size,
+                   max_chunks=max_chunks),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
+
+
+def _ontology_seeds(ontology_dir: Optional[str], ontology_records) -> list[dict]:
+    """The hub/processor seeds of ``ontology_records``, else of the
+    ontologies under ``ontology_dir``, else of the default records."""
+    if ontology_records is None:
+        ontology_records = (
+            fetch_ontologies(ontology_dir) if ontology_dir else default_ontology_records()
+        )
+    return seed_from_records(ontology_records)
+
+
+def _kg_blocks(
+    keep=None,
+    n_shards: Optional[int] = None,
+    ontology_dir: Optional[str] = None,
+    ontology_records: Optional[list[OntologyRecord]] = None,
+    domain: str = DEFAULT_DOMAIN,
+    batch_size: int = 64,
+    max_visits: int = 3,
+    min_chunk_size: int = 2000,
+    max_chunk_size: int = 20000,
+    max_chunks: Optional[int] = None,
+):
+    """→ the KG stage as one block function: ``keep`` (a docs filter, or
+    None) → ``assemble_spans`` → the ``KGProcessDocs`` kernel, called once
+    per slice of at most ``batch_size`` docs → with ``n_shards``, an int32
+    ``part`` column of each row's shard, ``hash_partition(doc_id,
+    n_shards)``. Its rows do not depend on how the docs are blocked.
+
+    ``assemble_spans`` and the processor factory are read from this
+    module's globals here, on the driver, so a caller that replaces them
+    (perfbench's trace hooks, the worker-crash test) reaches the workers.
+    The factory's config is the one the task branch always had, so a
+    worker's cached processor serves either caller.
+    """
+    assemble = assemble_spans
+    process = _kg_process_docs_task_factory({
+        "ontology_seeds": _ontology_seeds(ontology_dir, ontology_records),
+        "hub_name": None,
+        "domain": domain,
+        "max_visits": max_visits,
+        "min_chunk_size": min_chunk_size,
+        "max_chunk_size": max_chunk_size,
+        "max_chunks": max_chunks,
+    })
+
+    def kg_block(block: pa.Table) -> pa.Table:
+        docs = assemble(block if keep is None else keep(block))
+        rows = [process(docs.slice(i, batch_size)) for i in range(0, len(docs), batch_size)]
+        out = pa.concat_tables(rows) if rows else TRIPLES_SCHEMA.empty_table()
+        if n_shards is None:
+            return out
+        return out.append_column("part", pa.array(hash_partition(out["doc_id"], n_shards)))
+
+    return kg_block
 
 
 def spanify_flat_documents(
@@ -306,39 +362,38 @@ def run_resumable(
     ``out_dir/part=<shard>/`` with committed lineage manifests.
 
     Shards partition the corpus by ``hash_partition(doc_id, n_shards)``.
-    One pass: documents of committed shards are dropped before extraction,
-    the pipeline runs once (one task per doc block), and each triple row is
-    tagged with its doc's shard. The sink's commit protocol (``sources.io``)
-    purges uncommitted shard directories, materializes the triples, writes
-    them partitioned by shard and commits every shard only after the whole
-    write, so a resume never duplicates rows; the trade-off is that a crash
-    re-runs every uncommitted shard in one pass. At multi-node scale shards
-    would be input-file groups; the hash keeps the same layout on one input
-    file.
+    One pass, eager: ``map_blocks`` materializes ``docs`` and runs
+    ``_kg_blocks``'s block function as one plain Ray task per doc block. It
+    drops the docs of committed shards, runs the KG kernel and tags each
+    triple row with its doc's shard. The sink's commit protocol
+    (``sources.io``) then purges uncommitted shard directories, writes the
+    materialized triples partitioned by shard and commits every shard only
+    after the whole write, so a resume never duplicates rows; the trade-off
+    is that a crash re-runs every uncommitted shard in one pass. At
+    multi-node scale shards would be input-file groups; the hash keeps the
+    same layout on one input file.
+
+    ``pipeline_kwargs`` are ``build_kg_pipeline``'s, without ``hub_name``:
+    the sink runs tasks only, so a hub raises TypeError.
 
     → {shards_total, shards_skipped, shards_run, rows_written, blocks}:
     ``rows_written`` sums the rows of the shards this run wrote, ``blocks``
-    counts the materialized triple blocks (one per doc block while the KG
-    stage runs a task per block, so a collapse shows as a drop).
+    counts the triple blocks (one per doc block, so a collapse shows as a
+    drop).
     """
-    import pyarrow as pa
-
-    from ontocast_ray.util import hash_partition
-
+    if "hub_name" in pipeline_kwargs:
+        raise TypeError("run_resumable runs plain tasks and takes no hub_name; "
+                        "build_kg_pipeline(hub_name=...) runs the hub's actor pool")
     done = committed_shards(out_dir)
     todo = [s for s in range(n_shards) if s not in done]
     stats = {"shards_total": n_shards, "shards_skipped": len(done), "shards_run": len(todo),
              "rows_written": 0, "blocks": 0}
     if not todo:
         return stats
-    docs = docs.map_batches(_shard_filter_factory(done, n_shards), batch_format="pyarrow")
-    triples = build_kg_pipeline(docs, **pipeline_kwargs).map_batches(
-        lambda b: b.append_column("part", pa.array(hash_partition(b["doc_id"], n_shards))),
-        batch_format="pyarrow",
-    )
+    kg_block = _kg_blocks(_shard_filter_factory(done, n_shards), n_shards, **pipeline_kwargs)
     # one file per ~200k rows per shard, not one per block
     rows, stats["blocks"] = _write_committed(
-        triples, out_dir, "part", n_shards, done, min_rows_per_file=200_000
+        map_blocks(docs, kg_block), out_dir, "part", n_shards, done, min_rows_per_file=200_000
     )
     stats["rows_written"] = sum(rows[s] for s in todo)
     return stats
@@ -347,9 +402,6 @@ def run_resumable(
 def _shard_filter_factory(done: set[int], n_shards: int):
     """→ a batch map that drops the docs of the ``done`` shards."""
     import numpy as np
-    import pyarrow as pa
-
-    from ontocast_ray.util import hash_partition
 
     skip = np.array(sorted(done), dtype=np.int32)
 

@@ -22,9 +22,12 @@ of that run uncommitted, and the re-run redoes all of them in one pass.
 The materialize step keeps the producing stage parallel: Ray fuses a
 ``write_parquet(min_rows_per_file=N)`` into the map chain before it and then
 bundles that chain's INPUT blocks up to N rows, so a run of fewer than N
-documents would execute the whole KG stage in one task. Materialized, the
+rows would execute the whole producing stage in one task. Materialized, the
 chain runs one task per input block (blocks sit in the object store, which
-spills) and only the cheap write is bundled. The bundle is the row minimum
+spills) and only the cheap write is bundled. ``write_bucketed``'s
+producer is lazy and materializes here; the KG sink (``run_resumable``)
+hands over triples that ``ops.shuffle.map_blocks`` already materialized,
+one plain Ray task per doc block, so its materialize step is free. The bundle is the row minimum
 times the number of parts written, because a block can hold rows of every
 part (the KG sink's do): a smaller bundle would give each part one small
 file per write task.

@@ -136,20 +136,36 @@ def test_lsh_candidates_on_empty_docs(ray_session):
     assert sim.schema().names == ["doc_id_a", "doc_id_b", "hamming"]
 
 
-def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(ray_session, docs_table):
+def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(ray_session, docs_table, monkeypatch):
     """The MinHash kernel is a task map fused into the band map (Ray fuses
     only task maps, never an actor pool into the map after it), and the
-    pair count is a ``shuffle_by``, not Ray's native ``Aggregate``."""
+    pair count is a ``shuffle_by``, not Ray's native ``Aggregate``. A
+    gathered ``shuffle_by`` returns blocks its own tasks made, whose
+    ``stats()`` start there, so each exchange's input is materialized and
+    its ``stats()`` read before it is handed on."""
     import ray.data
 
-    from ontocast_ray.ops.dedup import minhash_lsh_candidates
+    from ontocast_ray.ops import dedup
 
+    plans = []
+    real = dedup.shuffle_by
+
+    def recording(ds, keys, *args, **kwargs):
+        ds = ds.materialize()
+        plans.append((keys, [line for line in ds.stats().splitlines()
+                             if line.startswith("Operator ")]))
+        return real(ds, keys, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "shuffle_by", recording)
     docs = ray.data.from_arrow(docs_table).repartition(3)
-    out = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
+    out = dedup.minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     ops = [line for line in out.materialize().stats().splitlines()
            if line.startswith("Operator ")]
-    assert any("MapBatches(MinHasher)->MapBatches(" in line for line in ops), ops
-    assert not any(" Aggregate" in line for line in ops), ops
+    assert [keys for keys, _ in plans] == ["band_key", ["doc_id_a", "doc_id_b"]]
+    bands = plans[0][1]
+    assert any("MapBatches(MinHasher)->MapBatches(" in line for line in bands), bands
+    for line in ops + [line for _, lines in plans for line in lines]:
+        assert " Aggregate" not in line, line
 
 
 def test_embedding_dedup(ray_session):
@@ -520,11 +536,13 @@ def test_ivf_index_prunes_reads(ray_session, tmp_path):
     assert top == {0: 0, 1: 1}
 
 
-def test_connected_components_chain_and_clusters(ray_session):
-    """Star-rounds CC == brute-force components on chains (multi-hop),
-    triangles, and singleton pairs."""
+def test_connected_components_chain_and_clusters(ray_session, monkeypatch):
+    """CC == brute-force components on chains (multi-hop), triangles, and
+    singleton pairs, on both paths: driver union-find (14 edges, under
+    ``_UNION_FIND_LIMIT``) and the star rounds (the limit patched to 0)."""
     import ray.data
 
+    from ontocast_ray.ops import graph_cc
     from ontocast_ray.ops.graph_cc import dedup_keep_list
 
     edges = [(i, i + 1) for i in range(9)]            # chain 0..9
@@ -537,13 +555,15 @@ def test_connected_components_chain_and_clusters(ray_session):
             "doc_id_b": pa.array([b for a, b in edges], type=pa.int64()),
         }
     )
-    keep = dedup_keep_list(ray.data.from_arrow(tbl)).take_all()
-    got = {r["doc_id"]: r["keep_id"] for r in keep}
     expected = {i: 0 for i in range(10)}
     expected.update({20: 20, 21: 20, 22: 20, 30: 30, 31: 30, 40: 40, 41: 40})
-    assert got == expected  # keep_id IS the component label
-    kept = {r["doc_id"] for r in keep if r["keep"]}
-    assert kept == {0, 20, 30, 40}
+    for limit in (graph_cc._UNION_FIND_LIMIT, 0):
+        monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", limit)
+        keep = dedup_keep_list(ray.data.from_arrow(tbl)).take_all()
+        got = {r["doc_id"]: r["keep_id"] for r in keep}
+        assert got == expected, limit  # keep_id IS the component label
+        kept = {r["doc_id"] for r in keep if r["keep"]}
+        assert kept == {0, 20, 30, 40}, limit
 
 
 def test_connected_components_scale_star_and_chain(ray_session, monkeypatch):

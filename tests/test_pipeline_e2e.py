@@ -279,13 +279,17 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
     the row minimum, and the KG kernel (or the bucket or index-build kernel)
     of a small run executes in ONE task. The dataset each sink writes is
     captured, and its ``stats()`` after the write must show the kernel in
-    several tasks."""
+    several tasks. ``run_resumable``'s KG stage runs as plain Ray tasks
+    outside Ray Data, so its kernel records the id of each task it runs in
+    instead, and several must appear."""
     import glob
     import os
 
     import numpy as np
+    import ray
     import ray.data
 
+    from ontocast_ray.pipelines import kg
     from ontocast_ray.sources.io import write_bucketed
 
     written = []
@@ -298,8 +302,21 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
     out = str(tmp_path / "out")
     if sink == "run_resumable":
+        task_ids = tmp_path / "kg_tasks"
+        task_ids.mkdir()
+        factory = kg._kg_process_docs_task_factory
+
+        def recording_factory(cfg):
+            process = factory(cfg)
+
+            def record_task(batch):
+                (task_ids / ray.get_runtime_context().get_task_id()).touch()
+                return process(batch)
+
+            return record_task
+
+        monkeypatch.setattr(kg, "_kg_process_docs_task_factory", recording_factory)
         stats = run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
-        kernel = "_process"
     elif sink in _INDEX_BUILDS:
         from ontocast_ray.ops import similarity
 
@@ -319,12 +336,22 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
         write_bucketed(ray.data.from_arrow(t).repartition(6), out, "k", n_buckets=8)
         kernel = "bucket_kernel"
     assert len(written) == 1
-    assert _tasks_of(written[0].stats(), kernel) > 1
     if sink == "run_resumable":
+        assert len(list(task_ids.iterdir())) > 1
         assert stats["blocks"] == 4
         assert _triple_multiset(out) == clean_triples
         for shard in range(RESUME_KW["n_shards"]):  # the write still coalesces
             assert len(glob.glob(os.path.join(out, f"part={shard}", "*.parquet"))) == 1
+    else:
+        assert _tasks_of(written[0].stats(), kernel) > 1
+
+
+def test_run_resumable_takes_no_hub(ray_session, corpus, tmp_path):
+    """The sink runs the KG stage as plain tasks, never the hub's actor
+    pool: a ``hub_name`` raises TypeError before anything runs."""
+    with pytest.raises(TypeError, match="hub_name"):
+        run_resumable(_staged(corpus), str(tmp_path / "out"), hub_name="no_hub", **RESUME_KW)
+    assert not (tmp_path / "out").exists()
 
 
 def test_worker_crash_in_kg_task_is_retried(ray_session, corpus, tmp_path, clean_triples,

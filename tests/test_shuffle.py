@@ -1,8 +1,9 @@
-"""Contract of the one coarse-shuffle primitive (ops/shuffle.py) and the
-guards that keep ``map_groups`` and partition counts (``n_parts``) from
-spreading outside it, in the package and in the driver file
-``__ray_entry__.py``; plus their twin, the guard that keeps actor pools to
-the one stage that holds mutable shared state.
+"""Contract of the one coarse-shuffle primitive (ops/shuffle.py) and of
+``map_blocks``, and the guards that keep ``map_groups`` and partition
+counts (``n_parts``) from spreading outside it, in the package and in the
+driver file ``__ray_entry__.py``; plus their twins, the guards that keep
+actor pools to the one stage that holds mutable shared state and
+``ray.remote`` to ops/shuffle.py and the hub.
 
 Every contract case runs on both paths of ``shuffle_by`` (the
 ``both_paths`` fixture of conftest.py): the gather path its small inputs
@@ -51,7 +52,9 @@ _EXECUTION_KNOBS = {"mode", "small_graph_threshold", "reduce_parts", "chunk",
                     "max_cluster_rows", "batch_size", "min_rows_per_file"}
 ALLOWED_EXECUTION_KNOBS = {
     ("ontocast_ray/pipelines/kg.py", "build_kg_pipeline", "batch_size"):
-        "run_resumable forwards it; the KG tests pass 8",
+        "the docs per KG kernel call; the KG tests pass 8",
+    ("ontocast_ray/pipelines/kg.py", "_kg_blocks", "batch_size"):
+        "private: build_kg_pipeline and run_resumable forward their caller's",
     ("ontocast_ray/sources/io.py", "_write_committed", "min_rows_per_file"):
         "private: each resumable sink passes its own file size",
     ("ontocast_ray/sources/io.py", "compact_parquet", "min_rows_per_file"):
@@ -68,6 +71,13 @@ ALLOWED_ACTOR_POOLS = {
         "every KG actor holds a hub snapshot and merges addenda into the hub",
 }
 _POOL_ARGS = {"concurrency", "fn_constructor_kwargs"}
+
+# Files that may define a Ray task or actor with ``ray.remote``: the one
+# launch of plain tasks over materialized blocks, and the one named actor.
+ALLOWED_RAY_REMOTE = {
+    "ontocast_ray/ops/shuffle.py": "map_blocks and the gather run _run_blocks tasks",
+    "ontocast_ray/state/ontology_hub.py": "the OntologyHub named actor",
+}
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
 _GROUPBY = re.compile(r"""groupby\(\s*["']([^"']+)["']\s*\)""")
@@ -162,26 +172,42 @@ def test_output_multiset_independent_of_n_parts(ray_session, both_paths):
     assert all(outs[0].equals(o) for o in outs[1:])
 
 
-def test_stats_show_kernel_name(ray_session, both_paths):
+def _launches(caplog) -> list[str]:
+    """The DEBUG records of ``map_blocks``-style task launches."""
+    return [r.getMessage() for r in caplog.records if r.name == shuffle._blocks_log.name]
+
+
+def test_stats_show_kernel_name(ray_session, both_paths, caplog):
+    """A run names its kernel: the gather path's task launch logs it, and
+    the sort path's ``stats()`` show it on the operator that runs it."""
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
     def my_distinct_kernel_name(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("s")
 
-    for _ in both_paths():
+    for path in both_paths():
+        caplog.clear()
         out = shuffle_by(_ds(30), "s", my_distinct_kernel_name, n_parts=2).materialize()
-        assert "my_distinct_kernel_name" in out.stats()
+        if path == "gather":
+            assert _launches(caplog) == [
+                "map_blocks my_distinct_kernel_name: blocks=4 tasks=1 rows_in=30 rows_out=17"]
+        else:
+            assert _launches(caplog) == []
+            assert "my_distinct_kernel_name" in out.stats()
 
 
-def test_small_input_skips_sort_shuffle(ray_session):
-    """Under the byte limit there is no Sort operator, and the kernel's
-    operator runs one task that returns one block."""
+def test_small_input_skips_sort_shuffle(ray_session, caplog):
+    """Under the byte limit there is no Sort operator, and the kernel runs
+    in one task that returns one block."""
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
 
     def small_kernel(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("s", as_index=False)["v"].sum()
 
     out = shuffle_by(_ds(blocks=6), "s", small_kernel, n_parts=5).materialize()
-    stats = out.stats()
-    assert "Sort" not in stats
-    assert re.search(r"MapBatches\(small_kernel\): 1 tasks executed", stats), stats
+    assert "Sort" not in out.stats()
+    assert _launches(caplog) == [
+        "map_blocks small_kernel: blocks=6 tasks=1 rows_in=240 rows_out=17"]
     assert out.num_blocks() == 1 and out.count() == 17
 
 
@@ -204,10 +230,105 @@ def test_mid_size_many_block_input_gathers(ray_session, caplog):
     out = shuffle_by(ds, "s", mid_kernel, n_parts=8).materialize()
     [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
     assert "path=gather" in msg and f"blocks={blocks}" in msg, msg
-    stats = out.stats()
-    assert "Sort" not in stats
-    assert re.search(r"MapBatches\(mid_kernel\): 1 tasks executed", stats), stats
+    assert "Sort" not in out.stats()
+    assert _launches(caplog) == [
+        f"map_blocks mid_kernel: blocks={blocks} tasks=1 rows_in={n} rows_out=97"]
     assert out.count() == 97 and out.sum("v") == n * (n - 1) // 2
+
+
+def _mixed_blocks():
+    """Three blocks, 3 rows: a pandas block, an arrow block, and the
+    schema-less empty block ``shuffle_by`` returns for an empty input."""
+    import pyarrow as pa
+    import ray
+
+    return ray.data.from_pandas(pd.DataFrame({"s": ["a", "b"], "v": [1, 2]})).union(
+        ray.data.from_arrow(pa.table({"s": ["c"], "v": [3]})),
+        ray.data.from_pandas(pd.DataFrame()),
+    )
+
+
+def test_map_blocks_runs_one_task_per_block(ray_session, caplog):
+    """One task per input block, in block order, each ``fn`` call seeing
+    its block as an arrow table (the empty one too); one DEBUG record per
+    call names ``fn`` and counts blocks, tasks and rows in and out."""
+    import pyarrow as pa
+    import ray
+
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def per_block(t: pa.Table) -> pa.Table:
+        task = ray.get_runtime_context().get_task_id()
+        return pa.table({"task": [task], "rows": [t.num_rows], "arrow": [isinstance(t, pa.Table)]})
+
+    for ds, want in ((_ds(blocks=5), [48] * 5), (_mixed_blocks(), [2, 1, 0])):
+        caplog.clear()
+        out = shuffle.map_blocks(ds, per_block).take_all()
+        assert [r["rows"] for r in out] == want
+        assert all(r["arrow"] for r in out)
+        assert len({r["task"] for r in out}) == len(want)
+        assert _launches(caplog) == [
+            f"map_blocks per_block: blocks={len(want)} tasks={len(want)} "
+            f"rows_in={sum(want)} rows_out={len(want)}"]
+
+
+def test_map_blocks_empty_input(ray_session, caplog):
+    """A block with no rows still gets its call; an input with no blocks
+    runs no task and gives an empty dataset."""
+    import pyarrow as pa
+    import ray
+
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"rows": [t.num_rows]})
+
+    empty_blocks = _ds(10, blocks=2).filter(expr="v < 0")
+    assert shuffle.map_blocks(empty_blocks, count).take_all() == [{"rows": 0}, {"rows": 0}]
+    no_blocks = ray.data.range(0)
+    out = shuffle.map_blocks(no_blocks, count)
+    assert out.count() == 0 and out.num_blocks() == 0
+    assert _launches(caplog)[-1] == "map_blocks count: blocks=0 tasks=0 rows_in=0 rows_out=0"
+
+
+def test_map_blocks_keeps_the_output_block_type(ray_session):
+    """A pandas function's frames stay pandas blocks and an arrow
+    function's tables arrow blocks, as ``map_batches`` stores them; the
+    gather path joins mixed input blocks, the schema-less empty one among
+    them, into one frame."""
+    import pyarrow as pa
+    import ray
+
+    def blocks(ds):
+        return [ray.get(ref) for b in ds.iter_internal_ref_bundles() for ref in b.block_refs]
+
+    as_pandas = shuffle.map_blocks(_ds(blocks=3), lambda t: t.to_pandas())
+    assert all(isinstance(b, pd.DataFrame) for b in blocks(as_pandas))
+    as_arrow = shuffle.map_blocks(_ds(blocks=3), lambda t: t)
+    assert all(isinstance(b, pa.Table) for b in blocks(as_arrow))
+    assert as_pandas.to_pandas().equals(as_arrow.to_pandas())
+
+    def doubled(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(w=df["v"] * 2)
+
+    out = shuffle_by(_mixed_blocks(), "s", doubled)
+    [block] = blocks(out)
+    assert isinstance(block, pd.DataFrame)
+    assert block.to_dict("list") == {"s": ["a", "b", "c"], "v": [1, 2, 3], "w": [2, 4, 6]}
+
+
+def test_map_blocks_kernel_exception_propagates(ray_session, both_paths):
+    """An exception raised by the function reaches the caller, through
+    ``map_blocks`` and through either path of ``shuffle_by``."""
+
+    def boom(batch):
+        raise ValueError("kernel failed on purpose")
+
+    with pytest.raises(ValueError, match="kernel failed on purpose"):
+        shuffle.map_blocks(_ds(blocks=2), boom)
+    for _ in both_paths():
+        with pytest.raises(Exception, match="kernel failed on purpose"):
+            shuffle_by(_ds(blocks=2), "s", boom).materialize()
 
 
 def test_path_is_logged(ray_session, both_paths, caplog):
@@ -438,3 +559,31 @@ def test_actor_pools_live_only_in_the_kg_hub_branch():
                 bad.add(f"{rel}:{line} in {func} (if {cond})")
     assert not bad, "map cheap-state stages as tasks, not actor pools: " + ", ".join(sorted(bad))
     assert seen == set(ALLOWED_ACTOR_POOLS), set(ALLOWED_ACTOR_POOLS) - seen
+
+
+def test_ray_remote_lives_only_in_map_blocks_and_the_hub():
+    """Scan ontocast_ray, __ray_entry__.py, bench.py and jobs for
+    ``ray.remote`` (or ``remote`` imported from ray): each file that uses
+    it must be allow-listed, and every allow-list entry must still use it.
+    Tasks over materialized blocks launch in one place, ``map_blocks``."""
+    seen = set()
+    bad = set()
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py")) + sorted((_REPO / "jobs").glob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py", _REPO / "bench.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = (node.attr == "remote" and isinstance(node.value, ast.Name)
+                       and node.value.id == "ray")
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "ray" and any(a.name == "remote" for a in node.names)
+            else:
+                continue
+            if not hit:
+                continue
+            if rel in ALLOWED_RAY_REMOTE:
+                seen.add(rel)
+            else:
+                bad.add(f"{rel}:{node.lineno}")
+    assert not bad, "launch tasks with ops.shuffle.map_blocks: " + ", ".join(sorted(bad))
+    assert seen == set(ALLOWED_RAY_REMOTE), set(ALLOWED_RAY_REMOTE) - seen

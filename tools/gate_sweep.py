@@ -26,13 +26,17 @@ sys.path.insert(0, REPO)
 
 class _Exchanges(logging.Handler):
     """Collects ``shuffle_by``'s DEBUG records as [kernel, path, bytes,
-    blocks, map_blocks] under the query that is running."""
+    blocks, map_blocks] under the query that is running. The task launches
+    that its child logger ``ontocast_ray.ops.shuffle.map_blocks`` records
+    (the gather's among them) are not exchanges and are skipped."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.query, self.calls = None, {}
 
     def emit(self, record):
+        if not record.msg.startswith("shuffle_by "):
+            return
         kernel, path, _rows, size, blocks, map_blocks, _p = record.args
         self.calls.setdefault(self.query, []).append(
             [kernel, path, size, blocks, map_blocks])
