@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ontocast_ray.ops.shuffle import shuffle_by
+from ontocast_ray.ops.shuffle import map_blocks, shuffle_by
 from ontocast_ray.util import to_arrow_type, vectors_2d
 
 _WS = re.compile(r"\s+")
@@ -193,8 +193,9 @@ def _shingle_hashes(text: str, k: int = 5) -> np.ndarray:
 class MinHasher:
     """num_perm multiply-xor minhash; coefficient table built once per instance.
 
-    Map with an INSTANCE (``map_batches(MinHasher(...))``): Ray runs it as a
-    task that fuses with the map after it; the two num_perm-entry arrays
+    Map with an INSTANCE, as a task: ``map_batches(MinHasher(...))``, which
+    Ray fuses with the map after it, or called inside the ``map_blocks``
+    function of ``minhash_lsh_candidates``; the two num_perm-entry arrays
     ship with the task, so an actor pool would only add its spawn cost.
 
     Batched: all documents' shingles concatenate into one (num_perm, N)
@@ -333,8 +334,7 @@ def _bucket_pairs_partition(group: pd.DataFrame) -> pd.DataFrame:
 
 def _pair_counts(group: pd.DataFrame) -> pa.Table:
     """Distinct pairs of one coarse partition, with ``n_bands`` (int64): how
-    many band buckets surfaced each pair. Arrow out, like the pinned empty
-    block it is unioned with."""
+    many band buckets surfaced each pair."""
     counts = group.groupby(["doc_id_a", "doc_id_b"], sort=False).size()
     return pa.Table.from_pandas(counts.reset_index(name="n_bands"), preserve_index=False)
 
@@ -342,15 +342,19 @@ def _pair_counts(group: pd.DataFrame) -> pa.Table:
 def _pin_pair_schema(
     pairs: "ray.data.Dataset", docs: "ray.data.Dataset", col: str
 ) -> "ray.data.Dataset":
-    """``pairs`` plus one 0-row (doc_id_a, doc_id_b, ``col`` int64) block:
-    ``shuffle_by`` calls no kernel on an empty input, so without it an
-    empty result has no schema. The id type is the docs' ``doc_id`` type
-    when the plan knows it without executing, else int64."""
+    """``pairs`` materialized, unchanged when it has rows; with none, one
+    typed 0-row (doc_id_a, doc_id_b, ``col`` int64) block: ``shuffle_by``
+    calls no kernel on an empty input, so an empty result has no schema.
+    The id type is the docs' ``doc_id`` type when the plan knows it without
+    executing (a materialized ``docs`` does), else int64."""
+    pairs = pairs.materialize()
+    if pairs.count():
+        return pairs
     sch = docs.schema(fetch_if_missing=False)
     types = dict(zip(sch.names, sch.types)) if sch is not None else {}
     t = to_arrow_type(types["doc_id"]) if "doc_id" in types else pa.int64()
     empty = pa.schema([("doc_id_a", t), ("doc_id_b", t), (col, pa.int64())]).empty_table()
-    return pairs.union(ray.data.from_arrow(empty))
+    return ray.data.from_arrow(empty).materialize()
 
 
 def minhash_lsh_candidates(
@@ -371,21 +375,26 @@ def minhash_lsh_candidates(
     itself is the product (audit/evidence reports, pairwise verify
     metrics).
 
+    Eager: the signature and band maps are one ``map_blocks`` launch, one
+    plain Ray task per doc block, so over materialized docs the call
+    starts no Ray Data execution (the gathered exchanges are launches too).
+    A lazy ``docs`` is materialized first: the call then holds the docs in
+    the object store, where a lazy map would hold only their band rows.
     ``shuffle_by`` bounds its own input blocks (ops/shuffle.py).
     """
-    sigs = docs.map_batches(
-        MinHasher(num_perm=num_perm, shingle_k=shingle_k), batch_format="pyarrow"
-    )
-    band_rows = sigs.map_batches(
-        lambda b: _band_rows(b, bands), batch_format="pyarrow"
-    )
     if pair_mode not in ("star", "all"):
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
+    hasher = MinHasher(num_perm=num_perm, shingle_k=shingle_k)
+
+    def band_rows(batch: pa.Table) -> pa.Table:
+        return _band_rows(hasher(batch), bands)
+
+    docs = docs.materialize()
     kernel = (
         _bucket_pairs_partition if pair_mode == "star"
         else _bucket_all_pairs_partition
     )
-    pairs = shuffle_by(band_rows, "band_key", kernel)
+    pairs = shuffle_by(map_blocks(docs, band_rows), "band_key", kernel)
     # same pair can surface from several bands → distinct
     counted = shuffle_by(pairs, ["doc_id_a", "doc_id_b"], _pair_counts)
     return _pin_pair_schema(counted, docs, "n_bands")
@@ -514,10 +523,7 @@ def _verify_pairs_small(
             {"doc_id": sub["doc_id"], "shingles": pa.array(blobs, type=pa.binary())}
         )
 
-    by_doc = {
-        r["doc_id"]: r["shingles"]
-        for r in docs.map_batches(blob_rows, batch_format="pyarrow").take_all()
-    }
+    by_doc = {r["doc_id"]: r["shingles"] for r in map_blocks(docs, blob_rows).take_all()}
     out_a, out_b, sims = [], [], []
     for a, b in cand_pairs:
         if a not in by_doc or b not in by_doc:

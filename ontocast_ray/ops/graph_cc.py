@@ -37,9 +37,10 @@ import pyarrow as pa
 import ray.data
 
 from ontocast_ray.ops.interleave import splitmix64
-from ontocast_ray.ops.shuffle import shuffle_by
+from ontocast_ray.ops.shuffle import map_blocks, shuffle_by
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
+_KEEP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("keep_id", pa.int64()), ("keep", pa.bool_())])
 
 # Size limits at or below which an op takes its driver or broadcast fast
 # path. Read at call time, so a test can set one to 0 to force the
@@ -170,6 +171,8 @@ def connected_components(
     from ray.data.aggregate import Sum
 
     def to_edges(b: pa.Table) -> pa.Table:
+        if not b.num_rows:  # a sort-path exchange's empty block has no columns
+            return _EDGE_SCHEMA.empty_table()
         t = pa.table(
             {"u": b[a_col].cast(pa.int64()), "v": b[b_col].cast(pa.int64())}
         )
@@ -177,7 +180,7 @@ def connected_components(
         # silently drop their nodes) — remove them up front
         return _as_max_min(t.filter(pa.compute.not_equal(t["u"], t["v"])))
 
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
+    edges = map_blocks(pairs, to_edges)
     if edges.count() <= _UNION_FIND_LIMIT:
         return _local_union_find(edges)
 
@@ -366,10 +369,16 @@ def dedup_keep_list(
     b_col: str = "doc_id_b",
 ) -> "ray.data.Dataset":
     """→ (doc_id, keep_id, keep): keep_id = component min; keep = doc IS the
-    representative. Docs absent from the pair graph are implicitly kept."""
+    representative. Docs absent from the pair graph are implicitly kept.
+
+    Eager, like ``connected_components``: its edge map and the mark map are
+    ``map_blocks`` launches, so over materialized pairs the union-find path
+    starts no Ray Data execution."""
     comp = connected_components(pairs, a_col=a_col, b_col=b_col)
 
     def mark(batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:  # a sort-path exchange's empty block has no columns
+            return _KEEP_SCHEMA.empty_table()
         d = batch["doc_id"].to_numpy(zero_copy_only=False)
         c = batch["component"].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -380,7 +389,7 @@ def dedup_keep_list(
             }
         )
 
-    return comp.map_batches(mark, batch_format="pyarrow")
+    return map_blocks(comp, mark)
 
 
 def _triangle_count_driver(edf: "pd.DataFrame") -> int:

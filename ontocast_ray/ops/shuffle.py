@@ -46,19 +46,28 @@ executor. That executor notices a finished task only on its 0.1 s
 runs that task alone: the 16 tasks of ``crawl_update``'s KG stage (about
 1.2 s of kernel CPU; 4 CPUs, a 768 MiB object store, medians of 8
 alternating runs) took 0.91 s of wall time through it and 0.52 s as plain
-tasks, for the same 89,037 rows. The gather path is the same launch with every block in one
-task. Each launch logs at DEBUG level, on the child logger
-``ontocast_ray.ops.shuffle.map_blocks``, the function's name, its input
-blocks, its tasks and its rows in and out. The module's only
-``ray.remote`` is ``_run_blocks``; ``tests/test_shuffle.py`` fails on any
-other outside ``state/ontology_hub.py``.
+tasks, for the same 89,037 rows. The gather path is the same launch with
+every block in one task. A launch returns its output materialized: a
+``from_*_refs`` dataset that was never ``.materialize()``d starts an
+execution when it is read (``take_all``, ``iter_batches``,
+``to_pandas``), and the ``.materialize()`` call itself starts none. So a
+chain of launches over materialized blocks, such as the near-dup pass
+(LSH, verify, keep list), starts no Ray Data execution. Each launch logs
+at DEBUG level, on the child logger ``ontocast_ray.ops.shuffle.map_blocks``,
+the function's name, its input blocks, its tasks, its rows in and out,
+its input bytes (``bytes_in``) and the wall seconds its tasks spent, summed
+(``task_s``). The module's only ``ray.remote`` is ``_run_blocks``;
+``tests/test_shuffle.py`` fails on any other outside
+``state/ontology_hub.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
+import time
 
 import numpy as np
 import pandas as pd
@@ -152,7 +161,7 @@ def shuffle_by(
 
     if n == 0:
         # what the sort path gives an empty input: one empty block, no schema
-        return ray.data.from_pandas(pd.DataFrame())
+        return ray.data.from_pandas(pd.DataFrame()).materialize()
     if gather:
         return _launch(ds, kernel, batch_format, [_block_refs(ds)])
 
@@ -188,11 +197,20 @@ def map_blocks(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
     own plain Ray task, and return the materialized dataset of the output
     blocks, in input order.
 
-    ``fn`` gets the block as a ``pyarrow.Table`` (an empty one too) and
-    returns what a ``map_batches`` function may return; the output is
+    Use it for a map whose input is already materialized: the launch and
+    reads of its output start no Ray Data execution. A lazy ``ds`` is
+    materialized first, in one execution of its whole upstream, so the
+    call then holds ``ds`` in the object store where a lazy map would
+    hold only its output; keep lazy what callers compose.
+
+    ``fn`` gets the block as a ``pyarrow.Table``, an empty one too (where
+    ``map_batches`` would skip it): the empty blocks of a sort-path
+    ``shuffle_by`` output have no columns. It returns what a
+    ``map_batches`` function may return; the output is
     stored as ``map_batches`` stores it. A task whose worker dies is
-    retried; an exception raised by ``fn`` propagates. An input with no
-    blocks runs no task and gives an empty dataset.
+    retried; an exception raised by ``fn`` propagates, the first one when
+    several tasks raise. An input with no blocks runs no task and gives an
+    empty dataset.
     """
     ds = ds.materialize()
     return _launch(ds, fn, "pyarrow", [[ref] for ref in _block_refs(ds)])
@@ -205,16 +223,33 @@ def _block_refs(ds) -> list:
 
 def _launch(ds, fn, batch_format: str, groups: list[list]) -> "ray.data.Dataset":
     """One ``_run_blocks`` task per group of the materialized ``ds``'s block
-    refs → the materialized dataset of their output blocks."""
+    refs → the materialized dataset of their output blocks.
+
+    When ``fn`` raises, each failed task's output ref is fetched before the
+    first error is re-raised: Ray reports an error ref that no one fetched
+    as an "Unhandled error", one traceback per ref."""
     fn_ref = ray.put(fn)
     tasks = [_run_blocks.remote(fn_ref, batch_format, *group) for group in groups]
-    pandas = ray.get([is_pandas for _, is_pandas in tasks])
-    from_refs = ray.data.from_pandas_refs if any(pandas) else ray.data.from_arrow_refs
-    out = from_refs([block for block, _ in tasks])
+    try:
+        meta = ray.get([m for _, m in tasks])
+    except Exception:
+        for block, m in tasks:
+            try:
+                ray.get(m)
+            except Exception:
+                with contextlib.suppress(Exception):
+                    ray.get(block)
+        raise
+    from_refs = (ray.data.from_pandas_refs if any(p for p, _ in meta)
+                 else ray.data.from_arrow_refs)
+    # a from_*_refs dataset that was never materialized starts a Ray Data
+    # execution on take_all/iter_batches; materializing it starts none
+    out = from_refs([block for block, _ in tasks]).materialize()
     _blocks_log.debug(
-        "map_blocks %s: blocks=%d tasks=%d rows_in=%d rows_out=%d",
+        "map_blocks %s: blocks=%d tasks=%d rows_in=%d rows_out=%d bytes_in=%s task_s=%.3f",
         getattr(fn, "__name__", type(fn).__name__),
         sum(map(len, groups)), len(groups), ds.count(), out.count(),
+        ds.size_bytes(), sum(s for _, s in meta),
     )
     return out
 
@@ -224,10 +259,11 @@ def _launch(ds, fn, batch_format: str, groups: list[list]) -> "ray.data.Dataset"
 @ray.remote(num_returns=2, max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
 def _run_blocks(fn, batch_format: str, *blocks):
     """``fn`` over the rows of ``blocks`` as one ``batch_format`` batch →
-    (output block, whether it is a pandas block)."""
+    (output block, (whether it is a pandas block, the task's wall seconds))."""
+    t0 = time.perf_counter()
     out = BlockAccessor.batch_to_block(
         fn(BlockAccessor.for_block(_concat(blocks)).to_batch_format(batch_format)))
-    return out, isinstance(out, pd.DataFrame)
+    return out, (isinstance(out, pd.DataFrame), time.perf_counter() - t0)
 
 
 def _concat(blocks) -> "pa.Table | pd.DataFrame":

@@ -1,5 +1,6 @@
 """Session-scoped Ray fixture — Ray is initialised ONCE per pytest session —
-and ``both_paths``, which runs a case on both paths of ``shuffle_by``."""
+``both_paths``, which runs a case on both paths of ``shuffle_by``, and
+``executions``, which records the Ray Data executions a case starts."""
 
 from __future__ import annotations
 
@@ -47,3 +48,20 @@ def both_paths(monkeypatch):
             yield path
 
     return each
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """A list that gets the DAG string of every Ray Data streaming
+    execution started while the test runs (the executor's ``execute``
+    is wrapped)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    started, real = [], StreamingExecutor.execute
+
+    def counting(self, dag, *args, **kwargs):
+        started.append(dag.dag_str)
+        return real(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return started

@@ -118,54 +118,99 @@ def test_minhash_lsh_n_bands_matches_driver_recount(
         assert dict(zip(zip(got["doc_id_a"], got["doc_id_b"]), got["n_bands"])) == dict(want)
 
 
-def test_lsh_candidates_on_empty_docs(ray_session):
+def test_lsh_candidates_on_empty_docs(ray_session, monkeypatch):
     """No docs → no pairs, with the pair schema pinned (to_pandas drops the
-    columns of a fully-empty dataset, so check schema())."""
+    columns of a fully-empty dataset, so check schema()), its id columns
+    typed as the docs' ``doc_id``. With pairs, the result is the pair-count
+    exchange's own single block: nothing is unioned onto it."""
     import ray.data
 
+    from ontocast_ray.ops import dedup
     from ontocast_ray.ops.dedup import minhash_lsh_candidates, simhash_candidates
 
-    empty = ray.data.from_arrow(pa.table({
-        "doc_id": pa.array([], type=pa.int64()), "text": pa.array([], type=pa.string()),
-    }))
-    lsh = minhash_lsh_candidates(empty, shingle_k=3)
-    assert lsh.count() == 0
-    assert lsh.schema().names == ["doc_id_a", "doc_id_b", "n_bands"]
+    for id_type in (pa.int64(), pa.string()):
+        empty = ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([], type=id_type), "text": pa.array([], type=pa.string()),
+        }))
+        lsh = minhash_lsh_candidates(empty, shingle_k=3)
+        assert lsh.count() == 0
+        assert lsh.schema().names == ["doc_id_a", "doc_id_b", "n_bands"]
+        assert list(lsh.schema().types) == [id_type, id_type, pa.int64()]
     sim = simhash_candidates(empty)
     assert sim.count() == 0
     assert sim.schema().names == ["doc_id_a", "doc_id_b", "hamming"]
 
+    exchanged, real = [], dedup.shuffle_by
 
-def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(ray_session, docs_table, monkeypatch):
-    """The MinHash kernel is a task map fused into the band map (Ray fuses
-    only task maps, never an actor pool into the map after it), and the
-    pair count is a ``shuffle_by``, not Ray's native ``Aggregate``. A
-    gathered ``shuffle_by`` returns blocks its own tasks made, whose
-    ``stats()`` start there, so each exchange's input is materialized and
-    its ``stats()`` read before it is handed on."""
-    import ray.data
-
-    from ontocast_ray.ops import dedup
-
-    plans = []
-    real = dedup.shuffle_by
-
-    def recording(ds, keys, *args, **kwargs):
-        ds = ds.materialize()
-        plans.append((keys, [line for line in ds.stats().splitlines()
-                             if line.startswith("Operator ")]))
-        return real(ds, keys, *args, **kwargs)
+    def recording(*args, **kwargs):
+        exchanged.append(real(*args, **kwargs))
+        return exchanged[-1]
 
     monkeypatch.setattr(dedup, "shuffle_by", recording)
-    docs = ray.data.from_arrow(docs_table).repartition(3)
+    docs = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["a", "b", "c"]),
+        "text": ["one two three four five six", "one two three four five six", "seven eight"],
+    }))
+    lsh = minhash_lsh_candidates(docs, shingle_k=3)
+
+    def refs(ds):
+        return [ref for b in ds.iter_internal_ref_bundles() for ref in b.block_refs]
+
+    assert refs(lsh) == refs(exchanged[-1]) and len(refs(lsh)) == 1
+    assert lsh.take_all() == [{"doc_id_a": "a", "doc_id_b": "b", "n_bands": 16}]
+
+
+def test_minhash_lsh_plan_runs_signatures_as_fused_tasks(
+        ray_session, docs_table, caplog, monkeypatch):
+    """The MinHash kernel and the band map run fused, as one ``map_blocks``
+    launch with one plain task per doc block and no other launch before
+    the band exchange; the pair count is a ``shuffle_by``, not Ray's
+    native ``Aggregate``."""
+    import logging
+
+    import ray.data
+
+    from ontocast_ray.ops import dedup, shuffle
+
+    caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
+    keys, real = [], dedup.shuffle_by
+
+    def recording(ds, k, *args, **kwargs):
+        keys.append(k)
+        return real(ds, k, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "shuffle_by", recording)
+    docs = ray.data.from_arrow(docs_table).repartition(3).materialize()
     out = dedup.minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
-    ops = [line for line in out.materialize().stats().splitlines()
-           if line.startswith("Operator ")]
-    assert [keys for keys, _ in plans] == ["band_key", ["doc_id_a", "doc_id_b"]]
-    bands = plans[0][1]
-    assert any("MapBatches(MinHasher)->MapBatches(" in line for line in bands), bands
-    for line in ops + [line for _, lines in plans for line in lines]:
-        assert " Aggregate" not in line, line
+    assert keys == ["band_key", ["doc_id_a", "doc_id_b"]]
+    msgs = [r.getMessage() for r in caplog.records]
+    first_exchange = next(i for i, m in enumerate(msgs) if m.startswith("shuffle_by "))
+    [launch] = msgs[:first_exchange]
+    assert launch.startswith(
+        f"map_blocks band_rows: blocks=3 tasks=3 rows_in={len(docs_table)} "
+        f"rows_out={len(docs_table) * 16} "), launch
+    assert " Aggregate" not in out.stats()
+
+
+def test_neardup_pass_starts_no_execution(ray_session, docs_table, executions):
+    """Over materialized docs, LSH → verify → keep list runs as plain Ray
+    tasks: no Ray Data execution starts, reading the results included."""
+    import ray.data
+
+    from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
+    from ontocast_ray.ops.graph_cc import dedup_keep_list
+
+    docs = ray.data.from_arrow(docs_table).repartition(3).materialize()
+    executions.clear()
+    cands = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3).materialize()
+    verified = ngram_jaccard_verify(docs, cands, threshold=0.5, shingle_k=3).materialize()
+    keep = dedup_keep_list(verified).materialize()
+    assert executions == []
+    rows = keep.take_all()
+    assert executions == []
+    assert cands.count() >= verified.count() > 0
+    kept = {r["doc_id"]: r["keep_id"] for r in rows}
+    assert kept[1] == 0 and kept[4] == 3 and kept[7] == 6
 
 
 def test_embedding_dedup(ray_session):
@@ -536,10 +581,13 @@ def test_ivf_index_prunes_reads(ray_session, tmp_path):
     assert top == {0: 0, 1: 1}
 
 
-def test_connected_components_chain_and_clusters(ray_session, monkeypatch):
+def test_connected_components_chain_and_clusters(ray_session, monkeypatch, both_paths):
     """CC == brute-force components on chains (multi-hop), triangles, and
     singleton pairs, on both paths: driver union-find (14 edges, under
-    ``_UNION_FIND_LIMIT``) and the star rounds (the limit patched to 0)."""
+    ``_UNION_FIND_LIMIT``) and the star rounds (the limit patched to 0),
+    each over both exchange paths. The pairs come in 3 blocks after a
+    schema-less empty block, which is what a sort-path exchange yields for
+    an empty partition (the star rounds' exchanges yield such blocks too)."""
     import ray.data
 
     from ontocast_ray.ops import graph_cc
@@ -557,13 +605,16 @@ def test_connected_components_chain_and_clusters(ray_session, monkeypatch):
     )
     expected = {i: 0 for i in range(10)}
     expected.update({20: 20, 21: 20, 22: 20, 30: 30, 31: 30, 40: 40, 41: 40})
-    for limit in (graph_cc._UNION_FIND_LIMIT, 0):
-        monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", limit)
-        keep = dedup_keep_list(ray.data.from_arrow(tbl)).take_all()
-        got = {r["doc_id"]: r["keep_id"] for r in keep}
-        assert got == expected, limit  # keep_id IS the component label
-        kept = {r["doc_id"] for r in keep if r["keep"]}
-        assert kept == {0, 20, 30, 40}, limit
+    pairs = ray.data.from_pandas(pd.DataFrame()).union(
+        ray.data.from_arrow([tbl.slice(0, 5), tbl.slice(5, 5), tbl.slice(10)]))
+    for path in both_paths():
+        for limit in (graph_cc._UNION_FIND_LIMIT, 0):
+            monkeypatch.setattr(graph_cc, "_UNION_FIND_LIMIT", limit)
+            keep = dedup_keep_list(pairs).take_all()
+            got = {r["doc_id"]: r["keep_id"] for r in keep}
+            assert got == expected, (path, limit)  # keep_id IS the component label
+            kept = {r["doc_id"] for r in keep if r["keep"]}
+            assert kept == {0, 20, 30, 40}, (path, limit)
 
 
 def test_connected_components_scale_star_and_chain(ray_session, monkeypatch):

@@ -142,9 +142,10 @@ def test_empty_input_gives_empty_output(ray_session, both_paths):
         assert shuffle_by(ds, "s", never, n_parts=4).count() == 0
 
 
-def test_empty_input_skips_the_exchange(ray_session, both_paths, caplog):
+def test_empty_input_skips_the_exchange(ray_session, both_paths, caplog, executions):
     """No rows, no exchange: no Sort operator, and the result the sort
-    path gave an empty input (no rows, one block, no schema)."""
+    path gave an empty input (no rows, one block, no schema), materialized:
+    reading it starts no execution."""
     caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
 
     def never(df: pd.DataFrame) -> pd.DataFrame:
@@ -152,7 +153,9 @@ def test_empty_input_skips_the_exchange(ray_session, both_paths, caplog):
 
     for _ in both_paths():
         caplog.clear()
-        out = shuffle_by(_ds(10).filter(expr="v < 0"), "s", never, n_parts=4).materialize()
+        out = shuffle_by(_ds(10).filter(expr="v < 0"), "s", never, n_parts=4)
+        executions.clear()
+        assert out.take_all() == [] and executions == []
         assert "Sort" not in out.stats()
         assert out.count() == 0 and out.num_blocks() == 1 and out.schema() is None
         [msg] = [r.getMessage() for r in caplog.records if r.name == shuffle.__name__]
@@ -172,9 +175,11 @@ def test_output_multiset_independent_of_n_parts(ray_session, both_paths):
     assert all(outs[0].equals(o) for o in outs[1:])
 
 
-def _launches(caplog) -> list[str]:
-    """The DEBUG records of ``map_blocks``-style task launches."""
-    return [r.getMessage() for r in caplog.records if r.name == shuffle._blocks_log.name]
+def _launches(caplog, cost: bool = False) -> list[str]:
+    """The DEBUG records of ``map_blocks``-style task launches; without
+    ``cost``, only their counts (each record's text before " bytes_in=")."""
+    msgs = [r.getMessage() for r in caplog.records if r.name == shuffle._blocks_log.name]
+    return msgs if cost else [m.split(" bytes_in=")[0] for m in msgs]
 
 
 def test_stats_show_kernel_name(ray_session, both_paths, caplog):
@@ -251,25 +256,46 @@ def _mixed_blocks():
 def test_map_blocks_runs_one_task_per_block(ray_session, caplog):
     """One task per input block, in block order, each ``fn`` call seeing
     its block as an arrow table (the empty one too); one DEBUG record per
-    call names ``fn`` and counts blocks, tasks and rows in and out."""
+    call names ``fn`` and counts blocks, tasks, rows in and out, the
+    input's bytes and the tasks' summed wall seconds."""
+    import time
+
     import pyarrow as pa
     import ray
 
     caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
 
     def per_block(t: pa.Table) -> pa.Table:
+        time.sleep(0.05)
         task = ray.get_runtime_context().get_task_id()
         return pa.table({"task": [task], "rows": [t.num_rows], "arrow": [isinstance(t, pa.Table)]})
 
     for ds, want in ((_ds(blocks=5), [48] * 5), (_mixed_blocks(), [2, 1, 0])):
         caplog.clear()
+        ds = ds.materialize()
         out = shuffle.map_blocks(ds, per_block).take_all()
         assert [r["rows"] for r in out] == want
         assert all(r["arrow"] for r in out)
         assert len({r["task"] for r in out}) == len(want)
-        assert _launches(caplog) == [
-            f"map_blocks per_block: blocks={len(want)} tasks={len(want)} "
-            f"rows_in={sum(want)} rows_out={len(want)}"]
+        [msg] = _launches(caplog, cost=True)
+        counts, cost = msg.split(" bytes_in=")
+        assert counts == (f"map_blocks per_block: blocks={len(want)} tasks={len(want)} "
+                          f"rows_in={sum(want)} rows_out={len(want)}")
+        m = re.fullmatch(r"(\d+) task_s=(\d+\.\d{3})", cost)
+        assert m and int(m[1]) == ds.size_bytes() > 0, msg
+        assert 0.05 * len(want) <= float(m[2]) < 0.05 * len(want) + 5, msg
+
+
+def test_map_blocks_output_reads_without_an_execution(ray_session, executions):
+    """``map_blocks`` returns a materialized dataset: reading it starts no
+    Ray Data execution, nor does running it over a materialized input."""
+    ds = _ds(blocks=3).materialize()
+    executions.clear()
+    out = shuffle.map_blocks(ds, lambda t: t)
+    assert len(out.take_all()) == 240
+    assert sum(len(b) for b in out.iter_batches(batch_size=None, batch_format="pyarrow")) == 240
+    assert len(out.to_pandas()) == 240
+    assert executions == []
 
 
 def test_map_blocks_empty_input(ray_session, caplog):
@@ -288,7 +314,8 @@ def test_map_blocks_empty_input(ray_session, caplog):
     no_blocks = ray.data.range(0)
     out = shuffle.map_blocks(no_blocks, count)
     assert out.count() == 0 and out.num_blocks() == 0
-    assert _launches(caplog)[-1] == "map_blocks count: blocks=0 tasks=0 rows_in=0 rows_out=0"
+    assert _launches(caplog, cost=True)[-1] == (
+        "map_blocks count: blocks=0 tasks=0 rows_in=0 rows_out=0 bytes_in=0 task_s=0.000")
 
 
 def test_map_blocks_keeps_the_output_block_type(ray_session):
@@ -319,13 +346,34 @@ def test_map_blocks_keeps_the_output_block_type(ray_session):
 
 def test_map_blocks_kernel_exception_propagates(ray_session, both_paths):
     """An exception raised by the function reaches the caller, through
-    ``map_blocks`` and through either path of ``shuffle_by``."""
+    ``map_blocks`` and through either path of ``shuffle_by``. When it
+    raises in every task of a launch, Ray reports none of the failed
+    tasks' outputs as an "Unhandled error" once the caller drops them."""
+    import gc
+    import time
 
     def boom(batch):
         raise ValueError("kernel failed on purpose")
 
-    with pytest.raises(ValueError, match="kernel failed on purpose"):
-        shuffle.map_blocks(_ds(blocks=2), boom)
+    class Unhandled(logging.Handler):
+        def __init__(self):
+            super().__init__(logging.ERROR)
+            self.seen = []
+
+        def emit(self, record):
+            if "Unhandled error" in record.getMessage():
+                self.seen.append(record.getMessage())
+
+    unhandled, worker_log = Unhandled(), logging.getLogger("ray._private.worker")
+    worker_log.addHandler(unhandled)
+    try:
+        with pytest.raises(ValueError, match="kernel failed on purpose"):
+            shuffle.map_blocks(_ds(blocks=3), boom)
+        gc.collect()  # the caught error's traceback held the launch's refs
+        time.sleep(1)
+    finally:
+        worker_log.removeHandler(unhandled)
+    assert unhandled.seen == []
     for _ in both_paths():
         with pytest.raises(Exception, match="kernel failed on purpose"):
             shuffle_by(_ds(blocks=2), "s", boom).materialize()
@@ -411,16 +459,38 @@ def test_sort_path_coalesces_tiny_blocks(
     assert rows(out).equals(want)
 
 
-def test_gate_sweep_records_each_exchange(ray_session, both_paths):
-    """tools/gate_sweep.py reads every call's kernel, path, bytes, blocks
-    and coalesced block count from the DEBUG record, under the query that
-    made it."""
+def _gate_sweep():
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
         "gate_sweep", _REPO / "tools" / "gate_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_gate_sweep_counts_executions(ray_session):
+    """tools/gate_sweep.py counts the Ray Data executions a query starts:
+    a lazy map's materialize is one, a ``map_blocks`` launch none."""
+    sweep = _gate_sweep()
+    executions = sweep._Executions()
+    log = logging.getLogger(sweep._Executions.LOGGER)
+    log.addHandler(executions)
+    try:
+        executions.query = "lazy"
+        _ds().map_batches(lambda b: b).materialize()
+        executions.query = "launch"
+        shuffle.map_blocks(_ds().materialize(), lambda t: t).take_all()
+    finally:
+        log.removeHandler(executions)
+    assert executions.counts == {"lazy": 1}
+
+
+def test_gate_sweep_records_each_exchange(ray_session, both_paths):
+    """tools/gate_sweep.py reads every call's kernel, path, bytes, blocks
+    and coalesced block count from the DEBUG record, under the query that
+    made it."""
+    sweep = _gate_sweep()
     log = logging.getLogger(shuffle.__name__)
     exchanges, level = sweep._Exchanges(), log.level
     log.addHandler(exchanges)

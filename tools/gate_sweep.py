@@ -9,7 +9,10 @@ before every round close: the heaviest legs are the ones a driver timeout
 would hit first. The JSON line also holds ``exchanges``: per query, the
 ``[kernel, path, bytes, blocks, map_blocks]`` of every ``shuffle_by`` call
 it made, read from that op's DEBUG log (``map_blocks``: the block count
-after the exchange's coalescing).
+after the exchange's coalescing), and ``executions``: per query, the
+number of Ray Data streaming executions it started, counted from Ray
+Data's "Starting execution of Dataset" records (a run whose plan is only
+input blocks logs none), with their sum in ``executions_total``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,21 @@ class _Exchanges(logging.Handler):
             [kernel, path, size, blocks, map_blocks])
 
 
+class _Executions(logging.Handler):
+    """Counts Ray Data's "Starting execution of Dataset" records, one per
+    streaming execution, under the query that is running."""
+
+    LOGGER = "ray.data._internal.execution.streaming_executor"
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.query, self.counts = None, {}
+
+    def emit(self, record):
+        if record.getMessage().startswith("Starting execution of Dataset"):
+            self.counts[self.query] = self.counts.get(self.query, 0) + 1
+
+
 def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     import ray
 
@@ -59,6 +77,8 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     log = logging.getLogger(shuffle.__name__)
     log.addHandler(exchanges)
     log.setLevel(logging.DEBUG)
+    executions = _Executions()
+    logging.getLogger(_Executions.LOGGER).addHandler(executions)
     con = oracle_connection(sf)
     qs, oracles = entry.queries(), entry.oracle_sql()
     # off the sf0.01 gate, _GATE_SF_ONLY oracles are not exact
@@ -66,7 +86,7 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
     results = {}
     t_all = time.perf_counter()
     for name, fn in qs.items():
-        exchanges.query = name
+        exchanges.query = executions.query = name
         t0 = time.perf_counter()
         try:
             rdf = to_pandas(fn(sf))
@@ -87,7 +107,9 @@ def main(sf="/root/testdata/sf0.01", num_cpus=32) -> int:
             )
     print(json.dumps(
         {"total_s": round(time.perf_counter() - t_all, 1),
-         "n": len(results), "exchanges": exchanges.calls}
+         "n": len(results), "exchanges": exchanges.calls,
+         "executions": executions.counts,
+         "executions_total": sum(executions.counts.values())}
     ))
     for name, (dt, n, st) in sorted(
         results.items(), key=lambda kv: -kv[1][0]
