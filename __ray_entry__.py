@@ -24,6 +24,9 @@ KG_DOC_LIMIT = 500  # covers the whole documents table at sf0.001/sf0.01
 
 
 def _read(sf_dir: str, table: str, columns=None, filter=None):
+    """A lazy parquet read. A query that hands it to several eager ops (the
+    near-dup queries' LSH and verify each materialize their docs)
+    materializes it once: each op would otherwise read the parquet again."""
     import ray.data
 
     return ray.data.read_parquet(
@@ -579,7 +582,7 @@ def _q_neardup_scrubbed_packing(sf_dir: str):
     from ontocast_ray.ops.graph_cc import apply_keep_list, dedup_keep_list
     from ontocast_ray.ops.packing import pack_sequences
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     verified = ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3)
     # the scrub consumes its input lineage twice (gram pass + doc rows) and
@@ -1378,7 +1381,7 @@ def _q_minhash_pairs(sf_dir: str):
     """MinHash+LSH candidates verified by exact shingle Jaccard (live SQL oracle at the driver's sf0.01 gate)."""
     from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     return ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3)
 
@@ -2608,7 +2611,7 @@ def _q_neardup_keep_list(sf_dir: str):
     from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
     from ontocast_ray.ops.graph_cc import dedup_keep_list
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     verified = ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3)
     return dedup_keep_list(verified)
@@ -2624,7 +2627,7 @@ def _q_neardup_filtered(sf_dir: str):
     from ontocast_ray.ops.dedup import minhash_lsh_candidates, ngram_jaccard_verify
     from ontocast_ray.ops.graph_cc import apply_keep_list, dedup_keep_list
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "source", "text"]).materialize()
     pairs = minhash_lsh_candidates(docs, num_perm=64, bands=16, shingle_k=3)
     verified = ngram_jaccard_verify(docs, pairs, threshold=0.8, shingle_k=3)
     kept = apply_keep_list(docs, dedup_keep_list(verified))
@@ -3083,7 +3086,7 @@ def _q_keep_best(sf_dir: str):
     )
     from ontocast_ray.ops.graph_cc import dedup_keep_best
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text", "n_chars"]).materialize()
     pairs = minhash_lsh_candidates(
         docs, num_perm=64, bands=32, shingle_k=3
     )
@@ -3108,7 +3111,7 @@ def _q_dedup_audit(sf_dir: str):
     )
     from ontocast_ray.ops.graph_cc import dedup_audit, dedup_keep_list
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     pairs = minhash_lsh_candidates(
         docs, num_perm=64, bands=32, shingle_k=3,
         pair_mode="all",
@@ -3502,7 +3505,7 @@ def _q_contrastive_triplets(sf_dir: str):
     )
     from ontocast_ray.ops.interleave import splitmix64
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     n_docs = docs.count()
     pairs = minhash_lsh_candidates(
         docs, num_perm=64, bands=32, shingle_k=3,

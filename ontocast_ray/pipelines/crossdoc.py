@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ontocast_ray.ops.shuffle import shuffle_by
+from ontocast_ray.ops.shuffle import map_blocks, shuffle_by, union_blocks
 from ontocast_ray.rdf.namespaces import PROV, RDF, RDFS
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -339,6 +339,8 @@ def merge_cross_doc(
 def _old_rows(batch: pa.Table) -> pa.Table:
     """Yesterday's table as merge rows (extra columns, e.g. status, drop)."""
     n = len(batch)
+    if n == 0:  # a sort-path exchange's empty blocks have no columns
+        return _MERGE_SCHEMA.empty_table()
     cols = [batch[c] for c in ("entity_key", "label", "types")] + [
         pa.array([[]] * n, _STRS), batch["n_docs"], batch["n_mentions"],
         pa.array([0] * n, pa.int8()),
@@ -360,6 +362,14 @@ def incremental_global_entities(
 
     ONE ``shuffle_by(entity_key)`` over the new batch's combiner rows ∪
     yesterday's rows, folded by the merge kernel of `global_entity_table`.
+    The combiner (`_entity_mentions`, one call per triple block) and
+    `_old_rows` run through ``map_blocks`` as plain Ray tasks, and
+    ``union_blocks`` hands both outputs to the exchange: over materialized
+    inputs the call starts no Ray Data execution, and a lazy input (a
+    ``read_parquet``) is materialized in one execution of its own. Run
+    eagerly, the merge holds the new triples in the object store; a
+    ``crawl_update`` pass's peak RSS did not rise, as the sink before it
+    already held them.
     No salt: a hot key brings one row per input batch plus one old row.
     Merge rules are associative/commutative (longest-label with lexical
     tiebreak, type-set union, count sums — doc sets of distinct crawl
@@ -370,9 +380,9 @@ def incremental_global_entities(
     ``n_parts`` goes to ``shuffle_by`` as is (None: sized there from the
     row count); it stays because the perfbench harness passes it.
     """
-    new = new_triples.map_batches(_entity_mentions, batch_format="pyarrow")
-    old = old_table.map_batches(_old_rows, batch_format="pyarrow")
+    new = map_blocks(new_triples, _entity_mentions)
+    old = map_blocks(old_table, _old_rows)
     return shuffle_by(
-        new.union(old), "entity_key", _merge_entities_factory(domain, status=True),
+        union_blocks(new, old), "entity_key", _merge_entities_factory(domain, status=True),
         n_parts, batch_format="pyarrow",
     )

@@ -12,9 +12,9 @@ extracted and folded inside the call that chunked them. The block
 function runs two ways. ``build_kg_pipeline`` maps it lazily, so driver
 queries compose it. The resumable sink (``run_resumable``) runs it eagerly
 with ``ops.shuffle.map_blocks``, one plain Ray task per doc block outside
-Ray Data's streaming executor: the sink materializes the triples before
-its coalescing write anyway (see ``sources.io``), and the blocks wait in
-the object store, which spills. The ontology side-channel is the
+Ray Data's streaming executor: the sink's write exchange materializes the
+triples anyway (see ``sources.io``), and the blocks wait in the object
+store, which spills. The ontology side-channel is the
 OntologyHub named actor (broadcast-small reads once per actor + batched
 commutative merges — not a shuffle), used by ``build_kg_pipeline``'s hub
 branch only.
@@ -367,9 +367,12 @@ def run_resumable(
     drops the docs of committed shards, runs the KG kernel and tags each
     triple row with its doc's shard. The sink's commit protocol
     (``sources.io``) then purges uncommitted shard directories, writes the
-    materialized triples partitioned by shard and commits every shard only
-    after the whole write, so a resume never duplicates rows; the trade-off
-    is that a crash re-runs every uncommitted shard in one pass. At
+    triples through one ``shuffle_by(part)`` whose kernel writes one file
+    per shard (one plain Ray task up to the exchange's 64 MiB gather limit,
+    so a pass over materialized docs starts no Ray Data execution; above
+    it, the sort path's reducers), and commits every shard only after the
+    whole write, so a resume never duplicates rows; the trade-off is that a
+    crash re-runs every uncommitted shard in one pass. At
     multi-node scale shards would be input-file groups; the hash keeps the
     same layout on one input file.
 
@@ -391,10 +394,8 @@ def run_resumable(
     if not todo:
         return stats
     kg_block = _kg_blocks(_shard_filter_factory(done, n_shards), n_shards, **pipeline_kwargs)
-    # one file per ~200k rows per shard, not one per block
-    rows, stats["blocks"] = _write_committed(
-        map_blocks(docs, kg_block), out_dir, "part", n_shards, done, min_rows_per_file=200_000
-    )
+    rows, stats["blocks"] = _write_committed(map_blocks(docs, kg_block), out_dir, "part",
+                                             n_shards, done)
     stats["rows_written"] = sum(rows[s] for s in todo)
     return stats
 

@@ -13,33 +13,31 @@ Layout (``<col>`` is ``part`` for the KG sink, ``bucket`` for
 
 One commit protocol (``_write_committed``) serves both sinks. A run purges
 the directories of uncommitted partitions (orphans of a crashed run),
-materializes its input, writes every uncommitted partition in ONE
-partitioned write, and only then commits each partition's marker. A
-committed partition is never rewritten, so resume is idempotent. The
-trade-off of the single write: a crash anywhere in it leaves every partition
-of that run uncommitted, and the re-run redoes all of them in one pass.
+writes every uncommitted partition in one exchange, and only then commits
+each partition's marker, with its row count read from the parquet footers.
+A committed partition is never rewritten, so resume is idempotent. The
+trade-off of the single exchange: a crash anywhere in it leaves every
+partition of that run uncommitted, and the re-run redoes all of them.
 
-The materialize step keeps the producing stage parallel: Ray fuses a
-``write_parquet(min_rows_per_file=N)`` into the map chain before it and then
-bundles that chain's INPUT blocks up to N rows, so a run of fewer than N
-rows would execute the whole producing stage in one task. Materialized, the
-chain runs one task per input block (blocks sit in the object store, which
-spills) and only the cheap write is bundled. ``write_bucketed``'s
-producer is lazy and materializes here; the KG sink (``run_resumable``)
-hands over triples that ``ops.shuffle.map_blocks`` already materialized,
-one plain Ray task per doc block, so its materialize step is free. The bundle is the row minimum
-times the number of parts written, because a block can hold rows of every
-part (the KG sink's do): a smaller bundle would give each part one small
-file per write task.
+The write is ``shuffle_by(<col>, write_parts)``: the exchange colocates
+each partition's rows, and its kernel writes the partitions it receives,
+one file per partition (``part-0.parquet``). ``shuffle_by`` picks the path
+from the input's size: at or below its gather limit (64 MiB) one plain Ray
+task writes every partition, and no Ray Data execution starts; above it
+the sort path spreads the partitions over reducers, so no write task holds
+the whole run. Each partition reaches exactly one kernel call, and the
+kernel clears a partition's directory before writing it, so a retried
+write task replaces its own files. The producer stays parallel: the KG
+sink (``run_resumable``) hands over triples that ``ops.shuffle.map_blocks``
+already materialized, one plain Ray task per doc block, and
+``write_bucketed``'s lazy producer runs in one execution, one task per
+input block, when the exchange materializes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-# write_bucketed: row minimum per bucket file. Read at call time.
-_BUCKET_MIN_ROWS_PER_FILE = 50_000
 
 
 def is_lance_dataset(path: str) -> bool:
@@ -150,23 +148,24 @@ def commit_shard(out_dir: str, shard: int, stats: dict) -> str:
 
 
 def _write_committed(
-    ds, out_dir: str, col: str, n_parts: int, done: set[int], min_rows_per_file: int
+    ds, out_dir: str, col: str, n_parts: int, done: set[int], order_by: str | None = None
 ) -> tuple[dict[int, int], int]:
     """The commit protocol of both resumable sinks. ``ds`` carries an int
     ``col`` in [0, n_parts) and no rows of the ``done`` (committed) parts.
     Purges the ``<col>=N/`` directories of uncommitted parts, materializes
-    ``ds`` and writes it once partitioned by ``col``, then commits each
-    uncommitted part with its row count read from the parquet footers —
-    markers only after the whole write returned. ``min_rows_per_file`` is
-    per part file (a run with fewer rows than that per part writes one
-    file per part). → ({part: rows}, blocks):
-    rows include ``done`` parts (and 0 for parts that got no rows: they are
-    complete too); blocks is the materialized block count (0 when every
-    part was already committed)."""
+    ``ds`` and writes it through one ``shuffle_by(col)`` (`_part_writer`:
+    one file per part, rows sorted by ``order_by`` within a part when
+    given), then commits each uncommitted part with its row count read from
+    the parquet footers — markers only after the whole write returned.
+    → ({part: rows}, blocks): rows include ``done`` parts (and 0 for parts
+    that got no rows: they are complete too); blocks is the materialized
+    block count (0 when every part was already committed)."""
     import glob
     import shutil
 
     import pyarrow.parquet as pq
+
+    from ontocast_ray.ops.shuffle import shuffle_by
 
     prefix = f"{col}="
     for name in os.listdir(out_dir) if os.path.isdir(out_dir) else []:
@@ -180,18 +179,44 @@ def _write_committed(
     todo = [p for p in range(n_parts) if p not in done]
     blocks = 0
     if todo:
-        # min_rows_per_file bundles the fused upstream's INPUT blocks (one task
-        # for a whole small run): materialize so the producing maps stay parallel
         ds = ds.materialize()
         blocks = ds.num_blocks()
-        # the minimum applies per write task, whose rows spread over every part
-        ds.write_parquet(out_dir, partition_cols=[col],
-                         min_rows_per_file=min_rows_per_file * len(todo))
+        # the sort path returns a lazy dataset: run it, or nothing is written
+        shuffle_by(ds, col, _part_writer(out_dir, col, order_by),
+                   batch_format="pyarrow").materialize()
     for p in todo:
         files = glob.glob(os.path.join(out_dir, f"{prefix}{p}", "*.parquet"))
         rows[p] = sum(pq.read_metadata(f).num_rows for f in files)
         commit_shard(out_dir, p, {"rows": rows[p]})
     return rows, blocks
+
+
+def _part_writer(out_dir: str, col: str, order_by: str | None):
+    """→ the ``shuffle_by(col)`` kernel of `_write_committed`: it writes the
+    rows it gets as ``out_dir/<col>=N/part-0.parquet``, one file per part N
+    (hive layout, without the ``col`` column), sorted by ``order_by`` within
+    a part when given and otherwise in input order, and returns one
+    (``col``, rows) row per part written. The exchange sends each part to
+    one kernel call, and ``delete_matching`` empties a part's directory
+    before the write, so a retried task replaces its own files."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    def write_parts(table: "pa.Table") -> "pa.Table":
+        if order_by is not None:
+            table = table.sort_by(order_by)
+        # a row group per 1M rows (Arrow's row group maximum), not one per
+        # input block: the KG sink's 16 blocks made 27% larger shard files
+        pads.write_dataset(
+            table, out_dir, format="parquet", partitioning=[col], partitioning_flavor="hive",
+            basename_template="part-{i}.parquet", existing_data_behavior="delete_matching",
+            use_threads=False, min_rows_per_group=1 << 20,
+        )
+        parts, rows = np.unique(table[col].to_numpy(), return_counts=True)
+        return pa.table({col: parts, "rows": rows})
+
+    return write_parts
 
 
 def write_bucketed(
@@ -200,24 +225,21 @@ def write_bucketed(
     key_col: str,
     n_buckets: int = 16,
 ) -> dict:
-    """Hash-bucketed sink: ``out_dir/bucket=NN/*.parquet`` where every row
-    of bucket NN satisfies ``hash(key) % n_buckets == NN``, sorted by key
+    """Hash-bucketed sink: ``out_dir/bucket=NN/part-0.parquet`` where every
+    row of bucket NN satisfies ``hash(key) % n_buckets == NN``, sorted by key
     within the bucket. The payoff at scale: two tables bucketed the same
     way co-locate join keys per directory (a bucket join reads one
     directory pair at a time, no shuffle).
 
     Resume follows the module's commit protocol: rows of committed buckets
-    are dropped map-side before the one ``shuffle_by(key)`` (whose
-    partitions are exactly the buckets), uncommitted
-    ``bucket=NN`` directories are purged before the write, so re-runs
-    never duplicate rows. → {bucket: n_rows}, including buckets committed
-    by earlier runs.
+    are dropped map-side, and the one exchange on ``bucket`` sorts each
+    bucket by key and writes it; uncommitted ``bucket=NN`` directories are
+    purged before the write, so re-runs never duplicate rows. → {bucket:
+    n_rows}, including buckets committed by earlier runs.
     """
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
-    from ontocast_ray.ops.shuffle import shuffle_by
     from ontocast_ray.util import hash_partition
 
     done = committed_shards(out_dir)
@@ -228,15 +250,8 @@ def write_bucketed(
         out = batch.append_column("bucket", pa.array(buckets))
         return out.filter(pa.array(~np.isin(buckets, skip)))
 
-    def bucket_kernel(df: "pd.DataFrame") -> "pd.DataFrame":
-        return df.sort_values(key_col, kind="mergesort").reset_index(drop=True)
-
-    bucketed = shuffle_by(
-        ds.map_batches(add_bucket, batch_format="pyarrow"), key_col, bucket_kernel, n_buckets
-    )
-    return _write_committed(
-        bucketed, out_dir, "bucket", n_buckets, done, _BUCKET_MIN_ROWS_PER_FILE
-    )[0]
+    return _write_committed(ds.map_batches(add_bucket, batch_format="pyarrow"), out_dir,
+                            "bucket", n_buckets, done, order_by=key_col)[0]
 
 
 def read_bucket(out_dir: str, bucket: int, columns: list | None = None):

@@ -229,6 +229,31 @@ def test_incremental_runs_one_shuffle(small_triples, monkeypatch):
     assert calls == ["entity_key"]
 
 
+def test_incremental_execution_counts(small_triples, tmp_path, executions):
+    """Over a materialized old table and materialized new triples the merge
+    runs as plain Ray tasks and starts no Ray Data execution, reading its
+    result included; over a lazy ``read_parquet`` of the same triples it
+    starts exactly one, the read's, and gives the same table."""
+    import ray.data
+
+    from ontocast_ray.pipelines.crossdoc import (
+        global_entity_table,
+        incremental_global_entities,
+    )
+
+    old_table = global_entity_table(_docs_in(small_triples, "", "doc-000006")).materialize()
+    new = _docs_in(small_triples, "doc-000006", "doc-999999").materialize()
+    path = str(tmp_path / "new")
+    new.write_parquet(path)
+    executions.clear()
+    eager = incremental_global_entities(old_table, new).to_pandas()
+    assert executions == []
+    lazy = incremental_global_entities(old_table, ray.data.read_parquet(path)).to_pandas()
+    assert len(executions) == 1 and "ReadParquet" in executions[0], executions
+    assert len(eager) > 0 and set(eager["status"]) >= {"new", "updated"}
+    assert _sorted_rows(lazy).equals(_sorted_rows(eager))
+
+
 def _crawl_day(n_blocks, per_block, n_keys, seed):
     """Synthetic doc-canonical triples: ``n_blocks`` blocks of one doc
     each, ``per_block`` entities per doc drawn from ``n_keys`` keys, each

@@ -271,26 +271,47 @@ _INDEX_BUILDS = {
 }
 
 
+def _recording_task_ids(monkeypatch, module, factory_name: str, task_ids):
+    """Wrap ``module.<factory_name>`` so each kernel it builds touches a
+    file named after the id of every Ray task it runs in."""
+    import ray
+
+    factory = getattr(module, factory_name)
+
+    def recording_factory(*args):
+        kernel = factory(*args)
+
+        def record_task(batch):
+            (task_ids / ray.get_runtime_context().get_task_id()).touch()
+            return kernel(batch)
+
+        return record_task
+
+    monkeypatch.setattr(module, factory_name, recording_factory)
+
+
 @pytest.mark.parametrize("sink", ["run_resumable", "write_bucketed", *_INDEX_BUILDS])
 def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_triples,
                                       monkeypatch, sink):
-    """The coalescing write (``min_rows_per_file``) must not fuse into the
-    stage that feeds it: fused, Ray bundles that stage's input blocks up to
-    the row minimum, and the KG kernel (or the bucket or index-build kernel)
-    of a small run executes in ONE task. The dataset each sink writes is
-    captured, and its ``stats()`` after the write must show the kernel in
-    several tasks. ``run_resumable``'s KG stage runs as plain Ray tasks
-    outside Ray Data, so its kernel records the id of each task it runs in
-    instead, and several must appear."""
+    """The sink's write must not collapse the stage that feeds it into one
+    task. The index builds end in a coalescing Ray Data write
+    (``min_rows_per_file``): fused, Ray bundles the producing stage's input
+    blocks up to the row minimum, and the index-build kernel of a small run
+    executes in ONE task; the dataset each writes is captured, and its
+    ``stats()`` after the write must show the kernel in several tasks. The
+    resumable sinks start no Ray Data write: ``run_resumable``'s KG stage
+    runs as plain Ray tasks and ``write_bucketed``'s sort-and-write kernel
+    runs per partition on ``shuffle_by``'s sort path, so each kernel
+    records the id of every task it runs in, several must appear, and
+    every part gets one file."""
     import glob
     import os
 
     import numpy as np
-    import ray
     import ray.data
 
     from ontocast_ray.pipelines import kg
-    from ontocast_ray.sources.io import write_bucketed
+    from ontocast_ray.sources import io
 
     written = []
     write_parquet = ray.data.Dataset.write_parquet
@@ -301,22 +322,12 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
 
     monkeypatch.setattr(ray.data.Dataset, "write_parquet", capture)
     out = str(tmp_path / "out")
+    task_ids = tmp_path / "tasks"
+    task_ids.mkdir()
     if sink == "run_resumable":
-        task_ids = tmp_path / "kg_tasks"
-        task_ids.mkdir()
-        factory = kg._kg_process_docs_task_factory
-
-        def recording_factory(cfg):
-            process = factory(cfg)
-
-            def record_task(batch):
-                (task_ids / ray.get_runtime_context().get_task_id()).touch()
-                return process(batch)
-
-            return record_task
-
-        monkeypatch.setattr(kg, "_kg_process_docs_task_factory", recording_factory)
+        _recording_task_ids(monkeypatch, kg, "_kg_process_docs_task_factory", task_ids)
         stats = run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
+        parts = [f"part={shard}" for shard in range(RESUME_KW["n_shards"])]
     elif sink in _INDEX_BUILDS:
         from ontocast_ray.ops import similarity
 
@@ -327,23 +338,27 @@ def test_sink_keeps_producer_parallel(ray_session, corpus, tmp_path, clean_tripl
         getattr(similarity, sink)(ray.data.from_arrow(t).repartition(6), out,
                                   sample_size=200, **kw)
     else:
-        # the bucket kernel runs per partition on shuffle_by's sort path
+        # the write kernel runs per partition on shuffle_by's sort path
         # only; an input this small would take the one-task gather path
         from ontocast_ray.ops import shuffle
 
         monkeypatch.setattr(shuffle, "_GATHER_BYTES", 0)
+        _recording_task_ids(monkeypatch, io, "_part_writer", task_ids)
         t = pa.table({"k": pa.array(np.arange(2000) % 97, type=pa.int64())})
-        write_bucketed(ray.data.from_arrow(t).repartition(6), out, "k", n_buckets=8)
-        kernel = "bucket_kernel"
-    assert len(written) == 1
+        counts = io.write_bucketed(ray.data.from_arrow(t).repartition(6), out, "k", n_buckets=8)
+        parts = [f"bucket={b}" for b in counts]
+        assert sum(counts.values()) == 2000 and len(parts) > 1
+    if sink in _INDEX_BUILDS:
+        assert len(written) == 1
+        assert _tasks_of(written[0].stats(), kernel) > 1
+        return
+    assert written == []
+    assert len(list(task_ids.iterdir())) > 1
+    for part in parts:
+        assert len(glob.glob(os.path.join(out, part, "*.parquet"))) == 1
     if sink == "run_resumable":
-        assert len(list(task_ids.iterdir())) > 1
         assert stats["blocks"] == 4
         assert _triple_multiset(out) == clean_triples
-        for shard in range(RESUME_KW["n_shards"]):  # the write still coalesces
-            assert len(glob.glob(os.path.join(out, f"part={shard}", "*.parquet"))) == 1
-    else:
-        assert _tasks_of(written[0].stats(), kernel) > 1
 
 
 def test_run_resumable_takes_no_hub(ray_session, corpus, tmp_path):
@@ -352,6 +367,59 @@ def test_run_resumable_takes_no_hub(ray_session, corpus, tmp_path):
     with pytest.raises(TypeError, match="hub_name"):
         run_resumable(_staged(corpus), str(tmp_path / "out"), hub_name="no_hub", **RESUME_KW)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", ["gather", "sort"])
+def test_worker_crash_in_write_task_is_retried(ray_session, corpus, tmp_path, clean_triples,
+                                              monkeypatch, path):
+    """A write task whose worker dies after writing its files is retried,
+    and the retry replaces those files: one file per shard and the clean
+    run's multiset, on both exchange paths. The first write call kills its
+    worker once per test, guarded by a marker file created with O_EXCL."""
+    import glob
+    import os
+
+    from ontocast_ray.ops import shuffle
+    from ontocast_ray.sources import io
+
+    if path == "sort":
+        monkeypatch.setattr(shuffle, "_GATHER_BYTES", 0)
+    marker = str(tmp_path / "crashed")
+    factory = io._part_writer
+
+    def crashing_factory(*args):
+        write = factory(*args)
+
+        def crash_once(table):
+            out = write(table)
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return out
+            os._exit(1)
+
+        return crash_once
+
+    monkeypatch.setattr(io, "_part_writer", crashing_factory)
+    out = str(tmp_path / "triples")
+    run_resumable(_staged(corpus), out, batch_size=8, **RESUME_KW)
+    assert os.path.exists(marker)
+    for shard in range(RESUME_KW["n_shards"]):
+        assert len(glob.glob(os.path.join(out, f"part={shard}", "*.parquet"))) == 1
+    assert _triple_multiset(out) == clean_triples
+
+
+def test_run_resumable_starts_no_execution(ray_session, corpus, tmp_path, clean_triples,
+                                          executions):
+    """Over staged docs the sink runs as plain Ray tasks: the KG stage
+    (``map_blocks``) and the write (``shuffle_by``'s gather) start no Ray
+    Data execution."""
+    docs = _staged(corpus)
+    executions.clear()
+    out = str(tmp_path / "triples")
+    run_resumable(docs, out, batch_size=8, **RESUME_KW)
+    assert executions == []
+    assert _triple_multiset(out) == clean_triples
 
 
 def test_worker_crash_in_kg_task_is_retried(ray_session, corpus, tmp_path, clean_triples,

@@ -55,8 +55,6 @@ ALLOWED_EXECUTION_KNOBS = {
         "the docs per KG kernel call; the KG tests pass 8",
     ("ontocast_ray/pipelines/kg.py", "_kg_blocks", "batch_size"):
         "private: build_kg_pipeline and run_resumable forward their caller's",
-    ("ontocast_ray/sources/io.py", "_write_committed", "min_rows_per_file"):
-        "private: each resumable sink passes its own file size",
     ("ontocast_ray/sources/io.py", "compact_parquet", "min_rows_per_file"):
         "the output file size is what the op computes",
     ("ontocast_ray/ops/dedup.py", "_bucket_cosine_pairs", "chunk"):

@@ -194,18 +194,15 @@ def test_read_documents_lance_dispatch(ray_session, tmp_path):
         write_documents(ds, str(tmp_path / "out"), fmt="lance")
 
 
-def test_write_bucketed_roundtrip(ray_session, tmp_path, monkeypatch):
+def test_write_bucketed_roundtrip(ray_session, tmp_path):
     """Bucket invariant (hash(key)%B == dir), within-bucket sort, full
     roundtrip, manifests committed per bucket, pruned single-bucket read."""
     import numpy as np
     import pyarrow as pa
     import ray.data
 
-    from ontocast_ray.sources import io
     from ontocast_ray.sources.io import committed_shards, read_bucket, write_bucketed
     from ontocast_ray.util import hash_partition
-
-    monkeypatch.setattr(io, "_BUCKET_MIN_ROWS_PER_FILE", 10_000)
 
     rng = np.random.default_rng(6)
     n = 2000
@@ -267,11 +264,12 @@ def test_write_bucketed_roundtrip(ray_session, tmp_path, monkeypatch):
     assert len(back3) == n and set(back3["v"]) == set(range(n))
 
 
-def test_write_committed_min_rows_per_part_file(ray_session, tmp_path):
-    """``min_rows_per_file`` holds per part file when every block carries
-    rows of every part (the KG sink's shape): 4 blocks of 1000 rows over 4
-    parts with a 500-row minimum give 2 files of 500 rows per part, not 4
-    files of 250 (one per block)."""
+@pytest.mark.parametrize("path", ["gather", "sort"])
+def test_write_committed_one_file_per_part(ray_session, tmp_path, monkeypatch, path):
+    """Every part gets one file when every block carries rows of every part
+    (the KG sink's shape), on both exchange paths: 4 blocks of 1000 rows
+    over 4 parts give one 1000-row file per part, not one per block, and
+    the file holds every row of its part."""
     import glob
     import os
 
@@ -279,16 +277,21 @@ def test_write_committed_min_rows_per_part_file(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
+    from ontocast_ray.ops import shuffle
     from ontocast_ray.sources.io import _write_committed
 
+    if path == "sort":
+        monkeypatch.setattr(shuffle, "_GATHER_BYTES", 0)
     blocks = [pa.table({"part": pa.array([i % 4 for i in range(1000)], type=pa.int32()),
                         "v": pa.array(range(b * 1000, (b + 1) * 1000))}) for b in range(4)]
     out = str(tmp_path / "out")
-    rows, n_blocks = _write_committed(ray.data.from_arrow(blocks), out, "part", 4, set(), 500)
+    rows, n_blocks = _write_committed(ray.data.from_arrow(blocks), out, "part", 4, set())
     assert rows == {p: 1000 for p in range(4)} and n_blocks == 4
     for p in range(4):
         files = glob.glob(os.path.join(out, f"part={p}", "*.parquet"))
-        assert sorted(pq.read_metadata(f).num_rows for f in files) == [500, 500]
+        assert len(files) == 1
+        assert sorted(pq.read_table(files[0])["v"].to_pylist()) == [
+            v for v in range(4000) if v % 1000 % 4 == p]
 
 
 def test_read_documents_jsonl(ray_session, tmp_path):
