@@ -3093,10 +3093,9 @@ def _q_keep_best(sf_dir: str):
     verified = ngram_jaccard_verify(
         docs, pairs, threshold=0.8, shingle_k=3
     )
-    scores = docs.select_columns(["doc_id", "n_chars"])
-    return dedup_keep_best(
-        verified, scores, score_col="n_chars"
-    )
+    # the docs themselves are the scores: a projection of them would start
+    # an execution of its own, and the score map reads two columns anyway
+    return dedup_keep_best(verified, docs, score_col="n_chars")
 
 
 def _q_dedup_audit(sf_dir: str):

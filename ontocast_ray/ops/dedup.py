@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ontocast_ray.ops.shuffle import map_blocks, shuffle_by
+from ontocast_ray.ops.shuffle import from_blocks, map_blocks, materialized, shuffle_by
 from ontocast_ray.util import to_arrow_type, vectors_2d
 
 _WS = re.compile(r"\s+")
@@ -347,14 +347,14 @@ def _pin_pair_schema(
     calls no kernel on an empty input, so an empty result has no schema.
     The id type is the docs' ``doc_id`` type when the plan knows it without
     executing (a materialized ``docs`` does), else int64."""
-    pairs = pairs.materialize()
+    pairs = materialized(pairs)
     if pairs.count():
         return pairs
     sch = docs.schema(fetch_if_missing=False)
     types = dict(zip(sch.names, sch.types)) if sch is not None else {}
     t = to_arrow_type(types["doc_id"]) if "doc_id" in types else pa.int64()
     empty = pa.schema([("doc_id_a", t), ("doc_id_b", t), (col, pa.int64())]).empty_table()
-    return ray.data.from_arrow(empty).materialize()
+    return from_blocks(empty)
 
 
 def minhash_lsh_candidates(
@@ -389,7 +389,7 @@ def minhash_lsh_candidates(
     def band_rows(batch: pa.Table) -> pa.Table:
         return _band_rows(hasher(batch), bands)
 
-    docs = docs.materialize()
+    docs = materialized(docs)
     kernel = (
         _bucket_pairs_partition if pair_mode == "star"
         else _bucket_all_pairs_partition
@@ -537,7 +537,7 @@ def _verify_pairs_small(
             out_a.append(a)
             out_b.append(b)
             sims.append(j)
-    return ray.data.from_arrow(
+    return from_blocks(
         pa.table(
             {
                 "doc_id_a": pa.array(out_a, type=id_type),
@@ -578,10 +578,10 @@ def ngram_jaccard_verify(
     # materialized pair set lives in the object store — small next to docs.
     # No projection: every consumer reads only doc_id_a/doc_id_b, and a
     # Project would cost its own execution on an already materialized input.
-    pairs = pairs.materialize()
+    pairs = materialized(pairs)
     n_pairs = pairs.count()
     if n_pairs == 0:
-        return ray.data.from_arrow(empty)
+        return from_blocks(empty)
     _sch = pairs.schema()
     id_type = dict(zip(_sch.names, _sch.types))["doc_id_a"]
     if n_pairs <= _SMALL_PAIR_LIMIT:

@@ -37,7 +37,7 @@ import pyarrow as pa
 import ray.data
 
 from ontocast_ray.ops.interleave import splitmix64
-from ontocast_ray.ops.shuffle import map_blocks, shuffle_by
+from ontocast_ray.ops.shuffle import from_blocks, map_blocks, materialized, shuffle_by
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 _KEEP_SCHEMA = pa.schema([("doc_id", pa.int64()), ("keep_id", pa.int64()), ("keep", pa.bool_())])
@@ -137,7 +137,7 @@ def _local_union_find(edges: "ray.data.Dataset") -> "ray.data.Dataset":
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
     nodes = sorted(parent)
-    return ray.data.from_arrow(
+    return from_blocks(
         pa.table(
             {
                 "doc_id": pa.array(nodes, type=pa.int64()),
@@ -769,6 +769,12 @@ def dedup_keep_best(
     where a vectorized sort + groupby-transform('first') marks winners —
     no per-component Python. Scores must be integer-or-exact (the
     argmax compares them for equality across engines).
+
+    Eager on the broadcast path below, like ``dedup_keep_list``: the score
+    map and the mark map are ``map_blocks`` launches, so over materialized
+    pairs and scores it starts no Ray Data execution. Pass the scored rows
+    as they are: a projection of materialized ``scores`` is lazy, so it
+    would start one.
     """
     import pandas as pd
 
@@ -787,7 +793,7 @@ def dedup_keep_best(
     # is broadcast back to mark the member rows. Above the limit: the
     # partitioned hash_join + component-hash pick (both corpus-scale
     # shuffles, unavoidable there).
-    comp = comp.materialize()
+    comp = materialized(comp)
     n_members = comp.count()
     if n_members and n_members <= _KEEP_BEST_BROADCAST:
         mem_ids, mem_comps = [], []
@@ -802,18 +808,20 @@ def dedup_keep_best(
 
         def partial(batch: pa.Table) -> pa.Table:
             i_s, c_s = ray.get(mem_ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            pos = np.searchsorted(i_s, ids)
-            pos[pos >= len(i_s)] = len(i_s) - 1
-            hit = i_s[pos] == ids
+            hit = np.zeros(0, dtype=bool)
+            if batch.num_rows:  # a sort-path exchange's empty block has no columns
+                ids = batch[id_col].to_numpy(zero_copy_only=False).astype(
+                    np.int64
+                )
+                pos = np.searchsorted(i_s, ids)
+                pos[pos >= len(i_s)] = len(i_s) - 1
+                hit = i_s[pos] == ids
             if not hit.any():
                 return pa.table({
                     "component": pa.array([], type=pa.int64()),
-                    "best_score": pa.array(
-                        [], type=batch.schema.field(score_col).type
-                    ),
+                    "best_score": pa.array([], type=(
+                        batch.schema.field(score_col).type
+                        if score_col in batch.column_names else pa.int64())),
                     "best_id": pa.array([], type=pa.int64()),
                 })
             sc = batch[score_col].to_numpy(zero_copy_only=False)[hit]
@@ -841,11 +849,7 @@ def dedup_keep_best(
             ).drop_duplicates("component")
             return g[["component", "best_id"]]
 
-        win_rows = shuffle_by(
-            scores.map_batches(partial, batch_format="pyarrow"),
-            "component",
-            combine,
-        ).take_all()
+        win_rows = shuffle_by(map_blocks(scores, partial), "component", combine).take_all()
         # components whose every member is unscored fall back to min id
         # (the hash_join path's fillna(int64-min) + min-id tiebreak rule)
         fallback = (
@@ -860,6 +864,8 @@ def dedup_keep_best(
         win_ref = ray.put((comp_keys, win_ids))
 
         def mark(batch: pa.Table) -> pa.Table:
+            if not batch.num_rows:  # a sort-path exchange's empty block has no columns
+                return _KEEP_SCHEMA.empty_table()
             keys, wids = ray.get(win_ref)
             d = batch["doc_id"].to_numpy(zero_copy_only=False)
             c = batch["component"].to_numpy(zero_copy_only=False)
@@ -870,7 +876,7 @@ def dedup_keep_best(
                 "keep": pa.array(d == keep_id),
             })
 
-        return comp.map_batches(mark, batch_format="pyarrow")
+        return map_blocks(comp, mark)
 
     # LEFT join: a member with no score row must still appear (absence
     # would read as implicitly-kept downstream, silently disabling the

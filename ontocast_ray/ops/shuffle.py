@@ -1,6 +1,7 @@
 """One coarse-shuffle primitive, ``shuffle_by``, and one way to run a
 function over materialized blocks, ``map_blocks`` (with ``union_blocks``
-to join their outputs without a Ray Data execution).
+to join their outputs and ``from_blocks`` to hand over tables built on the
+driver, both without a Ray Data execution or a task).
 
 Grouping on a fine key with ``groupby(key).map_groups`` costs one Python
 call per group, and Ray's native keyed paths (sort aggregate, hash-shuffle
@@ -48,20 +49,35 @@ runs that task alone: the 16 tasks of ``crawl_update``'s KG stage (about
 1.2 s of kernel CPU; 4 CPUs, a 768 MiB object store, medians of 8
 alternating runs) took 0.91 s of wall time through it and 0.52 s as plain
 tasks, for the same 89,037 rows. The gather path is the same launch with
-every block in one task. A launch returns its output materialized: a
-``from_*_refs`` dataset that was never ``.materialize()``d starts an
-execution when it is read (``take_all``, ``iter_batches``,
-``to_pandas``), and the ``.materialize()`` call itself starts none. So a
-chain of launches over materialized blocks, such as the near-dup pass
-(LSH, verify, keep list) or the crawl merge (``union_blocks`` joins its two
+every block in one task.
+
+A launch describes its own blocks: each task returns its output block's
+row count, size and schema with the block, and ``_executed`` builds the
+executed dataset from them, as ``Dataset.materialize()`` does. So reads
+of it start no execution, and no second round of tasks runs:
+``from_*_refs`` runs one metadata task per block (68 per ``crawl_update``
+pass, 38 per ``neardup_curation`` pass), and a ``from_*_refs`` dataset
+that was never ``.materialize()``d starts an execution when it is read
+(``take_all``, ``iter_batches``, ``to_pandas``). ``union_blocks`` reuses
+the metadata its inputs hold, and ``from_blocks`` computes it on the
+driver. ``materialized`` returns an executed dataset as it is, where
+``.materialize()`` would build a copy (about 5 ms each). So a chain of
+launches over materialized blocks, such as the near-dup pass (LSH,
+verify, keep list) or the crawl merge (``union_blocks`` joins its two
 maps' outputs, where a ``Dataset.union`` would start an execution),
-starts no Ray Data execution. Each launch logs
-at DEBUG level, on the child logger ``ontocast_ray.ops.shuffle.map_blocks``,
-the function's name, its input blocks, its tasks, its rows in and out,
-its input bytes (``bytes_in``) and the wall seconds its tasks spent, summed
-(``task_s``). The module's only ``ray.remote`` is ``_run_blocks``;
-``tests/test_shuffle.py`` fails on any other outside
-``state/ontology_hub.py``.
+starts no Ray Data execution. ``_executed`` holds the module's, and the
+engine's, only imports of ``ray.data._internal``.
+
+Each launch logs at DEBUG level, on the child logger
+``ontocast_ray.ops.shuffle.map_blocks``, the function's name, its input
+blocks, its tasks, its rows in and out, its input bytes (``bytes_in``),
+the wall seconds its tasks spent, summed (``task_s``), and the launch's
+own wall seconds on the driver (``wall_s``). Its ``stats()`` list the
+input's operators and then the launch as ``MapBlocks(<fn>)``, with each
+task's wall and CPU time. The module's only ``ray.remote`` is
+``_run_blocks``; ``tests/test_shuffle.py`` fails on any other outside
+``state/ontology_hub.py``, and on ``ray.data._internal`` anywhere but in
+``_executed``.
 """
 
 from __future__ import annotations
@@ -77,7 +93,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
-from ray.data.block import BlockAccessor
+from ray.data.block import BlockAccessor, BlockExecStats, BlockMetadataWithSchema
+from ray.data.dataset import MaterializedDataset
 
 from ontocast_ray.util import hash_partition, hash_u64
 
@@ -149,7 +166,7 @@ def shuffle_by(
     frames. ``n_parts=1`` gathers every row into one kernel call.
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
-    ds = ds.materialize()
+    ds = materialized(ds)
     n, size, blocks = ds.count(), ds.size_bytes(), ds.num_blocks()
     gather = size is not None and size <= _GATHER_BYTES
     if gather or n == 0:
@@ -167,9 +184,9 @@ def shuffle_by(
 
     if n == 0:
         # what the sort path gives an empty input: one empty block, no schema
-        return ray.data.from_pandas(pd.DataFrame()).materialize()
+        return from_blocks(pd.DataFrame())
     if gather:
-        return _launch(ds, kernel, batch_format, [_block_refs(ds)])
+        return _launch(ds, kernel, batch_format, [[ref for ref, _ in _blocks(ds)]])
 
     def add_part(batch):
         part = _partition_ids(batch, keys, p)
@@ -199,15 +216,17 @@ def shuffle_by(
 
 
 def map_blocks(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
-    """Materialize ``ds``, then call ``fn`` once per block, each call in its
-    own plain Ray task, and return the materialized dataset of the output
-    blocks, in input order.
+    """Materialize ``ds`` (``materialized``), then call ``fn`` once per
+    block, each call in its own plain Ray task, and return the materialized
+    dataset of the output blocks, in input order.
 
     Use it for a map whose input is already materialized: the launch and
-    reads of its output start no Ray Data execution. A lazy ``ds`` is
-    materialized first, in one execution of its whole upstream, so the
-    call then holds ``ds`` in the object store where a lazy map would
-    hold only its output; keep lazy what callers compose.
+    reads of its output start no Ray Data execution, and each task returns
+    its output block's metadata with the block, so the launch runs no
+    second round of tasks. A lazy ``ds`` is materialized first, in one
+    execution of its whole upstream, so the call then holds ``ds`` in the
+    object store where a lazy map would hold only its output; keep lazy
+    what callers compose.
 
     ``fn`` gets the block as a ``pyarrow.Table``, an empty one too (where
     ``map_batches`` would skip it): the empty blocks of a sort-path
@@ -218,33 +237,98 @@ def map_blocks(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
     several tasks raise. An input with no blocks runs no task and gives an
     empty dataset.
     """
-    ds = ds.materialize()
-    return _launch(ds, fn, "pyarrow", [[ref] for ref in _block_refs(ds)])
+    ds = materialized(ds)
+    return _launch(ds, fn, "pyarrow", [[ref] for ref, _ in _blocks(ds)])
 
 
 def union_blocks(*datasets) -> "ray.data.Dataset":
     """The materialized dataset of every block of ``datasets``, in order.
 
     ``Dataset.union`` of materialized datasets is lazy, so reading it starts
-    a Ray Data execution (21 small blocks, 4 CPUs: 0.087 s, against 0.037 s
-    here); this takes the block refs instead and starts none. A lazy input
-    is materialized first, in one execution of its own upstream."""
-    return ray.data.from_arrow_refs(
-        [ref for ds in datasets for ref in _block_refs(ds.materialize())]).materialize()
+    a Ray Data execution (21 small blocks, 4 CPUs: 0.087 s). This takes the
+    block refs with the metadata their datasets already hold, so it starts
+    no execution and runs no task: two datasets of 16 blocks took 4.5 ms,
+    where ``from_arrow_refs`` spent 24 ms recomputing the metadata of 16.
+    A lazy input is materialized first, in one execution of its own
+    upstream."""
+    datasets = [materialized(ds) for ds in datasets]
+    return _executed([b for ds in datasets for b in _blocks(ds)], None, datasets)
 
 
-def _block_refs(ds) -> list:
-    """The block refs of the materialized ``ds``, in order."""
-    return [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+def materialized(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` itself when it is a materialized dataset that was executed,
+    else ``ds.materialize()``.
+
+    ``.materialize()`` of an executed dataset starts no execution, but it
+    builds a deep copy and a new dataset, each with a stats-actor call
+    (about 5 ms). A ``from_*_refs`` dataset is a ``MaterializedDataset``
+    that was never executed: reading it starts an execution, so it is
+    materialized."""
+    if isinstance(ds, MaterializedDataset) and ds._plan.has_computed_output():
+        return ds
+    return ds.materialize()
+
+
+def from_blocks(*blocks) -> "ray.data.Dataset":
+    """The materialized dataset of tables built on the driver (arrow or
+    pandas blocks), one block each, in order: each is ``ray.put`` with its
+    metadata computed here, so no task runs and reads start no
+    execution."""
+    return _executed(
+        [(ray.put(b), BlockMetadataWithSchema.from_block(b)) for b in blocks], "FromBlocks")
+
+
+def _blocks(ds) -> list:
+    """(block ref, metadata with schema) of each block of the executed
+    ``ds``, in order. A block's metadata carries its own schema when the
+    launch that made it computed one, else the dataset's."""
+    return [
+        (ref, meta if isinstance(meta, BlockMetadataWithSchema)
+         else BlockMetadataWithSchema(meta, bundle.schema))
+        for bundle in ds.iter_internal_ref_bundles() for ref, meta in bundle.blocks
+    ]
+
+
+def _executed(blocks: list, name: str | None, parents=()) -> "ray.data.Dataset":
+    """The executed ``MaterializedDataset`` of ``blocks``, (ref,
+    ``BlockMetadataWithSchema``) pairs, in order. Its ``stats()`` are the
+    ``parents`` datasets' followed by operator ``name`` over ``blocks``,
+    or by nothing when ``name`` is None (blocks no task of this call made).
+
+    It builds what ``Dataset.materialize()`` builds: one ``RefBundle`` per
+    block, each with the dataset's schema (the first non-empty block
+    schema), an ``InputData`` plan over them, and a call of the plan's
+    ``execute``, a no-op for input data that marks the plan executed, so
+    reading it starts no execution. ``from_*_refs`` would run one
+    metadata task per block instead, and return a dataset whose reads
+    start one. The engine's only import of ``ray.data._internal``."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import _take_first_non_empty_schema
+
+    ctx = ray.data.DataContext.get_current().copy()
+    stats = DatasetStats(metadata={name: [meta for _, meta in blocks]} if name else {},
+                         parent=[ds._plan.stats() for ds in parents])
+    schema = _take_first_non_empty_schema(meta.schema for _, meta in blocks)
+    bundles = [RefBundle([(ref, meta)], owns_blocks=False, schema=schema) for ref, meta in blocks]
+    out = MaterializedDataset(ExecutionPlan(stats, ctx), LogicalPlan(InputData(bundles), ctx))
+    out._plan.execute()
+    return out
 
 
 def _launch(ds, fn, batch_format: str, groups: list[list]) -> "ray.data.Dataset":
-    """One ``_run_blocks`` task per group of the materialized ``ds``'s block
-    refs → the materialized dataset of their output blocks.
+    """One ``_run_blocks`` task per group of the executed ``ds``'s block
+    refs → the executed dataset of their output blocks, built from the
+    metadata the tasks return.
 
     When ``fn`` raises, each failed task's output ref is fetched before the
     first error is re-raised: Ray reports an error ref that no one fetched
     as an "Unhandled error", one traceback per ref."""
+    t0 = time.perf_counter()
+    name = getattr(fn, "__name__", type(fn).__name__)
     fn_ref = ray.put(fn)
     tasks = [_run_blocks.remote(fn_ref, batch_format, *group) for group in groups]
     try:
@@ -257,16 +341,13 @@ def _launch(ds, fn, batch_format: str, groups: list[list]) -> "ray.data.Dataset"
                 with contextlib.suppress(Exception):
                     ray.get(block)
         raise
-    from_refs = (ray.data.from_pandas_refs if any(p for p, _ in meta)
-                 else ray.data.from_arrow_refs)
-    # a from_*_refs dataset that was never materialized starts a Ray Data
-    # execution on take_all/iter_batches; materializing it starts none
-    out = from_refs([block for block, _ in tasks]).materialize()
+    out = _executed([(block, m) for (block, _), m in zip(tasks, meta)], f"MapBlocks({name})", [ds])
     _blocks_log.debug(
-        "map_blocks %s: blocks=%d tasks=%d rows_in=%d rows_out=%d bytes_in=%s task_s=%.3f",
-        getattr(fn, "__name__", type(fn).__name__),
-        sum(map(len, groups)), len(groups), ds.count(), out.count(),
-        ds.size_bytes(), sum(s for _, s in meta),
+        "map_blocks %s: blocks=%d tasks=%d rows_in=%d rows_out=%d bytes_in=%s "
+        "task_s=%.3f wall_s=%.3f",
+        name, sum(map(len, groups)), len(groups), ds.count(), out.count(),
+        ds.size_bytes(), sum(m.exec_stats.wall_time_s for m in meta),
+        time.perf_counter() - t0,
     )
     return out
 
@@ -276,11 +357,12 @@ def _launch(ds, fn, batch_format: str, groups: list[list]) -> "ray.data.Dataset"
 @ray.remote(num_returns=2, max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
 def _run_blocks(fn, batch_format: str, *blocks):
     """``fn`` over the rows of ``blocks`` as one ``batch_format`` batch →
-    (output block, (whether it is a pandas block, the task's wall seconds))."""
-    t0 = time.perf_counter()
+    (output block, its metadata and schema, with the task's wall seconds
+    in ``exec_stats``)."""
+    stats = BlockExecStats.builder()
     out = BlockAccessor.batch_to_block(
         fn(BlockAccessor.for_block(_concat(blocks)).to_batch_format(batch_format)))
-    return out, (isinstance(out, pd.DataFrame), time.perf_counter() - t0)
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
 def _concat(blocks) -> "pa.Table | pd.DataFrame":

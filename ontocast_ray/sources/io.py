@@ -165,7 +165,7 @@ def _write_committed(
 
     import pyarrow.parquet as pq
 
-    from ontocast_ray.ops.shuffle import shuffle_by
+    from ontocast_ray.ops.shuffle import materialized, shuffle_by
 
     prefix = f"{col}="
     for name in os.listdir(out_dir) if os.path.isdir(out_dir) else []:
@@ -179,11 +179,11 @@ def _write_committed(
     todo = [p for p in range(n_parts) if p not in done]
     blocks = 0
     if todo:
-        ds = ds.materialize()
+        ds = materialized(ds)
         blocks = ds.num_blocks()
         # the sort path returns a lazy dataset: run it, or nothing is written
-        shuffle_by(ds, col, _part_writer(out_dir, col, order_by),
-                   batch_format="pyarrow").materialize()
+        materialized(shuffle_by(ds, col, _part_writer(out_dir, col, order_by),
+                                batch_format="pyarrow"))
     for p in todo:
         files = glob.glob(os.path.join(out_dir, f"{prefix}{p}", "*.parquet"))
         rows[p] = sum(pq.read_metadata(f).num_rows for f in files)

@@ -96,3 +96,18 @@ def test_bipartite_edge_ctes_in_sync():
     }
     assert all(forms.values()), forms.keys()
     assert len(set(forms.values())) == 1, forms
+
+
+SF01_DIR = "/root/testdata/sf0.01"
+
+
+@pytest.mark.skipif(not os.path.isdir(SF01_DIR), reason="testdata not present")
+def test_keep_best_starts_only_its_read(ray_session, executions):
+    """``neardup_keep_best`` at sf0.01 starts one Ray Data execution, the
+    documents read: LSH, verify, components and ``dedup_keep_best``'s score
+    and mark maps run as plain Ray tasks over the read's blocks. Its rows
+    still match the oracle."""
+    got = to_pandas(entry.queries()["neardup_keep_best"](SF01_DIR))
+    assert len(executions) == 1 and "ReadParquet" in executions[0], executions
+    want = oracle_connection(SF01_DIR).execute(_SQL["neardup_keep_best"]).df()
+    assert compare_results(got, want) == "OK"

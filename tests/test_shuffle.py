@@ -182,7 +182,8 @@ def _launches(caplog, cost: bool = False) -> list[str]:
 
 def test_stats_show_kernel_name(ray_session, both_paths, caplog):
     """A run names its kernel: the gather path's task launch logs it, and
-    the sort path's ``stats()`` show it on the operator that runs it."""
+    on either path ``stats()`` show it on the operator that runs it, after
+    the operators upstream of the exchange."""
     caplog.set_level(logging.DEBUG, logger=shuffle.__name__)
 
     def my_distinct_kernel_name(df: pd.DataFrame) -> pd.DataFrame:
@@ -191,12 +192,15 @@ def test_stats_show_kernel_name(ray_session, both_paths, caplog):
     for path in both_paths():
         caplog.clear()
         out = shuffle_by(_ds(30), "s", my_distinct_kernel_name, n_parts=2).materialize()
+        stats = out.stats()
         if path == "gather":
             assert _launches(caplog) == [
                 "map_blocks my_distinct_kernel_name: blocks=4 tasks=1 rows_in=30 rows_out=17"]
+            assert "MapBlocks(my_distinct_kernel_name): 1 tasks executed" in stats, stats
         else:
             assert _launches(caplog) == []
-            assert "my_distinct_kernel_name" in out.stats()
+            assert "my_distinct_kernel_name" in stats
+        assert stats.index("FromPandas") < stats.index("my_distinct_kernel_name"), stats
 
 
 def test_small_input_skips_sort_shuffle(ray_session, caplog):
@@ -255,7 +259,8 @@ def test_map_blocks_runs_one_task_per_block(ray_session, caplog):
     """One task per input block, in block order, each ``fn`` call seeing
     its block as an arrow table (the empty one too); one DEBUG record per
     call names ``fn`` and counts blocks, tasks, rows in and out, the
-    input's bytes and the tasks' summed wall seconds."""
+    input's bytes, the tasks' summed wall seconds and the launch's own
+    wall seconds on the driver."""
     import time
 
     import pyarrow as pa
@@ -279,9 +284,11 @@ def test_map_blocks_runs_one_task_per_block(ray_session, caplog):
         counts, cost = msg.split(" bytes_in=")
         assert counts == (f"map_blocks per_block: blocks={len(want)} tasks={len(want)} "
                           f"rows_in={sum(want)} rows_out={len(want)}")
-        m = re.fullmatch(r"(\d+) task_s=(\d+\.\d{3})", cost)
+        m = re.fullmatch(r"(\d+) task_s=(\d+\.\d{3}) wall_s=(\d+\.\d{3})", cost)
         assert m and int(m[1]) == ds.size_bytes() > 0, msg
         assert 0.05 * len(want) <= float(m[2]) < 0.05 * len(want) + 5, msg
+        # the tasks run side by side: the launch takes at least one sleep
+        assert 0.05 <= float(m[3]) < 0.05 * len(want) + 5, msg
 
 
 def test_map_blocks_output_reads_without_an_execution(ray_session, executions):
@@ -312,8 +319,8 @@ def test_map_blocks_empty_input(ray_session, caplog):
     no_blocks = ray.data.range(0)
     out = shuffle.map_blocks(no_blocks, count)
     assert out.count() == 0 and out.num_blocks() == 0
-    assert _launches(caplog, cost=True)[-1] == (
-        "map_blocks count: blocks=0 tasks=0 rows_in=0 rows_out=0 bytes_in=0 task_s=0.000")
+    assert _launches(caplog, cost=True)[-1].startswith(
+        "map_blocks count: blocks=0 tasks=0 rows_in=0 rows_out=0 bytes_in=0 task_s=0.000 wall_s=")
 
 
 def test_map_blocks_keeps_the_output_block_type(ray_session):
@@ -340,6 +347,143 @@ def test_map_blocks_keeps_the_output_block_type(ray_session):
     [block] = blocks(out)
     assert isinstance(block, pd.DataFrame)
     assert block.to_dict("list") == {"s": ["a", "b", "c"], "v": [1, 2, 3], "w": [2, 4, 6]}
+
+
+def _no_from_refs(monkeypatch):
+    """Make ``from_arrow_refs`` and ``from_pandas_refs`` raise, both where
+    callers reach them (``ray.data``) and where ``from_arrow`` and
+    ``from_pandas`` do (``ray.data.read_api``)."""
+    import ray.data
+    from ray.data import read_api
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a from_*_refs call: one metadata task per block")
+
+    for name in ("from_arrow_refs", "from_pandas_refs"):
+        monkeypatch.setattr(ray.data, name, refuse)
+        monkeypatch.setattr(read_api, name, refuse)
+
+
+def test_launches_call_no_from_refs(ray_session, monkeypatch):
+    """``map_blocks``, the gather path, ``union_blocks`` and ``from_blocks``
+    build their datasets from the metadata they hold: with both
+    ``from_*_refs`` made to raise, every row still arrives."""
+    import pyarrow as pa
+
+    def sums(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("s", as_index=False)["v"].sum()
+
+    ds = _ds(blocks=3).materialize()
+    _no_from_refs(monkeypatch)
+    mapped = shuffle.map_blocks(ds, lambda t: t)
+    gathered = shuffle_by(mapped, "s", sums)
+    driver = shuffle.from_blocks(pa.table({"s": ["z"], "v": [-1]}))
+    union = shuffle.union_blocks(mapped, gathered, driver)
+    assert mapped.count() == 240 and gathered.count() == 17
+    assert union.num_blocks() == 3 + 1 + 1
+    assert len(union.take_all()) == 240 + 17 + 1
+
+
+# what a launch's function returns, one block per kind
+_BLOCK_KINDS = {
+    "arrow": lambda t: t,
+    "pandas": lambda t: t.to_pandas(),
+    "empty": lambda t: t.slice(0, 0),
+    "schemaless": lambda t: pd.DataFrame(),
+}
+
+
+def _per_block(ds) -> list[tuple]:
+    """(rows, schema) of each block, as the dataset's plan holds them."""
+    return [(m.num_rows, m.schema)
+            for bundle in ds._logical_plan.dag.output_data() for _, m in bundle.blocks]
+
+
+def _sizes(ds) -> list[int]:
+    return [m.size_bytes for bundle in ds._logical_plan.dag.output_data() for _, m in bundle.blocks]
+
+
+def _schema(ds):
+    sch = ds.schema()
+    return None if sch is None else (sch.names, sch.types)
+
+
+@pytest.mark.parametrize("kind", sorted(_BLOCK_KINDS))
+def test_block_metadata_equals_from_refs(ray_session, kind):
+    """Each block of a ``map_blocks`` launch, of the gather path and of
+    ``from_blocks`` carries the row count, size and schema that
+    ``from_*_refs`` computes for the same block refs in tasks of its own,
+    and the dataset has the schema of ``from_*_refs(...).materialize()``;
+    ``union_blocks`` keeps each block's metadata. The size of a pandas
+    block is Ray's estimate over its object columns, which moved by 2 of
+    20,148 bytes once the block was stored and read back; arrow sizes
+    are exact."""
+    import pyarrow as pa
+    import ray
+
+    fn = _BLOCK_KINDS[kind]
+    ds = _ds(blocks=3).materialize()
+    tables = [t for t in ds.iter_batches(batch_size=None, batch_format="pyarrow")]
+    outs = [
+        shuffle.map_blocks(ds, fn),
+        shuffle_by(ds, "s", lambda df: fn(pa.Table.from_pandas(df, preserve_index=False))),
+        shuffle.from_blocks(*map(fn, tables)),
+    ]
+    from_refs = (ray.data.from_pandas_refs if kind in ("pandas", "schemaless")
+                 else ray.data.from_arrow_refs)
+    for out in outs:
+        refs = [ref for bundle in out.iter_internal_ref_bundles() for ref in bundle.block_refs]
+        want = from_refs(refs)
+        assert _per_block(out) == _per_block(want)
+        if kind == "pandas":
+            assert _sizes(out) == pytest.approx(_sizes(want), rel=0.01)
+        else:
+            assert _sizes(out) == _sizes(want)
+        assert _schema(out) == _schema(want.materialize())
+        union = shuffle.union_blocks(out, out)
+        assert _per_block(union) == 2 * _per_block(want)
+        assert _schema(union) == _schema(want.materialize())
+
+
+def test_materialized_keeps_an_executed_dataset(ray_session, executions):
+    """``materialized`` returns an executed dataset itself: a
+    ``.materialize()``d one, a launch's output."""
+    ds = _ds().materialize()
+    launched = shuffle.map_blocks(ds, lambda t: t)
+    executions.clear()
+    assert shuffle.materialized(ds) is ds
+    assert shuffle.materialized(launched) is launched
+    assert executions == []
+
+
+def test_materialized_runs_a_lazy_dataset_once(ray_session, executions):
+    """A lazy dataset runs in one execution, and reading the result starts
+    no other."""
+    lazy = _ds().materialize().map_batches(lambda b: b)
+    executions.clear()
+    out = shuffle.materialized(lazy)
+    assert len(executions) == 1
+    assert len(out.take_all()) == 240 and out.count() == 240
+    assert shuffle.materialized(out) is out
+    assert len(executions) == 1
+
+
+def test_materialized_materializes_a_from_refs_dataset(ray_session, executions):
+    """A ``from_arrow_refs`` dataset is a ``MaterializedDataset`` that was
+    never executed, and reading it starts an execution; ``materialized``
+    returns it materialized, and reading that starts none."""
+    import pyarrow as pa
+    import ray
+
+    refs = [ray.put(pa.table({"v": [1, 2]})), ray.put(pa.table({"v": [3]}))]
+    executions.clear()
+    assert len(ray.data.from_arrow_refs(refs).take_all()) == 3
+    assert len(executions) == 1
+    raw = ray.data.from_arrow_refs(refs)
+    out = shuffle.materialized(raw)
+    assert out is not raw
+    executions.clear()
+    assert [r["v"] for r in out.take_all()] == [1, 2, 3] and executions == []
 
 
 def test_map_blocks_kernel_exception_propagates(ray_session, both_paths):
@@ -655,3 +799,37 @@ def test_ray_remote_lives_only_in_map_blocks_and_the_hub():
                 bad.add(f"{rel}:{node.lineno}")
     assert not bad, "launch tasks with ops.shuffle.map_blocks: " + ", ".join(sorted(bad))
     assert seen == set(ALLOWED_RAY_REMOTE), set(ALLOWED_RAY_REMOTE) - seen
+
+
+def test_ray_data_internals_live_only_in_the_block_builder():
+    """Scan ontocast_ray, __ray_entry__.py, bench.py and jobs: the engine
+    imports ``ray.data._internal`` only inside ops/shuffle.py's
+    ``_executed`` (so a Ray upgrade that moves it fails here, not in a
+    query), and calls ``from_arrow_refs``/``from_pandas_refs`` nowhere
+    (each runs one metadata task per block; the launches build their
+    datasets from the metadata in hand)."""
+    internal, from_refs, builder = [], [], []
+    paths = sorted((_REPO / "ontocast_ray").rglob("*.py")) + sorted((_REPO / "jobs").glob("*.py"))
+    for path in paths + [_REPO / "__ray_entry__.py", _REPO / "bench.py"]:
+        rel = path.relative_to(_REPO).as_posix()
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if rel == "ontocast_ray/ops/shuffle.py":
+            [fn] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_executed"]
+            allowed = set(ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mods, names = [node.module or ""], [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods, names = [a.name for a in node.names], []
+            else:
+                mods, names = [], []
+            if any(m == "ray.data._internal" or m.startswith("ray.data._internal.") for m in mods):
+                (builder if node in allowed else internal).append(f"{rel}:{node.lineno}")
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if {name, *names} & {"from_arrow_refs", "from_pandas_refs"}:
+                from_refs.append(f"{rel}:{node.lineno}")
+    assert not internal, "import ray.data._internal only in shuffle._executed: " + ", ".join(internal)
+    assert builder, "shuffle._executed no longer imports ray.data._internal"
+    assert not from_refs, "build datasets with ops.shuffle.from_blocks: " + ", ".join(from_refs)
